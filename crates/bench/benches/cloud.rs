@@ -1,15 +1,10 @@
 //! Criterion benchmarks of the cloud DES and workload generator (the
-//! substrate behind Figs 2-4 and 9-14), plus per-structure micro points
-//! for the DES hot-path overhaul: indexed calendar vs binary heap event
-//! queues, winner-tree vs linear-scan fair-share selection, and the
-//! optimized vs reference engine end to end (`BENCH_cloud.json`).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! substrate behind Figs 2-4 and 9-14), plus a micro point for the
+//! winner-tree fair-share queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcs::{Study, StudyConfig};
-use qcs_cloud::{Calendar, CloudConfig, DesEngine, FairShareQueue, JobSpec, Simulation};
+use qcs_cloud::{CloudConfig, FairShareQueue, JobSpec, Simulation};
 use qcs_machine::Fleet;
 use qcs_workload::{generate, WorkloadConfig};
 
@@ -46,8 +41,8 @@ fn bench_workload_generation(c: &mut Criterion) {
 }
 
 fn bench_fair_share_queue(c: &mut Criterion) {
-    // Winner-tree (default) vs the retained linear-scan oracle, same
-    // push/charge/pop stream: the per-pop cost is O(log P) vs O(P).
+    // Winner-tree selection under a 40-provider push/charge/pop stream:
+    // O(log P) per pop.
     let spec = |i: u64| JobSpec {
         id: i,
         provider: (i % 40) as u32,
@@ -60,88 +55,20 @@ fn bench_fair_share_queue(c: &mut Criterion) {
         is_study: false,
         patience_s: f64::INFINITY,
     };
-    for (name, scan) in [("fairshare_push_pop_1k", false), ("fairshare_scan_push_pop_1k", true)] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut queue = FairShareQueue::new(40, 86_400.0);
-                if scan {
-                    queue = queue.with_scan_selection();
-                }
-                for i in 0..1000u64 {
-                    queue.push(spec(i));
-                }
-                let mut drained = 0usize;
-                while let Some(job) = queue.pop(2000.0) {
-                    queue.charge(job.provider, 60.0, 2000.0);
-                    drained += 1;
-                }
-                drained
-            });
-        });
-    }
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    // The indexed calendar vs a plain binary heap over the same packed
-    // (time, seq) keys: interleaved push/pop mimicking the DES pattern
-    // (pop the front, schedule a completion a bit in the future).
-    let times: Vec<f64> = (0..1024u64)
-        .map(|i| (i.wrapping_mul(0x9E37_79B9) % 100_000) as f64 * 0.1)
-        .collect();
-    c.bench_function("event_queue/calendar_1k", |b| {
+    c.bench_function("fairshare_push_pop_1k", |b| {
         b.iter(|| {
-            let mut cal: Calendar<u64> = Calendar::new();
-            for (i, &t) in times.iter().enumerate() {
-                cal.push(t, i as u64, i as u64);
+            let mut queue = FairShareQueue::new(40, 86_400.0);
+            for i in 0..1000u64 {
+                queue.push(spec(i));
             }
-            let mut out = 0u64;
-            let mut seq = times.len() as u64;
-            while let Some((t, item)) = cal.pop() {
-                out = out.wrapping_add(item);
-                if seq < 2048 {
-                    cal.push(t + 30.0, seq, seq);
-                    seq += 1;
-                }
+            let mut drained = 0usize;
+            while let Some(job) = queue.pop(2000.0) {
+                queue.charge(job.provider, 60.0, 2000.0);
+                drained += 1;
             }
-            out
+            drained
         });
     });
-    c.bench_function("event_queue/heap_1k", |b| {
-        b.iter(|| {
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            for (i, &t) in times.iter().enumerate() {
-                heap.push(Reverse((t.to_bits(), i as u64)));
-            }
-            let mut out = 0u64;
-            let mut seq = times.len() as u64;
-            while let Some(Reverse((bits, item))) = heap.pop() {
-                out = out.wrapping_add(item);
-                if seq < 2048 {
-                    heap.push(Reverse(((f64::from_bits(bits) + 30.0).to_bits(), seq)));
-                    seq += 1;
-                }
-            }
-            out
-        });
-    });
-}
-
-fn bench_des_engines(c: &mut Criterion) {
-    // End-to-end DES on the same trace, optimized vs reference engine —
-    // the per-optimization ablation pair `ci.sh` compares.
-    let (fleet, jobs) = small_workload();
-    for (name, engine) in [
-        ("des_engine/optimized", DesEngine::Optimized),
-        ("des_engine/reference", DesEngine::Reference),
-    ] {
-        let config = CloudConfig {
-            engine,
-            ..CloudConfig::default()
-        };
-        c.bench_function(name, |b| {
-            b.iter(|| Simulation::new(fleet.clone(), config).run(jobs.clone()));
-        });
-    }
 }
 
 fn bench_study_analysis(c: &mut Criterion) {
@@ -166,10 +93,8 @@ fn bench_study_analysis(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_des,
-    bench_des_engines,
     bench_workload_generation,
     bench_fair_share_queue,
-    bench_event_queue,
     bench_study_analysis
 );
 criterion_main!(benches);

@@ -50,7 +50,7 @@ fn job(id: u64, num_machines: usize) -> JobSpec {
         circuits: 4,
         shots: 1024,
         mean_depth: 20.0,
-        mean_width: 3.0,
+        mean_width: 1.0, // admissible on every machine, 1-qubit armonk included
         submit_s: 0.0,
         is_study: false,
         patience_s: f64::INFINITY,

@@ -60,17 +60,6 @@ impl<T: QueueItem> JobQueue<T> {
         }
     }
 
-    /// Create the queue with the fair-share variant using the O(P) scan
-    /// selector instead of the winner tree (the reference engine; see
-    /// [`FairShareQueue::with_scan_selection`]). Identical pop order.
-    #[must_use]
-    pub fn new_with_scan_selection(discipline: Discipline, num_providers: usize) -> Self {
-        match Self::new(discipline, num_providers) {
-            JobQueue::FairShare(q) => JobQueue::FairShare(q.with_scan_selection()),
-            other => other,
-        }
-    }
-
     /// Number of queued jobs.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -268,24 +257,6 @@ mod tests {
             let mut q: JobQueue = JobQueue::new(discipline, 2);
             q.charge(0, 10.0, 0.0); // no-op
             assert_eq!(q.charged_raw(), None);
-        }
-    }
-
-    #[test]
-    fn scan_selection_variant_matches_default() {
-        let mut tree = JobQueue::new(Discipline::default(), 3);
-        let mut scan = JobQueue::new_with_scan_selection(Discipline::default(), 3);
-        for q in [&mut tree, &mut scan] {
-            for i in 0..9u64 {
-                q.push(job(i, (i % 3) as u32, i as f64), 1.0);
-            }
-            q.charge(1, 300.0, 2.0);
-        }
-        for _ in 0..9 {
-            assert_eq!(
-                tree.pop(10.0).map(|j| j.id),
-                scan.pop(10.0).map(|j| j.id)
-            );
         }
     }
 

@@ -28,13 +28,11 @@
 //! anything. A provider's key is recomputed only when it is charged or
 //! injected (one `log2` instead of an O(P) `decay_to` sweep), and a
 //! winner tree over the providers repositions just that provider in
-//! O(log P); `pop` reads the root. The O(P) scan over the same keys is
-//! retained behind [`with_scan_selection`](FairShareQueue::with_scan_selection)
-//! as the in-process oracle — both selectors consult the *identical* key
-//! array and tie-break chain `(key, front submit time, provider index)`,
-//! so their pop sequences are bit-identical by construction (the
-//! fair-share proptest in `tests/properties.rs` pins this over random
-//! charge/inject/push/pop schedules).
+//! O(log P); `pop` reads the root. The tie-break chain is `(key, front
+//! submit time, provider index)`. The O(P) scan over the same keys
+//! survives only as a test-scope method: the unit tests assert that the
+//! tree root equals the scan's pick on the *same* queue before every pop,
+//! over random push/charge/inject/remove schedules.
 
 use std::collections::VecDeque;
 
@@ -76,9 +74,6 @@ pub struct FairShareQueue<T = JobSpec> {
     tree: Vec<u32>,
     /// First leaf index (= padded provider count, a power of two).
     leaf_base: usize,
-    /// Use the O(P) scan selector instead of the winner tree (the
-    /// property-matched oracle / reference engine).
-    scan: bool,
 }
 
 impl<T: QueueItem> FairShareQueue<T> {
@@ -97,18 +92,7 @@ impl<T: QueueItem> FairShareQueue<T> {
             len: 0,
             tree: vec![NONE; 2 * leaf_base],
             leaf_base,
-            scan: false,
         }
-    }
-
-    /// Switch this queue to the O(P) scan selector. Pop-for-pop
-    /// bit-identical to the default winner-tree selector (both order by
-    /// the same cached `(key, front submit, provider)` chain); kept as
-    /// the in-process oracle and the reference-engine path.
-    #[must_use]
-    pub fn with_scan_selection(mut self) -> Self {
-        self.scan = true;
-        self
     }
 
     /// Override a provider's share entitlement (larger = more throughput).
@@ -159,11 +143,7 @@ impl<T: QueueItem> FairShareQueue<T> {
     /// docs.)
     pub fn pop(&mut self, now_s: f64) -> Option<T> {
         debug_assert!(!now_s.is_nan(), "pop time must not be NaN");
-        let p = if self.scan {
-            self.select_scan()?
-        } else {
-            self.select_tree()?
-        };
+        let p = self.select_tree()?;
         let job = self.queues[p].pop_front();
         if job.is_some() {
             self.len -= 1;
@@ -274,9 +254,6 @@ impl<T: QueueItem> FairShareQueue<T> {
 
     /// Re-run the matches on `p`'s path to the root (O(log P)).
     fn update_path(&mut self, p: usize) {
-        if self.scan {
-            return;
-        }
         let mut node = self.leaf_base + p;
         self.tree[node] = if self.queues[p].is_empty() {
             NONE
@@ -295,8 +272,9 @@ impl<T: QueueItem> FairShareQueue<T> {
         (w != NONE).then_some(w as usize)
     }
 
-    /// Scan selector (the oracle): a full min over eligible providers on
-    /// the same key array and tie-break chain the tree uses.
+    /// Scan selector (the tree's test oracle): a full min over eligible
+    /// providers on the same key array and tie-break chain.
+    #[cfg(test)]
     fn select_scan(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for p in 0..self.queues.len() {
@@ -317,6 +295,7 @@ impl<T: QueueItem> FairShareQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn job(id: u64, provider: u32, submit: f64) -> JobSpec {
         JobSpec {
@@ -456,35 +435,56 @@ mod tests {
         assert_eq!(order, vec![0, 1, 0, 1, 0, 1, 0, 1]);
     }
 
-    #[test]
-    fn scan_selection_matches_tree() {
-        // Deterministic interleaved schedule, popped twice — once per
-        // selector. (The proptest covers random schedules.)
-        let build = || {
-            let mut q = FairShareQueue::new(5, 7200.0);
-            for i in 0..25u64 {
-                q.push(job(i, (i % 5) as u32, i as f64));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // One queue, both selectors: before every pop the winner tree's
+        // root must be the provider a full scan picks, under a random
+        // push / charge / inject / remove / pop schedule.
+        #[test]
+        fn fairshare_tree_matches_scan_oracle(
+            providers in 1usize..12,
+            ops in proptest::collection::vec((0u32..7, 0u32..12, 0.0f64..5e4), 1..300),
+        ) {
+            let mut q: FairShareQueue = FairShareQueue::new(providers, 2.0 * 3600.0);
+            let mut clock = 0.0f64;
+            let mut queued: Vec<u64> = Vec::new();
+            let mut next_id = 0u64;
+            for &(op, p, x) in &ops {
+                clock += x * 1e-2; // monotone clock, as the DES guarantees
+                let provider = p % providers as u32;
+                match op {
+                    0..=2 => {
+                        q.push(job(next_id, provider, clock));
+                        queued.push(next_id);
+                        next_id += 1;
+                    }
+                    // Whole-second charges collide on equal keys, so the
+                    // submit-time and provider-index tie-breaks run too.
+                    3 => q.charge(provider, x.round(), clock),
+                    4 => q.inject_usage(provider, x, clock),
+                    5 if !queued.is_empty() => {
+                        let id = queued.swap_remove(p as usize % queued.len());
+                        prop_assert_eq!(q.remove(id).map(|j| j.id), Some(id));
+                    }
+                    _ => {
+                        prop_assert_eq!(q.select_tree(), q.select_scan());
+                        if let Some(j) = q.pop(clock) {
+                            queued.retain(|&id| id != j.id);
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), queued.len());
             }
-            q.charge(2, 500.0, 3.0);
-            q.inject_usage(4, 120.0, 7.0);
-            q.charge(0, 30.0, 11.0);
-            q
-        };
-        let mut tree = build();
-        let mut scan = build().with_scan_selection();
-        let mut now = 20.0;
-        loop {
-            let a = tree.pop(now);
-            let b = scan.pop(now);
-            assert_eq!(
-                a.as_ref().map(|j| j.id),
-                b.as_ref().map(|j| j.id),
-                "selectors diverged at t={now}"
-            );
-            let Some(j) = a else { break };
-            tree.charge(j.provider, 45.0, now);
-            scan.charge(j.provider, 45.0, now);
-            now += 45.0;
+            // Drain completely: every remaining selection must agree.
+            while !q.is_empty() {
+                prop_assert_eq!(q.select_tree(), q.select_scan());
+                if let Some(j) = q.pop(clock) {
+                    q.charge(j.provider, 45.0, clock);
+                }
+                clock += 45.0;
+            }
+            prop_assert_eq!(q.select_scan(), None);
         }
     }
 

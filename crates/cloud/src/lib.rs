@@ -32,7 +32,6 @@
 #![warn(clippy::all)]
 
 pub mod audit;
-pub mod calendar;
 mod discipline;
 mod fairshare;
 mod job;
@@ -41,16 +40,13 @@ mod outage;
 pub mod reference;
 mod sim;
 mod streaming;
-mod sweep;
 pub mod trace;
 
 pub use audit::{AuditReport, AuditViolation, Auditor};
-pub use calendar::Calendar;
 pub use discipline::{Discipline, JobQueue};
 pub use fairshare::FairShareQueue;
 pub use job::{JobOutcome, JobRecord, JobSpec, QueueItem, QueueSample};
 pub use live::{JobStatus, LiveCloud, RecordTapFn, SubmitError};
 pub use outage::OutagePlan;
-pub use sim::{CloudConfig, DesEngine, RecordSink, Simulation, SimulationResult};
+pub use sim::{CloudConfig, RecordSink, Simulation, SimulationResult};
 pub use streaming::StreamingAggregates;
-pub use sweep::{run_sweep, SweepCell, SweepConfig};

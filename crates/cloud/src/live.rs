@@ -23,15 +23,13 @@
 //! The engine stores each in-flight job once, in a slab
 //! ([`JobSlab`]), and moves only 24-byte `u32`-handle entries through the
 //! queues and agendas — no per-job `HashMap` traffic, no 80-byte specs
-//! sifting through heaps. Under the default
-//! [`DesEngine::Optimized`](crate::DesEngine) the event and arrival
-//! agendas are [`Calendar`] bucket queues and fair-share selection is the
-//! incremental winner tree; [`DesEngine::Reference`](crate::DesEngine)
-//! keeps binary heaps and the O(P) scan. Both engines compare identical
-//! `u128` `(time, seq)` keys and identical fair-share keys, so their
-//! outputs are bit-for-bit equal (property-tested); the reference engine
-//! is the in-process oracle and ablation baseline, not a compatibility
-//! mode.
+//! sifting through heaps. The event and arrival agendas are binary heaps
+//! over one packed `(time, seq)` `u128` key (a single integer compare per
+//! sift step), and fair-share selection is the incremental winner tree of
+//! [`FairShareQueue`](crate::FairShareQueue). There is exactly one
+//! engine; its oracle is the brute-force
+//! [`reference::simulate`](crate::reference::simulate), matched
+//! bit-for-bit by `tests/properties.rs::des_matches_reference`.
 //!
 //! # Examples
 //!
@@ -62,9 +60,8 @@ use qcs_machine::Fleet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::calendar::{key_of, key_time, Calendar};
 use crate::{
-    CloudConfig, DesEngine, JobOutcome, JobQueue, JobRecord, JobSpec, OutagePlan, QueueItem,
+    CloudConfig, JobOutcome, JobQueue, JobRecord, JobSpec, OutagePlan, QueueItem,
     QueueSample, RecordSink, SimulationResult, StreamingAggregates,
 };
 
@@ -166,9 +163,40 @@ enum EventKind {
     Resume { machine: u32 },
 }
 
-/// A keyed entry for the reference binary-heap agendas: ordered by the
-/// same packed `(time, seq)` `u128` the calendar uses, reversed for the
-/// max-heap, so both engines pop in exactly the same order.
+/// Monotone key encoding: orders exactly like `(time_s, seq)` under
+/// `f64::total_cmp` on the time (the repo-wide sort convention), so one
+/// integer compare replaces a float compare plus a sequence tie-break.
+#[inline]
+fn key_of(time_s: f64, seq: u64) -> u128 {
+    ((time_key(time_s) as u128) << 64) | u128::from(seq)
+}
+
+/// Order-preserving bijection from non-NaN `f64` to `u64` (the standard
+/// sign-fold of the IEEE bit pattern, i.e. `total_cmp` order).
+#[inline]
+fn time_key(time_s: f64) -> u64 {
+    let bits = time_s.to_bits();
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`time_key`], for recovering an entry's time at pop.
+#[inline]
+fn key_time(key: u128) -> f64 {
+    let folded = (key >> 64) as u64;
+    let bits = if folded >> 63 == 1 {
+        folded & !(1 << 63)
+    } else {
+        !folded
+    };
+    f64::from_bits(bits)
+}
+
+/// An agenda entry ordered by its packed `(time, seq)` key, reversed for
+/// the max-heap so the earliest entry pops first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct HeapEntry<T> {
     key: u128,
@@ -188,69 +216,50 @@ impl<T: Eq> PartialOrd for HeapEntry<T> {
     }
 }
 
-/// A time-ordered agenda, engine-selectable: calendar buckets (optimized)
-/// or a binary heap (reference). Identical pop order by construction —
-/// both order by [`key_of`]`(time, seq)`.
+/// A time-ordered agenda: a binary heap over [`key_of`]`(time, seq)`. Keys
+/// are unique (every push takes a fresh `seq`), so pop order depends on
+/// the keys alone, never on the heap's internal layout.
 #[derive(Debug)]
-enum Agenda<T> {
-    Heap(BinaryHeap<HeapEntry<T>>),
-    Calendar(Calendar<T>),
+struct Agenda<T> {
+    heap: BinaryHeap<HeapEntry<T>>,
 }
 
 impl<T: Eq> Agenda<T> {
-    fn new(engine: DesEngine) -> Self {
-        match engine {
-            DesEngine::Optimized => Agenda::Calendar(Calendar::new()),
-            DesEngine::Reference => Agenda::Heap(BinaryHeap::new()),
+    fn new() -> Self {
+        Agenda {
+            heap: BinaryHeap::new(),
         }
     }
 
     fn len(&self) -> usize {
-        match self {
-            Agenda::Heap(h) => h.len(),
-            Agenda::Calendar(c) => c.len(),
-        }
+        self.heap.len()
     }
 
     fn push(&mut self, time_s: f64, seq: u64, item: T) {
-        match self {
-            Agenda::Heap(h) => h.push(HeapEntry {
-                key: key_of(time_s, seq),
-                item,
-            }),
-            Agenda::Calendar(c) => c.push(time_s, seq, item),
-        }
+        self.heap.push(HeapEntry {
+            key: key_of(time_s, seq),
+            item,
+        });
     }
 
-    fn peek_time(&mut self) -> Option<f64> {
-        match self {
-            Agenda::Heap(h) => h.peek().map(|e| key_time(e.key)),
-            Agenda::Calendar(c) => c.peek_time(),
-        }
+    fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| key_time(e.key))
     }
 
     fn pop(&mut self) -> Option<(f64, T)> {
-        match self {
-            Agenda::Heap(h) => h.pop().map(|e| (key_time(e.key), e.item)),
-            Agenda::Calendar(c) => c.pop(),
-        }
+        self.heap.pop().map(|e| (key_time(e.key), e.item))
     }
 
-    /// Remove the first entry matching `pred` (arbitrary scan order) —
-    /// the cancel-before-arrival path. O(n).
+    /// Remove the first entry matching `pred` (arbitrary scan order) and
+    /// re-heapify — the cancel-before-arrival path. O(n).
     fn remove_first<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Option<T> {
-        match self {
-            Agenda::Heap(h) => {
-                let mut entries = std::mem::take(h).into_vec();
-                let found = entries
-                    .iter()
-                    .position(|e| pred(&e.item))
-                    .map(|pos| entries.swap_remove(pos).item);
-                *h = BinaryHeap::from(entries);
-                found
-            }
-            Agenda::Calendar(c) => c.remove_first(pred),
-        }
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        let found = entries
+            .iter()
+            .position(|e| pred(&e.item))
+            .map(|pos| entries.swap_remove(pos).item);
+        self.heap = BinaryHeap::from(entries);
+        found
     }
 }
 
@@ -349,7 +358,7 @@ impl std::error::Error for SubmitError {}
 /// at arbitrary simulation times and advances on demand.
 ///
 /// See the [module docs](self) for the equivalence guarantee against the
-/// batch API and the engine-selectable hot-path layout.
+/// batch API and the hot-path layout.
 pub struct LiveCloud {
     fleet: Fleet,
     config: CloudConfig,
@@ -408,12 +417,7 @@ impl LiveCloud {
         let n_machines = fleet.len();
         let sample_interval_s = config.sample_interval_hours * 3600.0;
         let queues = (0..n_machines)
-            .map(|_| match config.engine {
-                DesEngine::Optimized => JobQueue::new(config.discipline, config.num_providers),
-                DesEngine::Reference => {
-                    JobQueue::new_with_scan_selection(config.discipline, config.num_providers)
-                }
-            })
+            .map(|_| JobQueue::new(config.discipline, config.num_providers))
             .collect();
         LiveCloud {
             rng: StdRng::seed_from_u64(config.seed),
@@ -421,9 +425,9 @@ impl LiveCloud {
             queues,
             executing: (0..n_machines).map(|_| None).collect(),
             resume_scheduled: vec![false; n_machines],
-            events: Agenda::new(config.engine),
+            events: Agenda::new(),
             seq: 0,
-            arrivals: Agenda::new(config.engine),
+            arrivals: Agenda::new(),
             arrival_seq: 0,
             result: SimulationResult::default(),
             auditor: config.audit.then(crate::Auditor::new),
@@ -1297,45 +1301,77 @@ mod tests {
     }
 
     #[test]
-    fn engines_produce_identical_results() {
-        // The tentpole contract in miniature: a contended multi-machine
-        // trace with patience cancellations and mid-flight API cancels is
-        // bit-identical across the optimized and reference engines. (The
-        // des_matches_reference proptest covers random traces.)
-        let jobs: Vec<JobSpec> = (0..80)
+    fn packed_key_roundtrips_and_orders_like_total_cmp() {
+        let times = [0.0, 1e-300, 1.5, 86_400.0, 1e18, f64::INFINITY, -0.0, -3.5];
+        for &t in &times {
+            assert_eq!(key_time(key_of(t, 7)).to_bits(), t.to_bits());
+        }
+        let mut by_key = times;
+        by_key.sort_by_key(|&t| time_key(t));
+        let mut by_cmp = times;
+        by_cmp.sort_by(f64::total_cmp);
+        assert_eq!(by_key.map(f64::to_bits), by_cmp.map(f64::to_bits));
+        // Equal times order by sequence number.
+        assert!(key_of(5.0, 1) < key_of(5.0, 2));
+        assert!(key_of(5.0, u64::MAX) < key_of(5.000_000_1, 0));
+    }
+
+    #[test]
+    fn cancelled_arrival_and_queued_job_match_run_without_them() {
+        // 60 jobs in ten groups of six tied submission times. Mid-run, one
+        // queued job is cancelled and one not-yet-arrived job (in the
+        // middle of a tie group) is unscheduled, which removes it from
+        // the arrival heap and rebuilds the heap. The outcome must equal
+        // the run that never submitted the unscheduled job and cancelled
+        // the queued one at the same instant: ties among the survivors
+        // still arrive in submission order whatever the heap's layout.
+        const QUEUED: u64 = 16;
+        const UNSCHEDULED: u64 = 40;
+        let jobs: Vec<JobSpec> = (0..60)
             .map(|i| {
-                let mut j = job(i, (i % 3) as usize + 1, i as f64 * 7.0);
-                j.circuits = 40;
+                let mut j = job(i, (i % 3) as usize + 1, (i / 6) as f64 * 50.0);
+                j.circuits = 150; // ~40 s each: arrivals outpace service
                 if i % 5 == 0 {
-                    j.patience_s = 90.0;
+                    j.patience_s = 150.0;
                 }
                 j
             })
             .collect();
-        let mut results = Vec::new();
-        for engine in [DesEngine::Optimized, DesEngine::Reference] {
-            let config = CloudConfig {
-                engine,
-                audit: true,
-                error_rate: 0.1,
-                sample_interval_hours: 0.02,
-                ..CloudConfig::default()
-            };
+        let config = CloudConfig {
+            audit: true,
+            error_rate: 0.1,
+            sample_interval_hours: 0.02,
+            ..CloudConfig::default()
+        };
+        let run = |submit_unscheduled: bool| {
             let mut cloud = LiveCloud::new(Fleet::ibm_like(), config);
             for j in &jobs {
-                cloud.submit(j.clone()).unwrap();
+                if submit_unscheduled || j.id != UNSCHEDULED {
+                    cloud.submit(j.clone()).unwrap();
+                }
             }
-            cloud.step_until(300.0);
-            cloud.cancel(77); // still queued or pending on both engines
+            cloud.step_until(120.0);
+            let (terminal, arrivals) = (cloud.total_jobs(), cloud.pending_arrivals());
+            assert!(cloud.cancel(QUEUED), "job {QUEUED} should be queued");
+            assert_eq!(cloud.total_jobs(), terminal + 1, "queued cancel leaves a record");
+            assert_eq!(cloud.pending_arrivals(), arrivals);
+            if submit_unscheduled {
+                assert!(cloud.cancel(UNSCHEDULED), "job {UNSCHEDULED} has not arrived");
+                assert_eq!(cloud.total_jobs(), terminal + 1, "unscheduling leaves none");
+                assert_eq!(cloud.pending_arrivals(), arrivals - 1);
+            }
             cloud.run_to_completion();
             let result = cloud.into_result();
             result.audit.as_ref().unwrap().assert_clean();
-            results.push(result);
-        }
-        assert_eq!(results[0].records, results[1].records);
-        assert_eq!(results[0].queue_samples, results[1].queue_samples);
-        assert_eq!(results[0].outcome_counts, results[1].outcome_counts);
-        assert_eq!(results[0].daily_executions, results[1].daily_executions);
+            result
+        };
+        let (with, without) = (run(true), run(false));
+        assert_eq!(with.total_jobs, 59);
+        assert!(with.outcome_counts[2] > 1, "no patience cancellations exercised");
+        assert_eq!(with.records, without.records);
+        assert_eq!(with.queue_samples, without.queue_samples);
+        assert_eq!(with.outcome_counts, without.outcome_counts);
+        assert_eq!(with.daily_executions, without.daily_executions);
     }
 
     #[test]

@@ -54,27 +54,6 @@ impl RecordSink {
     }
 }
 
-/// Which event-engine data structures [`LiveCloud`](crate::LiveCloud)
-/// runs on.
-///
-/// Both engines are *bit-identical* in every observable output — records,
-/// queue samples, aggregates, audit reports — which
-/// `tests/properties.rs::des_matches_reference` locks across disciplines
-/// and outage plans. The reference engine exists so the overhauled hot
-/// path always has an in-process twin to benchmark and property-match
-/// against; it is not a compatibility mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DesEngine {
-    /// Calendar (bucket) event queues + incremental fair-share selection:
-    /// the production hot path.
-    #[default]
-    Optimized,
-    /// Binary-heap event queues + O(P) scan fair-share selection: the
-    /// pre-overhaul structures, kept callable for ablation benchmarks and
-    /// as the property-test oracle.
-    Reference,
-}
-
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudConfig {
@@ -102,9 +81,6 @@ pub struct CloudConfig {
     /// Terminal-record destination: exact in-memory accumulation
     /// (default) or constant-memory streaming fold.
     pub record_sink: RecordSink,
-    /// Event-engine data structures (optimized calendar/incremental path
-    /// by default; the pre-overhaul reference structures stay callable).
-    pub engine: DesEngine,
 }
 
 impl Default for CloudConfig {
@@ -119,7 +95,6 @@ impl Default for CloudConfig {
             background_record_divisor: 1,
             audit: false,
             record_sink: RecordSink::Exact,
-            engine: DesEngine::Optimized,
         }
     }
 }
@@ -321,28 +296,16 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if a job references a machine index outside the fleet or a
-    /// provider outside `config.num_providers`.
+    /// Panics with the [`SubmitError`](crate::SubmitError) message if a job
+    /// references a machine index outside the fleet, a provider outside
+    /// `config.num_providers`, or a negative submission time.
     #[must_use]
     pub fn run(&self, jobs: Vec<JobSpec>) -> SimulationResult {
-        let n_machines = self.fleet.len();
-        for job in &jobs {
-            assert!(
-                job.machine < n_machines,
-                "job {} targets unknown machine",
-                job.id
-            );
-            assert!(
-                (job.provider as usize) < self.config.num_providers,
-                "job {} has unknown provider",
-                job.id
-            );
-        }
         let mut live = crate::LiveCloud::new(self.fleet.clone(), self.config)
             .with_outages(self.outages.clone());
         for job in jobs {
             if let Err(e) = live.submit(job) {
-                unreachable!("jobs validated above: {e}")
+                panic!("{e}");
             }
         }
         live.run_to_completion();

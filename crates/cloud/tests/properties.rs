@@ -1,261 +1,67 @@
-//! Cross-implementation equivalence properties for the DES core.
+//! Stepping-schedule equivalence for the DES core.
 //!
-//! Every optimization in the hot path ships with an in-process oracle —
-//! the straightforward structure it replaced — and these properties pin
-//! the two bit-for-bit against each other over randomized inputs:
+//! [`live_matches_batch`]: incremental stepping of [`LiveCloud`] through
+//! random schedules, with jobs submitted online, equals the batch replay
+//! of the same trace bit for bit — across disciplines, error rates and
+//! contended traces with patience cancellations.
 //!
-//! - [`calendar_matches_heap_order`]: the bucket calendar pops random
-//!   `(time, seq)` streams in exactly binary-heap order.
-//! - [`fairshare_tree_matches_scan_oracle`]: the incremental winner-tree
-//!   fair-share selector picks the same provider as the O(P) scan under
-//!   random charge/inject/push/pop schedules.
-//! - [`des_matches_reference`]: the full optimized engine (calendar
-//!   agendas + winner tree) reproduces the reference engine's records,
-//!   samples, and aggregates on random traces.
-//! - [`live_matches_batch`]: incremental stepping through random
-//!   schedules equals the batch replay.
-//! - [`sweep_thread_count_invariant`]: the parallel sweep returns
-//!   identical results at any worker count.
+//! The engine's implementation-independent oracle is the brute-force
+//! `qcs_cloud::reference::simulate`; the root package's
+//! `tests/properties.rs::des_matches_reference` matches the two on random
+//! traces, outage plans, disciplines and both record sinks. The winner
+//! tree's scan oracle lives with it in `src/fairshare.rs`.
 
-use proptest::prelude::*;
 use proptest::collection::vec;
+use proptest::prelude::*;
 
-use qcs_cloud::{
-    run_sweep, Calendar, CloudConfig, DesEngine, Discipline, FairShareQueue, JobSpec, LiveCloud,
-    OutagePlan, QueueItem, RecordSink, Simulation, SweepCell, SweepConfig,
-};
+use qcs_cloud::{CloudConfig, Discipline, JobSpec, LiveCloud, Simulation};
 use qcs_machine::Fleet;
-
-// ---------------------------------------------------------------------
-// Calendar vs binary heap
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn calendar_matches_heap_order(
-        ops in vec((0.0f64..1e7, 0u32..4), 1..400),
-        scale in 0usize..3,
-    ) {
-        // Mixed push/pop stream: op.1 == 0 pops, anything else pushes.
-        // `scale` stretches times across very different magnitudes to
-        // exercise bucket-width regrowth.
-        let mult = [1.0, 1e-6, 3600.0][scale];
-        let mut calendar = Calendar::new();
-        let mut oracle: Vec<(f64, u64)> = Vec::new(); // sorted ascending
-        let mut seq = 0u64;
-        for &(t, kind) in &ops {
-            if kind == 0 {
-                // Oracle: earliest (time, seq). Vec kept sorted descending
-                // so pop_min is pop().
-                let expect = oracle.pop();
-                let got = calendar.pop().map(|(time, s)| (time, s));
-                prop_assert_eq!(got, expect);
-            } else {
-                let time = t * mult;
-                calendar.push(time, seq, seq);
-                let pos = oracle
-                    .binary_search_by(|&(ot, os)| time.total_cmp(&ot).then(seq.cmp(&os)))
-                    .unwrap_or_else(|e| e);
-                oracle.insert(pos, (time, seq));
-                seq += 1;
-            }
-            prop_assert_eq!(calendar.len(), oracle.len());
-            // peek_time must agree with the oracle's minimum.
-            prop_assert_eq!(calendar.peek_time(), oracle.last().map(|&(t, _)| t));
-        }
-        // Drain: the full remaining order must match.
-        while let Some(expect) = oracle.pop() {
-            prop_assert_eq!(calendar.pop(), Some(expect));
-        }
-        prop_assert!(calendar.is_empty());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fair-share winner tree vs scan oracle
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Item {
-    id: u64,
-    provider: u32,
-    submit_s: f64,
-}
-
-impl QueueItem for Item {
-    fn id(&self) -> u64 {
-        self.id
-    }
-    fn provider(&self) -> u32 {
-        self.provider
-    }
-    fn submit_s(&self) -> f64 {
-        self.submit_s
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn fairshare_tree_matches_scan_oracle(
-        providers in 1usize..12,
-        ops in vec((0u32..5, 0u32..12, 0.0f64..5e4), 1..300),
-    ) {
-        let mut tree: FairShareQueue<Item> =
-            FairShareQueue::new(providers, 2.0 * 3600.0);
-        let mut scan: FairShareQueue<Item> =
-            FairShareQueue::new(providers, 2.0 * 3600.0).with_scan_selection();
-        let mut clock = 0.0f64;
-        let mut next_id = 0u64;
-        for &(op, p, x) in &ops {
-            clock += x * 1e-2; // monotone clock, as the DES guarantees
-            let provider = p % providers as u32;
-            match op {
-                0 | 1 => {
-                    let item = Item {
-                        id: next_id,
-                        provider,
-                        submit_s: clock,
-                    };
-                    next_id += 1;
-                    tree.push(item);
-                    scan.push(item);
-                }
-                2 => {
-                    tree.charge(provider, x, clock);
-                    scan.charge(provider, x, clock);
-                }
-                3 => {
-                    tree.inject_usage(provider, x, clock);
-                    scan.inject_usage(provider, x, clock);
-                }
-                _ => {
-                    prop_assert_eq!(tree.pop(clock), scan.pop(clock));
-                }
-            }
-            prop_assert_eq!(tree.len(), scan.len());
-        }
-        // Drain both completely: every remaining selection must agree.
-        while !tree.is_empty() {
-            prop_assert_eq!(tree.pop(clock), scan.pop(clock));
-        }
-        prop_assert!(scan.is_empty());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Full-engine equivalence on random traces
-// ---------------------------------------------------------------------
-
-fn trace_from(raw: &[(u32, u32, u32, f64, u32)], machines: usize, providers: u32) -> Vec<JobSpec> {
-    let mut t = 0.0f64;
-    raw.iter()
-        .enumerate()
-        .map(|(i, &(provider, machine, circuits, gap, patience))| {
-            t += gap;
-            JobSpec {
-                id: i as u64,
-                provider: provider % providers,
-                machine: 1 + (machine as usize % (machines - 1).max(1)),
-                circuits: 1 + circuits % 60,
-                shots: 1024,
-                mean_depth: 5.0 + f64::from(circuits % 40),
-                mean_width: 3.0,
-                submit_s: t,
-                is_study: i % 3 == 0,
-                patience_s: match patience % 4 {
-                    0 => 60.0 + f64::from(patience),
-                    _ => f64::INFINITY,
-                },
-            }
-        })
-        .collect()
-}
-
-fn config_from(discipline_sel: u32, error_rate: f64, sink_sel: u32, engine: DesEngine) -> CloudConfig {
-    CloudConfig {
-        discipline: match discipline_sel % 3 {
-            0 => Discipline::default(),
-            1 => Discipline::Fifo,
-            _ => Discipline::ShortestJobFirst,
-        },
-        error_rate,
-        engine,
-        audit: true,
-        sample_interval_hours: 0.05,
-        record_sink: if sink_sel % 3 == 0 {
-            RecordSink::streaming(9)
-        } else {
-            RecordSink::Exact
-        },
-        ..CloudConfig::default()
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn des_matches_reference(
-        raw in vec((0u32..6, 0u32..8, 0u32..90, 0.0f64..120.0, 0u32..400), 1..120),
-        discipline_sel in 0u32..3,
-        error_rate in 0.0f64..0.3,
-        sink_sel in 0u32..3,
-        seed in 0u64..1000,
-    ) {
-        let fleet = Fleet::ibm_like();
-        let jobs = trace_from(&raw, fleet.len(), 6);
-        let mut results = Vec::new();
-        for engine in [DesEngine::Optimized, DesEngine::Reference] {
-            let mut config = config_from(discipline_sel, error_rate, sink_sel, engine);
-            config.seed = seed;
-            let result = Simulation::new(fleet.clone(), config).run(jobs.clone());
-            result.audit.as_ref().expect("audit on").assert_clean();
-            results.push(result);
-        }
-        let (opt, reference) = (&results[0], &results[1]);
-        prop_assert_eq!(&opt.records, &reference.records);
-        prop_assert_eq!(&opt.queue_samples, &reference.queue_samples);
-        prop_assert_eq!(opt.total_jobs, reference.total_jobs);
-        prop_assert_eq!(opt.outcome_counts, reference.outcome_counts);
-        prop_assert_eq!(&opt.daily_executions, &reference.daily_executions);
-        match (&opt.streaming, &reference.streaming) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.folded(), b.folded());
-                prop_assert_eq!(a.cancelled(), b.cancelled());
-                prop_assert_eq!(
-                    a.queue_time().moments().mean(),
-                    b.queue_time().moments().mean()
-                );
-                prop_assert_eq!(
-                    a.executed_seconds_by_provider(),
-                    b.executed_seconds_by_provider()
-                );
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "sink mode diverged between engines"),
-        }
-    }
 
     #[test]
     fn live_matches_batch(
         raw in vec((0u32..6, 0u32..8, 0u32..90, 0.0f64..120.0, 0u32..400), 1..80),
         discipline_sel in 0u32..3,
         error_rate in 0.0f64..0.3,
-        engine_sel in 0u32..2,
         step_jitter in vec(0.0f64..200.0, 1..40),
     ) {
-        let engine = if engine_sel == 0 {
-            DesEngine::Optimized
-        } else {
-            DesEngine::Reference
-        };
         let fleet = Fleet::ibm_like();
-        let jobs = trace_from(&raw, fleet.len(), 6);
-        let config = config_from(discipline_sel, error_rate, 1, engine);
+        let mut t = 0.0f64;
+        let jobs: Vec<JobSpec> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(provider, machine, circuits, gap, patience))| {
+                t += gap;
+                JobSpec {
+                    id: i as u64,
+                    provider,
+                    machine: 1 + machine as usize % (fleet.len() - 1),
+                    circuits: 1 + circuits % 60,
+                    shots: 1024,
+                    mean_depth: 5.0 + f64::from(circuits % 40),
+                    mean_width: 3.0,
+                    submit_s: t,
+                    is_study: i % 3 == 0,
+                    patience_s: match patience % 4 {
+                        0 => 60.0 + f64::from(patience),
+                        _ => f64::INFINITY,
+                    },
+                }
+            })
+            .collect();
+        let config = CloudConfig {
+            discipline: match discipline_sel {
+                0 => Discipline::default(),
+                1 => Discipline::Fifo,
+                _ => Discipline::ShortestJobFirst,
+            },
+            error_rate,
+            audit: true,
+            sample_interval_hours: 0.05,
+            ..CloudConfig::default()
+        };
         let batch = Simulation::new(fleet.clone(), config).run(jobs.clone());
 
         // Live: submit in submission order, stepping by a random schedule
@@ -275,105 +81,5 @@ proptest! {
         prop_assert_eq!(batch.total_jobs, live.total_jobs);
         prop_assert_eq!(batch.outcome_counts, live.outcome_counts);
         prop_assert_eq!(&batch.daily_executions, &live.daily_executions);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sweep determinism
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn sweep_thread_count_invariant(
-        base_seed in 0u64..10_000,
-        threads in 2usize..6,
-        n_jobs in 5u64..40,
-    ) {
-        let fleet = Fleet::ibm_like();
-        let mut windows = vec![Vec::new(); fleet.len()];
-        windows[2] = vec![(100.0, 5_000.0)];
-        let cells: Vec<SweepCell> = [
-            Discipline::default(),
-            Discipline::Fifo,
-            Discipline::ShortestJobFirst,
-        ]
-        .into_iter()
-        .flat_map(|discipline| {
-            [RecordSink::Exact, RecordSink::streaming(5)]
-                .into_iter()
-                .map(move |record_sink| {
-                    SweepCell::new(CloudConfig {
-                        discipline,
-                        record_sink,
-                        error_rate: 0.1,
-                        ..CloudConfig::default()
-                    })
-                })
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .enumerate()
-        .map(|(i, cell)| {
-            if i == 1 {
-                cell.with_outages(OutagePlan::from_windows(windows.clone()))
-            } else {
-                cell
-            }
-        })
-        .collect();
-        let trace = |cell: usize, seed: u64| -> Vec<JobSpec> {
-            (0..n_jobs)
-                .map(|i| JobSpec {
-                    id: i,
-                    provider: ((i ^ seed) % 4) as u32,
-                    machine: 1 + (i as usize + cell) % 3,
-                    circuits: 5 + (seed % 25) as u32,
-                    shots: 1024,
-                    mean_depth: 20.0,
-                    mean_width: 3.0,
-                    submit_s: i as f64 * 45.0,
-                    is_study: i % 2 == 0,
-                    patience_s: if i % 6 == 0 { 90.0 } else { f64::INFINITY },
-                })
-                .collect()
-        };
-        let serial = run_sweep(
-            &fleet,
-            &cells,
-            &SweepConfig {
-                base_seed,
-                threads: 1,
-            },
-            trace,
-        );
-        let parallel = run_sweep(
-            &fleet,
-            &cells,
-            &SweepConfig {
-                base_seed,
-                threads,
-            },
-            trace,
-        );
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            prop_assert_eq!(&a.records, &b.records);
-            prop_assert_eq!(&a.queue_samples, &b.queue_samples);
-            prop_assert_eq!(a.total_jobs, b.total_jobs);
-            prop_assert_eq!(a.outcome_counts, b.outcome_counts);
-            match (&a.streaming, &b.streaming) {
-                (Some(x), Some(y)) => {
-                    prop_assert_eq!(x.folded(), y.folded());
-                    prop_assert_eq!(
-                        x.queue_time().moments().mean(),
-                        y.queue_time().moments().mean()
-                    );
-                }
-                (None, None) => {}
-                _ => prop_assert!(false, "sink mode diverged across thread counts"),
-            }
-        }
     }
 }

@@ -38,7 +38,9 @@ pub enum ErrorCode {
     BadArity,
     /// A required field is absent.
     MissingField,
-    /// A field is present but does not parse as its type.
+    /// A field is present but does not parse as its type, or parses to a
+    /// value outside its admissible range (a NaN depth, a negative
+    /// patience).
     BadField,
     /// The request line exceeded the server's line-length bound.
     LineTooLong,
@@ -52,7 +54,8 @@ pub enum ErrorCode {
     EmptyBatch,
     /// `CANCEL` of a job that is running, finished, or unknown.
     NotCancellable,
-    /// The simulator refused an otherwise well-formed submission.
+    /// An otherwise well-formed submission exceeds the target machine's
+    /// caps (width, batch size, shots), or the simulator refused it.
     Rejected,
     /// `PREDICT` before the online predictor has observed any completed
     /// job — there is no data to estimate from yet.

@@ -95,4 +95,4 @@ pub use metrics::GatewayMetrics;
 pub use protocol::{Request, Response};
 pub use ratelimit::TokenBucket;
 pub use retry::{RetryPolicy, RetryStats};
-pub use server::{Gateway, GatewayConfig};
+pub use server::{Gateway, GatewayConfig, MAX_MEAN_DEPTH};

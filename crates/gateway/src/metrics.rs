@@ -24,7 +24,8 @@ pub struct GatewayMetrics {
     /// was at its bound (`BUSY`).
     pub rejected_backpressure: u64,
     /// Submissions rejected as unsatisfiable (`ERR`): unknown machine or
-    /// provider, zero-size batch.
+    /// provider, zero-size batch, or a job shape outside the admissible
+    /// ranges / the target machine's caps.
     pub rejected_invalid: u64,
     /// Jobs cancelled through the API.
     pub cancelled_via_api: u64,

@@ -180,7 +180,9 @@ impl fmt::Display for Request {
                     f,
                     "SUBMIT {provider} {machine} {circuits} {shots} {mean_depth} {mean_width}"
                 )?;
-                if patience_s.is_finite() {
+                // Only the patient default is implied by omission; NaN or
+                // `-inf` go on the wire for the server to reject.
+                if *patience_s != f64::INFINITY {
                     write!(f, " {patience_s}")?;
                 }
                 Ok(())
@@ -411,6 +413,45 @@ mod tests {
             Request::parse("QUEUE").unwrap_err().code,
             ErrorCode::MissingField
         );
+    }
+
+    #[test]
+    fn hostile_submit_numbers_parse_or_fail_typed() {
+        // Parsing is syntax only: anything `f64`/`u32` accepts comes back
+        // as a `Submit` carrying the hostile value (the server's admission
+        // check turns it away, see `server::check_job_shape`); anything
+        // they refuse is a typed BAD_FIELD. Nothing panics.
+        for (line, depth_bits, patience_bits) in [
+            ("SUBMIT 1 athens 10 1024 1e18 3", 1e18f64.to_bits(), f64::INFINITY.to_bits()),
+            ("SUBMIT 1 athens 10 1024 inf 3", f64::INFINITY.to_bits(), f64::INFINITY.to_bits()),
+            ("SUBMIT 1 athens 10 1024 20 3 -50", 20f64.to_bits(), (-50f64).to_bits()),
+        ] {
+            match Request::parse(line).unwrap() {
+                Request::Submit { mean_depth, patience_s, .. } => {
+                    assert_eq!(mean_depth.to_bits(), depth_bits, "{line}");
+                    assert_eq!(patience_s.to_bits(), patience_bits, "{line}");
+                }
+                other => panic!("parsed {other:?}"),
+            }
+        }
+        match Request::parse("SUBMIT 1 athens 10 1024 NaN 3").unwrap() {
+            Request::Submit { mean_depth, .. } => assert!(mean_depth.is_nan()),
+            other => panic!("parsed {other:?}"),
+        }
+        match Request::parse("SUBMIT 1 athens 4000000000 4000000000 20 3").unwrap() {
+            Request::Submit { circuits, shots, .. } => {
+                assert_eq!((circuits, shots), (4_000_000_000, 4_000_000_000));
+            }
+            other => panic!("parsed {other:?}"),
+        }
+        for line in [
+            "SUBMIT 1 athens 4294967296 1024 20 3", // u32::MAX + 1
+            "SUBMIT 1 athens -1 1024 20 3",
+            "SUBMIT 1 athens 10 1024 1e 3",
+            "SUBMIT 1 athens 10 1024 20 3 soon",
+        ] {
+            assert_eq!(Request::parse(line).unwrap_err().code, ErrorCode::BadField, "{line}");
+        }
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! (wall-clock elapsed × time compression), and answers. Admission
 //! control happens before a job reaches the simulator:
 //!
-//! 1. **Validation** — unknown machine/provider or an empty batch is a
-//!    permanent `ERR` with a typed code.
+//! 1. **Validation** — unknown machine/provider, an empty batch, or a
+//!    job shape no machine could run (non-finite or out-of-range
+//!    `mean_depth` / `mean_width` / `patience_s`, a batch or shot count
+//!    over the target machine's caps) is a permanent `ERR` with a typed
+//!    code. A parsed `f64` is not a plausible one: an unchecked
+//!    `mean_depth` of `1e18` schedules a completion ~10¹⁸ s out, and
+//!    draining to it grows the sample grid without bound.
 //! 2. **Rate limiting** — a per-provider [`TokenBucket`] driven by
 //!    *simulation* time; an empty bucket is a retryable `BUSY`.
 //! 3. **Backpressure** — a machine whose pending depth (queued +
@@ -38,12 +43,12 @@ use std::time::{Duration, Instant};
 
 use qcs_cloud::{CloudConfig, JobSpec, LiveCloud, SimulationResult};
 use qcs_exec::WorkerPool;
-use qcs_machine::Fleet;
+use qcs_machine::{Fleet, Machine};
 use qcs_predictor::{OnlinePredictor, PredictError};
 
 use qcs_transpiler::TranspileCache;
 
-use crate::error::ErrorCode;
+use crate::error::{ErrorCode, ProtocolError};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::metrics::GatewayMetrics;
 use crate::protocol::{Request, Response};
@@ -91,6 +96,53 @@ impl Default for GatewayConfig {
             max_line_bytes: 64 * 1024,
         }
     }
+}
+
+/// Largest `mean_depth` a `SUBMIT` may carry: 10⁵ layers, far past any
+/// circuit a NISQ machine runs coherently (the study's deepest are in the
+/// hundreds). Together with the per-machine batch and shot caps it bounds
+/// one job's simulated run time to days, so a hostile depth cannot push a
+/// completion event — and the queue-sample grid behind it — out to
+/// astronomical times.
+pub const MAX_MEAN_DEPTH: f64 = 1e5;
+
+/// Admission check on the job shape of a `SUBMIT` aimed at `machine`.
+/// Field values that are invalid on any machine are `BAD_FIELD`; values
+/// over this machine's caps are `REJECTED`.
+fn check_job_shape(
+    machine: &Machine,
+    circuits: u32,
+    shots: u32,
+    mean_depth: f64,
+    mean_width: f64,
+    patience_s: f64,
+) -> Result<(), ProtocolError> {
+    let bad_field = |detail: String| Err(ProtocolError::new(ErrorCode::BadField, detail));
+    let over_cap = |detail: String| Err(ProtocolError::new(ErrorCode::Rejected, detail));
+    // Range checks rather than comparisons, so NaN fails them too.
+    if !(1.0..=MAX_MEAN_DEPTH).contains(&mean_depth) {
+        return bad_field(format!(
+            "mean_depth must be in [1, {MAX_MEAN_DEPTH}], got {mean_depth}"
+        ));
+    }
+    if !(1.0..=f64::MAX).contains(&mean_width) {
+        return bad_field(format!("mean_width must be finite and >= 1, got {mean_width}"));
+    }
+    // `inf` is the patient default; only NaN and negatives are invalid.
+    if !(0.0..=f64::INFINITY).contains(&patience_s) {
+        return bad_field(format!("patience_s must be >= 0, got {patience_s}"));
+    }
+    let (name, qubits) = (machine.name(), machine.num_qubits());
+    if mean_width > qubits as f64 {
+        return over_cap(format!("mean_width {mean_width} exceeds {name}'s {qubits} qubits"));
+    }
+    if circuits as usize > machine.max_batch_size() {
+        return over_cap(format!("{circuits} circuits exceed {name}'s batch cap"));
+    }
+    if shots > machine.max_shots() {
+        return over_cap(format!("{shots} shots exceed {name}'s shot cap"));
+    }
+    Ok(())
 }
 
 /// Maps wall-clock elapsed time onto the simulation clock.
@@ -186,6 +238,17 @@ impl State {
                         ErrorCode::EmptyBatch,
                         "circuits and shots must be >= 1",
                     );
+                }
+                if let Err(error) = check_job_shape(
+                    &self.cloud.fleet().machines()[machine_idx],
+                    *circuits,
+                    *shots,
+                    *mean_depth,
+                    *mean_width,
+                    *patience_s,
+                ) {
+                    self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
+                    return Response::Err(error);
                 }
                 if !self.buckets[*provider as usize].try_take(self.cloud.now_s()) {
                     self.metrics.rejected_rate = self.metrics.rejected_rate.saturating_add(1);
@@ -875,6 +938,20 @@ mod tests {
             ("SUBMIT 0 no-such-machine 10 1024 20 3", ErrorCode::UnknownMachine),
             ("SUBMIT 9999 1 10 1024 20 3", ErrorCode::UnknownProvider),
             ("SUBMIT 0 1 0 1024 20 3", ErrorCode::EmptyBatch),
+            // Parsable, implausible: each would otherwise reach the DES.
+            ("SUBMIT 0 1 10 1024 1e18 3", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 inf 3", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 NaN 3", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 0.5 3", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 20 NaN", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 20 0", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 20 3 -50", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 20 3 NaN", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 20 inf", ErrorCode::BadField),
+            ("SUBMIT 0 1 10 1024 20 6", ErrorCode::Rejected), // athens has 5 qubits
+            ("SUBMIT 0 1 901 1024 20 3", ErrorCode::Rejected),
+            ("SUBMIT 0 1 10 8193 20 3", ErrorCode::Rejected),
+            ("SUBMIT 0 1 4000000000 4000000000 20 3", ErrorCode::Rejected),
         ] {
             match roundtrip(&mut client, line) {
                 Response::Err(error) => assert_eq!(error.code, code, "for {line:?}"),
@@ -894,7 +971,8 @@ mod tests {
         );
         drop(raw);
         let (result, metrics) = gateway.shutdown_and_drain();
-        assert_eq!(metrics.rejected_invalid, 3);
+        assert_eq!(metrics.rejected_invalid, 16);
+        assert_eq!(metrics.submitted, 16);
         assert_eq!(metrics.protocol_errors, 1);
         assert_eq!(metrics.accepted, 0);
         assert_eq!(result.total_jobs, 0);
@@ -1094,7 +1172,7 @@ mod tests {
         let gateway = frozen(GatewayConfig::default());
         let name = gateway_fleet_name();
         let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
-        let by_name = roundtrip(&mut client, &format!("SUBMIT 0 {name} 10 1024 20 3"));
+        let by_name = roundtrip(&mut client, &format!("SUBMIT 0 {name} 10 1024 20 1"));
         assert_eq!(by_name, Response::Ok(0));
         assert_eq!(client.queue_depth(&name).unwrap(), 1);
         assert_eq!(client.queue_depth("0").unwrap(), 1);

@@ -8,7 +8,7 @@ use qcs_exec::ExecConfig;
 use qcs_machine::Fleet;
 use qcs_predictor::{run_prediction_study, PredictionStudy};
 use qcs_stats::{fraction_where, median, ViolinSummary};
-use qcs_workload::{generate, StudyCircuit, WorkloadConfig};
+use qcs_workload::{generate, StudyCircuit, Workload, WorkloadConfig};
 
 /// Configuration of a full study run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,11 +25,6 @@ pub struct StudyConfig {
     /// (violins, pending-job scans). Analysis results do not depend on
     /// the thread count.
     pub exec: ExecConfig,
-    /// Run the simulation through the incremental [`qcs_cloud::LiveCloud`]
-    /// core (submitting jobs day by day and stepping the clock) instead of
-    /// the batch `Simulation::run`. Results are bit-identical either way —
-    /// this flag exists to exercise the live path end-to-end.
-    pub use_live_core: bool,
 }
 
 impl StudyConfig {
@@ -46,7 +41,6 @@ impl StudyConfig {
             outage_interval_days: 12.0,
             outage_duration_hours: 18.0,
             exec: ExecConfig::default(),
-            use_live_core: false,
         }
     }
 
@@ -60,7 +54,6 @@ impl StudyConfig {
             outage_interval_days: 12.0,
             outage_duration_hours: 18.0,
             exec: ExecConfig::default(),
-            use_live_core: false,
         }
     }
 
@@ -69,14 +62,6 @@ impl StudyConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.exec = ExecConfig::with_threads(threads);
-        self
-    }
-
-    /// Route the simulation through the incremental live core; returns
-    /// the modified config for chaining.
-    #[must_use]
-    pub fn with_live_core(mut self) -> Self {
-        self.use_live_core = true;
         self
     }
 }
@@ -103,8 +88,7 @@ impl Study {
     /// Generate the workload and run the cloud simulation.
     #[must_use]
     pub fn run(config: &StudyConfig) -> Self {
-        let fleet = Fleet::ibm_like();
-        let workload = generate(&fleet, &config.workload);
+        let (fleet, workload, outages) = study_inputs(config);
         let study_circuits = workload.study_circuits.clone();
         let job_machine = workload
             .jobs
@@ -112,24 +96,9 @@ impl Study {
             .filter(|j| j.is_study)
             .map(|j| (j.id, j.machine))
             .collect();
-        let outages = if config.outage_interval_days > 0.0 {
-            OutagePlan::sample(
-                fleet.len(),
-                config.workload.days,
-                config.outage_interval_days,
-                config.outage_duration_hours,
-                config.workload.seed ^ 0x0u64.wrapping_sub(0x6F75_7461_6765), // "outage"-derived
-            )
-        } else {
-            OutagePlan::none(fleet.len())
-        };
-        let result = if config.use_live_core {
-            run_live(&fleet, config.cloud, outages, workload.jobs)
-        } else {
-            Simulation::new(fleet.clone(), config.cloud)
-                .with_outages(outages)
-                .run(workload.jobs)
-        };
+        let result = Simulation::new(fleet.clone(), config.cloud)
+            .with_outages(outages)
+            .run(workload.jobs);
         Study {
             fleet,
             result,
@@ -452,6 +421,25 @@ impl Study {
     }
 }
 
+/// The simulation's inputs for a study configuration: the fleet, the
+/// generated workload and the sampled maintenance plan.
+fn study_inputs(config: &StudyConfig) -> (Fleet, Workload, OutagePlan) {
+    let fleet = Fleet::ibm_like();
+    let workload = generate(&fleet, &config.workload);
+    let outages = if config.outage_interval_days > 0.0 {
+        OutagePlan::sample(
+            fleet.len(),
+            config.workload.days,
+            config.outage_interval_days,
+            config.outage_duration_hours,
+            config.workload.seed ^ 0x0u64.wrapping_sub(0x6F75_7461_6765), // "outage"-derived
+        )
+    } else {
+        OutagePlan::none(fleet.len())
+    };
+    (fleet, workload, outages)
+}
+
 /// Analysis of an externally ingested job log (see
 /// [`qcs_workload::ingest`]): the audit and queue-prediction halves of
 /// the study pipeline, run over real records instead of simulated ones.
@@ -516,37 +504,6 @@ pub fn external_trace_report(trace: &qcs_workload::IngestedTrace) -> ExternalTra
     }
 }
 
-/// The study's trace, replayed through the incremental core: jobs are
-/// submitted one simulated day ahead of the clock, the clock is stepped a
-/// day at a time, and the backlog drains at the end. Produces output
-/// bit-identical to the batch path (see
-/// `tests::live_core_matches_batch_on_smoke_study`).
-fn run_live(
-    fleet: &Fleet,
-    cloud: CloudConfig,
-    outages: OutagePlan,
-    mut jobs: Vec<qcs_cloud::JobSpec>,
-) -> SimulationResult {
-    const DAY_S: f64 = 86_400.0;
-    let mut live = qcs_cloud::LiveCloud::new(fleet.clone(), cloud).with_outages(outages);
-    // Stable sort: within equal submit times the generator's order is
-    // kept, matching the batch engine's tie-breaking.
-    jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
-    let mut pending = jobs.into_iter().peekable();
-    let mut next_day = 1u64;
-    while pending.peek().is_some() {
-        let t = next_day as f64 * DAY_S;
-        while pending.peek().is_some_and(|j| j.submit_s <= t) {
-            live.submit(pending.next().expect("peeked"))
-                .expect("generated jobs target valid machines/providers");
-        }
-        live.step_until(t);
-        next_day += 1;
-    }
-    live.run_to_completion();
-    live.into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +514,10 @@ mod tests {
 
     #[test]
     fn live_core_matches_batch_on_smoke_study() {
+        // The study's trace replayed through the incremental core — jobs
+        // submitted one simulated day ahead of the clock, the clock
+        // stepped a day at a time — equals the batch run bit for bit.
+        const DAY_S: f64 = 86_400.0;
         let config = StudyConfig {
             cloud: CloudConfig {
                 audit: true,
@@ -565,8 +526,27 @@ mod tests {
             ..StudyConfig::smoke()
         };
         let batch = Study::run(&config);
-        let live = Study::run(&config.with_live_core());
-        let (b, l) = (batch.result(), live.result());
+
+        let (fleet, workload, outages) = study_inputs(&config);
+        let mut live = qcs_cloud::LiveCloud::new(fleet, config.cloud).with_outages(outages);
+        // Stable sort: within equal submit times the generator's order is
+        // kept, matching the batch run's tie-breaking.
+        let mut jobs = workload.jobs;
+        jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
+        let mut pending = jobs.into_iter().peekable();
+        let mut next_day = 1u64;
+        while pending.peek().is_some() {
+            let t = next_day as f64 * DAY_S;
+            while let Some(job) = pending.next_if(|j| j.submit_s <= t) {
+                live.submit(job).expect("generated jobs are valid");
+            }
+            live.step_until(t);
+            next_day += 1;
+        }
+        live.run_to_completion();
+        let l = live.into_result();
+
+        let b = batch.result();
         assert_eq!(b.records, l.records);
         assert_eq!(b.queue_samples, l.queue_samples);
         assert_eq!(b.total_jobs, l.total_jobs);

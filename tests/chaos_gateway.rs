@@ -12,6 +12,8 @@
 //!   a fault-free run;
 //! - malformed raw bytes (bad arity, non-UTF-8, oversized lines,
 //!   truncated frames) get typed `ERR` responses, never a hang or crash;
+//! - well-formed `SUBMIT`s carrying implausible numbers are rejected at
+//!   admission, so the drain stays bounded;
 //! - slow-loris connections are reaped, silent/half-closed servers
 //!   surface typed client errors, and bounded retry recovers from
 //!   transient failures.
@@ -150,7 +152,7 @@ fn all_fault_modes_under_concurrent_clients() {
                     for i in 0..REQUESTS {
                         let line = match i % 4 {
                             0 => format!(
-                                "SUBMIT 0 {} {} {} 12 3",
+                                "SUBMIT 0 {} {} {} 12 1",
                                 i % 3,
                                 1 + (i % 9),
                                 100 + c * 100 + i
@@ -279,7 +281,7 @@ fn fault_untouched_jobs_are_bit_identical_to_fault_free_run() {
         ..FaultPlan::none()
     };
     let lines: Vec<String> = (0..60)
-        .map(|i| format!("SUBMIT 0 {} {} {} 14 3 ", i % 3, 1 + (i % 9), 200 + i))
+        .map(|i| format!("SUBMIT 0 {} {} {} 14 1 ", i % 3, 1 + (i % 9), 200 + i))
         .map(|l| l.trim_end().to_string())
         .collect();
 
@@ -587,6 +589,60 @@ fn retry_recovers_from_transient_failures_and_counts_giveups() {
     stub.join().expect("stub");
 }
 
+/// A `SUBMIT` whose numbers parse but describe no runnable job (a 10^18
+/// layer depth, non-finite fields, a negative patience, counts far over
+/// the machine caps) is turned away at admission with a typed `ERR`. One
+/// such line used to be admitted and then abort the process at drain
+/// time: the job "ended" ~10^18 s out and the sample grid grew until
+/// allocation failed.
+#[test]
+fn hostile_submit_numbers_are_rejected_and_the_drain_stays_bounded() {
+    let gateway = chaos_gateway(FaultPlan::none());
+    let mut client = RawClient::connect(gateway.addr());
+    let hostile = [
+        ("SUBMIT 1 athens 10 1024 1e18 3", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 inf 3", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 NaN 3", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 -4 3", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 20 NaN", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 20 3 -50", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 20 3 NaN", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 20 1e300", "ERR REJECTED"),
+        ("SUBMIT 1 athens 4000000000 4000000000 20 3", "ERR REJECTED"),
+        ("SUBMIT 1 athens 10 4000000000 20 3", "ERR REJECTED"),
+    ];
+    for (i, (line, code)) in hostile.iter().enumerate() {
+        // Interleave admissible jobs so the drain has real work to do.
+        assert_eq!(
+            client.send("SUBMIT 1 athens 10 1024 20 3 3600"),
+            Wire::Reply(format!("OK {i}"))
+        );
+        match client.send(line) {
+            Wire::Reply(reply) => assert!(reply.starts_with(code), "{line:?} got {reply:?}"),
+            Wire::Closed => panic!("{line:?} closed the connection"),
+        }
+    }
+    drop(client);
+    assert_eq!(gateway.handler_panics(), 0);
+
+    let (result, metrics) = gateway.shutdown_and_drain();
+    let n = hostile.len() as u64;
+    assert_eq!(metrics.rejected_invalid, n);
+    assert_eq!(metrics.accepted, n);
+    assert_eq!(
+        metrics.submitted,
+        metrics.accepted
+            + metrics.rejected_rate
+            + metrics.rejected_backpressure
+            + metrics.rejected_invalid
+    );
+    assert_eq!(result.total_jobs, n);
+    // Bounded drain: ten small jobs finish within the first simulated day.
+    assert!(result.daily_executions.len() <= 1, "{:?}", result.daily_executions);
+    assert!(result.queue_samples.len() <= 4 * Fleet::ibm_like().len());
+    result.audit.expect("audit enabled").assert_clean();
+}
+
 /// Mid-job machine outages threaded through the fault plan: jobs aimed
 /// at the dead machine wait out the window, everyone else is untouched,
 /// and the audit stays clean.
@@ -603,7 +659,7 @@ fn machine_outage_delays_only_the_dead_machines_jobs() {
     let mut client = GatewayClient::connect(gateway.addr()).expect("connect");
     for machine in [0, 0, 1, 1] {
         let response = client
-            .request(&Request::parse(&format!("SUBMIT 0 {machine} 5 256 12 3")).expect("parse"))
+            .request(&Request::parse(&format!("SUBMIT 0 {machine} 5 256 12 1")).expect("parse"))
             .expect("submit");
         assert!(matches!(response, Response::Ok(_)), "got {response}");
     }
@@ -673,7 +729,7 @@ fn predict_under_faults_never_panics_and_drains_clean() {
     let mut served_on_wire = 0u64;
     for i in 0..120 {
         let line = if i % 2 == 0 {
-            format!("SUBMIT 0 {} 5 256 12 3", i % 9)
+            format!("SUBMIT 0 {} 5 256 12 1", i % 9)
         } else {
             format!("PREDICT {} 5 256", i % 9)
         };

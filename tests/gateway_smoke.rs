@@ -36,7 +36,7 @@ fn run_client(addr: SocketAddr, thread_id: usize) -> ClientReport {
         circuits: 10,
         shots: 1024,
         mean_depth: 20.0,
-        mean_width: 3.0,
+        mean_width: 1.0, // fits every machine, 1-qubit armonk included
         patience_s: f64::INFINITY,
     };
     // Two submissions to the shared hot machine 0 (bound 4: across 8

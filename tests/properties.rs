@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use qcs::circuit::{library, qasm, Circuit, CircuitMetrics, Gate};
 use qcs::cloud::{
-    reference, CloudConfig, Discipline, JobQueue, JobSpec, OutagePlan, Simulation,
+    reference, CloudConfig, Discipline, JobOutcome, JobQueue, JobRecord, JobSpec, OutagePlan,
+    RecordSink, Simulation,
 };
 use qcs::machine::Fleet;
 use qcs::sim::{clbit_distribution, equivalent_unitaries, CdfSampler, Statevector};
@@ -447,6 +448,49 @@ proptest! {
             prop_assert_eq!(prod.outcome_counts, naive.outcome_counts);
             prop_assert_eq!(&prod.daily_executions, &naive.daily_executions);
             prod.audit.expect("audit enabled").assert_clean();
+
+            // The streaming sink folds every record away, so its
+            // whole-population aggregates are checked against a brute-force
+            // run that keeps every record (divisor 1).
+            let streamed = Simulation::new(
+                fleet.clone(),
+                CloudConfig { record_sink: RecordSink::streaming(seed), ..config },
+            )
+            .with_outages(outages.clone())
+            .run(jobs.clone());
+            let whole = reference::simulate(
+                &fleet,
+                &CloudConfig { background_record_divisor: 1, ..config },
+                &outages,
+                jobs.clone(),
+            );
+            prop_assert!(streamed.records.is_empty(), "streaming keeps no records");
+            prop_assert_eq!(&streamed.queue_samples, &whole.queue_samples);
+            prop_assert_eq!(streamed.total_jobs, whole.total_jobs);
+            prop_assert_eq!(streamed.outcome_counts, whole.outcome_counts);
+            prop_assert_eq!(&streamed.daily_executions, &whole.daily_executions);
+            let agg = streamed.streaming.as_ref().expect("streaming sink");
+            prop_assert_eq!(agg.folded(), whole.total_jobs);
+            prop_assert_eq!(agg.cancelled(), whole.outcome_counts[2]);
+            // Folded in terminal-event order, the order the brute force
+            // stores records in: sums and means are bit-identical.
+            let executed: Vec<&JobRecord> = whole
+                .records
+                .iter()
+                .filter(|r| r.outcome != JobOutcome::Cancelled)
+                .collect();
+            let queue_times: Vec<f64> = executed.iter().map(|r| r.queue_time_s()).collect();
+            let moments = agg.queue_time().moments();
+            prop_assert_eq!(moments.count(), queue_times.len() as u64);
+            if !queue_times.is_empty() {
+                prop_assert_eq!(moments.mean(), stats::mean(&queue_times));
+            }
+            let mut executed_s = vec![0.0f64; config.num_providers];
+            for r in &executed {
+                executed_s[r.provider as usize] += r.exec_time_s();
+            }
+            prop_assert_eq!(agg.executed_seconds_by_provider(), &executed_s[..]);
+            streamed.audit.expect("audit enabled").assert_clean();
         }
     }
 
@@ -534,8 +578,7 @@ proptest! {
         // fold runs in the same terminal-event order the exact path
         // stores records), CoV within float-rearrangement tolerance,
         // quantile sketches within their documented envelope.
-        use qcs::cloud::{LiveCloud, RecordSink};
-        use qcs::cloud::JobOutcome;
+        use qcs::cloud::LiveCloud;
         let fleet = Fleet::ibm_like();
         let exact_config = CloudConfig { seed, audit: true, ..CloudConfig::default() };
         let exact = Simulation::new(fleet.clone(), exact_config).run(jobs.clone());
