@@ -45,7 +45,8 @@ cargo test -q -p qcs-cloud --test properties
 # population trace through the 4-shard FleetSim. The binary asserts zero
 # materialized records, a chunk-bounded arrival heap, fixed-capacity
 # reservoirs, a clean cross-shard charged-vs-executed conservation audit,
-# every job folded exactly once, and peak RSS under 512 MiB.
+# every job folded exactly once, at most one predictor refit per shard
+# per step call, and peak RSS under 512 MiB.
 cargo run --release -q -p qcs-bench --bin smoke_million_jobs
 
 # Bench-smoke gate: one short criterion run of the fusion bench; the
@@ -122,7 +123,10 @@ cargo test -q --test ingest_study
 
 # Online-vs-batch gate: the incremental predictor's warm-started refits
 # must converge to the batch fit (prediction-equivalent, not
-# coefficient-equal — the product model is scale-degenerate).
+# coefficient-equal — the product model is scale-degenerate) at every
+# cadence an owner may run them at, track a drifting law when refitted
+# only once per window turnover, and run from a snapshot that later
+# observes cannot disturb.
 cargo test -q -p qcs-predictor online
 
 # Standalone benchmark lane: benchmark/ is its own workspace, so no root

@@ -9,7 +9,9 @@
 //! - the arrival heap never holds more than one chunk of submissions;
 //! - per-shard reservoirs stay at their fixed capacity;
 //! - the cross-shard charged-vs-executed conservation audit passes;
-//! - every submitted job is folded exactly once into the aggregates.
+//! - every submitted job is folded exactly once into the aggregates;
+//! - the online predictors refit at the chunk boundary, not per record:
+//!   at most one fit per shard per step call, plus each shard's cold fit.
 //!
 //! Run with `--jobs N` to shrink the trace (ci smoke uses the full 10⁶).
 //! Prints throughput, outcome mix, p99 queue time, and peak RSS.
@@ -67,6 +69,7 @@ fn main() {
     let mut submitted = 0u64;
     let mut peak_pending = 0usize;
     let mut peak_rss_mib: f64 = 0.0;
+    let mut chunks = 0u64;
     loop {
         let mut last_submit_s = 0.0;
         let mut in_chunk = 0usize;
@@ -79,6 +82,7 @@ fn main() {
             break;
         }
         submitted += in_chunk as u64;
+        chunks += 1;
         // The arrival heap holds at most the chunk we just pushed.
         peak_pending = peak_pending.max(sim.pending_arrivals());
         sim.step_until(last_submit_s);
@@ -127,6 +131,14 @@ fn main() {
         p99_queue_s = p99_queue_s.max(aggregates.queue_time_p99().unwrap_or(0.0));
     }
     assert_eq!(folded, jobs, "every job folded exactly once");
+    // One step call per chunk and one drain, each refitting a shard at
+    // most once; the cold fits come on top.
+    let refits = sim.predictor_refits();
+    let shards = SHARDS as u64;
+    assert!(
+        refits <= (chunks + 1) * shards + shards,
+        "{refits} predictor refits over {chunks} chunks: the fit is back on the record path"
+    );
     if let Some(rss) = vm_rss_mib() {
         peak_rss_mib = peak_rss_mib.max(rss);
         let ceiling: f64 = std::env::var("QCS_SMOKE_MAX_RSS_MIB")
@@ -153,4 +165,5 @@ fn main() {
         p99_queue_s / 3600.0,
         peak_rss_mib
     );
+    println!("  predictor refits {refits} over {chunks} chunks x {SHARDS} shards");
 }

@@ -351,11 +351,7 @@ impl LoadGenerator {
     ///
     /// The initial connection failure, or a non-transient protocol
     /// error.
-    pub fn replay(
-        &self,
-        addr: SocketAddr,
-        jobs: &[JobSpec],
-    ) -> Result<ReplayReport, GatewayError> {
+    pub fn replay(&self, addr: SocketAddr, jobs: &[JobSpec]) -> Result<ReplayReport, GatewayError> {
         let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
         ordered.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
         let mut client = GatewayClient::connect(addr)?;

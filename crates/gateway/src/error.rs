@@ -115,7 +115,10 @@ impl FromStr for ErrorCode {
             .into_iter()
             .find(|code| code.as_token() == s)
             .ok_or_else(|| {
-                ProtocolError::new(ErrorCode::BadField, format!("unrecognized error code {s:?}"))
+                ProtocolError::new(
+                    ErrorCode::BadField,
+                    format!("unrecognized error code {s:?}"),
+                )
             })
     }
 }
@@ -254,8 +257,9 @@ mod tests {
         assert!(GatewayError::Timeout.is_transient());
         assert!(GatewayError::Disconnected.is_transient());
         assert!(GatewayError::Io(std::io::Error::other("x")).is_transient());
-        assert!(!GatewayError::Protocol(ProtocolError::new(ErrorCode::BadField, "x"))
-            .is_transient());
+        assert!(
+            !GatewayError::Protocol(ProtocolError::new(ErrorCode::BadField, "x")).is_transient()
+        );
         assert!(!GatewayError::Unexpected(Response::Bye).is_transient());
     }
 
@@ -264,7 +268,10 @@ mod tests {
         let timeout = std::io::Error::new(std::io::ErrorKind::WouldBlock, "t");
         assert!(matches!(GatewayError::from(timeout), GatewayError::Timeout));
         let eof = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "e");
-        assert!(matches!(GatewayError::from(eof), GatewayError::Disconnected));
+        assert!(matches!(
+            GatewayError::from(eof),
+            GatewayError::Disconnected
+        ));
         let other = std::io::Error::new(std::io::ErrorKind::PermissionDenied, "p");
         assert!(matches!(GatewayError::from(other), GatewayError::Io(_)));
     }

@@ -240,9 +240,8 @@ mod tests {
         // Every mode fires somewhere in a sample this large.
         for kind in FaultKind::ALL {
             assert!(
-                (0..400).any(|i| plan
-                    .decide(&format!("SUBMIT 0 1 {i} 1024 20 3"), 0.0)
-                    == Some(kind)),
+                (0..400)
+                    .any(|i| plan.decide(&format!("SUBMIT 0 1 {i} 1024 20 3"), 0.0) == Some(kind)),
                 "mode {kind:?} never fired"
             );
         }
@@ -302,8 +301,14 @@ mod tests {
 
     #[test]
     fn seed_changes_the_fault_pattern() {
-        let a = FaultPlan { seed: 1, ..noisy_plan() };
-        let b = FaultPlan { seed: 2, ..noisy_plan() };
+        let a = FaultPlan {
+            seed: 1,
+            ..noisy_plan()
+        };
+        let b = FaultPlan {
+            seed: 2,
+            ..noisy_plan()
+        };
         let differs = (0..200).any(|i| {
             let line = format!("CANCEL {i}");
             a.decide(&line, 0.0) != b.decide(&line, 0.0)

@@ -195,8 +195,9 @@ fn exchange_deltas(
 #[derive(Debug)]
 pub struct FleetSim {
     shards: Vec<LiveCloud>,
-    /// One online predictor per shard, fed by that shard's record tap
-    /// (same wiring as the TCP [`Gateway`], minus the socket).
+    /// One online predictor per shard, folded into by that shard's
+    /// record tap and refitted after the shard has stepped (same wiring
+    /// as the TCP [`Gateway`], minus the socket).
     predictors: Vec<Arc<Mutex<OnlinePredictor>>>,
     map: ShardMap,
     last_charged: Vec<Vec<f64>>,
@@ -282,6 +283,19 @@ impl FleetSim {
             .sum()
     }
 
+    /// Runtime-model fits the online predictors have installed, summed
+    /// over shards: at most one per shard per
+    /// [`step_until`](FleetSim::step_until) /
+    /// [`run_to_completion`](FleetSim::run_to_completion) call, plus each
+    /// shard's cold first fit. A function of the step schedule alone.
+    #[must_use]
+    pub fn predictor_refits(&self) -> u64 {
+        self.predictors
+            .iter()
+            .map(|p| lock_predictor(p).refits())
+            .sum()
+    }
+
     /// The machine-to-shard assignment.
     #[must_use]
     pub fn map(&self) -> ShardMap {
@@ -304,17 +318,23 @@ impl FleetSim {
         self.shards[shard].submit(job)
     }
 
-    /// Advance every shard to `t_s`.
+    /// Advance every shard to `t_s`. The step is the predictors' batch
+    /// boundary: the taps only fold while a shard steps, and a shard's
+    /// runtime model is refitted (if enough completions have accrued)
+    /// once it has.
     pub fn step_until(&mut self, t_s: f64) {
-        for shard in &mut self.shards {
+        for (shard, predictor) in self.shards.iter_mut().zip(&self.predictors) {
             shard.step_until(t_s);
+            lock_predictor(predictor).refit_if_due();
         }
     }
 
-    /// Drain every shard to completion.
+    /// Drain every shard to completion (a batch boundary like
+    /// [`step_until`](FleetSim::step_until)).
     pub fn run_to_completion(&mut self) {
-        for shard in &mut self.shards {
+        for (shard, predictor) in self.shards.iter_mut().zip(&self.predictors) {
             shard.run_to_completion();
+            lock_predictor(predictor).refit_if_due();
         }
     }
 
@@ -330,11 +350,10 @@ impl FleetSim {
             .map(LiveCloud::charged_seconds_by_provider)
             .collect();
         let shards = &mut self.shards;
-        self.last_charged = exchange_deltas(
-            snapshots,
-            &self.last_charged,
-            |target, provider, delta| shards[target].inject_external_usage(provider, delta),
-        );
+        self.last_charged =
+            exchange_deltas(snapshots, &self.last_charged, |target, provider, delta| {
+                shards[target].inject_external_usage(provider, delta)
+            });
     }
 
     /// Fleet-wide per-provider charged seconds (undecayed).
@@ -408,7 +427,10 @@ impl FleetSim {
     /// order.
     #[must_use]
     pub fn into_results(self) -> Vec<SimulationResult> {
-        self.shards.into_iter().map(LiveCloud::into_result).collect()
+        self.shards
+            .into_iter()
+            .map(LiveCloud::into_result)
+            .collect()
     }
 }
 
@@ -473,11 +495,10 @@ impl GatewayFleet {
             .map(Gateway::charged_seconds_by_provider)
             .collect();
         let shards = &self.shards;
-        self.last_charged = exchange_deltas(
-            snapshots,
-            &self.last_charged,
-            |target, provider, delta| shards[target].inject_external_usage(provider, delta),
-        );
+        self.last_charged =
+            exchange_deltas(snapshots, &self.last_charged, |target, provider, delta| {
+                shards[target].inject_external_usage(provider, delta)
+            });
     }
 
     /// Fleet-wide per-provider charged seconds (undecayed).
@@ -730,7 +751,11 @@ mod tests {
             .unwrap();
         }
         sim.run_to_completion();
-        assert_eq!(sim.predictor_observed(), 20, "tap fed every terminal record");
+        assert_eq!(
+            sim.predictor_observed(),
+            20,
+            "tap fed every terminal record"
+        );
         for global in 0..fleet.len() {
             let estimate = sim
                 .predict(global, 10, 1024)
@@ -739,6 +764,76 @@ mod tests {
             assert!(estimate.wait_lo_s <= estimate.wait_hi_s);
             assert!(estimate.run_s > 0.0 && estimate.run_s.is_finite());
         }
+    }
+
+    /// The fit is a pure function of the step schedule and never feeds
+    /// back into the DES.
+    #[test]
+    fn online_refits_are_deterministic_in_fleet_sim() {
+        let fleet = Fleet::ibm_like();
+        let config = CloudConfig {
+            error_rate: 0.0,
+            record_sink: RecordSink::streaming(7),
+            ..CloudConfig::default()
+        };
+        const SHARDS: usize = 2;
+        const JOBS: u64 = 600;
+        let run = |step_every: u64| {
+            let mut sim = FleetSim::new(&fleet, config, SHARDS);
+            for id in 0..JOBS {
+                sim.submit(JobSpec {
+                    id,
+                    provider: (id % 4) as u32,
+                    machine: (id as usize * 7) % fleet.len(),
+                    circuits: 1 + (id % 13) as u32 * 5,
+                    shots: [1024, 4096, 8192][(id % 3) as usize],
+                    mean_depth: 10.0 + (id % 17) as f64,
+                    mean_width: 1.0,
+                    submit_s: id as f64 * 30.0,
+                    is_study: false,
+                    patience_s: f64::INFINITY,
+                })
+                .unwrap();
+                if id % step_every == step_every - 1 {
+                    sim.step_until(id as f64 * 30.0);
+                }
+            }
+            sim.run_to_completion();
+            sim
+        };
+        let (a, b) = (run(100), run(100));
+        assert_eq!(a.predictor_refits(), b.predictor_refits());
+        // Per shard: the cold fit, then at most one per step call.
+        let step_calls = JOBS / 100 + 1;
+        let refits = a.predictor_refits();
+        assert!(refits > SHARDS as u64, "no warm refit ran ({refits})");
+        assert!(
+            refits <= (step_calls + 1) * SHARDS as u64,
+            "{refits} refits"
+        );
+        for machine in 0..fleet.len() {
+            let (ea, eb) = (a.predict(machine, 20, 4096), b.predict(machine, 20, 4096));
+            let bits =
+                |e: WaitEstimate| [e.wait_s, e.wait_lo_s, e.wait_hi_s, e.run_s].map(f64::to_bits);
+            assert_eq!(
+                bits(ea.expect("ready")),
+                bits(eb.expect("ready")),
+                "machine {machine}"
+            );
+        }
+        // A different schedule fits at different moments and the DES
+        // cannot tell.
+        let c = run(u64::MAX);
+        assert_eq!(
+            c.predictor_refits(),
+            2 * SHARDS as u64,
+            "cold fit + the drain's"
+        );
+        assert_eq!(c.outcome_counts(), a.outcome_counts());
+        assert_eq!(
+            c.charged_seconds_by_provider(),
+            a.charged_seconds_by_provider()
+        );
     }
 
     #[test]

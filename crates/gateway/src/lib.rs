@@ -33,13 +33,17 @@
 //!   reconnect, [`request_with_retry`](GatewayClient::request_with_retry))
 //!   plus a [`LoadGenerator`] that replays `qcs-workload` traces at a
 //!   wall-clock compression factor.
-//! - **online prediction** — every shard taps its
-//!   [`LiveCloud`](qcs_cloud::LiveCloud)'s terminal records into a
-//!   `qcs-predictor` [`OnlinePredictor`](qcs_predictor::OnlinePredictor);
+//! - **online prediction** — every shard's
+//!   [`LiveCloud`](qcs_cloud::LiveCloud) record tap folds terminal records
+//!   into a `qcs-predictor`
+//!   [`OnlinePredictor`](qcs_predictor::OnlinePredictor) in O(1); the
+//!   runtime-model refit runs between requests with no lock held
+//!   ([`Gateway`]) or once per shard per step call ([`FleetSim`]).
 //!   `PREDICT <machine> <circuits> <shots>` answers a queue-wait point
-//!   estimate with a 10–90% band, and `METRICS` carries live accuracy
-//!   counters (`predictor_observed`, `predictor_mae_min`,
-//!   `predictor_band_coverage`).
+//!   estimate with a 10–90% band, and `METRICS` carries live accuracy and
+//!   cadence counters (`predictor_observed`, `predictor_mae_min`,
+//!   `predictor_band_coverage`, `predictor_refits`,
+//!   `predictor_rows_since_refit`).
 //! - [`fleet`] — the scale-out layer: [`ShardMap`] partitioning,
 //!   [`GatewayFleet`] (N TCP gateways) / [`FleetSim`] (the same sharding
 //!   in-process, simulation-time-driven), [`FleetClient`] routing, and
@@ -87,7 +91,9 @@ pub mod ratelimit;
 pub mod retry;
 pub mod server;
 
-pub use client::{GatewayClient, LoadGenerator, PredictEstimate, ReplayReport, DEFAULT_READ_TIMEOUT};
+pub use client::{
+    GatewayClient, LoadGenerator, PredictEstimate, ReplayReport, DEFAULT_READ_TIMEOUT,
+};
 pub use error::{ErrorCode, GatewayError, ProtocolError};
 pub use fault::{FaultKind, FaultPlan};
 pub use fleet::{check_conservation, FleetClient, FleetSim, GatewayFleet, ShardMap};

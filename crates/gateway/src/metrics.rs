@@ -144,7 +144,10 @@ mod tests {
         let cancelled = pairs.iter().find(|(k, _)| k == "cancelled").unwrap();
         assert_eq!(cancelled.1, "1");
         assert_eq!(pairs.len(), 17);
-        let served = pairs.iter().find(|(k, _)| k == "predictions_served").unwrap();
+        let served = pairs
+            .iter()
+            .find(|(k, _)| k == "predictions_served")
+            .unwrap();
         assert_eq!(served.1, "0");
     }
 

@@ -83,9 +83,8 @@ fn field<T: FromStr>(tokens: &[&str], i: usize, name: &str) -> Result<T, Protoco
     let raw = tokens.get(i).ok_or_else(|| {
         ProtocolError::new(ErrorCode::MissingField, format!("missing field <{name}>"))
     })?;
-    raw.parse().map_err(|_| {
-        ProtocolError::new(ErrorCode::BadField, format!("bad <{name}>: {raw:?}"))
-    })
+    raw.parse()
+        .map_err(|_| ProtocolError::new(ErrorCode::BadField, format!("bad <{name}>: {raw:?}")))
 }
 
 impl Request {
@@ -422,12 +421,28 @@ mod tests {
         // check turns it away, see `server::check_job_shape`); anything
         // they refuse is a typed BAD_FIELD. Nothing panics.
         for (line, depth_bits, patience_bits) in [
-            ("SUBMIT 1 athens 10 1024 1e18 3", 1e18f64.to_bits(), f64::INFINITY.to_bits()),
-            ("SUBMIT 1 athens 10 1024 inf 3", f64::INFINITY.to_bits(), f64::INFINITY.to_bits()),
-            ("SUBMIT 1 athens 10 1024 20 3 -50", 20f64.to_bits(), (-50f64).to_bits()),
+            (
+                "SUBMIT 1 athens 10 1024 1e18 3",
+                1e18f64.to_bits(),
+                f64::INFINITY.to_bits(),
+            ),
+            (
+                "SUBMIT 1 athens 10 1024 inf 3",
+                f64::INFINITY.to_bits(),
+                f64::INFINITY.to_bits(),
+            ),
+            (
+                "SUBMIT 1 athens 10 1024 20 3 -50",
+                20f64.to_bits(),
+                (-50f64).to_bits(),
+            ),
         ] {
             match Request::parse(line).unwrap() {
-                Request::Submit { mean_depth, patience_s, .. } => {
+                Request::Submit {
+                    mean_depth,
+                    patience_s,
+                    ..
+                } => {
                     assert_eq!(mean_depth.to_bits(), depth_bits, "{line}");
                     assert_eq!(patience_s.to_bits(), patience_bits, "{line}");
                 }
@@ -439,7 +454,9 @@ mod tests {
             other => panic!("parsed {other:?}"),
         }
         match Request::parse("SUBMIT 1 athens 4000000000 4000000000 20 3").unwrap() {
-            Request::Submit { circuits, shots, .. } => {
+            Request::Submit {
+                circuits, shots, ..
+            } => {
                 assert_eq!((circuits, shots), (4_000_000_000, 4_000_000_000));
             }
             other => panic!("parsed {other:?}"),
@@ -450,7 +467,11 @@ mod tests {
             "SUBMIT 1 athens 10 1024 1e 3",
             "SUBMIT 1 athens 10 1024 20 3 soon",
         ] {
-            assert_eq!(Request::parse(line).unwrap_err().code, ErrorCode::BadField, "{line}");
+            assert_eq!(
+                Request::parse(line).unwrap_err().code,
+                ErrorCode::BadField,
+                "{line}"
+            );
         }
     }
 

@@ -77,7 +77,10 @@ mod tests {
         assert!(!bucket.try_take(1.0), "only 0.5 tokens back");
         assert!(bucket.try_take(2.0), "1 token accrued by t=2");
         assert!(bucket.try_take(1000.0));
-        assert!(bucket.try_take(1000.0), "capped at capacity 2, both spendable");
+        assert!(
+            bucket.try_take(1000.0),
+            "capped at capacity 2, both spendable"
+        );
         assert!(!bucket.try_take(1000.0));
     }
 
@@ -86,7 +89,10 @@ mod tests {
         let mut bucket = TokenBucket::new(1.0, 1.0);
         assert!(bucket.try_take(10.0));
         assert!(!bucket.try_take(5.0), "stale timestamp refills nothing");
-        assert!(bucket.try_take(11.0), "refill resumes from the high-water mark");
+        assert!(
+            bucket.try_take(11.0),
+            "refill resumes from the high-water mark"
+        );
     }
 
     #[test]

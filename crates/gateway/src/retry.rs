@@ -57,8 +57,7 @@ impl RetryPolicy {
             .saturating_mul(1_u32.checked_shl(attempt).unwrap_or(u32::MAX))
             .min(self.max_delay.max(self.base_delay));
         // 53 high-quality bits -> a float in [0, 1), mapped to [0.5, 1.0).
-        let unit = (derive_seed(self.seed, u64::from(attempt)) >> 11) as f64
-            / (1u64 << 53) as f64;
+        let unit = (derive_seed(self.seed, u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
         exp.mul_f64(0.5 + unit / 2.0)
     }
 }
@@ -125,7 +124,10 @@ mod tests {
         for attempt in 0..6u32 {
             let exp = Duration::from_millis(8 << attempt).min(Duration::from_secs(2));
             let delay = policy.backoff(attempt);
-            assert!(delay >= exp.mul_f64(0.5), "attempt {attempt}: {delay:?} < half");
+            assert!(
+                delay >= exp.mul_f64(0.5),
+                "attempt {attempt}: {delay:?} < half"
+            );
             assert!(delay < exp, "attempt {attempt}: {delay:?} >= full {exp:?}");
         }
     }
@@ -152,8 +154,20 @@ mod tests {
 
     #[test]
     fn stats_absorb_accumulates() {
-        let mut a = RetryStats { retries: 2, giveups: 1 };
-        a.absorb(RetryStats { retries: 3, giveups: 0 });
-        assert_eq!(a, RetryStats { retries: 5, giveups: 1 });
+        let mut a = RetryStats {
+            retries: 2,
+            giveups: 1,
+        };
+        a.absorb(RetryStats {
+            retries: 3,
+            giveups: 0,
+        });
+        assert_eq!(
+            a,
+            RetryStats {
+                retries: 5,
+                giveups: 1
+            }
+        );
     }
 }

@@ -126,7 +126,9 @@ fn check_job_shape(
         ));
     }
     if !(1.0..=f64::MAX).contains(&mean_width) {
-        return bad_field(format!("mean_width must be finite and >= 1, got {mean_width}"));
+        return bad_field(format!(
+            "mean_width must be finite and >= 1, got {mean_width}"
+        ));
     }
     // `inf` is the patient default; only NaN and negatives are invalid.
     if !(0.0..=f64::INFINITY).contains(&patience_s) {
@@ -134,7 +136,9 @@ fn check_job_shape(
     }
     let (name, qubits) = (machine.name(), machine.num_qubits());
     if mean_width > qubits as f64 {
-        return over_cap(format!("mean_width {mean_width} exceeds {name}'s {qubits} qubits"));
+        return over_cap(format!(
+            "mean_width {mean_width} exceeds {name}'s {qubits} qubits"
+        ));
     }
     if circuits as usize > machine.max_batch_size() {
         return over_cap(format!("{circuits} circuits exceed {name}'s batch cap"));
@@ -175,9 +179,12 @@ struct State {
     transpile_cache: Arc<TranspileCache>,
     /// The online queue-wait predictor. Behind its own mutex (not just
     /// the state lock) because the [`LiveCloud`] record tap — which runs
-    /// while the state lock is held — needs a handle independent of
-    /// `State`. Lock order is always state → predictor, so the pair
-    /// cannot deadlock.
+    /// while the state lock is held — and each connection's refit — which
+    /// runs while it is not — need a handle independent of `State`. The
+    /// predictor mutex is taken either second (state → predictor: the
+    /// tap's fold, `PREDICT`, `METRICS`) or alone (a connection taking or
+    /// installing a refit), never first of two, so the pair cannot
+    /// deadlock.
     online: Arc<Mutex<OnlinePredictor>>,
 }
 
@@ -234,10 +241,7 @@ impl State {
                 }
                 if *circuits == 0 || *shots == 0 {
                     self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
-                    return Response::err(
-                        ErrorCode::EmptyBatch,
-                        "circuits and shots must be >= 1",
-                    );
+                    return Response::err(ErrorCode::EmptyBatch, "circuits and shots must be >= 1");
                 }
                 if let Err(error) = check_job_shape(
                     &self.cloud.fleet().machines()[machine_idx],
@@ -283,7 +287,8 @@ impl State {
                         Response::Ok(id)
                     }
                     Err(err) => {
-                        self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
+                        self.metrics.rejected_invalid =
+                            self.metrics.rejected_invalid.saturating_add(1);
                         Response::err(ErrorCode::Rejected, err.to_string())
                     }
                 }
@@ -333,10 +338,7 @@ impl State {
                     );
                 };
                 if *circuits == 0 || *shots == 0 {
-                    return Response::err(
-                        ErrorCode::EmptyBatch,
-                        "circuits and shots must be >= 1",
-                    );
+                    return Response::err(ErrorCode::EmptyBatch, "circuits and shots must be >= 1");
                 }
                 let pending = self.cloud.queue_depth(machine_idx);
                 let estimate =
@@ -355,10 +357,9 @@ impl State {
                             run_s: est.run_s,
                         }
                     }
-                    Err(PredictError::NotReady) => Response::err(
-                        ErrorCode::NotReady,
-                        "no completed jobs observed yet",
-                    ),
+                    Err(PredictError::NotReady) => {
+                        Response::err(ErrorCode::NotReady, "no completed jobs observed yet")
+                    }
                 }
             }
             Request::Metrics => {
@@ -369,7 +370,10 @@ impl State {
                     "transpile_cache_misses".to_string(),
                     cache.misses.to_string(),
                 ));
-                pairs.push(("sim_time_s".to_string(), format!("{:.3}", self.cloud.now_s())));
+                pairs.push((
+                    "sim_time_s".to_string(),
+                    format!("{:.3}", self.cloud.now_s()),
+                ));
                 {
                     let online = lock_online(&self.online);
                     pairs.push((
@@ -383,6 +387,11 @@ impl State {
                     pairs.push((
                         "predictor_band_coverage".to_string(),
                         format!("{:.3}", online.band_coverage()),
+                    ));
+                    pairs.push(("predictor_refits".to_string(), online.refits().to_string()));
+                    pairs.push((
+                        "predictor_rows_since_refit".to_string(),
+                        online.rows_since_refit().to_string(),
                     ));
                 }
                 Response::Metrics(pairs)
@@ -474,17 +483,17 @@ impl Gateway {
     ) -> std::io::Result<Gateway> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let machine_qubits: Vec<usize> =
-            fleet.machines().iter().map(|m| m.num_qubits()).collect();
+        let machine_qubits: Vec<usize> = fleet.machines().iter().map(|m| m.num_qubits()).collect();
         let online = Arc::new(Mutex::new(OnlinePredictor::new(machine_qubits)));
         let mut cloud = LiveCloud::new(fleet, cloud_config).with_status_tracking();
         if let Some(outages) = faults.outages.clone() {
             cloud = cloud.with_outages(outages);
         }
-        // Every terminal record — under any RecordSink — feeds the online
-        // predictor. The tap fires inside cloud.step_until(), i.e. while
-        // the state lock is held; the predictor mutex is always taken
-        // second (here and in `respond`), so the order is acyclic.
+        // Every terminal record — under any RecordSink — is folded into
+        // the online predictor. The tap fires inside cloud.step_until(),
+        // i.e. while the state lock is held, and the fold is O(1); the
+        // windowed refit is each connection's to run between requests
+        // (see `refit_off_lock`).
         let tap_online = Arc::clone(&online);
         cloud.set_record_tap(Box::new(move |record| {
             lock_online(&tap_online).observe(record);
@@ -498,7 +507,7 @@ impl Gateway {
             metrics: GatewayMetrics::default(),
             max_pending: config.max_pending_per_machine,
             transpile_cache: Arc::clone(&cache),
-            online,
+            online: Arc::clone(&online),
         }));
         let clock = Arc::new(SimClock {
             started: Instant::now(),
@@ -530,9 +539,12 @@ impl Gateway {
                         state.metrics.connections = state.metrics.connections.saturating_add(1);
                     }
                     let state = Arc::clone(&accept_state);
+                    let online = Arc::clone(&online);
                     let clock = Arc::clone(&accept_clock);
                     let plan = Arc::clone(&plan);
-                    pool.execute(move || handle_connection(stream, &state, &clock, &plan, limits));
+                    pool.execute(move || {
+                        handle_connection(stream, &state, &online, &clock, &plan, limits);
+                    });
                 }
                 // `pool` drops here: joins all in-flight handlers.
             })?;
@@ -645,7 +657,9 @@ impl Gateway {
             mut cloud,
             mut metrics,
             ..
-        } = state.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        } = state
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         cloud.run_to_completion();
         // Sink-independent final tally (see `State::reconcile_finished`).
         metrics.finished = cloud.outcome_counts();
@@ -663,7 +677,9 @@ fn lock<'a>(state: &'a Arc<Mutex<State>>) -> std::sync::MutexGuard<'a, State> {
     // A handler that panicked mid-request poisons the lock; the state is
     // a simulator plus counters, both left in a consistent snapshot by
     // every early return, so recover rather than cascade.
-    state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    state
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn lock_online<'a>(
@@ -671,7 +687,9 @@ fn lock_online<'a>(
 ) -> std::sync::MutexGuard<'a, OnlinePredictor> {
     // Same poison-recovery rationale as `lock`: the predictor's updates
     // are single-record folds that leave it consistent between calls.
-    online.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    online
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One attempt to read a request line under the connection limits.
@@ -776,9 +794,22 @@ fn write_response(
     }
 }
 
+/// Run the runtime-model refit if one is due, holding the predictor mutex
+/// only to copy the window out and to publish the result: the
+/// Levenberg–Marquardt iterations run with no lock held, so they delay
+/// the calling connection and nobody else.
+fn refit_off_lock(online: &Arc<Mutex<OnlinePredictor>>) {
+    let job = lock_online(online).take_refit();
+    if let Some(job) = job {
+        let refit = job.run();
+        lock_online(online).install(refit);
+    }
+}
+
 fn handle_connection(
     stream: TcpStream,
     state: &Arc<Mutex<State>>,
+    online: &Arc<Mutex<OnlinePredictor>>,
     clock: &Arc<SimClock>,
     plan: &Arc<FaultPlan>,
     limits: ConnLimits,
@@ -805,9 +836,9 @@ fn handle_connection(
             }
             LineRead::TooLong => {
                 {
-                let mut guard = lock(state);
-                guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
-            }
+                    let mut guard = lock(state);
+                    guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
+                }
                 let response = Response::err(
                     ErrorCode::LineTooLong,
                     format!("line exceeds {} bytes", limits.max_line_bytes),
@@ -852,9 +883,9 @@ fn handle_connection(
             Ok(request) => (lock(state).respond(&request, now_s), false),
             Err(error) => {
                 {
-                let mut guard = lock(state);
-                guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
-            }
+                    let mut guard = lock(state);
+                    guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
+                }
                 (Response::Err(error), false)
             }
         };
@@ -870,6 +901,9 @@ fn handle_connection(
         if quit || write_fault == Some(FaultKind::TruncateResponse) {
             return;
         }
+        // The reply is on the wire and no lock is held: the completions
+        // this request's step folded may have made a refit due.
+        refit_off_lock(online);
     }
 }
 
@@ -905,8 +939,14 @@ mod tests {
     fn submit_status_cancel_lifecycle() {
         let gateway = frozen(GatewayConfig::default());
         let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
-        assert_eq!(roundtrip(&mut client, "SUBMIT 0 1 10 1024 20 3"), Response::Ok(0));
-        assert_eq!(roundtrip(&mut client, "SUBMIT 1 1 10 1024 20 3"), Response::Ok(1));
+        assert_eq!(
+            roundtrip(&mut client, "SUBMIT 0 1 10 1024 20 3"),
+            Response::Ok(0)
+        );
+        assert_eq!(
+            roundtrip(&mut client, "SUBMIT 1 1 10 1024 20 3"),
+            Response::Ok(1)
+        );
         // Frozen clock: job 0 is running (dispatched at t=0), job 1 queued.
         assert_eq!(client.status(0).unwrap(), "running");
         assert_eq!(client.status(1).unwrap(), "queued");
@@ -935,7 +975,10 @@ mod tests {
         let gateway = frozen(GatewayConfig::default());
         let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
         for (line, code) in [
-            ("SUBMIT 0 no-such-machine 10 1024 20 3", ErrorCode::UnknownMachine),
+            (
+                "SUBMIT 0 no-such-machine 10 1024 20 3",
+                ErrorCode::UnknownMachine,
+            ),
             ("SUBMIT 9999 1 10 1024 20 3", ErrorCode::UnknownProvider),
             ("SUBMIT 0 1 0 1024 20 3", ErrorCode::EmptyBatch),
             // Parsable, implausible: each would otherwise reach the DES.
@@ -988,7 +1031,10 @@ mod tests {
         });
         let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
         // First submit fills machine 1 to its bound of 1.
-        assert_eq!(roundtrip(&mut client, "SUBMIT 0 1 10 1024 20 3"), Response::Ok(0));
+        assert_eq!(
+            roundtrip(&mut client, "SUBMIT 0 1 10 1024 20 3"),
+            Response::Ok(0)
+        );
         // Same provider, different machine: token available, but now
         // try the *full* machine -> backpressure.
         match roundtrip(&mut client, "SUBMIT 0 1 10 1024 20 3") {
@@ -1001,7 +1047,10 @@ mod tests {
             other => panic!("expected BUSY, got {other}"),
         }
         // A different provider still has tokens and machine 2 is empty.
-        assert_eq!(roundtrip(&mut client, "SUBMIT 1 2 10 1024 20 3"), Response::Ok(1));
+        assert_eq!(
+            roundtrip(&mut client, "SUBMIT 1 2 10 1024 20 3"),
+            Response::Ok(1)
+        );
         let pairs = client.metrics().unwrap();
         let get = |k: &str| {
             pairs
@@ -1102,8 +1151,7 @@ mod tests {
     fn predict_serves_estimates_after_completions() {
         let fleet = Fleet::ibm_like();
         let cloud_config = CloudConfig::default();
-        let machine_qubits: Vec<usize> =
-            fleet.machines().iter().map(|m| m.num_qubits()).collect();
+        let machine_qubits: Vec<usize> = fleet.machines().iter().map(|m| m.num_qubits()).collect();
         let online = Arc::new(Mutex::new(OnlinePredictor::new(machine_qubits)));
         let tap = Arc::clone(&online);
         let mut cloud = LiveCloud::new(fleet, cloud_config).with_status_tracking();
@@ -1165,6 +1213,74 @@ mod tests {
             }
             other => panic!("expected METRICS, got {other}"),
         }
+    }
+
+    /// The windowed refit runs on the serving path — between requests, on
+    /// the connection whose step made it due — and `PREDICT` serves its
+    /// coefficients from the next request on.
+    #[test]
+    fn online_refit_runs_between_requests_on_the_connection() {
+        let gateway = Gateway::start(
+            Fleet::ibm_like(),
+            CloudConfig {
+                error_rate: 0.0,
+                ..CloudConfig::default()
+            },
+            GatewayConfig {
+                // Running clock, compressed so hours of queued work
+                // complete within milliseconds of polling.
+                time_compression: 1e6,
+                rate_capacity: 1e9,
+                max_pending_per_machine: 100_000,
+                ..GatewayConfig::default()
+            },
+        )
+        .expect("bind loopback");
+        let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
+        fn metric(client: &mut crate::GatewayClient, key: &str) -> u64 {
+            let pairs = client.metrics().unwrap();
+            let value = pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.parse());
+            value
+                .unwrap_or_else(|| panic!("METRICS reply missing {key}"))
+                .unwrap()
+        }
+        // Depth and width are the same on every job, so the running means
+        // PREDICT fills in never move: `run_s` for a fixed request changes
+        // only when the coefficients do.
+        let mut submitted = 0;
+        let mut submit_and_complete =
+            |client: &mut crate::GatewayClient, jobs: u32, circuits: u32, shots: u32| {
+                for i in 0..jobs {
+                    let line = format!("SUBMIT 0 1 {} {shots} 20 3", circuits + i % 7);
+                    assert!(matches!(roundtrip(client, &line), Response::Ok(_)));
+                }
+                submitted += u64::from(jobs);
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while metric(client, "predictor_observed") < submitted {
+                    assert!(Instant::now() < deadline, "jobs never completed");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            };
+
+        submit_and_complete(&mut client, 40, 5, 1024);
+        let before = client.predict("1", 50, 4096).unwrap().run_s;
+        assert_eq!(metric(&mut client, "predictor_refits"), 1, "the cold fit");
+        assert_eq!(metric(&mut client, "predictor_rows_since_refit"), 24);
+
+        // 80 further completions of a different shape make a refit due;
+        // it runs after the reply of whichever request stepped past them.
+        submit_and_complete(&mut client, 80, 100, 8192);
+        let after = client.predict("1", 50, 4096).unwrap().run_s;
+        assert!(metric(&mut client, "predictor_refits") >= 2);
+        assert!(metric(&mut client, "predictor_rows_since_refit") < 64);
+        assert_ne!(
+            before.to_bits(),
+            after.to_bits(),
+            "PREDICT still serves the cold fit"
+        );
+        client.quit().unwrap();
+        let (_, metrics) = gateway.shutdown_and_drain();
+        assert_eq!(metrics.finished, [120, 0, 0]);
     }
 
     #[test]

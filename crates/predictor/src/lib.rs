@@ -32,7 +32,8 @@ mod queue;
 
 pub use features::{memory_slots, JobFeatures, FEATURE_NAMES, NUM_FEATURES};
 pub use online::{
-    OnlinePredictor, PredictError, WaitEstimate, ONLINE_REFIT_EVERY, ONLINE_WINDOW,
+    OnlinePredictor, PredictError, Refit, RefitJob, WaitEstimate, ONLINE_REFIT_EVERY,
+    ONLINE_WINDOW,
 };
 pub use predictor::{run_prediction_study, MachineEvaluation, PredictionStudy, RuntimePredictor};
 pub use queue::{evaluate_queue_prediction, QueueFitError, QueuePredictionReport, QueueWaitModel};

@@ -10,7 +10,7 @@
 //! - an online **runtime model**: the paper's `Π(aᵢ + bᵢxᵢ)` product
 //!   model refit by mini-batch Gauss–Newton over a bounded window of
 //!   recent jobs, warm-started from the previous coefficients
-//!   ([`ProductModel::fit_from`]) so each refit is a handful of damped
+//!   ([`ProductModel::fit_flat`]) so each refit is a handful of damped
 //!   steps instead of a cold Levenberg–Marquardt descent,
 //! - **prequential accuracy counters**: every record is scored against
 //!   the model *as it stood before folding that record* (the classic
@@ -20,6 +20,24 @@
 //! Memory is O(window + machines): nothing materializes the record
 //! stream, so the predictor rides the same streaming path as the
 //! `RecordSink` aggregates.
+//!
+//! # Fold and fit
+//!
+//! The two halves cost differently and run in different places.
+//! [`observe`](OnlinePredictor::observe) is the **fold**: O(1), tens of
+//! nanoseconds, called from the `LiveCloud` record tap in the middle of a
+//! DES step. It pushes the row into the window and counts it; apart from
+//! the one-off cold fit at the 16th completion it never fits anything.
+//! The windowed **fit** is hundreds of microseconds and belongs to
+//! whoever owns the predictor, at its batch boundary:
+//! [`refit_if_due`](OnlinePredictor::refit_if_due) when the owner has
+//! exclusive access anyway (`FleetSim`, once per shard per step call), or
+//! its three parts when the predictor sits behind a mutex (the gateway):
+//! [`take_refit`](OnlinePredictor::take_refit) under the lock copies the
+//! window out, [`RefitJob::run`] fits with no lock held, and
+//! [`install`](OnlinePredictor::install) under the lock again publishes
+//! the coefficients. The fit feeds only `run_s`; the queue-wait model and
+//! every prequential counter live entirely in the fold.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -32,14 +50,22 @@ use crate::{JobFeatures, NUM_FEATURES};
 /// Bounded window of recent `(features, runtime)` rows the runtime model
 /// refits over.
 pub const ONLINE_WINDOW: usize = 512;
-/// Completed jobs between runtime-model refits once the model exists.
+/// Minimum completed jobs between runtime-model refits once the model
+/// exists: [`OnlinePredictor::take_refit`] hands out no job before this
+/// many rows have been folded since the last one.
 pub const ONLINE_REFIT_EVERY: usize = 64;
 /// Completed jobs required before the first runtime-model fit.
 const MIN_FIT: usize = 16;
-/// LM iterations for a warm-started refit (mini-batch Gauss–Newton).
-/// Warm starts resume from coefficients fitted 64 rows ago over a
-/// 512-row window, so a few damped steps re-converge; the budget is the
-/// dominant per-refit cost and is sized accordingly.
+/// LM iterations for a warm-started refit (mini-batch Gauss–Newton); the
+/// dominant per-refit cost. Sized for the stalest warm start an owner
+/// produces, not the freshest: a `FleetSim` shard refits once per
+/// several thousand completions, so the previous coefficients were fitted
+/// on a window that has since turned over completely. Measured by
+/// `online_refit_tracks_drift_at_window_turnover_cadence` (per-shot cost
+/// doubled, ±10 % runtime noise, one refit per 2 000 rows): six steps
+/// land within 2·10⁻⁷ relative of the 400-iteration batch fit at the
+/// first boundary after the change, so the budget does not need to scale
+/// with staleness.
 const WARM_ITERATIONS: usize = 6;
 /// LM iterations for the cold first fit.
 const COLD_ITERATIONS: usize = 200;
@@ -77,10 +103,97 @@ pub struct WaitEstimate {
     pub run_s: f64,
 }
 
-/// The online predictor: fold records with [`observe`](Self::observe),
-/// query with [`predict`](Self::predict), read accuracy counters any
-/// time.
+/// A fitted runtime model together with the per-feature normalization
+/// it was fitted under: what [`RefitJob::run`] produces and
+/// [`OnlinePredictor::install`] publishes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Refit {
+    model: ProductModel,
+    /// Per-feature `max |x|` over the fitted window (1 where that is 0).
+    scale: [f64; NUM_FEATURES],
+    /// Features that were nonzero somewhere in the fitted window.
+    active: [bool; NUM_FEATURES],
+    /// [`OnlinePredictor::observed`] when the window was copied, so a
+    /// fit that finishes late cannot replace one taken after it.
+    taken_at: u64,
+}
+
+/// One windowed fit, detached from the predictor it was
+/// [taken](OnlinePredictor::take_refit) from: a copy of the window rows
+/// and of the model to warm-start from. It borrows nothing, so
+/// [`run`](Self::run) needs no lock.
 #[derive(Debug)]
+pub struct RefitJob {
+    /// Raw (unnormalized) window rows, row-major, oldest first.
+    rows: Vec<f64>,
+    targets: Vec<f64>,
+    prev: Option<Refit>,
+    taken_at: u64,
+}
+
+impl RefitJob {
+    /// Fit the product model over the copied window: recompute the
+    /// normalization, rescale the previous slopes to the new scales (the
+    /// model sees `x/s`, so keeping `a + b'·x/s' == a + b·x/s` needs
+    /// `b' = b·s'/s`), and take a few damped Gauss–Newton steps from
+    /// there — or a full cold descent when there is no previous model.
+    #[must_use]
+    pub fn run(mut self) -> Refit {
+        let k = NUM_FEATURES;
+        let mut scale = [0.0f64; NUM_FEATURES];
+        for row in self.rows.chunks_exact(k) {
+            for (s, &x) in scale.iter_mut().zip(row) {
+                *s = s.max(x.abs());
+            }
+        }
+        let active = scale.map(|s| s > 0.0);
+        for s in &mut scale {
+            if *s == 0.0 {
+                *s = 1.0;
+            }
+        }
+        for row in self.rows.chunks_exact_mut(k) {
+            for (x, &s) in row.iter_mut().zip(&scale) {
+                *x /= s;
+            }
+        }
+
+        let (init, iterations) = match self.prev {
+            Some(prev) => {
+                let b = prev
+                    .model
+                    .b
+                    .iter()
+                    .zip(scale.iter().zip(&prev.scale))
+                    .map(|(&b, (&s_new, &s_old))| b * (s_new / s_old.max(1e-12)))
+                    .collect();
+                let a = prev.model.a;
+                (ProductModel { a, b }, WARM_ITERATIONS)
+            }
+            None => {
+                let mean_y = self.targets.iter().sum::<f64>() / self.targets.len().max(1) as f64;
+                let init_a = mean_y.abs().max(1e-6).powf(1.0 / k as f64);
+                let init = ProductModel {
+                    a: vec![init_a; k],
+                    b: vec![0.0; k],
+                };
+                (init, COLD_ITERATIONS)
+            }
+        };
+        Refit {
+            model: ProductModel::fit_flat(&init, &self.rows, k, &self.targets, iterations),
+            scale,
+            active,
+            taken_at: self.taken_at,
+        }
+    }
+}
+
+/// The online predictor: fold records with [`observe`](Self::observe),
+/// query with [`predict`](Self::predict), refit the runtime model at the
+/// owner's batch boundary with [`refit_if_due`](Self::refit_if_due), read
+/// accuracy counters any time.
+#[derive(Debug, Clone)]
 pub struct OnlinePredictor {
     /// Qubit count per machine index, for runtime-feature extraction.
     machine_qubits: Vec<usize>,
@@ -94,18 +207,12 @@ pub struct OnlinePredictor {
     band_hi: P2Quantile,
 
     // Online runtime model over a bounded window. Rows are fixed-size
-    // arrays and the refit scratch is reused, so folding a record never
-    // allocates off the happy path (the gateway taps this once per
-    // terminal job).
+    // arrays, so folding a record never allocates off the happy path (the
+    // gateway taps this once per terminal job).
     window: VecDeque<([f64; NUM_FEATURES], f64)>,
     since_refit: usize,
-    model: Option<ProductModel>,
-    scale: Vec<f64>,
-    active: Vec<bool>,
-    /// Flat row-major normalized feature matrix reused across refits.
-    fit_rows: Vec<f64>,
-    /// Target buffer reused across refits.
-    fit_targets: Vec<f64>,
+    fitted: Option<Refit>,
+    refits: u64,
 
     // Running feature means, to fill in depth/width at predict time
     // (the PREDICT verb only carries machine/circuits/shots).
@@ -137,11 +244,8 @@ impl OnlinePredictor {
             band_hi: P2Quantile::new(0.90),
             window: VecDeque::with_capacity(ONLINE_WINDOW),
             since_refit: 0,
-            model: None,
-            scale: Vec::new(),
-            active: Vec::new(),
-            fit_rows: Vec::new(),
-            fit_targets: Vec::new(),
+            fitted: None,
+            refits: 0,
             depth_sum: 0.0,
             width_sum: 0.0,
             feature_count: 0,
@@ -190,10 +294,24 @@ impl OnlinePredictor {
         }
     }
 
+    /// Runtime-model fits installed so far, the cold first one included.
+    #[must_use]
+    pub fn refits(&self) -> u64 {
+        self.refits
+    }
+
+    /// Window rows folded since the last fit was taken: how stale the
+    /// runtime coefficients are, in completions.
+    #[must_use]
+    pub fn rows_since_refit(&self) -> usize {
+        self.since_refit
+    }
+
     /// Fold one terminal record. Scores the *current* model first
     /// (test-then-train), then updates the queue means, band, feature
-    /// means, and runtime window — refitting the runtime model every
-    /// [`ONLINE_REFIT_EVERY`] completions.
+    /// means, and runtime window. O(1) except for the one cold fit when
+    /// the window first holds `MIN_FIT` rows; warm refits are the
+    /// owner's to run (see [`refit_if_due`](Self::refit_if_due)).
     pub fn observe(&mut self, record: &JobRecord) {
         self.observed += 1;
         if record.outcome != JobOutcome::Completed {
@@ -242,7 +360,7 @@ impl OnlinePredictor {
             self.feature_count += 1;
         }
 
-        // Runtime window + periodic mini-batch refit.
+        // Runtime window; the first model is fitted as soon as it can be.
         let qubits = self.machine_qubits.get(record.machine).copied().unwrap_or(0);
         let row = JobFeatures::from_record(record, qubits).to_array();
         if row.iter().all(|x| x.is_finite()) && exec.is_finite() {
@@ -251,14 +369,62 @@ impl OnlinePredictor {
             }
             self.window.push_back((row, exec));
             self.since_refit += 1;
-            let due = match self.model {
-                None => self.window.len() >= MIN_FIT,
-                Some(_) => self.since_refit >= ONLINE_REFIT_EVERY,
-            };
-            if due {
-                self.refit();
+            if self.fitted.is_none() && self.window.len() >= MIN_FIT {
+                let cold = self.snapshot().run();
+                self.install(cold);
             }
         }
+    }
+
+    /// Copy the window out for a fit and restart the staleness count.
+    fn snapshot(&mut self) -> RefitJob {
+        self.since_refit = 0;
+        let mut rows = Vec::with_capacity(self.window.len() * NUM_FEATURES);
+        let mut targets = Vec::with_capacity(self.window.len());
+        for (row, y) in &self.window {
+            rows.extend_from_slice(row);
+            targets.push(*y);
+        }
+        RefitJob {
+            rows,
+            targets,
+            prev: self.fitted.clone(),
+            taken_at: self.observed,
+        }
+    }
+
+    /// The fit that is due, if one is: `None` until
+    /// [`ONLINE_REFIT_EVERY`] rows have been folded since the last job
+    /// was taken. Taking a job restarts that count, so a second call
+    /// right after the first returns `None`; records folded while the job
+    /// runs stay in the window and count towards the next one.
+    pub fn take_refit(&mut self) -> Option<RefitJob> {
+        (self.since_refit >= ONLINE_REFIT_EVERY).then(|| self.snapshot())
+    }
+
+    /// Publish a finished fit. One taken before the installed one (two
+    /// connections racing on a shared predictor) is dropped.
+    pub fn install(&mut self, refit: Refit) {
+        if self
+            .fitted
+            .as_ref()
+            .is_some_and(|current| current.taken_at > refit.taken_at)
+        {
+            return;
+        }
+        self.fitted = Some(refit);
+        self.refits += 1;
+    }
+
+    /// [`take_refit`](Self::take_refit), [`RefitJob::run`] and
+    /// [`install`](Self::install) in a row, for an owner with exclusive
+    /// access at its batch boundary. Returns whether a fit ran.
+    pub fn refit_if_due(&mut self) -> bool {
+        let Some(job) = self.take_refit() else {
+            return false;
+        };
+        self.install(job.run());
+        true
     }
 
     /// Estimate wait and runtime for a prospective job: `pending` jobs
@@ -327,7 +493,7 @@ impl OnlinePredictor {
 
     /// Runtime estimate from the online product model, if fitted.
     fn predict_run_s(&self, machine: usize, circuits: u32, shots: u32) -> Option<f64> {
-        let model = self.model.as_ref()?;
+        let fitted = self.fitted.as_ref()?;
         if self.feature_count == 0 {
             return None;
         }
@@ -343,73 +509,15 @@ impl OnlinePredictor {
             machine_qubits: qubits as f64,
             memory_slots: crate::memory_slots(circuits, shots, width),
         };
-        let raw = features.to_vec();
-        let normalized: Vec<f64> = raw
-            .iter()
-            .zip(self.scale.iter().zip(&self.active))
-            .map(|(&x, (&s, &alive))| if alive { x / s } else { 0.0 })
-            .collect();
-        let run = model.predict(&normalized);
+        let mut normalized = features.to_array();
+        for (x, (&s, &alive)) in normalized
+            .iter_mut()
+            .zip(fitted.scale.iter().zip(&fitted.active))
+        {
+            *x = if alive { *x / s } else { 0.0 };
+        }
+        let run = fitted.model.predict(&normalized);
         run.is_finite().then(|| run.max(0.0))
-    }
-
-    /// Refit the product model over the window: recompute normalization,
-    /// rescale the previous slopes to the new scales (the model sees
-    /// `x/s`, so keeping `a + b'·x/s' == a + b·x/s` needs `b' = b·s'/s`),
-    /// and take a few damped Gauss–Newton steps from there.
-    fn refit(&mut self) {
-        self.since_refit = 0;
-        if self.window.is_empty() {
-            return;
-        }
-        let k = NUM_FEATURES;
-        let mut new_scale = [0.0f64; NUM_FEATURES];
-        for (row, _) in &self.window {
-            for (s, &x) in new_scale.iter_mut().zip(row) {
-                *s = s.max(x.abs());
-            }
-        }
-        let new_active: Vec<bool> = new_scale.iter().map(|&s| s > 0.0).collect();
-        for s in &mut new_scale {
-            if *s == 0.0 {
-                *s = 1.0;
-            }
-        }
-        // Normalize into the reused flat matrix: the whole refit performs
-        // O(1) allocations regardless of window size.
-        self.fit_rows.clear();
-        self.fit_targets.clear();
-        for (row, y) in &self.window {
-            self.fit_rows
-                .extend(row.iter().zip(&new_scale).map(|(&x, &s)| x / s));
-            self.fit_targets.push(*y);
-        }
-
-        let fitted = match self.model.take() {
-            Some(prev) if prev.num_features() == k && !self.scale.is_empty() => {
-                let b: Vec<f64> = prev
-                    .b
-                    .iter()
-                    .zip(new_scale.iter().zip(&self.scale))
-                    .map(|(&b, (&s_new, &s_old))| b * (s_new / s_old.max(1e-12)))
-                    .collect();
-                let init = ProductModel { a: prev.a, b };
-                ProductModel::fit_flat(&init, &self.fit_rows, k, &self.fit_targets, WARM_ITERATIONS)
-            }
-            _ => {
-                let mean_y =
-                    self.fit_targets.iter().sum::<f64>() / self.fit_targets.len().max(1) as f64;
-                let init_a = mean_y.abs().max(1e-6).powf(1.0 / k as f64);
-                let init = ProductModel {
-                    a: vec![init_a; k],
-                    b: vec![0.0; k],
-                };
-                ProductModel::fit_flat(&init, &self.fit_rows, k, &self.fit_targets, COLD_ITERATIONS)
-            }
-        };
-        self.model = Some(fitted);
-        self.scale = new_scale.to_vec();
-        self.active = new_active;
     }
 }
 
@@ -422,6 +530,12 @@ mod tests {
     /// The same machine-overhead + batch/shots runtime law the batch
     /// predictor tests use, plus queue waits proportional to backlog.
     fn synthetic_stream(n: usize, seed: u64) -> Vec<JobRecord> {
+        drifting_stream(n, seed, 1.0, 0.0)
+    }
+
+    /// [`synthetic_stream`] with the per-shot cost scaled by `shot_cost`
+    /// and every runtime scaled by a uniform factor in `1 ± jitter`.
+    fn drifting_stream(n: usize, seed: u64, shot_cost: f64, jitter: f64) -> Vec<JobRecord> {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -442,7 +556,17 @@ mod tests {
                 let exec = 3.0
                     + 0.1 * qubits
                     + f64::from(circuits)
-                        * (0.02 + f64::from(shots) * (200.0 + 1.5 * qubits + depth * 0.3) * 1e-6);
+                        * (0.02
+                            + shot_cost
+                                * f64::from(shots)
+                                * (200.0 + 1.5 * qubits + depth * 0.3)
+                                * 1e-6);
+                // Drawn only when asked for, so the plain stream is unchanged.
+                let exec = if jitter > 0.0 {
+                    exec * (1.0 + jitter * ((next() % 1000) as f64 / 500.0 - 1.0))
+                } else {
+                    exec
+                };
                 let wait = pending as f64 * 120.0;
                 JobRecord {
                     id: i as u64,
@@ -526,7 +650,68 @@ mod tests {
             online.observe(&r);
         }
         assert!(online.window.len() <= ONLINE_WINDOW);
-        assert!(online.model.is_some());
+        assert!(online.fitted.is_some());
+    }
+
+    const QUBITS: [usize; 3] = [5, 27, 65];
+
+    /// Fold `records`, running the fit every `cadence` records (the
+    /// owner's batch boundary) and once more at the end (its drain).
+    fn drive(online: &mut OnlinePredictor, records: &[JobRecord], cadence: usize) {
+        for (i, r) in records.iter().enumerate() {
+            online.observe(r);
+            if (i + 1) % cadence == 0 {
+                online.refit_if_due();
+            }
+        }
+        online.refit_if_due();
+    }
+
+    /// Batch Levenberg–Marquardt fit over the last [`ONLINE_WINDOW`]
+    /// records: what the online model's window holds.
+    fn batch_fit_on_window(records: &[JobRecord]) -> RuntimePredictor {
+        let tail = &records[records.len() - ONLINE_WINDOW..];
+        let rows: Vec<Vec<f64>> = tail
+            .iter()
+            .map(|r| JobFeatures::from_record(r, QUBITS[r.machine]).to_vec())
+            .collect();
+        let runtimes: Vec<f64> = tail.iter().map(|r| r.exec_time_s()).collect();
+        RuntimePredictor::fit(&rows, &runtimes)
+    }
+
+    /// Largest relative gap between the online and the batch runtime
+    /// prediction over a sample of `records`. `predict_run_s` fills
+    /// depth/width from running means, so the batch model is evaluated on
+    /// the same fill-in. (The product model's coefficients are only
+    /// identifiable up to per-factor rescaling, so the comparison is on
+    /// predictions, not raw a/b vectors.)
+    fn worst_rel_gap(
+        online: &OnlinePredictor,
+        batch: &RuntimePredictor,
+        records: &[JobRecord],
+    ) -> f64 {
+        let depth = online.depth_sum / online.feature_count as f64;
+        let width = online.width_sum / online.feature_count as f64;
+        records
+            .iter()
+            .step_by(37)
+            .map(|r| {
+                let online_pred = online
+                    .predict_run_s(r.machine, r.circuits, r.shots)
+                    .expect("model fitted");
+                let filled = JobFeatures {
+                    batch_size: f64::from(r.circuits),
+                    shots: f64::from(r.shots),
+                    depth,
+                    width,
+                    total_gates: depth * width * 0.6,
+                    machine_qubits: QUBITS[r.machine] as f64,
+                    memory_slots: crate::memory_slots(r.circuits, r.shots, width),
+                };
+                let batch_pred = batch.predict(&filled.to_vec());
+                (online_pred - batch_pred).abs() / batch_pred.abs().max(1e-6)
+            })
+            .fold(0.0, f64::max)
     }
 
     proptest! {
@@ -535,55 +720,110 @@ mod tests {
         /// The online-vs-batch convergence property: on a stationary
         /// stream, the warm-started mini-batch Gauss–Newton coefficients
         /// must predict within 15 % of the batch Levenberg–Marquardt fit
-        /// on the same law. (The product model's coefficients are only
-        /// identifiable up to per-factor rescaling, so the comparison is
-        /// on predictions, not raw a/b vectors.)
+        /// on the same law, whatever cadence the owner refits at: after
+        /// every record, every 64, every 200, or only once at the drain.
         #[test]
         fn online_fit_converges_to_batch_fit(seed in 0u64..1000) {
             let records = synthetic_stream(600, seed);
-            let qubits = vec![5usize, 27, 65];
-
-            let mut online = OnlinePredictor::new(qubits.clone());
-            for r in &records {
-                online.observe(r);
-            }
-
-            // Batch fit over the online model's window (the stream is
-            // stationary, so this is the same law either way).
-            let tail = &records[records.len() - ONLINE_WINDOW..];
-            let rows: Vec<Vec<f64>> = tail
-                .iter()
-                .map(|r| JobFeatures::from_record(r, qubits[r.machine]).to_vec())
-                .collect();
-            let runtimes: Vec<f64> = tail.iter().map(|r| r.exec_time_s()).collect();
-            let batch = RuntimePredictor::fit(&rows, &runtimes);
-
-            for r in records.iter().step_by(37) {
-                let batch_pred =
-                    batch.predict(&JobFeatures::from_record(r, qubits[r.machine]).to_vec());
-                let online_pred = online
-                    .predict_run_s(r.machine, r.circuits, r.shots)
-                    .expect("model fitted");
-                // predict_run_s fills depth/width from running means, so
-                // compare against the batch model on the same fill-in.
-                let depth = online.depth_sum / online.feature_count as f64;
-                let width = online.width_sum / online.feature_count as f64;
-                let filled = JobFeatures {
-                    batch_size: f64::from(r.circuits),
-                    shots: f64::from(r.shots),
-                    depth,
-                    width,
-                    total_gates: depth * width * 0.6,
-                    machine_qubits: qubits[r.machine] as f64,
-                    memory_slots: crate::memory_slots(r.circuits, r.shots, width),
-                };
-                let batch_filled = batch.predict(&filled.to_vec());
-                let rel = (online_pred - batch_filled).abs() / batch_filled.abs().max(1e-6);
-                prop_assert!(
-                    rel < 0.15,
-                    "online {online_pred} vs batch {batch_filled} (rel {rel}, raw batch {batch_pred})"
-                );
+            // The stream is stationary, so the window's law is the
+            // stream's law.
+            let batch = batch_fit_on_window(&records);
+            for cadence in [1, 64, 200, usize::MAX] {
+                let mut online = OnlinePredictor::new(QUBITS.to_vec());
+                drive(&mut online, &records, cadence);
+                prop_assert!(online.refits() >= 2, "cadence {cadence}: no warm refit ran");
+                let rel = worst_rel_gap(&online, &batch, &records);
+                prop_assert!(rel < 0.15, "cadence {cadence}: online vs batch rel {rel}");
             }
         }
+    }
+
+    /// The `fleet_stream` regime: the owner refits once per 2 000
+    /// completions, so every warm start resumes from coefficients fitted
+    /// on a window that has since turned over completely. When the law
+    /// itself moves (per-shot cost doubles, runtimes noisy by ±10 %), the
+    /// warm budget must still re-converge within three boundaries.
+    #[test]
+    fn online_refit_tracks_drift_at_window_turnover_cadence() {
+        const BOUNDARY: usize = 2000;
+        const _: () = assert!(BOUNDARY >= ONLINE_WINDOW);
+        for seed in [11, 12, 13, 14] {
+            let mut online = OnlinePredictor::new(QUBITS.to_vec());
+            let before = drifting_stream(3 * BOUNDARY, seed, 1.0, 0.1);
+            drive(&mut online, &before, BOUNDARY);
+            let after = drifting_stream(3 * BOUNDARY, seed + 100, 2.0, 0.1);
+            let mut gaps = Vec::new();
+            for chunk in after.chunks(BOUNDARY) {
+                for r in chunk {
+                    online.observe(r);
+                }
+                assert!(online.rows_since_refit() >= ONLINE_WINDOW);
+                let batch = batch_fit_on_window(chunk);
+                if gaps.is_empty() {
+                    let stale = worst_rel_gap(&online, &batch, chunk);
+                    assert!(
+                        stale > 0.15,
+                        "seed {seed}: the drift moved nothing ({stale})"
+                    );
+                }
+                assert!(online.refit_if_due());
+                gaps.push(worst_rel_gap(&online, &batch, chunk));
+            }
+            assert!(
+                gaps.iter().any(|&gap| gap < 0.15),
+                "seed {seed}: rel gap per boundary after the change {gaps:?}"
+            );
+        }
+    }
+
+    /// A job is a snapshot: records folded while it runs change neither
+    /// its result nor get lost from the window.
+    #[test]
+    fn online_refit_job_is_isolated_from_later_observes() {
+        let records = synthetic_stream(400, 21);
+        let mut online = OnlinePredictor::new(QUBITS.to_vec());
+        for r in &records[..300] {
+            online.observe(r);
+        }
+        assert!(online.rows_since_refit() >= ONLINE_REFIT_EVERY);
+        let mut undisturbed = online.clone();
+
+        let job = online.take_refit().expect("a fit is due");
+        assert_eq!(online.rows_since_refit(), 0);
+        assert!(
+            online.take_refit().is_none(),
+            "taking the job restarts the count"
+        );
+        for r in &records[300..] {
+            online.observe(r);
+        }
+        let refits_before = online.refits();
+        online.install(job.run());
+        assert_eq!(online.refits(), refits_before + 1);
+        assert_eq!(online.rows_since_refit(), 100);
+        let newest = records.last().expect("non-empty").exec_time_s();
+        assert_eq!(online.window.back().map(|(_, y)| *y), Some(newest));
+
+        assert!(undisturbed.refit_if_due());
+        assert!(
+            !undisturbed.refit_if_due(),
+            "nothing is due right after a fit"
+        );
+        let bits = |p: &OnlinePredictor| {
+            let model = &p.fitted.as_ref().expect("fitted").model;
+            let coefficients = model.a.iter().chain(&model.b);
+            coefficients.map(|x| x.to_bits()).collect::<Vec<u64>>()
+        };
+        assert_eq!(bits(&online), bits(&undisturbed));
+
+        // A fit taken earlier never replaces one taken later.
+        let stale = undisturbed.fitted.clone().expect("fitted");
+        let current = online.fitted.clone();
+        online.install(Refit {
+            taken_at: 0,
+            ..stale
+        });
+        assert_eq!(online.fitted, current);
+        assert_eq!(online.refits(), refits_before + 1);
     }
 }

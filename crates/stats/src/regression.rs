@@ -115,12 +115,14 @@ impl ProductModel {
     }
 
     /// [`fit_from`](Self::fit_from) over a row-major flat feature matrix
-    /// (`rows.len() == k * targets.len()`), the allocation-free entry the
-    /// online mini-batch refit loop calls: every scratch buffer (Jacobian
+    /// (`rows.len() == k * targets.len()`), the entry the online
+    /// predictor's windowed refit calls: every scratch buffer (Jacobian
     /// products, factor/gradient vectors, the damped normal matrix) is
-    /// hoisted out of the per-row loop, and `J^T J` is filled on the
-    /// upper triangle only and mirrored — IEEE multiplication commutes,
-    /// so the result is bit-identical to the full accumulation.
+    /// hoisted out of the per-row loop, `J^T J` is filled on the upper
+    /// triangle only and mirrored — IEEE multiplication commutes, so the
+    /// result is bit-identical to the full accumulation — and the normal
+    /// equations are rebuilt only after an accepted step: a rejected one
+    /// changes `lambda`, not the parameters they are evaluated at.
     ///
     /// # Panics
     ///
@@ -134,6 +136,21 @@ impl ProductModel {
         targets: &[f64],
         max_iterations: usize,
     ) -> Self {
+        Self::levenberg_marquardt::<false>(init, rows, k, targets, max_iterations).0
+    }
+
+    /// The LM loop behind [`fit_flat`](Self::fit_flat); also returns how
+    /// many steps it rejected. `ALWAYS_REBUILD` recomputes `J^T J` and
+    /// `J^T r` every iteration, rejected step or not — the loop as it was
+    /// before the rebuild was skipped, instantiated only as the tests'
+    /// oracle.
+    fn levenberg_marquardt<const ALWAYS_REBUILD: bool>(
+        init: &ProductModel,
+        rows: &[f64],
+        k: usize,
+        targets: &[f64],
+        max_iterations: usize,
+    ) -> (Self, usize) {
         assert!(k > 0, "need at least one feature");
         assert_eq!(rows.len(), k * targets.len(), "row/target length mismatch");
         assert!(!targets.is_empty(), "empty training set");
@@ -147,8 +164,7 @@ impl ProductModel {
         }
 
         // Scratch reused across iterations: no allocation inside the LM
-        // loop (the online predictor calls this every
-        // `ONLINE_REFIT_EVERY` completions on the record hot path).
+        // loop.
         let mut jtj = vec![0.0f64; p * p];
         let mut jtr = vec![0.0f64; p];
         let mut damped = vec![0.0f64; p * p];
@@ -159,42 +175,48 @@ impl ProductModel {
 
         let mut lambda = 1e-3;
         let mut current_sse = sse(&params, rows, k, targets);
+        let mut rejected = 0usize;
+        // Do `jtj` / `jtr` still describe `params`?
+        let mut built = false;
 
         for _ in 0..max_iterations {
-            // Build J^T J (upper triangle) and J^T r with the analytic
-            // Jacobian.
-            jtj.iter_mut().for_each(|x| *x = 0.0);
-            jtr.iter_mut().for_each(|x| *x = 0.0);
-            for (row, &y) in rows.chunks_exact(k).zip(targets) {
-                for i in 0..k {
-                    factors[i] = params[2 * i] + params[2 * i + 1] * row[i];
-                }
-                let yhat: f64 = factors.iter().product();
-                let r = yhat - y;
-                for i in 0..k {
-                    // d yhat / d a_i = prod_{j != i} factor_j
-                    let mut others = 1.0f64;
-                    for (j, &f) in factors.iter().enumerate() {
-                        if j != i {
-                            others *= f;
+            if !built || ALWAYS_REBUILD {
+                // Build J^T J (upper triangle) and J^T r with the analytic
+                // Jacobian.
+                jtj.iter_mut().for_each(|x| *x = 0.0);
+                jtr.iter_mut().for_each(|x| *x = 0.0);
+                for (row, &y) in rows.chunks_exact(k).zip(targets) {
+                    for i in 0..k {
+                        factors[i] = params[2 * i] + params[2 * i + 1] * row[i];
+                    }
+                    let yhat: f64 = factors.iter().product();
+                    let r = yhat - y;
+                    for i in 0..k {
+                        // d yhat / d a_i = prod_{j != i} factor_j
+                        let mut others = 1.0f64;
+                        for (j, &f) in factors.iter().enumerate() {
+                            if j != i {
+                                others *= f;
+                            }
+                        }
+                        grad[2 * i] = others;
+                        grad[2 * i + 1] = others * row[i];
+                    }
+                    for u in 0..p {
+                        jtr[u] += grad[u] * r;
+                        for v in u..p {
+                            jtj[u * p + v] += grad[u] * grad[v];
                         }
                     }
-                    grad[2 * i] = others;
-                    grad[2 * i + 1] = others * row[i];
                 }
+                // Mirror the strict upper triangle (`x * y` is commutative in
+                // IEEE 754, so this equals accumulating both halves).
                 for u in 0..p {
-                    jtr[u] += grad[u] * r;
-                    for v in u..p {
-                        jtj[u * p + v] += grad[u] * grad[v];
+                    for v in (u + 1)..p {
+                        jtj[v * p + u] = jtj[u * p + v];
                     }
                 }
-            }
-            // Mirror the strict upper triangle (`x * y` is commutative in
-            // IEEE 754, so this equals accumulating both halves).
-            for u in 0..p {
-                for v in (u + 1)..p {
-                    jtj[v * p + u] = jtj[u * p + v];
-                }
+                built = true;
             }
 
             // Solve (J^T J + lambda diag) delta = J^T r.
@@ -203,6 +225,7 @@ impl ProductModel {
                 damped[u * p + u] += lambda * (jtj[u * p + u].max(1e-12));
             }
             if !solve(&mut damped, &jtr, &mut delta) {
+                rejected += 1;
                 lambda *= 10.0;
                 continue;
             }
@@ -214,12 +237,14 @@ impl ProductModel {
             if candidate_sse < current_sse {
                 let improvement = (current_sse - candidate_sse) / current_sse.max(1e-30);
                 params.copy_from_slice(&candidate);
+                built = false;
                 current_sse = candidate_sse;
                 lambda = (lambda * 0.5).max(1e-12);
                 if improvement < 1e-10 {
                     break;
                 }
             } else {
+                rejected += 1;
                 lambda *= 10.0;
                 if lambda > 1e12 {
                     break;
@@ -227,10 +252,9 @@ impl ProductModel {
             }
         }
 
-        let (a, b): (Vec<f64>, Vec<f64>) = (0..k)
-            .map(|i| (params[2 * i], params[2 * i + 1]))
-            .unzip();
-        ProductModel { a, b }
+        let (a, b): (Vec<f64>, Vec<f64>) =
+            (0..k).map(|i| (params[2 * i], params[2 * i + 1])).unzip();
+        (ProductModel { a, b }, rejected)
     }
 }
 
@@ -435,6 +459,53 @@ mod tests {
         let mut a = vec![1.0, 1.0, 1.0, 1.0];
         let mut x = [0.0; 2];
         assert!(!solve(&mut a, &[1.0, 2.0], &mut x));
+    }
+
+    #[test]
+    fn fit_flat_skipping_rebuilds_is_bit_identical_to_always_rebuilding() {
+        // Random 3-factor problems from inits far enough off that LM
+        // overshoots and rejects steps; the skipped rebuild must not move
+        // one coefficient bit at any iteration budget.
+        let mut rng = StdRng::seed_from_u64(13);
+        let k = 3;
+        let mut total_rejected = 0;
+        for case in 0..40 {
+            let n = rng.gen_range(8..200usize);
+            let rows: Vec<f64> = (0..n * k).map(|_| rng.gen_range(0.0..4.0)).collect();
+            let targets: Vec<f64> = rows
+                .chunks_exact(k)
+                .map(|r| {
+                    (1.0 + 2.0 * r[0]) * (3.0 + 0.5 * r[1]) * (0.5 + r[2]) * rng.gen_range(0.9..1.1)
+                })
+                .collect();
+            let init = ProductModel {
+                a: (0..k).map(|_| rng.gen_range(-5.0..5.0)).collect(),
+                b: (0..k).map(|_| rng.gen_range(-5.0..5.0)).collect(),
+            };
+            for iterations in [1, 6, 40, 200] {
+                let (skipping, rejected) = ProductModel::levenberg_marquardt::<false>(
+                    &init, &rows, k, &targets, iterations,
+                );
+                let (rebuilding, rejected_oracle) = ProductModel::levenberg_marquardt::<true>(
+                    &init, &rows, k, &targets, iterations,
+                );
+                let bits = |m: &ProductModel| {
+                    let coefficients = m.a.iter().chain(&m.b);
+                    coefficients.map(|x| x.to_bits()).collect::<Vec<u64>>()
+                };
+                assert_eq!(
+                    bits(&skipping),
+                    bits(&rebuilding),
+                    "case {case}, {iterations} its"
+                );
+                assert_eq!(rejected, rejected_oracle);
+                total_rejected += rejected;
+            }
+        }
+        assert!(
+            total_rejected > 100,
+            "only {total_rejected} rejected steps exercised"
+        );
     }
 
     #[test]
