@@ -4,7 +4,10 @@
 set -euo pipefail
 
 cargo build --release
-cargo test -q
+# Every crate's unit, integration and doc tests, not just the root
+# package's (the same set a bare `cargo test -q` runs, via
+# default-members).
+cargo test -q --workspace
 
 # Invariant gates: the DES must match the brute-force reference simulator
 # record-for-record, and the end-to-end study must pass under the auditor.
@@ -48,31 +51,6 @@ cargo test -q -p qcs-cloud --test properties
 # every job folded exactly once, at most one predictor refit per shard
 # per step call, and peak RSS under 512 MiB.
 cargo run --release -q -p qcs-bench --bin smoke_million_jobs
-
-# Bench-smoke gate: one short criterion run of the fusion bench; the
-# fused kernels must not be slower than per-instruction dispatch on the
-# transpiled-QFT workload (the simulator's real input shape).
-bench_out=$(QCS_BENCH_WARMUP_MS=200 QCS_BENCH_MEASURE_MS=1200 cargo bench -p qcs-bench --bench fusion 2>/dev/null | grep '^BENCH')
-unfused=$(printf '%s\n' "$bench_out" | grep 'fusion_qft10/unfused' | sed 's/.*"mean_ns"://; s/,.*//')
-fused=$(printf '%s\n' "$bench_out" | grep '"id":"fusion_qft10/fused"' | sed 's/.*"mean_ns"://; s/,.*//')
-awk -v f="$fused" -v u="$unfused" 'BEGIN {
-  if (f == "" || u == "") { print "bench-smoke: missing fusion bench output"; exit 1 }
-  if (f > u * 1.10) { printf "bench-smoke: fused %.0f ns > unfused %.0f ns\n", f, u; exit 1 }
-  printf "bench-smoke: fused %.0f ns <= unfused %.0f ns (+10%% headroom)\n", f, u
-}'
-
-# SIMD gate: the f64x4-chunked wide path must not be slower than the
-# scalar fused oracle on the same workload, same in-process run (the two
-# are bit-identical, so wide slower than scalar means the dispatch rules
-# regressed). 10% headroom absorbs shared-runner timer noise; a real
-# regression (wide falling back to scalar-shaped codegen) shows up as
-# 15%+ on this workload.
-wide=$(printf '%s\n' "$bench_out" | grep '"id":"fusion_qft10/wide"' | sed 's/.*"mean_ns"://; s/,.*//')
-awk -v w="$wide" -v f="$fused" 'BEGIN {
-  if (w == "" || f == "") { print "bench-smoke: missing wide bench output"; exit 1 }
-  if (w > f * 1.10) { printf "bench-smoke: wide %.0f ns > fused %.0f ns\n", w, f; exit 1 }
-  printf "bench-smoke: wide %.0f ns <= fused %.0f ns (+10%% headroom)\n", w, f
-}'
 
 # Gateway bench-smoke gate: one short criterion run of the sharded-fleet
 # bench (SUBMIT -> OK over TCP loopback). Both hand-measured lines must

@@ -37,17 +37,15 @@ fn vm_rss_mib() -> Option<f64> {
 
 fn parse_jobs() -> u64 {
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                let value = args.next().expect("--jobs needs a value");
-                return value.parse().expect("--jobs needs an integer");
-            }
-            "--smoke" => return 50_000,
-            other => panic!("unknown argument {other}; expected --jobs N or --smoke"),
+    match args.next().as_deref() {
+        None => 1_000_000,
+        Some("--jobs") => {
+            let value = args.next().expect("--jobs needs a value");
+            value.parse().expect("--jobs needs an integer")
         }
+        Some("--smoke") => 50_000,
+        Some(other) => panic!("unknown argument {other}; expected --jobs N or --smoke"),
     }
-    1_000_000
 }
 
 fn main() {
@@ -91,7 +89,7 @@ fn main() {
         if let Some(rss) = vm_rss_mib() {
             peak_rss_mib = peak_rss_mib.max(rss);
         }
-        if submitted % 200_000 == 0 {
+        if submitted.is_multiple_of(200_000) {
             eprintln!(
                 "  ... {submitted} submitted, sim day {:.1}, {:.0}s elapsed",
                 last_submit_s / 86_400.0,

@@ -640,7 +640,7 @@ mod tests {
     #[test]
     fn shard_map_round_trips() {
         let map = ShardMap::new(11, 4);
-        let mut seen = vec![false; 11];
+        let mut seen = [false; 11];
         for shard in 0..4 {
             for local in 0..map.shard_len(shard) {
                 let global = map.global(shard, local);

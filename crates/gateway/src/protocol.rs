@@ -502,7 +502,7 @@ mod tests {
         // bit-exact even for awkward values.
         let response = Response::Predict {
             machine: "toronto".to_string(),
-            wait_s: 1234.567_890_123,
+            wait_s: 1_234.567_890_123,
             lo_s: 0.1,
             hi_s: 1e9 + 0.25,
             run_s: 3.0000000000000004,

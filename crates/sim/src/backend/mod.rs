@@ -1,16 +1,16 @@
 //! Multi-backend simulation: per-circuit engine selection.
 //!
-//! The noisy simulator has three execution engines behind one trait:
+//! The noisy simulator has three execution engines ([`BackendKind`]):
 //!
-//! - **dense** ([`DenseBackend`]): the SIMD statevector hot path
-//!   (fused kernels, skip-ahead, prefix checkpoints) — exact for every
-//!   circuit, memory `2^n`, capped at [`crate::DENSE_MAX_QUBITS`].
-//! - **stabilizer** ([`StabilizerBackend`]): an Aaronson–Gottesman
-//!   tableau — Clifford circuits only, `O(n²)` memory, so the paper's
-//!   65-qubit Manhattan is as cheap as a 5-qubit machine.
-//! - **sparse** ([`SparseBackend`]): a map-keyed statevector — any
-//!   gate set, memory proportional to the state's support, profitable
-//!   when few gates branch the computational basis.
+//! - **dense**: the SIMD statevector hot path (pre-decoded kernels,
+//!   skip-ahead, prefix checkpoints) — exact for every circuit, memory
+//!   `2^n`, capped at [`crate::DENSE_MAX_QUBITS`].
+//! - **stabilizer**: an Aaronson–Gottesman tableau — Clifford circuits
+//!   only, `O(n²)` memory, so the paper's 65-qubit Manhattan is as cheap
+//!   as a 5-qubit machine.
+//! - **sparse**: a map-keyed statevector — any gate set, memory
+//!   proportional to the state's support, profitable when few gates
+//!   branch the computational basis.
 //!
 //! [`BackendDispatcher`] inspects each circuit once ([`CircuitProfile`])
 //! and routes it ([`BackendDispatcher::plan`]); [`NoisySimulator::run`]
@@ -20,10 +20,9 @@
 //! pre-existing result is unchanged, and the wider-only alternatives are
 //! property-tested against the dense oracle on their overlapping
 //! domains (see DESIGN.md §4i for the per-backend equivalence
-//! statements). A fourth *hybrid* route evolves a circuit's leading
-//! Clifford segment on the tableau and hands its exact support to the
-//! sparse engine — covering wide circuits whose prefix branches heavily
-//! but whose non-Clifford tail (e.g. a few T gates) stays narrow.
+//! statements). A circuit outside all three domains gets the typed
+//! [`SimError::NoBackend`]; there is no distribution-only fallback
+//! route.
 //!
 //! [`NoisySimulator::run`]: crate::NoisySimulator::run
 
@@ -100,12 +99,6 @@ pub struct CircuitProfile {
     /// `min(width, branching instruction count)` over the whole
     /// circuit — `log2` of an upper bound on the reachable support.
     pub branch_log2: usize,
-    /// Leading instructions that are all Clifford (the hybrid handoff
-    /// prefix).
-    pub clifford_prefix: usize,
-    /// [`CircuitProfile::branch_log2`] over the instructions after the
-    /// Clifford prefix only.
-    pub tail_branch_log2: usize,
 }
 
 impl CircuitProfile {
@@ -117,10 +110,7 @@ impl CircuitProfile {
         let mut clifford = true;
         let mut has_reset = false;
         let mut branch_count = 0usize;
-        let mut tail_branch_count = 0usize;
-        let mut clifford_prefix = 0usize;
-        let mut in_prefix = true;
-        for (i, inst) in circuit.instructions().iter().enumerate() {
+        for inst in circuit.instructions() {
             if inst.gate == Gate::Reset {
                 has_reset = true;
             }
@@ -131,171 +121,39 @@ impl CircuitProfile {
                     .iter()
                     .any(|op| matches!(op, clifford::CliffordOp::H(_)))
             } else {
+                clifford = false;
                 clifford::branches(inst, &mut scratch)
             };
-            if !is_clifford {
-                clifford = false;
-                if in_prefix {
-                    clifford_prefix = i;
-                    in_prefix = false;
-                }
-            }
             if branches {
                 branch_count += 1;
-                if !in_prefix {
-                    tail_branch_count += 1;
-                }
             }
-        }
-        if in_prefix {
-            clifford_prefix = circuit.instructions().len();
         }
         CircuitProfile {
             width,
             clifford,
             has_reset,
             branch_log2: branch_count.min(width),
-            clifford_prefix,
-            tail_branch_log2: tail_branch_count.min(width),
         }
     }
 }
 
-/// A resolved execution route for one circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendPlan {
-    /// Dense statevector.
-    Dense,
-    /// Stabilizer tableau (whole circuit).
-    Stabilizer,
-    /// Sparse statevector (whole circuit).
-    Sparse,
-    /// Hybrid: the first `prefix` instructions on the tableau, the tail
-    /// on the sparse engine seeded with the tableau's exact support.
-    CliffordPrefix {
-        /// Instructions evolved on the tableau before the handoff.
-        prefix: usize,
-    },
-}
-
-impl BackendPlan {
-    /// The engine that samples the shots (the hybrid route finishes on
-    /// the sparse engine).
-    #[must_use]
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            BackendPlan::Dense => BackendKind::Dense,
-            BackendPlan::Stabilizer => BackendKind::Stabilizer,
-            BackendPlan::Sparse | BackendPlan::CliffordPrefix { .. } => BackendKind::Sparse,
+/// Whether engine `kind` can faithfully execute a circuit with `profile`
+/// under `sim`'s configuration (noise model flags).
+fn supports(kind: BackendKind, sim: &NoisySimulator, profile: &CircuitProfile) -> bool {
+    match kind {
+        BackendKind::Dense => profile.width <= DENSE_MAX_QUBITS,
+        BackendKind::Stabilizer => {
+            profile.clifford
+                && !profile.has_reset
+                && !sim.decoherence
+                && profile.width <= STABILIZER_MAX_QUBITS
         }
-    }
-}
-
-/// One simulation engine: eligibility predicate plus execution, the
-/// interface [`BackendDispatcher`] routes through.
-pub trait SimBackend {
-    /// Which engine this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Whether this engine can faithfully execute a circuit with
-    /// `profile` under `sim`'s configuration (noise model flags).
-    fn supports(&self, sim: &NoisySimulator, profile: &CircuitProfile) -> bool;
-
-    /// Execute the circuit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the circuit exceeds this engine's
-    /// limits (callers should check [`SimBackend::supports`] first).
-    fn run(
-        &self,
-        sim: &NoisySimulator,
-        circuit: &Circuit,
-        snapshot: &CalibrationSnapshot,
-        shots: u32,
-    ) -> Result<Counts, SimError>;
-}
-
-/// The dense SIMD statevector engine (see [`crate::NoisySimulator`]'s
-/// module docs for its optimization inventory).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseBackend;
-
-impl SimBackend for DenseBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Dense
-    }
-
-    fn supports(&self, _sim: &NoisySimulator, profile: &CircuitProfile) -> bool {
-        profile.width <= DENSE_MAX_QUBITS
-    }
-
-    fn run(
-        &self,
-        sim: &NoisySimulator,
-        circuit: &Circuit,
-        snapshot: &CalibrationSnapshot,
-        shots: u32,
-    ) -> Result<Counts, SimError> {
-        sim.run_dense(circuit, snapshot, shots)
-    }
-}
-
-/// The stabilizer tableau engine (see [`stabilizer`]'s module docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StabilizerBackend;
-
-impl SimBackend for StabilizerBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Stabilizer
-    }
-
-    fn supports(&self, sim: &NoisySimulator, profile: &CircuitProfile) -> bool {
-        profile.clifford
-            && !profile.has_reset
-            && !sim.decoherence
-            && profile.width <= STABILIZER_MAX_QUBITS
-    }
-
-    fn run(
-        &self,
-        sim: &NoisySimulator,
-        circuit: &Circuit,
-        snapshot: &CalibrationSnapshot,
-        shots: u32,
-    ) -> Result<Counts, SimError> {
-        stabilizer::run(sim, circuit, snapshot, shots)
-    }
-}
-
-/// The sparse statevector engine (see [`sparse`]'s module docs). As a
-/// forced backend it always runs the whole circuit sparsely; the hybrid
-/// Clifford-prefix route exists only under [`BackendChoice::Auto`],
-/// because its materialized amplitudes are distribution-faithful rather
-/// than bit-identical.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SparseBackend;
-
-impl SimBackend for SparseBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sparse
-    }
-
-    fn supports(&self, sim: &NoisySimulator, profile: &CircuitProfile) -> bool {
-        !profile.has_reset
-            && !sim.decoherence
-            && profile.width <= SPARSE_MAX_QUBITS
-            && profile.branch_log2 <= SPARSE_MAX_BRANCH_LOG2
-    }
-
-    fn run(
-        &self,
-        sim: &NoisySimulator,
-        circuit: &Circuit,
-        snapshot: &CalibrationSnapshot,
-        shots: u32,
-    ) -> Result<Counts, SimError> {
-        sparse::run(sim, circuit, snapshot, shots, 0)
+        BackendKind::Sparse => {
+            !profile.has_reset
+                && !sim.decoherence
+                && profile.width <= SPARSE_MAX_QUBITS
+                && profile.branch_log2 <= SPARSE_MAX_BRANCH_LOG2
+        }
     }
 }
 
@@ -311,8 +169,7 @@ impl BackendDispatcher {
     ///
     /// Under [`BackendChoice::Auto`]: dense whenever the circuit fits
     /// ([`crate::DENSE_MAX_QUBITS`]) — the bit-for-bit original path —
-    /// then, for wider circuits, stabilizer / sparse / Clifford-prefix
-    /// hybrid in that order of preference. Under
+    /// then, for wider circuits, stabilizer, then sparse. Under
     /// [`BackendChoice::Force`], the pinned engine or an error.
     ///
     /// [`NoisySimulator::run`]: crate::NoisySimulator::run
@@ -321,42 +178,28 @@ impl BackendDispatcher {
     ///
     /// [`SimError::NoBackend`] when no engine (or the forced engine)
     /// can faithfully execute the circuit.
-    pub fn plan(sim: &NoisySimulator, circuit: &Circuit) -> Result<BackendPlan, SimError> {
+    pub fn plan(sim: &NoisySimulator, circuit: &Circuit) -> Result<BackendKind, SimError> {
         let profile = CircuitProfile::of(circuit);
         let width = profile.width;
+        let eligible = |kind| supports(kind, sim, &profile);
         match sim.backend {
+            BackendChoice::Force(kind) if eligible(kind) => Ok(kind),
             BackendChoice::Force(BackendKind::Dense) => {
-                if DenseBackend.supports(sim, &profile) {
-                    Ok(BackendPlan::Dense)
-                } else {
-                    Err(SimError::TooManyQubits { requested: width })
-                }
+                Err(SimError::TooManyQubits { requested: width })
             }
-            BackendChoice::Force(BackendKind::Stabilizer) => {
-                if StabilizerBackend.supports(sim, &profile) {
-                    Ok(BackendPlan::Stabilizer)
-                } else {
-                    Err(SimError::NoBackend {
-                        width,
-                        reason: "stabilizer backend needs a reset-free Clifford circuit \
-                                 (≤ 127 qubits) without decoherence",
-                    })
-                }
-            }
-            BackendChoice::Force(BackendKind::Sparse) => {
-                if SparseBackend.supports(sim, &profile) {
-                    Ok(BackendPlan::Sparse)
-                } else {
-                    Err(SimError::NoBackend {
-                        width,
-                        reason: "sparse backend needs a reset-free circuit (≤ 64 qubits) \
-                                 with a bounded branching count and no decoherence",
-                    })
-                }
-            }
+            BackendChoice::Force(BackendKind::Stabilizer) => Err(SimError::NoBackend {
+                width,
+                reason: "stabilizer backend needs a reset-free Clifford circuit \
+                         (≤ 127 qubits) without decoherence",
+            }),
+            BackendChoice::Force(BackendKind::Sparse) => Err(SimError::NoBackend {
+                width,
+                reason: "sparse backend needs a reset-free circuit (≤ 64 qubits) \
+                         with a bounded branching count and no decoherence",
+            }),
             BackendChoice::Auto => {
-                if DenseBackend.supports(sim, &profile) {
-                    return Ok(BackendPlan::Dense);
+                if eligible(BackendKind::Dense) {
+                    return Ok(BackendKind::Dense);
                 }
                 if sim.decoherence {
                     return Err(SimError::NoBackend {
@@ -372,26 +215,14 @@ impl BackendDispatcher {
                                  (its projective draw depends on the state)",
                     });
                 }
-                if StabilizerBackend.supports(sim, &profile) {
-                    return Ok(BackendPlan::Stabilizer);
-                }
-                if SparseBackend.supports(sim, &profile) {
-                    return Ok(BackendPlan::Sparse);
-                }
-                if width <= SPARSE_MAX_QUBITS
-                    && profile.clifford_prefix > 0
-                    && profile.tail_branch_log2 <= SPARSE_MAX_BRANCH_LOG2
-                {
-                    return Ok(BackendPlan::CliffordPrefix {
-                        prefix: profile.clifford_prefix,
-                    });
-                }
-                Err(SimError::NoBackend {
-                    width,
-                    reason: "wider than every engine's domain: not Clifford (stabilizer), \
-                             branches too much (sparse), no narrow-tailed Clifford prefix \
-                             (hybrid)",
-                })
+                [BackendKind::Stabilizer, BackendKind::Sparse]
+                    .into_iter()
+                    .find(|&kind| eligible(kind))
+                    .ok_or(SimError::NoBackend {
+                        width,
+                        reason: "wider than every engine's domain: not Clifford \
+                                 (stabilizer), branches too much (sparse)",
+                    })
             }
         }
     }
@@ -410,12 +241,9 @@ impl BackendDispatcher {
         shots: u32,
     ) -> Result<Counts, SimError> {
         match Self::plan(sim, circuit)? {
-            BackendPlan::Dense => DenseBackend.run(sim, circuit, snapshot, shots),
-            BackendPlan::Stabilizer => StabilizerBackend.run(sim, circuit, snapshot, shots),
-            BackendPlan::Sparse => SparseBackend.run(sim, circuit, snapshot, shots),
-            BackendPlan::CliffordPrefix { prefix } => {
-                sparse::run(sim, circuit, snapshot, shots, prefix)
-            }
+            BackendKind::Dense => sim.run_dense(circuit, snapshot, shots),
+            BackendKind::Stabilizer => stabilizer::run(sim, circuit, snapshot, shots),
+            BackendKind::Sparse => sparse::run(sim, circuit, snapshot, shots),
         }
     }
 }
@@ -436,7 +264,7 @@ mod tests {
         let c = clifford_pos_circuit(5);
         assert_eq!(
             BackendDispatcher::plan(&auto_sim(), &c).unwrap(),
-            BackendPlan::Dense
+            BackendKind::Dense
         );
     }
 
@@ -445,7 +273,7 @@ mod tests {
         let c = clifford_pos_circuit(65);
         assert_eq!(
             BackendDispatcher::plan(&auto_sim(), &c).unwrap(),
-            BackendPlan::Stabilizer
+            BackendKind::Stabilizer
         );
         assert_eq!(
             auto_sim().planned_backend(&c).unwrap(),
@@ -467,14 +295,15 @@ mod tests {
         assert_eq!(profile.branch_log2, 1);
         assert_eq!(
             BackendDispatcher::plan(&auto_sim(), &c).unwrap(),
-            BackendPlan::Sparse
+            BackendKind::Sparse
         );
     }
 
     #[test]
-    fn heavy_prefix_narrow_tail_routes_to_hybrid() {
-        // 30 H's branch too much for plain sparse, but they are all in
-        // the Clifford prefix; the tail is one T and one Ry.
+    fn heavy_prefix_narrow_tail_has_no_backend() {
+        // 60 H's branch too much for the sparse engine and the T/Ry tail
+        // rules out the tableau: the answer is a typed error, not a
+        // distribution-only approximation.
         let mut c = Circuit::new(30);
         for q in 0..30 {
             c.h(q);
@@ -484,9 +313,8 @@ mod tests {
         }
         c.t(0).ry(0.3, 1);
         c.measure_all();
-        let plan = BackendDispatcher::plan(&auto_sim(), &c).unwrap();
-        assert_eq!(plan, BackendPlan::CliffordPrefix { prefix: 60 });
-        assert_eq!(plan.kind(), BackendKind::Sparse);
+        let err = BackendDispatcher::plan(&auto_sim(), &c).unwrap_err();
+        assert!(matches!(err, SimError::NoBackend { width: 30, .. }), "{err}");
     }
 
     #[test]
@@ -527,7 +355,7 @@ mod tests {
                 &narrow
             )
             .unwrap(),
-            BackendPlan::Stabilizer
+            BackendKind::Stabilizer
         );
         // Stabilizer refuses non-Clifford circuits.
         let mut t_circ = Circuit::new(2);
@@ -556,7 +384,6 @@ mod tests {
         let p = CircuitProfile::of(&c);
         assert!(p.has_reset);
         assert!(!p.clifford);
-        assert_eq!(p.clifford_prefix, 1);
     }
 
     #[test]

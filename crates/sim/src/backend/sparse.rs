@@ -18,30 +18,20 @@
 //! probabilities in ascending basis order; the dense CDF sums the same
 //! values interleaved with exact `+0.0` additions, which cannot change
 //! the accumulator, so shot resolution is bit-identical too.
-//!
-//! The optional Clifford-prefix handoff (see
-//! [`BackendDispatcher`](super::BackendDispatcher)) evolves the leading
-//! Clifford segment on a stabilizer tableau and materializes its exact
-//! support into a sparse state. The materialized amplitudes are exact
-//! dyadics rather than the dense path's rounded products and carry an
-//! arbitrary global phase, so that mode is *distribution*-faithful, not
-//! bit-identical — the dispatcher only selects it where no bit-identical
-//! backend is eligible.
 
 use std::collections::BTreeMap;
 
 use qcs_calibration::CalibrationSnapshot;
-use qcs_circuit::{Circuit, Gate, Instruction, Qubit};
+use qcs_circuit::Circuit;
 use qcs_exec::ExecConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use super::clifford::{push_clifford_ops, CliffordOp};
-use super::stabilizer::{readout_word, Tableau};
-use super::{MAX_CLBITS, SPARSE_MAX_BRANCH_LOG2};
+use super::stabilizer::readout_word;
+use super::SPARSE_MAX_BRANCH_LOG2;
 use crate::fusion::{instruction_kernel, op1_apply, op2_apply, Kernel, Op1};
 use crate::noisy::{
-    draw_pauli_word, merge_partials, used_clbit_width_of_entries, TrajStep,
+    draw_pauli_word, merge_partials, pauli_word_kernels, used_clbit_width_of_entries, TrajStep,
 };
 use crate::{Complex, Counts, NoisySimulator, SimError};
 
@@ -69,14 +59,6 @@ impl SparseState {
         let mut amps = BTreeMap::new();
         amps.insert(0u64, Complex::ONE);
         SparseState { n, amps }
-    }
-
-    /// Adopt pre-computed amplitudes (the Clifford-prefix handoff).
-    fn from_amplitudes(n: usize, pairs: Vec<(u64, Complex)>) -> Self {
-        SparseState {
-            n,
-            amps: pairs.into_iter().collect(),
-        }
     }
 
     /// Store `amp` at `key`, dropping exact zeros (either sign: a `-0.0`
@@ -210,22 +192,6 @@ impl SparseState {
         }
         Ok(())
     }
-
-    /// Apply a pre-drawn Pauli word (the noise-injection counterpart of
-    /// the dense `apply_pauli_word`) through the same decoded kernels
-    /// the dense path uses, preserving bit-identical arithmetic.
-    fn apply_pauli_word(&mut self, qubits: &[Qubit], word: usize) -> Result<(), SimError> {
-        for (i, &q) in qubits.iter().enumerate() {
-            let gate = match (word >> (2 * i)) & 3 {
-                0 => continue,
-                1 => Gate::X,
-                2 => Gate::Y,
-                _ => Gate::Z,
-            };
-            self.apply_kernel(&instruction_kernel(&Instruction::gate(gate, &[q])))?;
-        }
-        Ok(())
-    }
 }
 
 /// CDF over the occupied basis states, ascending. Resolves each 53-bit
@@ -271,23 +237,18 @@ impl SparseSampler {
     }
 }
 
-/// Run the noisy trajectory loop on the sparse backend, optionally
-/// evolving the first `clifford_prefix` instructions on a stabilizer
-/// tableau and materializing its support as the sparse starting state.
-/// The caller (the dispatcher) guarantees decoherence is off and the
-/// circuit is reset-free.
+/// Run the noisy trajectory loop on the sparse backend. The caller
+/// ([`NoisySimulator::run`] through the dispatcher) guarantees
+/// decoherence is off, the circuit is reset-free, and the measured
+/// clbits fit one outcome word.
 pub(crate) fn run(
     sim: &NoisySimulator,
     circuit: &Circuit,
     snapshot: &CalibrationSnapshot,
     shots: u32,
-    clifford_prefix: usize,
 ) -> Result<Counts, SimError> {
     let readout = sim.readout_entries(circuit, snapshot);
     let width = used_clbit_width_of_entries(&readout);
-    if width > MAX_CLBITS {
-        return Err(SimError::TooManyClbits { requested: width });
-    }
     let n = circuit.num_qubits();
     if n > SPARSE_MAX_QUBITS {
         return Err(SimError::NoBackend {
@@ -301,17 +262,6 @@ pub(crate) fn run(
         .iter()
         .map(|inst| sim.decode_step(inst, snapshot))
         .collect();
-    let mut prefix_ops: Vec<Vec<CliffordOp>> = Vec::with_capacity(clifford_prefix);
-    for inst in &circuit.instructions()[..clifford_prefix] {
-        let mut seq = Vec::new();
-        if !push_clifford_ops(inst, &mut seq) {
-            return Err(SimError::NoBackend {
-                width: n,
-                reason: "non-Clifford gate inside the declared Clifford prefix",
-            });
-        }
-        prefix_ops.push(seq);
-    }
 
     let trajectories = sim.trajectories.clamp(1, shots as usize);
     let base = shots as usize / trajectories;
@@ -342,33 +292,14 @@ pub(crate) fn run(
             }
             let mut next_event = 0usize;
 
-            let mut state = if clifford_prefix > 0 {
-                let mut tab = Tableau::new(n);
-                for (i, seq) in prefix_ops.iter().enumerate() {
-                    for op in seq {
-                        tab.apply(op);
-                    }
-                    while next_event < events.len() && events[next_event].0 == i {
-                        tab.apply_pauli_word(&steps[i].qubits, events[next_event].1);
-                        next_event += 1;
-                    }
-                }
-                let support = tab.support();
-                if support.k > SPARSE_MAX_BRANCH_LOG2 {
-                    return Err(SimError::NoBackend {
-                        width: n,
-                        reason: "Clifford-prefix support too large for the sparse tail",
-                    });
-                }
-                SparseState::from_amplitudes(n, support.materialize())
-            } else {
-                SparseState::zero(n)
-            };
-
-            for (i, step) in steps.iter().enumerate().skip(clifford_prefix) {
+            let mut state = SparseState::zero(n);
+            for (i, step) in steps.iter().enumerate() {
                 state.apply_kernel(&step.kernel)?;
                 while next_event < events.len() && events[next_event].0 == i {
-                    state.apply_pauli_word(&step.qubits, events[next_event].1)?;
+                    // The same X / Y / Z kernels the dense path injects.
+                    for kernel in pauli_word_kernels(&step.qubits, events[next_event].1) {
+                        state.apply_kernel(&kernel)?;
+                    }
                     next_event += 1;
                 }
             }
@@ -417,6 +348,7 @@ pub fn sparse_amplitudes(circuit: &Circuit) -> Result<Vec<(u64, Complex)>, SimEr
 mod tests {
     use super::*;
     use crate::Statevector;
+    use qcs_circuit::Gate;
 
     fn dense_amps(circuit: &Circuit) -> Vec<Complex> {
         Statevector::from_circuit(circuit).unwrap().amps().to_vec()
@@ -478,12 +410,7 @@ mod tests {
         for k in 0..=(SPARSE_MAX_AMPS as u64) {
             state.amps.insert(k << 1, Complex::ONE);
         }
-        let err = state
-            .apply_kernel(&instruction_kernel(&Instruction::gate(
-                Gate::X,
-                &[Qubit(0)],
-            )))
-            .unwrap_err();
+        let err = state.apply_kernel(&Kernel::X(0)).unwrap_err();
         assert!(matches!(err, SimError::NoBackend { .. }), "{err}");
     }
 

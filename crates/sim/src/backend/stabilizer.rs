@@ -34,11 +34,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use super::clifford::{push_clifford_ops, CliffordOp};
-use super::MAX_CLBITS;
 use crate::noisy::{
     draw_pauli_word, merge_partials, used_clbit_width_of_entries, ReadoutEntry, TrajStep,
 };
-use crate::{Complex, Counts, NoisySimulator, SimError};
+use crate::{Counts, NoisySimulator, SimError};
 
 /// Widest register the tableau backend accepts: basis states and Pauli
 /// row masks live in `u128`, which keeps the per-gate updates simple
@@ -50,7 +49,7 @@ pub const STABILIZER_MAX_QUBITS: usize = 127;
 /// destabilizers, `n..2n` stabilizers, row `2n` is the measurement
 /// scratch row. Each row is the Pauli `(−1)^r · i^(popcount(x∧z)) ·
 /// X^x Z^z` with `x`, `z` packed in one `u128` each.
-pub(crate) struct Tableau {
+struct Tableau {
     n: usize,
     x: Vec<u128>,
     z: Vec<u128>,
@@ -59,7 +58,7 @@ pub(crate) struct Tableau {
 
 impl Tableau {
     /// The |0…0⟩ state: destabilizer `i` = `X_i`, stabilizer `i` = `Z_i`.
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         assert!(
             (1..=STABILIZER_MAX_QUBITS).contains(&n),
             "tableau width {n}"
@@ -189,7 +188,7 @@ impl Tableau {
         }
     }
 
-    pub(crate) fn apply(&mut self, op: &CliffordOp) {
+    fn apply(&mut self, op: &CliffordOp) {
         match *op {
             CliffordOp::H(q) => self.h(q),
             CliffordOp::S(q) => self.s(q),
@@ -204,7 +203,7 @@ impl Tableau {
     /// Inject a pre-drawn Pauli word (same 2-bits-per-qubit encoding as
     /// [`draw_pauli_word`]) on `qubits` — the tableau-native counterpart
     /// of the dense backend's `apply_pauli_word`.
-    pub(crate) fn apply_pauli_word(&mut self, qubits: &[qcs_circuit::Qubit], word: usize) {
+    fn apply_pauli_word(&mut self, qubits: &[qcs_circuit::Qubit], word: usize) {
         for (i, &q) in qubits.iter().enumerate() {
             match (word >> (2 * i)) & 3 {
                 1 => self.px(q.index()),
@@ -276,9 +275,8 @@ impl Tableau {
     /// leading bits, descending; no other vector or `x0` carries a
     /// pivot bit), so support rank `r`'s basis state is
     /// `x0 ⊕ ⊕_{bit j of r} v_j` and ranks enumerate the support in
-    /// ascending basis order. Also returns the pivot generators' phase
-    /// data for amplitude reconstruction (the Clifford-prefix handoff).
-    pub(crate) fn support(&self) -> Support {
+    /// ascending basis order.
+    fn support(&self) -> Support {
         let n = self.n;
         // Working copy of the stabilizer rows (phases matter: rowsum).
         let mut w = Tableau {
@@ -346,18 +344,10 @@ impl Tableau {
 
         // Canonicalize x0 against the pivots so no pivot bit is set in
         // it — the ordering property of the rank enumeration.
-        let gens: Vec<PivotGen> = pivots
-            .iter()
-            .map(|&(row, _)| PivotGen {
-                v: w.x[row],
-                z: w.z[row],
-                r: w.r[row],
-                s: (w.x[row] & w.z[row]).count_ones() % 4,
-            })
-            .collect();
+        let gens: Vec<u128> = pivots.iter().map(|&(row, _)| w.x[row]).collect();
         for (j, &(_, col)) in pivots.iter().enumerate() {
             if x0 & (1u128 << col) != 0 {
-                x0 ^= gens[j].v;
+                x0 ^= gens[j];
             }
         }
         debug_assert_eq!(k, gens.len());
@@ -365,23 +355,13 @@ impl Tableau {
     }
 }
 
-/// One X-pivot stabilizer generator in reduced form, with the data
-/// needed to transfer amplitudes across the support:
-/// `P = (−1)^r · i^s · X^v Z^z` and `amp(x ⊕ v) = (−1)^r i^s (−1)^(z·x)
-/// amp(x)`.
-pub(crate) struct PivotGen {
-    pub(crate) v: u128,
-    pub(crate) z: u128,
-    pub(crate) r: u8,
-    pub(crate) s: u32,
-}
-
 /// The support of a stabilizer state: `2^k` basis states
-/// `x0 ⊕ span{gens.v}`, each with probability exactly `2^-k`.
-pub(crate) struct Support {
-    pub(crate) k: usize,
-    pub(crate) x0: u128,
-    pub(crate) gens: Vec<PivotGen>,
+/// `x0 ⊕ span{gens}`, each with probability exactly `2^-k`. `gens` are
+/// the X-parts of the pivot stabilizer generators in reduced form.
+struct Support {
+    k: usize,
+    x0: u128,
+    gens: Vec<u128>,
 }
 
 impl Support {
@@ -391,56 +371,17 @@ impl Support {
         let mut e = self.x0;
         for (j, gen) in self.gens.iter().enumerate() {
             if rank >> (self.k - 1 - j) & 1 != 0 {
-                e ^= gen.v;
+                e ^= gen;
             }
         }
         e
     }
-
-    /// Materialize the support as `(basis, amplitude)` pairs in
-    /// ascending basis order, fixing the global phase so the lowest-
-    /// rank... the base state `x0` gets the positive real amplitude
-    /// `2^(−k/2)`. Basis states must fit `u64` (`n ≤ 64`). Used by the
-    /// Clifford-prefix handoff to the sparse backend; the phase
-    /// convention differs from dense evolution only by a global phase,
-    /// which no downstream probability can observe.
-    pub(crate) fn materialize(&self) -> Vec<(u64, Complex)> {
-        let k = self.k;
-        let mag = if k.is_multiple_of(2) {
-            1.0 / (1u64 << (k / 2)) as f64
-        } else {
-            std::f64::consts::FRAC_1_SQRT_2 / (1u64 << (k / 2)) as f64
-        };
-        let mut out: Vec<(u64, Complex)> = Vec::with_capacity(1usize << k);
-        // Walk ranks in ascending order; per rank apply the generators
-        // of its set bits from x0 (generators commute, so the phase is
-        // path-independent).
-        for rank in 0..(1u64 << k) {
-            let mut e = self.x0;
-            let mut pow = 0u32;
-            for (j, gen) in self.gens.iter().enumerate() {
-                if rank >> (k - 1 - j) & 1 != 0 {
-                    pow = (pow + 2 * u32::from(gen.r) + gen.s + 2 * ((gen.z & e).count_ones() & 1))
-                        % 4;
-                    e ^= gen.v;
-                }
-            }
-            let amp = match pow {
-                0 => Complex::new(mag, 0.0),
-                1 => Complex::new(0.0, mag),
-                2 => Complex::new(-mag, 0.0),
-                _ => Complex::new(0.0, -mag),
-            };
-            out.push((e as u64, amp));
-        }
-        out.sort_unstable_by_key(|&(b, _)| b);
-        out
-    }
 }
 
 /// Run the noisy trajectory loop on the stabilizer tableau. The caller
-/// (the dispatcher) guarantees the circuit is Clifford-only, reset-free,
-/// and that decoherence is off.
+/// ([`NoisySimulator::run`] through the dispatcher) guarantees the
+/// circuit is Clifford-only and reset-free, that decoherence is off, and
+/// that the measured clbits fit one outcome word.
 pub(crate) fn run(
     sim: &NoisySimulator,
     circuit: &Circuit,
@@ -449,9 +390,6 @@ pub(crate) fn run(
 ) -> Result<Counts, SimError> {
     let readout = sim.readout_entries(circuit, snapshot);
     let width = used_clbit_width_of_entries(&readout);
-    if width > MAX_CLBITS {
-        return Err(SimError::TooManyClbits { requested: width });
-    }
     let n = circuit.num_qubits();
     if n > STABILIZER_MAX_QUBITS {
         return Err(SimError::NoBackend {
@@ -643,29 +581,6 @@ mod tests {
         // Ranks enumerate all 8 basis states in ascending order.
         let all: Vec<u128> = (0..8).map(|r| s.basis_of_rank(r)).collect();
         assert_eq!(all, (0..8u128).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ghz_amplitudes_materialize_exactly() {
-        let t = ghz_tableau(3);
-        let amps = t.support().materialize();
-        assert_eq!(amps.len(), 2);
-        assert_eq!(amps[0].0, 0);
-        assert_eq!(amps[1].0, 0b111);
-        assert_eq!(amps[0].1, Complex::new(std::f64::consts::FRAC_1_SQRT_2, 0.0));
-        assert_eq!(amps[1].1, Complex::new(std::f64::consts::FRAC_1_SQRT_2, 0.0));
-    }
-
-    #[test]
-    fn s_gate_phase_shows_up_in_materialized_amplitudes() {
-        // H then S on one qubit: (|0> + i|1>)/sqrt(2).
-        let mut t = Tableau::new(1);
-        t.apply(&CliffordOp::H(0));
-        t.apply(&CliffordOp::S(0));
-        let amps = t.support().materialize();
-        assert_eq!(amps.len(), 2);
-        let ratio_im = amps[1].1.im * amps[0].1.re - amps[0].1.im * amps[1].1.re;
-        assert!(ratio_im > 0.0, "relative phase must be +i, got {amps:?}");
     }
 
     #[test]

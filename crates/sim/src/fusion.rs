@@ -1,23 +1,25 @@
 //! Gate fusion: pre-decoded, sweep-fused statevector kernels.
 //!
-//! The per-gate execution path ([`Statevector::apply`]) walks the whole
-//! `2^n`-amplitude array once per instruction, re-matching on the
-//! [`qcs_circuit::Gate`] enum and re-deriving gate matrices every time.
-//! For the noisy simulator that cost is paid once per gate *per
-//! trajectory* — by far the hot path of every fidelity experiment.
+//! This module owns the repo's one [`qcs_circuit::Gate`] → matrix/phase
+//! table (`decode`) and the two things built on it:
 //!
-//! [`CompiledCircuit`] fixes both costs:
-//!
-//! - **Pre-decoding**: each instruction is decoded once into a compact
-//!   [`Kernel`] (matrix elements and phases precomputed, fast paths for
-//!   diagonal gates and X/CX/SWAP index permutations), so the trajectory
-//!   loop never touches `Instruction` again.
-//! - **Sweep fusion**: runs of adjacent single-qubit gates on one wire
-//!   collapse into a single [`Kernel::Fused1`] sweep, and adjacent 1q/2q
-//!   gates sharing a qubit pair into a single [`Kernel::Fused2`] sweep.
-//!   One pass loads each amplitude pair (or 4-amplitude block) into
-//!   registers, applies every fused element operation in order, and
-//!   writes back once — turning k memory passes into one.
+//! - **Pre-decoding** ([`instruction_kernel`]): each instruction is
+//!   decoded once into a compact [`Kernel`] (matrix elements and phases
+//!   precomputed, fast paths for diagonal gates and X/CX/SWAP index
+//!   permutations). This is what every execution path runs —
+//!   [`Statevector::apply`] is `apply_kernel(&instruction_kernel(inst))`,
+//!   and the noisy simulator decodes each instruction once per run so
+//!   its trajectory loop never touches `Instruction` again.
+//! - **Sweep fusion** ([`CompiledCircuit`]): runs of adjacent
+//!   single-qubit gates on one wire collapse into a single
+//!   [`Kernel::Fused1`] sweep, and adjacent 1q/2q gates sharing a qubit
+//!   pair into a single [`Kernel::Fused2`] sweep. One pass loads each
+//!   amplitude pair (or 4-amplitude block) into registers, applies every
+//!   fused element operation in order, and writes back once — turning k
+//!   memory passes into one. Nothing in production executes a fused
+//!   stream yet: the noisy trajectories replay per-instruction kernels
+//!   (error events land between instructions), and whether the pass
+//!   earns its lines is an open question (DESIGN.md §4f).
 //!
 //! Fusion is *sweep* fusion, not matrix-product fusion: a fused kernel
 //! stores the per-element operation **sequence**, not the folded matrix
@@ -256,8 +258,8 @@ enum TwoOp {
     CPhase(Complex),
 }
 
-/// Decode one instruction into the exact element operation the per-gate
-/// path would perform — same matrices, same phases, same arithmetic.
+/// Decode one instruction into its element operation — the only
+/// Gate → matrix/phase table in the simulator.
 fn decode(inst: &Instruction) -> Decoded {
     use std::f64::consts::FRAC_PI_2;
     use std::f64::consts::FRAC_PI_4;
@@ -300,9 +302,8 @@ fn decode(inst: &Instruction) -> Decoded {
 }
 
 /// The direct (unfused) kernel of a single instruction — the same decode
-/// the fusion pass uses, without grouping. This is what the noisy
-/// simulator's eventful trajectories execute: per-gate stepping with all
-/// enum matching and matrix derivation hoisted out of the loop.
+/// the fusion pass uses, without grouping. This is what
+/// [`Statevector::apply`] and the noisy simulator's trajectories execute.
 #[must_use]
 pub fn instruction_kernel(inst: &Instruction) -> Kernel {
     match decode(inst) {
@@ -347,22 +348,6 @@ fn op2_of_two(a: usize, b: usize, op: &TwoOp) -> Op2 {
     }
 }
 
-/// Fusion statistics of one compiled circuit, for tests, benches, and
-/// logging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FusionStats {
-    /// Source instructions decoded (including no-ops).
-    pub instructions: usize,
-    /// Kernels emitted after fusion.
-    pub kernels: usize,
-    /// `Fused1` sweeps emitted.
-    pub fused_1q: usize,
-    /// `Fused2` sweeps emitted.
-    pub fused_2q: usize,
-    /// Length of the longest fused operation run.
-    pub longest_run: usize,
-}
-
 /// The open fusion group during the single compile pass.
 enum Pending {
     None,
@@ -379,20 +364,19 @@ enum Pending {
 /// ```
 /// use qcs_circuit::library;
 /// use qcs_sim::fusion::CompiledCircuit;
-/// use qcs_sim::Statevector;
+/// use qcs_sim::{Statevector, SvExec};
 ///
 /// let circuit = library::qft(4);
 /// let compiled = CompiledCircuit::compile(&circuit);
-/// let fused = compiled.execute().unwrap();
+/// let fused = compiled.execute_with(&SvExec::auto()).unwrap();
 /// let unfused = Statevector::from_circuit(&circuit).unwrap();
 /// assert_eq!(fused, unfused); // bit-identical amplitudes
-/// assert!(compiled.stats().kernels <= compiled.stats().instructions);
+/// assert!(compiled.kernels().len() <= circuit.instructions().len());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledCircuit {
     num_qubits: usize,
     kernels: Vec<Kernel>,
-    stats: FusionStats,
 }
 
 impl CompiledCircuit {
@@ -406,10 +390,6 @@ impl CompiledCircuit {
     #[must_use]
     pub fn compile(circuit: &Circuit) -> Self {
         let mut kernels = Vec::new();
-        let mut stats = FusionStats {
-            instructions: circuit.instructions().len(),
-            ..FusionStats::default()
-        };
         let mut pending = Pending::None;
 
         for inst in circuit.instructions() {
@@ -426,7 +406,7 @@ impl CompiledCircuit {
                             Pending::Two(lo, hi, ops)
                         }
                         other => {
-                            flush(other, &mut kernels, &mut stats);
+                            flush(other, &mut kernels);
                             Pending::One(q, vec![op])
                         }
                     };
@@ -435,7 +415,7 @@ impl CompiledCircuit {
                     if a == b {
                         // Degenerate operand pair: keep the per-gate
                         // behavior exactly (no block decomposition).
-                        flush(pending, &mut kernels, &mut stats);
+                        flush(pending, &mut kernels);
                         pending = Pending::None;
                         kernels.push(kernel_of_two(a, b, op));
                         continue;
@@ -458,24 +438,22 @@ impl CompiledCircuit {
                             Pending::Two(lo, hi, ops)
                         }
                         other => {
-                            flush(other, &mut kernels, &mut stats);
+                            flush(other, &mut kernels);
                             Pending::Two(lo, hi, vec![op2_of_two(a, b, &op)])
                         }
                     };
                 }
                 Decoded::Reset(q) => {
-                    flush(pending, &mut kernels, &mut stats);
+                    flush(pending, &mut kernels);
                     pending = Pending::None;
                     kernels.push(Kernel::Reset(q));
                 }
             }
         }
-        flush(pending, &mut kernels, &mut stats);
-        stats.kernels = kernels.len();
+        flush(pending, &mut kernels);
         CompiledCircuit {
             num_qubits: circuit.num_qubits(),
             kernels,
-            stats,
         }
     }
 
@@ -491,12 +469,6 @@ impl CompiledCircuit {
         &self.kernels
     }
 
-    /// Fusion statistics (kernel counts, fused runs).
-    #[must_use]
-    pub fn stats(&self) -> FusionStats {
-        self.stats
-    }
-
     /// Whether the stream contains a mid-circuit reset (which the
     /// RNG-free execution paths cannot run).
     #[must_use]
@@ -504,112 +476,32 @@ impl CompiledCircuit {
         self.kernels.iter().any(|k| matches!(k, Kernel::Reset(_)))
     }
 
-    /// Apply the kernel stream to an existing state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unsupported`] on a mid-circuit reset.
-    pub fn apply_to(&self, state: &mut Statevector) -> Result<(), SimError> {
-        for kernel in &self.kernels {
-            state.apply_kernel(kernel)?;
-        }
-        Ok(())
-    }
-
-    /// Execute the stream on |0...0> — the fused equivalent of
-    /// [`Statevector::from_circuit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
-    pub fn execute(&self) -> Result<Statevector, SimError> {
-        let mut state = Statevector::zero(self.num_qubits)?;
-        self.apply_to(&mut state)?;
-        Ok(state)
-    }
-
-    /// Execute the stream on |0...0> built inside a pooled buffer (see
-    /// [`Statevector::zero_in`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
-    pub fn execute_in(&self, buf: Vec<Complex>) -> Result<Statevector, SimError> {
-        let mut state = Statevector::zero_in(self.num_qubits, buf)?;
-        self.apply_to(&mut state)?;
-        Ok(state)
-    }
-
-    /// Apply the kernel stream to an existing state under an execution
-    /// policy (SIMD lanes, worker team, block size) — bit-identical to
-    /// [`CompiledCircuit::apply_to`] at every setting (see
+    /// Execute the stream on |0...0> under an execution policy —
+    /// bit-identical to folding [`Statevector::apply_kernel`] over
+    /// [`CompiledCircuit::kernels`] at every setting (see
     /// [`crate::SvExec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unsupported`] on a mid-circuit reset.
-    pub fn apply_to_with(&self, state: &mut Statevector, exec: &SvExec) -> Result<(), SimError> {
-        exec.run_stream(state, &self.kernels)
-    }
-
-    /// Execute the stream on |0...0> under an execution policy — the
-    /// SIMD + block-parallel equivalent of [`CompiledCircuit::execute`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
     pub fn execute_with(&self, exec: &SvExec) -> Result<Statevector, SimError> {
         let mut state = Statevector::zero(self.num_qubits)?;
-        self.apply_to_with(&mut state, exec)?;
-        Ok(state)
-    }
-
-    /// Execute the stream on |0...0> inside a pooled buffer under an
-    /// execution policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
-    pub fn execute_in_with(&self, buf: Vec<Complex>, exec: &SvExec) -> Result<Statevector, SimError> {
-        let mut state = Statevector::zero_in(self.num_qubits, buf)?;
-        self.apply_to_with(&mut state, exec)?;
-        Ok(state)
-    }
-
-    /// Execute the stream inside a pooled buffer and fill `probs` with
-    /// the final measurement probabilities in the *same* worker pass —
-    /// the fused-probability path the noisy simulator samples from (see
-    /// [`SvExec::run_stream_with_probs`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
-    pub fn execute_in_with_probs(
-        &self,
-        buf: Vec<Complex>,
-        exec: &SvExec,
-        probs: &mut Vec<f64>,
-    ) -> Result<Statevector, SimError> {
-        let mut state = Statevector::zero_in(self.num_qubits, buf)?;
-        exec.run_stream_with_probs(&mut state, &self.kernels, probs)?;
+        exec.run_stream(&mut state, &self.kernels)?;
         Ok(state)
     }
 }
 
-fn flush(pending: Pending, kernels: &mut Vec<Kernel>, stats: &mut FusionStats) {
+fn flush(pending: Pending, kernels: &mut Vec<Kernel>) {
     match pending {
         Pending::None => {}
         Pending::One(q, mut ops) => {
-            stats.longest_run = stats.longest_run.max(ops.len());
             if ops.len() == 1 {
                 kernels.push(kernel_of_op1(q, ops.remove(0)));
             } else {
-                stats.fused_1q += 1;
                 kernels.push(Kernel::Fused1(q, ops));
             }
         }
         Pending::Two(lo, hi, ops) => {
-            stats.longest_run = stats.longest_run.max(ops.len());
             if ops.len() == 1 {
                 // A lone 2q op: emit the direct fast path.
                 kernels.push(match ops[0] {
@@ -623,7 +515,6 @@ fn flush(pending: Pending, kernels: &mut Vec<Kernel>, stats: &mut FusionStats) {
                     Op2::High(op) => kernel_of_op1(hi, op),
                 });
             } else {
-                stats.fused_2q += 1;
                 kernels.push(Kernel::Fused2(lo, hi, ops));
             }
         }
@@ -637,9 +528,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn execute(compiled: &CompiledCircuit) -> Result<Statevector, SimError> {
+        compiled.execute_with(&SvExec::auto())
+    }
+
     /// Bit-exact amplitude comparison (PartialEq on f64 is exact).
     fn assert_bit_identical(circuit: &Circuit) {
-        let fused = CompiledCircuit::compile(circuit).execute().unwrap();
+        let fused = execute(&CompiledCircuit::compile(circuit)).unwrap();
         let unfused = Statevector::from_circuit(circuit).unwrap();
         assert_eq!(fused, unfused, "fused != unfused for {}", circuit.name());
     }
@@ -656,9 +551,11 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).s(0).t(0).rz(0.3, 0).x(0).apply(Gate::Sx, &[0]);
         let compiled = CompiledCircuit::compile(&c);
-        assert_eq!(compiled.stats().kernels, 1);
-        assert_eq!(compiled.stats().fused_1q, 1);
-        assert_eq!(compiled.stats().longest_run, 6);
+        assert!(
+            matches!(compiled.kernels(), [Kernel::Fused1(0, ops)] if ops.len() == 6),
+            "{:?}",
+            compiled.kernels()
+        );
         assert_bit_identical(&c);
     }
 
@@ -667,8 +564,11 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).rz(0.5, 0).cx(0, 1).h(1).cz(0, 1).swap(0, 1);
         let compiled = CompiledCircuit::compile(&c);
-        assert_eq!(compiled.stats().kernels, 1, "{:?}", compiled.kernels());
-        assert_eq!(compiled.stats().fused_2q, 1);
+        assert!(
+            matches!(compiled.kernels(), [Kernel::Fused2(0, 1, ops)] if ops.len() == 6),
+            "{:?}",
+            compiled.kernels()
+        );
         assert_bit_identical(&c);
     }
 
@@ -677,7 +577,7 @@ mod tests {
         let mut c = Circuit::with_clbits(2, 2);
         c.h(0).barrier().s(0).measure(0, 0).t(0);
         let compiled = CompiledCircuit::compile(&c);
-        assert_eq!(compiled.stats().kernels, 1);
+        assert!(matches!(compiled.kernels(), [Kernel::Fused1(0, ops)] if ops.len() == 3));
         assert_bit_identical(&c);
     }
 
@@ -686,9 +586,11 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).h(1).h(0);
         let compiled = CompiledCircuit::compile(&c);
-        // No reordering: three separate kernels.
-        assert_eq!(compiled.stats().kernels, 3);
-        assert_eq!(compiled.stats().fused_1q, 0);
+        // No reordering: three separate direct kernels.
+        assert!(matches!(
+            compiled.kernels(),
+            [Kernel::Mat1(0, _), Kernel::Mat1(1, _), Kernel::Mat1(0, _)]
+        ));
         assert_bit_identical(&c);
     }
 
@@ -697,7 +599,10 @@ mod tests {
         let mut c = Circuit::new(3);
         c.cx(0, 1).cx(1, 2).cx(0, 1);
         let compiled = CompiledCircuit::compile(&c);
-        assert_eq!(compiled.stats().kernels, 3);
+        assert_eq!(
+            compiled.kernels(),
+            [Kernel::Cx(0, 1), Kernel::Cx(1, 2), Kernel::Cx(0, 1)]
+        );
         assert_bit_identical(&c);
     }
 
@@ -709,47 +614,8 @@ mod tests {
         let mut pair = Circuit::new(2);
         pair.h(0).cx(1, 0).cx(0, 1); // fused block with both directions
         let compiled = CompiledCircuit::compile(&pair);
-        assert_eq!(compiled.stats().fused_2q, 1);
+        assert!(matches!(compiled.kernels(), [Kernel::Fused2(0, 1, _)]));
         assert_bit_identical(&pair);
-    }
-
-    #[test]
-    fn every_gate_kind_round_trips() {
-        let mut c = Circuit::new(3);
-        c.apply(Gate::Id, &[0])
-            .x(0)
-            .y(0)
-            .z(0)
-            .h(1)
-            .s(1)
-            .apply(Gate::Sdg, &[1])
-            .t(1)
-            .apply(Gate::Tdg, &[1])
-            .apply(Gate::Sx, &[2])
-            .rx(0.4, 2)
-            .ry(-0.9, 2)
-            .rz(1.7, 2)
-            .apply(Gate::U(0.1, 0.2, 0.3), &[0])
-            .cx(0, 1)
-            .cz(1, 2)
-            .cp(0.8, 0, 2)
-            .swap(1, 2);
-        assert_bit_identical(&c);
-    }
-
-    #[test]
-    fn instruction_kernel_matches_apply() {
-        let mut c = Circuit::new(3);
-        c.h(0).rz(0.9, 1).cx(0, 2).swap(1, 2).cp(0.4, 0, 1).x(2);
-        let mut via_kernels = Statevector::zero(3).unwrap();
-        let mut via_apply = Statevector::zero(3).unwrap();
-        for inst in c.instructions() {
-            via_kernels
-                .apply_kernel(&instruction_kernel(inst))
-                .unwrap();
-            via_apply.apply(inst).unwrap();
-        }
-        assert_eq!(via_kernels, via_apply);
     }
 
     #[test]
@@ -758,7 +624,7 @@ mod tests {
         c.h(0).cx(0, 1);
         let compiled = CompiledCircuit::compile(&c);
         assert!(!compiled.has_reset());
-        let mut state = compiled.execute().unwrap();
+        let mut state = execute(&compiled).unwrap();
         let mut reference = state.clone();
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(3);
@@ -776,21 +642,9 @@ mod tests {
         let compiled = CompiledCircuit::compile(&c);
         assert!(compiled.has_reset());
         assert!(matches!(
-            compiled.execute(),
+            execute(&compiled),
             Err(SimError::Unsupported { .. })
         ));
-    }
-
-    #[test]
-    fn execute_in_reuses_buffer_and_matches() {
-        let c = library::qft(4);
-        let compiled = CompiledCircuit::compile(&c);
-        let plain = compiled.execute().unwrap();
-        let buf = vec![Complex::ONE; 3]; // wrong size + stale data
-        let pooled = compiled.execute_in(buf).unwrap();
-        assert_eq!(plain, pooled);
-        let reclaimed = pooled.into_amps();
-        assert_eq!(reclaimed.len(), 16);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! SIMD-wide, block-parallel statevector kernels.
+//! SIMD-wide, block-parallel statevector kernels — the one production
+//! way to run a dense kernel stream ([`SvExec::run_stream`]).
 //!
-//! The scalar kernels in [`crate::statevector`] and [`crate::fusion`]
-//! walk the `2^n`-amplitude array one pair at a time on one core. This
-//! module adds the two missing axes of single-circuit parallelism,
-//! without changing a single floating-point result:
+//! The per-kernel full-array loops in [`crate::statevector`] and
+//! [`crate::fusion`] ([`Statevector::apply_kernel`]) walk the
+//! `2^n`-amplitude array one pair at a time on one core; they are the
+//! arithmetic oracle. This module adds the two axes of single-circuit
+//! parallelism, without changing a single floating-point result:
 //!
 //! - **Lane parallelism (SIMD).** The wide path processes amplitude
 //!   pairs in chunks of [`LANES`] = 4, loading the re/im components into
@@ -14,13 +16,13 @@
 //!   [`op2_apply`]), so wide results are bit-identical, chunk boundaries
 //!   included.
 //! - **Core parallelism (blocks).** [`SvExec::run_stream`] splits each
-//!   kernel's pair (or quad) index domain into fixed blocks, deals the
-//!   blocks to a scoped worker team by a static round-robin schedule
-//!   ([`qcs_exec::block_ranges`]), and synchronizes between kernels with
-//!   a [`std::sync::Barrier`]. Workers never share an amplitude: the
-//!   pair→index maps are injective and the block schedule partitions the
-//!   domain, so there are **no atomics and no locks on amplitude data** —
-//!   determinism comes from disjointness, not synchronization order.
+//!   kernel's pair (or quad) index domain into one contiguous chunk per
+//!   worker of a scoped team ([`qcs_exec::block_ranges`]) and
+//!   synchronizes between kernels with a [`std::sync::Barrier`]. Workers
+//!   never share an amplitude: the pair→index maps are injective and the
+//!   chunks partition the domain, so there are **no atomics and no locks
+//!   on amplitude data** — determinism comes from disjointness, not
+//!   synchronization order.
 //!
 //! # Memory layout and dispatch
 //!
@@ -33,7 +35,8 @@
 //! pair `(lo, hi)` acts on quads obtained by inserting zeros at `lo` then
 //! `hi`.
 //!
-//! Dispatch rules (see DESIGN.md §4g):
+//! Every selection below is one the code observes from its input — there
+//! is no policy knob besides the worker count (see DESIGN.md §4g):
 //!
 //! - `bit >= LANES` (target qubit ≥ 2): consecutive pairs map to
 //!   *stride-1* runs of `bit` consecutive amplitudes on each side of the
@@ -43,9 +46,13 @@
 //!   4-amplitude window; the per-pair scalar loop is used. At most two
 //!   kernels per stream touch these qubits' low-bit layouts, so the wide
 //!   path still covers the bulk of any deep circuit.
+//! - The hot run loops are compiled twice, baseline and AVX2
+//!   (`isa_dispatch!`); the host CPU picks, the results are identical.
 //! - The work-size threshold ([`qcs_exec::MIN_WORK_PER_THREAD`]) bypasses
 //!   the worker team entirely for small states, so an 8-qubit trajectory
-//!   never pays spawn/join or barrier overhead.
+//!   never pays spawn/join or barrier overhead; a single worker on at
+//!   most `DIRECT_MAX_AMPS` amplitudes goes straight through
+//!   [`Statevector::apply_kernel`].
 //!
 //! The final measurement-probability pass
 //! ([`SvExec::run_stream_with_probs`]) is fused into the same worker
@@ -79,27 +86,12 @@ pub const LANES: usize = 4;
 /// the threshold is invisible in the results.
 const DIRECT_MAX_AMPS: usize = 512;
 
-/// Which inner-loop implementation [`SvExec`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimdPolicy {
-    /// Runtime choice: wide chunks wherever the target-qubit stride
-    /// allows ([`LANES`]-aligned runs), scalar pairs elsewhere.
-    #[default]
-    Auto,
-    /// Force the scalar per-pair loops everywhere — the oracle path,
-    /// kept for differential tests and benches.
-    Scalar,
-    /// Force the wide path wherever structurally possible (identical
-    /// dispatch to `Auto`; named so benches can label the axis).
-    Wide,
-}
-
-/// Execution policy for statevector kernel streams: SIMD dispatch,
-/// worker count, and amplitude-block granularity.
+/// Execution policy for statevector kernel streams: the worker count of
+/// the amplitude-block team. Lane width, ISA and the small-state bypass
+/// are chosen from the input, not configured.
 ///
-/// The default (`SvExec::auto()`) is always safe: bit-identical to the
-/// scalar sequential path at every setting, with threads and lane width
-/// chosen at runtime.
+/// Every setting is bit-identical to folding
+/// [`Statevector::apply_kernel`] over the stream.
 ///
 /// # Examples
 ///
@@ -109,50 +101,28 @@ pub enum SimdPolicy {
 /// use qcs_sim::{Statevector, SvExec};
 ///
 /// let compiled = CompiledCircuit::compile(&library::qft(6));
-/// let fast = compiled.execute_with(&SvExec::auto()).unwrap();
-/// let oracle = compiled.execute().unwrap();
+/// let fast = compiled.execute_with(&SvExec::auto().with_threads(3)).unwrap();
+/// let mut oracle = Statevector::zero(6).unwrap();
+/// for kernel in compiled.kernels() {
+///     oracle.apply_kernel(kernel).unwrap();
+/// }
 /// assert_eq!(fast, oracle); // bit-identical amplitudes
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SvExec {
-    /// SIMD dispatch policy.
-    pub simd: SimdPolicy,
     /// Worker threads for block-parallel application: `0` = auto
     /// (work-aware: capped by cores and by
     /// [`qcs_exec::MIN_WORK_PER_THREAD`]); an explicit count is honored
     /// verbatim (capped only by the pair count), which is how tests force
     /// real multi-worker execution on small states.
     pub threads: usize,
-    /// Block granularity in *pairs* (half-amplitudes): `0` = auto (one
-    /// contiguous chunk per worker). Explicit sizes are dealt round-robin
-    /// by block index; 2q kernels and the probability pass scale the
-    /// block so it spans the same amplitude range.
-    pub block_pairs: usize,
 }
 
 impl SvExec {
-    /// The default policy: runtime SIMD dispatch, work-aware threading.
+    /// The default policy: work-aware threading.
     #[must_use]
     pub fn auto() -> Self {
         SvExec::default()
-    }
-
-    /// The sequential scalar oracle configuration (one worker, no wide
-    /// chunks) — what differential tests compare against.
-    #[must_use]
-    pub fn scalar() -> Self {
-        SvExec {
-            simd: SimdPolicy::Scalar,
-            threads: 1,
-            block_pairs: 0,
-        }
-    }
-
-    /// This policy with a different SIMD dispatch.
-    #[must_use]
-    pub fn with_simd(mut self, simd: SimdPolicy) -> Self {
-        self.simd = simd;
-        self
     }
 
     /// This policy with an explicit worker count (`0` = auto).
@@ -160,17 +130,6 @@ impl SvExec {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// This policy with an explicit block size in pairs (`0` = auto).
-    #[must_use]
-    pub fn with_block_pairs(mut self, block_pairs: usize) -> Self {
-        self.block_pairs = block_pairs;
-        self
-    }
-
-    fn use_wide(&self) -> bool {
-        !matches!(self.simd, SimdPolicy::Scalar)
     }
 
     /// Worker count for a stream of `num_kernels` kernels over `n_amps`
@@ -193,8 +152,7 @@ impl SvExec {
     /// Apply a kernel stream to `state` under this policy.
     ///
     /// Bit-identical to applying each kernel through
-    /// [`Statevector::apply_kernel`] in order, for every combination of
-    /// `simd`, `threads`, and `block_pairs`.
+    /// [`Statevector::apply_kernel`] in order, at every worker count.
     ///
     /// # Errors
     ///
@@ -245,16 +203,15 @@ impl SvExec {
             return Err(SimError::Unsupported { gate: "reset" });
         }
         let n = state.amps().len();
-        let wide = self.use_wide();
         let workers = self.workers_for(kernels.len(), n);
 
         if workers <= 1 {
-            // Tiny states (and the Scalar oracle) go straight through the
-            // per-kernel appliers: below DIRECT_MAX_AMPS the run/chunk
-            // bookkeeping costs more than the few-element loops it feeds
-            // (runs span at most `bit` elements). Same appliers, same
-            // order — bit-identical either way.
-            if !wide || n <= DIRECT_MAX_AMPS {
+            // Tiny states go straight through the per-kernel appliers:
+            // below DIRECT_MAX_AMPS the run/chunk bookkeeping costs more
+            // than the few-element loops it feeds (runs span at most
+            // `bit` elements). Same arithmetic, same order —
+            // bit-identical either way.
+            if n <= DIRECT_MAX_AMPS {
                 for kernel in kernels {
                     state.apply_kernel(kernel.borrow())?;
                 }
@@ -265,7 +222,7 @@ impl SvExec {
                     let domain = kernel_domain(kernel, n);
                     // SAFETY: one thread holds the (uniquely borrowed)
                     // cells; no concurrent access exists.
-                    unsafe { apply_kernel_cells(cells, kernel, 0..domain, wide) };
+                    unsafe { apply_kernel_cells(cells, kernel, 0..domain) };
                 }
             }
             if let Some(probs) = probs {
@@ -281,13 +238,11 @@ impl SvExec {
         let prob_cells = probs.map(|p| ShareCell::slice_from_mut(&mut p[..]));
         let cells = ShareCell::slice_from_mut(state.amps_mut());
         let barrier = Barrier::new(workers);
-        let block_pairs = self.block_pairs;
         run_team(workers, |w| {
             for kernel in kernels {
                 let kernel = kernel.borrow();
                 let domain = kernel_domain(kernel, n);
-                let block = block_for(block_pairs, domain, n, workers);
-                for range in block_ranges(domain, block, w, workers) {
+                for range in block_ranges(domain, block_for(domain, workers), w, workers) {
                     // SAFETY: `block_ranges` deals disjoint domain ranges
                     // to distinct workers, the pair/quad→index maps are
                     // injective, and a kernel only touches indices of its
@@ -295,13 +250,12 @@ impl SvExec {
                     // same amplitude within a phase. The barrier below
                     // orders phases (release/acquire), so cross-phase
                     // access is never concurrent either.
-                    unsafe { apply_kernel_cells(cells, kernel, range, wide) };
+                    unsafe { apply_kernel_cells(cells, kernel, range) };
                 }
                 barrier.wait();
             }
             if let Some(prob_cells) = prob_cells {
-                let block = block_for(block_pairs, n, n, workers);
-                for range in block_ranges(n, block, w, workers) {
+                for range in block_ranges(n, block_for(n, workers), w, workers) {
                     for i in range {
                         // SAFETY: same disjoint-blocks argument, applied
                         // elementwise to both arrays; the last kernel's
@@ -335,10 +289,8 @@ impl SvExec {
         probs.clear();
         probs.resize(n, 0.0);
         let prob_cells = ShareCell::slice_from_mut(&mut probs[..]);
-        let block_pairs = self.block_pairs;
         run_team(workers, |w| {
-            let block = block_for(block_pairs, n, n, workers);
-            for range in block_ranges(n, block, w, workers) {
+            for range in block_ranges(n, block_for(n, workers), w, workers) {
                 for i in range {
                     // SAFETY: disjoint ranges per worker; `amps` is a
                     // plain shared borrow (reads only).
@@ -349,42 +301,11 @@ impl SvExec {
     }
 }
 
-/// Probability that qubit `q` reads 1, summed from a precomputed
-/// probability buffer in ascending index order — the same accumulation
-/// order (hence the same rounding) as [`Statevector::probability_one`],
-/// without re-walking the amplitudes. Pairs with
-/// [`SvExec::run_stream_with_probs`]: the fused final-pass buffer serves
-/// every per-qubit marginal without touching the state again.
-#[must_use]
-pub fn probability_one_from_probs(probs: &[f64], q: usize) -> f64 {
-    let bit = 1usize << q;
-    probs
-        .iter()
-        .enumerate()
-        .filter(|(idx, _)| idx & bit != 0)
-        .map(|(_, p)| *p)
-        .sum()
-}
-
-/// State norm from a precomputed probability buffer — the same ascending
-/// summation as [`Statevector::norm`] (`sqrt` of the in-order sum of
-/// `|amp|^2`), without re-walking the amplitudes.
-#[must_use]
-pub fn norm_from_probs(probs: &[f64]) -> f64 {
-    probs.iter().sum::<f64>().sqrt()
-}
-
-/// Block size in `domain` units for a pair-space granularity of
-/// `block_pairs` (`0` = one contiguous chunk per worker). Explicit sizes
-/// scale with the domain so a block spans the same amplitude range for
-/// 1q kernels (domain = pairs), 2q kernels (domain = quads), and the
-/// probability pass (domain = amplitudes).
-fn block_for(block_pairs: usize, domain: usize, n_amps: usize, workers: usize) -> usize {
-    if block_pairs == 0 {
-        domain.div_ceil(workers.max(1)).max(1)
-    } else {
-        ((block_pairs * 2).saturating_mul(domain) / n_amps.max(1)).max(1)
-    }
+/// Block size in `domain` units (pairs for 1q kernels, quads for 2q
+/// kernels, amplitudes for the probability pass): one contiguous chunk
+/// per worker, never 0.
+fn block_for(domain: usize, workers: usize) -> usize {
+    domain.div_ceil(workers.max(1)).max(1)
 }
 
 /// The index-domain size of one kernel over `n_amps` amplitudes: pairs
@@ -408,7 +329,7 @@ pub(crate) fn kernel_domain(kernel: &Kernel, n_amps: usize) -> usize {
 
 /// Apply `kernel` to the domain elements in `range` through shared
 /// cells, dispatching each kernel kind onto the unified 1q-pair or
-/// 2q-quad range loops (wide or scalar).
+/// 2q-quad range loops.
 ///
 /// # Safety
 ///
@@ -419,21 +340,20 @@ pub(crate) unsafe fn apply_kernel_cells(
     cells: &[ShareCell<Complex>],
     kernel: &Kernel,
     range: Range<usize>,
-    wide: bool,
 ) {
     match kernel {
         Kernel::Noop | Kernel::Reset(_) => {}
-        Kernel::X(q) => unsafe { apply1_range(cells, *q, &[Op1::X], range, wide) },
-        Kernel::Mat1(q, m) => unsafe { apply1_range(cells, *q, &[Op1::Mat(*m)], range, wide) },
-        Kernel::Phase1(q, p) => unsafe { apply1_range(cells, *q, &[Op1::Phase(*p)], range, wide) },
+        Kernel::X(q) => unsafe { apply1_range(cells, *q, &[Op1::X], range) },
+        Kernel::Mat1(q, m) => unsafe { apply1_range(cells, *q, &[Op1::Mat(*m)], range) },
+        Kernel::Phase1(q, p) => unsafe { apply1_range(cells, *q, &[Op1::Phase(*p)], range) },
         Kernel::PhasePair1(q, c0, c1) => unsafe {
-            apply1_range(cells, *q, &[Op1::PhasePair(*c0, *c1)], range, wide)
+            apply1_range(cells, *q, &[Op1::PhasePair(*c0, *c1)], range)
         },
-        Kernel::Fused1(q, ops) => unsafe { apply1_range(cells, *q, ops, range, wide) },
+        Kernel::Fused1(q, ops) => unsafe { apply1_range(cells, *q, ops, range) },
         Kernel::Cx(a, b) | Kernel::Swap(a, b) if a == b => {}
         Kernel::CPhase(a, b, p) if a == b => unsafe {
             // idx & (bit|bit) == bit: exactly the 1q phase on `a`.
-            apply1_range(cells, *a, &[Op1::Phase(*p)], range, wide)
+            apply1_range(cells, *a, &[Op1::Phase(*p)], range)
         },
         Kernel::Cx(c, t) => {
             let (lo, hi) = (*c.min(t), *c.max(t));
@@ -442,17 +362,17 @@ pub(crate) unsafe fn apply_kernel_cells(
             } else {
                 Op2::CxControlHigh
             };
-            unsafe { apply2_range(cells, lo, hi, &[op], range, wide) }
+            unsafe { apply2_range(cells, lo, hi, &[op], range) }
         }
         Kernel::Swap(a, b) => {
             let (lo, hi) = (*a.min(b), *a.max(b));
-            unsafe { apply2_range(cells, lo, hi, &[Op2::SwapQ], range, wide) }
+            unsafe { apply2_range(cells, lo, hi, &[Op2::SwapQ], range) }
         }
         Kernel::CPhase(a, b, p) => {
             let (lo, hi) = (*a.min(b), *a.max(b));
-            unsafe { apply2_range(cells, lo, hi, &[Op2::Phase11(*p)], range, wide) }
+            unsafe { apply2_range(cells, lo, hi, &[Op2::Phase11(*p)], range) }
         }
-        Kernel::Fused2(lo, hi, ops) => unsafe { apply2_range(cells, *lo, *hi, ops, range, wide) },
+        Kernel::Fused2(lo, hi, ops) => unsafe { apply2_range(cells, *lo, *hi, ops, range) },
     }
 }
 
@@ -654,8 +574,7 @@ unsafe fn apply2_quad(
 /// ISA. Packed AVX2 adds/muls are the same IEEE-754 operations as their
 /// scalar forms and rustc never licenses FMA contraction, so both
 /// clones produce bit-identical amplitudes: the dispatch is a pure
-/// wall-clock choice, which is what keeps `SimdPolicy::Scalar` (which
-/// never enters these wrappers) a meaningful oracle.
+/// wall-clock choice.
 macro_rules! isa_dispatch {
     ($name:ident / $avx2:ident => $imp:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
         #[cfg(target_arch = "x86_64")]
@@ -916,62 +835,32 @@ unsafe fn apply2_wide_impl(
 }
 
 /// Apply a 1q op run over pair range `range` of qubit `q`: sparse fast
-/// paths for lone Phase / PhasePair kernels, the wide chunk loop when
-/// `wide` and the stride allows (`bit >= LANES`), the per-pair scalar
-/// loop otherwise. Sparse paths run the same element expressions in
-/// every mode; in wide mode they go through the ISA dispatcher (same
-/// results, wider registers), while `SimdPolicy::Scalar` keeps the
-/// baseline-build loop as the oracle.
+/// paths for lone Phase / PhasePair kernels, the wide chunk loop when the
+/// stride allows (`bit >= LANES`), the per-pair loop otherwise. Every
+/// path evaluates the same element expressions.
 ///
 /// # Safety
 ///
 /// Exclusive access to all pairs in `range`.
-unsafe fn apply1_range(
-    cells: &[ShareCell<Complex>],
-    q: usize,
-    ops: &[Op1],
-    range: Range<usize>,
-    wide: bool,
-) {
+unsafe fn apply1_range(cells: &[ShareCell<Complex>], q: usize, ops: &[Op1], range: Range<usize>) {
     let bit = 1usize << q;
-    if let [Op1::Phase(ph)] = ops {
-        // SAFETY: forwarded from caller.
-        unsafe {
-            if wide {
-                apply1_phase(cells, bit, *ph, range);
-            } else {
-                apply1_phase_impl(cells, bit, *ph, range);
+    // SAFETY (all arms): forwarded from caller.
+    match ops {
+        [Op1::Phase(ph)] => unsafe { apply1_phase(cells, bit, *ph, range) },
+        [Op1::PhasePair(c0, c1)] => unsafe { apply1_phasepair(cells, bit, *c0, *c1, range) },
+        _ if bit >= LANES => unsafe { apply1_wide(cells, bit, ops, range) },
+        _ => {
+            for p in range {
+                unsafe { apply1_pair(cells, bit, p, ops) };
             }
         }
-        return;
-    }
-    if let [Op1::PhasePair(c0, c1)] = ops {
-        // SAFETY: forwarded from caller.
-        unsafe {
-            if wide {
-                apply1_phasepair(cells, bit, *c0, *c1, range);
-            } else {
-                apply1_phasepair_impl(cells, bit, *c0, *c1, range);
-            }
-        }
-        return;
-    }
-    if wide && bit >= LANES {
-        // SAFETY: forwarded from caller.
-        unsafe { apply1_wide(cells, bit, ops, range) };
-        return;
-    }
-    for p in range {
-        // SAFETY: forwarded from caller.
-        unsafe { apply1_pair(cells, bit, p, ops) };
     }
 }
 
 /// Apply a 2q op run over quad range `range` of the sorted qubit pair
 /// `(lo, hi)`: sparse fast paths for lone CPhase / Cx / Swap kernels,
-/// the wide chunk loop when `wide` and the low stride allows, the
-/// per-quad scalar loop otherwise. Mode handling mirrors
-/// [`apply1_range`].
+/// the wide chunk loop when the low stride allows, the per-quad loop
+/// otherwise.
 ///
 /// # Safety
 ///
@@ -982,49 +871,23 @@ unsafe fn apply2_range(
     hi: usize,
     ops: &[Op2],
     range: Range<usize>,
-    wide: bool,
 ) {
     debug_assert!(lo < hi, "2q kernel pair must be sorted");
     let lobit = 1usize << lo;
     let hibit = 1usize << hi;
-    if let [op] = ops {
-        if let Op2::Phase11(ph) = op {
-            // SAFETY: forwarded from caller.
-            unsafe {
-                if wide {
-                    apply2_phase11(cells, lobit, hibit, *ph, range);
-                } else {
-                    apply2_phase11_impl(cells, lobit, hibit, *ph, range);
-                }
+    let both = lobit | hibit;
+    // SAFETY (all arms): forwarded from caller.
+    match ops {
+        [Op2::Phase11(ph)] => unsafe { apply2_phase11(cells, lobit, hibit, *ph, range) },
+        [Op2::CxControlLow] => unsafe { apply2_swap(cells, lobit, hibit, lobit, both, range) },
+        [Op2::CxControlHigh] => unsafe { apply2_swap(cells, lobit, hibit, hibit, both, range) },
+        [Op2::SwapQ] => unsafe { apply2_swap(cells, lobit, hibit, lobit, hibit, range) },
+        _ if lobit >= LANES => unsafe { apply2_wide(cells, lobit, hibit, ops, range) },
+        _ => {
+            for p in range {
+                unsafe { apply2_quad(cells, lobit, hibit, p, ops) };
             }
-            return;
         }
-        let offsets = match op {
-            Op2::CxControlLow => Some((lobit, lobit | hibit)),
-            Op2::CxControlHigh => Some((hibit, lobit | hibit)),
-            Op2::SwapQ => Some((lobit, hibit)),
-            Op2::Phase11(_) | Op2::Low(_) | Op2::High(_) => None,
-        };
-        if let Some((off_a, off_b)) = offsets {
-            // SAFETY: forwarded from caller.
-            unsafe {
-                if wide {
-                    apply2_swap(cells, lobit, hibit, off_a, off_b, range);
-                } else {
-                    apply2_swap_impl(cells, lobit, hibit, off_a, off_b, range);
-                }
-            }
-            return;
-        }
-    }
-    if wide && lobit >= LANES {
-        // SAFETY: forwarded from caller.
-        unsafe { apply2_wide(cells, lobit, hibit, ops, range) };
-        return;
-    }
-    for p in range {
-        // SAFETY: forwarded from caller.
-        unsafe { apply2_quad(cells, lobit, hibit, p, ops) };
     }
 }
 
@@ -1095,7 +958,7 @@ mod tests {
         kernels
     }
 
-    /// Apply through the scalar oracle (`Statevector::apply_kernel`).
+    /// Apply through the oracle (`Statevector::apply_kernel`).
     fn oracle_apply(state: &mut Statevector, kernels: &[Kernel]) {
         for k in kernels {
             state.apply_kernel(k).unwrap();
@@ -1123,28 +986,19 @@ mod tests {
     }
 
     #[test]
-    fn wide_matches_scalar_for_every_kernel_and_position() {
-        // Per-kernel differential: scalar oracle vs forced-wide, one
-        // kernel at a time, on a 6-qubit random state. Bit-exact.
-        for (i, kernel) in kernel_menu(6).iter().enumerate() {
-            let mut oracle = random_state(6, 1000 + i as u64);
-            let mut wide = oracle.clone();
-            oracle.apply_kernel(kernel).unwrap();
-            SvExec::scalar()
-                .with_simd(SimdPolicy::Wide)
-                .run_stream(&mut wide, std::slice::from_ref(kernel))
-                .unwrap();
-            assert_eq!(oracle, wide, "kernel #{i}: {kernel:?}");
-        }
-    }
-
-    #[test]
-    fn scalar_cells_match_oracle_for_every_kernel() {
-        for (i, kernel) in kernel_menu(5).iter().enumerate() {
-            let mut oracle = random_state(5, 2000 + i as u64);
+    fn single_worker_cells_match_oracle_for_every_kernel_and_position() {
+        // Per-kernel differential on a 10-qubit random state: above
+        // DIRECT_MAX_AMPS one worker runs the cell loops (strided pairs
+        // on qubits 0-1, LANES-wide chunks above), which must reproduce
+        // the full-array oracle bit-exactly.
+        const N: usize = 10;
+        const { assert!(1usize << N > DIRECT_MAX_AMPS) };
+        for (i, kernel) in kernel_menu(N).iter().enumerate() {
+            let mut oracle = random_state(N, 1000 + i as u64);
             let mut cells = oracle.clone();
             oracle.apply_kernel(kernel).unwrap();
-            SvExec::scalar()
+            SvExec::auto()
+                .with_threads(1)
                 .run_stream(&mut cells, std::slice::from_ref(kernel))
                 .unwrap();
             assert_eq!(oracle, cells, "kernel #{i}: {kernel:?}");
@@ -1152,29 +1006,23 @@ mod tests {
     }
 
     #[test]
-    fn blocked_teams_match_oracle_across_threads_blocks_and_lanes() {
-        // The full menu as one stream: every (threads, block, simd)
-        // combination must reproduce the oracle bit-exactly. Explicit
-        // thread counts force real multi-worker teams even on 1 core;
-        // block sizes cover 1 pair, odd sizes, and beyond-full-state.
-        let kernels = kernel_menu(6);
-        let mut oracle = random_state(6, 7);
-        oracle_apply(&mut oracle, &kernels);
-        for threads in [1usize, 2, 3, 5] {
-            for block_pairs in [0usize, 1, 3, 7, 16, 1 << 8] {
-                for simd in [SimdPolicy::Scalar, SimdPolicy::Wide, SimdPolicy::Auto] {
-                    let exec = SvExec {
-                        simd,
-                        threads,
-                        block_pairs,
-                    };
-                    let mut state = random_state(6, 7);
-                    exec.run_stream(&mut state, &kernels).unwrap();
-                    assert_eq!(
-                        oracle, state,
-                        "threads={threads} block_pairs={block_pairs} simd={simd:?}"
-                    );
-                }
+    fn blocked_teams_match_oracle_across_widths_and_team_sizes() {
+        // The full menu as one stream at 3-7 qubits: explicit thread
+        // counts force real multi-worker teams even on 1 core, and team
+        // sizes coprime to the power-of-two domains put every worker's
+        // chunk boundary off a LANES multiple, so strided (q < 2) and
+        // wide kernels both start and end mid-run.
+        for n in 3..=7usize {
+            let kernels = kernel_menu(n);
+            let mut oracle = random_state(n, 7);
+            oracle_apply(&mut oracle, &kernels);
+            for threads in [2usize, 3, 5, 7] {
+                let mut state = random_state(n, 7);
+                SvExec::auto()
+                    .with_threads(threads)
+                    .run_stream(&mut state, &kernels)
+                    .unwrap();
+                assert_eq!(oracle, state, "n={n} threads={threads}");
             }
         }
     }
@@ -1194,7 +1042,6 @@ mod tests {
             oracle.apply_kernel(&kernel).unwrap();
             SvExec::auto()
                 .with_threads(3)
-                .with_block_pairs(1)
                 .run_stream(&mut blocked, std::slice::from_ref(&kernel))
                 .unwrap();
             assert_eq!(oracle, blocked, "{kernel:?}");
@@ -1208,12 +1055,11 @@ mod tests {
         oracle_apply(&mut oracle, &kernels);
         let mut expected = Vec::new();
         oracle.probabilities_into(&mut expected);
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 3, 4] {
             let mut state = random_state(5, 3);
             let mut probs = vec![0.5; 7]; // stale, wrong-sized
             SvExec::auto()
                 .with_threads(threads)
-                .with_block_pairs(3)
                 .run_stream_with_probs(&mut state, &kernels, &mut probs)
                 .unwrap();
             assert_eq!(state, oracle, "threads={threads}");
@@ -1232,17 +1078,6 @@ mod tests {
                 .with_threads(threads)
                 .probabilities_into(&state, &mut probs);
             assert_eq!(probs, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn probability_one_from_probs_matches_statevector() {
-        let state = random_state(5, 40);
-        let mut probs = Vec::new();
-        state.probabilities_into(&mut probs);
-        for q in 0..5 {
-            // Bit-exact: same terms, same ascending-index summation order.
-            assert!(probability_one_from_probs(&probs, q) == state.probability_one(q));
         }
     }
 
@@ -1268,15 +1103,10 @@ mod tests {
     }
 
     #[test]
-    fn block_for_scales_with_domain() {
-        // 8 pairs of granularity on a 64-amp state: 8 for pairs (32),
-        // 4 for quads (16), 16 for amplitudes (64); never 0.
-        assert_eq!(block_for(8, 32, 64, 3), 8);
-        assert_eq!(block_for(8, 16, 64, 3), 4);
-        assert_eq!(block_for(8, 64, 64, 3), 16);
-        assert_eq!(block_for(1, 16, 64, 3), 1);
-        // Auto: one contiguous chunk per worker.
-        assert_eq!(block_for(0, 32, 64, 4), 8);
-        assert_eq!(block_for(0, 30, 64, 4), 8);
+    fn block_for_is_one_chunk_per_worker() {
+        assert_eq!(block_for(32, 4), 8);
+        assert_eq!(block_for(30, 4), 8);
+        assert_eq!(block_for(2, 7), 1);
+        assert_eq!(block_for(0, 3), 1); // never 0
     }
 }

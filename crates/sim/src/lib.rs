@@ -33,15 +33,14 @@ mod noisy;
 mod statevector;
 
 pub use backend::{
-    sparse_amplitudes, BackendChoice, BackendDispatcher, BackendKind, BackendPlan,
-    CircuitProfile, SimBackend, MAX_CLBITS, SPARSE_MAX_AMPS, SPARSE_MAX_QUBITS,
-    STABILIZER_MAX_QUBITS,
+    sparse_amplitudes, BackendChoice, BackendDispatcher, BackendKind, CircuitProfile, MAX_CLBITS,
+    SPARSE_MAX_AMPS, SPARSE_MAX_QUBITS, STABILIZER_MAX_QUBITS,
 };
 pub use complex::Complex;
 pub use equivalence::equivalent_unitaries;
 pub use counts::Counts;
 pub use fusion::CompiledCircuit;
-pub use kernels::{norm_from_probs, probability_one_from_probs, SimdPolicy, SvExec, LANES};
+pub use kernels::{SvExec, LANES};
 pub use noisy::{
     clbit_distribution, clifford_pos_circuit, measurement_map, probability_of_success,
     qft_pos_circuit, used_clbit_width, NoisySimulator, DENSE_DISTRIBUTION_MAX_WIDTH,

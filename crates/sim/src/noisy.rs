@@ -8,11 +8,13 @@
 //! come straight from the calibration snapshot, so fidelity inherits the
 //! machine-to-machine and day-to-day variation of the calibration model.
 //!
-//! # The optimized hot path
+//! # The dense hot path
 //!
 //! [`NoisySimulator::run`] is several times faster than the naive
-//! per-instruction loop (preserved as [`NoisySimulator::run_reference`])
-//! while producing bit-identical [`Counts`]:
+//! per-instruction loop (preserved as [`NoisySimulator::run_reference`],
+//! the one oracle) while producing bit-identical [`Counts`]. Trajectories
+//! replay *per-instruction* kernels through [`SvExec::run_stream`] —
+//! error events land between instructions, so no fused stream runs here:
 //!
 //! - **Pre-decoded steps**: instructions are decoded once per run into
 //!   [`fusion::instruction_kernel`] kernels with their calibrated error
@@ -49,8 +51,9 @@ use qcs_exec::{BufferPool, ExecConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::backend::BackendChoice;
+use crate::backend::{BackendChoice, MAX_CLBITS};
 use crate::fusion::{self, Kernel};
+use crate::statevector::matrices;
 use crate::{CdfSampler, Complex, Counts, SimError, Statevector, SvExec};
 
 /// Monte-Carlo noisy simulator configuration.
@@ -73,12 +76,12 @@ pub struct NoisySimulator {
     /// draws from its own RNG, seeded by SplitMix64 from
     /// `(seed, trajectory index)`.
     pub threads: usize,
-    /// Statevector kernel execution policy (SIMD dispatch, amplitude-block
-    /// workers, block size) for the shared ideal evolution and the
-    /// trajectory replays. With auto threads (the default), the core
-    /// budget is split with the trajectory fan-out, so a wide circuit at
-    /// `trajectories = 1` saturates the machine through amplitude blocks
-    /// while a many-trajectory run keeps the outer fan-out. Counts are
+    /// Statevector kernel execution policy (amplitude-block workers) for
+    /// the shared ideal evolution and the trajectory replays. With auto
+    /// threads (the default), the core budget is split with the
+    /// trajectory fan-out, so a wide circuit at `trajectories = 1`
+    /// saturates the machine through amplitude blocks while a
+    /// many-trajectory run keeps the outer fan-out. Counts are
     /// bit-identical at every setting (see [`SvExec`]).
     pub sv: SvExec,
     /// Simulation backend selection: [`BackendChoice::Auto`] (default)
@@ -270,8 +273,8 @@ impl PrefixCheckpoints {
     /// seeds the shared event-free sampling table).
     ///
     /// Kernels stream through `sv` in stride-aligned segments, so the
-    /// build uses the SIMD/block team while every snapshot still lands
-    /// on the exact same instruction boundary as the sequential walk.
+    /// build uses the block team while every snapshot still lands on the
+    /// exact same instruction boundary as the sequential walk.
     fn build(
         num_qubits: usize,
         steps: &[TrajStep],
@@ -335,10 +338,9 @@ impl NoisySimulator {
         self
     }
 
-    /// Set the statevector kernel execution policy (SIMD dispatch, block
-    /// workers, block size); returns the modified simulator for
-    /// chaining. The result of [`NoisySimulator::run`] does not depend
-    /// on this value.
+    /// Set the statevector kernel execution policy (block workers);
+    /// returns the modified simulator for chaining. The result of
+    /// [`NoisySimulator::run`] does not depend on this value.
     #[must_use]
     pub fn with_sv(mut self, sv: SvExec) -> Self {
         self.sv = sv;
@@ -382,7 +384,9 @@ impl NoisySimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the circuit exceeds simulator limits.
+    /// Returns [`SimError`] if the circuit exceeds simulator limits
+    /// ([`SimError::TooManyClbits`] when a measured clbit does not fit
+    /// one outcome word, whatever the backend).
     ///
     /// # Panics
     ///
@@ -394,11 +398,7 @@ impl NoisySimulator {
         snapshot: &CalibrationSnapshot,
         shots: u32,
     ) -> Result<Counts, SimError> {
-        assert!(shots > 0, "shots must be positive");
-        assert!(
-            snapshot.num_qubits() >= circuit.num_qubits(),
-            "snapshot narrower than circuit"
-        );
+        check_run_inputs(circuit, snapshot, shots)?;
         crate::backend::BackendDispatcher::execute(self, circuit, snapshot, shots)
     }
 
@@ -412,13 +412,14 @@ impl NoisySimulator {
     /// Returns [`SimError`] when no backend can faithfully execute the
     /// circuit under this configuration.
     pub fn planned_backend(&self, circuit: &Circuit) -> Result<crate::BackendKind, SimError> {
-        crate::backend::BackendDispatcher::plan(self, circuit).map(|p| p.kind())
+        crate::backend::BackendDispatcher::plan(self, circuit)
     }
 
     /// The dense-statevector execution path (the engine behind
     /// [`NoisySimulator::run`] whenever the circuit fits
-    /// [`crate::DENSE_MAX_QUBITS`]): fused kernels, trajectory
-    /// skip-ahead, prefix checkpoints, pooled buffers, integer shot loop.
+    /// [`crate::DENSE_MAX_QUBITS`]): pre-decoded per-instruction kernels,
+    /// trajectory skip-ahead, prefix checkpoints, pooled buffers, integer
+    /// shot loop.
     pub(crate) fn run_dense(
         &self,
         circuit: &Circuit,
@@ -444,8 +445,8 @@ impl NoisySimulator {
         // Skip-ahead is sound only when every random draw of a trajectory
         // is state-independent: decoherence (jump probabilities depend on
         // the state) and reset (a projective measurement draw) disable it.
-        let compiled = fusion::CompiledCircuit::compile(circuit);
-        let skip_ahead = !self.decoherence && !compiled.has_reset();
+        let has_reset = steps.iter().any(|s| matches!(s.kernel, Kernel::Reset(_)));
+        let skip_ahead = !self.decoherence && !has_reset;
 
         // Work-aware trajectory fan-out: items are trajectories, work is
         // (kernel applications) x (amplitudes), so a small circuit at a
@@ -564,8 +565,7 @@ impl NoisySimulator {
     /// a fresh statevector and CDF rebuild per trajectory, no skip-ahead.
     ///
     /// Kept as the regression oracle: [`NoisySimulator::run`] must produce
-    /// bit-identical [`Counts`] (property-tested), and the criterion bench
-    /// records the speedup of `run` over this path.
+    /// bit-identical [`Counts`] (property-tested).
     ///
     /// # Errors
     ///
@@ -581,11 +581,7 @@ impl NoisySimulator {
         snapshot: &CalibrationSnapshot,
         shots: u32,
     ) -> Result<Counts, SimError> {
-        assert!(shots > 0, "shots must be positive");
-        assert!(
-            snapshot.num_qubits() >= circuit.num_qubits(),
-            "snapshot narrower than circuit"
-        );
+        check_run_inputs(circuit, snapshot, shots)?;
         let measure_map = measurement_map(circuit);
         let width = used_clbit_width(&measure_map);
 
@@ -723,6 +719,28 @@ impl NoisySimulator {
             .map(|(q, c)| (q, c, uniform_threshold(snapshot.qubit(q).readout_error)))
             .collect()
     }
+}
+
+/// The shared front door of [`NoisySimulator::run`] and
+/// [`NoisySimulator::run_reference`]: the documented panics, then the one
+/// classical-register check — every backend packs a shot into one `u64`
+/// outcome word, so a measured clbit at or beyond [`MAX_CLBITS`] has
+/// nowhere to land.
+fn check_run_inputs(
+    circuit: &Circuit,
+    snapshot: &CalibrationSnapshot,
+    shots: u32,
+) -> Result<(), SimError> {
+    assert!(shots > 0, "shots must be positive");
+    assert!(
+        snapshot.num_qubits() >= circuit.num_qubits(),
+        "snapshot narrower than circuit"
+    );
+    let width = used_clbit_width(&measurement_map(circuit));
+    if width > MAX_CLBITS {
+        return Err(SimError::TooManyClbits { requested: width });
+    }
+    Ok(())
 }
 
 /// Widest classical register accumulated in a dense array instead of the
@@ -891,19 +909,25 @@ pub(crate) fn draw_pauli_word(rng: &mut StdRng, k: usize) -> usize {
     rng.gen_range(1..=choices)
 }
 
+/// The kernels of a pre-drawn Pauli word (see [`draw_pauli_word`]): two
+/// bits per operand, identity factors skipped — the same X / Y / Z
+/// kernels [`fusion::instruction_kernel`] decodes those gates to. Shared
+/// with the sparse backend.
+pub(crate) fn pauli_word_kernels(qubits: &[Qubit], word: usize) -> impl Iterator<Item = Kernel> + '_ {
+    qubits.iter().enumerate().filter_map(move |(i, q)| {
+        let q = q.index();
+        match (word >> (2 * i)) & 3 {
+            0 => None,
+            1 => Some(Kernel::X(q)),
+            2 => Some(Kernel::Mat1(q, matrices::y())),
+            _ => Some(Kernel::Phase1(q, Complex::real(-1.0))),
+        }
+    })
+}
+
 /// Apply a pre-drawn Pauli word (see [`draw_pauli_word`]).
 fn apply_pauli_word(state: &mut Statevector, qubits: &[Qubit], word: usize) -> Result<(), SimError> {
-    for (i, &q) in qubits.iter().enumerate() {
-        let pauli = (word >> (2 * i)) & 3;
-        let gate = match pauli {
-            0 => continue,
-            1 => Gate::X,
-            2 => Gate::Y,
-            _ => Gate::Z,
-        };
-        state.apply(&Instruction::gate(gate, &[q]))?;
-    }
-    Ok(())
+    pauli_word_kernels(qubits, word).try_for_each(|kernel| state.apply_kernel(&kernel))
 }
 
 /// The `(qubit, clbit)` pairs of final measurements (later measurements of
@@ -1028,7 +1052,6 @@ pub fn clifford_pos_circuit(n: usize) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimdPolicy;
     use qcs_calibration::NoiseProfile;
     use qcs_topology::families;
 
@@ -1197,11 +1220,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_invariant_under_sv_policy() {
-        // The SIMD/block execution policy must never change a Counts
-        // bit: sweep dispatch x team size x block granularity against
-        // the sequential-scalar setting, with and without decoherence
-        // (the latter exercises the per-gate stochastic path).
+    fn counts_invariant_under_sv_team_size() {
+        // The amplitude-block team size must never change a Counts bit,
+        // with and without decoherence (the latter exercises the
+        // per-gate stochastic path).
         for decoherence in [false, true] {
             let c = qft_pos_circuit(4);
             let snap = noisy_snapshot(4, 2.0);
@@ -1213,30 +1235,65 @@ mod tests {
             if decoherence {
                 sim = sim.with_decoherence();
             }
-            let reference = sim.with_sv(SvExec::scalar()).run(&c, &snap, 2048).unwrap();
-            for simd in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Wide] {
-                for threads in [1, 2, 3] {
-                    for block_pairs in [0, 1, 5] {
-                        let sv = SvExec::auto()
-                            .with_simd(simd)
-                            .with_threads(threads)
-                            .with_block_pairs(block_pairs);
-                        let counts = sim.with_sv(sv).run(&c, &snap, 2048).unwrap();
-                        assert_eq!(
-                            reference, counts,
-                            "diverged at {simd:?}/{threads}t/{block_pairs}bp \
-                             (decoherence={decoherence})"
-                        );
-                    }
-                }
+            let reference = sim.run_reference(&c, &snap, 2048).unwrap();
+            for threads in [0, 1, 2, 3] {
+                let sv = SvExec::auto().with_threads(threads);
+                let counts = sim.with_sv(sv).run(&c, &snap, 2048).unwrap();
+                assert_eq!(
+                    reference, counts,
+                    "diverged at {threads}t (decoherence={decoherence})"
+                );
             }
         }
     }
 
     #[test]
+    fn pauli_word_kernels_are_the_decoded_gates() {
+        // The injected kernels are exactly what the gate table decodes
+        // X / Y / Z to, identity factors skipped.
+        let qubits = [Qubit(3), Qubit(0)];
+        for word in 1..16usize {
+            let expected: Vec<Kernel> = qubits
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &q)| {
+                    let gate = [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)][(word >> (2 * i)) & 3]?;
+                    Some(fusion::instruction_kernel(&Instruction::gate(gate, &[q])))
+                })
+                .collect();
+            assert_eq!(pauli_word_kernels(&qubits, word).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
+    fn clbit_beyond_the_outcome_word_is_a_typed_error_on_every_path() {
+        // Every shot loop shifts by the clbit index (`<< 65` would wrap
+        // to `<< 1` in release and panic in debug), so all five entry
+        // points must refuse before reaching one.
+        use crate::{BackendChoice, BackendKind};
+        let mut c = Circuit::with_clbits(2, 70);
+        c.x(0).measure(0, 65).measure(1, 3);
+        let snap = noisy_snapshot(2, 1.0);
+        let sim = NoisySimulator::with_seed(1);
+        let too_wide = Err(SimError::TooManyClbits { requested: 66 });
+        assert_eq!(sim.run(&c, &snap, 64), too_wide);
+        for kind in [BackendKind::Dense, BackendKind::Stabilizer, BackendKind::Sparse] {
+            let forced = sim.with_backend(BackendChoice::Force(kind));
+            assert_eq!(forced.run(&c, &snap, 64), too_wide, "{kind}");
+        }
+        assert_eq!(sim.run_reference(&c, &snap, 64), too_wide);
+        // Clbit 63 is the last one that fits.
+        let mut c = Circuit::with_clbits(2, 64);
+        c.x(0).measure(0, 63).measure(1, 3);
+        let counts = sim.run(&c, &snap, 64).unwrap();
+        assert_eq!(counts.width(), 64);
+        assert_eq!(sim.run_reference(&c, &snap, 64).unwrap(), counts);
+    }
+
+    #[test]
     fn optimized_path_matches_reference_bit_for_bit() {
-        // The load-bearing regression: fused kernels + skip-ahead + buffer
-        // pooling must not change a single observable bit vs the
+        // The load-bearing regression: pre-decoded kernels + skip-ahead +
+        // buffer pooling must not change a single observable bit vs the
         // pre-optimization path, at several noise scales and thread counts.
         let c = qft_pos_circuit(5);
         for scale in [0.01, 0.3, 1.0, 4.0] {

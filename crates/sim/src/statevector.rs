@@ -1,8 +1,9 @@
 //! An ideal (noiseless) statevector simulator.
 
-use qcs_circuit::{Circuit, Gate, Instruction};
+use qcs_circuit::{Circuit, Instruction};
 use rand::Rng;
 
+use crate::fusion::instruction_kernel;
 use crate::Complex;
 
 /// Maximum register width of the *dense* statevector backend (memory:
@@ -216,11 +217,7 @@ impl Statevector {
         inst: &Instruction,
         rng: &mut R,
     ) -> Result<(), SimError> {
-        if inst.gate == Gate::Reset {
-            self.reset_qubit(inst.qubits[0].index(), rng);
-            return Ok(());
-        }
-        self.apply(inst)
+        self.apply_kernel_with_rng(&instruction_kernel(inst), rng)
     }
 
     /// Projectively measure qubit `q` (collapsing the state) and flip it
@@ -242,40 +239,16 @@ impl Statevector {
         }
     }
 
-    /// Apply one instruction (barriers and measurements are no-ops here).
+    /// Apply one instruction (barriers and measurements are no-ops here):
+    /// decode it through the simulator's one gate table
+    /// ([`crate::fusion::instruction_kernel`]) and apply the kernel.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unsupported`] for `reset` (which needs an RNG;
     /// see [`Statevector::apply_with_rng`]).
     pub fn apply(&mut self, inst: &Instruction) -> Result<(), SimError> {
-        let qs: Vec<usize> = inst.qubits.iter().map(|q| q.index()).collect();
-        match inst.gate {
-            Gate::Barrier | Gate::Measure | Gate::Id => {}
-            Gate::Reset => return Err(SimError::Unsupported { gate: "reset" }),
-            Gate::X => self.apply_x(qs[0]),
-            Gate::Y => self.apply_1q(qs[0], &matrices::y()),
-            Gate::Z => self.apply_phase(qs[0], Complex::real(-1.0)),
-            Gate::H => self.apply_1q(qs[0], &matrices::h()),
-            Gate::S => self.apply_phase(qs[0], Complex::I),
-            Gate::Sdg => self.apply_phase(qs[0], -Complex::I),
-            Gate::T => self.apply_phase(qs[0], Complex::from_polar(1.0, std::f64::consts::FRAC_PI_4)),
-            Gate::Tdg => {
-                self.apply_phase(qs[0], Complex::from_polar(1.0, -std::f64::consts::FRAC_PI_4));
-            }
-            Gate::Sx => self.apply_1q(qs[0], &matrices::sx()),
-            Gate::Rx(t) => self.apply_1q(qs[0], &matrices::u(t, -std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2)),
-            Gate::Ry(t) => self.apply_1q(qs[0], &matrices::u(t, 0.0, 0.0)),
-            Gate::Rz(t) => self.apply_rz(qs[0], t),
-            Gate::U(t, p, l) => self.apply_1q(qs[0], &matrices::u(t, p, l)),
-            Gate::Cx => self.apply_cx(qs[0], qs[1]),
-            Gate::Cz => self.apply_controlled_phase(qs[0], qs[1], Complex::real(-1.0)),
-            Gate::Cp(t) => {
-                self.apply_controlled_phase(qs[0], qs[1], Complex::from_polar(1.0, t));
-            }
-            Gate::Swap => self.apply_swap(qs[0], qs[1]),
-        }
-        Ok(())
+        self.apply_kernel(&instruction_kernel(inst))
     }
 
     /// Raw amplitude access for the fused-kernel sweeps in
@@ -326,13 +299,6 @@ impl Statevector {
             let phase = if idx & bit == 0 { c0 } else { c1 };
             self.amps[idx] = self.amps[idx] * phase;
         }
-    }
-
-    /// Rz(t) = diag(e^{-it/2}, e^{it/2}).
-    fn apply_rz(&mut self, q: usize, theta: f64) {
-        let neg = Complex::from_polar(1.0, -theta / 2.0);
-        let pos = Complex::from_polar(1.0, theta / 2.0);
-        self.apply_phase_pair(q, neg, pos);
     }
 
     pub(crate) fn apply_cx(&mut self, control: usize, target: usize) {
@@ -551,7 +517,7 @@ impl CdfSampler {
     }
 }
 
-/// Gate matrices used by the generic 1q path.
+/// Gate matrices for [`crate::fusion`]'s decode table.
 pub(crate) mod matrices {
     use crate::Complex;
 
@@ -595,7 +561,7 @@ pub(crate) mod matrices {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcs_circuit::{library, Instruction};
+    use qcs_circuit::{library, Gate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -279,28 +279,19 @@ proptest! {
         threads in 1usize..5,
         scale_pick in 0u8..3,
         deco_pick in 0u8..2,
-        simd_pick in 0u8..3,
         sv_threads in 1usize..4,
-        block_pick in 0u8..4,
     ) {
-        // The load-bearing guarantee of the fused + skip-ahead +
+        // The load-bearing guarantee of the pre-decoded + skip-ahead +
         // checkpointed + pooled hot path: bit-identical Counts vs the
-        // pre-optimization per-instruction path, at every thread count —
-        // and at every SIMD dispatch, statevector team size, and
-        // amplitude-block granularity (one chunk per worker, single
-        // pair, odd size, whole state in one block).
+        // pre-optimization per-instruction path, at every trajectory
+        // thread count and every statevector team size.
         use qcs::calibration::NoiseProfile;
-        use qcs::sim::{NoisySimulator, SimdPolicy, SvExec};
+        use qcs::sim::{NoisySimulator, SvExec};
         let scale = [0.05, 1.0, 6.0][scale_pick as usize];
         let snap = NoiseProfile::with_seed(seed ^ 0xA5A5)
             .scaled_errors(scale)
             .snapshot(&families::complete(5), 0);
-        let simd = [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Wide][simd_pick as usize];
-        let block_pairs = [0usize, 1, 3, 1 << 20][block_pick as usize];
-        let sv = SvExec::auto()
-            .with_simd(simd)
-            .with_threads(sv_threads)
-            .with_block_pairs(block_pairs);
+        let sv = SvExec::auto().with_threads(sv_threads);
         let mut sim = NoisySimulator {
             trajectories: 6,
             seed,
@@ -318,22 +309,19 @@ proptest! {
     fn blocked_wide_kernels_match_scalar_amplitudes(
         circuit in arb_circuit(),
         sv_threads in 1usize..5,
-        simd_pick in 0u8..3,
-        block_pick in 0u8..4,
     ) {
         // The SIMD + block-parallel executor must reproduce the
-        // sequential scalar amplitudes bit-for-bit: lanes keep the exact
-        // per-pair expression trees and blocks partition disjoint index
-        // ranges, so no float op is reordered.
-        use qcs::sim::{CompiledCircuit, SimdPolicy, SvExec};
-        let simd = [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Wide][simd_pick as usize];
-        let block_pairs = [0usize, 1, 3, 1 << 20][block_pick as usize];
-        let sv = SvExec::auto()
-            .with_simd(simd)
-            .with_threads(sv_threads)
-            .with_block_pairs(block_pairs);
+        // sequential full-array amplitudes bit-for-bit: lanes keep the
+        // exact per-pair expression trees and blocks partition disjoint
+        // index ranges, so no float op is reordered. The oracle is a
+        // fold of `Statevector::apply_kernel` over the same stream.
+        use qcs::sim::{CompiledCircuit, SvExec};
         let compiled = CompiledCircuit::compile(&circuit);
-        let oracle = compiled.execute().unwrap();
+        let mut oracle = Statevector::zero(compiled.num_qubits()).unwrap();
+        for kernel in compiled.kernels() {
+            oracle.apply_kernel(kernel).unwrap();
+        }
+        let sv = SvExec::auto().with_threads(sv_threads);
         let parallel = compiled.execute_with(&sv).unwrap();
         prop_assert_eq!(oracle.amps(), parallel.amps());
     }
@@ -343,9 +331,9 @@ proptest! {
         // Gate fusion must not change a single amplitude bit: the fused
         // kernels perform the same per-element float operations in the
         // same order as the per-instruction sweeps.
-        use qcs::sim::CompiledCircuit;
+        use qcs::sim::{CompiledCircuit, SvExec};
         let unfused = Statevector::from_circuit(&circuit).unwrap();
-        let fused = CompiledCircuit::compile(&circuit).execute().unwrap();
+        let fused = CompiledCircuit::compile(&circuit).execute_with(&SvExec::auto()).unwrap();
         prop_assert_eq!(unfused.amps(), fused.amps());
     }
 
