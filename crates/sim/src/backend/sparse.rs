@@ -9,10 +9,10 @@
 //!
 //! # Equivalence to the dense oracle
 //!
-//! Gate application reuses the dense path's own element operations
-//! ([`op1_apply`] / [`op2_apply`]) on the same amplitude pairs and
-//! quads — absent keys are exact `+0.0` amplitudes, and a dense sweep's
-//! arithmetic on an all-zero pair yields zeros — so every stored
+//! Gate application reuses the dense path's own element operation
+//! ([`mat1_apply`]) on the same amplitude pairs — absent keys are exact
+//! `+0.0` amplitudes, and a dense sweep's arithmetic on an all-zero
+//! pair yields zeros — so every stored
 //! amplitude is bit-identical to the dense statevector's entry at the
 //! same basis index (property-tested). Sampling prefix-sums the nonzero
 //! probabilities in ascending basis order; the dense CDF sums the same
@@ -29,7 +29,7 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use super::stabilizer::readout_word;
 use super::SPARSE_MAX_BRANCH_LOG2;
-use crate::fusion::{instruction_kernel, op1_apply, op2_apply, Kernel, Op1};
+use crate::fusion::{instruction_kernel, mat1_apply, Kernel};
 use crate::noisy::{
     draw_pauli_word, merge_partials, pauli_word_kernels, used_clbit_width_of_entries, TrajStep,
 };
@@ -83,49 +83,20 @@ impl SparseState {
         }
     }
 
-    /// Apply a fused 1q sweep on wire `q` to every occupied pair —
-    /// the sparse counterpart of `Statevector::apply_fused1`, using the
-    /// identical element operations.
-    fn pairwise(&mut self, q: usize, ops: &[Op1]) {
+    /// Apply the 2×2 unitary `m` on wire `q` to every occupied pair —
+    /// the sparse counterpart of `Statevector::apply_1q`, using the
+    /// identical element operation.
+    fn pairwise(&mut self, q: usize, m: &[[Complex; 2]; 2]) {
         let bit = 1u64 << q;
         let mut bases: Vec<u64> = self.amps.keys().map(|&k| k & !bit).collect();
         bases.sort_unstable();
         bases.dedup();
         for base in bases {
-            let mut a0 = self.amps.get(&base).copied().unwrap_or(Complex::ZERO);
-            let mut a1 = self.amps.get(&(base | bit)).copied().unwrap_or(Complex::ZERO);
-            for op in ops {
-                op1_apply(op, &mut a0, &mut a1);
-            }
+            let a0 = self.amps.get(&base).copied().unwrap_or(Complex::ZERO);
+            let a1 = self.amps.get(&(base | bit)).copied().unwrap_or(Complex::ZERO);
+            let (a0, a1) = mat1_apply(m, a0, a1);
             self.set(base, a0);
             self.set(base | bit, a1);
-        }
-    }
-
-    /// Apply a fused 2q sweep on the sorted pair `(lo, hi)` to every
-    /// occupied 4-amplitude block — the sparse `apply_fused2`.
-    fn quadwise(&mut self, lo: usize, hi: usize, ops: &[crate::fusion::Op2]) {
-        let lbit = 1u64 << lo;
-        let hbit = 1u64 << hi;
-        let mask = lbit | hbit;
-        let mut bases: Vec<u64> = self.amps.keys().map(|&k| k & !mask).collect();
-        bases.sort_unstable();
-        bases.dedup();
-        for base in bases {
-            let get = |amps: &BTreeMap<u64, Complex>, k: u64| {
-                amps.get(&k).copied().unwrap_or(Complex::ZERO)
-            };
-            let mut x00 = get(&self.amps, base);
-            let mut x01 = get(&self.amps, base | lbit);
-            let mut x10 = get(&self.amps, base | hbit);
-            let mut x11 = get(&self.amps, base | mask);
-            for op in ops {
-                op2_apply(op, &mut x00, &mut x01, &mut x10, &mut x11);
-            }
-            self.set(base, x00);
-            self.set(base | lbit, x01);
-            self.set(base | hbit, x10);
-            self.set(base | mask, x11);
         }
     }
 
@@ -179,9 +150,7 @@ impl SparseState {
                     }
                 }
             }
-            Kernel::Mat1(q, m) => self.pairwise(*q, &[Op1::Mat(*m)]),
-            Kernel::Fused1(q, ops) => self.pairwise(*q, ops),
-            Kernel::Fused2(a, b, ops) => self.quadwise(*a, *b, ops),
+            Kernel::Mat1(q, m) => self.pairwise(*q, m),
             Kernel::Reset(_) => return Err(SimError::Unsupported { gate: "reset" }),
         }
         if self.amps.len() > SPARSE_MAX_AMPS {

@@ -1,20 +1,25 @@
-//! SIMD-wide, block-parallel statevector kernels — the one production
-//! way to run a dense kernel stream ([`SvExec::run_stream`]).
+//! SIMD-wide, block-parallel statevector kernels — the eager way to run
+//! a dense kernel stream ([`SvExec::run_stream`]): one full-array pass
+//! per kernel, amplitudes always in canonical order. It is the path of
+//! the decoherence and reset trajectories, whose draws read
+//! [`Statevector::probability_one`] (a sequential sum in canonical
+//! order) between gates; everything else replays through the frame
+//! executor ([`crate::frame`]), which borrows this module's team
+//! schedule, cell accessors and ISA dispatch.
 //!
-//! The per-kernel full-array loops in [`crate::statevector`] and
-//! [`crate::fusion`] ([`Statevector::apply_kernel`]) walk the
-//! `2^n`-amplitude array one pair at a time on one core; they are the
-//! arithmetic oracle. This module adds the two axes of single-circuit
-//! parallelism, without changing a single floating-point result:
+//! The per-kernel full-array loops in [`crate::statevector`]
+//! ([`Statevector::apply_kernel`]) walk the `2^n`-amplitude array one
+//! pair at a time on one core; they are the arithmetic oracle. This
+//! module adds the two axes of single-circuit parallelism, without
+//! changing a single floating-point result:
 //!
 //! - **Lane parallelism (SIMD).** The wide path processes amplitude
 //!   pairs in chunks of [`LANES`] = 4, loading the re/im components into
 //!   structure-of-arrays `[f64; 4]` register blocks and applying each
 //!   element operation lane-wise — the f64x4 style the autovectorizer
 //!   reliably turns into packed AVX/NEON arithmetic. Every lane evaluates
-//!   the *same expression tree* as the scalar oracle ([`op1_apply`] /
-//!   [`op2_apply`]), so wide results are bit-identical, chunk boundaries
-//!   included.
+//!   the *same expression tree* as the scalar oracle ([`mat1_apply`]),
+//!   so wide results are bit-identical, chunk boundaries included.
 //! - **Core parallelism (blocks).** [`SvExec::run_stream`] splits each
 //!   kernel's pair (or quad) index domain into one contiguous chunk per
 //!   worker of a scoped team ([`qcs_exec::block_ranges`]) and
@@ -38,14 +43,16 @@
 //! Every selection below is one the code observes from its input — there
 //! is no policy knob besides the worker count (see DESIGN.md §4g):
 //!
-//! - `bit >= LANES` (target qubit ≥ 2): consecutive pairs map to
-//!   *stride-1* runs of `bit` consecutive amplitudes on each side of the
-//!   pair — the wide path loads 4-pair chunks straight from contiguous
-//!   memory. For 2q kernels the condition is `1 << lo >= LANES`.
-//! - `bit < LANES` (*strided*, qubits 0–1): pairs interleave within a
-//!   4-amplitude window; the per-pair scalar loop is used. At most two
-//!   kernels per stream touch these qubits' low-bit layouts, so the wide
-//!   path still covers the bulk of any deep circuit.
+//! - `Mat1` with `bit >= LANES` (target qubit ≥ 2): consecutive pairs
+//!   map to *stride-1* runs of `bit` consecutive amplitudes on each side
+//!   of the pair — the wide path loads 4-pair chunks straight from
+//!   contiguous memory. With `bit < LANES` (*strided*, qubits 0–1) pairs
+//!   interleave within a 4-amplitude window and the per-pair scalar loop
+//!   is used.
+//! - Every other kernel touches one or two amplitudes of its pair or
+//!   quad and streams the contiguous runs that hold them: `X` / `Cx` /
+//!   `Swap` exchange two runs, `Phase1` / `PhasePair1` / `CPhase`
+//!   multiply one or two.
 //! - The hot run loops are compiled twice, baseline and AVX2
 //!   (`isa_dispatch!`); the host CPU picks, the results are identical.
 //! - The work-size threshold ([`qcs_exec::MIN_WORK_PER_THREAD`]) bypasses
@@ -54,11 +61,8 @@
 //!   most `DIRECT_MAX_AMPS` amplitudes goes straight through
 //!   [`Statevector::apply_kernel`].
 //!
-//! The final measurement-probability pass
-//! ([`SvExec::run_stream_with_probs`]) is fused into the same worker
-//! team: after the last kernel's barrier, each worker writes
-//! `|amp|²` for its own blocks into the caller's probability buffer —
-//! an elementwise map, so it is bit-identical to
+//! The measurement-probability pass ([`SvExec::probabilities_into`])
+//! is an elementwise map, so it is bit-identical to
 //! [`Statevector::probabilities_into`] at any worker count. Reductions
 //! that *accumulate* across amplitudes (CDF prefix sums, `probability_one`,
 //! `norm`) stay sequential over that buffer, preserving the oracle's
@@ -71,7 +75,7 @@ use std::sync::Barrier;
 
 use qcs_exec::{block_ranges, run_team, ExecConfig};
 
-use crate::fusion::{op1_apply, op2_apply, Kernel, Op1, Op2};
+use crate::fusion::{mat1_apply, Kernel};
 use crate::{Complex, SimError, Statevector};
 
 /// Lane width of the wide path: 4 × f64 per component array (one AVX2
@@ -136,7 +140,7 @@ impl SvExec {
     /// amplitudes. Explicit counts are honored (they exist to force
     /// multi-worker coverage in tests); auto is work-aware so small
     /// states never pay team overhead.
-    fn workers_for(&self, num_kernels: usize, n_amps: usize) -> usize {
+    pub(crate) fn workers_for(&self, num_kernels: usize, n_amps: usize) -> usize {
         let pairs = n_amps / 2;
         if pairs == 0 {
             return 1;
@@ -160,39 +164,6 @@ impl SvExec {
     /// [`Kernel::Reset`] (which needs an RNG and a full-state reduction;
     /// callers split streams at resets).
     pub fn run_stream<K>(&self, state: &mut Statevector, kernels: &[K]) -> Result<(), SimError>
-    where
-        K: Borrow<Kernel> + Sync,
-    {
-        self.run_stream_inner(state, kernels, None)
-    }
-
-    /// Like [`SvExec::run_stream`], but additionally fills `probs` with
-    /// the measurement probabilities `|amp|²` of the *final* state — the
-    /// fused accumulation pass: the same worker team that applied the
-    /// last kernel writes the probabilities for its own blocks, saving a
-    /// separate full-array pass (and its spawn/join) before sampling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Unsupported`] on [`Kernel::Reset`].
-    pub fn run_stream_with_probs<K>(
-        &self,
-        state: &mut Statevector,
-        kernels: &[K],
-        probs: &mut Vec<f64>,
-    ) -> Result<(), SimError>
-    where
-        K: Borrow<Kernel> + Sync,
-    {
-        self.run_stream_inner(state, kernels, Some(probs))
-    }
-
-    fn run_stream_inner<K>(
-        &self,
-        state: &mut Statevector,
-        kernels: &[K],
-        mut probs: Option<&mut Vec<f64>>,
-    ) -> Result<(), SimError>
     where
         K: Borrow<Kernel> + Sync,
     {
@@ -225,17 +196,9 @@ impl SvExec {
                     unsafe { apply_kernel_cells(cells, kernel, 0..domain) };
                 }
             }
-            if let Some(probs) = probs {
-                state.probabilities_into(probs);
-            }
             return Ok(());
         }
 
-        if let Some(probs) = probs.as_deref_mut() {
-            probs.clear();
-            probs.resize(n, 0.0);
-        }
-        let prob_cells = probs.map(|p| ShareCell::slice_from_mut(&mut p[..]));
         let cells = ShareCell::slice_from_mut(state.amps_mut());
         let barrier = Barrier::new(workers);
         run_team(workers, |w| {
@@ -254,20 +217,6 @@ impl SvExec {
                 }
                 barrier.wait();
             }
-            if let Some(prob_cells) = prob_cells {
-                for range in block_ranges(n, block_for(n, workers), w, workers) {
-                    for i in range {
-                        // SAFETY: same disjoint-blocks argument, applied
-                        // elementwise to both arrays; the last kernel's
-                        // barrier ordered all amplitude writes before
-                        // these reads.
-                        unsafe {
-                            let a = cell_get(cells, i);
-                            cell_set(prob_cells, i, a.norm_sqr());
-                        }
-                    }
-                }
-            }
         });
         Ok(())
     }
@@ -275,8 +224,7 @@ impl SvExec {
     /// Fill `probs` with `|amp|²` of `state` under this policy — the
     /// block-parallel, standalone form of
     /// [`Statevector::probabilities_into`] (bit-identical: the map is
-    /// elementwise). Used where a probability pass cannot fuse with a
-    /// kernel stream (e.g. re-sampling a checkpointed state).
+    /// elementwise).
     pub fn probabilities_into(&self, state: &Statevector, probs: &mut Vec<f64>) {
         let amps = state.amps();
         let n = amps.len();
@@ -304,7 +252,7 @@ impl SvExec {
 /// Block size in `domain` units (pairs for 1q kernels, quads for 2q
 /// kernels, amplitudes for the probability pass): one contiguous chunk
 /// per worker, never 0.
-fn block_for(domain: usize, workers: usize) -> usize {
+pub(crate) fn block_for(domain: usize, workers: usize) -> usize {
     domain.div_ceil(workers.max(1)).max(1)
 }
 
@@ -316,20 +264,18 @@ fn block_for(domain: usize, workers: usize) -> usize {
 pub(crate) fn kernel_domain(kernel: &Kernel, n_amps: usize) -> usize {
     match kernel {
         Kernel::Noop | Kernel::Reset(_) => 0,
-        Kernel::X(_)
-        | Kernel::Mat1(..)
-        | Kernel::Phase1(..)
-        | Kernel::PhasePair1(..)
-        | Kernel::Fused1(..) => n_amps / 2,
+        Kernel::X(_) | Kernel::Mat1(..) | Kernel::Phase1(..) | Kernel::PhasePair1(..) => {
+            n_amps / 2
+        }
         Kernel::Cx(a, b) | Kernel::Swap(a, b) if a == b => 0,
         Kernel::CPhase(a, b, _) if a == b => n_amps / 2,
-        Kernel::Cx(..) | Kernel::Swap(..) | Kernel::CPhase(..) | Kernel::Fused2(..) => n_amps / 4,
+        Kernel::Cx(..) | Kernel::Swap(..) | Kernel::CPhase(..) => n_amps / 4,
     }
 }
 
 /// Apply `kernel` to the domain elements in `range` through shared
-/// cells, dispatching each kernel kind onto the unified 1q-pair or
-/// 2q-quad range loops.
+/// cells: 1q kernels over pairs of `1 << q`, 2q kernels over quads of
+/// the sorted pair `(lobit, hibit)`.
 ///
 /// # Safety
 ///
@@ -341,38 +287,37 @@ pub(crate) unsafe fn apply_kernel_cells(
     kernel: &Kernel,
     range: Range<usize>,
 ) {
-    match kernel {
+    let sorted = |a: usize, b: usize| (1usize << a.min(b), 1usize << a.max(b));
+    // SAFETY (all arms): forwarded from caller.
+    match *kernel {
         Kernel::Noop | Kernel::Reset(_) => {}
-        Kernel::X(q) => unsafe { apply1_range(cells, *q, &[Op1::X], range) },
-        Kernel::Mat1(q, m) => unsafe { apply1_range(cells, *q, &[Op1::Mat(*m)], range) },
-        Kernel::Phase1(q, p) => unsafe { apply1_range(cells, *q, &[Op1::Phase(*p)], range) },
-        Kernel::PhasePair1(q, c0, c1) => unsafe {
-            apply1_range(cells, *q, &[Op1::PhasePair(*c0, *c1)], range)
+        Kernel::X(q) => unsafe { apply1_x(cells, 1 << q, range) },
+        Kernel::Mat1(q, ref m) if 1usize << q >= LANES => unsafe {
+            apply1_mat_wide(cells, 1 << q, m, range)
         },
-        Kernel::Fused1(q, ops) => unsafe { apply1_range(cells, *q, ops, range) },
+        Kernel::Mat1(q, ref m) => {
+            for p in range {
+                unsafe { apply1_mat_pair(cells, 1 << q, p, m) };
+            }
+        }
+        Kernel::Phase1(q, p) => unsafe { apply1_phase(cells, 1 << q, p, range) },
+        Kernel::PhasePair1(q, c0, c1) => unsafe { apply1_phasepair(cells, 1 << q, c0, c1, range) },
         Kernel::Cx(a, b) | Kernel::Swap(a, b) if a == b => {}
-        Kernel::CPhase(a, b, p) if a == b => unsafe {
-            // idx & (bit|bit) == bit: exactly the 1q phase on `a`.
-            apply1_range(cells, *a, &[Op1::Phase(*p)], range)
-        },
+        // idx & (bit|bit) == bit: exactly the 1q phase on `a`.
+        Kernel::CPhase(a, b, p) if a == b => unsafe { apply1_phase(cells, 1 << a, p, range) },
         Kernel::Cx(c, t) => {
-            let (lo, hi) = (*c.min(t), *c.max(t));
-            let op = if c < t {
-                Op2::CxControlLow
-            } else {
-                Op2::CxControlHigh
-            };
-            unsafe { apply2_range(cells, lo, hi, &[op], range) }
+            let (lobit, hibit) = sorted(c, t);
+            // x(control set, target clear) <-> x11.
+            unsafe { apply2_swap(cells, lobit, hibit, 1 << c, lobit | hibit, range) }
         }
         Kernel::Swap(a, b) => {
-            let (lo, hi) = (*a.min(b), *a.max(b));
-            unsafe { apply2_range(cells, lo, hi, &[Op2::SwapQ], range) }
+            let (lobit, hibit) = sorted(a, b);
+            unsafe { apply2_swap(cells, lobit, hibit, lobit, hibit, range) }
         }
         Kernel::CPhase(a, b, p) => {
-            let (lo, hi) = (*a.min(b), *a.max(b));
-            unsafe { apply2_range(cells, lo, hi, &[Op2::Phase11(*p)], range) }
+            let (lobit, hibit) = sorted(a, b);
+            unsafe { apply2_phase11(cells, lobit, hibit, p, range) }
         }
-        Kernel::Fused2(lo, hi, ops) => unsafe { apply2_range(cells, *lo, *hi, ops, range) },
     }
 }
 
@@ -431,7 +376,7 @@ impl<T: Copy> ShareCell<T> {
 ///
 /// `i < cells.len()` and no concurrent write to cell `i`.
 #[inline(always)]
-unsafe fn cell_get<T: Copy>(cells: &[ShareCell<T>], i: usize) -> T {
+pub(crate) unsafe fn cell_get<T: Copy>(cells: &[ShareCell<T>], i: usize) -> T {
     debug_assert!(i < cells.len());
     // SAFETY: forwarded from caller.
     unsafe { cells.get_unchecked(i).get() }
@@ -443,7 +388,7 @@ unsafe fn cell_get<T: Copy>(cells: &[ShareCell<T>], i: usize) -> T {
 ///
 /// `i < cells.len()` and no concurrent access to cell `i`.
 #[inline(always)]
-unsafe fn cell_set<T: Copy>(cells: &[ShareCell<T>], i: usize, value: T) {
+pub(crate) unsafe fn cell_set<T: Copy>(cells: &[ShareCell<T>], i: usize, value: T) {
     debug_assert!(i < cells.len());
     // SAFETY: forwarded from caller.
     unsafe { cells.get_unchecked(i).set(value) }
@@ -474,7 +419,7 @@ unsafe fn phase_run(cells: &[ShareCell<Complex>], start: usize, len: usize, ph: 
 }
 
 /// Swap the contiguous runs `a..a + len` and `b..b + len` — pure data
-/// movement (no float ops), shared by the sparse Cx/Swap fast paths.
+/// movement (no float ops), shared by the X and Cx/Swap loops.
 ///
 /// # Safety
 ///
@@ -508,57 +453,26 @@ pub(crate) fn quad_base(p: usize, lobit: usize, hibit: usize) -> usize {
     expand1(expand1(p, lobit), hibit)
 }
 
-/// Scalar: apply an op run to pair `p` of qubit mask `bit`.
+/// Scalar: apply `m` to pair `p` of qubit mask `bit`.
 ///
 /// # Safety
 ///
 /// Exclusive access to pair `p`'s two amplitudes (see
 /// [`apply_kernel_cells`]).
 #[inline(always)]
-unsafe fn apply1_pair(cells: &[ShareCell<Complex>], bit: usize, p: usize, ops: &[Op1]) {
+unsafe fn apply1_mat_pair(
+    cells: &[ShareCell<Complex>],
+    bit: usize,
+    p: usize,
+    m: &[[Complex; 2]; 2],
+) {
     let i0 = expand1(p, bit);
     let i1 = i0 | bit;
     // SAFETY: caller owns this pair.
     unsafe {
-        let mut a0 = cell_get(cells, i0);
-        let mut a1 = cell_get(cells, i1);
-        for op in ops {
-            op1_apply(op, &mut a0, &mut a1);
-        }
+        let (a0, a1) = mat1_apply(m, cell_get(cells, i0), cell_get(cells, i1));
         cell_set(cells, i0, a0);
         cell_set(cells, i1, a1);
-    }
-}
-
-/// Scalar: apply an op run to quad `p` of the sorted masks
-/// `(lobit, hibit)`.
-///
-/// # Safety
-///
-/// Exclusive access to quad `p`'s four amplitudes.
-#[inline(always)]
-unsafe fn apply2_quad(
-    cells: &[ShareCell<Complex>],
-    lobit: usize,
-    hibit: usize,
-    p: usize,
-    ops: &[Op2],
-) {
-    let base = quad_base(p, lobit, hibit);
-    let (i01, i10, i11) = (base | lobit, base | hibit, base | lobit | hibit);
-    // SAFETY: caller owns this quad.
-    unsafe {
-        let mut x00 = cell_get(cells, base);
-        let mut x01 = cell_get(cells, i01);
-        let mut x10 = cell_get(cells, i10);
-        let mut x11 = cell_get(cells, i11);
-        for op in ops {
-            op2_apply(op, &mut x00, &mut x01, &mut x10, &mut x11);
-        }
-        cell_set(cells, base, x00);
-        cell_set(cells, i01, x01);
-        cell_set(cells, i10, x10);
-        cell_set(cells, i11, x11);
     }
 }
 
@@ -570,7 +484,7 @@ unsafe fn apply2_quad(
 /// autovectorizer can never emit 256-bit lanes no matter how the loops
 /// are shaped. `#[target_feature]` recompiles just these loops — plus
 /// everything `#[inline(always)]`-ed into them ([`phase_run`],
-/// [`op1_apply`], [`op2_apply`], the cell accessors) — for the wider
+/// [`mat1_apply`], the cell accessors) — for the wider
 /// ISA. Packed AVX2 adds/muls are the same IEEE-754 operations as their
 /// scalar forms and rustc never licenses FMA contraction, so both
 /// clones produce bit-identical amplitudes: the dispatch is a pure
@@ -598,21 +512,43 @@ macro_rules! isa_dispatch {
     };
 }
 
+pub(crate) use isa_dispatch;
+
+isa_dispatch!(apply1_x / apply1_x_avx2 => apply1_x_impl(
+    cells: &[ShareCell<Complex>], bit: usize, range: Range<usize>));
 isa_dispatch!(apply1_phase / apply1_phase_avx2 => apply1_phase_impl(
     cells: &[ShareCell<Complex>], bit: usize, ph: Complex, range: Range<usize>));
 isa_dispatch!(apply1_phasepair / apply1_phasepair_avx2 => apply1_phasepair_impl(
     cells: &[ShareCell<Complex>], bit: usize, c0: Complex, c1: Complex, range: Range<usize>));
-isa_dispatch!(apply1_wide / apply1_wide_avx2 => apply1_wide_impl(
-    cells: &[ShareCell<Complex>], bit: usize, ops: &[Op1], range: Range<usize>));
+isa_dispatch!(apply1_mat_wide / apply1_mat_wide_avx2 => apply1_mat_wide_impl(
+    cells: &[ShareCell<Complex>], bit: usize, m: &[[Complex; 2]; 2], range: Range<usize>));
 isa_dispatch!(apply2_phase11 / apply2_phase11_avx2 => apply2_phase11_impl(
     cells: &[ShareCell<Complex>], lobit: usize, hibit: usize, ph: Complex, range: Range<usize>));
 isa_dispatch!(apply2_swap / apply2_swap_avx2 => apply2_swap_impl(
     cells: &[ShareCell<Complex>], lobit: usize, hibit: usize, off_a: usize, off_b: usize,
     range: Range<usize>));
-isa_dispatch!(apply2_wide / apply2_wide_avx2 => apply2_wide_impl(
-    cells: &[ShareCell<Complex>], lobit: usize, hibit: usize, ops: &[Op2], range: Range<usize>));
 
-/// Sparse `[Op1::Phase]` loop: only the bit-set side of each pair is
+/// `X` loop: exchange the two contiguous runs of each pair run — pure
+/// data movement.
+///
+/// # Safety
+///
+/// Exclusive access to all pairs in `range`; pairs in bounds.
+#[inline(always)]
+unsafe fn apply1_x_impl(cells: &[ShareCell<Complex>], bit: usize, range: Range<usize>) {
+    let mut p = range.start;
+    let end = range.end;
+    while p < end {
+        let run_end = end.min(p - (p & (bit - 1)) + bit);
+        let i0 = expand1(p, bit);
+        // SAFETY: forwarded from caller; both runs stay inside the pairs
+        // `p..run_end`.
+        unsafe { swap_runs(cells, i0, i0 | bit, run_end - p) };
+        p = run_end;
+    }
+}
+
+/// `Phase1` loop: only the bit-set side of each pair is
 /// touched — stream the contiguous upper runs (1 load + 1 store per
 /// amplitude) instead of round-tripping whole pairs.
 ///
@@ -637,7 +573,7 @@ unsafe fn apply1_phase_impl(
     }
 }
 
-/// Sparse `[Op1::PhasePair]` loop: a lone Rz is two independent
+/// `PhasePair1` loop: an Rz is two independent
 /// diagonal streams, one per pair side.
 ///
 /// # Safety
@@ -665,22 +601,21 @@ unsafe fn apply1_phasepair_impl(
     }
 }
 
-/// Generic wide 1q loop. Within a run of `bit` consecutive pair
-/// indices, `expand1` is an affine shift — both sides of the pair are
-/// contiguous amplitude runs, processed in [`LANES`]-wide register
-/// blocks. Each element goes through the same [`op1_apply`] calls as
-/// the scalar path (bit-identical); the chunking hoists op dispatch out
-/// of the element loop and gives LLVM fixed-size lanes to pack.
+/// Wide `Mat1` loop. Within a run of `bit` consecutive pair indices,
+/// `expand1` is an affine shift — both sides of the pair are contiguous
+/// amplitude runs, processed in [`LANES`]-wide register blocks. Each
+/// element goes through the same [`mat1_apply`] as the scalar path
+/// (bit-identical); the chunking gives LLVM fixed-size lanes to pack.
 ///
 /// # Safety
 ///
 /// Exclusive access to all pairs in `range`; pairs in bounds;
 /// `bit >= LANES`.
 #[inline(always)]
-unsafe fn apply1_wide_impl(
+unsafe fn apply1_mat_wide_impl(
     cells: &[ShareCell<Complex>],
     bit: usize,
-    ops: &[Op1],
+    m: &[[Complex; 2]; 2],
     range: Range<usize>,
 ) {
     let mut p = range.start;
@@ -698,10 +633,8 @@ unsafe fn apply1_wide_impl(
                     a0[l] = cell_get(cells, i0 + l);
                     a1[l] = cell_get(cells, i1 + l);
                 }
-                for op in ops {
-                    for l in 0..LANES {
-                        op1_apply(op, &mut a0[l], &mut a1[l]);
-                    }
+                for l in 0..LANES {
+                    (a0[l], a1[l]) = mat1_apply(m, a0[l], a1[l]);
                 }
                 for l in 0..LANES {
                     cell_set(cells, i0 + l, a0[l]);
@@ -712,13 +645,13 @@ unsafe fn apply1_wide_impl(
         }
         while p < run_end {
             // SAFETY: forwarded from caller.
-            unsafe { apply1_pair(cells, bit, p, ops) };
+            unsafe { apply1_mat_pair(cells, bit, p, m) };
             p += 1;
         }
     }
 }
 
-/// Sparse `[Op2::Phase11]` loop: a lone controlled-phase touches only
+/// `CPhase` loop: a controlled-phase touches only
 /// the `x11` amplitude of each quad. Within a run of `lobit`
 /// consecutive quad indices both `expand1` insertions are affine
 /// shifts, so each `base | offset` run is contiguous.
@@ -746,7 +679,7 @@ unsafe fn apply2_phase11_impl(
     }
 }
 
-/// Sparse lone Cx/Swap loop: the permutation moves exactly two of the
+/// `Cx` / `Swap` loop: the permutation moves exactly two of the
 /// four quad amplitudes (`base | off_a` <-> `base | off_b`) — pure bit
 /// movement streamed over the contiguous runs.
 ///
@@ -772,122 +705,6 @@ unsafe fn apply2_swap_impl(
         // the quads `p..run_end`.
         unsafe { swap_runs(cells, base | off_a, base | off_b, run_end - p) };
         p = run_end;
-    }
-}
-
-/// Generic wide 2q loop: quad indices run contiguously for `lobit`
-/// consecutive `p` (the low insertion shifts affinely and the varying
-/// bits never reach `hi`); process [`LANES`]-wide register blocks of
-/// the four contiguous runs, each element through the same
-/// [`op2_apply`] as the scalar path.
-///
-/// # Safety
-///
-/// Exclusive access to all quads in `range`; quads in bounds;
-/// `lobit >= LANES`.
-#[inline(always)]
-unsafe fn apply2_wide_impl(
-    cells: &[ShareCell<Complex>],
-    lobit: usize,
-    hibit: usize,
-    ops: &[Op2],
-    range: Range<usize>,
-) {
-    let mut p = range.start;
-    let end = range.end;
-    while p < end {
-        let run_end = end.min(p - (p & (lobit - 1)) + lobit);
-        while p + LANES <= run_end {
-            let base = quad_base(p, lobit, hibit);
-            let (i01, i10, i11) = (base | lobit, base | hibit, base | lobit | hibit);
-            // SAFETY: forwarded from caller; lanes stay inside the run.
-            unsafe {
-                let mut x00 = [Complex::ZERO; LANES];
-                let mut x01 = [Complex::ZERO; LANES];
-                let mut x10 = [Complex::ZERO; LANES];
-                let mut x11 = [Complex::ZERO; LANES];
-                for l in 0..LANES {
-                    x00[l] = cell_get(cells, base + l);
-                    x01[l] = cell_get(cells, i01 + l);
-                    x10[l] = cell_get(cells, i10 + l);
-                    x11[l] = cell_get(cells, i11 + l);
-                }
-                for op in ops {
-                    for l in 0..LANES {
-                        op2_apply(op, &mut x00[l], &mut x01[l], &mut x10[l], &mut x11[l]);
-                    }
-                }
-                for l in 0..LANES {
-                    cell_set(cells, base + l, x00[l]);
-                    cell_set(cells, i01 + l, x01[l]);
-                    cell_set(cells, i10 + l, x10[l]);
-                    cell_set(cells, i11 + l, x11[l]);
-                }
-            }
-            p += LANES;
-        }
-        while p < run_end {
-            // SAFETY: forwarded from caller.
-            unsafe { apply2_quad(cells, lobit, hibit, p, ops) };
-            p += 1;
-        }
-    }
-}
-
-/// Apply a 1q op run over pair range `range` of qubit `q`: sparse fast
-/// paths for lone Phase / PhasePair kernels, the wide chunk loop when the
-/// stride allows (`bit >= LANES`), the per-pair loop otherwise. Every
-/// path evaluates the same element expressions.
-///
-/// # Safety
-///
-/// Exclusive access to all pairs in `range`.
-unsafe fn apply1_range(cells: &[ShareCell<Complex>], q: usize, ops: &[Op1], range: Range<usize>) {
-    let bit = 1usize << q;
-    // SAFETY (all arms): forwarded from caller.
-    match ops {
-        [Op1::Phase(ph)] => unsafe { apply1_phase(cells, bit, *ph, range) },
-        [Op1::PhasePair(c0, c1)] => unsafe { apply1_phasepair(cells, bit, *c0, *c1, range) },
-        _ if bit >= LANES => unsafe { apply1_wide(cells, bit, ops, range) },
-        _ => {
-            for p in range {
-                unsafe { apply1_pair(cells, bit, p, ops) };
-            }
-        }
-    }
-}
-
-/// Apply a 2q op run over quad range `range` of the sorted qubit pair
-/// `(lo, hi)`: sparse fast paths for lone CPhase / Cx / Swap kernels,
-/// the wide chunk loop when the low stride allows, the per-quad loop
-/// otherwise.
-///
-/// # Safety
-///
-/// Exclusive access to all quads in `range`.
-unsafe fn apply2_range(
-    cells: &[ShareCell<Complex>],
-    lo: usize,
-    hi: usize,
-    ops: &[Op2],
-    range: Range<usize>,
-) {
-    debug_assert!(lo < hi, "2q kernel pair must be sorted");
-    let lobit = 1usize << lo;
-    let hibit = 1usize << hi;
-    let both = lobit | hibit;
-    // SAFETY (all arms): forwarded from caller.
-    match ops {
-        [Op2::Phase11(ph)] => unsafe { apply2_phase11(cells, lobit, hibit, *ph, range) },
-        [Op2::CxControlLow] => unsafe { apply2_swap(cells, lobit, hibit, lobit, both, range) },
-        [Op2::CxControlHigh] => unsafe { apply2_swap(cells, lobit, hibit, hibit, both, range) },
-        [Op2::SwapQ] => unsafe { apply2_swap(cells, lobit, hibit, lobit, hibit, range) },
-        _ if lobit >= LANES => unsafe { apply2_wide(cells, lobit, hibit, ops, range) },
-        _ => {
-            for p in range {
-                unsafe { apply2_quad(cells, lobit, hibit, p, ops) };
-            }
-        }
     }
 }
 
@@ -921,15 +738,7 @@ mod tests {
                 Complex::from_polar(1.0, -0.21),
                 Complex::from_polar(1.0, 0.21),
             ));
-            kernels.push(Kernel::Fused1(
-                q,
-                vec![
-                    Op1::Mat(matrices::sx()),
-                    Op1::Phase(ph),
-                    Op1::X,
-                    Op1::PhasePair(ph, ph.conj()),
-                ],
-            ));
+            kernels.push(Kernel::Mat1(q, matrices::sx()));
         }
         for a in 0..n {
             for b in 0..n {
@@ -940,18 +749,6 @@ mod tests {
                 kernels.push(Kernel::CPhase(a, b, ph));
                 if a < b {
                     kernels.push(Kernel::Swap(a, b));
-                    kernels.push(Kernel::Fused2(
-                        a,
-                        b,
-                        vec![
-                            Op2::High(Op1::Mat(matrices::h())),
-                            Op2::CxControlLow,
-                            Op2::Low(Op1::PhasePair(ph.conj(), ph)),
-                            Op2::SwapQ,
-                            Op2::CxControlHigh,
-                            Op2::Phase11(ph),
-                        ],
-                    ));
                 }
             }
         }
@@ -1045,25 +842,6 @@ mod tests {
                 .run_stream(&mut blocked, std::slice::from_ref(&kernel))
                 .unwrap();
             assert_eq!(oracle, blocked, "{kernel:?}");
-        }
-    }
-
-    #[test]
-    fn fused_probability_pass_is_bit_identical() {
-        let kernels = kernel_menu(5);
-        let mut oracle = random_state(5, 3);
-        oracle_apply(&mut oracle, &kernels);
-        let mut expected = Vec::new();
-        oracle.probabilities_into(&mut expected);
-        for threads in [1usize, 2, 3, 4] {
-            let mut state = random_state(5, 3);
-            let mut probs = vec![0.5; 7]; // stale, wrong-sized
-            SvExec::auto()
-                .with_threads(threads)
-                .run_stream_with_probs(&mut state, &kernels, &mut probs)
-                .unwrap();
-            assert_eq!(state, oracle, "threads={threads}");
-            assert_eq!(probs, expected, "threads={threads}");
         }
     }
 

@@ -27,6 +27,7 @@ pub mod backend;
 mod complex;
 mod counts;
 mod equivalence;
+mod frame;
 pub mod fusion;
 mod kernels;
 mod noisy;

@@ -12,14 +12,13 @@
 //!
 //! [`NoisySimulator::run`] is several times faster than the naive
 //! per-instruction loop (preserved as [`NoisySimulator::run_reference`],
-//! the one oracle) while producing bit-identical [`Counts`]. Trajectories
-//! replay *per-instruction* kernels through [`SvExec::run_stream`] —
-//! error events land between instructions, so no fused stream runs here:
+//! the one oracle) while producing bit-identical [`Counts`]:
 //!
 //! - **Pre-decoded steps**: instructions are decoded once per run into
 //!   [`fusion::instruction_kernel`] kernels with their calibrated error
-//!   probability and duration attached, so trajectories never re-match
-//!   gate enums or re-derive matrices and snapshot lookups.
+//!   probability and per-operand decoherence probabilities attached, so
+//!   trajectories never re-match gate enums, re-derive matrices, repeat
+//!   snapshot lookups or recompute an `exp`.
 //! - **Trajectory skip-ahead**: gate error probabilities are
 //!   state-independent, so a cheap dry walk over each trajectory's own RNG
 //!   stream — consuming exactly the one uniform per noisy gate plus one
@@ -30,12 +29,21 @@
 //!   it. Skip-ahead is disabled when decoherence is on or the circuit
 //!   contains a reset, whose draws depend on the evolving state (see
 //!   DESIGN.md §4f for the soundness argument).
+//! - **Frame-tracked replay**: the shared ideal evolution and every
+//!   eventful trajectory run on a [`FrameState`] — X/CX/SWAP kernels and
+//!   injected X errors update an index map and move no data, diagonal
+//!   runs (and injected Z errors) are applied many-per-pass, and only
+//!   `Mat1` kernels, injected Y errors and the final probability gather
+//!   touch the `2^n` array. Decoherence and reset trajectories stay on
+//!   the eager per-kernel path ([`SvExec::run_stream`]): they read
+//!   `probability_one`, a sum in canonical index order, between gates.
 //! - **Noiseless-prefix reuse**: every trajectory evolves identically to
 //!   the ideal circuit until its first error event, so the ideal evolution
-//!   is snapshotted every few instructions (`PrefixCheckpoints`) and an
-//!   eventful trajectory restores the longest checkpointed prefix at or
-//!   before its first event — a `memcpy` — instead of recomputing it, then
-//!   replays only the remainder with its recorded Pauli injections.
+//!   is snapshotted every few instructions (`PrefixCheckpoints`, frame
+//!   beside amplitudes) and an eventful trajectory restores the longest
+//!   checkpointed prefix at or before its first event — a `memcpy` —
+//!   instead of recomputing it, then replays only the remainder with its
+//!   recorded Pauli injections.
 //! - **Buffer pooling**: eventful trajectories build their statevector
 //!   inside a per-worker [`qcs_exec::BufferPool`] buffer instead of a
 //!   fresh `2^n` allocation each.
@@ -52,6 +60,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::backend::{BackendChoice, MAX_CLBITS};
+use crate::frame::{FrameSnapshot, FrameState};
 use crate::fusion::{self, Kernel};
 use crate::statevector::matrices;
 use crate::{CdfSampler, Complex, Counts, SimError, Statevector, SvExec};
@@ -118,8 +127,10 @@ pub(crate) struct TrajStep {
     eligible: bool,
     /// Calibrated gate error probability (0 when ineligible).
     pub(crate) error_prob: f64,
-    /// Nominal duration for decoherence (0 when decoherence is off).
-    duration_ns: f64,
+    /// Per operand `(qubit, gamma, p_phase)`: the amplitude-damping and
+    /// dephasing probabilities of this step's duration (empty when
+    /// decoherence is off or the step has no duration).
+    decoherence: Vec<(usize, Option<f64>, Option<f64>)>,
 }
 
 /// Per-worker scratch of the trajectory loop: a reusable sampling table
@@ -189,23 +200,15 @@ impl ShotSampler {
         self.finish_tables();
     }
 
-    /// Run the final kernel segment of a trajectory and the probability
-    /// fill in one fused dispatch ([`SvExec::run_stream_with_probs`]):
-    /// the block team that applies the last gate writes `|amp|^2`
-    /// straight into the CDF buffer while the state is hot, instead of
-    /// a separate full pass. Prefix summation and the guide table stay
-    /// sequential (their rounding is order-sensitive), so the result is
-    /// bit-identical to applying the kernels and calling
-    /// [`ShotSampler::rebuild_with`].
-    fn rebuild_fused(
-        &mut self,
-        state: &mut Statevector,
-        kernels: &[&Kernel],
-        sv: &SvExec,
-    ) -> Result<(), SimError> {
-        sv.run_stream_with_probs(state, kernels, &mut self.cdf)?;
+    /// Rebuild the tables from a frame-tracked state: its gather writes
+    /// `|amp|²` in canonical order straight into the CDF buffer (the only
+    /// canonical-order pass a frame trajectory ever makes). Prefix
+    /// summation and the guide table stay sequential (their rounding is
+    /// order-sensitive), so the result is bit-identical to
+    /// [`ShotSampler::rebuild_with`] on the oracle's state.
+    fn rebuild_from_frame(&mut self, state: &mut FrameState) {
+        state.probabilities_into(&mut self.cdf);
         self.finish_tables();
-        Ok(())
     }
 
     /// Turn the freshly written probabilities in `self.cdf` into prefix
@@ -258,8 +261,10 @@ impl ShotSampler {
 /// degrades to plain recompute, which is still correct.
 struct PrefixCheckpoints {
     stride: usize,
-    /// `snapshots[j]` = amplitudes after `(j + 1) * stride` instructions.
-    snapshots: Vec<Vec<Complex>>,
+    /// `snapshots[j]` = the flushed state after `(j + 1) * stride`
+    /// instructions: amplitudes in their physical order plus the frame
+    /// that says where each logical basis state sits.
+    snapshots: Vec<FrameSnapshot>,
 }
 
 /// Cap on total prefix-checkpoint storage per run.
@@ -267,47 +272,43 @@ const CHECKPOINT_BUDGET_BYTES: usize = 32 << 20;
 
 impl PrefixCheckpoints {
     /// Build by evolving |0..0> through the per-instruction step kernels —
-    /// the same per-instruction applications a trajectory performs, so
-    /// every snapshot is bit-identical to any trajectory's own ideal
-    /// prefix. Returns the checkpoints and the final ideal state (which
-    /// seeds the shared event-free sampling table).
+    /// the same per-amplitude arithmetic a trajectory performs, so every
+    /// snapshot is bit-identical to any trajectory's own ideal prefix.
+    /// Returns the checkpoints and the final ideal state (which seeds the
+    /// shared event-free sampling table).
     ///
-    /// Kernels stream through `sv` in stride-aligned segments, so the
-    /// build uses the block team while every snapshot still lands on the
-    /// exact same instruction boundary as the sequential walk.
+    /// Kernels stream through the frame executor in stride-aligned
+    /// segments, so every snapshot lands on the exact same instruction
+    /// boundary as a sequential walk.
     fn build(
         num_qubits: usize,
         steps: &[TrajStep],
-        sv: &SvExec,
-    ) -> Result<(Self, Statevector), SimError> {
+        workers: usize,
+    ) -> Result<(Self, FrameState), SimError> {
         let state_bytes = (1usize << num_qubits) * std::mem::size_of::<Complex>();
         let max_snapshots = (CHECKPOINT_BUDGET_BYTES / state_bytes.max(1)).min(16);
         let stride = match max_snapshots {
             0 => steps.len().max(1),
             n => steps.len().div_ceil(n).max(1),
         };
-        let mut state = Statevector::zero(num_qubits)?;
-        let kernels: Vec<&Kernel> = steps.iter().map(|s| &s.kernel).collect();
+        let mut state = FrameState::zero_in(num_qubits, Vec::new(), workers)?;
         let mut snapshots = Vec::new();
-        let mut start = 0usize;
-        while start < kernels.len() {
-            let end = (start + stride).min(kernels.len());
-            sv.run_stream(&mut state, &kernels[start..end])?;
-            if end.is_multiple_of(stride) && end < kernels.len() {
-                snapshots.push(state.amps().to_vec());
+        for (j, segment) in steps.chunks(stride).enumerate() {
+            state.run(segment.iter().map(|step| &step.kernel))?;
+            if segment.len() == stride && (j + 1) * stride < steps.len() {
+                snapshots.push(state.snapshot());
             }
-            start = end;
         }
         Ok((PrefixCheckpoints { stride, snapshots }, state))
     }
 
     /// The longest checkpointed prefix spanning at most `upto`
-    /// instructions, as `(instructions_applied, amplitudes)`; `None`
+    /// instructions, as `(instructions_applied, snapshot)`; `None`
     /// means start from |0..0>.
-    fn restore_point(&self, upto: usize) -> Option<(usize, &[Complex])> {
+    fn restore_point(&self, upto: usize) -> Option<(usize, &FrameSnapshot)> {
         let j = (upto / self.stride).min(self.snapshots.len());
         j.checked_sub(1)
-            .map(|j| ((j + 1) * self.stride, self.snapshots[j].as_slice()))
+            .map(|j| ((j + 1) * self.stride, &self.snapshots[j]))
     }
 }
 
@@ -418,8 +419,8 @@ impl NoisySimulator {
     /// The dense-statevector execution path (the engine behind
     /// [`NoisySimulator::run`] whenever the circuit fits
     /// [`crate::DENSE_MAX_QUBITS`]): pre-decoded per-instruction kernels,
-    /// trajectory skip-ahead, prefix checkpoints, pooled buffers, integer
-    /// shot loop.
+    /// trajectory skip-ahead on frame-tracked states, prefix checkpoints,
+    /// pooled buffers, integer shot loop.
     pub(crate) fn run_dense(
         &self,
         circuit: &Circuit,
@@ -467,17 +468,16 @@ impl NoisySimulator {
         let sv_shared = self.resolve_sv(num_qubits, steps.len(), cores);
         let sv = self.resolve_sv(num_qubits, steps.len(), (cores / traj_workers.max(1)).max(1));
 
+        let team = |sv: &SvExec| sv.workers_for(steps.len(), 1 << num_qubits);
         let shared = if skip_ahead {
-            let (prefix, ideal) = PrefixCheckpoints::build(num_qubits, &steps, &sv_shared)?;
+            let (prefix, mut ideal) =
+                PrefixCheckpoints::build(num_qubits, &steps, team(&sv_shared))?;
             let mut sampler = ShotSampler::default();
-            sampler.rebuild_with(&ideal, &sv_shared);
+            sampler.rebuild_from_frame(&mut ideal);
             Some((prefix, sampler))
         } else {
             None
         };
-
-        // Kernel views for segment streaming through the block executor.
-        let kernels: Vec<&Kernel> = steps.iter().map(|s| &s.kernel).collect();
 
         let indices: Vec<usize> = (0..trajectories).collect();
         let partials = qcs_exec::parallel_map_with(
@@ -517,21 +517,24 @@ impl NoisySimulator {
                     // the recorded Pauli words at their steps.
                     let buf = scratch.pool.acquire(0, Complex::ZERO);
                     let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
-                        Some((applied, amps)) => {
-                            (applied, Statevector::restore_in(num_qubits, buf, amps)?)
-                        }
-                        None => (0, Statevector::zero_in(num_qubits, buf)?),
+                        Some((applied, snapshot)) => (
+                            applied,
+                            FrameState::restore_in(num_qubits, buf, snapshot, team(&sv)),
+                        ),
+                        None => (0, FrameState::zero_in(num_qubits, buf, team(&sv))?),
+                    };
+                    let kernels = |range: std::ops::Range<usize>| {
+                        steps[range].iter().map(|step| &step.kernel)
                     };
                     for &(i, word) in &events {
                         if next <= i {
-                            sv.run_stream(&mut state, &kernels[next..=i])?;
+                            state.run(kernels(next..i + 1))?;
                             next = i + 1;
                         }
-                        apply_pauli_word(&mut state, &steps[i].qubits, word)?;
+                        state.run(pauli_word_kernels(&steps[i].qubits, word))?;
                     }
-                    scratch
-                        .sampler
-                        .rebuild_fused(&mut state, &kernels[next..], &sv)?;
+                    state.run(kernels(next..steps.len()))?;
+                    scratch.sampler.rebuild_from_frame(&mut state);
                     scratch.pool.release(state.into_amps());
                     return Ok(sample_shots(
                         &scratch.sampler,
@@ -545,7 +548,7 @@ impl NoisySimulator {
                 // Decoherence or reset: the full per-gate stochastic path.
                 let buf = scratch.pool.acquire(0, Complex::ZERO);
                 let mut state = Statevector::zero_in(num_qubits, buf)?;
-                self.apply_steps(&steps, snapshot, &mut state, &mut rng, &sv)?;
+                self.apply_steps(&steps, &mut state, &mut rng, &sv)?;
                 scratch.sampler.rebuild_with(&state, &sv);
                 scratch.pool.release(state.into_amps());
                 Ok(sample_shots(
@@ -636,10 +639,18 @@ impl NoisySimulator {
             } else {
                 0.0
             },
-            duration_ns: if eligible && self.decoherence {
-                gate_duration_ns(inst, snapshot)
+            decoherence: if eligible && self.decoherence {
+                let duration_ns = gate_duration_ns(inst, snapshot);
+                inst.qubits
+                    .iter()
+                    .filter_map(|q| {
+                        let (gamma, p_phase) =
+                            decoherence_probabilities(q.index(), duration_ns, snapshot);
+                        (gamma.is_some() || p_phase.is_some()).then_some((q.index(), gamma, p_phase))
+                    })
+                    .collect()
             } else {
-                0.0
+                Vec::new()
             },
         }
     }
@@ -652,7 +663,6 @@ impl NoisySimulator {
     fn apply_steps(
         &self,
         steps: &[TrajStep],
-        snapshot: &CalibrationSnapshot,
         state: &mut Statevector,
         rng: &mut StdRng,
         sv: &SvExec,
@@ -669,10 +679,8 @@ impl NoisySimulator {
             if step.error_prob > 0.0 && rng.gen_range(0.0..1.0) < step.error_prob {
                 inject_pauli(state, &step.qubits, rng)?;
             }
-            if self.decoherence {
-                for q in &step.qubits {
-                    apply_decoherence(state, q.index(), step.duration_ns, snapshot, rng);
-                }
+            for &(q, gamma, p_phase) in &step.decoherence {
+                decohere(state, q, gamma, p_phase, rng);
             }
         }
         Ok(())
@@ -747,6 +755,13 @@ fn check_run_inputs(
 /// hash map (`2^16` slots, 512 KiB — beyond that fall back to hashing).
 const DENSE_COUNTS_MAX_WIDTH: usize = 16;
 
+/// Most dense-array slots per shot of the trajectory: the array is
+/// zeroed and scanned whole whatever the shot count, so beyond this the
+/// hashed loop is cheaper (a 16q echo at 128 trajectories records 8
+/// shots per trajectory; zeroing and scanning 65 536 slots for them cost
+/// ~10 ms of each 15q/16q echo run).
+const DENSE_COUNTS_SLOTS_PER_SHOT: usize = 64;
+
 /// Widest classical register [`clbit_distribution`] materializes as a
 /// dense `2^width` probability array. A classical-register limit on that
 /// function's output size, distinct from the dense backend's
@@ -761,8 +776,10 @@ pub const DENSE_DISTRIBUTION_MAX_WIDTH: usize = 24;
 /// Draw-for-draw identical to the reference shot loop: one uniform per
 /// basis sample resolved by [`ShotSampler`], one uniform per readout
 /// entry resolved against its exact [`uniform_threshold`]. Outcomes
-/// accumulate in a dense per-word array (bounded by
-/// [`DENSE_COUNTS_MAX_WIDTH`]) and collapse into [`Counts`] once.
+/// accumulate in a dense per-word array when it is small both absolutely
+/// ([`DENSE_COUNTS_MAX_WIDTH`]) and beside the shot count
+/// ([`DENSE_COUNTS_SLOTS_PER_SHOT`]) and collapse into [`Counts`] once;
+/// otherwise they are hashed. [`Counts`] equality is order-free.
 fn sample_shots(
     sampler: &ShotSampler,
     rng: &mut StdRng,
@@ -770,7 +787,7 @@ fn sample_shots(
     readout: &[ReadoutEntry],
     width: usize,
 ) -> Counts {
-    if width > DENSE_COUNTS_MAX_WIDTH {
+    if width > DENSE_COUNTS_MAX_WIDTH || (1 << width) > DENSE_COUNTS_SLOTS_PER_SHOT * traj_shots {
         let mut counts = Counts::with_capacity(width, traj_shots);
         for _ in 0..traj_shots {
             let word = one_shot(sampler, rng, readout);
@@ -839,7 +856,9 @@ fn gate_duration_ns(inst: &Instruction, snapshot: &CalibrationSnapshot) -> f64 {
     35.0
 }
 
-/// One T1/T2 trajectory step on qubit `q` over `duration_ns`.
+/// One T1/T2 trajectory step on qubit `q` over `duration_ns` — the
+/// oracle's form: probabilities recomputed on every visit. The optimized
+/// path computes them once per step in [`NoisySimulator::decode_step`].
 fn apply_decoherence(
     state: &mut Statevector,
     q: usize,
@@ -847,24 +866,48 @@ fn apply_decoherence(
     snapshot: &CalibrationSnapshot,
     rng: &mut StdRng,
 ) {
+    let (gamma, p_phase) = decoherence_probabilities(q, duration_ns, snapshot);
+    decohere(state, q, gamma, p_phase, rng);
+}
+
+/// The amplitude-damping probability `gamma = 1 - exp(-t/T1)` and the
+/// dephasing probability `p_phase = ½(1 - exp(-t/Tφ))` of qubit `q` over
+/// `duration_ns`; `None` where the channel does not apply (no duration,
+/// or a non-finite / non-positive coherence time). They depend on the
+/// step and the operand only, never on the trajectory.
+fn decoherence_probabilities(
+    q: usize,
+    duration_ns: f64,
+    snapshot: &CalibrationSnapshot,
+) -> (Option<f64>, Option<f64>) {
     if duration_ns <= 0.0 {
-        return;
+        return (None, None);
     }
     let cal = snapshot.qubit(q);
     let t_us = duration_ns / 1000.0;
-    if cal.t1_us.is_finite() && cal.t1_us > 0.0 {
-        let gamma = 1.0 - (-t_us / cal.t1_us).exp();
+    let has_t1 = cal.t1_us.is_finite() && cal.t1_us > 0.0;
+    let gamma = has_t1.then(|| 1.0 - (-t_us / cal.t1_us).exp());
+    // Pure dephasing rate: 1/T_phi = 1/T2 - 1/(2 T1).
+    let p_phase = (cal.t2_us.is_finite() && cal.t2_us > 0.0).then(|| {
+        let inv_t1 = if has_t1 { 1.0 / (2.0 * cal.t1_us) } else { 0.0 };
+        let inv_tphi = (1.0 / cal.t2_us - inv_t1).max(0.0);
+        0.5 * (1.0 - (-t_us * inv_tphi).exp())
+    });
+    (gamma, p_phase)
+}
+
+/// Apply the two decoherence channels of one operand, damping first.
+fn decohere(
+    state: &mut Statevector,
+    q: usize,
+    gamma: Option<f64>,
+    p_phase: Option<f64>,
+    rng: &mut StdRng,
+) {
+    if let Some(gamma) = gamma {
         state.apply_amplitude_damping(q, gamma, rng);
     }
-    // Pure dephasing rate: 1/T_phi = 1/T2 - 1/(2 T1).
-    if cal.t2_us.is_finite() && cal.t2_us > 0.0 {
-        let inv_t1 = if cal.t1_us.is_finite() && cal.t1_us > 0.0 {
-            1.0 / (2.0 * cal.t1_us)
-        } else {
-            0.0
-        };
-        let inv_tphi = (1.0 / cal.t2_us - inv_t1).max(0.0);
-        let p_phase = 0.5 * (1.0 - (-t_us * inv_tphi).exp());
+    if let Some(p_phase) = p_phase {
         state.apply_dephasing(q, p_phase, rng);
     }
 }
@@ -1414,44 +1457,100 @@ mod tests {
         let optimized = sim.run(&c, &snap, 512).unwrap();
         assert_eq!(reference, optimized, "wide-register path diverged");
         assert_eq!(optimized.width(), DENSE_COUNTS_MAX_WIDTH + 1);
+
+        // So does a register the dense array could hold but the shots
+        // would barely touch: 8 shots per trajectory at width 16.
+        let mut c = Circuit::with_clbits(2, DENSE_COUNTS_MAX_WIDTH);
+        c.h(0).cx(0, 1);
+        c.measure(0, DENSE_COUNTS_MAX_WIDTH - 1).measure(1, 3);
+        let sim = NoisySimulator {
+            trajectories: 64,
+            ..sim
+        };
+        const { assert!((1 << DENSE_COUNTS_MAX_WIDTH) > DENSE_COUNTS_SLOTS_PER_SHOT * 8) };
+        let reference = sim.run_reference(&c, &snap, 512).unwrap();
+        let optimized = sim.run(&c, &snap, 512).unwrap();
+        assert_eq!(reference, optimized, "few-shots path diverged");
+        assert_eq!(optimized.width(), DENSE_COUNTS_MAX_WIDTH);
+    }
+
+    fn decoded_steps(c: &Circuit, snap: &CalibrationSnapshot) -> Vec<TrajStep> {
+        let sim = NoisySimulator::with_seed(0);
+        c.instructions()
+            .iter()
+            .map(|inst| sim.decode_step(inst, snap))
+            .collect()
+    }
+
+    /// The per-step oracle: `apply_kernel` folded over `steps`.
+    fn oracle_prefix(num_qubits: usize, steps: &[TrajStep]) -> Statevector {
+        let mut state = Statevector::zero(num_qubits).unwrap();
+        for step in steps {
+            state.apply_kernel(&step.kernel).unwrap();
+        }
+        state
+    }
+
+    fn materialised(num_qubits: usize, snapshot: &FrameSnapshot) -> Statevector {
+        FrameState::restore_in(num_qubits, Vec::new(), snapshot, 1).into_statevector()
     }
 
     #[test]
     fn prefix_checkpoints_restore_the_exact_ideal_prefix() {
-        // Every snapshot must equal the amplitudes a fresh per-step
-        // evolution reaches at the same instruction count.
+        // Every restore point, materialised, must equal the amplitudes a
+        // fresh per-step evolution reaches at the same instruction count.
         let c = qft_pos_circuit(4);
-        let snap = noisy_snapshot(4, 1.0);
-        let sim = NoisySimulator::with_seed(0);
-        let steps: Vec<TrajStep> = c
-            .instructions()
-            .iter()
-            .map(|inst| sim.decode_step(inst, &snap))
-            .collect();
-        let (prefix, ideal) = PrefixCheckpoints::build(4, &steps, &SvExec::auto()).unwrap();
+        let steps = decoded_steps(&c, &noisy_snapshot(4, 1.0));
+        let (prefix, ideal) = PrefixCheckpoints::build(4, &steps, 1).unwrap();
         assert!(
             !prefix.snapshots.is_empty(),
             "a {} instruction circuit should checkpoint",
             steps.len()
         );
         for upto in 0..=steps.len() {
-            let (applied, amps) = match prefix.restore_point(upto) {
+            let (applied, snapshot) = match prefix.restore_point(upto) {
                 Some(point) => point,
                 None => continue,
             };
             assert!(applied <= upto, "restore point overshot {upto}");
-            let mut state = Statevector::zero(4).unwrap();
-            for step in &steps[..applied] {
-                state.apply_kernel(&step.kernel).unwrap();
-            }
-            assert_eq!(state.amps(), amps, "snapshot at {applied} diverged");
+            assert_eq!(
+                materialised(4, snapshot),
+                oracle_prefix(4, &steps[..applied]),
+                "snapshot at {applied} diverged"
+            );
         }
         // The final state of the build pass is the full ideal evolution.
-        let mut state = Statevector::zero(4).unwrap();
-        for step in &steps {
-            state.apply_kernel(&step.kernel).unwrap();
+        assert_eq!(ideal.into_statevector(), oracle_prefix(4, &steps));
+    }
+
+    #[test]
+    fn snapshot_between_a_diagonal_and_the_next_mat1_replays_exactly() {
+        // A snapshot taken with diagonals still pending would restore
+        // without them: stride 1 puts a restore point after every step,
+        // in particular between `rz` / `t` and the `h` whose interference
+        // makes their phase visible in the probabilities. Restore ->
+        // replay -> read must equal an uninterrupted run.
+        let mut c = Circuit::new(3);
+        c.h(0).h(1).cx(0, 1).rz(0.7, 1).h(1).cx(1, 2).t(0).h(0);
+        let steps = decoded_steps(&c, &noisy_snapshot(3, 1.0));
+        let (prefix, mut ideal) = PrefixCheckpoints::build(3, &steps, 1).unwrap();
+        assert_eq!(prefix.stride, 1, "an 8-step circuit fits the snapshot budget");
+        let mut expected = Vec::new();
+        ideal.probabilities_into(&mut expected);
+        let mut oracle = Vec::new();
+        oracle_prefix(3, &steps).probabilities_into(&mut oracle);
+        assert_eq!(expected, oracle);
+        for upto in 1..steps.len() {
+            let (applied, snapshot) = prefix.restore_point(upto).expect("stride 1");
+            assert_eq!(applied, upto);
+            let mut state = FrameState::restore_in(3, Vec::new(), snapshot, 1);
+            state
+                .run(steps[applied..].iter().map(|step| &step.kernel))
+                .unwrap();
+            let mut probs = Vec::new();
+            state.probabilities_into(&mut probs);
+            assert_eq!(probs, expected, "replay from {applied} diverged");
         }
-        assert_eq!(state.amps(), ideal.amps());
     }
 
     #[test]

@@ -132,8 +132,8 @@ impl Statevector {
     }
 
     /// A state restored from snapshotted amplitudes into a caller-provided
-    /// buffer (see [`qcs_exec::BufferPool`]) — the checkpoint-reuse path of
-    /// the noisy simulator. `amps.len()` must be `2^num_qubits`.
+    /// buffer (see [`qcs_exec::BufferPool`]). `amps.len()` must be
+    /// `2^num_qubits`.
     ///
     /// # Errors
     ///
@@ -159,6 +159,13 @@ impl Statevector {
             num_qubits,
             amps: buf,
         })
+    }
+
+    /// A state over amplitudes already in canonical order (the frame
+    /// executor's materialising gather).
+    pub(crate) fn from_amps(num_qubits: usize, amps: Vec<Complex>) -> Self {
+        debug_assert_eq!(amps.len(), 1 << num_qubits, "amplitude count mismatch");
+        Statevector { num_qubits, amps }
     }
 
     /// Consume the state, releasing its amplitude buffer for reuse.
@@ -251,8 +258,8 @@ impl Statevector {
         self.apply_kernel(&instruction_kernel(inst))
     }
 
-    /// Raw amplitude access for the fused-kernel sweeps in
-    /// [`crate::fusion`]; every mutation must preserve normalization.
+    /// Raw amplitude access for the block-parallel loops in
+    /// [`crate::kernels`]; every mutation must preserve normalization.
     pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
         &mut self.amps
     }

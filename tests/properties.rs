@@ -310,11 +310,13 @@ proptest! {
         circuit in arb_circuit(),
         sv_threads in 1usize..5,
     ) {
-        // The SIMD + block-parallel executor must reproduce the
-        // sequential full-array amplitudes bit-for-bit: lanes keep the
-        // exact per-pair expression trees and blocks partition disjoint
-        // index ranges, so no float op is reordered. The oracle is a
-        // fold of `Statevector::apply_kernel` over the same stream.
+        // The frame executor behind `execute_with` (X/CX/SWAP as index-map
+        // updates, diagonal runs flushed many-per-pass in SIMD chunks,
+        // Mat1 over XOR-pairs, every pass split across the block team)
+        // must reproduce the sequential full-array amplitudes bit-for-bit:
+        // each amplitude goes through the same expressions in the same
+        // order, only where it is stored differs. The oracle is a fold of
+        // `Statevector::apply_kernel` over the same stream.
         use qcs::sim::{CompiledCircuit, SvExec};
         let compiled = CompiledCircuit::compile(&circuit);
         let mut oracle = Statevector::zero(compiled.num_qubits()).unwrap();
@@ -328,9 +330,11 @@ proptest! {
 
     #[test]
     fn fused_execution_matches_unfused(circuit in arb_circuit()) {
-        // Gate fusion must not change a single amplitude bit: the fused
-        // kernels perform the same per-element float operations in the
-        // same order as the per-instruction sweeps.
+        // (The name is from the sweep-fusion pass this test was written
+        // for, deleted in PR 15.) Compiling a circuit and running it
+        // through the frame executor, whose final gather is the only
+        // fused read left, must not change a single amplitude bit
+        // against instruction-by-instruction application.
         use qcs::sim::{CompiledCircuit, SvExec};
         let unfused = Statevector::from_circuit(&circuit).unwrap();
         let fused = CompiledCircuit::compile(&circuit).execute_with(&SvExec::auto()).unwrap();
