@@ -52,47 +52,11 @@ cargo test -q -p qcs-cloud --test properties
 # per step call, and peak RSS under 512 MiB.
 cargo run --release -q -p qcs-bench --bin smoke_million_jobs
 
-# Gateway bench-smoke gate: one short criterion run of the sharded-fleet
-# bench (SUBMIT -> OK over TCP loopback). Both hand-measured lines must
-# be present, and the live numbers must stay within a generous multiple
-# of the committed BENCH_gateway.json baseline — 20x absorbs shared-
-# runner jitter; a real regression (a lock held across the DES step, an
-# accidental O(records) scan per SUBMIT) shows up as 100x+.
-gw_out=$(QCS_BENCH_WARMUP_MS=200 QCS_BENCH_MEASURE_MS=1200 cargo bench -p qcs-bench --bench gateway 2>/dev/null | grep '^BENCH')
-gw_p99=$(printf '%s\n' "$gw_out" | grep '"id":"gateway_fleet/submit_p99"' | sed 's/.*"mean_ns"://; s/,.*//')
-gw_sustained=$(printf '%s\n' "$gw_out" | grep '"id":"gateway_fleet/submit_sustained"' | sed 's/.*"mean_ns"://; s/,.*//')
-base_p99=$(grep '"id": *"gateway_fleet/submit_p99"' BENCH_gateway.json | sed 's/.*"mean_ns": *//; s/,.*//')
-base_sustained=$(grep '"id": *"gateway_fleet/submit_sustained"' BENCH_gateway.json | sed 's/.*"mean_ns": *//; s/,.*//')
-awk -v p="$gw_p99" -v s="$gw_sustained" -v bp="$base_p99" -v bs="$base_sustained" 'BEGIN {
-  if (p == "" || s == "") { print "bench-smoke: missing gateway bench output"; exit 1 }
-  if (bp == "" || bs == "") { print "bench-smoke: missing BENCH_gateway.json baseline"; exit 1 }
-  if (p > bp * 20) { printf "bench-smoke: gateway p99 %.0f ns > 20x baseline %.0f ns\n", p, bp; exit 1 }
-  if (s > bs * 20) { printf "bench-smoke: gateway sustained %.0f ns/job > 20x baseline %.0f ns\n", s, bs; exit 1 }
-  printf "bench-smoke: gateway p99 %.0f ns, sustained %.0f ns/job (%.0f jobs/s) within 20x baseline\n", p, s, 1e9 / s
-}'
-
 # Cross-backend equivalence gate: the stabilizer tableau must reproduce
 # the dense noisy Counts bit-for-bit on random Clifford circuits, the
 # sparse statevector must match dense amplitudes and Counts bitwise, and
 # forcing any eligible backend must be unobservable vs Auto dispatch.
 cargo test -q --test backends
-
-# Backend bench-smoke gate: one short criterion run of the backends
-# bench. The 30q Clifford POS point must exist (i.e. the stabilizer
-# engine actually runs a width the dense engine cannot represent) and
-# stay within a generous multiple of the committed BENCH_backends.json
-# baseline — 20x absorbs shared-runner jitter; a real regression (a
-# tableau measurement going superpolynomial, the aligned sampler falling
-# back to per-shot cloning) shows up as 100x+.
-be_out=$(QCS_BENCH_WARMUP_MS=200 QCS_BENCH_MEASURE_MS=1200 cargo bench -p qcs-bench --bench backends 2>/dev/null | grep '^BENCH')
-be_stab=$(printf '%s\n' "$be_out" | grep '"id":"backends_pos/stabilizer_30q"' | sed 's/.*"mean_ns"://; s/,.*//')
-base_stab=$(grep '"id": *"backends_pos/stabilizer_30q"' BENCH_backends.json | sed 's/.*"mean_ns": *//; s/,.*//')
-awk -v s="$be_stab" -v bs="$base_stab" 'BEGIN {
-  if (s == "") { print "bench-smoke: missing backends bench output"; exit 1 }
-  if (bs == "") { print "bench-smoke: missing BENCH_backends.json baseline"; exit 1 }
-  if (s > bs * 20) { printf "bench-smoke: stabilizer 30q POS %.0f ns > 20x baseline %.0f ns\n", s, bs; exit 1 }
-  printf "bench-smoke: stabilizer 30q POS %.0f ns within 20x baseline %.0f ns\n", s, bs
-}'
 
 # Ingestion gate: the ARLIS-style CSV fixture must parse with derived
 # backlogs, survive the study's causality audit, train the queue model,

@@ -2,9 +2,9 @@
 //!
 //! The benchmark harness of the `qcs` study: one `fig*` binary per figure
 //! of the paper (each prints the figure's data series and writes a CSV
-//! under `target/figures/`), `ablation_*` binaries for the design-choice
-//! studies listed in DESIGN.md, and Criterion micro-benchmarks over the
-//! substrate crates.
+//! under `target/figures/`) and `ablation_*` / `extension_*` binaries for
+//! the design-choice studies listed in DESIGN.md. Timing lives in the
+//! standalone `benchmark/` package (`bash benchmark/run.sh --trace`).
 //!
 //! Run a figure:
 //!

@@ -57,7 +57,7 @@ impl ExecConfig {
     }
 
     /// A config from the `QCS_THREADS` environment variable (unset, empty,
-    /// or unparsable means auto). Lets benches and binaries expose thread
+    /// or unparsable means auto). Lets binaries expose thread
     /// scaling without plumbing flags.
     #[must_use]
     pub fn from_env() -> Self {

@@ -3,11 +3,12 @@
 //! [`CompiledCircuit::execute_with`](crate::CompiledCircuit::execute_with).
 //!
 //! A routed circuit is mostly index permutations (the 10q QFT POS
-//! compiled for paris is 360 `Cx` + 149 `Rz` + 20 `Mat1`), and the eager
-//! path ([`SvExec::run_stream`]) pays a full pass over the `2^n` array
-//! for each of them. A [`FrameState`] instead carries a GF(2) affine
-//! **frame** beside its amplitudes and only touches the array when
-//! arithmetic has to happen.
+//! compiled for paris is 360 `Cx` + 149 `Rz` + 20 `Mat1`), and the
+//! per-kernel appliers of [`crate::statevector`]
+//! ([`Statevector::apply_kernel`], the arithmetic oracle) pay a full pass
+//! over the `2^n` array for each of them. A [`FrameState`] instead
+//! carries a GF(2) affine **frame** beside its amplitudes and only
+//! touches the array when arithmetic has to happen.
 //!
 //! # The mapping
 //!
@@ -58,21 +59,202 @@
 //! [`Complex`]'s own `mul`. The differential tests below and in
 //! `noisy.rs` compare `to_bits`.
 //!
-//! Decoherence and reset trajectories stay on the eager path: they draw
-//! against [`Statevector::probability_one`], a sequential sum in
-//! canonical index order that a re-ordered array would round
-//! differently.
+//! Decoherence and reset trajectories stay off the frame and run on
+//! [`Statevector`]'s own appliers: they draw against
+//! [`Statevector::probability_one`], a sequential sum in canonical index
+//! order that a re-ordered array would round differently, and keeping
+//! that order under a frame costs a gather walk per gate (DESIGN.md
+//! §4f).
 //!
-//! [`SvExec::run_stream`]: crate::SvExec::run_stream
+//! # Teams, shared cells and ISA clones
+//!
+//! Every pass (flush, `Mat1`, gather) splits its index domain into one
+//! contiguous chunk per worker of a scoped team ([`team_pass`]:
+//! [`qcs_exec::block_ranges`] over [`qcs_exec::run_team`]) and joins
+//! before the next pass starts. Workers never share an amplitude: the
+//! chunks partition the domain and distinct domain elements own distinct
+//! amplitudes, so there are **no atomics and no locks on amplitude
+//! data** — determinism comes from disjointness, not synchronization
+//! order. [`ShareCell`] is the `unsafe` surface that argument licenses.
+//! The two hot loops are compiled twice, baseline and AVX2
+//! (`isa_dispatch!`); the host CPU picks, the results are identical.
+//! The team size is the one knob ([`SvExec`]; DESIGN.md §4g).
 
 use std::borrow::Borrow;
+use std::cell::UnsafeCell;
 use std::ops::Range;
 
-use qcs_exec::{block_ranges, run_team};
+use qcs_exec::{block_ranges, run_team, ExecConfig};
 
 use crate::fusion::Kernel;
-use crate::kernels::{block_for, cell_get, cell_set, expand1, isa_dispatch, ShareCell};
 use crate::{Complex, SimError, Statevector, DENSE_MAX_QUBITS};
+
+/// Execution policy of the frame executor: the worker count of the
+/// amplitude-block team its passes run on. Lane width and ISA are chosen
+/// from the input, not configured.
+///
+/// Every setting is bit-identical to folding
+/// [`Statevector::apply_kernel`] over the stream.
+///
+/// # Examples
+///
+/// ```
+/// use qcs_circuit::library;
+/// use qcs_sim::fusion::CompiledCircuit;
+/// use qcs_sim::{Statevector, SvExec};
+///
+/// let compiled = CompiledCircuit::compile(&library::qft(6));
+/// let fast = compiled.execute_with(&SvExec::auto().with_threads(3)).unwrap();
+/// let mut oracle = Statevector::zero(6).unwrap();
+/// for kernel in compiled.kernels() {
+///     oracle.apply_kernel(kernel).unwrap();
+/// }
+/// assert_eq!(fast, oracle); // bit-identical amplitudes
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SvExec {
+    /// Worker threads for block-parallel passes: `0` = auto (work-aware:
+    /// capped by cores and by [`qcs_exec::MIN_WORK_PER_THREAD`]
+    /// amplitudes of one pass per worker); an explicit count is honored
+    /// verbatim (capped only by the pair count), which is how tests force
+    /// real multi-worker execution on small states.
+    pub threads: usize,
+}
+
+impl SvExec {
+    /// The default policy: work-aware threading.
+    #[must_use]
+    pub fn auto() -> Self {
+        SvExec::default()
+    }
+
+    /// This policy with an explicit worker count (`0` = auto).
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Team size for passes over `n_amps` amplitudes. Explicit counts
+    /// are honored (they exist to force multi-worker coverage in tests).
+    /// Auto sizes for *one pass*, because a team is spawned and joined
+    /// per pass: one worker per [`qcs_exec::MIN_WORK_PER_THREAD`]
+    /// amplitudes, capped by the cores and by `budget`, the share of the
+    /// machine the caller's own fan-out leaves over.
+    pub(crate) fn workers_for(&self, n_amps: usize, budget: usize) -> usize {
+        let pairs = n_amps / 2;
+        if pairs == 0 {
+            return 1;
+        }
+        if self.threads > 0 {
+            return self.threads.min(pairs);
+        }
+        ExecConfig::default().effective_threads_for_work(n_amps, 1).min(budget)
+    }
+}
+
+/// Block size in `domain` units (super-blocks, chunks or chunk pairs,
+/// output slots): one contiguous chunk per worker, never 0.
+fn block_for(domain: usize, workers: usize) -> usize {
+    domain.div_ceil(workers.max(1)).max(1)
+}
+
+/// A shared amplitude cell: `UnsafeCell` in `#[repr(transparent)]`
+/// clothing, so a `&mut [T]` can be reborrowed as `&[ShareCell<T>]` and
+/// handed to a worker team. This is the repo's only `unsafe` surface;
+/// soundness rests on the disjoint-block partition documented at the
+/// module level (and DESIGN.md §4g) — never on locks or atomics.
+#[repr(transparent)]
+struct ShareCell<T>(UnsafeCell<T>);
+
+// SAFETY: a ShareCell is shared across the scoped worker team, which
+// accesses disjoint cells within a pass and joins between passes;
+// T itself crosses threads by value, so `T: Send` suffices.
+unsafe impl<T: Send> Sync for ShareCell<T> {}
+
+impl<T: Copy> ShareCell<T> {
+    /// View an exclusive slice as shared cells. The returned slice
+    /// borrows `slice`, so the exclusive borrow stays frozen (no safe
+    /// access can alias it) for the cells' lifetime.
+    fn slice_from_mut(slice: &mut [T]) -> &[ShareCell<T>] {
+        let ptr: *mut [T] = slice;
+        // SAFETY: ShareCell<T> is repr(transparent) over UnsafeCell<T>,
+        // which is repr(transparent) over T — identical layout; lifetime
+        // and length carried over from the input borrow.
+        unsafe { &*(ptr as *const [ShareCell<T>]) }
+    }
+}
+
+/// Read cell `i` without a bounds check — the hot-loop accessor. Bounds
+/// checks inside the lane loops block LLVM's vectorizer, and every index
+/// here is derived from a domain partition that is in range by
+/// construction.
+///
+/// # Safety
+///
+/// `i < cells.len()` and no concurrent write to cell `i`.
+#[inline(always)]
+unsafe fn cell_get<T: Copy>(cells: &[ShareCell<T>], i: usize) -> T {
+    debug_assert!(i < cells.len());
+    // SAFETY: forwarded from caller.
+    unsafe { *cells.get_unchecked(i).0.get() }
+}
+
+/// Write cell `i` without a bounds check (see [`cell_get`]).
+///
+/// # Safety
+///
+/// `i < cells.len()` and no concurrent access to cell `i`.
+#[inline(always)]
+unsafe fn cell_set<T: Copy>(cells: &[ShareCell<T>], i: usize, value: T) {
+    debug_assert!(i < cells.len());
+    // SAFETY: forwarded from caller.
+    unsafe { *cells.get_unchecked(i).0.get() = value }
+}
+
+/// Map pair index `p` to the lower index of its pair by inserting a 0 at
+/// the position of `bit`: the upper index is `expand1(p, bit) | bit`.
+/// Injective from `0..n/2` onto the bit-clear indices, ascending in `p`.
+#[inline]
+fn expand1(p: usize, bit: usize) -> usize {
+    let low = p & (bit - 1);
+    ((p - low) << 1) | low
+}
+
+/// Define an ISA-dispatched pair of clones for a hot loop: `$name`
+/// probes the CPU (a cached atomic load) and jumps to `$avx2`, a copy of
+/// `$imp` compiled with AVX2 enabled, when the host offers it.
+///
+/// The build targets baseline x86-64 (SSE2), so without this the
+/// autovectorizer can never emit 256-bit lanes no matter how the loops
+/// are shaped. `#[target_feature]` recompiles just these loops — plus
+/// everything `#[inline(always)]`-ed into them (the register helpers and
+/// cell accessors) — for the wider ISA. Packed AVX2 adds/muls are the
+/// same IEEE-754 operations as their scalar forms and rustc never
+/// licenses FMA contraction, so both clones produce bit-identical
+/// amplitudes: the dispatch is a pure wall-clock choice.
+macro_rules! isa_dispatch {
+    ($name:ident / $avx2:ident => $imp:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn $avx2($($arg: $ty),*) {
+            // SAFETY: forwarded from caller (AVX2 presence checked there).
+            unsafe { $imp($($arg),*) }
+        }
+
+        /// ISA-dispatched wrapper; see [`isa_dispatch`]. The safety
+        /// contract is the wrapped `_impl` loop's.
+        unsafe fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: feature just detected; rest forwarded.
+                return unsafe { $avx2($($arg),*) };
+            }
+            // SAFETY: forwarded from caller.
+            unsafe { $imp($($arg),*) }
+        }
+    };
+}
 
 /// Amplitudes per register block of the flush and `Mat1` passes (four
 /// AVX2 registers of two complexes each).
@@ -490,9 +672,9 @@ unsafe fn mat1_chunks_impl(
     }
 }
 
-/// Run `body` over `domain` indices split across a scoped team exactly
-/// as [`SvExec::run_stream`](crate::SvExec::run_stream) splits a
-/// kernel: one contiguous chunk per worker, disjoint, no atomics.
+/// Run `body` over `domain` indices split across a scoped team: one
+/// contiguous chunk per worker, disjoint, no atomics; returns when every
+/// worker has.
 fn team_pass(workers: usize, domain: usize, body: impl Fn(Range<usize>) + Sync) {
     let workers = workers.min(domain).max(1);
     run_team(workers, |w| {
@@ -847,5 +1029,46 @@ mod tests {
             state.run([Kernel::X(0), Kernel::Reset(1)]),
             Err(SimError::Unsupported { .. })
         ));
+    }
+
+    #[test]
+    fn expand1_enumerates_bit_clear_indices() {
+        for q in 0..4usize {
+            let bit = 1 << q;
+            let indices: Vec<usize> = (0..8).map(|p| expand1(p, bit)).collect();
+            let expected: Vec<usize> = (0..16).filter(|i| i & bit == 0).collect();
+            assert_eq!(indices, expected, "qubit {q}");
+        }
+    }
+
+    #[test]
+    fn auto_threads_bypass_team_for_small_states() {
+        // A team is spawned per pass, so auto grants a worker per
+        // MIN_WORK_PER_THREAD amplitudes, not per amplitude x kernel:
+        // one worker through 21 qubits, a team from 22 (where it first
+        // paid when measured), and never more than the caller's budget.
+        let cores = ExecConfig::default().effective_threads(usize::MAX);
+        let auto = SvExec::auto();
+        assert_eq!(auto.workers_for(1 << 6, usize::MAX), 1);
+        assert_eq!(auto.workers_for(1 << 20, usize::MAX), 1);
+        assert_eq!(auto.workers_for(1 << 21, usize::MAX), 1);
+        if cores >= 2 {
+            assert!(auto.workers_for(1 << 22, usize::MAX) >= 2);
+        }
+        assert!(auto.workers_for(1 << 24, usize::MAX) <= cores);
+        assert_eq!(auto.workers_for(1 << 22, 1), 1);
+        // Explicit counts are honored whatever the budget, capped only
+        // by the pair count.
+        assert_eq!(auto.with_threads(3).workers_for(1 << 6, 1), 3);
+        assert_eq!(auto.with_threads(3).workers_for(8, usize::MAX), 3);
+        assert_eq!(auto.with_threads(64).workers_for(8, usize::MAX), 4);
+    }
+
+    #[test]
+    fn block_for_is_one_chunk_per_worker() {
+        assert_eq!(block_for(32, 4), 8);
+        assert_eq!(block_for(30, 4), 8);
+        assert_eq!(block_for(2, 7), 1);
+        assert_eq!(block_for(0, 3), 1); // never 0
     }
 }

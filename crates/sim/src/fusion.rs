@@ -56,9 +56,8 @@ pub enum Kernel {
 }
 
 /// Apply the 2×2 unitary `m` to an amplitude pair `(a0, a1)` = (bit
-/// clear, bit set) — the one `Mat1` element expression, shared by the
-/// eager loops in [`crate::kernels`] and the sparse backend so every
-/// path performs literally the arithmetic of the oracle's
+/// clear, bit set) — the one `Mat1` element expression outside the
+/// oracle, so the sparse backend performs literally the arithmetic of
 /// `Statevector::apply_1q`.
 #[inline(always)]
 pub(crate) fn mat1_apply(m: &[[Complex; 2]; 2], a0: Complex, a1: Complex) -> (Complex, Complex) {
@@ -207,7 +206,7 @@ impl CompiledCircuit {
     ///
     /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
     pub fn execute_with(&self, exec: &SvExec) -> Result<Statevector, SimError> {
-        let workers = exec.workers_for(self.kernels.len(), 1usize << self.num_qubits.min(63));
+        let workers = exec.workers_for(1usize << self.num_qubits.min(63), usize::MAX);
         let mut state = FrameState::zero_in(self.num_qubits, Vec::new(), workers)?;
         state.run(&self.kernels)?;
         Ok(state.into_statevector())

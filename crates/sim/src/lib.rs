@@ -29,7 +29,6 @@ mod counts;
 mod equivalence;
 mod frame;
 pub mod fusion;
-mod kernels;
 mod noisy;
 mod statevector;
 
@@ -41,7 +40,7 @@ pub use complex::Complex;
 pub use equivalence::equivalent_unitaries;
 pub use counts::Counts;
 pub use fusion::CompiledCircuit;
-pub use kernels::{SvExec, LANES};
+pub use frame::SvExec;
 pub use noisy::{
     clbit_distribution, clifford_pos_circuit, measurement_map, probability_of_success,
     qft_pos_circuit, used_clbit_width, NoisySimulator, DENSE_DISTRIBUTION_MAX_WIDTH,

@@ -34,9 +34,9 @@
 //!   injected X errors update an index map and move no data, diagonal
 //!   runs (and injected Z errors) are applied many-per-pass, and only
 //!   `Mat1` kernels, injected Y errors and the final probability gather
-//!   touch the `2^n` array. Decoherence and reset trajectories stay on
-//!   the eager per-kernel path ([`SvExec::run_stream`]): they read
-//!   `probability_one`, a sum in canonical index order, between gates.
+//!   touch the `2^n` array. Decoherence and reset trajectories run on
+//!   [`Statevector`]'s appliers: they read `probability_one`, a sum in
+//!   canonical index order, between gates.
 //! - **Noiseless-prefix reuse**: every trajectory evolves identically to
 //!   the ideal circuit until its first error event, so the ideal evolution
 //!   is snapshotted every few instructions (`PrefixCheckpoints`, frame
@@ -85,12 +85,13 @@ pub struct NoisySimulator {
     /// draws from its own RNG, seeded by SplitMix64 from
     /// `(seed, trajectory index)`.
     pub threads: usize,
-    /// Statevector kernel execution policy (amplitude-block workers) for
-    /// the shared ideal evolution and the trajectory replays. With auto
-    /// threads (the default), the core budget is split with the
-    /// trajectory fan-out, so a wide circuit at `trajectories = 1`
-    /// saturates the machine through amplitude blocks while a
-    /// many-trajectory run keeps the outer fan-out. Counts are
+    /// Frame-executor policy (amplitude-block workers) for the shared
+    /// ideal evolution and the trajectory replays; decoherence and reset
+    /// trajectories run on [`Statevector`]'s appliers, one core each,
+    /// and do not read it. With auto threads (the default), the core
+    /// budget is split with the trajectory fan-out, so a wide circuit at
+    /// `trajectories = 1` saturates the machine through amplitude blocks
+    /// while a many-trajectory run keeps the outer fan-out. Counts are
     /// bit-identical at every setting (see [`SvExec`]).
     pub sv: SvExec,
     /// Simulation backend selection: [`BackendChoice::Auto`] (default)
@@ -190,13 +191,8 @@ struct ShotSampler {
 
 impl ShotSampler {
     /// Rebuild the tables for a new state, reusing both allocations.
-    /// The probability fill dispatches across the `sv` block team
-    /// ([`SvExec::probabilities_into`]); each probability is the same
-    /// single `norm_sqr` expression as
-    /// [`Statevector::probabilities_into`], so the tables are
-    /// bit-identical at every policy.
-    fn rebuild_with(&mut self, state: &Statevector, sv: &SvExec) {
-        sv.probabilities_into(state, &mut self.cdf);
+    fn rebuild_with(&mut self, state: &Statevector) {
+        state.probabilities_into(&mut self.cdf);
         self.finish_tables();
     }
 
@@ -339,7 +335,7 @@ impl NoisySimulator {
         self
     }
 
-    /// Set the statevector kernel execution policy (block workers);
+    /// Set the frame-executor policy (block workers);
     /// returns the modified simulator for chaining. The result of
     /// [`NoisySimulator::run`] does not depend on this value.
     #[must_use]
@@ -354,23 +350,6 @@ impl NoisySimulator {
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Resolve the statevector policy for this run: explicit `sv.threads`
-    /// is honored verbatim; auto (`0`) resolves to the work-aware team
-    /// size for this state width and kernel count, capped by `budget` —
-    /// the share of the machine left over by the trajectory fan-out.
-    /// Pinning the resolved count keeps every stream of the run on the
-    /// same team size.
-    fn resolve_sv(&self, num_qubits: usize, num_kernels: usize, budget: usize) -> SvExec {
-        let mut sv = self.sv;
-        if sv.threads == 0 {
-            let pairs = (1usize << num_qubits) / 2;
-            let work_per_pair = (num_kernels.max(1) as u64) * 2;
-            let auto = ExecConfig::default().effective_threads_for_work(pairs.max(1), work_per_pair);
-            sv.threads = auto.min(budget).max(1);
-        }
-        sv
     }
 
     /// Execute `circuit` for `shots` shots under the noise described by
@@ -458,20 +437,19 @@ impl NoisySimulator {
             .effective_threads_for_work(trajectories, work_per_traj);
         let exec = ExecConfig::with_threads(traj_workers);
 
-        // The statevector block teams split the core budget with the
-        // trajectory fan-out: the shared ideal build runs before the
+        // The frame executor's block teams split the core budget with
+        // the trajectory fan-out: the shared ideal build runs before the
         // fan-out and gets the whole machine; per-trajectory replays get
         // the remainder, so trajectories = 1 on a wide state saturates
         // every core through amplitude blocks without oversubscribing
         // the many-trajectory case.
         let cores = ExecConfig::default().effective_threads(usize::MAX);
-        let sv_shared = self.resolve_sv(num_qubits, steps.len(), cores);
-        let sv = self.resolve_sv(num_qubits, steps.len(), (cores / traj_workers.max(1)).max(1));
+        let n_amps = 1usize << num_qubits;
+        let shared_team = self.sv.workers_for(n_amps, cores);
+        let replay_team = self.sv.workers_for(n_amps, (cores / traj_workers).max(1));
 
-        let team = |sv: &SvExec| sv.workers_for(steps.len(), 1 << num_qubits);
         let shared = if skip_ahead {
-            let (prefix, mut ideal) =
-                PrefixCheckpoints::build(num_qubits, &steps, team(&sv_shared))?;
+            let (prefix, mut ideal) = PrefixCheckpoints::build(num_qubits, &steps, shared_team)?;
             let mut sampler = ShotSampler::default();
             sampler.rebuild_from_frame(&mut ideal);
             Some((prefix, sampler))
@@ -519,9 +497,9 @@ impl NoisySimulator {
                     let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
                         Some((applied, snapshot)) => (
                             applied,
-                            FrameState::restore_in(num_qubits, buf, snapshot, team(&sv)),
+                            FrameState::restore_in(num_qubits, buf, snapshot, replay_team),
                         ),
-                        None => (0, FrameState::zero_in(num_qubits, buf, team(&sv))?),
+                        None => (0, FrameState::zero_in(num_qubits, buf, replay_team)?),
                     };
                     let kernels = |range: std::ops::Range<usize>| {
                         steps[range].iter().map(|step| &step.kernel)
@@ -548,8 +526,8 @@ impl NoisySimulator {
                 // Decoherence or reset: the full per-gate stochastic path.
                 let buf = scratch.pool.acquire(0, Complex::ZERO);
                 let mut state = Statevector::zero_in(num_qubits, buf)?;
-                self.apply_steps(&steps, &mut state, &mut rng, &sv)?;
-                scratch.sampler.rebuild_with(&state, &sv);
+                self.apply_steps(&steps, &mut state, &mut rng)?;
+                scratch.sampler.rebuild_with(&state);
                 scratch.pool.release(state.into_amps());
                 Ok(sample_shots(
                     &scratch.sampler,
@@ -656,23 +634,16 @@ impl NoisySimulator {
     }
 
     /// Run one full noisy trajectory over the pre-decoded step stream —
-    /// draw-for-draw identical to [`NoisySimulator::run_trajectory`].
-    /// Unitary kernels stream through the `sv` block team one at a time
-    /// (the RNG draws interleave between gates, so longer segments can't
-    /// batch); resets keep the sequential projective-measurement path.
+    /// draw-for-draw identical to [`NoisySimulator::run_trajectory`], on
+    /// the same [`Statevector`] appliers.
     fn apply_steps(
         &self,
         steps: &[TrajStep],
         state: &mut Statevector,
         rng: &mut StdRng,
-        sv: &SvExec,
     ) -> Result<(), SimError> {
         for step in steps {
-            if matches!(step.kernel, Kernel::Reset(_)) {
-                state.apply_kernel_with_rng(&step.kernel, rng)?;
-            } else {
-                sv.run_stream(state, std::slice::from_ref(&step.kernel))?;
-            }
+            state.apply_kernel_with_rng(&step.kernel, rng)?;
             if !step.eligible {
                 continue;
             }
@@ -1362,19 +1333,22 @@ mod tests {
     #[test]
     fn optimized_path_matches_reference_with_decoherence() {
         // Decoherence disables skip-ahead; the step-stream path must still
-        // be draw-for-draw identical to the instruction walk.
-        let c = qft_pos_circuit(4);
-        let snap = noisy_snapshot(4, 1.5);
-        let sim = NoisySimulator {
-            trajectories: 12,
-            seed: 23,
-            ..NoisySimulator::default()
-        }
-        .with_decoherence();
-        let reference = sim.with_threads(1).run_reference(&c, &snap, 1024).unwrap();
-        for threads in [1, 4] {
-            let optimized = sim.with_threads(threads).run(&c, &snap, 1024).unwrap();
-            assert_eq!(reference, optimized, "decoherence path diverged");
+        // be draw-for-draw identical to the instruction walk, at the
+        // paper's width and at one well past it.
+        for n in [4, 10] {
+            let c = qft_pos_circuit(n);
+            let snap = noisy_snapshot(n, 1.5);
+            let sim = NoisySimulator {
+                trajectories: 12,
+                seed: 23,
+                ..NoisySimulator::default()
+            }
+            .with_decoherence();
+            let reference = sim.with_threads(1).run_reference(&c, &snap, 1024).unwrap();
+            for threads in [1, 4] {
+                let optimized = sim.with_threads(threads).run(&c, &snap, 1024).unwrap();
+                assert_eq!(reference, optimized, "decoherence path diverged at {n}q");
+            }
         }
     }
 
@@ -1382,18 +1356,33 @@ mod tests {
     fn optimized_path_matches_reference_with_reset() {
         // Mid-circuit reset draws from the state: skip-ahead must stand
         // down and still match the reference bit-for-bit.
-        let mut c = Circuit::with_clbits(3, 3);
-        c.h(0).cx(0, 1).apply(Gate::Reset, &[1]).h(1).cx(1, 2);
-        c.measure_all();
-        let snap = noisy_snapshot(3, 2.0);
-        let sim = NoisySimulator {
-            trajectories: 8,
-            seed: 31,
-            ..NoisySimulator::default()
-        };
-        let reference = sim.run_reference(&c, &snap, 512).unwrap();
-        let optimized = sim.run(&c, &snap, 512).unwrap();
-        assert_eq!(reference, optimized, "reset path diverged");
+        let mut narrow = Circuit::with_clbits(3, 3);
+        narrow.h(0).cx(0, 1).apply(Gate::Reset, &[1]).h(1).cx(1, 2);
+        // Ten qubits: the reset qubit is entangled with the whole
+        // register both times it collapses.
+        let mut wide = Circuit::with_clbits(10, 10);
+        wide.h(0);
+        for q in 1..10 {
+            wide.cx(0, q);
+        }
+        wide.apply(Gate::Reset, &[4]).h(4);
+        for q in 0..10 {
+            wide.ry(0.3 + q as f64, q).cx(q, (q + 1) % 10);
+        }
+        wide.apply(Gate::Reset, &[4]);
+        for mut c in [narrow, wide] {
+            c.measure_all();
+            let n = c.num_qubits();
+            let snap = noisy_snapshot(n, 2.0);
+            let sim = NoisySimulator {
+                trajectories: 8,
+                seed: 31,
+                ..NoisySimulator::default()
+            };
+            let reference = sim.run_reference(&c, &snap, 512).unwrap();
+            let optimized = sim.run(&c, &snap, 512).unwrap();
+            assert_eq!(reference, optimized, "reset path diverged at {n}q");
+        }
     }
 
     #[test]
@@ -1406,7 +1395,7 @@ mod tests {
         for (name, state) in [("spread", &spread), ("concentrated", &concentrated)] {
             let reference = CdfSampler::of(state);
             let mut fast = ShotSampler::default();
-            fast.rebuild_with(state, &SvExec::auto());
+            fast.rebuild_with(state);
             let mut rng_a = StdRng::seed_from_u64(41);
             let mut rng_b = StdRng::seed_from_u64(41);
             for draw in 0..20_000 {

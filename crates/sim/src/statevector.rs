@@ -131,36 +131,6 @@ impl Statevector {
         })
     }
 
-    /// A state restored from snapshotted amplitudes into a caller-provided
-    /// buffer (see [`qcs_exec::BufferPool`]). `amps.len()` must be
-    /// `2^num_qubits`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TooManyQubits`] beyond [`DENSE_MAX_QUBITS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amps.len() != 2^num_qubits`.
-    pub fn restore_in(
-        num_qubits: usize,
-        mut buf: Vec<Complex>,
-        amps: &[Complex],
-    ) -> Result<Self, SimError> {
-        if num_qubits > DENSE_MAX_QUBITS {
-            return Err(SimError::TooManyQubits {
-                requested: num_qubits,
-            });
-        }
-        assert_eq!(amps.len(), 1 << num_qubits, "snapshot width mismatch");
-        buf.clear();
-        buf.extend_from_slice(amps);
-        Ok(Statevector {
-            num_qubits,
-            amps: buf,
-        })
-    }
-
     /// A state over amplitudes already in canonical order (the frame
     /// executor's materialising gather).
     pub(crate) fn from_amps(num_qubits: usize, amps: Vec<Complex>) -> Self {
@@ -256,12 +226,6 @@ impl Statevector {
     /// see [`Statevector::apply_with_rng`]).
     pub fn apply(&mut self, inst: &Instruction) -> Result<(), SimError> {
         self.apply_kernel(&instruction_kernel(inst))
-    }
-
-    /// Raw amplitude access for the block-parallel loops in
-    /// [`crate::kernels`]; every mutation must preserve normalization.
-    pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
-        &mut self.amps
     }
 
     /// Apply an arbitrary 2x2 unitary `[[a, b], [c, d]]` to qubit `q`.

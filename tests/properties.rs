@@ -329,16 +329,14 @@ proptest! {
     }
 
     #[test]
-    fn fused_execution_matches_unfused(circuit in arb_circuit()) {
-        // (The name is from the sweep-fusion pass this test was written
-        // for, deleted in PR 15.) Compiling a circuit and running it
-        // through the frame executor, whose final gather is the only
-        // fused read left, must not change a single amplitude bit
-        // against instruction-by-instruction application.
+    fn compiled_execution_matches_instruction_walk(circuit in arb_circuit()) {
+        // Compiling a circuit and running it through the frame executor
+        // must not change a single amplitude bit against
+        // instruction-by-instruction application.
         use qcs::sim::{CompiledCircuit, SvExec};
-        let unfused = Statevector::from_circuit(&circuit).unwrap();
-        let fused = CompiledCircuit::compile(&circuit).execute_with(&SvExec::auto()).unwrap();
-        prop_assert_eq!(unfused.amps(), fused.amps());
+        let walked = Statevector::from_circuit(&circuit).unwrap();
+        let compiled = CompiledCircuit::compile(&circuit).execute_with(&SvExec::auto()).unwrap();
+        prop_assert_eq!(walked.amps(), compiled.amps());
     }
 
     #[test]
