@@ -85,6 +85,24 @@ bash benchmark/run.sh --quick
 # cannot pass.
 bash benchmark/run.sh --workload sim_fleet --seed 2021 --seconds 3 --trace 0
 
+# Manifest gate: every Cargo.toml declares exactly the crates its sources
+# use, so `cargo tree` is the architecture (DESIGN.md §2: the job trip
+# never links the compiler or the simulator, the simulator never links the
+# compiler). Own target dir so the flag does not invalidate the main
+# build; qcs-bench is excluded because its binaries, not its lib, use its
+# dependencies. grep without -q reads all of cargo's output (no SIGPIPE
+# under pipefail) and prints the offending line.
+RUSTFLAGS="-D unused-crate-dependencies" CARGO_TARGET_DIR=target/lint \
+    cargo check --offline --workspace --exclude qcs-bench --lib
+for edge in "qcs-gateway qcs-transpiler" "qcs-gateway qcs-circuit" \
+    "qcs-sim qcs-transpiler" "qcs-sim qcs-machine" "qcs-cloud qcs-circuit"; do
+    read -r crate forbidden <<<"$edge"
+    if cargo tree --offline -p "$crate" -e normal | grep "$forbidden"; then
+        echo "ci.sh: $crate must not depend on $forbidden" >&2
+        exit 1
+    fi
+done
+
 cargo clippy --all-targets -- -D warnings
 
 # The simulation and transpilation hot paths carry the bit-reproducibility

@@ -23,7 +23,7 @@ fn main() {
     let mut csv_rows = Vec::new();
     for name in ["casablanca", "toronto", "manhattan"] {
         let machine = fleet.get(name).expect("machine exists");
-        let rows = stale_compilation_cost_with(&exec, 1, machine, 4, 30, 4096, 7, &cache)
+        let rows = stale_compilation_cost_with(&exec, machine, 4, 30, 4096, 7, &cache)
             .expect("experiment runs");
         let mean = |f: &dyn Fn(&qcs::experiments::StalenessRow) -> f64| {
             rows.iter().map(f).sum::<f64>() / rows.len() as f64

@@ -32,4 +32,7 @@ mod snapshot;
 
 pub use profile::NoiseProfile;
 pub use schedule::CalibrationSchedule;
-pub use snapshot::{CalibrationSnapshot, EdgeCalibration, QubitCalibration};
+pub use snapshot::{
+    CalibrationSnapshot, EdgeCalibration, QubitCalibration, DEFAULT_CX_NS, MEASURE_NS, RESET_NS,
+    SINGLE_QUBIT_NS,
+};

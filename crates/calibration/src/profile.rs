@@ -58,7 +58,7 @@ impl Default for NoiseProfile {
             mean_readout_error: 2.5e-2,
             mean_t1_us: 85.0,
             mean_t2_us: 75.0,
-            mean_cx_duration_ns: 350.0,
+            mean_cx_duration_ns: crate::DEFAULT_CX_NS,
             spatial_cov_coherence: 0.35,
             spatial_cov_cx: 0.75,
             temporal_cov: 0.35,

@@ -27,6 +27,21 @@ pub struct EdgeCalibration {
     pub cx_duration_ns: f64,
 }
 
+/// Single-qubit pulse gates (`sx`, `x`, and parametric rotations when not
+/// basis-translated), nanoseconds. `rz` is virtual and takes no time.
+///
+/// These four constants are the fleet's pulse-duration policy: the
+/// transpiler's scheduler, the simulator's decoherence windows and
+/// [`crate::NoiseProfile`]'s default CX mean all read them here.
+pub const SINGLE_QUBIT_NS: f64 = 35.0;
+/// CX duration where an edge carries no calibration, and the device-mean
+/// CX duration of the default [`crate::NoiseProfile`], nanoseconds.
+pub const DEFAULT_CX_NS: f64 = 350.0;
+/// Reset duration, nanoseconds.
+pub const RESET_NS: f64 = 1000.0;
+/// Readout (measurement) duration, nanoseconds.
+pub const MEASURE_NS: f64 = 4000.0;
+
 /// The full calibration state of a machine at one calibration cycle.
 ///
 /// Obtained from [`crate::NoiseProfile::snapshot`]; queried by the

@@ -2,8 +2,9 @@
 //!
 //! [`layers`] computes an ASAP (as-soon-as-possible) layering: each
 //! instruction is assigned the earliest time-step at which all of its
-//! operand qubits are free. The transpiler's scheduling pass and the
-//! execution-duration model both consume this.
+//! operand qubits are free. The ASCII renderer ([`crate::draw`]) places
+//! its columns from it; the transpiler's scheduler keeps its own
+//! duration-weighted per-qubit clock.
 
 use crate::{Circuit, Instruction};
 

@@ -132,11 +132,6 @@ impl SimulationResult {
         self.records.iter().filter(|r| r.is_study)
     }
 
-    /// Records for one machine, lazily.
-    pub fn records_for_machine(&self, machine: usize) -> impl Iterator<Item = &JobRecord> + '_ {
-        self.records.iter().filter(move |r| r.machine == machine)
-    }
-
     /// Fraction of jobs with each outcome: `(completed, errored,
     /// cancelled)` over the whole population.
     #[must_use]
@@ -451,8 +446,9 @@ mod tests {
         let jobs = vec![job(0, 1, 0.0), job(1, 1, 1.0)];
         let result = sim().run(jobs);
         assert_eq!(result.study_records().count(), 1);
-        assert_eq!(result.records_for_machine(1).count(), 2);
-        assert_eq!(result.records_for_machine(5).count(), 0);
+        let on_machine = |m| result.records.iter().filter(|r| r.machine == m).count();
+        assert_eq!(on_machine(1), 2);
+        assert_eq!(on_machine(5), 0);
     }
 
     #[test]

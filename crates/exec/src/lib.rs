@@ -416,94 +416,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A free-list of reusable `Vec<T>` buffers for hot loops that would
-/// otherwise allocate a fresh vector per item (e.g. one `2^n`-amplitude
-/// statevector per noisy trajectory).
-///
-/// The pool itself is not synchronized: give each worker its own pool via
-/// the `init` hook of [`parallel_map_with`], which makes every buffer
-/// thread-local by construction.
-///
-/// # Examples
-///
-/// ```
-/// use qcs_exec::BufferPool;
-///
-/// let mut pool: BufferPool<u64> = BufferPool::new();
-/// let buf = pool.acquire(8, 0);
-/// assert_eq!(buf.len(), 8);
-/// pool.release(buf);
-/// let again = pool.acquire(4, 7);
-/// assert_eq!(again, vec![7; 4]);
-/// assert_eq!(pool.reuses(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct BufferPool<T> {
-    free: Vec<Vec<T>>,
-    reuses: usize,
-    allocations: usize,
-}
-
-impl<T: Clone> BufferPool<T> {
-    /// An empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        BufferPool {
-            free: Vec::new(),
-            reuses: 0,
-            allocations: 0,
-        }
-    }
-
-    /// Take a buffer of exactly `len` elements, every element set to
-    /// `fill`. Reuses the *smallest capacity-compatible* free buffer
-    /// (capacity ≥ `len`, so the resize never reallocates); when no free
-    /// buffer fits, allocates fresh rather than stealing an undersized
-    /// allocation that the resize would immediately throw away — mixed
-    /// buffer sizes (full statevectors next to per-block scratch) then
-    /// each reuse their own allocation class.
-    pub fn acquire(&mut self, len: usize, fill: T) -> Vec<T> {
-        let mut best: Option<(usize, usize)> = None; // (free index, capacity)
-        for (i, buf) in self.free.iter().enumerate() {
-            let cap = buf.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((i, cap));
-            }
-        }
-        match best {
-            Some((i, _)) => {
-                let mut buf = self.free.swap_remove(i);
-                self.reuses += 1;
-                buf.clear();
-                buf.resize(len, fill);
-                buf
-            }
-            None => {
-                self.allocations += 1;
-                vec![fill; len]
-            }
-        }
-    }
-
-    /// Return a buffer's allocation to the pool for a later
-    /// [`acquire`](BufferPool::acquire).
-    pub fn release(&mut self, buf: Vec<T>) {
-        self.free.push(buf);
-    }
-
-    /// How many acquisitions were served from the free list.
-    #[must_use]
-    pub fn reuses(&self) -> usize {
-        self.reuses
-    }
-
-    /// How many acquisitions had to allocate.
-    #[must_use]
-    pub fn allocations(&self) -> usize {
-        self.allocations
-    }
-}
-
 /// SplitMix64 finalizer: a fast, well-scrambled 64-bit mixing function.
 ///
 /// Used to derive statistically independent per-item RNG seeds from a
@@ -824,86 +736,6 @@ mod tests {
         drop(pool);
         for (i, value) in mapped.iter().enumerate() {
             assert_eq!(*value, (i as u64) * 1000 + i as u64);
-        }
-    }
-
-    #[test]
-    fn buffer_pool_reuses_allocations() {
-        let mut pool: BufferPool<f64> = BufferPool::new();
-        let a = pool.acquire(16, 0.0);
-        let ptr = a.as_ptr();
-        pool.release(a);
-        let b = pool.acquire(10, 1.0); // smaller: reuse without realloc
-        assert_eq!(b.as_ptr(), ptr, "allocation not reused");
-        assert_eq!(b, vec![1.0; 10]);
-        assert_eq!(pool.reuses(), 1);
-        assert_eq!(pool.allocations(), 1);
-    }
-
-    #[test]
-    fn buffer_pool_clears_stale_contents() {
-        let mut pool: BufferPool<u32> = BufferPool::new();
-        let mut a = pool.acquire(4, 9);
-        a[2] = 42;
-        pool.release(a);
-        let b = pool.acquire(6, 0);
-        assert_eq!(b, vec![0; 6], "stale contents leaked through");
-    }
-
-    #[test]
-    fn buffer_pool_prefers_smallest_fitting_capacity() {
-        let mut pool: BufferPool<f64> = BufferPool::new();
-        let small = pool.acquire(4, 0.0);
-        let medium = pool.acquire(8, 0.0);
-        let large = pool.acquire(16, 0.0);
-        let medium_ptr = medium.as_ptr();
-        pool.release(small);
-        pool.release(large);
-        pool.release(medium);
-        // len 6 fits both the 8- and 16-capacity buffers: best fit is 8.
-        let buf = pool.acquire(6, 1.0);
-        assert_eq!(buf.as_ptr(), medium_ptr, "did not pick the best fit");
-        assert_eq!(pool.reuses(), 1);
-        assert_eq!(pool.allocations(), 3);
-    }
-
-    #[test]
-    fn buffer_pool_does_not_steal_undersized_buffers() {
-        let mut pool: BufferPool<u64> = BufferPool::new();
-        let small = pool.acquire(4, 0);
-        pool.release(small);
-        // Nothing fits len 32: allocate fresh, keep the small buffer free.
-        let big = pool.acquire(32, 0);
-        assert_eq!(pool.reuses(), 0);
-        assert_eq!(pool.allocations(), 2);
-        pool.release(big);
-        // Both allocation classes now reuse independently.
-        let again_small = pool.acquire(3, 0);
-        let again_big = pool.acquire(20, 0);
-        assert!(again_small.capacity() < 32);
-        assert!(again_big.capacity() >= 32);
-        assert_eq!(pool.reuses(), 2);
-        assert_eq!(pool.allocations(), 2);
-    }
-
-    #[test]
-    fn buffer_pool_as_worker_scratch() {
-        // One pool per worker: after the warm-up item, every further item a
-        // worker processes reuses its buffer.
-        let items: Vec<usize> = (0..64).collect();
-        let sums = parallel_map_with(
-            &ExecConfig::with_threads(4),
-            &items,
-            BufferPool::<u64>::new,
-            |pool, _, &x| {
-                let buf = pool.acquire(32, x as u64);
-                let sum: u64 = buf.iter().sum();
-                pool.release(buf);
-                sum
-            },
-        );
-        for (x, sum) in items.iter().zip(&sums) {
-            assert_eq!(*sum, 32 * *x as u64);
         }
     }
 

@@ -1,7 +1,5 @@
 //! Gateway counters, snapshotted by the `METRICS` request.
 
-use qcs_cloud::JobOutcome;
-
 use crate::fault::FaultKind;
 use crate::retry::RetryStats;
 
@@ -56,16 +54,6 @@ pub struct GatewayMetrics {
 }
 
 impl GatewayMetrics {
-    /// Record a terminal job record's outcome.
-    pub fn observe_finished(&mut self, outcome: JobOutcome) {
-        let slot = match outcome {
-            JobOutcome::Completed => 0,
-            JobOutcome::Errored => 1,
-            JobOutcome::Cancelled => 2,
-        };
-        self.finished[slot] = self.finished[slot].saturating_add(1);
-    }
-
     /// Record one injected fault.
     pub fn note_fault(&mut self, kind: FaultKind) {
         let slot = kind.index();
@@ -129,13 +117,12 @@ mod tests {
 
     #[test]
     fn pairs_are_ordered_and_complete() {
-        let mut metrics = GatewayMetrics {
+        let metrics = GatewayMetrics {
             submitted: 5,
             accepted: 3,
+            finished: [1, 0, 1],
             ..GatewayMetrics::default()
         };
-        metrics.observe_finished(JobOutcome::Completed);
-        metrics.observe_finished(JobOutcome::Cancelled);
         let pairs = metrics.pairs();
         assert_eq!(pairs[0], ("submitted".to_string(), "5".to_string()));
         assert_eq!(pairs[1], ("accepted".to_string(), "3".to_string()));
@@ -170,19 +157,16 @@ mod tests {
     #[test]
     fn counters_saturate_instead_of_wrapping() {
         let mut metrics = GatewayMetrics {
-            finished: [u64::MAX, 0, 0],
             client_retries: u64::MAX,
             ..GatewayMetrics::default()
         };
         metrics.faults_injected[FaultKind::PanicHandler.index()] = u64::MAX;
-        metrics.observe_finished(JobOutcome::Completed);
         metrics.note_fault(FaultKind::PanicHandler);
         metrics.absorb_client(RetryStats {
             retries: u64::MAX,
             giveups: 2,
         });
-        assert_eq!(metrics.finished[0], u64::MAX, "pinned, not wrapped");
-        assert_eq!(metrics.injected_panics(), u64::MAX);
+        assert_eq!(metrics.injected_panics(), u64::MAX, "pinned, not wrapped");
         assert_eq!(metrics.client_retries, u64::MAX);
         assert_eq!(metrics.client_giveups, 2);
     }

@@ -46,8 +46,6 @@ use qcs_exec::WorkerPool;
 use qcs_machine::{Fleet, Machine};
 use qcs_predictor::{OnlinePredictor, PredictError};
 
-use qcs_transpiler::TranspileCache;
-
 use crate::error::{ErrorCode, ProtocolError};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::metrics::GatewayMetrics;
@@ -176,7 +174,6 @@ struct State {
     buckets: Vec<TokenBucket>,
     metrics: GatewayMetrics,
     max_pending: usize,
-    transpile_cache: Arc<TranspileCache>,
     /// The online queue-wait predictor. Behind its own mutex (not just
     /// the state lock) because the [`LiveCloud`] record tap — which runs
     /// while the state lock is held — and each connection's refit — which
@@ -364,12 +361,6 @@ impl State {
             }
             Request::Metrics => {
                 let mut pairs = self.metrics.pairs();
-                let cache = self.transpile_cache.stats();
-                pairs.push(("transpile_cache_hits".to_string(), cache.hits.to_string()));
-                pairs.push((
-                    "transpile_cache_misses".to_string(),
-                    cache.misses.to_string(),
-                ));
                 pairs.push((
                     "sim_time_s".to_string(),
                     format!("{:.3}", self.cloud.now_s()),
@@ -411,7 +402,6 @@ pub struct Gateway {
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     panics: Arc<AtomicUsize>,
-    transpile_cache: Arc<TranspileCache>,
 }
 
 impl Gateway {
@@ -426,24 +416,6 @@ impl Gateway {
         config: GatewayConfig,
     ) -> std::io::Result<Gateway> {
         Gateway::start_with_faults(fleet, cloud_config, config, FaultPlan::none())
-    }
-
-    /// Like [`start`](Gateway::start), but sharing a caller-owned
-    /// [`TranspileCache`]: the study pipeline compiling against this fleet
-    /// hands its cache in, and the `METRICS` reply's
-    /// `transpile_cache_hits` / `transpile_cache_misses` then report the
-    /// same counters the study observes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn start_with_cache(
-        fleet: Fleet,
-        cloud_config: CloudConfig,
-        config: GatewayConfig,
-        cache: Arc<TranspileCache>,
-    ) -> std::io::Result<Gateway> {
-        Gateway::start_inner(fleet, cloud_config, config, FaultPlan::none(), cache)
     }
 
     /// Bind a loopback port and start serving under a fault-injection
@@ -464,22 +436,6 @@ impl Gateway {
         cloud_config: CloudConfig,
         config: GatewayConfig,
         faults: FaultPlan,
-    ) -> std::io::Result<Gateway> {
-        Gateway::start_inner(
-            fleet,
-            cloud_config,
-            config,
-            faults,
-            Arc::new(TranspileCache::new()),
-        )
-    }
-
-    fn start_inner(
-        fleet: Fleet,
-        cloud_config: CloudConfig,
-        config: GatewayConfig,
-        faults: FaultPlan,
-        cache: Arc<TranspileCache>,
     ) -> std::io::Result<Gateway> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
@@ -506,7 +462,6 @@ impl Gateway {
                 .collect(),
             metrics: GatewayMetrics::default(),
             max_pending: config.max_pending_per_machine,
-            transpile_cache: Arc::clone(&cache),
             online: Arc::clone(&online),
         }));
         let clock = Arc::new(SimClock {
@@ -556,16 +511,7 @@ impl Gateway {
             shutdown,
             accept_handle: Some(accept_handle),
             panics,
-            transpile_cache: cache,
         })
-    }
-
-    /// The transpile cache whose hit/miss counters the `METRICS` reply
-    /// reports. Shared (not a snapshot): transpiles routed through this
-    /// handle show up in subsequent `METRICS` replies.
-    #[must_use]
-    pub fn transpile_cache(&self) -> &Arc<TranspileCache> {
-        &self.transpile_cache
     }
 
     /// The bound loopback address clients should connect to.
@@ -1070,55 +1016,41 @@ mod tests {
     }
 
     #[test]
-    fn metrics_reports_shared_transpile_cache_counters() {
-        let cache = Arc::new(TranspileCache::new());
-        let gateway = Gateway::start_with_cache(
-            Fleet::ibm_like(),
-            CloudConfig::default(),
-            GatewayConfig {
-                time_compression: 0.0,
-                ..GatewayConfig::default()
-            },
-            Arc::clone(&cache),
-        )
-        .expect("bind loopback");
-        assert!(Arc::ptr_eq(gateway.transpile_cache(), &cache));
-
+    fn metrics_reply_key_list_is_pinned() {
+        let gateway = frozen(GatewayConfig::default());
         let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
-        let get = |pairs: &[(String, String)], k: &str| {
-            pairs
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("METRICS reply missing {k}"))
-        };
-
-        let cold = client.metrics().unwrap();
-        assert_eq!(get(&cold, "transpile_cache_hits"), "0");
-        assert_eq!(get(&cold, "transpile_cache_misses"), "0");
-
-        // A study pipeline compiling against this fleet through the shared
-        // handle: 20 identical circuits dedupe to one compilation.
-        let fleet = Fleet::ibm_like();
-        let machine = fleet
-            .machines()
-            .iter()
-            .find(|m| m.topology().num_qubits() >= 5)
-            .expect("fleet has a 5q+ machine");
-        let target = qcs_transpiler::Target::from_machine(machine, 0.0);
-        let circuits = vec![qcs_circuit::library::ghz(3); 20];
-        qcs_transpiler::transpile_batch_cached(
-            &circuits,
-            &target,
-            qcs_transpiler::TranspileOptions::default(),
-            &qcs_exec::ExecConfig::sequential(),
-            &cache,
-        )
-        .unwrap();
-
-        let warm = client.metrics().unwrap();
-        assert_eq!(get(&warm, "transpile_cache_hits"), "19");
-        assert_eq!(get(&warm, "transpile_cache_misses"), "1");
+        let pairs = client.metrics().unwrap();
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        // The wire surface of `METRICS`, in reply order: the gateway's
+        // counters, the live clock, then the online predictor's gauges.
+        assert_eq!(
+            keys,
+            [
+                "submitted",
+                "accepted",
+                "rejected_rate",
+                "rejected_backpressure",
+                "rejected_invalid",
+                "cancelled_via_api",
+                "completed",
+                "errored",
+                "cancelled",
+                "connections",
+                "protocol_errors",
+                "reaped_idle",
+                "faults_injected",
+                "injected_panics",
+                "client_retries",
+                "client_giveups",
+                "predictions_served",
+                "sim_time_s",
+                "predictor_observed",
+                "predictor_mae_min",
+                "predictor_band_coverage",
+                "predictor_refits",
+                "predictor_rows_since_refit",
+            ]
+        );
         client.quit().unwrap();
         let (_, _) = gateway.shutdown_and_drain();
     }
@@ -1164,7 +1096,6 @@ mod tests {
                 .collect(),
             metrics: GatewayMetrics::default(),
             max_pending: 256,
-            transpile_cache: Arc::new(TranspileCache::new()),
             online,
         };
         let predict = Request::parse("PREDICT 1 10 1024").expect("parses");

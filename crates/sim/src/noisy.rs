@@ -44,18 +44,18 @@
 //!   checkpointed prefix at or before its first event — a `memcpy` —
 //!   instead of recomputing it, then replays only the remainder with its
 //!   recorded Pauli injections.
-//! - **Buffer pooling**: eventful trajectories build their statevector
-//!   inside a per-worker [`qcs_exec::BufferPool`] buffer instead of a
-//!   fresh `2^n` allocation each.
+//! - **Buffer reuse**: eventful trajectories build their statevector
+//!   inside their worker's one scratch buffer instead of a fresh `2^n`
+//!   allocation each.
 //! - **Integer shot loop**: readout errors are pre-scaled to exact integer
 //!   thresholds on the raw 53-bit uniform draw and basis states come from
 //!   a guide-table-accelerated CDF search (`ShotSampler`), resolving
 //!   every draw to the exact outcome the reference float comparisons and
 //!   binary search produce while doing a fraction of the work per shot.
 
-use qcs_calibration::CalibrationSnapshot;
+use qcs_calibration::{CalibrationSnapshot, DEFAULT_CX_NS, SINGLE_QUBIT_NS};
 use qcs_circuit::{Circuit, Gate, Instruction, Qubit};
-use qcs_exec::{BufferPool, ExecConfig};
+use qcs_exec::ExecConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -135,19 +135,13 @@ pub(crate) struct TrajStep {
 }
 
 /// Per-worker scratch of the trajectory loop: a reusable sampling table
-/// and a statevector buffer pool, both thread-local by construction.
+/// and the amplitude buffer the worker's one live trajectory state is
+/// built in (taken out for the trajectory, put back after), both
+/// thread-local by construction.
+#[derive(Default)]
 struct Scratch {
     sampler: ShotSampler,
-    pool: BufferPool<Complex>,
-}
-
-impl Scratch {
-    fn new() -> Self {
-        Scratch {
-            sampler: ShotSampler::default(),
-            pool: BufferPool::new(),
-        }
-    }
+    amps: Vec<Complex>,
 }
 
 /// A measurement-map entry with the readout error pre-scaled by
@@ -461,7 +455,7 @@ impl NoisySimulator {
         let partials = qcs_exec::parallel_map_with(
             &exec,
             &indices,
-            Scratch::new,
+            Scratch::default,
             |scratch, _, &t| -> Result<Counts, SimError> {
                 let traj_shots = base + usize::from(t < extra);
                 let seed = qcs_exec::derive_seed(self.seed, t as u64);
@@ -493,7 +487,7 @@ impl NoisySimulator {
                     // Restore the shared noiseless prefix nearest the
                     // first event and replay only the remainder, injecting
                     // the recorded Pauli words at their steps.
-                    let buf = scratch.pool.acquire(0, Complex::ZERO);
+                    let buf = std::mem::take(&mut scratch.amps);
                     let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
                         Some((applied, snapshot)) => (
                             applied,
@@ -513,7 +507,7 @@ impl NoisySimulator {
                     }
                     state.run(kernels(next..steps.len()))?;
                     scratch.sampler.rebuild_from_frame(&mut state);
-                    scratch.pool.release(state.into_amps());
+                    scratch.amps = state.into_amps();
                     return Ok(sample_shots(
                         &scratch.sampler,
                         &mut rng,
@@ -524,11 +518,11 @@ impl NoisySimulator {
                 }
 
                 // Decoherence or reset: the full per-gate stochastic path.
-                let buf = scratch.pool.acquire(0, Complex::ZERO);
+                let buf = std::mem::take(&mut scratch.amps);
                 let mut state = Statevector::zero_in(num_qubits, buf)?;
                 self.apply_steps(&steps, &mut state, &mut rng)?;
                 scratch.sampler.rebuild_with(&state);
-                scratch.pool.release(state.into_amps());
+                scratch.amps = state.into_amps();
                 Ok(sample_shots(
                     &scratch.sampler,
                     &mut rng,
@@ -807,24 +801,22 @@ pub(crate) fn merge_partials(
     Ok(counts)
 }
 
-/// Nominal duration of an instruction for decoherence purposes, ns
-/// (mirrors the transpiler's duration model).
+/// Nominal duration of a noise-eligible instruction (unitary, not a
+/// directive, not `Id` — both callers check) for decoherence purposes, ns:
+/// the same pulse-duration policy the transpiler schedules with.
 fn gate_duration_ns(inst: &Instruction, snapshot: &CalibrationSnapshot) -> f64 {
-    if inst.gate == Gate::Measure {
-        return 4000.0;
-    }
     if inst.gate.is_two_qubit() {
         let (a, b) = (inst.qubits[0].index(), inst.qubits[1].index());
-        let base = snapshot.edge(a, b).map_or(350.0, |e| e.cx_duration_ns);
+        let base = snapshot.edge(a, b).map_or(DEFAULT_CX_NS, |e| e.cx_duration_ns);
         if inst.gate == Gate::Swap {
             return 3.0 * base;
         }
         return base;
     }
-    if matches!(inst.gate, Gate::Rz(_) | Gate::Id) {
-        return 0.0; // virtual / no pulse
+    if matches!(inst.gate, Gate::Rz(_)) {
+        return 0.0; // virtual Z
     }
-    35.0
+    SINGLE_QUBIT_NS
 }
 
 /// One T1/T2 trajectory step on qubit `q` over `duration_ns` — the
@@ -1307,7 +1299,7 @@ mod tests {
     #[test]
     fn optimized_path_matches_reference_bit_for_bit() {
         // The load-bearing regression: pre-decoded kernels + skip-ahead +
-        // buffer pooling must not change a single observable bit vs the
+        // buffer reuse must not change a single observable bit vs the
         // pre-optimization path, at several noise scales and thread counts.
         let c = qft_pos_circuit(5);
         for scale in [0.01, 0.3, 1.0, 4.0] {

@@ -108,8 +108,8 @@ impl Statevector {
     }
 
     /// The all-zeros state built inside a caller-provided buffer, reusing
-    /// its allocation (see [`qcs_exec::BufferPool`]) — the zero-allocation
-    /// variant of [`Statevector::zero`] for trajectory loops. The buffer is
+    /// its allocation — the zero-allocation variant of
+    /// [`Statevector::zero`] for trajectory loops. The buffer is
     /// resized and overwritten; reclaim it afterwards with
     /// [`Statevector::into_amps`].
     ///

@@ -17,17 +17,17 @@
 //!
 //! Keys are two independently-seeded 64-bit FxHash-style digests over that
 //! material; a collision requires both 64-bit streams to collide at once.
-//! The cache is sharded (key-bits pick the shard) so parallel study
-//! fan-out threads rarely contend on one lock, and hit/miss counters are
-//! lock-free atomics surfaced through study stats and the gateway
-//! `METRICS` reply.
+//! The table is one `Mutex<HashMap>`: the key is digested before the lock
+//! is taken and the pipeline runs with no lock held, so the critical
+//! section is a lookup plus an `Arc::clone`. Hit/miss counters are
+//! lock-free atomics read through [`TranspileCache::stats`].
 //!
 //! Failures are *not* cached: an `Err` from the pipeline is returned but
 //! never memoized, so a later call with the same key re-runs the passes.
 //!
 //! Concurrent misses on the same key are *coalesced*: the first caller
 //! marks the key in-flight and runs the pipeline; later callers park on
-//! the shard's condvar and wake as hits. This both avoids duplicate
+//! the cache's condvar and wake as hits. This both avoids duplicate
 //! compilations and makes the hit/miss counters schedule-independent —
 //! a fan-out over the same calendar of calibrations reports the same
 //! counters at any thread count, which the `extension_stale_compilation`
@@ -118,11 +118,6 @@ impl TranspileKey {
         hash_options(&mut h, options);
         h.finish()
     }
-
-    /// Which of `shards` this key maps to.
-    fn shard(&self, shards: usize) -> usize {
-        (self.hi as usize) % shards
-    }
 }
 
 fn hash_circuit(h: &mut FxStream, circuit: &Circuit) {
@@ -189,7 +184,7 @@ fn hash_options(h: &mut FxStream, options: &TranspileOptions) {
 /// Point-in-time hit/miss statistics of a [`TranspileCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (including batch-internal dedupe).
+    /// Lookups answered from the cache (including coalesced waiters).
     pub hits: u64,
     /// Lookups that ran the full pass pipeline.
     pub misses: u64,
@@ -208,44 +203,37 @@ impl CacheStats {
     }
 }
 
-const NUM_SHARDS: usize = 16;
-
-/// A sharded, thread-safe memo table from [`TranspileKey`] to finished
-/// [`TranspileResult`]s.
+/// A thread-safe, single-flight memo table from [`TranspileKey`] to
+/// finished [`TranspileResult`]s.
 ///
-/// Cloneable by `Arc` — share one handle between a study fan-out and the
-/// gateway so `METRICS` reflects the same counters the study observed.
+/// Share one `&TranspileCache` (or `Arc`) across a study fan-out so every
+/// worker sees the same entries and counters.
 ///
 /// # Examples
 ///
 /// ```
 /// use qcs_topology::families;
-/// use qcs_transpiler::{transpile_batch_cached, Target, TranspileCache, TranspileOptions};
+/// use qcs_transpiler::{Target, TranspileCache, TranspileOptions};
 /// use qcs_circuit::library;
 ///
 /// let target = Target::uniform("m", families::line(4), 7);
 /// let cache = TranspileCache::new();
-/// let circuits = vec![library::ghz(3); 10];
-/// let exec = qcs_exec::ExecConfig::sequential();
-/// let results = transpile_batch_cached(&circuits, &target, TranspileOptions::default(), &exec, &cache)?;
-/// assert_eq!(results.len(), 10);
+/// for _ in 0..10 {
+///     cache.transpile(&library::ghz(3), &target, TranspileOptions::default())?;
+/// }
 /// assert_eq!(cache.stats().misses, 1);
 /// assert_eq!(cache.stats().hits, 9);
 /// # Ok::<(), qcs_transpiler::TranspileError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct TranspileCache {
-    shards: [Shard; NUM_SHARDS],
+    map: Mutex<HashMap<TranspileKey, Slot>>,
+    /// Parks callers waiting on an in-flight compilation. One condvar for
+    /// every key: a finishing key also wakes other keys' waiters, which
+    /// re-check their own slot and park again.
+    ready: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// One lock-striped slice of the memo table; the condvar parks callers
-/// waiting on an in-flight compilation of a key in this shard.
-#[derive(Debug, Default)]
-struct Shard {
-    map: Mutex<HashMap<TranspileKey, Slot>>,
-    ready: Condvar,
 }
 
 /// State of one memoized key: finished, or being compiled right now by
@@ -261,33 +249,6 @@ impl TranspileCache {
     #[must_use]
     pub fn new() -> Self {
         TranspileCache::default()
-    }
-
-    /// Look up a finished result by key, counting a hit on success.
-    ///
-    /// An in-flight compilation counts as absent — this path never waits.
-    /// Does not count a miss on failure — the dedupe-first batch path
-    /// classifies hits and misses up front, and [`Self::transpile`]
-    /// accounts for the single-call path.
-    #[must_use]
-    pub fn get(&self, key: &TranspileKey) -> Option<Arc<TranspileResult>> {
-        let shard = &self.shards[key.shard(NUM_SHARDS)];
-        let map = shard.map.lock().expect("cache shard poisoned");
-        match map.get(key) {
-            Some(Slot::Ready(result)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(result))
-            }
-            _ => None,
-        }
-    }
-
-    /// Insert a finished result under a key, waking any coalesced waiters.
-    pub fn insert(&self, key: TranspileKey, result: Arc<TranspileResult>) {
-        let shard = &self.shards[key.shard(NUM_SHARDS)];
-        let mut map = shard.map.lock().expect("cache shard poisoned");
-        map.insert(key, Slot::Ready(result));
-        shard.ready.notify_all();
     }
 
     /// Transpile through the cache: return the memoized result when the
@@ -311,8 +272,7 @@ impl TranspileCache {
         options: TranspileOptions,
     ) -> Result<Arc<TranspileResult>, TranspileError> {
         let key = TranspileKey::of(circuit, target, &options);
-        let shard = &self.shards[key.shard(NUM_SHARDS)];
-        let mut map = shard.map.lock().expect("cache shard poisoned");
+        let mut map = self.map.lock().expect("cache poisoned");
         loop {
             match map.get(&key) {
                 Some(Slot::Ready(result)) => {
@@ -320,7 +280,7 @@ impl TranspileCache {
                     return Ok(Arc::clone(result));
                 }
                 Some(Slot::InFlight) => {
-                    map = shard.ready.wait(map).expect("cache shard poisoned");
+                    map = self.ready.wait(map).expect("cache poisoned");
                 }
                 None => {
                     map.insert(key, Slot::InFlight);
@@ -332,7 +292,7 @@ impl TranspileCache {
 
         self.misses.fetch_add(1, Ordering::Relaxed);
         let outcome = crate::transpile::transpile(circuit, target, options);
-        let mut map = shard.map.lock().expect("cache shard poisoned");
+        let mut map = self.map.lock().expect("cache poisoned");
         let ret = match outcome {
             Ok(result) => {
                 let result = Arc::new(result);
@@ -345,36 +305,20 @@ impl TranspileCache {
             }
         };
         drop(map);
-        shard.ready.notify_all();
+        self.ready.notify_all();
         ret
-    }
-
-    /// Record `n` batch-internal dedupe hits (duplicates of a key seen
-    /// earlier in the same batch count as hits even on a cold cache).
-    pub(crate) fn count_hits(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` misses that the batch path is about to transpile.
-    pub(crate) fn count_misses(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Number of distinct keys currently memoized (in-flight keys are not
     /// counted — they hold no result yet).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.map
-                    .lock()
-                    .expect("cache shard poisoned")
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.map
+            .lock()
+            .expect("cache poisoned")
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(_)))
+            .count()
     }
 
     /// Whether the cache holds no entries.
@@ -396,13 +340,10 @@ impl TranspileCache {
     /// preserved — a compilation in progress still completes and wakes
     /// its waiters).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .map
-                .lock()
-                .expect("cache shard poisoned")
-                .retain(|_, slot| matches!(slot, Slot::InFlight));
-        }
+        self.map
+            .lock()
+            .expect("cache poisoned")
+            .retain(|_, slot| matches!(slot, Slot::InFlight));
     }
 }
 
@@ -539,6 +480,81 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, CALLERS as u64 - 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Run `f(worker)` on `callers` threads released together by a barrier.
+    fn race<R: Send>(callers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let barrier = std::sync::Barrier::new(callers);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers)
+                .map(|worker| {
+                    let (barrier, f) = (&barrier, &f);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        f(worker)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_lookups_over_several_keys_share_one_condvar() {
+        // One condvar serves every key: a finishing key wakes other keys'
+        // waiters too, and they must re-check their own slot and park again.
+        let t = target();
+        let cache = TranspileCache::new();
+        let circuits: Vec<_> = (3..7).map(library::qft).collect();
+        let opts = TranspileOptions::default();
+        const THREADS: usize = 8;
+        const LOOKUPS: usize = 32;
+
+        // Worker `w`'s lookup `i` is key `(w + i) % 4`.
+        let per_thread: Vec<Vec<Arc<TranspileResult>>> = race(THREADS, |worker| {
+            (0..LOOKUPS)
+                .map(|i| {
+                    let circuit = &circuits[(worker + i) % circuits.len()];
+                    cache.transpile(circuit, &t, opts).expect("transpile")
+                })
+                .collect()
+        });
+
+        let stats = cache.stats();
+        assert_eq!(stats.misses, circuits.len() as u64);
+        assert_eq!(stats.hits, (THREADS * LOOKUPS - circuits.len()) as u64);
+        assert_eq!(cache.len(), circuits.len());
+        for (worker, results) in per_thread.iter().enumerate() {
+            for (i, r) in results.iter().enumerate() {
+                // Worker 0's lookup `k < 4` is key `k`: the reference allocation.
+                let key = (worker + i) % circuits.len();
+                assert!(
+                    Arc::ptr_eq(&per_thread[0][key], r),
+                    "key {key} has one result"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn failing_leader_releases_parked_waiters() {
+        let narrow = Target::uniform("toy", families::line(2), 3);
+        let cache = TranspileCache::new();
+        let wide = library::ghz(5);
+        let opts = TranspileOptions::default();
+        const CALLERS: usize = 8;
+
+        let outcomes = race(CALLERS, |_| cache.transpile(&wide, &narrow, opts));
+
+        // Whoever led removed its marker and woke the rest; each waiter
+        // then retried as its own leader and failed the same way.
+        assert!(outcomes.iter().all(Result::is_err));
+        assert!(cache.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, CALLERS as u64));
     }
 
     #[test]

@@ -40,10 +40,8 @@ pub use cache::{CacheStats, TranspileCache, TranspileKey};
 pub use error::TranspileError;
 pub use layout::Layout;
 pub use routing::{RoutingResult, SabreOptions};
-pub use schedule::{DurationModel, ScheduledCircuit};
-pub use schedule::{schedule_alap, schedule_asap};
+pub use schedule::{schedule_asap, ScheduledCircuit};
 pub use target::Target;
 pub use transpile::{
-    transpile, transpile_batch, transpile_batch_cached, LayoutMethod, PassTimings, RoutingMethod,
-    TranspileOptions, TranspileResult,
+    transpile, LayoutMethod, PassTimings, RoutingMethod, TranspileOptions, TranspileResult,
 };

@@ -4,36 +4,13 @@
 //! Durations follow superconducting-hardware conventions: `rz` is virtual
 //! (zero duration, implemented as a frame change), `sx`/`x` take a fixed
 //! pulse length, `cx` duration comes from the edge calibration, and
-//! measurement is the long readout operation.
+//! measurement is the long readout operation. The fixed lengths are
+//! `qcs-calibration`'s pulse-duration constants, shared with the simulator.
 
+use qcs_calibration::{DEFAULT_CX_NS, MEASURE_NS, RESET_NS, SINGLE_QUBIT_NS};
 use qcs_circuit::{Circuit, Gate};
 
 use crate::Target;
-
-/// Duration constants for non-CX operations, nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DurationModel {
-    /// Single-qubit pulse gates (sx, x, and parametric rotations when not
-    /// basis-translated).
-    pub single_qubit_ns: f64,
-    /// Readout duration.
-    pub measure_ns: f64,
-    /// Reset duration.
-    pub reset_ns: f64,
-    /// Fallback CX duration when the target lacks edge calibration.
-    pub default_cx_ns: f64,
-}
-
-impl Default for DurationModel {
-    fn default() -> Self {
-        DurationModel {
-            single_qubit_ns: 35.0,
-            measure_ns: 4000.0,
-            reset_ns: 1000.0,
-            default_cx_ns: 350.0,
-        }
-    }
-}
 
 /// An ASAP-scheduled circuit: per-instruction start times plus the total
 /// single-shot duration.
@@ -56,17 +33,17 @@ impl ScheduledCircuit {
 
 /// Duration of a single instruction on the target, nanoseconds.
 #[must_use]
-pub fn instruction_duration_ns(gate: &Gate, qubits: &[usize], target: &Target, model: &DurationModel) -> f64 {
+pub fn instruction_duration_ns(gate: &Gate, qubits: &[usize], target: &Target) -> f64 {
     match gate {
         Gate::Barrier | Gate::Id => 0.0,
         Gate::Rz(_) => 0.0, // virtual Z
-        Gate::Measure => model.measure_ns,
-        Gate::Reset => model.reset_ns,
+        Gate::Measure => MEASURE_NS,
+        Gate::Reset => RESET_NS,
         g if g.is_two_qubit() => {
             let base = target
                 .snapshot()
                 .edge(qubits[0], qubits[1])
-                .map_or(model.default_cx_ns, |e| e.cx_duration_ns);
+                .map_or(DEFAULT_CX_NS, |e| e.cx_duration_ns);
             // A swap is three CX pulses back-to-back.
             if *g == Gate::Swap {
                 3.0 * base
@@ -74,27 +51,17 @@ pub fn instruction_duration_ns(gate: &Gate, qubits: &[usize], target: &Target, m
                 base
             }
         }
-        _ => model.single_qubit_ns,
+        _ => SINGLE_QUBIT_NS,
     }
 }
 
-/// ASAP-schedule `circuit` on `target` with the default duration model.
-#[must_use]
-pub fn schedule_asap(circuit: &Circuit, target: &Target) -> ScheduledCircuit {
-    schedule_asap_with(circuit, target, &DurationModel::default())
-}
-
-/// ASAP-schedule with an explicit duration model.
+/// ASAP-schedule `circuit` on `target`.
 ///
 /// # Panics
 ///
 /// Panics if the circuit is wider than the target.
 #[must_use]
-pub fn schedule_asap_with(
-    circuit: &Circuit,
-    target: &Target,
-    model: &DurationModel,
-) -> ScheduledCircuit {
+pub fn schedule_asap(circuit: &Circuit, target: &Target) -> ScheduledCircuit {
     assert!(
         circuit.num_qubits() <= target.num_qubits(),
         "circuit wider than target"
@@ -108,7 +75,7 @@ pub fn schedule_asap_with(
             .iter()
             .map(|&q| qubit_free[q])
             .fold(0.0f64, f64::max);
-        let dur = instruction_duration_ns(&inst.gate, &qs, target, model);
+        let dur = instruction_duration_ns(&inst.gate, &qs, target);
         let end = start + dur;
         for &q in &qs {
             qubit_free[q] = end;
@@ -119,55 +86,6 @@ pub fn schedule_asap_with(
     ScheduledCircuit {
         start_times_ns: starts,
         duration_ns: total,
-    }
-}
-
-/// ALAP-schedule `circuit` on `target` with the default duration model:
-/// every instruction starts as *late* as possible without extending the
-/// ASAP makespan. Idle time is pushed to the front of each wire, which
-/// minimizes the decoherence window between a qubit's last gate and its
-/// measurement (the reason hardware schedulers prefer ALAP).
-#[must_use]
-pub fn schedule_alap(circuit: &Circuit, target: &Target) -> ScheduledCircuit {
-    schedule_alap_with(circuit, target, &DurationModel::default())
-}
-
-/// ALAP-schedule with an explicit duration model.
-///
-/// # Panics
-///
-/// Panics if the circuit is wider than the target.
-#[must_use]
-pub fn schedule_alap_with(
-    circuit: &Circuit,
-    target: &Target,
-    model: &DurationModel,
-) -> ScheduledCircuit {
-    assert!(
-        circuit.num_qubits() <= target.num_qubits(),
-        "circuit wider than target"
-    );
-    let asap = schedule_asap_with(circuit, target, model);
-    let makespan = asap.duration_ns;
-    // Walk backwards: each instruction ends as late as its qubits allow.
-    let mut qubit_busy_from = vec![makespan; circuit.num_qubits().max(1)];
-    let mut starts = vec![0.0f64; circuit.instructions().len()];
-    for (idx, inst) in circuit.instructions().iter().enumerate().rev() {
-        let qs: Vec<usize> = inst.qubits.iter().map(|q| q.index()).collect();
-        let end = qs
-            .iter()
-            .map(|&q| qubit_busy_from[q])
-            .fold(makespan, f64::min);
-        let dur = instruction_duration_ns(&inst.gate, &qs, target, model);
-        let start = end - dur;
-        for &q in &qs {
-            qubit_busy_from[q] = start;
-        }
-        starts[idx] = start;
-    }
-    ScheduledCircuit {
-        start_times_ns: starts,
-        duration_ns: makespan,
     }
 }
 
@@ -229,44 +147,6 @@ mod tests {
         let s = schedule_asap(&c, &target());
         assert!(s.duration_ns > 4000.0);
         assert!(s.duration_us() > 4.0);
-    }
-
-    #[test]
-    fn alap_matches_asap_makespan() {
-        let mut c = Circuit::new(3);
-        c.x(0).cx(0, 1).x(2).measure_all();
-        let t = target();
-        let asap = schedule_asap(&c, &t);
-        let alap = schedule_alap(&c, &t);
-        assert!((asap.duration_ns - alap.duration_ns).abs() < 1e-9);
-        // Every ALAP start is at or after its ASAP start.
-        for (a, l) in asap.start_times_ns.iter().zip(&alap.start_times_ns) {
-            assert!(l >= a, "alap {l} before asap {a}");
-        }
-    }
-
-    #[test]
-    fn alap_delays_isolated_gates() {
-        // x(2) has no successors and sits beside a longer CX chain: ASAP
-        // puts it at t=0, ALAP pushes it to the end of the schedule.
-        let mut c = Circuit::new(3);
-        c.x(2).cx(0, 1);
-        let t = target();
-        let asap = schedule_asap(&c, &t);
-        let alap = schedule_alap(&c, &t);
-        assert_eq!(asap.start_times_ns[0], 0.0);
-        assert!((alap.start_times_ns[0] - 265.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn alap_respects_dependencies() {
-        let mut c = Circuit::new(2);
-        c.x(0).cx(0, 1).x(1);
-        let t = target();
-        let alap = schedule_alap(&c, &t);
-        // cx must still start after x(0) finishes and before x(1).
-        assert!(alap.start_times_ns[1] >= alap.start_times_ns[0] + 35.0 - 1e-9);
-        assert!(alap.start_times_ns[2] >= alap.start_times_ns[1] + 300.0 - 1e-9);
     }
 
     #[test]

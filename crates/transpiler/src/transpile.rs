@@ -6,14 +6,11 @@
 //! per pass so the Fig 5 experiment measures *our actual algorithms*, not a
 //! model.
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qcs_circuit::{Circuit, CircuitMetrics};
 
 use crate::basis::translate_to_basis;
-use crate::cache::{TranspileCache, TranspileKey};
 use crate::layout::{dense_layout, noise_aware_layout, trivial_layout, Layout};
 use crate::optimize::optimize;
 use crate::routing::{naive_route, sabre_route_with, SabreOptions};
@@ -219,101 +216,6 @@ pub fn transpile(
     })
 }
 
-/// Compile a batch of circuits for the same target on a bounded worker
-/// pool ([`qcs_exec::ExecConfig`]), returning results in input order.
-///
-/// Every compilation is independent and internally deterministic, so the
-/// output is identical to calling [`transpile`] in a sequential loop —
-/// at any thread count. This is the study pipeline's per-circuit fan-out
-/// primitive (the paper's workloads transpile hundreds of thousands of
-/// circuits; Fig 5 shows compilation dominating at scale).
-///
-/// Duplicate circuits in the batch are detected by content address and
-/// compiled once ([`TranspileCache`]); the batch owns a private cache, so
-/// behaviour is self-contained — use [`transpile_batch_cached`] to share a
-/// cache across batches (the study fan-out and gateway do).
-///
-/// # Errors
-///
-/// Returns the [`TranspileError`] of the lowest-indexed failing circuit,
-/// exactly as the sequential loop would.
-pub fn transpile_batch(
-    circuits: &[Circuit],
-    target: &Target,
-    options: TranspileOptions,
-    exec: &qcs_exec::ExecConfig,
-) -> Result<Vec<TranspileResult>, TranspileError> {
-    let cache = TranspileCache::new();
-    transpile_batch_cached(circuits, target, options, exec, &cache)
-}
-
-/// [`transpile_batch`] against a caller-owned [`TranspileCache`].
-///
-/// Dedupe-first: every circuit's [`TranspileKey`] is computed up front;
-/// keys already memoized — or seen earlier in this batch — are hits, and
-/// only the unique new keys run the pass pipeline (in parallel on `exec`).
-/// Results are assembled per input index by cloning the shared memoized
-/// value, so the output is bit-identical to a sequential [`transpile`]
-/// loop regardless of cache temperature or thread count.
-///
-/// # Errors
-///
-/// Returns the [`TranspileError`] of the lowest-indexed failing circuit,
-/// exactly as the sequential loop would. Failures are not cached.
-pub fn transpile_batch_cached(
-    circuits: &[Circuit],
-    target: &Target,
-    options: TranspileOptions,
-    exec: &qcs_exec::ExecConfig,
-    cache: &TranspileCache,
-) -> Result<Vec<TranspileResult>, TranspileError> {
-    let keys: Vec<TranspileKey> = circuits
-        .iter()
-        .map(|c| TranspileKey::of(c, target, &options))
-        .collect();
-
-    // Classify: each key is resolved (already memoized), or pending with
-    // the first input index that carries it. Later duplicates of a pending
-    // key are batch-internal hits.
-    let mut resolved: HashMap<TranspileKey, Arc<TranspileResult>> = HashMap::new();
-    let mut pending_index: HashMap<TranspileKey, usize> = HashMap::new();
-    let mut pending: Vec<usize> = Vec::new();
-    let mut hits = 0u64;
-    for (i, key) in keys.iter().enumerate() {
-        if resolved.contains_key(key) {
-            hits += 1;
-        } else if let Some(found) = cache.get(key) {
-            // `get` counted this hit.
-            resolved.insert(*key, found);
-        } else if pending_index.contains_key(key) {
-            hits += 1;
-        } else {
-            pending_index.insert(*key, i);
-            pending.push(i);
-        }
-    }
-    cache.count_hits(hits);
-    cache.count_misses(pending.len() as u64);
-
-    // Compile each unique new key once, in parallel. try_parallel_map
-    // reports the lowest-indexed error among `pending`, and because
-    // `pending` holds first-occurrence input indices in ascending order,
-    // that is exactly the error a sequential loop over `circuits` would
-    // hit first.
-    let compiled = qcs_exec::try_parallel_map(exec, &pending, |_, &i| {
-        transpile(&circuits[i], target, options).map(|r| (keys[i], Arc::new(r)))
-    })?;
-    for (key, result) in compiled {
-        cache.insert(key, Arc::clone(&result));
-        resolved.insert(key, result);
-    }
-
-    Ok(keys
-        .iter()
-        .map(|key| TranspileResult::clone(&resolved[key]))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,125 +314,5 @@ mod tests {
         .unwrap();
         let sabre = transpile(&c, &target, TranspileOptions::full()).unwrap();
         assert!(sabre.swaps_inserted <= naive.swaps_inserted);
-    }
-
-    #[test]
-    fn batch_matches_sequential_at_any_thread_count() {
-        let fleet = Fleet::ibm_like();
-        let target = Target::from_machine(fleet.get("toronto").unwrap(), 0.0);
-        let circuits: Vec<_> = (2..8).map(library::qft).collect();
-        let sequential: Vec<_> = circuits
-            .iter()
-            .map(|c| transpile(c, &target, TranspileOptions::full()).unwrap())
-            .collect();
-        for threads in [1, 4] {
-            let exec = qcs_exec::ExecConfig::with_threads(threads);
-            let batch =
-                transpile_batch(&circuits, &target, TranspileOptions::full(), &exec).unwrap();
-            assert_eq!(batch.len(), sequential.len());
-            for (b, s) in batch.iter().zip(&sequential) {
-                // Timings are wall-clock and incomparable; everything the
-                // compilation *decided* must be identical.
-                assert_eq!(b.circuit, s.circuit);
-                assert_eq!(b.layout, s.layout);
-                assert_eq!(b.swaps_inserted, s.swaps_inserted);
-                assert_eq!(b.output_metrics, s.output_metrics);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_reports_lowest_index_error() {
-        let target = Target::noiseless("line", families::line(3));
-        let circuits = vec![library::qft(2), library::qft(20), library::qft(25)];
-        let err = transpile_batch(
-            &circuits,
-            &target,
-            TranspileOptions::full(),
-            &qcs_exec::ExecConfig::with_threads(4),
-        )
-        .unwrap_err();
-        // The 20q circuit (index 1) fails first on a 3q target.
-        let sequential_err = transpile(&circuits[1], &target, TranspileOptions::full()).unwrap_err();
-        assert_eq!(err, sequential_err);
-    }
-
-    #[test]
-    fn batch_of_identical_circuits_compiles_once() {
-        let fleet = Fleet::ibm_like();
-        let target = Target::from_machine(fleet.get("casablanca").unwrap(), 0.0);
-        let circuits = vec![library::qft(4); 100];
-        let cache = TranspileCache::new();
-        let exec = qcs_exec::ExecConfig::with_threads(4);
-        let batch =
-            transpile_batch_cached(&circuits, &target, TranspileOptions::full(), &exec, &cache)
-                .unwrap();
-
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "identical circuits share one compilation");
-        assert_eq!(stats.hits, 99);
-        assert!(stats.hit_rate() >= 0.9, "hit rate {}", stats.hit_rate());
-
-        // Every position gets the bit-identical memoized result.
-        let reference = transpile(&circuits[0], &target, TranspileOptions::full()).unwrap();
-        for r in &batch {
-            assert_eq!(r.circuit, reference.circuit);
-            assert_eq!(r.layout, reference.layout);
-            assert_eq!(r.swaps_inserted, reference.swaps_inserted);
-            assert_eq!(r.output_metrics, reference.output_metrics);
-            assert_eq!(r.timings.entries(), batch[0].timings.entries());
-        }
-    }
-
-    #[test]
-    fn warm_cache_answers_whole_batch_without_compiling() {
-        let target = Target::noiseless("line", families::line(6));
-        let circuits: Vec<_> = (2..6).map(library::ghz).collect();
-        let cache = TranspileCache::new();
-        let exec = qcs_exec::ExecConfig::sequential();
-        let cold =
-            transpile_batch_cached(&circuits, &target, TranspileOptions::full(), &exec, &cache)
-                .unwrap();
-        assert_eq!(cache.stats().misses, 4);
-        let warm =
-            transpile_batch_cached(&circuits, &target, TranspileOptions::full(), &exec, &cache)
-                .unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 4, "warm pass compiles nothing");
-        assert_eq!(stats.hits, 4);
-        // Hits are bit-identical to the cold results, timings included.
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.circuit, w.circuit);
-            assert_eq!(c.layout, w.layout);
-            assert_eq!(c.swaps_inserted, w.swaps_inserted);
-            assert_eq!(c.output_metrics, w.output_metrics);
-            assert_eq!(c.timings.entries(), w.timings.entries());
-        }
-    }
-
-    #[test]
-    fn cached_batch_preserves_lowest_index_error() {
-        let target = Target::noiseless("line", families::line(3));
-        // Index 1 and 2 both fail; index 3 duplicates index 1's failure.
-        let circuits = vec![
-            library::qft(2),
-            library::qft(20),
-            library::qft(25),
-            library::qft(20),
-        ];
-        let cache = TranspileCache::new();
-        let err = transpile_batch_cached(
-            &circuits,
-            &target,
-            TranspileOptions::full(),
-            &qcs_exec::ExecConfig::with_threads(4),
-            &cache,
-        )
-        .unwrap_err();
-        let sequential_err = transpile(&circuits[1], &target, TranspileOptions::full()).unwrap_err();
-        assert_eq!(err, sequential_err);
-        // A failing batch memoizes nothing: failures are never cached, and
-        // sibling successes are discarded with the batch.
-        assert!(cache.is_empty());
     }
 }

@@ -14,28 +14,6 @@ use qcs_transpiler::{
     TranspileOptions,
 };
 
-/// Split an env-configured worker budget between an outer fan-out of
-/// `fanout` items and each item's inner trajectory loop: the fan-out owns
-/// the pool, and only the headroom beyond one worker per item goes to the
-/// simulator (`QCS_THREADS=16` over 5 machines → 3 trajectory threads
-/// each). The headroom is then work-gated
-/// ([`ExecConfig::effective_threads_for_work`]): a small benchmark's
-/// trajectories are cheaper than the pool's spawn overhead, so the inner
-/// loop runs inline instead of fanning out (the `threads/{2,4,8}`
-/// regression on the 10-qubit noisy bench). Results never depend on
-/// either count — this is purely a scheduling choice.
-fn sim_threads_for(exec: &ExecConfig, fanout: usize, benchmark_qubits: usize, shots: u32) -> usize {
-    let total = exec.effective_threads(usize::MAX);
-    let budget = (total / fanout.max(1)).max(1);
-    // Per-trajectory work estimate: a QFT-like benchmark has ~n^2 gates,
-    // each touching all 2^n amplitudes.
-    let trajectories = NoisySimulator::default()
-        .trajectories
-        .clamp(1, shots.max(1) as usize);
-    let work = ((benchmark_qubits * benchmark_qubits).max(1) as u64) << benchmark_qubits.min(40);
-    ExecConfig::with_threads(budget).effective_threads_for_work(trajectories, work)
-}
-
 /// One pass-timing row of the Fig 5 experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassTimingRow {
@@ -169,14 +147,11 @@ pub fn fidelity_vs_cx(
     seed: u64,
 ) -> Result<Vec<FidelityRow>, TranspileError> {
     // Worker-pool size from QCS_THREADS (unset = all cores), so the fig*
-    // binaries expose thread control without flag plumbing. Threads beyond
-    // the machine fan-out go to each machine's trajectory loop. Rows do
-    // not depend on either thread count.
+    // binaries expose thread control without flag plumbing. Rows do not
+    // depend on the thread count.
     let exec = ExecConfig::from_env();
-    let sim_threads = sim_threads_for(&exec, machine_names.len(), benchmark_qubits, shots);
     fidelity_vs_cx_with(
         &exec,
-        sim_threads,
         fleet,
         machine_names,
         benchmark_qubits,
@@ -186,13 +161,11 @@ pub fn fidelity_vs_cx(
     )
 }
 
-/// [`fidelity_vs_cx`] with an explicit worker pool and per-machine
-/// trajectory thread count: machines are compiled and simulated
-/// concurrently, and each machine's trajectory loop runs on `sim_threads`
-/// workers (`0` = all cores). Each machine's simulation is seeded
-/// independently of thread scheduling — and the noisy simulator's
-/// trajectory partitioning is thread-count invariant — so the rows are
-/// identical to the sequential run at any `(exec, sim_threads)` pair.
+/// [`fidelity_vs_cx`] with an explicit worker pool: machines are compiled
+/// and simulated concurrently, and each machine's trajectory loop runs
+/// inline on its fan-out worker (the fan-out owns the pool). Each
+/// machine's simulation is seeded independently of thread scheduling, so
+/// the rows are identical to the sequential run at any `exec`.
 ///
 /// # Errors
 ///
@@ -203,10 +176,8 @@ pub fn fidelity_vs_cx(
 ///
 /// Panics if a machine name is unknown or simulation fails (fleet machines
 /// are always simulable at 4 qubits).
-#[allow(clippy::too_many_arguments)]
 pub fn fidelity_vs_cx_with(
     exec: &ExecConfig,
-    sim_threads: usize,
     fleet: &Fleet,
     machine_names: &[&str],
     benchmark_qubits: usize,
@@ -225,11 +196,12 @@ pub fn fidelity_vs_cx_with(
         // machine; simulate just that region.
         let (compact, region) = result.circuit.compacted();
         let region_snapshot = target.snapshot().restricted(&region);
-        // Decoherence on: Fig 7 models real-hardware fidelity, where
-        // readout-window T1 decay matters.
+        // Decoherence on: every gate's duration is charged against its
+        // operands' T1/T2. The readout window itself is not — measurement
+        // never decoheres in the simulator (EXPERIMENTS.md, Fig 7).
         let sim = NoisySimulator::with_seed(seed)
             .with_decoherence()
-            .with_threads(sim_threads);
+            .with_threads(1);
         // Explicit per-machine backend selection, recorded in the row:
         // the dispatcher (not a hard width assert) decides how each
         // machine's benchmark executes.
@@ -408,29 +380,19 @@ pub fn stale_compilation_cost(
     shots: u32,
     seed: u64,
 ) -> Result<Vec<StalenessRow>, TranspileError> {
-    // Worker-pool size from QCS_THREADS (unset = all cores); threads
-    // beyond the day fan-out go to each day's trajectory loop. Rows do
-    // not depend on either thread count.
+    // Worker-pool size from QCS_THREADS (unset = all cores). Rows do not
+    // depend on the thread count.
     let exec = ExecConfig::from_env();
-    let sim_threads = sim_threads_for(&exec, days as usize, benchmark_qubits, shots);
     let cache = TranspileCache::new();
-    stale_compilation_cost_with(
-        &exec,
-        sim_threads,
-        machine,
-        benchmark_qubits,
-        days,
-        shots,
-        seed,
-        &cache,
-    )
+    stale_compilation_cost_with(&exec, machine, benchmark_qubits, days, shots, seed, &cache)
 }
 
-/// [`stale_compilation_cost`] with an explicit worker pool, per-day
-/// trajectory thread count, and a shared [`TranspileCache`]: days are
-/// evaluated concurrently, and each day's two compilations go through the
-/// cache. Day `d` compiles against cycles `d` and `d + 1`, day `d + 1`
-/// against `d + 1` and `d + 2` — every interior cycle is requested twice
+/// [`stale_compilation_cost`] with an explicit worker pool and a shared
+/// [`TranspileCache`]: days are evaluated concurrently (each day's
+/// trajectory loops run inline on its fan-out worker), and each day's two
+/// compilations go through the cache. Day `d` compiles against cycles
+/// `d` and `d + 1`, day `d + 1` against `d + 1` and `d + 2` — every
+/// interior cycle is requested twice
 /// across the experiment, so the cache halves the compile work (read
 /// [`TranspileCache::stats`] afterwards to see it). Each day already
 /// derives its own RNG seed (`seed ^ day`), so the rows are identical to
@@ -445,10 +407,8 @@ pub fn stale_compilation_cost(
 ///
 /// Panics if simulation fails (benchmark circuits always fit the
 /// simulator after compaction).
-#[allow(clippy::too_many_arguments)]
 pub fn stale_compilation_cost_with(
     exec: &ExecConfig,
-    sim_threads: usize,
     machine: &Machine,
     benchmark_qubits: usize,
     days: u64,
@@ -472,7 +432,7 @@ pub fn stale_compilation_cost_with(
             // Execution always sees the *new* calibration.
             let counts = NoisySimulator::with_seed(seed ^ day)
                 .with_decoherence()
-                .with_threads(sim_threads)
+                .with_threads(1)
                 .run(&compact, &exec_snapshot.restricted(&region), shots)
                 .expect("compacted benchmark is simulable");
             pos[slot] = probability_of_success(&counts, 0);
@@ -488,25 +448,6 @@ pub fn stale_compilation_cost_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_threads_bypass_pool_below_work_threshold() {
-        // A 4-qubit benchmark at 2048 shots is far below the pool's
-        // amortization threshold: no matter how many workers the env
-        // grants, the trajectory loop must run inline (this was the
-        // noisy_qft10_traj16 threads/{2,4,8} bench regression).
-        for requested in [2, 4, 8, 16] {
-            let exec = ExecConfig::with_threads(requested);
-            assert_eq!(sim_threads_for(&exec, 1, 4, 2048), 1, "at {requested} workers");
-        }
-        // A wide benchmark clears the threshold: the headroom after the
-        // fan-out split is used, capped by the actual core count.
-        let cores = ExecConfig::default().effective_threads(usize::MAX);
-        let exec = ExecConfig::with_threads(16);
-        assert_eq!(sim_threads_for(&exec, 2, 22, 8192), cores.min(16 / 2));
-        // The fan-out always keeps priority over the inner loop.
-        assert_eq!(sim_threads_for(&exec, 64, 22, 8192), 1);
-    }
 
     #[test]
     fn compile_scaling_small_case() {
@@ -632,7 +573,6 @@ mod tests {
         let names = ["casablanca", "toronto", "manhattan"];
         let seq = fidelity_vs_cx_with(
             &ExecConfig::sequential(),
-            1,
             &fleet,
             &names,
             4,
@@ -641,10 +581,9 @@ mod tests {
             3,
         )
         .unwrap();
-        // Fan-out threads and trajectory threads both vary; rows must not.
+        // Fan-out threads vary; rows must not.
         let par = fidelity_vs_cx_with(
             &ExecConfig::with_threads(4),
-            3,
             &fleet,
             &names,
             4,
@@ -659,7 +598,6 @@ mod tests {
         let cold = TranspileCache::new();
         let seq = stale_compilation_cost_with(
             &ExecConfig::sequential(),
-            1,
             machine,
             4,
             4,
@@ -671,7 +609,6 @@ mod tests {
         let warm = TranspileCache::new();
         let par = stale_compilation_cost_with(
             &ExecConfig::with_threads(4),
-            3,
             machine,
             4,
             4,
@@ -681,10 +618,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seq, par);
+        // Single-flight lookups: the counters are schedule-independent too.
+        assert_eq!(cold.stats(), warm.stats());
         // And a warm cache must not change the rows either.
         let rerun = stale_compilation_cost_with(
             &ExecConfig::with_threads(4),
-            1,
             machine,
             4,
             4,
@@ -704,7 +642,6 @@ mod tests {
         let days = 6u64;
         stale_compilation_cost_with(
             &ExecConfig::sequential(),
-            1,
             machine,
             4,
             days,
