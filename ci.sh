@@ -9,40 +9,38 @@ cargo build --release
 # default-members).
 cargo test -q --workspace
 
-# Invariant gates: the DES must match the brute-force reference simulator
-# record-for-record, and the end-to-end study must pass under the auditor.
-# Both run inside `cargo test -q` too; the explicit invocations keep the
-# gates visible and fail fast with a focused report.
-cargo test -q -p qcs-cloud
-cargo test -q --test properties des_matches_reference
-cargo test -q --test end_to_end_study audit_invariants_hold_on_smoke_study
-
-# Live-core gates: the incremental stepping engine must be bit-identical
-# to the batch run on random traces/disciplines/outages/step schedules,
-# and the gateway loopback smoke test (8 concurrent clients, forced
-# backpressure, graceful drain) must end with a clean audit.
-cargo test -q --test properties live_matches_batch
-cargo test -q --test gateway_smoke
-cargo test -q -p qcs-gateway
-
-# Chaos gate: every fault mode (drops, garbles, truncations, slow-loris
-# writes, handler panics, machine outages) against concurrent clients,
-# with a clean audited drain and bit-identical fault-free replay.
-cargo test -q --test chaos_gateway
-
-# Streaming-equivalence gate: the O(1)-memory streaming sink must match
-# the exact in-memory fold on random traces under any drain schedule
-# (count/mean bit-identical, sketches within documented tolerance).
-cargo test -q --test properties streaming
-
-# DES-structure gates: one engine (heap agendas over the packed
-# (time, seq) key, winner-tree fair share), checked against
-# implementation-independent oracles. `-p qcs-cloud` above already ran
-# the winner tree against the linear scan on the same queue before every
-# pop and the cancel/unschedule metamorphic test; this runs the random
-# step-schedule == batch property, and des_matches_reference (above)
-# matches the engine to the O(n^2) brute force under both record sinks.
-cargo test -q -p qcs-cloud --test properties
+# Gate map: what the line above ran, by the selector that re-runs one gate
+# alone (`cargo test -q <selector>`) for a focused report.
+#
+# -p qcs-cloud; --test properties des_matches_reference; --test
+#   end_to_end_study: the DES matches the O(n^2) brute-force reference
+#   record-for-record under both record sinks (winner tree vs linear scan
+#   before every pop, cancel/unschedule metamorphic test, random
+#   step-schedule == batch), and the end-to-end study passes under the
+#   auditor with Fig 8's smoke values pinned.
+# --test properties live_matches_batch; --test gateway_smoke; -p
+#   qcs-gateway: the incremental stepping engine is bit-identical to the
+#   batch run on random traces/disciplines/outages/step schedules, and the
+#   gateway loopback smoke test (8 concurrent clients, forced backpressure,
+#   graceful drain) ends with a clean audit.
+# --test chaos_gateway: every fault mode (drops, garbles, truncations,
+#   slow-loris writes, handler panics, machine outages) against concurrent
+#   clients, with a clean audited drain and bit-identical fault-free replay.
+# --test properties streaming: the O(1)-memory streaming sink matches the
+#   exact in-memory fold on random traces under any step schedule
+#   (count/mean bit-identical, sketches within documented tolerance).
+# --test backends: the stabilizer tableau reproduces the dense noisy Counts
+#   bit-for-bit on random Clifford circuits, the sparse statevector matches
+#   dense amplitudes and Counts bitwise, and forcing any eligible backend
+#   is unobservable vs Auto dispatch.
+# --test ingest_study: the ARLIS-style CSV fixture parses with derived
+#   backlogs, survives the study's causality audit, trains the queue model,
+#   and feeds the online predictor end to end.
+# -p qcs-predictor online: warm-started refits converge to the batch fit
+#   (prediction-equivalent, not coefficient-equal: the product model is
+#   scale-degenerate) at every cadence an owner may run them at, track a
+#   drifting law when refitted only once per window turnover, and run from
+#   a snapshot that later observes cannot disturb.
 
 # Million-job bounded-memory gate: stream the full 10^6-job Zipf
 # population trace through the 4-shard FleetSim. The binary asserts zero
@@ -52,24 +50,12 @@ cargo test -q -p qcs-cloud --test properties
 # per step call, and peak RSS under 512 MiB.
 cargo run --release -q -p qcs-bench --bin smoke_million_jobs
 
-# Cross-backend equivalence gate: the stabilizer tableau must reproduce
-# the dense noisy Counts bit-for-bit on random Clifford circuits, the
-# sparse statevector must match dense amplitudes and Counts bitwise, and
-# forcing any eligible backend must be unobservable vs Auto dispatch.
-cargo test -q --test backends
-
-# Ingestion gate: the ARLIS-style CSV fixture must parse with derived
-# backlogs, survive the study's causality audit, train the queue model,
-# and feed the online predictor end to end.
-cargo test -q --test ingest_study
-
-# Online-vs-batch gate: the incremental predictor's warm-started refits
-# must converge to the batch fit (prediction-equivalent, not
-# coefficient-equal — the product model is scale-degenerate) at every
-# cadence an owner may run them at, track a drifting law when refitted
-# only once per window turnover, and run from a snapshot that later
-# observes cannot disturb.
-cargo test -q -p qcs-predictor online
+# Figure lane: every study-based figure binary must run to completion on
+# the smoke study (no test executes a `main`, so a panic in one would
+# otherwise reach main).
+for src in $(grep -l study_from_args crates/bench/src/bin/*.rs); do
+    cargo run --release -q -p qcs-bench --bin "$(basename "$src" .rs)" -- --smoke >/dev/null
+done
 
 # Standalone benchmark lane: benchmark/ is its own workspace, so no root
 # cargo command compiles it. Build and unit-test it against the current

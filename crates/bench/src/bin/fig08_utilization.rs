@@ -1,18 +1,17 @@
-//! Fig 8: machine utilization (circuit width / machine qubits) violin per
+//! Fig 8: machine utilization (circuit width / machine qubits) summary per
 //! machine (paper: high on small machines, low on large ones).
 
 use qcs_bench::{study_from_args, write_csv};
 
 fn main() {
     let study = study_from_args();
-    let violins = study.utilization_by_machine();
+    let summaries = study.utilization_by_machine();
     println!("Fig 8 — machine utilization by circuits");
     println!(
         "  {:<12} {:>6} {:>6} {:>6} {:>6} {:>6} {:>8}",
         "machine", "min", "q1", "median", "q3", "max", "n"
     );
-    for (name, v) in &violins {
-        let s = v.summary;
+    for (name, s) in &summaries {
         println!(
             "  {:<12} {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>8}",
             name, s.min, s.q1, s.median, s.q3, s.max, s.count
@@ -21,8 +20,7 @@ fn main() {
     write_csv(
         "fig08_utilization.csv",
         "machine,min,q1,median,q3,max,count",
-        violins.iter().map(|(name, v)| {
-            let s = v.summary;
+        summaries.iter().map(|(name, s)| {
             format!("{name},{},{},{},{},{},{}", s.min, s.q1, s.median, s.q3, s.max, s.count)
         }),
     );

@@ -385,7 +385,6 @@ pub struct LiveCloud {
     /// float sum) so a 2-year campaign cannot drift the sample grid.
     next_sample_tick: u64,
     now_s: f64,
-    drain_cursor: usize,
     statuses: Option<FxHashMap<u64, JobStatus>>,
     /// Observer invoked for every terminal record, before any sink can
     /// sample or fold it away — the hook online consumers (the gateway's
@@ -445,7 +444,6 @@ impl LiveCloud {
             sample_interval_s,
             next_sample_tick: 1,
             now_s: 0.0,
-            drain_cursor: 0,
             statuses: None,
             tap: None,
             outages: OutagePlan::none(n_machines),
@@ -574,9 +572,8 @@ impl LiveCloud {
     }
 
     /// Jobs per outcome `[completed, errored, cancelled]` so far (whole
-    /// population). Unlike [`drain_new_records`](Self::drain_new_records)
-    /// this counts every terminal job regardless of record sampling or
-    /// sink mode, so it is the drain-independent way to observe progress.
+    /// population). Unlike [`records_len`](Self::records_len) this counts
+    /// every terminal job regardless of record sampling or sink mode.
     #[must_use]
     pub fn outcome_counts(&self) -> [u64; 3] {
         self.result.outcome_counts
@@ -639,15 +636,6 @@ impl LiveCloud {
     #[must_use]
     pub fn status(&self, job_id: u64) -> Option<JobStatus> {
         self.statuses.as_ref()?.get(&job_id).copied()
-    }
-
-    /// Terminal records produced since the last drain (in terminal-event
-    /// order). Background jobs dropped by
-    /// [`CloudConfig::background_record_divisor`] sampling never appear.
-    pub fn drain_new_records(&mut self) -> Vec<JobRecord> {
-        let new = self.result.records[self.drain_cursor..].to_vec();
-        self.drain_cursor = self.result.records.len();
-        new
     }
 
     /// Submit a job. Its `submit_s` must not precede the current clock;
@@ -1236,22 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_new_records_is_incremental() {
-        let config = CloudConfig {
-            error_rate: 0.0,
-            ..CloudConfig::default()
-        };
-        let mut cloud = LiveCloud::new(Fleet::ibm_like(), config);
-        cloud.submit(job(0, 1, 0.0)).unwrap();
-        cloud.submit(job(1, 2, 0.0)).unwrap();
-        assert!(cloud.drain_new_records().is_empty());
-        cloud.run_to_completion();
-        let drained = cloud.drain_new_records();
-        assert_eq!(drained.len(), 2);
-        assert!(cloud.drain_new_records().is_empty(), "cursor advanced");
-    }
-
-    #[test]
     fn fair_share_state_visible_live() {
         let mut cloud = live();
         assert_eq!(cloud.fair_share_charged(1), Some(&[0.0; 40][..]));
@@ -1483,8 +1455,9 @@ mod tests {
             cloud.streaming_aggregates().map(StreamingAggregates::folded),
             Some(2)
         );
-        assert!(
-            cloud.drain_new_records().is_empty(),
+        assert_eq!(
+            cloud.records_len(),
+            0,
             "streaming sink never materializes records"
         );
     }

@@ -27,8 +27,8 @@ use crate::{
 /// [`Streaming`](RecordSink::Streaming) sink instead folds each record
 /// into [`StreamingAggregates`] at its terminal event and discards it,
 /// bounding memory for million-job campaigns (records, and therefore
-/// [`LiveCloud::drain_new_records`](crate::LiveCloud::drain_new_records),
-/// stay empty; aggregates and queue samples are unaffected).
+/// [`LiveCloud::records_len`](crate::LiveCloud::records_len), stay
+/// empty; aggregates and queue samples are unaffected).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RecordSink {
     /// Keep records in memory (current behavior; the audit oracle).

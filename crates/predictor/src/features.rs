@@ -9,7 +9,7 @@ use qcs_cloud::JobRecord;
 /// Number of runtime-model features ([`FEATURE_NAMES`] length).
 pub const NUM_FEATURES: usize = 7;
 
-/// The ordered feature names, aligned with [`JobFeatures::to_vec`].
+/// The ordered feature names, aligned with [`JobFeatures::to_array`].
 pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
     "batch_size",
     "shots",
@@ -73,12 +73,6 @@ impl JobFeatures {
             self.memory_slots,
         ]
     }
-
-    /// The feature vector in [`FEATURE_NAMES`] order.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.to_array().to_vec()
-    }
 }
 
 /// Result-buffer slots: one slot holds 8192 measured bits.
@@ -114,7 +108,7 @@ mod tests {
     #[test]
     fn vector_matches_names() {
         let f = JobFeatures::from_record(&record(), 27);
-        let v = f.to_vec();
+        let v = f.to_array();
         assert_eq!(v.len(), FEATURE_NAMES.len());
         assert_eq!(v[0], 20.0);
         assert_eq!(v[1], 4096.0);

@@ -10,8 +10,8 @@
 //! - an online **runtime model**: the paper's `Π(aᵢ + bᵢxᵢ)` product
 //!   model refit by mini-batch Gauss–Newton over a bounded window of
 //!   recent jobs, warm-started from the previous coefficients
-//!   ([`ProductModel::fit_flat`]) so each refit is a handful of damped
-//!   steps instead of a cold Levenberg–Marquardt descent,
+//!   ([`qcs_stats::ProductModel::fit_flat`]) so each refit is a handful
+//!   of damped steps instead of a cold Levenberg–Marquardt descent,
 //! - **prequential accuracy counters**: every record is scored against
 //!   the model *as it stood before folding that record* (the classic
 //!   test-then-train protocol), giving an honest rolling median absolute
@@ -43,9 +43,9 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use qcs_cloud::{JobOutcome, JobRecord};
-use qcs_stats::{P2Quantile, ProductModel};
+use qcs_stats::P2Quantile;
 
-use crate::{JobFeatures, NUM_FEATURES};
+use crate::{JobFeatures, RuntimePredictor, NUM_FEATURES};
 
 /// Bounded window of recent `(features, runtime)` rows the runtime model
 /// refits over.
@@ -108,11 +108,7 @@ pub struct WaitEstimate {
 /// [`OnlinePredictor::install`] publishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Refit {
-    model: ProductModel,
-    /// Per-feature `max |x|` over the fitted window (1 where that is 0).
-    scale: [f64; NUM_FEATURES],
-    /// Features that were nonzero somewhere in the fitted window.
-    active: [bool; NUM_FEATURES],
+    predictor: RuntimePredictor,
     /// [`OnlinePredictor::observed`] when the window was copied, so a
     /// fit that finishes late cannot replace one taken after it.
     taken_at: u64,
@@ -132,58 +128,25 @@ pub struct RefitJob {
 }
 
 impl RefitJob {
-    /// Fit the product model over the copied window: recompute the
-    /// normalization, rescale the previous slopes to the new scales (the
-    /// model sees `x/s`, so keeping `a + b'·x/s' == a + b·x/s` needs
-    /// `b' = b·s'/s`), and take a few damped Gauss–Newton steps from
-    /// there — or a full cold descent when there is no previous model.
+    /// Fit the product model over the copied window: a few damped
+    /// Gauss–Newton steps from the previous model, or a full cold descent
+    /// when there is none.
     #[must_use]
-    pub fn run(mut self) -> Refit {
-        let k = NUM_FEATURES;
-        let mut scale = [0.0f64; NUM_FEATURES];
-        for row in self.rows.chunks_exact(k) {
-            for (s, &x) in scale.iter_mut().zip(row) {
-                *s = s.max(x.abs());
-            }
-        }
-        let active = scale.map(|s| s > 0.0);
-        for s in &mut scale {
-            if *s == 0.0 {
-                *s = 1.0;
-            }
-        }
-        for row in self.rows.chunks_exact_mut(k) {
-            for (x, &s) in row.iter_mut().zip(&scale) {
-                *x /= s;
-            }
-        }
-
-        let (init, iterations) = match self.prev {
-            Some(prev) => {
-                let b = prev
-                    .model
-                    .b
-                    .iter()
-                    .zip(scale.iter().zip(&prev.scale))
-                    .map(|(&b, (&s_new, &s_old))| b * (s_new / s_old.max(1e-12)))
-                    .collect();
-                let a = prev.model.a;
-                (ProductModel { a, b }, WARM_ITERATIONS)
-            }
-            None => {
-                let mean_y = self.targets.iter().sum::<f64>() / self.targets.len().max(1) as f64;
-                let init_a = mean_y.abs().max(1e-6).powf(1.0 / k as f64);
-                let init = ProductModel {
-                    a: vec![init_a; k],
-                    b: vec![0.0; k],
-                };
-                (init, COLD_ITERATIONS)
-            }
+    pub fn run(self) -> Refit {
+        let prev = self.prev.as_ref().map(|refit| &refit.predictor);
+        let iterations = if prev.is_some() {
+            WARM_ITERATIONS
+        } else {
+            COLD_ITERATIONS
         };
         Refit {
-            model: ProductModel::fit_flat(&init, &self.rows, k, &self.targets, iterations),
-            scale,
-            active,
+            predictor: RuntimePredictor::fit_flat(
+                self.rows,
+                NUM_FEATURES,
+                &self.targets,
+                prev,
+                iterations,
+            ),
             taken_at: self.taken_at,
         }
     }
@@ -509,14 +472,7 @@ impl OnlinePredictor {
             machine_qubits: qubits as f64,
             memory_slots: crate::memory_slots(circuits, shots, width),
         };
-        let mut normalized = features.to_array();
-        for (x, (&s, &alive)) in normalized
-            .iter_mut()
-            .zip(fitted.scale.iter().zip(&fitted.active))
-        {
-            *x = if alive { *x / s } else { 0.0 };
-        }
-        let run = fitted.model.predict(&normalized);
+        let run = fitted.predictor.predict(&features.to_array());
         run.is_finite().then(|| run.max(0.0))
     }
 }
@@ -524,7 +480,6 @@ impl OnlinePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RuntimePredictor;
     use proptest::prelude::*;
 
     /// The same machine-overhead + batch/shots runtime law the batch
@@ -673,7 +628,11 @@ mod tests {
         let tail = &records[records.len() - ONLINE_WINDOW..];
         let rows: Vec<Vec<f64>> = tail
             .iter()
-            .map(|r| JobFeatures::from_record(r, QUBITS[r.machine]).to_vec())
+            .map(|r| {
+                JobFeatures::from_record(r, QUBITS[r.machine])
+                    .to_array()
+                    .to_vec()
+            })
             .collect();
         let runtimes: Vec<f64> = tail.iter().map(|r| r.exec_time_s()).collect();
         RuntimePredictor::fit(&rows, &runtimes)
@@ -708,7 +667,7 @@ mod tests {
                     machine_qubits: QUBITS[r.machine] as f64,
                     memory_slots: crate::memory_slots(r.circuits, r.shots, width),
                 };
-                let batch_pred = batch.predict(&filled.to_vec());
+                let batch_pred = batch.predict(&filled.to_array());
                 (online_pred - batch_pred).abs() / batch_pred.abs().max(1e-6)
             })
             .fold(0.0, f64::max)
@@ -809,12 +768,8 @@ mod tests {
             !undisturbed.refit_if_due(),
             "nothing is due right after a fit"
         );
-        let bits = |p: &OnlinePredictor| {
-            let model = &p.fitted.as_ref().expect("fitted").model;
-            let coefficients = model.a.iter().chain(&model.b);
-            coefficients.map(|x| x.to_bits()).collect::<Vec<u64>>()
-        };
-        assert_eq!(bits(&online), bits(&undisturbed));
+        let predictor = |p: &OnlinePredictor| p.fitted.clone().expect("fitted").predictor;
+        assert_eq!(predictor(&online), predictor(&undisturbed));
 
         // A fit taken earlier never replaces one taken later.
         let stale = undisturbed.fitted.clone().expect("fitted");

@@ -4,7 +4,10 @@
 use qcs_cloud::{JobOutcome, JobRecord};
 use qcs_stats::{pearson, train_test_split, ProductModel};
 
-use crate::JobFeatures;
+use crate::{JobFeatures, NUM_FEATURES};
+
+/// LM iteration bound of a batch (cold) fit.
+const BATCH_ITERATIONS: usize = 400;
 
 /// A fitted runtime predictor with its feature normalization.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,32 +35,62 @@ impl RuntimePredictor {
     pub fn fit(rows: &[Vec<f64>], runtimes: &[f64]) -> Self {
         assert!(!rows.is_empty(), "empty training set");
         let k = rows[0].len();
+        assert!(rows.iter().all(|r| r.len() == k), "ragged feature rows");
+        Self::fit_flat(rows.concat(), k, runtimes, None, BATCH_ITERATIONS)
+    }
+
+    /// The one normalized fit, batch and online: max-normalize the
+    /// row-major `rows` in place, start from `warm`'s coefficients — its
+    /// slopes rescaled to the new scales (the model sees `x/s`, so
+    /// keeping `a + b'·x/s' == a + b·x/s` needs `b' = b·s'/s`) — or from
+    /// [`ProductModel::cold_start`], and run at most `iterations`
+    /// Levenberg–Marquardt steps.
+    pub(crate) fn fit_flat(
+        mut rows: Vec<f64>,
+        k: usize,
+        runtimes: &[f64],
+        warm: Option<&RuntimePredictor>,
+        iterations: usize,
+    ) -> Self {
         let mut scale = vec![0.0f64; k];
-        for row in rows {
-            assert_eq!(row.len(), k, "ragged feature rows");
+        for row in rows.chunks_exact(k) {
             for (s, &x) in scale.iter_mut().zip(row) {
                 *s = s.max(x.abs());
             }
         }
-        let active: Vec<bool> = scale.iter().map(|&s| s > 0.0).collect();
+        let active = scale.iter().map(|&s| s > 0.0).collect();
         for s in &mut scale {
             if *s == 0.0 {
                 *s = 1.0;
             }
         }
-        let normalized: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|row| row.iter().zip(&scale).map(|(&x, &s)| x / s).collect())
-            .collect();
-        let model = ProductModel::fit(&normalized, runtimes, 400);
+        for row in rows.chunks_exact_mut(k) {
+            for (x, &s) in row.iter_mut().zip(&scale) {
+                *x /= s;
+            }
+        }
+        let init = match warm {
+            Some(prev) => ProductModel {
+                a: prev.model.a.clone(),
+                b: prev
+                    .model
+                    .b
+                    .iter()
+                    .zip(scale.iter().zip(&prev.scale))
+                    .map(|(&b, (&s_new, &s_old))| b * (s_new / s_old.max(1e-12)))
+                    .collect(),
+            },
+            None => ProductModel::cold_start(k, runtimes),
+        };
         RuntimePredictor {
-            model,
+            model: ProductModel::fit_flat(&init, &rows, k, runtimes, iterations),
             scale,
             active,
         }
     }
 
-    /// Predict a runtime (seconds) from a raw feature vector.
+    /// Predict a runtime (seconds) from a raw feature vector:
+    /// `prod_i (a_i + b_i x_i / s_i)`.
     ///
     /// Features that were all-zero in training are clamped to zero here:
     /// the fit never constrained their slope, so letting a nonzero value
@@ -70,12 +103,13 @@ impl RuntimePredictor {
     #[must_use]
     pub fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.scale.len(), "feature count mismatch");
-        let normalized: Vec<f64> = features
-            .iter()
-            .zip(self.scale.iter().zip(&self.active))
-            .map(|(&x, (&s, &alive))| if alive { x / s } else { 0.0 })
-            .collect();
-        self.model.predict(&normalized)
+        let coefficients = self.model.a.iter().zip(&self.model.b);
+        let normalization = self.scale.iter().zip(&self.active);
+        coefficients
+            .zip(features)
+            .zip(normalization)
+            .map(|(((&a, &b), &x), (&s, &alive))| a + b * if alive { x / s } else { 0.0 })
+            .product()
     }
 }
 
@@ -132,21 +166,22 @@ pub fn run_prediction_study(
         executed.len()
     );
 
-    let rows: Vec<Vec<f64>> = executed
+    let rows: Vec<[f64; NUM_FEATURES]> = executed
         .iter()
         .map(|r| {
             // External traces may name machines past the qubit table;
             // 0 qubits keeps the row well-formed instead of panicking.
             let qubits = machine_qubits.get(r.machine).copied().unwrap_or(0);
-            JobFeatures::from_record(r, qubits).to_vec()
+            JobFeatures::from_record(r, qubits).to_array()
         })
         .collect();
     let runtimes: Vec<f64> = executed.iter().map(|r| r.exec_time_s()).collect();
 
     let (train_idx, test_idx) = train_test_split(executed.len(), train_fraction, seed);
-    let train_rows: Vec<Vec<f64>> = train_idx.iter().map(|&i| rows[i].clone()).collect();
+    let train_rows: Vec<f64> = train_idx.iter().flat_map(|&i| rows[i]).collect();
     let train_y: Vec<f64> = train_idx.iter().map(|&i| runtimes[i]).collect();
-    let predictor = RuntimePredictor::fit(&train_rows, &train_y);
+    let predictor =
+        RuntimePredictor::fit_flat(train_rows, NUM_FEATURES, &train_y, None, BATCH_ITERATIONS);
 
     let mut pooled_actual = Vec::new();
     let mut pooled_predicted = Vec::new();
@@ -272,8 +307,8 @@ mod tests {
             batch_size: 400.0,
             ..small
         };
-        let p_small = study.predictor.predict(&small.to_vec());
-        let p_large = study.predictor.predict(&large.to_vec());
+        let p_small = study.predictor.predict(&small.to_array());
+        let p_large = study.predictor.predict(&large.to_array());
         assert!(p_small > 0.0);
         assert!(p_large > 3.0 * p_small, "small {p_small} large {p_large}");
     }
@@ -308,6 +343,27 @@ mod tests {
         for (row, _target) in rows.iter().zip(&y) {
             assert!(p.predict(row).is_finite());
         }
+    }
+
+    #[test]
+    fn nested_fit_is_the_flat_fit() {
+        // There is one fit: the nested-row entry and the flat one the
+        // study and the online refit call give `==` predictors (model,
+        // scales and the inactive all-zero column alike).
+        let rows: Vec<Vec<f64>> = (0..64)
+            .map(|i| {
+                let x = f64::from(i);
+                vec![x, (x * 7.0) % 13.0, 1.0 + (x % 5.0), 0.0]
+            })
+            .collect();
+        let targets: Vec<f64> = rows
+            .iter()
+            .map(|r| (2.0 + 0.5 * r[0]) * (1.0 + 0.1 * r[1]) * (3.0 + 0.2 * r[2]))
+            .collect();
+        let nested = RuntimePredictor::fit(&rows, &targets);
+        let flat = RuntimePredictor::fit_flat(rows.concat(), 4, &targets, None, BATCH_ITERATIONS);
+        assert_eq!(nested, flat);
+        assert_eq!(nested.active, [true, true, true, false]);
     }
 
     #[test]

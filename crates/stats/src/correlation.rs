@@ -43,39 +43,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     sxy / (sxx.sqrt() * syy.sqrt())
 }
 
-/// Spearman rank correlation (Pearson over ranks, average ranks for ties).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "sample length mismatch");
-    pearson(&ranks(x), &ranks(y))
-}
-
-/// Average ranks (1-based), ties share the mean rank.
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    // Total order: NaN ranks after every finite value instead of
-    // panicking the sort.
-    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            out[idx] = avg_rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +52,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let y = [10.0, 20.0, 30.0];
         assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -109,32 +75,8 @@ mod tests {
     }
 
     #[test]
-    fn spearman_monotone_nonlinear() {
-        // y = x^3 is monotone: spearman 1, pearson < 1.
-        let x: Vec<f64> = (1..=10).map(f64::from).collect();
-        let y: Vec<f64> = x.iter().map(|v| v.powi(3)).collect();
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-        assert!(pearson(&x, &y) < 1.0);
-    }
-
-    #[test]
-    fn ranks_handle_ties() {
-        let r = ranks(&[1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let _ = pearson(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn spearman_tolerates_nan() {
-        // NaN ranks after the finite values; the call must not panic.
-        let x = [1.0, f64::NAN, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        let r = spearman(&x, &y);
-        assert!(r.is_finite());
     }
 }

@@ -1,10 +1,9 @@
 //! # qcs-stats
 //!
 //! Statistics utilities for the `qcs` quantum-cloud study: descriptive
-//! summaries and quantiles, Pearson/Spearman correlation, violin-plot
-//! summaries, OLS, a Levenberg–Marquardt fit of the paper's
-//! product-of-linear-terms runtime model ([`ProductModel`]), and seeded
-//! train/test splitting.
+//! summaries and quantiles, Pearson correlation, OLS, a
+//! Levenberg–Marquardt fit of the paper's product-of-linear-terms runtime
+//! model ([`ProductModel`]), and seeded train/test splitting.
 //!
 //! # Examples
 //!
@@ -26,9 +25,8 @@ mod descriptive;
 mod regression;
 mod split;
 mod streaming;
-mod violin;
 
-pub use correlation::{pearson, spearman};
+pub use correlation::pearson;
 pub use descriptive::{
     coefficient_of_variation, fraction_where, mean, median, quantile, quantile_sorted, std_dev,
     variance, Summary,
@@ -36,4 +34,3 @@ pub use descriptive::{
 pub use regression::{linear_fit, ProductModel};
 pub use split::train_test_split;
 pub use streaming::{P2Quantile, ReservoirSample, StreamingMoments, StreamingSummary};
-pub use violin::ViolinSummary;

@@ -63,60 +63,22 @@ impl ProductModel {
             .product()
     }
 
-    /// Fit the model to rows of features and targets.
-    ///
-    /// Initialization: each factor starts at `mean(y)^(1/k)` with zero
-    /// slope; LM then descends. Typical convergence is well under the
-    /// `max_iterations` bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inputs are empty, ragged, or lengths differ.
+    /// The cold initialization: every factor starts at `mean(y)^(1/k)`
+    /// with zero slope, so the product starts at the mean target.
     #[must_use]
-    pub fn fit(rows: &[Vec<f64>], targets: &[f64], max_iterations: usize) -> Self {
-        assert!(!rows.is_empty(), "empty training set");
-        let k = rows[0].len();
-        assert!(k > 0, "need at least one feature");
+    pub fn cold_start(k: usize, targets: &[f64]) -> Self {
         let mean_y = targets.iter().sum::<f64>() / targets.len().max(1) as f64;
         let init_a = mean_y.abs().max(1e-6).powf(1.0 / k as f64);
-        let init = ProductModel {
+        ProductModel {
             a: vec![init_a; k],
             b: vec![0.0; k],
-        };
-        Self::fit_from(&init, rows, targets, max_iterations)
-    }
-
-    /// Fit starting from an existing parameter set instead of the
-    /// mean-based initialization — the warm-start entry the online
-    /// mini-batch Gauss–Newton updater uses: a few LM iterations from the
-    /// previous coefficients are one damped Gauss–Newton step per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if inputs are empty, ragged, lengths differ, or `init`'s
-    /// feature count does not match the rows.
-    #[must_use]
-    pub fn fit_from(
-        init: &ProductModel,
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        max_iterations: usize,
-    ) -> Self {
-        assert_eq!(rows.len(), targets.len(), "row/target length mismatch");
-        assert!(!rows.is_empty(), "empty training set");
-        let k = rows[0].len();
-        assert!(k > 0, "need at least one feature");
-        assert!(rows.iter().all(|r| r.len() == k), "ragged feature rows");
-        let mut flat = Vec::with_capacity(rows.len() * k);
-        for row in rows {
-            flat.extend_from_slice(row);
         }
-        Self::fit_flat(init, &flat, k, targets, max_iterations)
     }
 
-    /// [`fit_from`](Self::fit_from) over a row-major flat feature matrix
-    /// (`rows.len() == k * targets.len()`), the entry the online
-    /// predictor's windowed refit calls: every scratch buffer (Jacobian
+    /// Fit by Levenberg–Marquardt from `init` ([`cold_start`](Self::cold_start),
+    /// or a previous fit: a few iterations from there are one damped
+    /// Gauss–Newton step each) over a row-major flat feature matrix
+    /// (`rows.len() == k * targets.len()`). Every scratch buffer (Jacobian
     /// products, factor/gradient vectors, the damped normal matrix) is
     /// hoisted out of the per-row loop, `J^T J` is filled on the upper
     /// triangle only and mirrored — IEEE multiplication commutes, so the
@@ -321,6 +283,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Cold fit over nested rows.
+    fn fit(rows: &[Vec<f64>], targets: &[f64], max_iterations: usize) -> ProductModel {
+        let k = rows[0].len();
+        let init = ProductModel::cold_start(k, targets);
+        ProductModel::fit_flat(&init, &rows.concat(), k, targets, max_iterations)
+    }
+
     #[test]
     fn linear_fit_exact() {
         let x = [0.0, 1.0, 2.0, 3.0];
@@ -342,7 +311,7 @@ mod tests {
         // y = 2 + 3x: one factor, exact recovery expected.
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![f64::from(i) / 10.0]).collect();
         let y: Vec<f64> = rows.iter().map(|r| 2.0 + 3.0 * r[0]).collect();
-        let model = ProductModel::fit(&rows, &y, 200);
+        let model = fit(&rows, &y, 200);
         for (row, &target) in rows.iter().zip(&y) {
             assert!((model.predict(row) - target).abs() < 1e-6);
         }
@@ -359,7 +328,7 @@ mod tests {
             .iter()
             .map(|r| (1.0 + 2.0 * r[0]) * (3.0 + 0.5 * r[1]))
             .collect();
-        let model = ProductModel::fit(&rows, &y, 400);
+        let model = fit(&rows, &y, 400);
         let max_rel = rows
             .iter()
             .zip(&y)
@@ -378,7 +347,7 @@ mod tests {
             .iter()
             .map(|r| (0.5 + 1.5 * r[0]) * (2.0 + r[1]) * rng.gen_range(0.95..1.05))
             .collect();
-        let model = ProductModel::fit(&rows, &y, 300);
+        let model = fit(&rows, &y, 300);
         // Predictions correlate strongly with targets.
         let preds: Vec<f64> = rows.iter().map(|r| model.predict(r)).collect();
         let corr = crate::pearson(&preds, &y);
@@ -408,15 +377,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty training set")]
     fn fit_empty_panics() {
-        let _ = ProductModel::fit(&[], &[], 10);
+        let _ = ProductModel::fit_flat(&ProductModel::cold_start(1, &[]), &[], 1, &[], 10);
     }
 
     #[test]
     fn warm_start_refines_from_prior_fit() {
-        // y = (1 + 2x0)(3 + 0.5x1): a coarse cold fit, then fit_from on
-        // the same data must keep or improve the predictions, and a
-        // warm start from an already-good model must stay good with very
-        // few iterations.
+        // y = (1 + 2x0)(3 + 0.5x1): a warm start from an already-good
+        // model must stay good with very few iterations.
         let mut rng = StdRng::seed_from_u64(7);
         let rows: Vec<Vec<f64>> = (0..200)
             .map(|_| vec![rng.gen_range(0.0..4.0), rng.gen_range(0.0..4.0)])
@@ -425,8 +392,8 @@ mod tests {
             .iter()
             .map(|r| (1.0 + 2.0 * r[0]) * (3.0 + 0.5 * r[1]))
             .collect();
-        let cold = ProductModel::fit(&rows, &y, 400);
-        let warm = ProductModel::fit_from(&cold, &rows, &y, 5);
+        let cold = fit(&rows, &y, 400);
+        let warm = ProductModel::fit_flat(&cold, &rows.concat(), 2, &y, 5);
         let max_rel = rows
             .iter()
             .zip(&y)
@@ -442,7 +409,7 @@ mod tests {
             a: vec![1.0],
             b: vec![0.0],
         };
-        let _ = ProductModel::fit_from(&init, &[vec![1.0, 2.0]], &[3.0], 5);
+        let _ = ProductModel::fit_flat(&init, &[1.0, 2.0], 2, &[3.0], 5);
     }
 
     #[test]
@@ -506,30 +473,5 @@ mod tests {
             total_rejected > 100,
             "only {total_rejected} rejected steps exercised"
         );
-    }
-
-    #[test]
-    fn fit_flat_matches_fit_from() {
-        // The flat entry must be bit-identical to the nested-Vec path:
-        // same rows, same init, same iteration budget.
-        let rows: Vec<Vec<f64>> = (0..64)
-            .map(|i| {
-                let x = f64::from(i);
-                vec![x, (x * 7.0) % 13.0, 1.0 + (x % 5.0)]
-            })
-            .collect();
-        let targets: Vec<f64> = rows
-            .iter()
-            .map(|r| (2.0 + 0.5 * r[0]) * (1.0 + 0.1 * r[1]) * (3.0 + 0.2 * r[2]))
-            .collect();
-        let init = ProductModel {
-            a: vec![1.0; 3],
-            b: vec![0.0; 3],
-        };
-        let nested = ProductModel::fit_from(&init, &rows, &targets, 50);
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let direct = ProductModel::fit_flat(&init, &flat, 3, &targets, 50);
-        assert_eq!(nested.a, direct.a);
-        assert_eq!(nested.b, direct.b);
     }
 }

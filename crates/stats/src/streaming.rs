@@ -17,8 +17,8 @@
 //!   job-metric distributions is typically well under 5 % of the
 //!   interquartile range (the documented tolerance used by the
 //!   streaming-vs-exact property tests).
-//! - [`ReservoirSample`]: seeded Algorithm-R uniform reservoir, feeding
-//!   violin/KDE plots that need raw sample points.
+//! - [`ReservoirSample`]: seeded Algorithm-R uniform reservoir, for
+//!   consumers that need raw sample points.
 //! - [`StreamingSummary`]: the bundle of all three shaped like
 //!   [`crate::Summary`].
 //!
@@ -289,8 +289,7 @@ impl P2Quantile {
 }
 
 /// Seeded Algorithm-R reservoir: a uniform fixed-capacity sample of an
-/// unbounded stream, deterministic per `(seed, input order)`. Feeds violin
-/// summaries ([`crate::ViolinSummary`]) that need raw points.
+/// unbounded stream, deterministic per `(seed, input order)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReservoirSample {
     capacity: usize,

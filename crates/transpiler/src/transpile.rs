@@ -123,8 +123,6 @@ pub struct TranspileResult {
     pub timings: PassTimings,
     /// ASAP schedule of the final circuit (single-shot duration).
     pub schedule: ScheduledCircuit,
-    /// Metrics of the input circuit.
-    pub input_metrics: CircuitMetrics,
     /// Metrics of the output circuit.
     pub output_metrics: CircuitMetrics,
 }
@@ -159,7 +157,6 @@ pub fn transpile(
     target: &Target,
     options: TranspileOptions,
 ) -> Result<TranspileResult, TranspileError> {
-    let input_metrics = CircuitMetrics::of(circuit);
     let mut timings = PassTimings::default();
 
     // 1. Basis translation (pre-layout, so interaction analysis sees CX).
@@ -211,7 +208,6 @@ pub fn transpile(
         swaps_inserted: routed.swaps_inserted,
         timings,
         schedule,
-        input_metrics,
         output_metrics,
     })
 }
@@ -238,10 +234,11 @@ mod tests {
     fn qft_on_casablanca() {
         let fleet = Fleet::ibm_like();
         let target = Target::from_machine(fleet.get("casablanca").unwrap(), 10.0);
-        let result = transpile(&library::qft(4), &target, TranspileOptions::full()).unwrap();
+        let input = library::qft(4);
+        let result = transpile(&input, &target, TranspileOptions::full()).unwrap();
         hardware_ready(&result, &target);
         assert_eq!(result.circuit.measure_count(), 4);
-        assert!(result.output_metrics.cx_total >= result.input_metrics.cx_total - 2);
+        assert!(result.output_metrics.cx_total >= CircuitMetrics::of(&input).cx_total - 2);
         assert_eq!(result.timings.entries().len(), 6);
         assert!(result.timings.get("routing").is_some());
         assert!(result.timings.get("nonexistent").is_none());

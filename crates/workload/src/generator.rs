@@ -8,10 +8,10 @@
 //! transient overloads behind day-long queue tails (Fig 3).
 //!
 //! Study jobs — the instrumented subset standing in for the paper's 6 000
-//! academic jobs — additionally carry per-circuit detail derived from real
-//! benchmark circuits ([`qcs_circuit::library`]).
+//! academic jobs — take their width and mean depth from real benchmark
+//! circuits ([`qcs_circuit::library`]).
 
-use qcs_circuit::{library, CircuitMetrics};
+use qcs_circuit::library;
 use qcs_cloud::JobSpec;
 use qcs_machine::{Fleet, Machine};
 use rand::rngs::StdRng;
@@ -81,32 +81,11 @@ impl WorkloadConfig {
     }
 }
 
-/// Per-circuit detail of a study job (feeds Figs 7, 8 and the predictor).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StudyCircuit {
-    /// Owning job id.
-    pub job_id: u64,
-    /// Circuit-family index (resolve with [`family_name`]).
-    pub family: u8,
-    /// Circuit width (qubits used).
-    pub width: u32,
-    /// Circuit depth.
-    pub depth: u32,
-    /// Two-qubit gate count.
-    pub cx_count: u32,
-    /// Total gates.
-    pub total_gates: u32,
-    /// Shots.
-    pub shots: u32,
-}
-
 /// The generated trace.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
     /// All jobs (background + study), sorted by submission time.
     pub jobs: Vec<JobSpec>,
-    /// Per-circuit detail for study jobs.
-    pub study_circuits: Vec<StudyCircuit>,
 }
 
 impl Workload {
@@ -236,7 +215,6 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
     }
 
     // --- study jobs -------------------------------------------------------
-    let mut study_circuits = Vec::new();
     let weights: Vec<f64> = fleet
         .iter()
         .map(|m| {
@@ -270,9 +248,9 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
         // Study jobs queue inside an ordinary shared hub: the fair-share
         // scheduler must not hand the instrumented group a fast lane.
         let provider = sampler::zipf_provider(&mut rng, config.num_providers);
-        let (job, circuits) = study_job(next_id, m_idx, machine, provider, submit_s, &mut rng);
-        jobs.push(job);
-        study_circuits.extend(circuits);
+        jobs.push(study_job(
+            next_id, m_idx, machine, provider, submit_s, &mut rng,
+        ));
         next_id += 1;
     }
 
@@ -281,10 +259,7 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
             .partial_cmp(&b.submit_s)
             .expect("submit times are finite")
     });
-    Workload {
-        jobs,
-        study_circuits,
-    }
+    Workload { jobs }
 }
 
 /// Rejection-sample an hour-of-day from the diurnal demand profile.
@@ -342,7 +317,7 @@ fn background_job(
     }
 }
 
-/// Build one study job with per-circuit detail derived from a real
+/// Build one study job whose width and mean depth derive from a real
 /// benchmark circuit of the chosen family.
 fn study_job(
     id: u64,
@@ -351,7 +326,7 @@ fn study_job(
     provider: u32,
     submit_s: f64,
     rng: &mut StdRng,
-) -> (JobSpec, Vec<StudyCircuit>) {
+) -> JobSpec {
     // Family choice.
     let total_w: f64 = STUDY_FAMILIES.iter().map(|(_, w)| w).sum();
     let mut pick = rng.gen_range(0.0..total_w);
@@ -368,32 +343,20 @@ fn study_job(
     let width = sampler::width(rng, machine.num_qubits()).min(32);
     let representative = library::by_family(family, width, rng.gen())
         .expect("study families are valid");
-    let metrics = CircuitMetrics::of(&representative);
+    let representative_depth = representative.depth() as f64;
 
     let batch = sampler::batch_size(rng, machine.max_batch_size() as u32);
     let shots = sampler::shots(rng, machine.max_shots());
 
-    let mut circuits = Vec::with_capacity(batch as usize);
     let mut depth_sum = 0.0;
     for _ in 0..batch {
         // Circuits within a batch are close variants of the representative.
         let jitter = rng.gen_range(0.9..1.1);
-        let depth = ((metrics.depth as f64) * jitter).round().max(1.0) as u32;
-        let cx = ((metrics.cx_total as f64) * jitter).round() as u32;
-        let gates = ((metrics.total_gates as f64) * jitter).round().max(1.0) as u32;
+        let depth = (representative_depth * jitter).round().max(1.0) as u32;
         depth_sum += f64::from(depth);
-        circuits.push(StudyCircuit {
-            job_id: id,
-            family: fam_idx as u8,
-            width: representative.num_qubits() as u32,
-            depth,
-            cx_count: cx,
-            total_gates: gates,
-            shots,
-        });
     }
 
-    let job = JobSpec {
+    JobSpec {
         id,
         provider,
         machine: machine_idx,
@@ -404,17 +367,7 @@ fn study_job(
         submit_s,
         is_study: true,
         patience_s: f64::INFINITY,
-    };
-    (job, circuits)
-}
-
-/// Name of a study circuit family index (see [`StudyCircuit::family`];
-/// families are qft, ghz, bv, qv, rand, hea, adder, w in that order).
-#[must_use]
-pub fn family_name(index: u8) -> &'static str {
-    STUDY_FAMILIES
-        .get(index as usize)
-        .map_or("unknown", |(name, _)| name)
+    }
 }
 
 #[cfg(test)]
@@ -440,20 +393,11 @@ mod tests {
     fn study_jobs_present_with_details() {
         let w = generate(&Fleet::ibm_like(), &small_config());
         assert_eq!(w.num_study_jobs(), 40);
-        assert!(!w.study_circuits.is_empty());
-        // Every study circuit belongs to a study job.
-        let study_ids: std::collections::HashSet<u64> = w
+        assert!(w
             .jobs
             .iter()
             .filter(|j| j.is_study)
-            .map(|j| j.id)
-            .collect();
-        assert!(w.study_circuits.iter().all(|c| study_ids.contains(&c.job_id)));
-        // Batch sizes match circuit detail counts.
-        for j in w.jobs.iter().filter(|j| j.is_study) {
-            let n = w.study_circuits.iter().filter(|c| c.job_id == j.id).count();
-            assert_eq!(n, j.circuits as usize, "job {}", j.id);
-        }
+            .all(|j| j.circuits >= 1 && j.mean_depth >= 1.0 && j.mean_width >= 1.0));
     }
 
     #[test]
@@ -462,7 +406,6 @@ mod tests {
         let a = generate(&fleet, &small_config());
         let b = generate(&fleet, &small_config());
         assert_eq!(a.jobs, b.jobs);
-        assert_eq!(a.study_circuits, b.study_circuits);
     }
 
     #[test]
@@ -561,12 +504,6 @@ mod tests {
             (mean_shots - 6050.0).abs() / 6050.0 < 0.15,
             "shots mean {mean_shots}"
         );
-    }
-
-    #[test]
-    fn family_name_lookup() {
-        assert_eq!(family_name(0), "qft");
-        assert_eq!(family_name(200), "unknown");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Synthetic multi-year quantum-cloud workload generation for the `qcs`
 //! study: background demand calibrated to per-machine utilization targets
 //! (with growth, diurnal and weekly cycles), plus an instrumented set of
-//! *study jobs* carrying per-circuit benchmark detail. Feed the output of
-//! [`generate`] into [`qcs_cloud::Simulation`].
+//! *study jobs* whose width and mean depth derive from real benchmark
+//! circuits. Feed the output of [`generate`] into
+//! [`qcs_cloud::Simulation`].
 //!
 //! # Examples
 //!
@@ -27,6 +28,6 @@ pub mod ingest;
 pub mod population;
 pub mod sampler;
 
-pub use generator::{family_name, generate, StudyCircuit, Workload, WorkloadConfig};
+pub use generator::{generate, Workload, WorkloadConfig};
 pub use ingest::{read_trace, IngestError, IngestedTrace, INGEST_HEADER};
 pub use population::{PopulationConfig, PopulationTrace};

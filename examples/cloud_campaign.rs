@@ -75,10 +75,10 @@ fn main() {
 
     // Fig 8: utilization extremes.
     println!("Fig 8   machine utilization (median of circuit width / machine size):");
-    for (name, violin) in study.utilization_by_machine() {
+    for (name, s) in study.utilization_by_machine() {
         println!(
             "          {name:<12} median {:>5.2}  (n={})",
-            violin.summary.median, violin.summary.count
+            s.median, s.count
         );
     }
 
@@ -93,16 +93,14 @@ fn main() {
 
     // Fig 10/13: per-machine distributions.
     println!("Fig 10  queue time by machine (hours):");
-    for (name, violin) in study.queue_time_by_machine() {
-        let s = violin.summary;
+    for (name, s) in study.queue_time_by_machine() {
         println!(
             "          {name:<12} q1 {:>7.2}  median {:>7.2}  q3 {:>7.2}  max {:>8.1}",
             s.q1, s.median, s.q3, s.max
         );
     }
     println!("Fig 13  exec time by machine (minutes):");
-    for (name, violin) in study.exec_time_by_machine() {
-        let s = violin.summary;
+    for (name, s) in study.exec_time_by_machine() {
         println!(
             "          {name:<12} q1 {:>6.2}  median {:>6.2}  q3 {:>6.2}  max {:>7.1}",
             s.q1, s.median, s.q3, s.max

@@ -7,8 +7,8 @@ use qcs_cloud::{CloudConfig, JobOutcome, JobRecord, OutagePlan, Simulation, Simu
 use qcs_exec::ExecConfig;
 use qcs_machine::Fleet;
 use qcs_predictor::{run_prediction_study, PredictionStudy};
-use qcs_stats::{fraction_where, median, ViolinSummary};
-use qcs_workload::{generate, StudyCircuit, Workload, WorkloadConfig};
+use qcs_stats::{fraction_where, median, Summary};
+use qcs_workload::{generate, Workload, WorkloadConfig};
 
 /// Configuration of a full study run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,8 +22,8 @@ pub struct StudyConfig {
     /// Mean outage duration, hours.
     pub outage_duration_hours: f64,
     /// Worker-pool configuration for the per-machine analysis fan-out
-    /// (violins, pending-job scans). Analysis results do not depend on
-    /// the thread count.
+    /// (the per-machine summaries of Figs 8/10/13). Analysis results do
+    /// not depend on the thread count.
     pub exec: ExecConfig,
 }
 
@@ -56,14 +56,6 @@ impl StudyConfig {
             exec: ExecConfig::default(),
         }
     }
-
-    /// Override the analysis worker-pool thread count (`0` = auto);
-    /// returns the modified config for chaining.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.exec = ExecConfig::with_threads(threads);
-        self
-    }
 }
 
 impl Default for StudyConfig {
@@ -73,14 +65,13 @@ impl Default for StudyConfig {
 }
 
 /// A completed study: the simulated trace plus analysis accessors, one per
-/// figure of the paper.
+/// figure of the paper. The accessors read the retained job records, so
+/// under [`qcs_cloud::RecordSink::Streaming`] (which retains none) every
+/// record-based series, Fig 8 included, is empty.
 #[derive(Debug)]
 pub struct Study {
     fleet: Fleet,
     result: SimulationResult,
-    study_circuits: Vec<StudyCircuit>,
-    /// job id -> machine index, for study jobs.
-    job_machine: HashMap<u64, usize>,
     exec: ExecConfig,
 }
 
@@ -89,21 +80,12 @@ impl Study {
     #[must_use]
     pub fn run(config: &StudyConfig) -> Self {
         let (fleet, workload, outages) = study_inputs(config);
-        let study_circuits = workload.study_circuits.clone();
-        let job_machine = workload
-            .jobs
-            .iter()
-            .filter(|j| j.is_study)
-            .map(|j| (j.id, j.machine))
-            .collect();
         let result = Simulation::new(fleet.clone(), config.cloud)
             .with_outages(outages)
             .run(workload.jobs);
         Study {
             fleet,
             result,
-            study_circuits,
-            job_machine,
             exec: config.exec,
         }
     }
@@ -127,12 +109,6 @@ impl Study {
         self.result.audit.as_ref()
     }
 
-    /// Per-circuit detail of study jobs.
-    #[must_use]
-    pub fn study_circuits(&self) -> &[StudyCircuit] {
-        &self.study_circuits
-    }
-
     /// Study job records that actually executed (completed or errored),
     /// lazily — figure methods fold or collect as needed instead of
     /// re-materializing a `Vec<&JobRecord>` per call.
@@ -141,15 +117,6 @@ impl Study {
             .records
             .iter()
             .filter(|r| r.is_study && r.outcome != JobOutcome::Cancelled)
-    }
-
-    /// Constant-memory aggregates, when the study's cloud config used
-    /// [`qcs_cloud::RecordSink::Streaming`]. Record-based figure methods
-    /// return empty series in that mode; these sketches are the
-    /// bounded-memory substitute.
-    #[must_use]
-    pub fn streaming_aggregates(&self) -> Option<&qcs_cloud::StreamingAggregates> {
-        self.result.streaming.as_ref()
     }
 
     // --- Fig 2 ----------------------------------------------------------
@@ -231,21 +198,24 @@ impl Study {
 
     // --- Fig 8 ----------------------------------------------------------
 
-    /// Fig 8: per-machine utilization violin of study circuits
-    /// (`width / machine qubits`). Only machines with data are returned.
+    /// Fig 8: per-machine utilization summary over study circuits
+    /// (`width / machine qubits`): each study job's
+    /// [`JobRecord::utilization`] counted once per circuit of its batch.
+    /// Only machines with data are returned.
     #[must_use]
-    pub fn utilization_by_machine(&self) -> Vec<(String, ViolinSummary)> {
+    pub fn utilization_by_machine(&self) -> Vec<(String, Summary)> {
         let mut per_machine: HashMap<usize, Vec<f64>> = HashMap::new();
-        for c in &self.study_circuits {
-            if let Some(&m) = self.job_machine.get(&c.job_id) {
-                let qubits = self.fleet.machines()[m].num_qubits();
-                per_machine
-                    .entry(m)
-                    .or_default()
-                    .push((f64::from(c.width) / qubits as f64).min(1.0));
-            }
+        for r in self.result.study_records() {
+            let qubits = self.fleet.machines()[r.machine].num_qubits();
+            per_machine
+                .entry(r.machine)
+                .or_default()
+                .extend(std::iter::repeat_n(
+                    r.utilization(qubits),
+                    r.circuits as usize,
+                ));
         }
-        self.named_violins(per_machine)
+        self.named_summaries(per_machine)
     }
 
     // --- Fig 9 ----------------------------------------------------------
@@ -286,10 +256,10 @@ impl Study {
 
     // --- Fig 10 ---------------------------------------------------------
 
-    /// Fig 10: queue-time violins (hours) per machine over all recorded
+    /// Fig 10: queue-time summaries (hours) per machine over all recorded
     /// executed jobs.
     #[must_use]
-    pub fn queue_time_by_machine(&self) -> Vec<(String, ViolinSummary)> {
+    pub fn queue_time_by_machine(&self) -> Vec<(String, Summary)> {
         let mut per_machine: HashMap<usize, Vec<f64>> = HashMap::new();
         for r in &self.result.records {
             if r.outcome != JobOutcome::Cancelled {
@@ -299,7 +269,7 @@ impl Study {
                     .push(r.queue_time_s() / 3600.0);
             }
         }
-        self.named_violins(per_machine)
+        self.named_summaries(per_machine)
     }
 
     // --- Fig 11 ---------------------------------------------------------
@@ -350,10 +320,10 @@ impl Study {
 
     // --- Fig 13 ---------------------------------------------------------
 
-    /// Fig 13: execution-time violins (minutes) per machine over all
+    /// Fig 13: execution-time summaries (minutes) per machine over all
     /// recorded completed jobs.
     #[must_use]
-    pub fn exec_time_by_machine(&self) -> Vec<(String, ViolinSummary)> {
+    pub fn exec_time_by_machine(&self) -> Vec<(String, Summary)> {
         let mut per_machine: HashMap<usize, Vec<f64>> = HashMap::new();
         for r in &self.result.records {
             if r.outcome == JobOutcome::Completed {
@@ -363,7 +333,7 @@ impl Study {
                     .push(r.exec_time_s() / 60.0);
             }
         }
-        self.named_violins(per_machine)
+        self.named_summaries(per_machine)
     }
 
     // --- Fig 14 ---------------------------------------------------------
@@ -406,16 +376,13 @@ impl Study {
         self.fleet.machines()[index].name()
     }
 
-    fn named_violins(
-        &self,
-        per_machine: HashMap<usize, Vec<f64>>,
-    ) -> Vec<(String, ViolinSummary)> {
+    fn named_summaries(&self, per_machine: HashMap<usize, Vec<f64>>) -> Vec<(String, Summary)> {
         let mut keyed: Vec<(usize, Vec<f64>)> = per_machine.into_iter().collect();
         keyed.sort_by_key(|(m, _)| *m);
         qcs_exec::parallel_map(&self.exec, &keyed, |_, (m, values)| {
             (
                 self.fleet.machines()[*m].name().to_string(),
-                ViolinSummary::of(values, 32),
+                Summary::of(values),
             )
         })
     }
@@ -632,9 +599,8 @@ mod tests {
             .filter(|(b, _)| *b >= 300)
             .map(|(_, t)| *t)
             .collect();
-        if !small.is_empty() && !large.is_empty() {
-            assert!(median(&large) > median(&small));
-        }
+        assert!(!small.is_empty() && !large.is_empty());
+        assert!(median(&large) > median(&small));
     }
 
     #[test]

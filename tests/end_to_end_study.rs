@@ -2,7 +2,7 @@
 //! → analysis), on the smoke configuration.
 
 use qcs::cloud::JobOutcome;
-use qcs::stats::median;
+use qcs::stats::{median, Summary};
 use qcs::{Study, StudyConfig};
 
 fn study() -> Study {
@@ -11,6 +11,16 @@ fn study() -> Study {
     let mut config = StudyConfig::smoke();
     config.cloud.audit = true;
     Study::run(&config)
+}
+
+/// One machine's entry in a per-machine series. The machine must be
+/// there: a missing one used to pass the figure tests vacuously.
+fn summary_of(series: &[(String, Summary)], name: &str) -> Summary {
+    let (_, summary) = series
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("{name} has no data"));
+    *summary
 }
 
 #[test]
@@ -79,13 +89,75 @@ fn small_machines_are_more_utilized() {
     // Paper Fig 8.
     let s = study();
     let util = s.utilization_by_machine();
-    let of = |name: &str| {
-        util.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.summary.median)
+    let median_of = |name: &str| summary_of(&util, name).median;
+    assert!(median_of("athens") > median_of("manhattan"));
+
+    // EXPERIMENTS.md's Fig 8 anchor as bands on the smoke study: the mean
+    // of the per-machine medians falls with machine size, class by class.
+    let class_mean = |qubits: usize| {
+        let medians: Vec<f64> = util
+            .iter()
+            .filter(|(name, _)| s.fleet().get(name).expect("fleet machine").num_qubits() == qubits)
+            .map(|(_, summary)| summary.median)
+            .collect();
+        assert!(
+            !medians.is_empty(),
+            "no {qubits}q machine has study circuits"
+        );
+        qcs::stats::mean(&medians)
     };
-    if let (Some(small), Some(large)) = (of("athens"), of("manhattan")) {
-        assert!(small > large, "athens {small} manhattan {large}");
+    let (q5, q7, q27, q65) = (class_mean(5), class_mean(7), class_mean(27), class_mean(65));
+    assert!((0.70..=1.00).contains(&q5), "5q {q5}");
+    assert!((0.40..=0.65).contains(&q7), "7q {q7}");
+    assert!((0.20..=0.35).contains(&q27), "27q {q27}");
+    assert!((0.10..=0.20).contains(&q65), "65q {q65}");
+    assert!(q5 > q7 && q7 > q27 && q27 > q65);
+}
+
+#[test]
+fn utilization_counts_every_generated_study_circuit_once() {
+    // Fig 8 is read off the job records; the circuits it weighs by must be
+    // exactly the ones the generator emitted, machine by machine. Passes at
+    // the parent too (there through the per-circuit side table): it pins
+    // the invariant the generator's own test used to check on that table.
+    let s = study();
+    let workload = qcs::workload::generate(s.fleet(), &StudyConfig::smoke().workload);
+    let mut expected = vec![0usize; s.fleet().len()];
+    for job in workload.jobs.iter().filter(|j| j.is_study) {
+        expected[job.machine] += job.circuits as usize;
+    }
+    let counted: Vec<(usize, usize)> = s
+        .utilization_by_machine()
+        .iter()
+        .map(|(name, summary)| {
+            (
+                s.fleet().index_of(name).expect("fleet machine"),
+                summary.count,
+            )
+        })
+        .collect();
+    let generated: Vec<(usize, usize)> = expected
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, circuits)| circuits > 0)
+        .collect();
+    assert_eq!(counted, generated);
+}
+
+#[test]
+fn utilization_smoke_values_are_pinned() {
+    // Values read off the commit before Fig 8 moved from the per-circuit
+    // table to the job records (its `fig08_utilization --smoke` CSV): no
+    // other test covers the figure's numbers.
+    let s = study();
+    let util = s.utilization_by_machine();
+    for (name, count, median) in [
+        ("athens", 6494, 1.0),
+        ("casablanca", 1387, 4.0 / 7.0),
+        ("manhattan", 2783, 7.0 / 65.0),
+    ] {
+        let summary = summary_of(&util, name);
+        assert_eq!((summary.count, summary.median), (count, median), "{name}");
     }
 }
 
@@ -95,13 +167,7 @@ fn larger_machines_run_slower() {
     // run times.
     let s = study();
     let exec = s.exec_time_by_machine();
-    let of = |name: &str| {
-        exec.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.summary.median)
-            .unwrap_or(0.0)
-    };
-    assert!(of("manhattan") > of("athens"));
+    assert!(summary_of(&exec, "manhattan").median > summary_of(&exec, "athens").median);
 }
 
 #[test]
