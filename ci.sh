@@ -29,10 +29,15 @@ cargo test -q --workspace
 # --test properties streaming: the O(1)-memory streaming sink matches the
 #   exact in-memory fold on random traces under any step schedule
 #   (count/mean bit-identical, sketches within documented tolerance).
-# --test backends: the stabilizer tableau reproduces the dense noisy Counts
-#   bit-for-bit on random Clifford circuits, the sparse statevector matches
-#   dense amplitudes and Counts bitwise, and forcing any eligible backend
-#   is unobservable vs Auto dispatch.
+# --test backends; -p qcs-sim stabilizer: the stabilizer backend reproduces
+#   the dense noisy Counts bit-for-bit on random Clifford circuits, the
+#   sparse statevector matches dense amplitudes and Counts bitwise, and
+#   forcing any eligible backend is unobservable vs Auto dispatch (width 0
+#   included). Past the dense engine's reach the backend's one tableau +
+#   Pauli frame per trajectory matches its oracle, a tableau per
+#   trajectory, on widths to 127 and through the k > 53 measurement
+#   fallback, and the frame-shifted Support equals the noisy tableau's
+#   field for field.
 # --test ingest_study: the ARLIS-style CSV fixture parses with derived
 #   backlogs, survives the study's causality audit, trains the queue model,
 #   and feeds the online predictor end to end.
@@ -52,10 +57,13 @@ cargo run --release -q -p qcs-bench --bin smoke_million_jobs
 
 # Figure lane: every study-based figure binary must run to completion on
 # the smoke study (no test executes a `main`, so a panic in one would
-# otherwise reach main).
+# otherwise reach main). Fig 7 takes no study: it is the one binary that
+# drives the stabilizer backend, on the full fleet with `skipped == 0`
+# asserted, in under a second.
 for src in $(grep -l study_from_args crates/bench/src/bin/*.rs); do
     cargo run --release -q -p qcs-bench --bin "$(basename "$src" .rs)" -- --smoke >/dev/null
 done
+cargo run --release -q -p qcs-bench --bin fig07_fidelity_cx >/dev/null
 
 # Standalone benchmark lane: benchmark/ is its own workspace, so no root
 # cargo command compiles it. Build and unit-test it against the current

@@ -25,13 +25,13 @@ use qcs_calibration::CalibrationSnapshot;
 use qcs_circuit::Circuit;
 use qcs_exec::ExecConfig;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use super::stabilizer::readout_word;
 use super::SPARSE_MAX_BRANCH_LOG2;
 use crate::fusion::{instruction_kernel, mat1_apply, Kernel};
 use crate::noisy::{
-    draw_pauli_word, merge_partials, pauli_word_kernels, used_clbit_width_of_entries, TrajStep,
+    dry_walk, merge_partials, pauli_word_kernels, used_clbit_width_of_entries, TrajStep,
 };
 use crate::{Complex, Counts, NoisySimulator, SimError};
 
@@ -247,18 +247,13 @@ pub(crate) fn run(
     let partials = qcs_exec::parallel_map_with(
         &exec,
         &indices,
-        || (),
-        |(), _, &t| -> Result<Counts, SimError> {
+        Vec::new,
+        |events, _, &t| -> Result<Counts, SimError> {
             let traj_shots = base + usize::from(t < extra);
             let mut rng = StdRng::seed_from_u64(qcs_exec::derive_seed(sim.seed, t as u64));
 
-            // Dry walk: identical draw sequence to the dense skip-ahead.
-            let mut events: Vec<(usize, usize)> = Vec::new();
-            for (i, step) in steps.iter().enumerate() {
-                if step.error_prob > 0.0 && rng.gen_range(0.0..1.0) < step.error_prob {
-                    events.push((i, draw_pauli_word(&mut rng, step.qubits.len())));
-                }
-            }
+            // Identical draw sequence to the dense skip-ahead.
+            dry_walk(&mut rng, steps.iter().map(TrajStep::noise), events);
             let mut next_event = 0usize;
 
             let mut state = SparseState::zero(n);

