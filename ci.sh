@@ -100,9 +100,10 @@ done
 cargo clippy --all-targets -- -D warnings
 
 # The simulation and transpilation hot paths carry the bit-reproducibility
-# guarantees, and qcs-exec carries the unsafe worker-team/block-schedule
-# primitives under them; keep their crates individually warning-clean
-# (fail fast, focused report) on top of the workspace-wide gate above.
+# guarantees, and qcs-exec the fan-out every one of them runs on; keep
+# their crates individually warning-clean (fail fast, focused report) on
+# top of the workspace-wide gate above. `unsafe` needs no lane here: every
+# crate root forbids it except qcs-sim, which denies it outside frame.rs.
 cargo clippy -p qcs-sim --all-targets --no-deps -- -D warnings
 cargo clippy -p qcs-transpiler --all-targets --no-deps -- -D warnings
 cargo clippy -p qcs-exec --all-targets --no-deps -- -D warnings

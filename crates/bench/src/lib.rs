@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -2,9 +2,8 @@
 //!
 //! Quantum circuit intermediate representation for the `qcs` quantum-cloud
 //! study: a gate set, an instruction stream [`Circuit`] container,
-//! dependency analysis ([`dag`]), structural metrics ([`CircuitMetrics`]),
-//! a benchmark-circuit [`library`], and OpenQASM 2.0 serialization
-//! ([`qasm`]).
+//! structural metrics ([`CircuitMetrics`]), a benchmark-circuit
+//! [`library`], and OpenQASM 2.0 serialization ([`qasm`]).
 //!
 //! This crate is the bottom of the workspace dependency stack: the
 //! transpiler rewrites these circuits, the simulator executes them, and the
@@ -23,10 +22,9 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 mod circuit;
-pub mod dag;
-mod draw;
 mod gate;
 mod instruction;
 pub mod library;
@@ -34,7 +32,6 @@ mod metrics;
 pub mod qasm;
 
 pub use circuit::{Circuit, CircuitError};
-pub use draw::draw;
 pub use gate::Gate;
 pub use instruction::{Clbit, Instruction, Qubit};
 pub use metrics::CircuitMetrics;

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 pub mod hash;
 
@@ -122,64 +123,6 @@ fn detected_parallelism() -> usize {
     *CORES.get_or_init(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     })
-}
-
-/// Run `f(worker_index)` once per worker on a scoped team: workers
-/// `1..workers` on freshly spawned threads, worker `0` inline on the
-/// calling thread. Returns when every worker has finished.
-///
-/// This is the primitive under block-parallel statevector kernels
-/// (`qcs-sim`): the closure typically loops over the worker's
-/// [`block_ranges`] and synchronizes phases with a [`std::sync::Barrier`].
-/// A team of 1 is exactly the sequential call `f(0)` — no threads, no
-/// overhead.
-///
-/// # Panics
-///
-/// Re-raises the first spawned worker's panic on the calling thread.
-pub fn run_team<F>(workers: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if workers <= 1 {
-        f(0);
-        return;
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || f(w)))
-            .collect();
-        f(0);
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
-/// The deterministic static block schedule: the index ranges of `total`
-/// items that `worker` (of `workers`) owns when the items are cut into
-/// consecutive blocks of `block` items and blocks are dealt round-robin
-/// by block index.
-///
-/// The schedule is a pure function of `(total, block, worker, workers)` —
-/// no work stealing, no atomics — so the partition of items across
-/// workers is identical on every run and every machine, and any two
-/// distinct workers own disjoint ranges. `block` and `workers` of 0 are
-/// treated as 1.
-pub fn block_ranges(
-    total: usize,
-    block: usize,
-    worker: usize,
-    workers: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let block = block.max(1);
-    let nblocks = total.div_ceil(block);
-    (worker..nblocks)
-        .step_by(workers.max(1))
-        .map(move |b| (b * block)..((b + 1) * block).min(total))
 }
 
 /// Map `f` over `items` on a bounded worker pool, returning results in
@@ -566,62 +509,6 @@ mod tests {
         assert!(config.effective_threads_for_work(64, MIN_WORK_PER_THREAD / 16) <= 2);
         // Item cap still applies.
         assert_eq!(config.effective_threads_for_work(1, u64::MAX), 1);
-    }
-
-    #[test]
-    fn run_team_covers_every_worker_once() {
-        for workers in [1, 2, 5] {
-            let hits: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-            run_team(workers, |w| {
-                hits[w].fetch_add(1, Ordering::Relaxed);
-            });
-            for (w, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::Relaxed), 1, "worker {w}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "team boom")]
-    fn run_team_propagates_worker_panic() {
-        run_team(3, |w| assert!(w != 2, "team boom"));
-    }
-
-    #[test]
-    fn block_ranges_partition_exactly() {
-        // Every (total, block, workers) combination must partition
-        // 0..total: disjoint, complete, and in ascending order per worker.
-        for total in [0usize, 1, 7, 64, 100] {
-            for block in [1usize, 3, 8, 200] {
-                for workers in [1usize, 2, 3, 7] {
-                    let mut covered = vec![false; total];
-                    for w in 0..workers {
-                        let mut last_end = 0;
-                        for range in block_ranges(total, block, w, workers) {
-                            assert!(range.start >= last_end, "ranges out of order");
-                            assert!(range.end <= total);
-                            last_end = range.end;
-                            for i in range {
-                                assert!(!covered[i], "index {i} assigned twice");
-                                covered[i] = true;
-                            }
-                        }
-                    }
-                    assert!(covered.iter().all(|&c| c), "index unassigned");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_ranges_are_deterministic_round_robin() {
-        // 10 items, blocks of 3, 2 workers: blocks 0,2 -> worker 0 and
-        // blocks 1,3 -> worker 1, by block index — a pure function of the
-        // inputs, so the schedule is reproducible anywhere.
-        let w0: Vec<_> = block_ranges(10, 3, 0, 2).collect();
-        let w1: Vec<_> = block_ranges(10, 3, 1, 2).collect();
-        assert_eq!(w0, vec![0..3, 6..9]);
-        assert_eq!(w1, vec![3..6, 9..10]);
     }
 
     #[test]

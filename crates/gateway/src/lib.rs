@@ -77,6 +77,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 // The serving stack must not panic on anything a peer can send. Tests
 // may unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

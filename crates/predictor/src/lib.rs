@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 // The online predictor sits on the gateway's serving path: like the
 // gateway itself, non-test code must map bad input to typed errors
 // instead of panicking.

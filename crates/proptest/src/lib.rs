@@ -10,6 +10,7 @@
 //! shrinking: a failing case panics with the assert message directly.
 
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 use rand::SeedableRng;
 

@@ -12,6 +12,7 @@
 //! `StdRng`, which only matters for tests with hard-coded expectations.
 
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 /// Low-level source of random 64-bit words.
 pub trait RngCore {

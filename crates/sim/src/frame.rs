@@ -66,35 +66,33 @@
 //! that order under a frame costs a gather walk per gate (DESIGN.md
 //! §4f).
 //!
-//! # Teams, shared cells and ISA clones
+//! # One thread per state, two ISA clones
 //!
-//! Every pass (flush, `Mat1`, gather) splits its index domain into one
-//! contiguous chunk per worker of a scoped team ([`team_pass`]:
-//! [`qcs_exec::block_ranges`] over [`qcs_exec::run_team`]) and joins
-//! before the next pass starts. Workers never share an amplitude: the
-//! chunks partition the domain and distinct domain elements own distinct
-//! amplitudes, so there are **no atomics and no locks on amplitude
-//! data** — determinism comes from disjointness, not synchronization
-//! order. [`ShareCell`] is the `unsafe` surface that argument licenses.
-//! The two hot loops are compiled twice, baseline and AVX2
-//! (`isa_dispatch!`); the host CPU picks, the results are identical.
-//! The team size is the one knob ([`SvExec`]; DESIGN.md §4g).
+//! A [`FrameState`] owns a plain `Vec<Complex>` and every pass (flush,
+//! `Mat1`, gather) walks it on the calling thread: parallelism in this
+//! crate is the trajectory fan-out of [`crate::NoisySimulator`], one
+//! state per worker, and nothing else (DESIGN.md §4g and its "Removed
+//! designs" appendix have the numbers). The two hot loops are compiled
+//! twice, baseline and AVX2 (`isa_dispatch!`); the host CPU picks, the
+//! results are identical. That dispatch — calling the AVX2 clone after
+//! the CPU probe — is the crate's only `unsafe`. The lane loops index
+//! fixed-size chunks (`as_chunks_mut`), so their bounds are known at
+//! compile time and nothing is left to check inside them.
 
 use std::borrow::Borrow;
-use std::cell::UnsafeCell;
-use std::ops::Range;
-
-use qcs_exec::{block_ranges, run_team, ExecConfig};
 
 use crate::fusion::Kernel;
 use crate::{Complex, SimError, Statevector, DENSE_MAX_QUBITS};
 
-/// Execution policy of the frame executor: the worker count of the
-/// amplitude-block team its passes run on. Lane width and ISA are chosen
-/// from the input, not configured.
-///
-/// Every setting is bit-identical to folding
-/// [`Statevector::apply_kernel`] over the stream.
+/// Inert: the worker count of the amplitude-block teams the frame
+/// executor used to split its passes over. The teams are gone (a state
+/// is walked by the thread that owns it; DESIGN.md, "Removed designs")
+/// and nothing reads this type any more. It stays, with
+/// [`NoisySimulator::with_sv`](crate::NoisySimulator::with_sv) and the
+/// parameter of
+/// [`CompiledCircuit::execute_with`](crate::CompiledCircuit::execute_with),
+/// only because `benchmark/` names all three; ROADMAP item 1 lists them
+/// for removal.
 ///
 /// # Examples
 ///
@@ -104,112 +102,32 @@ use crate::{Complex, SimError, Statevector, DENSE_MAX_QUBITS};
 /// use qcs_sim::{Statevector, SvExec};
 ///
 /// let compiled = CompiledCircuit::compile(&library::qft(6));
-/// let fast = compiled.execute_with(&SvExec::auto().with_threads(3)).unwrap();
+/// let framed = compiled.execute_with(&SvExec::auto().with_threads(3)).unwrap();
 /// let mut oracle = Statevector::zero(6).unwrap();
 /// for kernel in compiled.kernels() {
 ///     oracle.apply_kernel(kernel).unwrap();
 /// }
-/// assert_eq!(fast, oracle); // bit-identical amplitudes
+/// assert_eq!(framed, oracle); // bit-identical amplitudes
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SvExec {
-    /// Worker threads for block-parallel passes: `0` = auto (work-aware:
-    /// capped by cores and by [`qcs_exec::MIN_WORK_PER_THREAD`]
-    /// amplitudes of one pass per worker); an explicit count is honored
-    /// verbatim (capped only by the pair count), which is how tests force
-    /// real multi-worker execution on small states.
+    /// Read by nothing (see the type's docs).
     pub threads: usize,
 }
 
 impl SvExec {
-    /// The default policy: work-aware threading.
+    /// The default value.
     #[must_use]
     pub fn auto() -> Self {
         SvExec::default()
     }
 
-    /// This policy with an explicit worker count (`0` = auto).
+    /// This value with `threads` set; changes nothing.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
-
-    /// Team size for passes over `n_amps` amplitudes. Explicit counts
-    /// are honored (they exist to force multi-worker coverage in tests).
-    /// Auto sizes for *one pass*, because a team is spawned and joined
-    /// per pass: one worker per [`qcs_exec::MIN_WORK_PER_THREAD`]
-    /// amplitudes, capped by the cores and by `budget`, the share of the
-    /// machine the caller's own fan-out leaves over.
-    pub(crate) fn workers_for(&self, n_amps: usize, budget: usize) -> usize {
-        let pairs = n_amps / 2;
-        if pairs == 0 {
-            return 1;
-        }
-        if self.threads > 0 {
-            return self.threads.min(pairs);
-        }
-        ExecConfig::default().effective_threads_for_work(n_amps, 1).min(budget)
-    }
-}
-
-/// Block size in `domain` units (super-blocks, chunks or chunk pairs,
-/// output slots): one contiguous chunk per worker, never 0.
-fn block_for(domain: usize, workers: usize) -> usize {
-    domain.div_ceil(workers.max(1)).max(1)
-}
-
-/// A shared amplitude cell: `UnsafeCell` in `#[repr(transparent)]`
-/// clothing, so a `&mut [T]` can be reborrowed as `&[ShareCell<T>]` and
-/// handed to a worker team. This is the repo's only `unsafe` surface;
-/// soundness rests on the disjoint-block partition documented at the
-/// module level (and DESIGN.md §4g) — never on locks or atomics.
-#[repr(transparent)]
-struct ShareCell<T>(UnsafeCell<T>);
-
-// SAFETY: a ShareCell is shared across the scoped worker team, which
-// accesses disjoint cells within a pass and joins between passes;
-// T itself crosses threads by value, so `T: Send` suffices.
-unsafe impl<T: Send> Sync for ShareCell<T> {}
-
-impl<T: Copy> ShareCell<T> {
-    /// View an exclusive slice as shared cells. The returned slice
-    /// borrows `slice`, so the exclusive borrow stays frozen (no safe
-    /// access can alias it) for the cells' lifetime.
-    fn slice_from_mut(slice: &mut [T]) -> &[ShareCell<T>] {
-        let ptr: *mut [T] = slice;
-        // SAFETY: ShareCell<T> is repr(transparent) over UnsafeCell<T>,
-        // which is repr(transparent) over T — identical layout; lifetime
-        // and length carried over from the input borrow.
-        unsafe { &*(ptr as *const [ShareCell<T>]) }
-    }
-}
-
-/// Read cell `i` without a bounds check — the hot-loop accessor. Bounds
-/// checks inside the lane loops block LLVM's vectorizer, and every index
-/// here is derived from a domain partition that is in range by
-/// construction.
-///
-/// # Safety
-///
-/// `i < cells.len()` and no concurrent write to cell `i`.
-#[inline(always)]
-unsafe fn cell_get<T: Copy>(cells: &[ShareCell<T>], i: usize) -> T {
-    debug_assert!(i < cells.len());
-    // SAFETY: forwarded from caller.
-    unsafe { *cells.get_unchecked(i).0.get() }
-}
-
-/// Write cell `i` without a bounds check (see [`cell_get`]).
-///
-/// # Safety
-///
-/// `i < cells.len()` and no concurrent access to cell `i`.
-#[inline(always)]
-unsafe fn cell_set<T: Copy>(cells: &[ShareCell<T>], i: usize, value: T) {
-    debug_assert!(i < cells.len());
-    // SAFETY: forwarded from caller.
-    unsafe { *cells.get_unchecked(i).0.get() = value }
 }
 
 /// Map pair index `p` to the lower index of its pair by inserting a 0 at
@@ -228,30 +146,27 @@ fn expand1(p: usize, bit: usize) -> usize {
 /// The build targets baseline x86-64 (SSE2), so without this the
 /// autovectorizer can never emit 256-bit lanes no matter how the loops
 /// are shaped. `#[target_feature]` recompiles just these loops — plus
-/// everything `#[inline(always)]`-ed into them (the register helpers and
-/// cell accessors) — for the wider ISA. Packed AVX2 adds/muls are the
-/// same IEEE-754 operations as their scalar forms and rustc never
-/// licenses FMA contraction, so both clones produce bit-identical
-/// amplitudes: the dispatch is a pure wall-clock choice.
+/// everything `#[inline(always)]`-ed into them (the register helpers) —
+/// for the wider ISA. Packed AVX2 adds/muls are the same IEEE-754
+/// operations as their scalar forms and rustc never licenses FMA
+/// contraction, so both clones produce bit-identical amplitudes: the
+/// dispatch is a pure wall-clock choice.
 macro_rules! isa_dispatch {
     ($name:ident / $avx2:ident => $imp:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
-            // SAFETY: forwarded from caller (AVX2 presence checked there).
-            unsafe { $imp($($arg),*) }
+        fn $avx2($($arg: $ty),*) {
+            $imp($($arg),*)
         }
 
-        /// ISA-dispatched wrapper; see [`isa_dispatch`]. The safety
-        /// contract is the wrapped `_impl` loop's.
-        unsafe fn $name($($arg: $ty),*) {
+        /// ISA-dispatched wrapper; see [`isa_dispatch`].
+        fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature just detected; rest forwarded.
+                // SAFETY: AVX2 just detected on this CPU.
                 return unsafe { $avx2($($arg),*) };
             }
-            // SAFETY: forwarded from caller.
-            unsafe { $imp($($arg),*) }
+            $imp($($arg),*)
         }
     };
 }
@@ -342,28 +257,29 @@ impl Frame {
         (self.b >> q) & 1
     }
 
-    /// Call `visit(v, p)` for every logical basis state `v` in `range`,
-    /// ascending, with `p` the physical index that stores it. Stepping
-    /// `v → v + 1` flips logical bits `0..=t` (`t` = trailing ones of
-    /// `v`), so `p` moves by the prefix XOR `cols[0] ^ … ^ cols[t]`.
-    #[inline(always)]
-    fn walk(&self, range: Range<usize>, mut visit: impl FnMut(usize, usize)) {
+    /// The physical index storing each logical basis state `v` of
+    /// `0..len`, ascending in `v`. Stepping `v → v + 1` flips logical
+    /// bits `0..=t` (`t` = trailing ones of `v`), so `p` moves by the
+    /// prefix XOR `cols[0] ^ … ^ cols[t]`.
+    fn physical_indices(&self, len: usize) -> impl Iterator<Item = usize> {
         let mut steps = [0u32; DENSE_MAX_QUBITS + 1];
         let mut acc = 0u32;
         for (step, col) in steps.iter_mut().zip(&self.cols) {
             acc ^= col;
             *step = acc;
         }
+        // `v = 0` sits at `M(b)`.
         let mut p = 0u32;
-        let mut word = range.start as u32 ^ self.b;
+        let mut word = self.b;
         while word != 0 {
             p ^= self.cols[word.trailing_zeros() as usize];
             word &= word - 1;
         }
-        for v in range {
-            visit(v, p as usize);
+        (0..len).map(move |v| {
+            let at = p as usize;
             p ^= steps[(v + 1).trailing_zeros() as usize];
-        }
+            at
+        })
     }
 }
 
@@ -487,62 +403,44 @@ impl Diag {
     }
 }
 
-/// Load consecutive amplitudes from `at` into registers of two.
-///
-/// # Safety
-///
-/// No concurrent write to the `2 * regs.len()` amplitudes; in bounds.
+/// Load a block of amplitudes into registers of two.
 #[inline(always)]
-unsafe fn load_regs(cells: &[ShareCell<Complex>], at: usize, regs: &mut [[f64; 4]]) {
-    for (r, reg) in regs.iter_mut().enumerate() {
-        // SAFETY: forwarded from caller.
-        let (a, b) = unsafe { (cell_get(cells, at + 2 * r), cell_get(cells, at + 2 * r + 1)) };
-        *reg = [a.re, a.im, b.re, b.im];
-    }
+fn load_regs<const N: usize, const R: usize>(amps: &[Complex; N]) -> [[f64; 4]; R] {
+    const { assert!(N == 2 * R) };
+    std::array::from_fn(|r| {
+        let (a, b) = (amps[2 * r], amps[2 * r + 1]);
+        [a.re, a.im, b.re, b.im]
+    })
 }
 
-/// Store registers of two amplitudes to consecutive amplitudes from `at`.
-///
-/// # Safety
-///
-/// Exclusive access to the `2 * regs.len()` amplitudes; in bounds.
+/// Store registers of two amplitudes to a block of amplitudes.
 #[inline(always)]
-unsafe fn store_regs(cells: &[ShareCell<Complex>], at: usize, regs: &[[f64; 4]]) {
+fn store_regs<const N: usize, const R: usize>(amps: &mut [Complex; N], regs: &[[f64; 4]; R]) {
+    const { assert!(N == 2 * R) };
     for (r, reg) in regs.iter().enumerate() {
-        // SAFETY: forwarded from caller.
-        unsafe {
-            cell_set(cells, at + 2 * r, Complex::new(reg[0], reg[1]));
-            cell_set(cells, at + 2 * r + 1, Complex::new(reg[2], reg[3]));
-        }
+        amps[2 * r] = Complex::new(reg[0], reg[1]);
+        amps[2 * r + 1] = Complex::new(reg[2], reg[3]);
     }
 }
 
-isa_dispatch!(flush_range / flush_range_avx2 => flush_range_impl(
-    cells: &[ShareCell<Complex>], ops: &[Diag], block: usize, range: Range<usize>));
-isa_dispatch!(mat1_chunks / mat1_chunks_avx2 => mat1_chunks_impl(
-    cells: &[ShareCell<Complex>], select: (u32, u32, u32), m: &[[Complex; 2]; 2],
-    range: Range<usize>));
+isa_dispatch!(flush_pass / flush_pass_avx2 => flush_pass_impl(amps: &mut [Complex], ops: &[Diag]));
+isa_dispatch!(mat1_pass / mat1_pass_avx2 => mat1_pass_impl(
+    amps: &mut [Complex], select: (u32, u32, u32), m: &[[Complex; 2]; 2]));
 
-/// Apply every op of `ops`, in order, to each amplitude of the
-/// super-blocks `range` (of `block` amplitudes each, `block` a multiple
-/// of two [`CHUNK`]s and at most [`SUPER`]). Two chunks at a time sit
-/// in eight `[f64; 4]` register blocks — two, because one chunk's ops
-/// form a dependency chain and the second fills its latency — each
-/// loaded and stored once.
-///
-/// # Safety
-///
-/// Exclusive access to the amplitudes of the super-blocks in `range`;
-/// in bounds; `ops.len() <= MAX_PENDING`.
+/// Apply every op of `ops` (at most [`MAX_PENDING`]), in order, to each
+/// amplitude, a super-block of [`SUPER`] amplitudes (the whole state when
+/// it is shorter) at a time. Two chunks at a time sit in eight `[f64; 4]`
+/// register blocks — two, because one chunk's ops form a dependency
+/// chain and the second fills its latency — each loaded and stored once.
 #[inline(always)]
-unsafe fn flush_range_impl(
-    cells: &[ShareCell<Complex>],
-    ops: &[Diag],
-    block: usize,
-    range: Range<usize>,
-) {
+fn flush_pass_impl(amps: &mut [Complex], ops: &[Diag]) {
+    debug_assert!(amps.len().is_power_of_two() && ops.len() <= MAX_PENDING);
+    let block = SUPER.min(amps.len());
+    // Fixed-size blocks: every index below is in bounds at compile time,
+    // which is what lets LLVM vectorize the lane loops.
+    let (pairs, _) = amps.as_chunks_mut::<MIN_AMPS>();
     let mut words = [[0u32; 2]; MAX_PENDING];
-    for sb in range {
+    for (sb, pairs) in pairs.chunks_mut(block / MIN_AMPS).enumerate() {
         let start = sb * block;
         // Per op and condition: bit j = its parity on chunk j.
         for (words, op) in words.iter_mut().zip(ops) {
@@ -551,25 +449,19 @@ unsafe fn flush_range_impl(
                 op.chunk_pattern[i] ^ 0u32.wrapping_sub(base)
             });
         }
-        let mut j = 0;
-        while j < block / CHUNK {
-            let at = start + j * CHUNK;
-            let mut regs = [[0.0f64; 4]; CHUNK];
-            // SAFETY: forwarded from caller.
-            unsafe { load_regs(cells, at, &mut regs) };
+        for (jj, pair) in pairs.iter_mut().enumerate() {
+            let mut regs: [[f64; 4]; CHUNK] = load_regs(pair);
             for (&words, op) in words.iter().zip(ops) {
                 let (first, second) = regs.split_at_mut(CHUNK / 2);
-                op.apply_chunk(first, words, j);
-                op.apply_chunk(second, words, j + 1);
+                op.apply_chunk(first, words, 2 * jj);
+                op.apply_chunk(second, words, 2 * jj + 1);
             }
-            // SAFETY: forwarded from caller.
-            unsafe { store_regs(cells, at, &regs) };
-            j += 2;
+            store_regs(pair, &regs);
         }
     }
 }
 
-/// What [`mat1_chunks`] needs of its `Mat1`, computed once per pass.
+/// What [`mat1_pass`] needs of its `Mat1`, computed once per pass.
 struct Mat1Consts {
     col: usize,
     row: u32,
@@ -582,21 +474,17 @@ struct Mat1Consts {
 }
 
 impl Mat1Consts {
-    /// The new registers of the chunk at `at`, whose partners sit in the
-    /// chunk at `other`: with `x` a lane's amplitude, `y` its partner's
-    /// and `r` its role, `x' = m[r][r]·x + m[r][!r]·y`. Lane `l` pairs
-    /// with lane `l ^ (col % CHUNK)` and has role `parity(l & row)` XOR
-    /// one per-chunk parity.
-    ///
-    /// # Safety
-    ///
-    /// No concurrent write to either chunk; in bounds.
+    /// The new registers of the chunk `own` at index `at`, whose partners
+    /// sit in the chunk `other`: with `x` a lane's amplitude, `y` its
+    /// partner's and `r` its role, `x' = m[r][r]·x + m[r][!r]·y`. Lane
+    /// `l` pairs with lane `l ^ (col % CHUNK)` and has role `parity(l &
+    /// row)` XOR one per-chunk parity.
     #[inline(always)]
-    unsafe fn chunk(
+    fn chunk(
         &self,
-        cells: &[ShareCell<Complex>],
         at: usize,
-        other: usize,
+        own: &[Complex; CHUNK],
+        other: &[Complex; CHUNK],
     ) -> [[f64; 4]; CHUNK / 2] {
         let chunk_role = parity(at as u32 & self.row) ^ self.flip;
         let roles = self.lane_roles ^ 0u32.wrapping_sub(chunk_role);
@@ -604,12 +492,8 @@ impl Mat1Consts {
         // inlined into the AVX2 clone.
         let mut new = [[0.0f64; 4]; CHUNK / 2];
         for (r, new) in new.iter_mut().enumerate() {
-            let lanes = [2 * r, 2 * r + 1];
-            let partners = lanes.map(|l| other + (l ^ (self.col % CHUNK)));
-            // SAFETY: forwarded from caller.
-            let (x, y) = unsafe {
-                (lanes.map(|l| cell_get(cells, at + l)), partners.map(|i| cell_get(cells, i)))
-            };
+            let x = [own[2 * r], own[2 * r + 1]];
+            let y = [2 * r, 2 * r + 1].map(|l| other[l ^ (self.col % CHUNK)]);
             let [own, partner] = &self.by_roles[(roles >> (2 * r)) as usize & 3];
             let from_x = own.mul([x[0].re, x[0].im, x[1].re, x[1].im]);
             let from_y = partner.mul([y[0].re, y[0].im, y[1].re, y[1].im]);
@@ -623,21 +507,12 @@ impl Mat1Consts {
 /// row) ^ flip == 0` being `a0` (same expressions as
 /// `Statevector::apply_1q`), a chunk at a time. For `col >= CHUNK` the
 /// partners of an aligned chunk fill the aligned chunk that holds `at ^
-/// col`: the domain is chunk pairs — pair `k` is the chunk at
-/// `expand1(k, high bit of col / CHUNK) * CHUNK` and its partner — and
-/// both are computed before either is stored. Below, a chunk holds its
-/// own partners and the domain is chunks.
-///
-/// # Safety
-///
-/// Exclusive access to every chunk (pair) in `range`; in bounds.
+/// col`: the pass walks chunk pairs — pair `k` is chunk `expand1(k, high
+/// bit of col / CHUNK)` and its partner, exactly one of the two having
+/// that bit clear — and both are computed before either is stored.
+/// Below, a chunk holds its own partners and the pass walks chunks.
 #[inline(always)]
-unsafe fn mat1_chunks_impl(
-    cells: &[ShareCell<Complex>],
-    (col, row, flip): (u32, u32, u32),
-    m: &[[Complex; 2]; 2],
-    range: Range<usize>,
-) {
+fn mat1_pass_impl(amps: &mut [Complex], (col, row, flip): (u32, u32, u32), m: &[[Complex; 2]; 2]) {
     let consts = Mat1Consts {
         col: col as usize,
         row,
@@ -649,39 +524,24 @@ unsafe fn mat1_chunks_impl(
         }),
     };
     let col = consts.col;
-    // SAFETY (both arms): forwarded from caller.
+    let (chunks, _) = amps.as_chunks_mut::<CHUNK>();
     if col >= CHUNK {
         let high = 1usize << (col / CHUNK).ilog2();
-        for k in range {
-            let at = expand1(k, high) * CHUNK;
-            let other = (at ^ col) & !(CHUNK - 1);
-            unsafe {
-                let (new_at, new_other) =
-                    (consts.chunk(cells, at, other), consts.chunk(cells, other, at));
-                store_regs(cells, at, &new_at);
-                store_regs(cells, other, &new_other);
-            }
+        for k in 0..chunks.len() / 2 {
+            let at = expand1(k, high);
+            let other = at ^ (col / CHUNK);
+            let (a, o) = (chunks[at], chunks[other]);
+            let new_at = consts.chunk(at * CHUNK, &a, &o);
+            let new_other = consts.chunk(other * CHUNK, &o, &a);
+            store_regs(&mut chunks[at], &new_at);
+            store_regs(&mut chunks[other], &new_other);
         }
     } else {
-        for k in range {
-            unsafe {
-                let new = consts.chunk(cells, k * CHUNK, k * CHUNK);
-                store_regs(cells, k * CHUNK, &new);
-            }
+        for (k, chunk) in chunks.iter_mut().enumerate() {
+            let new = consts.chunk(k * CHUNK, chunk, chunk);
+            store_regs(chunk, &new);
         }
     }
-}
-
-/// Run `body` over `domain` indices split across a scoped team: one
-/// contiguous chunk per worker, disjoint, no atomics; returns when every
-/// worker has.
-fn team_pass(workers: usize, domain: usize, body: impl Fn(Range<usize>) + Sync) {
-    let workers = workers.min(domain).max(1);
-    run_team(workers, |w| {
-        for range in block_ranges(domain, block_for(domain, workers), w, workers) {
-            body(range);
-        }
-    });
 }
 
 /// A flushed [`FrameState`] at rest: what a prefix checkpoint stores.
@@ -697,24 +557,17 @@ pub(crate) struct FrameState {
     amps: Vec<Complex>,
     frame: Frame,
     pending: Vec<Diag>,
-    /// Worker team size of every pass (see [`team_pass`]).
-    workers: usize,
 }
 
 impl FrameState {
-    /// |0…0⟩ inside a caller-provided buffer, passes on `workers`
-    /// threads.
+    /// |0…0⟩ inside a caller-provided buffer.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::TooManyQubits`] beyond [`DENSE_MAX_QUBITS`].
-    pub(crate) fn zero_in(
-        num_qubits: usize,
-        buf: Vec<Complex>,
-        workers: usize,
-    ) -> Result<Self, SimError> {
+    pub(crate) fn zero_in(num_qubits: usize, buf: Vec<Complex>) -> Result<Self, SimError> {
         let zero = Statevector::zero_in(num_qubits, buf)?;
-        Ok(Self::from_amps(num_qubits, zero.into_amps(), Frame::identity(), workers))
+        Ok(Self::from_amps(num_qubits, zero.into_amps(), Frame::identity()))
     }
 
     /// A snapshotted state restored into a caller-provided buffer.
@@ -722,16 +575,15 @@ impl FrameState {
         num_qubits: usize,
         mut buf: Vec<Complex>,
         snapshot: &FrameSnapshot,
-        workers: usize,
     ) -> Self {
         buf.clear();
         buf.extend_from_slice(&snapshot.amps);
-        Self::from_amps(num_qubits, buf, snapshot.frame, workers)
+        Self::from_amps(num_qubits, buf, snapshot.frame)
     }
 
     /// A state at rest over `2^num_qubits` (or already padded)
     /// amplitudes in the physical order `frame` describes.
-    fn from_amps(num_qubits: usize, mut amps: Vec<Complex>, frame: Frame, workers: usize) -> Self {
+    fn from_amps(num_qubits: usize, mut amps: Vec<Complex>, frame: Frame) -> Self {
         assert!(amps.len() == 1 << num_qubits || amps.len() == MIN_AMPS, "width mismatch");
         amps.resize(amps.len().max(MIN_AMPS), Complex::ZERO);
         FrameState {
@@ -739,7 +591,6 @@ impl FrameState {
             amps,
             frame,
             pending: Vec::new(),
-            workers,
         }
     }
 
@@ -787,60 +638,32 @@ impl FrameState {
 
     /// Apply the pending diagonals in one pass.
     fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
+        if !self.pending.is_empty() {
+            flush_pass(&mut self.amps, &self.pending);
+            self.pending.clear();
         }
-        let ops = self.pending.as_slice();
-        let block = SUPER.min(self.amps.len());
-        let cells = ShareCell::slice_from_mut(&mut self.amps);
-        team_pass(self.workers, cells.len() / block, |range| {
-            // SAFETY: `team_pass` deals disjoint super-block ranges to
-            // distinct workers and a super-block's amplitudes are its
-            // own; `push` bounds `ops` by MAX_PENDING.
-            unsafe { flush_range(cells, ops, block, range) };
-        });
-        self.pending.clear();
     }
 
     fn mat1(&mut self, q: usize, m: &[[Complex; 2]; 2]) {
         self.flush();
         let select = (self.frame.cols[q], self.frame.rows[q], self.frame.flip(q));
-        let cells = ShareCell::slice_from_mut(&mut self.amps);
-        let chunks_per_item = if select.0 as usize >= CHUNK { 2 } else { 1 };
-        team_pass(self.workers, cells.len() / (chunks_per_item * CHUNK), |range| {
-            // SAFETY: `team_pass` deals disjoint ranges to distinct
-            // workers, and distinct chunk (chunk-pair) indices are
-            // disjoint amplitudes: exactly one chunk of a pair has the
-            // high bit of `col` clear.
-            unsafe { mat1_chunks(cells, select, m, range) };
-        });
+        mat1_pass(&mut self.amps, select, m);
     }
 
     /// Flush, then write `map(amplitude of v)` to `out[v]` for every
     /// logical basis state `v` — the one place canonical order is
     /// restored.
-    fn gather_into<T: Copy + Send>(
-        &mut self,
-        out: &mut Vec<T>,
-        fill: T,
-        map: impl Fn(Complex) -> T + Sync,
-    ) {
+    fn gather_into<T>(&mut self, out: &mut Vec<T>, map: impl Fn(Complex) -> T) {
         self.flush();
+        let amps = self.amps.as_slice();
         out.clear();
-        out.resize(1 << self.num_qubits, fill);
-        let (amps, frame) = (self.amps.as_slice(), &self.frame);
-        let cells = ShareCell::slice_from_mut(out.as_mut_slice());
-        team_pass(self.workers, cells.len(), |range| {
-            // SAFETY: `team_pass` deals disjoint output ranges to distinct
-            // workers; `amps` is a plain shared borrow (reads only).
-            frame.walk(range, |v, p| unsafe { cell_set(cells, v, map(amps[p])) });
-        });
+        out.extend(self.frame.physical_indices(1 << self.num_qubits).map(|p| map(amps[p])));
     }
 
     /// The measurement probabilities in canonical order — bit-identical
     /// to [`Statevector::probabilities_into`] on the oracle's state.
     pub(crate) fn probabilities_into(&mut self, probs: &mut Vec<f64>) {
-        self.gather_into(probs, 0.0, Complex::norm_sqr);
+        self.gather_into(probs, Complex::norm_sqr);
     }
 
     /// Flush and snapshot (a snapshot with diagonals still pending
@@ -856,7 +679,7 @@ impl FrameState {
     /// Materialise the canonical-order [`Statevector`].
     pub(crate) fn into_statevector(mut self) -> Statevector {
         let mut amps = Vec::new();
-        self.gather_into(&mut amps, Complex::ZERO, |amp| amp);
+        self.gather_into(&mut amps, |amp| amp);
         Statevector::from_amps(self.num_qubits, amps)
     }
 
@@ -928,9 +751,10 @@ mod tests {
     fn frame_streams_match_the_oracle_bit_for_bit() {
         // Random streams from a random state at every width: padded
         // (n <= 3), a single short super-block (n < 8) and several
-        // super-blocks: materialised amplitudes and gathered
-        // probabilities must equal `apply_kernel` folded over the
-        // stream, to the bit, at every team size.
+        // super-blocks (where random `cols` put `Mat1` partners both
+        // inside a chunk and in another one): materialised amplitudes
+        // and gathered probabilities must equal `apply_kernel` folded
+        // over the stream, to the bit.
         for n in 1..=12usize {
             let mut rng = StdRng::seed_from_u64(900 + n as u64);
             let start = random_amps(n, &mut rng);
@@ -947,26 +771,24 @@ mod tests {
             let mut expected_probs = Vec::new();
             oracle.probabilities_into(&mut expected_probs);
 
-            for workers in [1usize, 2, 3, 5] {
-                let snapshot = FrameSnapshot {
-                    amps: start.clone(),
-                    frame: Frame::identity(),
-                };
-                let mut state = FrameState::restore_in(n, Vec::new(), &snapshot, workers);
-                state.run(&kernels).unwrap();
-                let mut probs = vec![0.5; 3]; // stale, wrong-sized
-                state.probabilities_into(&mut probs);
-                assert_eq!(
-                    probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                    expected_probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                    "probabilities, n={n} workers={workers}"
-                );
-                assert_eq!(
-                    bits(state.into_statevector().amps()),
-                    bits(oracle.amps()),
-                    "amplitudes, n={n} workers={workers}"
-                );
-            }
+            let snapshot = FrameSnapshot {
+                amps: start,
+                frame: Frame::identity(),
+            };
+            let mut state = FrameState::restore_in(n, Vec::new(), &snapshot);
+            state.run(&kernels).unwrap();
+            let mut probs = vec![0.5; 3]; // stale, wrong-sized
+            state.probabilities_into(&mut probs);
+            assert_eq!(
+                probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                expected_probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                "probabilities, n={n}"
+            );
+            assert_eq!(
+                bits(state.into_statevector().amps()),
+                bits(oracle.amps()),
+                "amplitudes, n={n}"
+            );
         }
     }
 
@@ -991,7 +813,7 @@ mod tests {
                 amps: start,
                 frame: Frame::identity(),
             };
-            let mut state = FrameState::restore_in(n, Vec::new(), &snapshot, 1);
+            let mut state = FrameState::restore_in(n, Vec::new(), &snapshot);
             state.run(kernels).unwrap();
             assert_eq!(bits(state.into_statevector().amps()), bits(oracle.amps()), "n={n}");
         }
@@ -1024,7 +846,7 @@ mod tests {
 
     #[test]
     fn reset_kernels_are_rejected() {
-        let mut state = FrameState::zero_in(3, Vec::new(), 1).unwrap();
+        let mut state = FrameState::zero_in(3, Vec::new()).unwrap();
         assert!(matches!(
             state.run([Kernel::X(0), Kernel::Reset(1)]),
             Err(SimError::Unsupported { .. })
@@ -1039,36 +861,5 @@ mod tests {
             let expected: Vec<usize> = (0..16).filter(|i| i & bit == 0).collect();
             assert_eq!(indices, expected, "qubit {q}");
         }
-    }
-
-    #[test]
-    fn auto_threads_bypass_team_for_small_states() {
-        // A team is spawned per pass, so auto grants a worker per
-        // MIN_WORK_PER_THREAD amplitudes, not per amplitude x kernel:
-        // one worker through 21 qubits, a team from 22 (where it first
-        // paid when measured), and never more than the caller's budget.
-        let cores = ExecConfig::default().effective_threads(usize::MAX);
-        let auto = SvExec::auto();
-        assert_eq!(auto.workers_for(1 << 6, usize::MAX), 1);
-        assert_eq!(auto.workers_for(1 << 20, usize::MAX), 1);
-        assert_eq!(auto.workers_for(1 << 21, usize::MAX), 1);
-        if cores >= 2 {
-            assert!(auto.workers_for(1 << 22, usize::MAX) >= 2);
-        }
-        assert!(auto.workers_for(1 << 24, usize::MAX) <= cores);
-        assert_eq!(auto.workers_for(1 << 22, 1), 1);
-        // Explicit counts are honored whatever the budget, capped only
-        // by the pair count.
-        assert_eq!(auto.with_threads(3).workers_for(1 << 6, 1), 3);
-        assert_eq!(auto.with_threads(3).workers_for(8, usize::MAX), 3);
-        assert_eq!(auto.with_threads(64).workers_for(8, usize::MAX), 4);
-    }
-
-    #[test]
-    fn block_for_is_one_chunk_per_worker() {
-        assert_eq!(block_for(32, 4), 8);
-        assert_eq!(block_for(30, 4), 8);
-        assert_eq!(block_for(2, 7), 1);
-        assert_eq!(block_for(0, 3), 1); // never 0
     }
 }

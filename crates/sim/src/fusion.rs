@@ -196,18 +196,16 @@ impl CompiledCircuit {
         &self.kernels
     }
 
-    /// Execute the stream on |0...0> through the frame executor, its
-    /// passes on `exec`'s worker team, and materialise the final state
-    /// — bit-identical to folding [`Statevector::apply_kernel`] over
-    /// [`CompiledCircuit::kernels`] at every setting (see
-    /// [`crate::SvExec`]).
+    /// Execute the stream on |0...0> through the frame executor and
+    /// materialise the final state — bit-identical to folding
+    /// [`Statevector::apply_kernel`] over [`CompiledCircuit::kernels`].
+    /// The parameter is read by nothing (see [`crate::SvExec`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
-    pub fn execute_with(&self, exec: &SvExec) -> Result<Statevector, SimError> {
-        let workers = exec.workers_for(1usize << self.num_qubits.min(63), usize::MAX);
-        let mut state = FrameState::zero_in(self.num_qubits, Vec::new(), workers)?;
+    pub fn execute_with(&self, _exec: &SvExec) -> Result<Statevector, SimError> {
+        let mut state = FrameState::zero_in(self.num_qubits, Vec::new())?;
         state.run(&self.kernels)?;
         Ok(state.into_statevector())
     }

@@ -22,11 +22,15 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+// The one exception is `frame`: the call of an AVX2 clone behind a CPU
+// probe (DESIGN.md §4g).
+#![deny(unsafe_code)]
 
 pub mod backend;
 mod complex;
 mod counts;
 mod equivalence;
+#[allow(unsafe_code)]
 mod frame;
 pub mod fusion;
 mod noisy;

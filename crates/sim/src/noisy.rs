@@ -85,14 +85,10 @@ pub struct NoisySimulator {
     /// draws from its own RNG, seeded by SplitMix64 from
     /// `(seed, trajectory index)`.
     pub threads: usize,
-    /// Frame-executor policy (amplitude-block workers) for the shared
-    /// ideal evolution and the trajectory replays; decoherence and reset
-    /// trajectories run on [`Statevector`]'s appliers, one core each,
-    /// and do not read it. With auto threads (the default), the core
-    /// budget is split with the trajectory fan-out, so a wide circuit at
-    /// `trajectories = 1` saturates the machine through amplitude blocks
-    /// while a many-trajectory run keeps the outer fan-out. Counts are
-    /// bit-identical at every setting (see [`SvExec`]).
+    /// Read by nothing: the amplitude-block teams it used to size are gone
+    /// and every state is walked by the trajectory worker that owns it
+    /// (see [`SvExec`]). Kept only because `benchmark/` names
+    /// [`NoisySimulator::with_sv`].
     pub sv: SvExec,
     /// Simulation backend selection: [`BackendChoice::Auto`] (default)
     /// routes each circuit through [`crate::backend::BackendDispatcher`]
@@ -278,18 +274,14 @@ impl PrefixCheckpoints {
     /// Kernels stream through the frame executor in stride-aligned
     /// segments, so every snapshot lands on the exact same instruction
     /// boundary as a sequential walk.
-    fn build(
-        num_qubits: usize,
-        steps: &[TrajStep],
-        workers: usize,
-    ) -> Result<(Self, FrameState), SimError> {
+    fn build(num_qubits: usize, steps: &[TrajStep]) -> Result<(Self, FrameState), SimError> {
         let state_bytes = (1usize << num_qubits) * std::mem::size_of::<Complex>();
         let max_snapshots = (CHECKPOINT_BUDGET_BYTES / state_bytes.max(1)).min(16);
         let stride = match max_snapshots {
             0 => steps.len().max(1),
             n => steps.len().div_ceil(n).max(1),
         };
-        let mut state = FrameState::zero_in(num_qubits, Vec::new(), workers)?;
+        let mut state = FrameState::zero_in(num_qubits, Vec::new())?;
         let mut snapshots = Vec::new();
         for (j, segment) in steps.chunks(stride).enumerate() {
             state.run(segment.iter().map(|step| &step.kernel))?;
@@ -337,9 +329,8 @@ impl NoisySimulator {
         self
     }
 
-    /// Set the frame-executor policy (block workers);
-    /// returns the modified simulator for chaining. The result of
-    /// [`NoisySimulator::run`] does not depend on this value.
+    /// Set [`NoisySimulator::sv`], which nothing reads; returns the
+    /// simulator for chaining.
     #[must_use]
     pub fn with_sv(mut self, sv: SvExec) -> Self {
         self.sv = sv;
@@ -439,19 +430,8 @@ impl NoisySimulator {
             .effective_threads_for_work(trajectories, work_per_traj);
         let exec = ExecConfig::with_threads(traj_workers);
 
-        // The frame executor's block teams split the core budget with
-        // the trajectory fan-out: the shared ideal build runs before the
-        // fan-out and gets the whole machine; per-trajectory replays get
-        // the remainder, so trajectories = 1 on a wide state saturates
-        // every core through amplitude blocks without oversubscribing
-        // the many-trajectory case.
-        let cores = ExecConfig::default().effective_threads(usize::MAX);
-        let n_amps = 1usize << num_qubits;
-        let shared_team = self.sv.workers_for(n_amps, cores);
-        let replay_team = self.sv.workers_for(n_amps, (cores / traj_workers).max(1));
-
         let shared = if skip_ahead {
-            let (prefix, mut ideal) = PrefixCheckpoints::build(num_qubits, &steps, shared_team)?;
+            let (prefix, mut ideal) = PrefixCheckpoints::build(num_qubits, &steps)?;
             let mut sampler = ShotSampler::default();
             sampler.rebuild_from_frame(&mut ideal);
             Some((prefix, sampler))
@@ -495,11 +475,10 @@ impl NoisySimulator {
                     // the recorded Pauli words at their steps.
                     let buf = std::mem::take(&mut scratch.amps);
                     let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
-                        Some((applied, snapshot)) => (
-                            applied,
-                            FrameState::restore_in(num_qubits, buf, snapshot, replay_team),
-                        ),
-                        None => (0, FrameState::zero_in(num_qubits, buf, replay_team)?),
+                        Some((applied, snapshot)) => {
+                            (applied, FrameState::restore_in(num_qubits, buf, snapshot))
+                        }
+                        None => (0, FrameState::zero_in(num_qubits, buf)?),
                     };
                     let kernels = |range: std::ops::Range<usize>| {
                         steps[range].iter().map(|step| &step.kernel)
@@ -1263,34 +1242,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_invariant_under_sv_team_size() {
-        // The amplitude-block team size must never change a Counts bit,
-        // with and without decoherence (the latter exercises the
-        // per-gate stochastic path).
-        for decoherence in [false, true] {
-            let c = qft_pos_circuit(4);
-            let snap = noisy_snapshot(4, 2.0);
-            let mut sim = NoisySimulator {
-                trajectories: 8,
-                seed: 23,
-                ..NoisySimulator::default()
-            };
-            if decoherence {
-                sim = sim.with_decoherence();
-            }
-            let reference = sim.run_reference(&c, &snap, 2048).unwrap();
-            for threads in [0, 1, 2, 3] {
-                let sv = SvExec::auto().with_threads(threads);
-                let counts = sim.with_sv(sv).run(&c, &snap, 2048).unwrap();
-                assert_eq!(
-                    reference, counts,
-                    "diverged at {threads}t (decoherence={decoherence})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pauli_word_kernels_are_the_decoded_gates() {
         // The injected kernels are exactly what the gate table decodes
         // X / Y / Z to, identity factors skipped.
@@ -1510,7 +1461,7 @@ mod tests {
     }
 
     fn materialised(num_qubits: usize, snapshot: &FrameSnapshot) -> Statevector {
-        FrameState::restore_in(num_qubits, Vec::new(), snapshot, 1).into_statevector()
+        FrameState::restore_in(num_qubits, Vec::new(), snapshot).into_statevector()
     }
 
     #[test]
@@ -1519,7 +1470,7 @@ mod tests {
         // fresh per-step evolution reaches at the same instruction count.
         let c = qft_pos_circuit(4);
         let steps = decoded_steps(&c, &noisy_snapshot(4, 1.0));
-        let (prefix, ideal) = PrefixCheckpoints::build(4, &steps, 1).unwrap();
+        let (prefix, ideal) = PrefixCheckpoints::build(4, &steps).unwrap();
         assert!(
             !prefix.snapshots.is_empty(),
             "a {} instruction circuit should checkpoint",
@@ -1551,7 +1502,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).h(1).cx(0, 1).rz(0.7, 1).h(1).cx(1, 2).t(0).h(0);
         let steps = decoded_steps(&c, &noisy_snapshot(3, 1.0));
-        let (prefix, mut ideal) = PrefixCheckpoints::build(3, &steps, 1).unwrap();
+        let (prefix, mut ideal) = PrefixCheckpoints::build(3, &steps).unwrap();
         assert_eq!(prefix.stride, 1, "an 8-step circuit fits the snapshot budget");
         let mut expected = Vec::new();
         ideal.probabilities_into(&mut expected);
@@ -1561,7 +1512,7 @@ mod tests {
         for upto in 1..steps.len() {
             let (applied, snapshot) = prefix.restore_point(upto).expect("stride 1");
             assert_eq!(applied, upto);
-            let mut state = FrameState::restore_in(3, Vec::new(), snapshot, 1);
+            let mut state = FrameState::restore_in(3, Vec::new(), snapshot);
             state
                 .run(steps[applied..].iter().map(|step| &step.kernel))
                 .unwrap();

@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 mod correlation;
 mod descriptive;

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 mod bisection;
 pub mod families;

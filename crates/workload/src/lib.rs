@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 mod generator;
 pub mod ingest;

@@ -23,7 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.size(),
         circuit.cx_count()
     );
-    println!("{}", qcs::circuit::draw(&circuit));
 
     // Compile against the machine's calibration at hour 12 of the study.
     let target = Target::from_machine(machine, 12.0);

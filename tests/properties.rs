@@ -279,19 +279,17 @@ proptest! {
         threads in 1usize..5,
         scale_pick in 0u8..3,
         deco_pick in 0u8..2,
-        sv_threads in 1usize..4,
     ) {
         // The load-bearing guarantee of the pre-decoded + skip-ahead +
         // checkpointed + pooled hot path: bit-identical Counts vs the
         // pre-optimization per-instruction path, at every trajectory
-        // thread count and every statevector team size.
+        // thread count.
         use qcs::calibration::NoiseProfile;
-        use qcs::sim::{NoisySimulator, SvExec};
+        use qcs::sim::NoisySimulator;
         let scale = [0.05, 1.0, 6.0][scale_pick as usize];
         let snap = NoiseProfile::with_seed(seed ^ 0xA5A5)
             .scaled_errors(scale)
             .snapshot(&families::complete(5), 0);
-        let sv = SvExec::auto().with_threads(sv_threads);
         let mut sim = NoisySimulator {
             trajectories: 6,
             seed,
@@ -301,31 +299,27 @@ proptest! {
             sim = sim.with_decoherence();
         }
         let reference = sim.with_threads(1).run_reference(&circuit, &snap, 384).unwrap();
-        let optimized = sim.with_threads(threads).with_sv(sv).run(&circuit, &snap, 384).unwrap();
+        let optimized = sim.with_threads(threads).run(&circuit, &snap, 384).unwrap();
         prop_assert_eq!(reference, optimized);
     }
 
     #[test]
-    fn blocked_wide_kernels_match_scalar_amplitudes(
-        circuit in arb_circuit(),
-        sv_threads in 1usize..5,
-    ) {
+    fn frame_executor_matches_kernel_fold_amplitudes(circuit in arb_circuit()) {
         // The frame executor behind `execute_with` (X/CX/SWAP as index-map
         // updates, diagonal runs flushed many-per-pass in SIMD chunks,
-        // Mat1 over XOR-pairs, every pass split across the block team)
-        // must reproduce the sequential full-array amplitudes bit-for-bit:
-        // each amplitude goes through the same expressions in the same
-        // order, only where it is stored differs. The oracle is a fold of
-        // `Statevector::apply_kernel` over the same stream.
+        // Mat1 over XOR-pairs) must reproduce the sequential full-array
+        // amplitudes bit-for-bit: each amplitude goes through the same
+        // expressions in the same order, only where it is stored differs.
+        // The oracle is a fold of `Statevector::apply_kernel` over the
+        // same stream.
         use qcs::sim::{CompiledCircuit, SvExec};
         let compiled = CompiledCircuit::compile(&circuit);
         let mut oracle = Statevector::zero(compiled.num_qubits()).unwrap();
         for kernel in compiled.kernels() {
             oracle.apply_kernel(kernel).unwrap();
         }
-        let sv = SvExec::auto().with_threads(sv_threads);
-        let parallel = compiled.execute_with(&sv).unwrap();
-        prop_assert_eq!(oracle.amps(), parallel.amps());
+        let framed = compiled.execute_with(&SvExec::auto()).unwrap();
+        prop_assert_eq!(oracle.amps(), framed.amps());
     }
 
     #[test]
