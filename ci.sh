@@ -21,11 +21,21 @@ cargo test -q --workspace
 # --test properties live_matches_batch; --test gateway_smoke; -p
 #   qcs-gateway: the incremental stepping engine is bit-identical to the
 #   batch run on random traces/disciplines/outages/step schedules, and the
-#   gateway loopback smoke test (8 concurrent clients, forced backpressure,
-#   graceful drain) ends with a clean audit.
+#   gateway loopback smoke test (8 concurrent clients, each on its own
+#   session thread and all served at once, forced backpressure, graceful
+#   drain) ends with a clean audit.
+# -p qcs-gateway default_gateway_serves_more_sessions_than_cores;
+#   connections_over_the_session_limit_are_refused_busy;
+#   dribbling_peer_is_reaped_at_the_line_deadline: a default gateway
+#   answers cores + 2 held-open clients, session 129 reads `BUSY
+#   connection limit` then EOF and is admitted once another closes, and
+#   bytes without a newline do not reset the per-line idle deadline.
 # --test chaos_gateway: every fault mode (drops, garbles, truncations,
-#   slow-loris writes, handler panics, machine outages) against concurrent
-#   clients, with a clean audited drain and bit-identical fault-free replay.
+#   slow-loris writes, handler panics, machine outages) against 6
+#   concurrent clients, all served at once on a default-config gateway
+#   (gateway_smoke's 8 likewise: not 4 + 4 behind a hand-set pool), every
+#   panic caught on its own session thread and counted exactly, with a
+#   clean audited drain and bit-identical fault-free replay.
 # --test properties streaming: the O(1)-memory streaming sink matches the
 #   exact in-memory fold on random traces under any step schedule
 #   (count/mean bit-identical, sketches within documented tolerance).

@@ -393,7 +393,7 @@ pub struct LiveCloud {
 }
 
 /// A terminal-record observer installed with
-/// [`LiveCloud::with_record_tap`] / [`LiveCloud::set_record_tap`].
+/// [`LiveCloud::with_record_tap`].
 pub type RecordTapFn = Box<dyn FnMut(&JobRecord) + Send>;
 
 impl fmt::Debug for LiveCloud {
@@ -461,12 +461,6 @@ impl LiveCloud {
     pub fn with_record_tap(mut self, tap: RecordTapFn) -> Self {
         self.tap = Some(tap);
         self
-    }
-
-    /// Install or replace the terminal-record tap after construction.
-    /// See [`with_record_tap`](LiveCloud::with_record_tap).
-    pub fn set_record_tap(&mut self, tap: RecordTapFn) {
-        self.tap = Some(tap);
     }
 
     /// Attach a maintenance/outage plan (see

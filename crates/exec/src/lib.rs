@@ -35,7 +35,6 @@
 pub mod hash;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 
 /// Thread-count configuration for the parallel helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,12 +87,12 @@ impl ExecConfig {
     /// the pool entirely (1 worker = the plain sequential loop) instead of
     /// paying spawn-and-join overhead that exceeds the work itself.
     ///
-    /// Unlike `effective_threads` — whose explicit counts are honored
-    /// verbatim because pool *sizing* (e.g. the gateway's connection
-    /// handlers) must obey configuration — this is for *compute* dispatch,
-    /// where threads beyond the core count or the work supply only add
-    /// overhead. `work_per_item` is a caller-chosen unit (the simulator
-    /// uses "amplitude operations", i.e. `kernels × 2^n` per trajectory).
+    /// Unlike `effective_threads` — which honors an explicit count
+    /// verbatim, so a caller (or `QCS_THREADS`) can ask for any fan-out
+    /// and get it — this is for *compute* dispatch, where threads beyond
+    /// the core count or the work supply only add overhead.
+    /// `work_per_item` is a caller-chosen unit (the simulator uses
+    /// "amplitude operations", i.e. `kernels × 2^n` per trajectory).
     #[must_use]
     pub fn effective_threads_for_work(&self, items: usize, work_per_item: u64) -> usize {
         let cores = detected_parallelism();
@@ -236,127 +235,6 @@ where
         out.push(result?);
     }
     Ok(out)
-}
-
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// A long-lived pool of worker threads consuming boxed tasks from a
-/// shared queue — the counterpart to the scoped, per-call helpers above
-/// for workloads whose tasks arrive over time rather than as a slice
-/// (e.g. the `qcs-gateway` connection handlers).
-///
-/// - Tasks run in submission order *per worker pickup*; there is no
-///   cross-task ordering guarantee (use [`parallel_map`] when output
-///   order matters).
-/// - A panicking task is contained: the worker survives, a counter is
-///   incremented ([`WorkerPool::panics`]), and subsequent tasks run.
-/// - Dropping the pool closes the queue and joins every worker, so all
-///   submitted tasks finish before `drop` returns.
-///
-/// # Examples
-///
-/// ```
-/// use qcs_exec::WorkerPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-///
-/// let pool = WorkerPool::new(4);
-/// let hits = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..100 {
-///     let hits = Arc::clone(&hits);
-///     pool.execute(move || {
-///         hits.fetch_add(1, Ordering::Relaxed);
-///     });
-/// }
-/// drop(pool); // joins: all 100 tasks have run
-/// assert_eq!(hits.load(Ordering::Relaxed), 100);
-/// ```
-pub struct WorkerPool {
-    sender: Option<mpsc::Sender<Task>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    panics: Arc<AtomicUsize>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool with `threads` workers (`0` = auto, per
-    /// [`std::thread::available_parallelism`]).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let threads = ExecConfig::with_threads(threads).effective_threads(usize::MAX);
-        let (sender, receiver) = mpsc::channel::<Task>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let panics = Arc::new(AtomicUsize::new(0));
-        let workers = (0..threads)
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let panics = Arc::clone(&panics);
-                std::thread::Builder::new()
-                    .name(format!("qcs-exec-worker-{i}"))
-                    .spawn(move || loop {
-                        let task = {
-                            let guard = receiver.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match task {
-                            Ok(task) => {
-                                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task))
-                                    .is_err()
-                                {
-                                    panics.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Err(_) => break, // queue closed: pool is dropping
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        WorkerPool {
-            sender: Some(sender),
-            workers,
-            panics,
-        }
-    }
-
-    /// Submit a task. Returns immediately; the task runs on the first
-    /// free worker.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, task: F) {
-        self.sender
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(Box::new(task))
-            .expect("workers outlive the sender");
-    }
-
-    /// Number of worker threads in the pool.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of tasks that panicked so far (the panics were contained).
-    #[must_use]
-    pub fn panics(&self) -> usize {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// A handle on the panic counter that outlives the pool: clone this
-    /// before moving the pool elsewhere (e.g. into an accept-loop
-    /// thread) to keep observing contained panics after the move — the
-    /// `qcs-gateway` exposes its handler-panic count this way.
-    #[must_use]
-    pub fn panics_handle(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.panics)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        drop(self.sender.take()); // close the queue: workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
 }
 
 /// SplitMix64 finalizer: a fast, well-scrambled 64-bit mixing function.
@@ -509,121 +387,6 @@ mod tests {
         assert!(config.effective_threads_for_work(64, MIN_WORK_PER_THREAD / 16) <= 2);
         // Item cap still applies.
         assert_eq!(config.effective_threads_for_work(1, u64::MAX), 1);
-    }
-
-    #[test]
-    fn worker_pool_runs_all_tasks_on_drop() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..200 {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool);
-        assert_eq!(hits.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn worker_pool_contains_panics() {
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for i in 0..20 {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                assert!(i % 5 != 0, "task panic");
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool); // joins: queue fully drained
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            16,
-            "4 of 20 tasks panicked, rest ran"
-        );
-    }
-
-    #[test]
-    fn worker_pool_counts_panics() {
-        let pool = WorkerPool::new(1);
-        for _ in 0..3 {
-            pool.execute(|| panic!("boom"));
-        }
-        pool.execute(|| {});
-        // Drain by dropping, then the counter is final.
-        let panics = Arc::clone(&pool.panics);
-        drop(pool);
-        assert_eq!(panics.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn worker_pool_panics_do_not_corrupt_indexed_results_under_load() {
-        // 200 tasks write into their own slot; every 7th panics before
-        // writing. Survivor slots must hold exactly their own value —
-        // a contained panic must not smear into neighbours.
-        let pool = WorkerPool::new(4);
-        let panics = pool.panics_handle();
-        let slots = Arc::new(Mutex::new(vec![None; 200]));
-        for i in 0..200 {
-            let slots = Arc::clone(&slots);
-            pool.execute(move || {
-                assert!(i % 7 != 0, "injected task panic");
-                slots.lock().unwrap()[i] = Some(i * 10);
-            });
-        }
-        drop(pool); // joins: the batch is complete
-        let slots = slots.lock().unwrap();
-        let mut expected_panics = 0;
-        for (i, slot) in slots.iter().enumerate() {
-            if i % 7 == 0 {
-                assert_eq!(*slot, None, "panicking task {i} must not write");
-                expected_panics += 1;
-            } else {
-                assert_eq!(*slot, Some(i * 10), "slot {i} corrupted");
-            }
-        }
-        assert_eq!(panics.load(Ordering::Relaxed), expected_panics);
-    }
-
-    #[test]
-    fn worker_pool_stays_functional_after_a_panic_storm() {
-        // A burst of panicking tasks must not poison the queue: a second
-        // batch on the same pool still runs to completion.
-        let pool = WorkerPool::new(2);
-        for _ in 0..50 {
-            pool.execute(|| panic!("storm"));
-        }
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..50 {
-            let hits = Arc::clone(&hits);
-            pool.execute(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let panics = pool.panics_handle();
-        drop(pool);
-        assert_eq!(hits.load(Ordering::Relaxed), 50);
-        assert_eq!(panics.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn parallel_map_order_is_unaffected_by_concurrent_pool_panics() {
-        // A pool melting down in the background must not perturb the
-        // index-ordered results of an unrelated parallel_map.
-        let pool = WorkerPool::new(2);
-        for _ in 0..40 {
-            pool.execute(|| panic!("background meltdown"));
-        }
-        let items: Vec<u64> = (0..500).collect();
-        let mapped = parallel_map(&ExecConfig::with_threads(4), &items, |i, x| {
-            (i as u64) * 1000 + x
-        });
-        drop(pool);
-        for (i, value) in mapped.iter().enumerate() {
-            assert_eq!(*value, (i as u64) * 1000 + i as u64);
-        }
     }
 
     #[test]

@@ -284,25 +284,19 @@ fn open(
     Ok((BufReader::new(read_half), BufWriter::new(stream)))
 }
 
-/// What a replay run observed, per submission attempt.
+/// What a replay run observed, per submission.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayReport {
     /// Gateway-assigned ids of accepted jobs, in submission order.
     pub accepted_ids: Vec<u64>,
-    /// Submissions answered `BUSY` (rate limit or backpressure), after
-    /// any retries.
+    /// Submissions answered `BUSY` (rate limit or backpressure).
     pub busy: usize,
     /// Submissions answered `ERR`.
     pub rejected: usize,
-    /// Submissions abandoned on a transport failure with the retry
-    /// budget exhausted (the job may or may not have reached the
-    /// simulator — see the `SUBMIT` idempotency note on
-    /// [`GatewayClient::request_with_retry`]).
+    /// Submissions abandoned on a transport failure (the job may or may
+    /// not have reached the simulator — see the `SUBMIT` idempotency note
+    /// on [`GatewayClient::request_with_retry`]).
     pub lost: usize,
-    /// Re-attempts performed across the whole replay.
-    pub retries: u64,
-    /// Requests whose retry budget was exhausted.
-    pub giveups: u64,
 }
 
 /// Replays a trace of [`JobSpec`]s against a gateway, compressing trace
@@ -312,14 +306,10 @@ pub struct LoadGenerator {
     /// gateway's own `time_compression` if the replay should preserve the
     /// trace's inter-arrival structure in simulation time.
     pub time_compression: f64,
-    /// Retry policy applied to every submission
-    /// ([`RetryPolicy::none`] by default: one attempt per job).
-    pub retry: RetryPolicy,
 }
 
 impl LoadGenerator {
-    /// A generator replaying at the given compression factor, without
-    /// retries.
+    /// A generator replaying at the given compression factor.
     ///
     /// # Panics
     ///
@@ -327,25 +317,14 @@ impl LoadGenerator {
     #[must_use]
     pub fn new(time_compression: f64) -> Self {
         assert!(time_compression > 0.0, "compression must be positive");
-        LoadGenerator {
-            time_compression,
-            retry: RetryPolicy::none(),
-        }
-    }
-
-    /// Apply a retry policy to every submission in the replay.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
+        LoadGenerator { time_compression }
     }
 
     /// Replay `jobs` over one connection: sleep until each job's
-    /// compressed submission instant, then submit it (retrying per the
-    /// generator's policy). Jobs are sent in `submit_s` order regardless
-    /// of input order. Transport failures that outlive the retry budget
-    /// are counted as [`ReplayReport::lost`] and the replay continues on
-    /// a fresh connection.
+    /// compressed submission instant, then submit it, one attempt per
+    /// job. Jobs are sent in `submit_s` order regardless of input order.
+    /// A transport failure is counted as [`ReplayReport::lost`] and the
+    /// replay continues on a fresh connection.
     ///
     /// # Errors
     ///
@@ -357,38 +336,27 @@ impl LoadGenerator {
         let mut client = GatewayClient::connect(addr)?;
         let started = Instant::now();
         let mut report = ReplayReport::default();
-        let mut stats = RetryStats::default();
         for job in ordered {
             let target = Duration::from_secs_f64(job.submit_s / self.time_compression);
             let elapsed = started.elapsed();
             if target > elapsed {
                 std::thread::sleep(target - elapsed);
             }
-            let request = Request::Submit {
-                provider: job.provider,
-                machine: job.machine.to_string(),
-                circuits: job.circuits,
-                shots: job.shots,
-                mean_depth: job.mean_depth,
-                mean_width: job.mean_width,
-                patience_s: job.patience_s,
-            };
-            match client.request_with_retry(&request, &self.retry, &mut stats) {
+            match client.submit_spec(job) {
                 Ok(Response::Ok(id)) => report.accepted_ids.push(id),
                 Ok(Response::Busy(_)) => report.busy += 1,
                 Ok(Response::Err(_)) => report.rejected += 1,
                 Ok(other) => return Err(GatewayError::Unexpected(other)),
                 Err(e) if e.is_transient() => {
                     report.lost += 1;
-                    // Leave the wedged socket behind; the next request's
-                    // retry loop reconnects if this best-effort one fails.
+                    // Leave the wedged socket behind. If this best-effort
+                    // reconnect fails too, the next job is lost the same
+                    // way and tries again.
                     let _ = client.reconnect();
                 }
                 Err(e) => return Err(e),
             }
         }
-        report.retries = stats.retries;
-        report.giveups = stats.giveups;
         // The connection may already be gone under fault injection.
         let _ = client.quit();
         Ok(report)

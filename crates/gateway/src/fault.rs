@@ -38,7 +38,7 @@ pub enum FaultKind {
     /// server-side slow-loris that exercises client read timeouts.
     PartialWrite,
     /// Panic the connection handler before the request is processed; the
-    /// worker pool must contain it and keep serving other connections.
+    /// session's thread must catch it and every other session keep serving.
     PanicHandler,
 }
 

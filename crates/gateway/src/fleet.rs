@@ -33,7 +33,7 @@ use crate::client::{GatewayClient, PredictEstimate};
 use crate::error::GatewayError;
 use crate::metrics::GatewayMetrics;
 use crate::protocol::Response;
-use crate::server::{Gateway, GatewayConfig};
+use crate::server::{lock, Gateway, GatewayConfig};
 
 /// Relative tolerance for the fleet-level charged-vs-executed seconds
 /// comparison: float summation order differs between the two ledgers.
@@ -153,9 +153,45 @@ pub fn check_conservation(charged: &[f64], executed: &[f64]) -> Result<(), Strin
     Ok(())
 }
 
-/// Element-wise sum of per-shard per-provider ledgers.
-fn fleet_totals(per_shard: &[Vec<f64>]) -> Vec<f64> {
-    let mut totals = vec![0.0; per_shard.first().map_or(0, Vec::len)];
+/// What the fleet-level ledger reads and writes of one shard, whether it
+/// is an in-process [`LiveCloud`] or a TCP [`Gateway`].
+trait Shard {
+    /// Per-provider lifetime charged seconds (undecayed).
+    fn charged(&self) -> Vec<f64>;
+    /// Per-provider seconds executed on this shard's machines.
+    fn executed(&self) -> Vec<f64>;
+    /// Fold usage observed on other shards into the decayed accumulators.
+    fn inject(&mut self, provider: u32, seconds: f64);
+}
+
+impl Shard for LiveCloud {
+    fn charged(&self) -> Vec<f64> {
+        self.charged_seconds_by_provider()
+    }
+    fn executed(&self) -> Vec<f64> {
+        self.executed_seconds_by_provider()
+    }
+    fn inject(&mut self, provider: u32, seconds: f64) {
+        self.inject_external_usage(provider, seconds);
+    }
+}
+
+impl Shard for Gateway {
+    fn charged(&self) -> Vec<f64> {
+        self.charged_seconds_by_provider()
+    }
+    fn executed(&self) -> Vec<f64> {
+        self.executed_seconds_by_provider()
+    }
+    fn inject(&mut self, provider: u32, seconds: f64) {
+        self.inject_external_usage(provider, seconds);
+    }
+}
+
+/// Element-wise sum over shards of one per-provider ledger.
+fn fleet_totals<S>(shards: &[S], ledger: impl Fn(&S) -> Vec<f64>) -> Vec<f64> {
+    let mut per_shard = shards.iter().map(ledger);
+    let mut totals = per_shard.next().unwrap_or_default();
     for shard in per_shard {
         for (total, v) in totals.iter_mut().zip(shard) {
             *total += v;
@@ -164,28 +200,34 @@ fn fleet_totals(per_shard: &[Vec<f64>]) -> Vec<f64> {
     totals
 }
 
-/// Broadcast each shard's charged-seconds delta since the last round into
-/// every other shard via `inject`; returns the new snapshot to store.
-fn exchange_deltas(
-    snapshots: Vec<Vec<f64>>,
-    last: &[Vec<f64>],
-    mut inject: impl FnMut(usize, u32, f64),
-) -> Vec<Vec<f64>> {
-    let num_shards = snapshots.len();
+/// One reconciliation round: broadcast each shard's charged-seconds delta
+/// since `last_charged` into every other shard, and move `last_charged`
+/// up to this round's snapshot.
+fn reconcile<S: Shard>(shards: &mut [S], last_charged: &mut Vec<Vec<f64>>) {
+    let snapshots: Vec<Vec<f64>> = shards.iter().map(S::charged).collect();
     for (source, snapshot) in snapshots.iter().enumerate() {
         for (provider, &total) in snapshot.iter().enumerate() {
-            let delta = total - last[source][provider];
+            let delta = total - last_charged[source][provider];
             if delta <= 0.0 {
                 continue;
             }
-            for target in 0..num_shards {
+            for (target, shard) in shards.iter_mut().enumerate() {
                 if target != source {
-                    inject(target, provider as u32, delta);
+                    shard.inject(provider as u32, delta);
                 }
             }
         }
     }
-    snapshots
+    *last_charged = snapshots;
+}
+
+/// The fleet-level conservation audit over `shards` (see
+/// [`check_conservation`]).
+fn audit_conservation<S: Shard>(shards: &[S]) -> Result<(), String> {
+    check_conservation(
+        &fleet_totals(shards, S::charged),
+        &fleet_totals(shards, S::executed),
+    )
 }
 
 /// In-process sharded cloud: the [`GatewayFleet`] partitioning and
@@ -201,16 +243,6 @@ pub struct FleetSim {
     predictors: Vec<Arc<Mutex<OnlinePredictor>>>,
     map: ShardMap,
     last_charged: Vec<Vec<f64>>,
-}
-
-fn lock_predictor<'a>(
-    predictor: &'a Arc<Mutex<OnlinePredictor>>,
-) -> std::sync::MutexGuard<'a, OnlinePredictor> {
-    // Poison recovery: the predictor's folds leave it consistent between
-    // calls, so a panicked holder doesn't invalidate it.
-    predictor
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl FleetSim {
@@ -234,11 +266,11 @@ impl FleetSim {
                 .collect();
             let predictor = Arc::new(Mutex::new(OnlinePredictor::new(qubits)));
             let tap = Arc::clone(&predictor);
-            let mut cloud = LiveCloud::new(shard_fleet, config);
-            cloud.set_record_tap(Box::new(move |record| {
-                lock_predictor(&tap).observe(record);
-            }));
-            shards.push(cloud);
+            shards.push(
+                LiveCloud::new(shard_fleet, config).with_record_tap(Box::new(move |record| {
+                    lock(&tap).observe(record);
+                })),
+            );
             predictors.push(predictor);
         }
         let last_charged = vec![vec![0.0; config.num_providers]; num_shards];
@@ -270,17 +302,14 @@ impl FleetSim {
     ) -> Result<WaitEstimate, PredictError> {
         let (shard, local) = self.map.locate(global_machine);
         let pending = self.shards[shard].queue_depth(local);
-        lock_predictor(&self.predictors[shard]).predict(local, circuits, shots, pending)
+        lock(&self.predictors[shard]).predict(local, circuits, shots, pending)
     }
 
     /// Terminal records folded into the online predictors, summed over
     /// shards. Under any sink this equals the fleet's terminal-job count.
     #[must_use]
     pub fn predictor_observed(&self) -> u64 {
-        self.predictors
-            .iter()
-            .map(|p| lock_predictor(p).observed())
-            .sum()
+        self.predictors.iter().map(|p| lock(p).observed()).sum()
     }
 
     /// Runtime-model fits the online predictors have installed, summed
@@ -290,10 +319,7 @@ impl FleetSim {
     /// shard's cold first fit. A function of the step schedule alone.
     #[must_use]
     pub fn predictor_refits(&self) -> u64 {
-        self.predictors
-            .iter()
-            .map(|p| lock_predictor(p).refits())
-            .sum()
+        self.predictors.iter().map(|p| lock(p).refits()).sum()
     }
 
     /// The machine-to-shard assignment.
@@ -325,7 +351,7 @@ impl FleetSim {
     pub fn step_until(&mut self, t_s: f64) {
         for (shard, predictor) in self.shards.iter_mut().zip(&self.predictors) {
             shard.step_until(t_s);
-            lock_predictor(predictor).refit_if_due();
+            lock(predictor).refit_if_due();
         }
     }
 
@@ -334,7 +360,7 @@ impl FleetSim {
     pub fn run_to_completion(&mut self) {
         for (shard, predictor) in self.shards.iter_mut().zip(&self.predictors) {
             shard.run_to_completion();
-            lock_predictor(predictor).refit_if_due();
+            lock(predictor).refit_if_due();
         }
     }
 
@@ -344,38 +370,19 @@ impl FleetSim {
     /// is untouched, so per-shard conservation survives (see the module
     /// docs).
     pub fn reconcile(&mut self) {
-        let snapshots: Vec<Vec<f64>> = self
-            .shards
-            .iter()
-            .map(LiveCloud::charged_seconds_by_provider)
-            .collect();
-        let shards = &mut self.shards;
-        self.last_charged =
-            exchange_deltas(snapshots, &self.last_charged, |target, provider, delta| {
-                shards[target].inject_external_usage(provider, delta)
-            });
+        reconcile(&mut self.shards, &mut self.last_charged);
     }
 
     /// Fleet-wide per-provider charged seconds (undecayed).
     #[must_use]
     pub fn charged_seconds_by_provider(&self) -> Vec<f64> {
-        let per_shard: Vec<Vec<f64>> = self
-            .shards
-            .iter()
-            .map(LiveCloud::charged_seconds_by_provider)
-            .collect();
-        fleet_totals(&per_shard)
+        fleet_totals(&self.shards, Shard::charged)
     }
 
     /// Fleet-wide per-provider executed seconds.
     #[must_use]
     pub fn executed_seconds_by_provider(&self) -> Vec<f64> {
-        let per_shard: Vec<Vec<f64>> = self
-            .shards
-            .iter()
-            .map(LiveCloud::executed_seconds_by_provider)
-            .collect();
-        fleet_totals(&per_shard)
+        fleet_totals(&self.shards, Shard::executed)
     }
 
     /// The fleet-level conservation audit (see [`check_conservation`]).
@@ -384,10 +391,7 @@ impl FleetSim {
     ///
     /// The first violating provider.
     pub fn audit_conservation(&self) -> Result<(), String> {
-        check_conservation(
-            &self.charged_seconds_by_provider(),
-            &self.executed_seconds_by_provider(),
-        )
+        audit_conservation(&self.shards)
     }
 
     /// Terminal jobs per outcome `[completed, errored, cancelled]` summed
@@ -489,38 +493,19 @@ impl GatewayFleet {
     /// Exchange charged-seconds deltas across shards (the TCP-side twin
     /// of [`FleetSim::reconcile`]).
     pub fn reconcile(&mut self) {
-        let snapshots: Vec<Vec<f64>> = self
-            .shards
-            .iter()
-            .map(Gateway::charged_seconds_by_provider)
-            .collect();
-        let shards = &self.shards;
-        self.last_charged =
-            exchange_deltas(snapshots, &self.last_charged, |target, provider, delta| {
-                shards[target].inject_external_usage(provider, delta)
-            });
+        reconcile(&mut self.shards, &mut self.last_charged);
     }
 
     /// Fleet-wide per-provider charged seconds (undecayed).
     #[must_use]
     pub fn charged_seconds_by_provider(&self) -> Vec<f64> {
-        let per_shard: Vec<Vec<f64>> = self
-            .shards
-            .iter()
-            .map(Gateway::charged_seconds_by_provider)
-            .collect();
-        fleet_totals(&per_shard)
+        fleet_totals(&self.shards, Shard::charged)
     }
 
     /// Fleet-wide per-provider executed seconds.
     #[must_use]
     pub fn executed_seconds_by_provider(&self) -> Vec<f64> {
-        let per_shard: Vec<Vec<f64>> = self
-            .shards
-            .iter()
-            .map(Gateway::executed_seconds_by_provider)
-            .collect();
-        fleet_totals(&per_shard)
+        fleet_totals(&self.shards, Shard::executed)
     }
 
     /// The fleet-level conservation audit (see [`check_conservation`]).
@@ -529,10 +514,7 @@ impl GatewayFleet {
     ///
     /// The first violating provider.
     pub fn audit_conservation(&self) -> Result<(), String> {
-        check_conservation(
-            &self.charged_seconds_by_provider(),
-            &self.executed_seconds_by_provider(),
-        )
+        audit_conservation(&self.shards)
     }
 
     /// Shut every shard down, drain its simulator, and return the

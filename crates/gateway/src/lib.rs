@@ -24,10 +24,10 @@
 //!   `tests/chaos_gateway.rs`.
 //! - [`retry`] — bounded [`RetryPolicy`] with seeded-jitter exponential
 //!   backoff (SplitMix64-derived, reproducible per attempt).
-//! - [`server`] — [`Gateway`]: accept loop on a `qcs-exec`
-//!   [`WorkerPool`](qcs_exec::WorkerPool), per-connection handlers with
-//!   read timeouts / idle reaping / line-length caps, admission control
-//!   (validate → rate-limit → backpressure), graceful
+//! - [`server`] — [`Gateway`]: an accept loop spawning one thread per
+//!   session (bounded; one over the bound is refused `BUSY`), handlers
+//!   with read timeouts / idle reaping / line-length caps, admission
+//!   control (validate → rate-limit → backpressure), graceful
 //!   [`shutdown_and_drain`](Gateway::shutdown_and_drain).
 //! - [`client`] — [`GatewayClient`] (typed errors, read timeouts,
 //!   reconnect, [`request_with_retry`](GatewayClient::request_with_retry))

@@ -1,7 +1,6 @@
 //! Gateway counters, snapshotted by the `METRICS` request.
 
 use crate::fault::FaultKind;
-use crate::retry::RetryStats;
 
 /// Monotonic counters over the gateway's lifetime. All counts are jobs
 /// unless noted; `submitted = accepted + rejected_rate +
@@ -42,12 +41,6 @@ pub struct GatewayMetrics {
     /// Faults injected by the active [`FaultPlan`](crate::FaultPlan),
     /// indexed by [`FaultKind::index`].
     pub faults_injected: [u64; 5],
-    /// Client-side re-attempts reported back via
-    /// [`absorb_client`](GatewayMetrics::absorb_client).
-    pub client_retries: u64,
-    /// Client-side requests abandoned with their retry budget exhausted,
-    /// reported back via [`absorb_client`](GatewayMetrics::absorb_client).
-    pub client_giveups: u64,
     /// `PREDICT` requests answered with an estimate (`ERR NOT_READY` and
     /// invalid-machine rejections do not count).
     pub predictions_served: u64,
@@ -67,19 +60,12 @@ impl GatewayMetrics {
     }
 
     /// Handler panics injected by [`FaultKind::PanicHandler`]. Every one
-    /// of these must show up in `Gateway::handler_panics` (contained by
-    /// the worker pool) — and vice versa when no other fault source
+    /// of these must show up in `Gateway::handler_panics` (caught on the
+    /// session's own thread) — and vice versa when no other fault source
     /// exists.
     #[must_use]
     pub fn injected_panics(&self) -> u64 {
         self.faults_injected[FaultKind::PanicHandler.index()]
-    }
-
-    /// Fold a client's [`RetryStats`] into the gateway-side counters
-    /// (used by tests and by operators who co-locate load generators).
-    pub fn absorb_client(&mut self, stats: RetryStats) {
-        self.client_retries = self.client_retries.saturating_add(stats.retries);
-        self.client_giveups = self.client_giveups.saturating_add(stats.giveups);
     }
 
     /// Render as ordered `key=value` pairs for the `METRICS` response.
@@ -101,8 +87,6 @@ impl GatewayMetrics {
             ("reaped_idle", self.reaped_idle),
             ("faults_injected", self.faults_total()),
             ("injected_panics", self.injected_panics()),
-            ("client_retries", self.client_retries),
-            ("client_giveups", self.client_giveups),
             ("predictions_served", self.predictions_served),
         ]
         .into_iter()
@@ -130,7 +114,7 @@ mod tests {
         assert_eq!(completed.1, "1");
         let cancelled = pairs.iter().find(|(k, _)| k == "cancelled").unwrap();
         assert_eq!(cancelled.1, "1");
-        assert_eq!(pairs.len(), 17);
+        assert_eq!(pairs.len(), 15);
         let served = pairs
             .iter()
             .find(|(k, _)| k == "predictions_served")
@@ -146,28 +130,13 @@ mod tests {
         metrics.note_fault(FaultKind::PanicHandler);
         assert_eq!(metrics.faults_total(), 3);
         assert_eq!(metrics.injected_panics(), 2);
-        metrics.absorb_client(RetryStats {
-            retries: 4,
-            giveups: 1,
-        });
-        assert_eq!(metrics.client_retries, 4);
-        assert_eq!(metrics.client_giveups, 1);
     }
 
     #[test]
     fn counters_saturate_instead_of_wrapping() {
-        let mut metrics = GatewayMetrics {
-            client_retries: u64::MAX,
-            ..GatewayMetrics::default()
-        };
+        let mut metrics = GatewayMetrics::default();
         metrics.faults_injected[FaultKind::PanicHandler.index()] = u64::MAX;
         metrics.note_fault(FaultKind::PanicHandler);
-        metrics.absorb_client(RetryStats {
-            retries: u64::MAX,
-            giveups: 2,
-        });
         assert_eq!(metrics.injected_panics(), u64::MAX, "pinned, not wrapped");
-        assert_eq!(metrics.client_retries, u64::MAX);
-        assert_eq!(metrics.client_giveups, 2);
     }
 }

@@ -1,10 +1,11 @@
 //! The gateway server: a TCP front-end over a [`LiveCloud`].
 //!
-//! One accept-loop thread owns a [`qcs_exec::WorkerPool`]; each accepted
-//! connection becomes a pool task that reads request lines, takes the
-//! shared simulator lock, advances the simulation clock to "now"
-//! (wall-clock elapsed × time compression), and answers. Admission
-//! control happens before a job reaches the simulator:
+//! A session is a thread: the accept loop spawns one per accepted
+//! connection (up to `MAX_SESSIONS`; the next connection is answered
+//! `BUSY connection limit` and closed), and that thread reads request
+//! lines, takes the shared simulator lock, advances the simulation clock
+//! to "now" (wall-clock elapsed × time compression), and answers.
+//! Admission control happens before a job reaches the simulator:
 //!
 //! 1. **Validation** — unknown machine/provider, an empty batch, or a
 //!    job shape no machine could run (non-finite or out-of-range
@@ -20,7 +21,7 @@
 //!    `BUSY` instead of queueing unboundedly.
 //!
 //! The read path treats every byte as hostile: request lines are read
-//! under a per-poll socket timeout with an idle-reaping deadline
+//! under a socket timeout with a per-line idle-reaping deadline
 //! ([`GatewayConfig::idle_timeout`]), capped at
 //! [`GatewayConfig::max_line_bytes`] (a longer line is answered
 //! `ERR LINE_TOO_LONG` and the connection closed), and non-UTF-8 lines
@@ -38,11 +39,10 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use qcs_cloud::{CloudConfig, JobSpec, LiveCloud, SimulationResult};
-use qcs_exec::WorkerPool;
 use qcs_machine::{Fleet, Machine};
 use qcs_predictor::{OnlinePredictor, PredictError};
 
@@ -55,8 +55,6 @@ use crate::ratelimit::TokenBucket;
 /// Gateway tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayConfig {
-    /// Connection-handler threads (`0` = auto).
-    pub threads: usize,
     /// Simulated seconds per wall-clock second. `0.0` freezes the
     /// simulation clock (useful for deterministic tests: jobs queue but
     /// time never advances on its own).
@@ -68,9 +66,6 @@ pub struct GatewayConfig {
     /// Admission bound per machine: a `SUBMIT` targeting a machine with
     /// this many jobs pending is answered `BUSY`.
     pub max_pending_per_machine: usize,
-    /// Socket read-timeout granularity: how often a blocked handler
-    /// wakes to check its idle deadline.
-    pub read_poll: Duration,
     /// A connection that sends no complete line for this long is reaped
     /// (closed and counted in [`GatewayMetrics::reaped_idle`]) — the
     /// slow-loris defence.
@@ -84,17 +79,30 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            threads: 0,
             time_compression: 1.0,
             rate_capacity: 64.0,
             rate_refill_per_s: 1.0,
             max_pending_per_machine: 256,
-            read_poll: Duration::from_millis(100),
             idle_timeout: Duration::from_secs(30),
             max_line_bytes: 64 * 1024,
         }
     }
 }
+
+/// Most sessions served at once, one OS thread each: what bounds the
+/// gateway's threads and sockets. A connection over the limit is answered
+/// `BUSY connection limit` and closed instead of waiting unanswered.
+const MAX_SESSIONS: usize = 128;
+
+/// Socket read timeout of a session (shortened to
+/// [`GatewayConfig::idle_timeout`] when that is smaller). Bytes without a
+/// newline keep `read_until` looping inside std; it comes back to
+/// `read_request_line` only on this timeout, which is therefore where the
+/// idle deadline is checked — and what makes that deadline per *line*,
+/// not per byte. The timeout restarts with every `recv`, so a peer that
+/// sends a byte more often than this is not checked until its line hits
+/// `max_line_bytes` (ROADMAP, PR 24 entry).
+const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Largest `mean_depth` a `SUBMIT` may carry: 10⁵ layers, far past any
 /// circuit a NISQ machine runs coherently (the study's deepest are in the
@@ -160,10 +168,10 @@ impl SimClock {
     }
 }
 
-/// Per-connection read-path limits, copied out of [`GatewayConfig`].
+/// Per-connection read-path limits, derived from [`GatewayConfig`].
 #[derive(Debug, Clone, Copy)]
 struct ConnLimits {
-    read_poll: Duration,
+    read_timeout: Duration,
     idle_timeout: Duration,
     max_line_bytes: usize,
 }
@@ -338,8 +346,7 @@ impl State {
                     return Response::err(ErrorCode::EmptyBatch, "circuits and shots must be >= 1");
                 }
                 let pending = self.cloud.queue_depth(machine_idx);
-                let estimate =
-                    lock_online(&self.online).predict(machine_idx, *circuits, *shots, pending);
+                let estimate = lock(&self.online).predict(machine_idx, *circuits, *shots, pending);
                 match estimate {
                     Ok(est) => {
                         self.metrics.predictions_served =
@@ -366,7 +373,7 @@ impl State {
                     format!("{:.3}", self.cloud.now_s()),
                 ));
                 {
-                    let online = lock_online(&self.online);
+                    let online = lock(&self.online);
                     pairs.push((
                         "predictor_observed".to_string(),
                         online.observed().to_string(),
@@ -441,19 +448,20 @@ impl Gateway {
         let addr = listener.local_addr()?;
         let machine_qubits: Vec<usize> = fleet.machines().iter().map(|m| m.num_qubits()).collect();
         let online = Arc::new(Mutex::new(OnlinePredictor::new(machine_qubits)));
-        let mut cloud = LiveCloud::new(fleet, cloud_config).with_status_tracking();
-        if let Some(outages) = faults.outages.clone() {
-            cloud = cloud.with_outages(outages);
-        }
         // Every terminal record — under any RecordSink — is folded into
         // the online predictor. The tap fires inside cloud.step_until(),
         // i.e. while the state lock is held, and the fold is O(1); the
         // windowed refit is each connection's to run between requests
         // (see `refit_off_lock`).
         let tap_online = Arc::clone(&online);
-        cloud.set_record_tap(Box::new(move |record| {
-            lock_online(&tap_online).observe(record);
-        }));
+        let mut cloud = LiveCloud::new(fleet, cloud_config)
+            .with_status_tracking()
+            .with_record_tap(Box::new(move |record| {
+                lock(&tap_online).observe(record);
+            }));
+        if let Some(outages) = faults.outages.clone() {
+            cloud = cloud.with_outages(outages);
+        }
         let state = Arc::new(Mutex::new(State {
             cloud,
             next_id: 0,
@@ -470,38 +478,62 @@ impl Gateway {
         });
         let shutdown = Arc::new(AtomicBool::new(false));
         let limits = ConnLimits {
-            read_poll: config.read_poll.max(Duration::from_millis(1)),
+            read_timeout: config
+                .idle_timeout
+                .clamp(Duration::from_millis(1), READ_POLL),
             idle_timeout: config.idle_timeout,
             max_line_bytes: config.max_line_bytes.max(1),
         };
-        let pool = WorkerPool::new(config.threads);
-        let panics = pool.panics_handle();
+        let panics = Arc::new(AtomicUsize::new(0));
 
         let accept_state = Arc::clone(&state);
         let accept_clock = Arc::clone(&clock);
         let accept_shutdown = Arc::clone(&shutdown);
+        let accept_panics = Arc::clone(&panics);
         let plan = Arc::new(faults);
         let accept_handle = std::thread::Builder::new()
             .name("qcs-gateway-accept".to_string())
             .spawn(move || {
+                let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 for stream in listener.incoming() {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(mut stream) = stream else { continue };
                     {
                         let mut state = lock(&accept_state);
                         state.metrics.connections = state.metrics.connections.saturating_add(1);
+                    }
+                    sessions.retain(|session| !session.is_finished());
+                    if sessions.len() >= MAX_SESSIONS {
+                        let refusal = Response::Busy("connection limit".to_string());
+                        let _ = writeln!(stream, "{refusal}");
+                        continue;
                     }
                     let state = Arc::clone(&accept_state);
                     let online = Arc::clone(&online);
                     let clock = Arc::clone(&accept_clock);
                     let plan = Arc::clone(&plan);
-                    pool.execute(move || {
-                        handle_connection(stream, &state, &online, &clock, &plan, limits);
-                    });
+                    let panics = Arc::clone(&accept_panics);
+                    let session = std::thread::Builder::new()
+                        .name("qcs-gateway-session".to_string())
+                        .spawn(move || {
+                            let serve = std::panic::AssertUnwindSafe(|| {
+                                handle_connection(stream, &state, &online, &clock, &plan, limits);
+                            });
+                            if std::panic::catch_unwind(serve).is_err() {
+                                panics.fetch_add(1, Ordering::SeqCst);
+                            }
+                        });
+                    // A failed spawn drops the closure and the stream in
+                    // it: the peer sees the connection close.
+                    if let Ok(session) = session {
+                        sessions.push(session);
+                    }
                 }
-                // `pool` drops here: joins all in-flight handlers.
+                for session in sessions {
+                    let _ = session.join();
+                }
             })?;
 
         Ok(Gateway {
@@ -558,7 +590,7 @@ impl Gateway {
         }
     }
 
-    /// Connection-handler panics contained by the worker pool so far.
+    /// Connection-handler panics caught on their session threads so far.
     /// With no [`FaultKind::PanicHandler`] injection this must stay `0`:
     /// no peer input is allowed to panic a handler.
     #[must_use]
@@ -581,23 +613,11 @@ impl Gateway {
     #[must_use]
     pub fn shutdown_and_drain(mut self) -> (SimulationResult, GatewayMetrics) {
         self.stop_accepting();
-        let Some(state) = self.state.take() else {
-            // Unreachable in practice: the state is taken only here and
-            // this method consumes `self`.
+        // The state is taken only here (this method consumes `self`), and
+        // the accept thread joined every session before it exited, so the
+        // gateway holds the only clone: the fallback is unreachable.
+        let Some(state) = self.state.take().and_then(Arc::into_inner) else {
             return (SimulationResult::default(), GatewayMetrics::default());
-        };
-        // The accept thread has joined and its pool has drained, so every
-        // handler's clone of the state is gone; the spin covers only the
-        // window where the OS is still tearing a handler thread down.
-        let mut state = state;
-        let state = loop {
-            match Arc::try_unwrap(state) {
-                Ok(inner) => break inner,
-                Err(back) => {
-                    state = back;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
         };
         let State {
             mut cloud,
@@ -619,21 +639,14 @@ impl Drop for Gateway {
     }
 }
 
-fn lock<'a>(state: &'a Arc<Mutex<State>>) -> std::sync::MutexGuard<'a, State> {
-    // A handler that panicked mid-request poisons the lock; the state is
-    // a simulator plus counters, both left in a consistent snapshot by
-    // every early return, so recover rather than cascade.
-    state
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock_online<'a>(
-    online: &'a Arc<Mutex<OnlinePredictor>>,
-) -> std::sync::MutexGuard<'a, OnlinePredictor> {
-    // Same poison-recovery rationale as `lock`: the predictor's updates
-    // are single-record folds that leave it consistent between calls.
-    online
+/// Lock `mutex`, recovering from poison. A handler that panicked
+/// mid-request poisons what it held, but what sits behind the gateway's
+/// mutexes is consistent between calls — the simulator and counters are
+/// left in a consistent snapshot by every early return, the online
+/// predictor's updates are single-record folds — so recover rather than
+/// cascade.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -654,9 +667,9 @@ enum LineRead {
     Failed,
 }
 
-/// Read one newline-terminated line, polling the socket at
-/// `limits.read_poll` granularity so a stalled peer is detected, and
-/// never buffering more than `limits.max_line_bytes + 1` bytes.
+/// Read one newline-terminated line, waking every `limits.read_timeout` (see
+/// [`READ_POLL`]) so a stalled peer is detected, and never buffering more
+/// than `limits.max_line_bytes + 1` bytes.
 fn read_request_line(reader: &mut BufReader<TcpStream>, limits: ConnLimits) -> LineRead {
     let mut buf: Vec<u8> = Vec::new();
     let mut last_progress = Instant::now();
@@ -745,10 +758,10 @@ fn write_response(
 /// Levenberg–Marquardt iterations run with no lock held, so they delay
 /// the calling connection and nobody else.
 fn refit_off_lock(online: &Arc<Mutex<OnlinePredictor>>) {
-    let job = lock_online(online).take_refit();
+    let job = lock(online).take_refit();
     if let Some(job) = job {
         let refit = job.run();
-        lock_online(online).install(refit);
+        lock(online).install(refit);
     }
 }
 
@@ -760,7 +773,7 @@ fn handle_connection(
     plan: &Arc<FaultPlan>,
     limits: ConnLimits,
 ) {
-    if stream.set_read_timeout(Some(limits.read_poll)).is_err() {
+    if stream.set_read_timeout(Some(limits.read_timeout)).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -817,8 +830,8 @@ fn handle_connection(
         let line = match fault {
             Some(FaultKind::DropConnection) => return,
             Some(FaultKind::PanicHandler) => {
-                // Contained by the worker pool: this connection dies, the
-                // pool and every other connection keep serving.
+                // Caught on this session's own thread: the connection
+                // dies, every other session keeps serving.
                 panic!("injected fault: handler panic");
             }
             Some(FaultKind::GarbleRequest) => FaultPlan::garble(&line),
@@ -1040,8 +1053,6 @@ mod tests {
                 "reaped_idle",
                 "faults_injected",
                 "injected_panics",
-                "client_retries",
-                "client_giveups",
                 "predictions_served",
                 "sim_time_s",
                 "predictor_observed",
@@ -1086,8 +1097,9 @@ mod tests {
         let machine_qubits: Vec<usize> = fleet.machines().iter().map(|m| m.num_qubits()).collect();
         let online = Arc::new(Mutex::new(OnlinePredictor::new(machine_qubits)));
         let tap = Arc::clone(&online);
-        let mut cloud = LiveCloud::new(fleet, cloud_config).with_status_tracking();
-        cloud.set_record_tap(Box::new(move |record| lock_online(&tap).observe(record)));
+        let cloud = LiveCloud::new(fleet, cloud_config)
+            .with_status_tracking()
+            .with_record_tap(Box::new(move |record| lock(&tap).observe(record)));
         let mut state = State {
             cloud,
             next_id: 0,
@@ -1230,6 +1242,103 @@ mod tests {
 
     fn gateway_fleet_name() -> String {
         Fleet::ibm_like().machines()[0].name().to_string()
+    }
+
+    /// How many clients a gateway talks to at once is not a function of
+    /// the host's core count.
+    #[test]
+    fn default_gateway_serves_more_sessions_than_cores() {
+        let gateway = frozen(GatewayConfig::default());
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let mut held = Vec::new();
+        for session in 0..cores + 2 {
+            let mut client =
+                crate::GatewayClient::connect_with_timeout(gateway.addr(), Duration::from_secs(1))
+                    .unwrap();
+            let depth = client.queue_depth("0");
+            assert!(
+                matches!(depth, Ok(0)),
+                "session {session} of {} unanswered with the earlier ones held open: {depth:?}",
+                cores + 2
+            );
+            held.push(client);
+        }
+        drop(held);
+        let (_, metrics) = gateway.shutdown_and_drain();
+        assert_eq!(metrics.connections, cores as u64 + 2);
+    }
+
+    #[test]
+    fn connections_over_the_session_limit_are_refused_busy() {
+        let gateway = frozen(GatewayConfig::default());
+        let mut held: Vec<crate::GatewayClient> = (0..MAX_SESSIONS)
+            .map(|_| {
+                let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
+                // A round trip: this session has its thread.
+                assert_eq!(client.queue_depth("0").unwrap(), 0);
+                client
+            })
+            .collect();
+        // One over: told why, then closed.
+        let over = TcpStream::connect(gateway.addr()).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reply = String::new();
+        BufReader::new(&over).read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "BUSY connection limit\n");
+        // Closing one session admits the next connection, as soon as the
+        // closed session's thread has finished.
+        held.pop().unwrap().quit().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let admitted = loop {
+            let mut client = crate::GatewayClient::connect(gateway.addr()).unwrap();
+            match client.queue_depth("0") {
+                Ok(_) => break client,
+                Err(refused) => assert!(
+                    Instant::now() < deadline,
+                    "still refused after a session closed: {refused:?}"
+                ),
+            }
+        };
+        drop((held, admitted));
+        assert_eq!(gateway.handler_panics(), 0);
+        let (_, metrics) = gateway.shutdown_and_drain();
+        assert!(metrics.connections >= MAX_SESSIONS as u64 + 2);
+    }
+
+    /// A peer that keeps sending bytes but never a newline is reaped at
+    /// the per-line deadline: its bytes do not reset it, because the
+    /// deadline is checked on the `READ_POLL` timeout and nowhere else.
+    #[test]
+    fn dribbling_peer_is_reaped_at_the_line_deadline() {
+        let idle = Duration::from_millis(600);
+        let gateway = frozen(GatewayConfig {
+            idle_timeout: idle,
+            ..GatewayConfig::default()
+        });
+        let mut stream = TcpStream::connect(gateway.addr()).unwrap();
+        // The client's read timeout paces the dribble (one byte every
+        // idle / 3) and its read is where the server's close shows.
+        stream.set_read_timeout(Some(idle / 3)).unwrap();
+        let started = Instant::now();
+        let closed_after = loop {
+            let elapsed = started.elapsed();
+            assert!(elapsed < 2 * idle, "still connected after {elapsed:?}");
+            // Fails once the server has closed; the read below says so.
+            let _ = stream.write_all(b"S");
+            match stream.read(&mut [0u8; 1]) {
+                Ok(0) => break started.elapsed(),
+                Ok(_) => panic!("a line with no newline was answered"),
+                Err(e) => match e.kind() {
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {}
+                    // Closed with our latest byte still unread.
+                    std::io::ErrorKind::ConnectionReset => break started.elapsed(),
+                    other => panic!("unexpected read error {other:?}"),
+                },
+            }
+        };
+        assert!(closed_after >= idle, "reaped early, after {closed_after:?}");
+        let (_, metrics) = gateway.shutdown_and_drain();
+        assert_eq!(metrics.reaped_idle, 1);
     }
 
     #[test]

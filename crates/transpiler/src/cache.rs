@@ -176,9 +176,6 @@ fn hash_options(h: &mut FxStream, options: &TranspileOptions) {
     h.write_usize(options.layout as usize);
     h.write_usize(options.routing as usize);
     h.write_u64(u64::from(options.optimization_level));
-    h.write_usize(options.sabre.lookahead);
-    h.write_f64(options.sabre.lookahead_weight);
-    h.write_f64(options.sabre.decay_increment);
 }
 
 /// Point-in-time hit/miss statistics of a [`TranspileCache`].

@@ -40,7 +40,7 @@ mod transpile;
 pub use cache::{CacheStats, TranspileCache, TranspileKey};
 pub use error::TranspileError;
 pub use layout::Layout;
-pub use routing::{RoutingResult, SabreOptions};
+pub use routing::RoutingResult;
 pub use schedule::{schedule_asap, ScheduledCircuit};
 pub use target::Target;
 pub use transpile::{

@@ -109,47 +109,20 @@ pub fn naive_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
     })
 }
 
-/// Tunables of [`sabre_route`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SabreOptions {
-    /// Size of the lookahead (extended) gate window.
-    pub lookahead: usize,
-    /// Weight of the lookahead term relative to the front layer.
-    pub lookahead_weight: f64,
-    /// Additive decay applied to recently-swapped qubits' scores.
-    pub decay_increment: f64,
-}
+/// Size of [`sabre_route`]'s lookahead (extended) gate window.
+const LOOKAHEAD: usize = 20;
+/// Weight of the lookahead term relative to the front layer.
+const LOOKAHEAD_WEIGHT: f64 = 0.5;
+/// Additive decay applied to recently-swapped qubits' scores.
+const DECAY_INCREMENT: f64 = 0.001;
 
-impl Default for SabreOptions {
-    fn default() -> Self {
-        SabreOptions {
-            lookahead: 20,
-            lookahead_weight: 0.5,
-            decay_increment: 0.001,
-        }
-    }
-}
-
-/// SABRE-style routing with default options.
+/// SABRE-style routing.
 ///
 /// # Errors
 ///
 /// Returns [`TranspileError`] if the circuit cannot be routed (disconnected
 /// target component, or the internal safety budget is exceeded).
 pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, TranspileError> {
-    sabre_route_with(circuit, target, SabreOptions::default())
-}
-
-/// SABRE-style routing with explicit options.
-///
-/// # Errors
-///
-/// See [`sabre_route`].
-pub fn sabre_route_with(
-    circuit: &Circuit,
-    target: &Target,
-    options: SabreOptions,
-) -> Result<RoutingResult, TranspileError> {
     let n = target.num_qubits();
     check_input(circuit, target)?;
     let graph = target.topology();
@@ -257,7 +230,7 @@ pub fn sabre_route_with(
                 .collect();
             let mut seen: std::collections::HashSet<usize> =
                 frontier.iter().copied().collect();
-            'walk: while !frontier.is_empty() && lookahead.len() < options.lookahead {
+            'walk: while !frontier.is_empty() && lookahead.len() < LOOKAHEAD {
                 let mut next = Vec::new();
                 for &idx in &frontier {
                     for &s in &successors[idx] {
@@ -267,7 +240,7 @@ pub fn sabre_route_with(
                                     loc[insts[s].qubits[0].index()],
                                     loc[insts[s].qubits[1].index()],
                                 ));
-                                if lookahead.len() >= options.lookahead {
+                                if lookahead.len() >= LOOKAHEAD {
                                     break 'walk;
                                 }
                             }
@@ -314,7 +287,7 @@ pub fn sabre_route_with(
                 .sum::<f64>()
                 / lookahead.len().max(1) as f64;
             let score = (front_cost / front.len() as f64
-                + options.lookahead_weight * look_cost)
+                + LOOKAHEAD_WEIGHT * look_cost)
                 * (1.0 + decay[a] + decay[b]);
             let better = best
                 .as_ref()
@@ -335,8 +308,8 @@ pub fn sabre_route_with(
                 target: target.name().to_string(),
             });
         }
-        decay[a] += options.decay_increment;
-        decay[b] += options.decay_increment;
+        decay[a] += DECAY_INCREMENT;
+        decay[b] += DECAY_INCREMENT;
         let (wa, wb) = (at[a], at[b]);
         at.swap(a, b);
         loc[wa] = b;

@@ -13,7 +13,7 @@ use qcs_circuit::{Circuit, CircuitMetrics};
 use crate::basis::translate_to_basis;
 use crate::layout::{dense_layout, noise_aware_layout, trivial_layout, Layout};
 use crate::optimize::optimize;
-use crate::routing::{naive_route, sabre_route_with, SabreOptions};
+use crate::routing::{naive_route, sabre_route};
 use crate::schedule::{schedule_asap, ScheduledCircuit};
 use crate::{Target, TranspileError};
 
@@ -50,8 +50,6 @@ pub struct TranspileOptions {
     /// distinguishes "minimal requirements" from "nice-to-have
     /// optimizations"; level 0 is the minimal pipeline).
     pub optimization_level: u8,
-    /// SABRE tunables (ignored for naive routing).
-    pub sabre: SabreOptions,
 }
 
 impl TranspileOptions {
@@ -72,7 +70,6 @@ impl TranspileOptions {
             layout: LayoutMethod::Trivial,
             routing: RoutingMethod::Naive,
             optimization_level: 0,
-            sabre: SabreOptions::default(),
         }
     }
 }
@@ -178,7 +175,7 @@ pub fn transpile(
     let t0 = Instant::now();
     let routed = match options.routing {
         RoutingMethod::Naive => naive_route(&placed, target)?,
-        RoutingMethod::Sabre => sabre_route_with(&placed, target, options.sabre)?,
+        RoutingMethod::Sabre => sabre_route(&placed, target)?,
     };
     timings.record("routing", t0.elapsed());
 

@@ -6,7 +6,7 @@
 //! consequence of every injection:
 //!
 //! - no handler ever panics except by injection, and every injected
-//!   panic is contained by the worker pool;
+//!   panic is caught on its own session thread;
 //! - `shutdown_and_drain` always returns a clean [`AuditReport`] run;
 //! - jobs the faults did not touch produce records **bit-identical** to
 //!   a fault-free run;
@@ -26,7 +26,7 @@ use std::time::Duration;
 use qcs::cloud::{CloudConfig, OutagePlan};
 use qcs::gateway::{
     ErrorCode, FaultKind, FaultPlan, Gateway, GatewayClient, GatewayConfig, GatewayError,
-    GatewayMetrics, Request, Response, RetryPolicy, RetryStats,
+    Request, Response, RetryPolicy, RetryStats,
 };
 use qcs::machine::Fleet;
 
@@ -98,7 +98,6 @@ fn chaos_gateway(faults: FaultPlan) -> Gateway {
         Fleet::ibm_like(),
         cloud_config,
         GatewayConfig {
-            threads: 4,
             time_compression: 0.0, // frozen clock: deterministic admission
             rate_capacity: 1e9,
             rate_refill_per_s: 0.0,
@@ -240,8 +239,8 @@ fn all_fault_modes_under_concurrent_clients() {
         assert!(count > 0, "fault mode {kind:?} never fired — tune rates/seed");
     }
 
-    // Panic containment: exactly the injected panics, all caught by the
-    // pool. Give unwinding handlers a moment to finish.
+    // Panic containment: exactly the injected panics, each caught on its
+    // session thread. Give unwinding handlers a moment to finish.
     let expected_panics = predicted_faults[FaultKind::PanicHandler.index()] as usize;
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while gateway.handler_panics() < expected_panics
@@ -420,7 +419,7 @@ fn malformed_raw_bytes_get_typed_errors_not_panics() {
 }
 
 /// Satellite: a slow-loris connection (bytes but never a newline) is
-/// reaped at the idle timeout instead of pinning a worker forever.
+/// reaped at the idle timeout instead of pinning a session forever.
 #[test]
 fn idle_connections_are_reaped() {
     let cloud_config = CloudConfig {
@@ -432,7 +431,6 @@ fn idle_connections_are_reaped() {
         cloud_config,
         GatewayConfig {
             time_compression: 0.0,
-            read_poll: Duration::from_millis(20),
             idle_timeout: Duration::from_millis(150),
             ..GatewayConfig::default()
         },
@@ -579,11 +577,6 @@ fn retry_recovers_from_transient_failures_and_counts_giveups() {
     );
     assert_eq!(stats.retries, 2);
     assert_eq!(stats.giveups, 1);
-    // Client-side stats fold into the gateway metric namespace.
-    let mut metrics = GatewayMetrics::default();
-    metrics.absorb_client(stats);
-    assert_eq!(metrics.client_retries, 2);
-    assert_eq!(metrics.client_giveups, 1);
     drop(client);
     done.store(true, std::sync::atomic::Ordering::SeqCst);
     stub.join().expect("stub");
@@ -709,7 +702,6 @@ fn predict_under_faults_never_panics_and_drains_clean() {
         Fleet::ibm_like(),
         cloud_config,
         GatewayConfig {
-            threads: 4,
             // Running clock, heavily compressed: submissions from early in
             // the loop complete while the loop is still going, so PREDICT
             // exercises both the NOT_READY and the served paths.

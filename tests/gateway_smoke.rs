@@ -94,7 +94,6 @@ fn gateway_smoke_concurrent_clients_backpressure_and_drain() {
             max_pending_per_machine: HOT_MACHINE_BOUND,
             rate_capacity: 64.0,
             rate_refill_per_s: 0.0,
-            threads: 4,
             ..GatewayConfig::default()
         },
     )

@@ -46,7 +46,6 @@ fn all_option_combos() -> Vec<TranspileOptions> {
                     layout,
                     routing,
                     optimization_level,
-                    ..TranspileOptions::default()
                 });
             }
         }
