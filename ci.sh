@@ -17,7 +17,16 @@ cargo test -q --workspace
 #   record-for-record under both record sinks (winner tree vs linear scan
 #   before every pop, cancel/unschedule metamorphic test, random
 #   step-schedule == batch), and the end-to-end study passes under the
-#   auditor with Fig 8's smoke values pinned.
+#   auditor with Fig 8's smoke values pinned. The reference's traces carry
+#   exact ties (SJF-equal ones included) and arrive shuffled.
+# -p qcs-cloud windowed_feed_matches_submit_everything_then_drain;
+#   submit_rejects; -p qcs-workload order_is_submit_then_id; --lib
+#   live_core_matches_batch_on_smoke_study: `Simulation::run`'s windowed
+#   feed equals submitting the whole trace up front and draining, over
+#   more than two windows of shuffled input with ties straddling every
+#   window edge and on the smoke study; `LiveCloud::submit` refuses a
+#   non-finite submit time and a negative or NaN patience; the generator
+#   emits jobs in strictly increasing (submit_s, id) order.
 # --test properties live_matches_batch; --test gateway_smoke; -p
 #   qcs-gateway: the incremental stepping engine is bit-identical to the
 #   batch run on random traces/disciplines/outages/step schedules, and the

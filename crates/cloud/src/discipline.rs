@@ -100,7 +100,9 @@ impl<T: QueueItem> JobQueue<T> {
                             .then_with(|| ja.submit_s().total_cmp(&jb.submit_s()))
                     })
                     .map(|(i, _)| i)?;
-                Some(q.swap_remove(idx).1)
+                // `remove`, not `swap_remove`: the queue stays in arrival
+                // order, so the first of equal keys is the earliest arrival.
+                Some(q.remove(idx).1)
             }
         }
     }
@@ -205,6 +207,20 @@ mod tests {
         q.push(job(1, 0, 0.0), 10.0);
         q.push(job(2, 0, 1.0), 10.0);
         assert_eq!(q.pop(5.0).unwrap().id, 1);
+    }
+
+    #[test]
+    fn sjf_exact_ties_stay_fifo_after_a_pop() {
+        // Regression: popping with `swap_remove` moved the last job into
+        // the hole, so of two jobs with equal estimate and submit time the
+        // later arrival ran first (the brute-force reference disagreed).
+        let mut q = JobQueue::new(Discipline::ShortestJobFirst, 4);
+        q.push(job(1, 0, 0.0), 5.0);
+        q.push(job(2, 0, 1.0), 10.0);
+        q.push(job(3, 0, 1.0), 10.0);
+        assert_eq!(q.pop(5.0).unwrap().id, 1);
+        assert_eq!(q.pop(5.0).unwrap().id, 2);
+        assert_eq!(q.pop(5.0).unwrap().id, 3);
     }
 
     #[test]

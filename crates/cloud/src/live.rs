@@ -13,10 +13,10 @@
 //! **Equivalence guarantee:** a trace submitted in submission-time order
 //! and advanced through any sequence of `step_until` calls produces
 //! records, queue samples, and aggregates *bit-for-bit identical* to
-//! `Simulation::run` on the same trace. The batch API is in fact a thin
-//! wrapper over this type, and `tests/properties.rs::live_matches_batch`
-//! locks the equivalence across disciplines, outage plans, and random
-//! step schedules.
+//! `Simulation::run` on the same trace. The batch API is in fact a
+//! windowed feed of this type's public `submit` / `step_until`, and
+//! `tests/properties.rs::live_matches_batch` locks the equivalence across
+//! disciplines, outage plans, and random step schedules.
 //!
 //! # Hot-path layout
 //!
@@ -319,6 +319,14 @@ pub enum SubmitError {
         /// The out-of-range provider id.
         provider: u32,
     },
+    /// The job's submission time is `NaN` or infinite: it would never
+    /// arrive, and draining the run would sample queues forever.
+    NonFiniteSubmit {
+        /// Offending job id.
+        job: u64,
+        /// The job's submission time (s).
+        submit_s: f64,
+    },
     /// The job's submission time precedes the current simulation clock —
     /// the past cannot be rewritten.
     SubmitInPast {
@@ -328,6 +336,14 @@ pub enum SubmitError {
         submit_s: f64,
         /// The current clock (s).
         now_s: f64,
+    },
+    /// The job's patience is negative or `NaN` (`inf` is the patient
+    /// default): it would be cancelled before it was submitted.
+    InvalidPatience {
+        /// Offending job id.
+        job: u64,
+        /// The job's patience (s).
+        patience_s: f64,
     },
 }
 
@@ -340,6 +356,9 @@ impl fmt::Display for SubmitError {
             SubmitError::UnknownProvider { job, provider } => {
                 write!(f, "job {job} has unknown provider {provider}")
             }
+            SubmitError::NonFiniteSubmit { job, submit_s } => {
+                write!(f, "job {job} has non-finite submission time {submit_s}")
+            }
             SubmitError::SubmitInPast {
                 job,
                 submit_s,
@@ -348,6 +367,9 @@ impl fmt::Display for SubmitError {
                 f,
                 "job {job} submitted at {submit_s} s but the clock is already at {now_s} s"
             ),
+            SubmitError::InvalidPatience { job, patience_s } => {
+                write!(f, "job {job} has patience {patience_s} s; it must be >= 0")
+            }
         }
     }
 }
@@ -639,7 +661,8 @@ impl LiveCloud {
     /// # Errors
     ///
     /// [`SubmitError`] when the job targets an unknown machine or
-    /// provider, or its submission time is already in the past.
+    /// provider, its submission time is non-finite or already in the past,
+    /// or its patience is negative or `NaN`.
     pub fn submit(&mut self, job: JobSpec) -> Result<(), SubmitError> {
         if job.machine >= self.fleet.len() {
             return Err(SubmitError::UnknownMachine {
@@ -653,11 +676,24 @@ impl LiveCloud {
                 provider: job.provider,
             });
         }
+        if !job.submit_s.is_finite() {
+            return Err(SubmitError::NonFiniteSubmit {
+                job: job.id,
+                submit_s: job.submit_s,
+            });
+        }
         if job.submit_s < self.now_s {
             return Err(SubmitError::SubmitInPast {
                 job: job.id,
                 submit_s: job.submit_s,
                 now_s: self.now_s,
+            });
+        }
+        // A range check rather than `< 0.0`, so NaN fails it too.
+        if !(0.0..=f64::INFINITY).contains(&job.patience_s) {
+            return Err(SubmitError::InvalidPatience {
+                job: job.id,
+                patience_s: job.patience_s,
             });
         }
         if let Some(statuses) = self.statuses.as_mut() {
@@ -1069,6 +1105,52 @@ mod tests {
         let err = cloud.submit(job(2, 1, 50.0)).unwrap_err();
         assert!(matches!(err, SubmitError::SubmitInPast { job: 2, .. }));
         assert!(err.to_string().contains("clock is already at 100"));
+    }
+
+    #[test]
+    fn submit_rejects_non_finite_submit_time() {
+        // Regression: an `inf` or NaN submission time was accepted, and
+        // draining the run then pushed queue samples forever.
+        let mut cloud = live();
+        for (id, submit_s) in [(0, f64::INFINITY), (1, f64::NAN), (2, f64::NEG_INFINITY)] {
+            let err = cloud.submit(job(id, 1, submit_s)).unwrap_err();
+            assert!(
+                matches!(err, SubmitError::NonFiniteSubmit { job, .. } if job == id),
+                "{err}"
+            );
+        }
+        assert_eq!(cloud.pending_arrivals(), 0);
+        cloud.run_to_completion();
+        assert_eq!(cloud.total_jobs(), 0);
+    }
+
+    #[test]
+    fn submit_rejects_negative_or_nan_patience() {
+        // Regression: a negative patience was accepted and cancelled the
+        // job before it was submitted, which the audit flags.
+        let config = CloudConfig {
+            audit: true,
+            ..CloudConfig::default()
+        };
+        let mut cloud = LiveCloud::new(Fleet::ibm_like(), config);
+        for (id, patience_s) in [(0, -5.0), (1, f64::NAN)] {
+            let mut j = job(id, 1, 10.0);
+            j.patience_s = patience_s;
+            let err = cloud.submit(j).unwrap_err();
+            assert!(
+                matches!(err, SubmitError::InvalidPatience { job, .. } if job == id),
+                "{err}"
+            );
+            assert!(err.to_string().contains("must be >= 0"));
+        }
+        // Zero patience is the boundary and is admitted.
+        let mut zero = job(2, 1, 10.0);
+        zero.patience_s = 0.0;
+        cloud.submit(zero).unwrap();
+        cloud.run_to_completion();
+        let result = cloud.into_result();
+        assert_eq!(result.total_jobs, 1);
+        result.audit.as_ref().unwrap().assert_clean();
     }
 
     #[test]

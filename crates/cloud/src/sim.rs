@@ -281,32 +281,51 @@ impl Simulation {
         &self.fleet
     }
 
-    /// Run the simulation over a set of jobs (any submission order).
+    /// Run the simulation over a set of jobs (any submission order; equal
+    /// submission times arrive in input order).
     ///
-    /// Deterministic for a fixed `(fleet, config, jobs)`. This is a thin
-    /// wrapper over the incremental [`LiveCloud`](crate::LiveCloud) core:
-    /// every job is submitted up front and the clock is advanced to the
-    /// end in one step. Live-stepped runs are bit-identical (see
+    /// Deterministic for a fixed `(fleet, config, jobs)`. This feeds the
+    /// incremental [`LiveCloud`](crate::LiveCloud) core in windows: after a
+    /// stable sort by submission time, it submits the next window of jobs
+    /// plus any tied with the last of them, steps the clock to that
+    /// submission time, and repeats, so the core holds one window plus
+    /// the in-flight jobs rather than the whole trace. Any stepping of a
+    /// sorted trace is bit-identical to submitting it all up front (see
     /// `tests/properties.rs::live_matches_batch`).
     ///
     /// # Panics
     ///
-    /// Panics with the [`SubmitError`](crate::SubmitError) message if a job
-    /// references a machine index outside the fleet, a provider outside
-    /// `config.num_providers`, or a negative submission time.
+    /// Panics with the [`SubmitError`](crate::SubmitError) message of the
+    /// first invalid job in submission-time order: a machine index outside
+    /// the fleet, a provider outside `config.num_providers`, a negative or
+    /// non-finite submission time, or a negative or `NaN` patience.
     #[must_use]
-    pub fn run(&self, jobs: Vec<JobSpec>) -> SimulationResult {
+    pub fn run(&self, mut jobs: Vec<JobSpec>) -> SimulationResult {
+        // Callers pass sorted traces, on which this is one O(n) pass.
+        jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
         let mut live = crate::LiveCloud::new(self.fleet.clone(), self.config)
             .with_outages(self.outages.clone());
-        for job in jobs {
-            if let Err(e) = live.submit(job) {
-                panic!("{e}");
+        let mut jobs = jobs.into_iter().peekable();
+        while jobs.peek().is_some() {
+            let mut horizon_s = 0.0;
+            for job in jobs.by_ref().take(WINDOW) {
+                horizon_s = job.submit_s;
+                live.submit(job).unwrap_or_else(|e| panic!("{e}"));
             }
+            while let Some(job) = jobs.next_if(|j| j.submit_s == horizon_s) {
+                live.submit(job).unwrap_or_else(|e| panic!("{e}"));
+            }
+            live.step_until(horizon_s);
         }
         live.run_to_completion();
         live.into_result()
     }
 }
+
+/// Jobs [`Simulation::run`] submits before each step: enough that a step
+/// costs nothing next to its events, few enough that the slab and the
+/// arrival heap stay small.
+const WINDOW: usize = 4096;
 
 #[cfg(test)]
 mod tests {
@@ -734,5 +753,64 @@ mod tests {
     fn audit_disabled_by_default() {
         let result = sim().run(vec![job(0, 1, 0.0)]);
         assert!(result.audit.is_none());
+    }
+
+    #[test]
+    fn windowed_feed_matches_submit_everything_then_drain() {
+        // Over two windows of jobs in groups of seven tied submission
+        // times. `WINDOW % 7 == 1`, so the last job of every window opens a
+        // tie group and the ties straddle each edge. The input is shuffled,
+        // so ties arrive in neither id nor time order. The oracle is the
+        // old body of `run`: every job submitted up front, one drain.
+        const GROUP: usize = 7;
+        assert_eq!(WINDOW % GROUP, 1, "ties must straddle every window edge");
+        let n = 2 * WINDOW + 1000;
+        let jobs: Vec<JobSpec> = (0..n)
+            .map(|k| {
+                // 7919 is prime and does not divide n: a permutation.
+                let i = k * 7919 % n;
+                let mut j = job(i as u64, 1 + i % 6, (i / GROUP) as f64 * 20.0);
+                j.circuits = 1 + (i % 40) as u32;
+                if i.is_multiple_of(9) {
+                    j.patience_s = 60.0;
+                }
+                j
+            })
+            .collect();
+        let fleet = Fleet::ibm_like();
+        let outages = OutagePlan::sample(fleet.len(), 0.4, 0.05, 0.5, 11);
+        let config = CloudConfig {
+            audit: true,
+            sample_interval_hours: 0.05,
+            ..CloudConfig::default()
+        };
+        let windowed = Simulation::new(fleet.clone(), config)
+            .with_outages(outages.clone())
+            .run(jobs.clone());
+
+        let mut live = crate::LiveCloud::new(fleet, config).with_outages(outages);
+        for j in jobs {
+            live.submit(j).unwrap();
+        }
+        live.run_to_completion();
+        let drained = live.into_result();
+
+        assert_eq!(windowed.total_jobs, n as u64);
+        assert!(windowed.outcome_counts[2] > 0, "no cancellations exercised");
+        assert_eq!(windowed.records, drained.records);
+        assert_eq!(windowed.queue_samples, drained.queue_samples);
+        assert_eq!(windowed.outcome_counts, drained.outcome_counts);
+        assert_eq!(windowed.daily_executions, drained.daily_executions);
+        windowed.audit.as_ref().unwrap().assert_clean();
+    }
+
+    #[test]
+    #[should_panic(expected = "job 2 has non-finite submission time NaN")]
+    fn run_panics_on_a_nan_submit_time() {
+        // Sorted by `total_cmp`, NaN comes last: the window loop meets it
+        // after the valid jobs and panics rather than stepping forever.
+        let mut bad = job(2, 1, 0.0);
+        bad.submit_s = f64::NAN;
+        let _ = sim().run(vec![bad, job(0, 1, 5.0), job(1, 1, 9.0)]);
     }
 }

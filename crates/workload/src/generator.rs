@@ -84,7 +84,8 @@ impl WorkloadConfig {
 /// The generated trace.
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
-    /// All jobs (background + study), sorted by submission time.
+    /// All jobs (background + study), in strictly increasing
+    /// `(submit_s, id)` order: by submission time, ties by id.
     pub jobs: Vec<JobSpec>,
 }
 
@@ -254,11 +255,9 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
         next_id += 1;
     }
 
-    jobs.sort_by(|a, b| {
-        a.submit_s
-            .partial_cmp(&b.submit_s)
-            .expect("submit times are finite")
-    });
+    // Ids were handed out in push order, so `(submit_s, id)` is a total
+    // order equal to the stable sort by `submit_s`, with no scratch buffer.
+    jobs.sort_unstable_by(|a, b| a.submit_s.total_cmp(&b.submit_s).then(a.id.cmp(&b.id)));
     Workload { jobs }
 }
 
@@ -387,6 +386,23 @@ mod tests {
         let w = generate(&Fleet::ibm_like(), &small_config());
         assert!(!w.jobs.is_empty());
         assert!(w.jobs.windows(2).all(|p| p[0].submit_s <= p[1].submit_s));
+    }
+
+    #[test]
+    fn order_is_submit_then_id_and_equals_stable_sort() {
+        let w = generate(&Fleet::ibm_like(), &small_config());
+        assert!(w.jobs.windows(2).all(|p| {
+            p[0].submit_s
+                .total_cmp(&p[1].submit_s)
+                .then(p[0].id.cmp(&p[1].id))
+                .is_lt()
+        }));
+        // Ids are generation order: re-sorting by id recovers the order the
+        // jobs were pushed in, and a stable sort of that must agree.
+        let mut stable = w.jobs.clone();
+        stable.sort_unstable_by_key(|j| j.id);
+        stable.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
+        assert_eq!(stable, w.jobs);
     }
 
     #[test]

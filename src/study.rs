@@ -481,10 +481,9 @@ mod tests {
 
     #[test]
     fn live_core_matches_batch_on_smoke_study() {
-        // The study's trace replayed through the incremental core — jobs
-        // submitted one simulated day ahead of the clock, the clock
-        // stepped a day at a time — equals the batch run bit for bit.
-        const DAY_S: f64 = 86_400.0;
+        // `Study::run` feeds the core in windows; the study's whole trace
+        // submitted up front and drained in one step must equal it bit
+        // for bit.
         let config = StudyConfig {
             cloud: CloudConfig {
                 audit: true,
@@ -496,19 +495,8 @@ mod tests {
 
         let (fleet, workload, outages) = study_inputs(&config);
         let mut live = qcs_cloud::LiveCloud::new(fleet, config.cloud).with_outages(outages);
-        // Stable sort: within equal submit times the generator's order is
-        // kept, matching the batch run's tie-breaking.
-        let mut jobs = workload.jobs;
-        jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
-        let mut pending = jobs.into_iter().peekable();
-        let mut next_day = 1u64;
-        while pending.peek().is_some() {
-            let t = next_day as f64 * DAY_S;
-            while let Some(job) = pending.next_if(|j| j.submit_s <= t) {
-                live.submit(job).expect("generated jobs are valid");
-            }
-            live.step_until(t);
-            next_day += 1;
+        for job in workload.jobs {
+            live.submit(job).expect("generated jobs are valid");
         }
         live.run_to_completion();
         let l = live.into_result();

@@ -385,13 +385,35 @@ fn arb_trace() -> impl Strategy<Value = Vec<JobSpec>> {
     })
 }
 
+/// [`arb_trace`] with about a third of its jobs tied exactly with the
+/// previous job's submit time (half of those also on its machine with its
+/// batch size, so SJF sees equal keys), handed over shuffled: both sides
+/// must sort the trace stably, ties running in input order, not id order.
+fn arb_tied_shuffled_trace() -> impl Strategy<Value = Vec<JobSpec>> {
+    let picks = proptest::collection::vec((0u8..6, 0u32..1_000), 14..15);
+    (arb_trace(), picks).prop_map(|(mut jobs, picks)| {
+        for i in 1..jobs.len() {
+            if picks[i].0 < 2 {
+                jobs[i].submit_s = jobs[i - 1].submit_s;
+            }
+            if picks[i].0 == 0 {
+                jobs[i].machine = jobs[i - 1].machine;
+                jobs[i].circuits = jobs[i - 1].circuits;
+            }
+        }
+        let mut keyed: Vec<(u32, JobSpec)> = picks.iter().map(|p| p.1).zip(jobs).collect();
+        keyed.sort_by_key(|(key, _)| *key);
+        keyed.into_iter().map(|(_, job)| job).collect()
+    })
+}
+
 proptest! {
     // 110 cases x 3 disciplines each: >= 100 random traces per discipline.
     #![proptest_config(ProptestConfig::with_cases(110))]
 
     #[test]
     fn des_matches_reference(
-        jobs in arb_trace(),
+        jobs in arb_tied_shuffled_trace(),
         seed in 0u64..10_000,
         outage_pick in 0u8..3,
         divisor in 1u64..4,
