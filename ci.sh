@@ -58,8 +58,14 @@ cargo test -q --workspace
 #   fallback, and the frame-shifted Support equals the noisy tableau's
 #   field for field.
 # --test ingest_study: the ARLIS-style CSV fixture parses with derived
-#   backlogs, survives the study's causality audit, trains the queue model,
-#   and feeds the online predictor end to end.
+#   backlogs, survives the study's causality audit, trains the online
+#   predictor on the 70 % head and scores the tail with jobs, r and MAE
+#   pinned, and reports no queue prediction when no head job completed.
+# -p qcs-predictor queue; --test end_to_end_study
+#   queue_prediction_smoke_values_are_pinned: held-out point waits are
+#   the training split's per-machine means bit for bit, and
+#   `extension_queue_prediction --smoke`'s split scores 28827 jobs with r
+#   and MAE pinned to full precision and band coverage in [0.70, 0.80].
 # -p qcs-predictor online: warm-started refits converge to the batch fit
 #   (prediction-equivalent, not coefficient-equal: the product model is
 #   scale-degenerate) at every cadence an owner may run them at, track a

@@ -2,7 +2,7 @@
 //! quantitative confidence levels, from the backlog at submission and the
 //! machine's learned service rate.
 
-use qcs::predictor::{evaluate_queue_prediction, QueueWaitModel};
+use qcs::predictor::{evaluate_queue_prediction, OnlinePredictor};
 use qcs_bench::study_from_args;
 
 fn main() {
@@ -11,8 +11,12 @@ fn main() {
     let split = records.len() / 2;
     let (train, test) = records.split_at(split);
 
-    let model = QueueWaitModel::fit(train, study.fleet().len()).expect("completed jobs in trace");
-    let report = evaluate_queue_prediction(&model, test);
+    let qubits = study.fleet().machines().iter().map(|m| m.num_qubits()).collect();
+    let mut online = OnlinePredictor::new(qubits);
+    for record in train {
+        online.observe(record);
+    }
+    let report = evaluate_queue_prediction(&online, test);
 
     println!("Queue-wait prediction (backlog x learned service rate)");
     println!("  held-out jobs scored : {}", report.jobs);
@@ -22,12 +26,14 @@ fn main() {
     println!();
     for name in ["athens", "toronto", "manhattan"] {
         let idx = study.fleet().index_of(name).expect("machine exists");
-        let (lo, hi) = model.confidence_interval_s(idx, 20);
+        let estimate = online
+            .predict(idx, 1, 1024, 20)
+            .expect("completed jobs in trace");
         println!(
             "  {name:<10} 20 pending jobs -> predict {:.0} min (80% CI {:.0}-{:.0} min)",
-            model.predict_wait_s(idx, 20) / 60.0,
-            lo / 60.0,
-            hi / 60.0
+            estimate.wait_s / 60.0,
+            estimate.wait_lo_s / 60.0,
+            estimate.wait_hi_s / 60.0
         );
     }
     println!("\n(the paper argues queue prediction is tractable *because* execution");

@@ -3,9 +3,9 @@
 //! [`StreamingAggregates`] is the fold target of the
 //! [`RecordSink::Streaming`](crate::RecordSink::Streaming) pipeline: every
 //! terminal [`JobRecord`] passes through once and is reduced into O(1)
-//! sketches ([`qcs_stats::StreamingSummary`], [`qcs_stats::P2Quantile`],
-//! [`qcs_stats::ReservoirSample`]) plus an O(providers) executed-seconds
-//! ledger, instead of being pushed onto
+//! queue-time sketches ([`qcs_stats::StreamingSummary`],
+//! [`qcs_stats::P2Quantile`], [`qcs_stats::ReservoirSample`]) plus an
+//! O(providers) executed-seconds ledger, instead of being pushed onto
 //! [`SimulationResult::records`](crate::SimulationResult::records). Memory
 //! is independent of trace length, which is what lets a ≥10⁶-job campaign
 //! run in a bounded footprint.
@@ -23,41 +23,32 @@ use crate::{JobOutcome, JobRecord};
 
 /// O(1)-memory roll-up of a stream of terminal [`JobRecord`]s.
 ///
-/// Executed jobs (completed or errored) contribute queue-time and
-/// exec-time statistics; cancelled jobs count only toward `folded` and the
-/// cancellation tally. Queue-time tails get a dedicated P² p99 marker (the
-/// paper's headline latency statistic) and seeded reservoirs retain raw
-/// points for violin plots.
+/// Executed jobs (completed or errored) contribute queue-time statistics
+/// and their execution seconds to the per-provider ledger; cancelled jobs
+/// count only toward `folded` and the cancellation tally. Queue-time tails
+/// get a dedicated P² p99 marker (the paper's headline latency statistic)
+/// and a seeded reservoir of raw queue times.
 #[derive(Debug, Clone)]
 pub struct StreamingAggregates {
     folded: u64,
     cancelled: u64,
     queue_time: StreamingSummary,
-    exec_time: StreamingSummary,
     queue_time_p99: P2Quantile,
-    queue_time_violin: ReservoirSample,
-    exec_time_violin: ReservoirSample,
+    queue_time_reservoir: ReservoirSample,
     executed_s_by_provider: Vec<f64>,
 }
 
 impl StreamingAggregates {
     /// Aggregates over `num_providers` providers, retaining at most
-    /// `reservoir_capacity` raw points per metric, seeded for
-    /// reproducibility.
+    /// `reservoir_capacity` raw queue times, seeded for reproducibility.
     #[must_use]
     pub fn new(reservoir_capacity: usize, reservoir_seed: u64, num_providers: usize) -> Self {
         StreamingAggregates {
             folded: 0,
             cancelled: 0,
             queue_time: StreamingSummary::new(),
-            exec_time: StreamingSummary::new(),
             queue_time_p99: P2Quantile::new(0.99),
-            queue_time_violin: ReservoirSample::new(reservoir_capacity, reservoir_seed),
-            // Decorrelate the two reservoirs' replacement choices.
-            exec_time_violin: ReservoirSample::new(
-                reservoir_capacity,
-                reservoir_seed ^ 0x9E37_79B9_7F4A_7C15,
-            ),
+            queue_time_reservoir: ReservoirSample::new(reservoir_capacity, reservoir_seed),
             executed_s_by_provider: vec![0.0; num_providers],
         }
     }
@@ -75,13 +66,10 @@ impl StreamingAggregates {
             return;
         }
         let queue_s = record.queue_time_s();
-        let exec_s = record.exec_time_s();
         self.queue_time.push(queue_s);
         self.queue_time_p99.push(queue_s);
-        self.queue_time_violin.push(queue_s);
-        self.exec_time.push(exec_s);
-        self.exec_time_violin.push(exec_s);
-        self.executed_s_by_provider[record.provider as usize] += exec_s;
+        self.queue_time_reservoir.push(queue_s);
+        self.executed_s_by_provider[record.provider as usize] += record.exec_time_s();
     }
 
     /// Total records folded (all outcomes).
@@ -102,12 +90,6 @@ impl StreamingAggregates {
         &self.queue_time
     }
 
-    /// Execution-time sketch over executed jobs (seconds).
-    #[must_use]
-    pub fn exec_time(&self) -> &StreamingSummary {
-        &self.exec_time
-    }
-
     /// P² estimate of the 99th-percentile queue time; `None` before any
     /// executed job.
     #[must_use]
@@ -115,16 +97,10 @@ impl StreamingAggregates {
         self.queue_time_p99.estimate()
     }
 
-    /// Reservoir of raw queue times for violin/KDE rendering.
+    /// Seeded uniform sample of raw queue times (seconds).
     #[must_use]
     pub fn queue_time_samples(&self) -> &[f64] {
-        self.queue_time_violin.samples()
-    }
-
-    /// Reservoir of raw execution times for violin/KDE rendering.
-    #[must_use]
-    pub fn exec_time_samples(&self) -> &[f64] {
-        self.exec_time_violin.samples()
+        self.queue_time_reservoir.samples()
     }
 
     /// Per-provider executed seconds: the streaming side of the
@@ -133,12 +109,6 @@ impl StreamingAggregates {
     #[must_use]
     pub fn executed_seconds_by_provider(&self) -> &[f64] {
         &self.executed_s_by_provider
-    }
-
-    /// Executed seconds summed over providers.
-    #[must_use]
-    pub fn executed_seconds_total(&self) -> f64 {
-        self.executed_s_by_provider.iter().sum()
     }
 }
 
@@ -175,11 +145,8 @@ mod tests {
         assert_eq!(agg.cancelled(), 1);
         assert_eq!(agg.queue_time().moments().count(), 2);
         assert_eq!(agg.queue_time().moments().mean(), 15.0);
-        assert_eq!(agg.exec_time().moments().mean(), 4.0);
         assert_eq!(agg.executed_seconds_by_provider(), &[0.0, 5.0, 3.0, 0.0]);
-        assert_eq!(agg.executed_seconds_total(), 8.0);
         assert_eq!(agg.queue_time_samples(), &[10.0, 20.0]);
-        assert_eq!(agg.exec_time_samples(), &[5.0, 3.0]);
         assert_eq!(
             agg.queue_time_p99(),
             qcs_stats::quantile(&[10.0, 20.0], 0.99),
@@ -192,28 +159,20 @@ mod tests {
         let agg = StreamingAggregates::new(8, 0, 2);
         assert_eq!(agg.folded(), 0);
         assert_eq!(agg.queue_time_p99(), None);
-        assert_eq!(agg.executed_seconds_total(), 0.0);
+        assert_eq!(agg.executed_seconds_by_provider(), &[0.0, 0.0]);
         assert!(agg.queue_time_samples().is_empty());
     }
 
     #[test]
-    fn reservoirs_are_decorrelated_but_deterministic() {
-        let run = || {
-            let mut agg = StreamingAggregates::new(16, 9, 2);
+    fn queue_reservoir_is_deterministic_per_seed() {
+        let run = |seed| {
+            let mut agg = StreamingAggregates::new(16, seed, 2);
             for i in 0..1000 {
-                agg.fold(&record(i, 0, JobOutcome::Completed, i as f64, i as f64));
+                agg.fold(&record(i, 0, JobOutcome::Completed, i as f64, 1.0));
             }
-            (
-                agg.queue_time_samples().to_vec(),
-                agg.exec_time_samples().to_vec(),
-            )
+            agg.queue_time_samples().to_vec()
         };
-        let (q1, e1) = run();
-        let (q2, e2) = run();
-        assert_eq!(q1, q2);
-        assert_eq!(e1, e2);
-        // Identical inputs, different seeds: the reservoirs should not
-        // shadow each other.
-        assert_ne!(q1, e1);
+        assert_eq!(run(9), run(9));
+        assert_ne!(run(9), run(10), "the seed picks the retained points");
     }
 }

@@ -120,12 +120,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether any fault mode is enabled at all.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.total_permille() > 0
-    }
-
     fn total_permille(&self) -> u32 {
         u32::from(self.drop_connection_permille)
             + u32::from(self.garble_request_permille)
@@ -218,7 +212,6 @@ mod tests {
     #[test]
     fn inactive_plan_never_faults() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_active());
         for i in 0..200 {
             assert_eq!(plan.decide(&format!("SUBMIT 0 1 {i} 1024 20 3"), 0.0), None);
         }

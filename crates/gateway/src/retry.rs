@@ -73,22 +73,15 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What a retrying call observed, for folding into
-/// [`GatewayMetrics`](crate::GatewayMetrics).
+/// What retrying calls observed: the caller passes one block to every
+/// [`GatewayClient::request_with_retry`](crate::GatewayClient::request_with_retry)
+/// it wants counted together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Re-attempts performed (transport errors and `BUSY` responses).
     pub retries: u64,
     /// Requests abandoned with their retry budget exhausted.
     pub giveups: u64,
-}
-
-impl RetryStats {
-    /// Accumulate another stats block into this one.
-    pub fn absorb(&mut self, other: RetryStats) {
-        self.retries += other.retries;
-        self.giveups += other.giveups;
-    }
 }
 
 #[cfg(test)]
@@ -150,24 +143,5 @@ mod tests {
     fn zero_base_means_no_sleep() {
         assert_eq!(RetryPolicy::none().backoff(0), Duration::ZERO);
         assert_eq!(RetryPolicy::none().max_attempts(), 1);
-    }
-
-    #[test]
-    fn stats_absorb_accumulates() {
-        let mut a = RetryStats {
-            retries: 2,
-            giveups: 1,
-        };
-        a.absorb(RetryStats {
-            retries: 3,
-            giveups: 0,
-        });
-        assert_eq!(
-            a,
-            RetryStats {
-                retries: 5,
-                giveups: 1
-            }
-        );
     }
 }

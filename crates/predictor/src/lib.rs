@@ -5,6 +5,12 @@
 //! machine-overhead features (§VI-C), with 70/30 train/test evaluation and
 //! per-machine Pearson correlations (Figs 15–16).
 //!
+//! Queue-wait prediction (Recommendation ⑤) has one estimator,
+//! [`OnlinePredictor`]: it folds terminal records one at a time on the
+//! record tap and serves the gateway's `PREDICT`. A batch reader observes
+//! its training split with it and scores the held-out split with
+//! [`evaluate_queue_prediction`].
+//!
 //! # Examples
 //!
 //! ```
@@ -37,4 +43,4 @@ pub use online::{
     ONLINE_WINDOW,
 };
 pub use predictor::{run_prediction_study, MachineEvaluation, PredictionStudy, RuntimePredictor};
-pub use queue::{evaluate_queue_prediction, QueueFitError, QueuePredictionReport, QueueWaitModel};
+pub use queue::{evaluate_queue_prediction, QueuePredictionReport};

@@ -103,6 +103,24 @@ pub struct WaitEstimate {
     pub run_s: f64,
 }
 
+/// One waited job scored against the queue-wait model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WaitScore {
+    /// Point estimate of the wait, seconds.
+    pub(crate) predicted_s: f64,
+    /// Actual wait, seconds.
+    pub(crate) actual_s: f64,
+    /// Whether the actual wait fell inside the 10–90 % band.
+    pub(crate) in_band: bool,
+}
+
+impl WaitScore {
+    /// Absolute error of the point estimate, minutes.
+    pub(crate) fn abs_err_min(self) -> f64 {
+        (self.predicted_s - self.actual_s).abs() / 60.0
+    }
+}
+
 /// A fitted runtime model together with the per-feature normalization
 /// it was fitted under: what [`RefitJob::run`] produces and
 /// [`OnlinePredictor::install`] publishes.
@@ -282,18 +300,13 @@ impl OnlinePredictor {
         }
 
         // Test before train: score the pre-update model on this record.
-        let waited = record.pending_at_submit > 0 && record.queue_time_s() > 0.0;
-        if self.ready() && waited {
-            let predicted = self.predict_wait_s(record.machine, record.pending_at_submit);
-            let actual = record.queue_time_s();
-            let err_min = (predicted - actual).abs() / 60.0;
+        let score = self.score(record);
+        if let Some(score) = score.filter(|_| self.ready()) {
+            let err_min = score.abs_err_min();
             if err_min.is_finite() {
                 self.scored += 1;
                 self.abs_err_min.push(err_min);
-                let (lo, hi) = self.band_s(predicted);
-                if (lo..=hi).contains(&actual) {
-                    self.in_band += 1;
-                }
+                self.in_band += u64::from(score.in_band);
             }
         }
 
@@ -307,9 +320,9 @@ impl OnlinePredictor {
         self.service_count[record.machine] += 1;
         self.fleet_sum_s += exec;
         self.fleet_count += 1;
-        if waited {
+        if let Some(score) = score {
             let predicted = self.predict_wait_s(record.machine, record.pending_at_submit);
-            let ratio = record.queue_time_s() / predicted.max(1e-9);
+            let ratio = score.actual_s / predicted.max(1e-9);
             if ratio.is_finite() {
                 self.band_lo.push(ratio);
                 self.band_hi.push(ratio);
@@ -444,6 +457,29 @@ impl OnlinePredictor {
             (Some(&sum), Some(&count)) if count > 0 => sum / count as f64,
             _ => fleet,
         }
+    }
+
+    /// Score the current queue-wait model on one record: the prequential
+    /// test in [`observe`](Self::observe) and the held-out
+    /// [`evaluate_queue_prediction`](crate::evaluate_queue_prediction).
+    /// `None` unless the job completed after waiting behind someone:
+    /// zero-wait jobs are trivially predictable and would inflate every
+    /// metric.
+    pub(crate) fn score(&self, record: &JobRecord) -> Option<WaitScore> {
+        let actual_s = record.queue_time_s();
+        let waited = record.outcome == JobOutcome::Completed
+            && record.pending_at_submit > 0
+            && actual_s > 0.0;
+        if !waited {
+            return None;
+        }
+        let predicted_s = self.predict_wait_s(record.machine, record.pending_at_submit);
+        let (lo, hi) = self.band_s(predicted_s);
+        Some(WaitScore {
+            predicted_s,
+            actual_s,
+            in_band: (lo..=hi).contains(&actual_s),
+        })
     }
 
     /// The current 10–90 % band around a point wait, seconds.

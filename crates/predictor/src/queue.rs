@@ -1,146 +1,22 @@
 //! Queue-wait prediction (paper Recommendation ⑤: "research on predicting
 //! queuing times with quantitative confidence levels ... are worth
-//! pursuing").
+//! pursuing"), scored on a held-out split.
 //!
-//! The estimator uses the observation chain the paper itself builds:
-//! execution times are highly predictable (§VI-C), so the work ahead of a
-//! job — pending jobs x expected service — is predictable too, and under
-//! work-conserving scheduling the wait tracks the backlog.
+//! The estimator is the one [`OnlinePredictor`] folds on the record tap
+//! and serves to `PREDICT`: the work ahead of a job — pending jobs x the
+//! machine's mean service time — with a 10–90 % band of `actual/predicted`
+//! ratios. It rests on the observation chain the paper itself builds:
+//! execution times are highly predictable (§VI-C), so the backlog's work
+//! is predictable too, and under work-conserving scheduling the wait
+//! tracks it. A batch reader [`observe`](OnlinePredictor::observe)s its
+//! training split and scores the rest here.
 
-use std::fmt;
-
-use qcs_cloud::{JobOutcome, JobRecord};
+use qcs_cloud::JobRecord;
 use qcs_stats::{pearson, quantile};
 
-/// Why a [`QueueWaitModel::fit`] could not produce a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueFitError {
-    /// The record set contained no completed jobs — there is nothing to
-    /// learn service times from.
-    NoCompletedJobs,
-}
+use crate::online::{OnlinePredictor, WaitScore};
 
-impl fmt::Display for QueueFitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueueFitError::NoCompletedJobs => {
-                write!(f, "no completed jobs to fit a queue-wait model on")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QueueFitError {}
-
-/// A backlog-based queue-wait estimator with empirical confidence bands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueWaitModel {
-    /// Learned mean service time per machine, seconds.
-    mean_service_s: Vec<f64>,
-    /// Fleet-wide mean service time, seconds — the fallback for machines
-    /// the training set never saw (including indices past the end, which
-    /// external traces routinely produce).
-    fleet_mean_s: f64,
-    /// Multiplicative confidence band `(p10, p90)` of `actual/predicted`,
-    /// learned on the training set.
-    band: (f64, f64),
-}
-
-impl QueueWaitModel {
-    /// Fit from historical records: per-machine mean service time from
-    /// completed jobs, plus the empirical error band of the backlog
-    /// estimate. Machines with no data fall back to the fleet mean.
-    ///
-    /// The machine table grows to cover every machine index present in
-    /// the records, even past `num_machines` — external traces carry
-    /// indices our fleet descriptor never promised.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueFitError::NoCompletedJobs`] if no completed jobs are
-    /// provided.
-    pub fn fit(records: &[&JobRecord], num_machines: usize) -> Result<Self, QueueFitError> {
-        let completed: Vec<&&JobRecord> = records
-            .iter()
-            .filter(|r| r.outcome == JobOutcome::Completed)
-            .collect();
-        if completed.is_empty() {
-            return Err(QueueFitError::NoCompletedJobs);
-        }
-
-        let machines = completed
-            .iter()
-            .map(|r| r.machine + 1)
-            .max()
-            .unwrap_or(0)
-            .max(num_machines);
-        let mut sums = vec![0.0f64; machines];
-        let mut counts = vec![0usize; machines];
-        for r in &completed {
-            sums[r.machine] += r.exec_time_s();
-            counts[r.machine] += 1;
-        }
-        let fleet_mean = sums.iter().sum::<f64>() / completed.len() as f64;
-        let mean_service_s: Vec<f64> = sums
-            .iter()
-            .zip(&counts)
-            .map(|(&s, &c)| if c > 0 { s / c as f64 } else { fleet_mean })
-            .collect();
-
-        // Empirical band of actual/predicted on jobs that actually waited.
-        let mut ratios: Vec<f64> = completed
-            .iter()
-            .filter(|r| r.pending_at_submit > 0 && r.queue_time_s() > 0.0)
-            .map(|r| {
-                let predicted =
-                    r.pending_at_submit as f64 * mean_service_s[r.machine];
-                r.queue_time_s() / predicted.max(1e-9)
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let band = if ratios.is_empty() {
-            (1.0, 1.0)
-        } else {
-            (
-                quantile(&ratios, 0.10).unwrap_or(1.0).max(1e-3),
-                quantile(&ratios, 0.90).unwrap_or(1.0).max(1e-3),
-            )
-        };
-        Ok(QueueWaitModel {
-            mean_service_s,
-            fleet_mean_s: fleet_mean,
-            band,
-        })
-    }
-
-    /// Point estimate of the wait for a job submitted to `machine` with
-    /// `pending` jobs ahead of it, seconds. Machines the model never saw
-    /// (index past the learned table) use the fleet mean — no panic.
-    #[must_use]
-    pub fn predict_wait_s(&self, machine: usize, pending: usize) -> f64 {
-        pending as f64 * self.mean_service_s(machine)
-    }
-
-    /// The 10–90 % confidence interval around a point estimate, seconds
-    /// (the paper's "quantitative confidence levels").
-    #[must_use]
-    pub fn confidence_interval_s(&self, machine: usize, pending: usize) -> (f64, f64) {
-        let point = self.predict_wait_s(machine, pending);
-        (point * self.band.0, point * self.band.1)
-    }
-
-    /// Learned mean service time of a machine, seconds; the fleet mean
-    /// for machines outside the learned table.
-    #[must_use]
-    pub fn mean_service_s(&self, machine: usize) -> f64 {
-        self.mean_service_s
-            .get(machine)
-            .copied()
-            .unwrap_or(self.fleet_mean_s)
-    }
-}
-
-/// Evaluation of a [`QueueWaitModel`] on held-out records.
+/// Evaluation of the queue-wait estimator on held-out records.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuePredictionReport {
     /// Jobs evaluated (waited, completed).
@@ -153,52 +29,32 @@ pub struct QueuePredictionReport {
     pub band_coverage: f64,
 }
 
-/// Evaluate a fitted model on records (typically a held-out split).
+/// Score a trained predictor on records (typically a held-out split)
+/// without training on them.
 ///
 /// Only completed jobs that actually waited behind someone are scored —
-/// zero-wait jobs are trivially predictable and would inflate the metrics.
+/// the same filter [`OnlinePredictor::observe`] scores prequentially.
 /// An empty scored set has defined zero-job semantics: every metric is
 /// `0.0` (never NaN), so reports aggregate and serialize cleanly.
 #[must_use]
 pub fn evaluate_queue_prediction(
-    model: &QueueWaitModel,
+    online: &OnlinePredictor,
     records: &[&JobRecord],
 ) -> QueuePredictionReport {
-    let scored: Vec<&&JobRecord> = records
-        .iter()
-        .filter(|r| {
-            r.outcome == JobOutcome::Completed
-                && r.pending_at_submit > 0
-                && r.queue_time_s() > 0.0
-        })
-        .collect();
-    let predicted: Vec<f64> = scored
-        .iter()
-        .map(|r| model.predict_wait_s(r.machine, r.pending_at_submit))
-        .collect();
-    let actual: Vec<f64> = scored.iter().map(|r| r.queue_time_s()).collect();
-    let mut abs_err: Vec<f64> = predicted
-        .iter()
-        .zip(&actual)
-        .map(|(p, a)| (p - a).abs() / 60.0)
-        .collect();
+    let scores: Vec<WaitScore> = records.iter().filter_map(|r| online.score(r)).collect();
+    let predicted: Vec<f64> = scores.iter().map(|s| s.predicted_s).collect();
+    let actual: Vec<f64> = scores.iter().map(|s| s.actual_s).collect();
+    let mut abs_err: Vec<f64> = scores.iter().map(|s| s.abs_err_min()).collect();
     abs_err.sort_by(f64::total_cmp);
-    let in_band = scored
-        .iter()
-        .zip(&actual)
-        .filter(|(r, &a)| {
-            let (lo, hi) = model.confidence_interval_s(r.machine, r.pending_at_submit);
-            (lo..=hi).contains(&a)
-        })
-        .count();
+    let in_band = scores.iter().filter(|s| s.in_band).count();
     QueuePredictionReport {
-        jobs: scored.len(),
+        jobs: scores.len(),
         correlation: pearson(&predicted, &actual),
         median_abs_error_min: quantile(&abs_err, 0.5).unwrap_or(0.0),
-        band_coverage: if scored.is_empty() {
+        band_coverage: if scores.is_empty() {
             0.0
         } else {
-            in_band as f64 / scored.len() as f64
+            in_band as f64 / scores.len() as f64
         },
     }
 }
@@ -206,6 +62,7 @@ pub fn evaluate_queue_prediction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcs_cloud::JobOutcome;
 
     fn record(id: u64, machine: usize, pending: usize, exec_s: f64, wait_s: f64) -> JobRecord {
         JobRecord {
@@ -233,23 +90,30 @@ mod tests {
             .collect()
     }
 
+    /// A predictor for `machines` 5-qubit machines trained on `records`.
+    fn trained(records: &[JobRecord], machines: usize) -> OnlinePredictor {
+        let mut online = OnlinePredictor::new(vec![5; machines]);
+        for r in records {
+            online.observe(r);
+        }
+        online
+    }
+
     #[test]
     fn fits_mean_service() {
-        let records = ideal_records(50);
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 3).expect("fit");
-        assert!((model.mean_service_s(0) - 100.0).abs() < 1e-9);
-        assert!((model.mean_service_s(1) - 100.0).abs() < 1e-9);
+        let online = trained(&ideal_records(50), 3);
+        assert!((online.mean_service_s(0) - 100.0).abs() < 1e-9);
+        assert!((online.mean_service_s(1) - 100.0).abs() < 1e-9);
         // Machine 2 has no data: falls back to fleet mean.
-        assert!((model.mean_service_s(2) - 100.0).abs() < 1e-9);
+        assert!((online.mean_service_s(2) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn perfect_backlog_predicts_perfectly() {
         let records = ideal_records(60);
+        let online = trained(&records, 2);
         let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 2).expect("fit");
-        let report = evaluate_queue_prediction(&model, &refs);
+        let report = evaluate_queue_prediction(&online, &refs);
         assert!(report.jobs > 0);
         assert!(report.correlation > 0.999, "corr {}", report.correlation);
         assert!(report.median_abs_error_min < 1e-6);
@@ -258,13 +122,11 @@ mod tests {
 
     #[test]
     fn confidence_band_orders() {
-        let records = ideal_records(30);
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 2).expect("fit");
-        let (lo, hi) = model.confidence_interval_s(0, 5);
-        assert!(lo <= hi);
-        assert!(lo > 0.0);
-        assert_eq!(model.predict_wait_s(0, 0), 0.0);
+        let online = trained(&ideal_records(30), 2);
+        let estimate = online.predict(0, 10, 1024, 5).expect("trained");
+        assert!(estimate.wait_lo_s <= estimate.wait_hi_s);
+        assert!(estimate.wait_lo_s > 0.0);
+        assert_eq!(online.predict_wait_s(0, 0), 0.0);
     }
 
     #[test]
@@ -282,70 +144,86 @@ mod tests {
                 )
             })
             .collect();
+        let online = trained(&records, 1);
         let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 1).expect("fit");
-        let report = evaluate_queue_prediction(&model, &refs);
+        let report = evaluate_queue_prediction(&online, &refs);
         assert!(report.correlation > 0.999);
         // The band was learned around the 2x ratio, so coverage is high.
         assert!(report.band_coverage > 0.9, "coverage {}", report.band_coverage);
     }
 
     #[test]
-    fn empty_fit_is_a_typed_error_not_a_panic() {
-        assert_eq!(
-            QueueWaitModel::fit(&[], 1).unwrap_err(),
-            QueueFitError::NoCompletedJobs
-        );
-        // Records present but none completed count as empty too.
-        let mut r = record(0, 0, 1, 100.0, 100.0);
-        r.outcome = JobOutcome::Cancelled;
-        assert_eq!(
-            QueueWaitModel::fit(&[&r], 1).unwrap_err(),
-            QueueFitError::NoCompletedJobs
-        );
-    }
-
-    #[test]
     fn machine_index_past_num_machines_grows_the_table() {
         // An external-trace shape: the caller promises 2 machines but a
-        // record names machine 7. Used to index out of bounds in fit().
+        // record names machine 7.
         let mut records = ideal_records(20);
         records.push(record(99, 7, 3, 40.0, 120.0));
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 2).expect("fit");
-        assert!((model.mean_service_s(7) - 40.0).abs() < 1e-9);
-        assert!((model.predict_wait_s(7, 3) - 120.0).abs() < 1e-9);
+        let online = trained(&records, 2);
+        assert!((online.mean_service_s(7) - 40.0).abs() < 1e-9);
+        assert!((online.predict_wait_s(7, 3) - 120.0).abs() < 1e-9);
     }
 
     #[test]
     fn prediction_past_learned_table_uses_fleet_mean() {
-        // Used to index out of bounds in predict_wait_s().
-        let records = ideal_records(20);
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 2).expect("fit");
+        let online = trained(&ideal_records(20), 2);
         // Fleet mean service is 100 s, so machine 42 predicts from it.
-        assert!((model.mean_service_s(42) - 100.0).abs() < 1e-9);
-        assert!((model.predict_wait_s(42, 2) - 200.0).abs() < 1e-9);
-        let (lo, hi) = model.confidence_interval_s(42, 2);
+        assert!((online.mean_service_s(42) - 100.0).abs() < 1e-9);
+        assert!((online.predict_wait_s(42, 2) - 200.0).abs() < 1e-9);
+        let estimate = online.predict(42, 10, 1024, 2).expect("trained");
+        let (lo, hi) = (estimate.wait_lo_s, estimate.wait_hi_s);
         assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
     }
 
     #[test]
     fn empty_scored_set_reports_zeros_not_nan() {
-        // A model fitted on real data, evaluated on records that all fail
+        // A model trained on real data, evaluated on records that all fail
         // the scoring filter (zero wait): every metric must be 0.0.
-        let records = ideal_records(20);
-        let refs: Vec<&JobRecord> = records.iter().collect();
-        let model = QueueWaitModel::fit(&refs, 2).expect("fit");
+        let online = trained(&ideal_records(20), 2);
         let unscored: Vec<JobRecord> =
             (0..5).map(|i| record(i, 0, 0, 100.0, 0.0)).collect();
         let unscored_refs: Vec<&JobRecord> = unscored.iter().collect();
-        let report = evaluate_queue_prediction(&model, &unscored_refs);
+        let report = evaluate_queue_prediction(&online, &unscored_refs);
         assert_eq!(report.jobs, 0);
         assert_eq!(report.correlation, 0.0);
         assert_eq!(report.median_abs_error_min, 0.0);
         assert_eq!(report.band_coverage, 0.0);
         assert!(!report.correlation.is_nan());
         assert!(!report.median_abs_error_min.is_nan());
+    }
+
+    #[test]
+    fn held_out_point_waits_are_the_training_means() {
+        // Uneven service times on three machines, with errored and
+        // cancelled jobs mixed in (they never train the means).
+        let records: Vec<JobRecord> = (0..300u64)
+            .map(|i| {
+                let exec = 1.0 + (i as f64 * 0.37) % 5.3 + 1.0 / (i + 3) as f64;
+                let mut r = record(i, (i % 3) as usize, (i % 4) as usize, exec, 7.0 * i as f64);
+                r.outcome = match i % 11 {
+                    0 => JobOutcome::Errored,
+                    5 => JobOutcome::Cancelled,
+                    _ => JobOutcome::Completed,
+                };
+                r
+            })
+            .collect();
+        let online = trained(&records, 3);
+        for machine in 0..3 {
+            let (mut sum, mut n) = (0.0f64, 0u64);
+            for r in records
+                .iter()
+                .filter(|r| r.machine == machine && r.outcome == JobOutcome::Completed)
+            {
+                sum += r.exec_time_s();
+                n += 1;
+            }
+            for pending in [1, 7, 20] {
+                assert_eq!(
+                    online.predict_wait_s(machine, pending).to_bits(),
+                    (pending as f64 * (sum / n as f64)).to_bits(),
+                    "machine {machine}, {pending} pending"
+                );
+            }
+        }
     }
 }

@@ -25,58 +25,19 @@
 //! submission, per machine), which is what the queue-wait predictor
 //! trains on.
 //!
-//! Every malformed field is a typed [`IngestError::Parse`] with a 1-based
-//! line number, mirroring `qcs_cloud::trace`.
+//! Every malformed field is a typed [`TraceError::Parse`] with a 1-based
+//! line number: the error type of `qcs_cloud::trace`'s own CSV reader.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::BufRead;
 
+use qcs_cloud::trace::TraceError;
 use qcs_cloud::{JobOutcome, JobRecord};
 
 /// The expected CSV header (line 1).
 pub const INGEST_HEADER: &str =
     "job_id,backend,qubits,circuits,shots,depth,width,submit_ts,start_ts,end_ts,status";
-
-/// Errors from ingesting an external trace.
-#[derive(Debug)]
-pub enum IngestError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// A malformed line.
-    Parse {
-        /// 1-based line number (the header is line 1).
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IngestError::Io(e) => write!(f, "ingest i/o error: {e}"),
-            IngestError::Parse { line, message } => {
-                write!(f, "ingest parse error on line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IngestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IngestError::Io(e) => Some(e),
-            IngestError::Parse { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for IngestError {
-    fn from(e: std::io::Error) -> Self {
-        IngestError::Io(e)
-    }
-}
 
 /// An ingested external trace, ready for the Study/audit/predictor
 /// pipeline.
@@ -116,19 +77,19 @@ struct Row {
 ///
 /// # Errors
 ///
-/// [`IngestError::Io`] on read failure; [`IngestError::Parse`] on a
+/// [`TraceError::Io`] on read failure; [`TraceError::Parse`] on a
 /// missing/odd header, a malformed field, duplicate `job_id`s,
 /// out-of-order timestamps (`submit <= start <= end` must hold), or a
 /// backend whose qubit count changes between rows.
-pub fn read_trace<R: BufRead>(reader: R) -> Result<IngestedTrace, IngestError> {
+pub fn read_trace<R: BufRead>(reader: R) -> Result<IngestedTrace, TraceError> {
     let mut lines = reader.lines().enumerate();
-    let (_, header) = lines.next().ok_or(IngestError::Parse {
+    let (_, header) = lines.next().ok_or(TraceError::Parse {
         line: 1,
         message: "empty trace".to_string(),
     })?;
     let header = header?;
     if header.trim() != INGEST_HEADER {
-        return Err(IngestError::Parse {
+        return Err(TraceError::Parse {
             line: 1,
             message: format!("unexpected header: {header}"),
         });
@@ -146,7 +107,7 @@ pub fn read_trace<R: BufRead>(reader: R) -> Result<IngestedTrace, IngestError> {
     let mut seen_ids: HashMap<String, usize> = HashMap::new();
     for (lineno, row) in &rows {
         if let Some(first) = seen_ids.insert(row.job_id.clone(), *lineno) {
-            return Err(IngestError::Parse {
+            return Err(TraceError::Parse {
                 line: *lineno,
                 message: format!(
                     "duplicate job_id {:?} (first seen on line {first})",
@@ -165,7 +126,7 @@ pub fn read_trace<R: BufRead>(reader: R) -> Result<IngestedTrace, IngestError> {
         match index_of.get(&row.backend) {
             Some(&index) => {
                 if machine_qubits[index] != row.qubits {
-                    return Err(IngestError::Parse {
+                    return Err(TraceError::Parse {
                         line: *lineno,
                         message: format!(
                             "backend {:?} reported {} qubits but earlier rows said {}",
@@ -251,19 +212,19 @@ impl Ord for OrderedEnd {
     }
 }
 
-fn parse_row(line: &str, lineno: usize) -> Result<Row, IngestError> {
+fn parse_row(line: &str, lineno: usize) -> Result<Row, TraceError> {
     let fields: Vec<&str> = line.split(',').map(str::trim).collect();
     if fields.len() != 11 {
-        return Err(IngestError::Parse {
+        return Err(TraceError::Parse {
             line: lineno,
             message: format!("expected 11 fields, got {}", fields.len()),
         });
     }
-    let err = |message: String| IngestError::Parse {
+    let err = |message: String| TraceError::Parse {
         line: lineno,
         message,
     };
-    let parse_ts = |field: &str, name: &str| -> Result<f64, IngestError> {
+    let parse_ts = |field: &str, name: &str| -> Result<f64, TraceError> {
         let value = field
             .parse::<f64>()
             .map_err(|_| err(format!("bad {name}: {field}")))?;
@@ -371,7 +332,7 @@ mod tests {
     #[test]
     fn rejects_bad_header_and_arity() {
         let err = read_trace("job,backend\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, IngestError::Parse { line: 1, .. }));
+        assert!(matches!(err, TraceError::Parse { line: 1, .. }));
         let text = format!("{INGEST_HEADER}\nj-a,lagos,7\n");
         let err = read_trace(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("expected 11 fields, got 3"));
@@ -395,7 +356,7 @@ mod tests {
             fields[index] = "bogus".to_string();
             let text = format!("{INGEST_HEADER}\n{}\n", fields.join(","));
             let err = read_trace(text.as_bytes()).unwrap_err();
-            assert!(matches!(err, IngestError::Parse { line: 2, .. }), "{err}");
+            assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
             assert!(err.to_string().contains(needle), "field {index}: {err}");
         }
     }

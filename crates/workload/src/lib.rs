@@ -30,5 +30,5 @@ pub mod population;
 pub mod sampler;
 
 pub use generator::{generate, Workload, WorkloadConfig};
-pub use ingest::{read_trace, IngestError, IngestedTrace, INGEST_HEADER};
+pub use ingest::{read_trace, IngestedTrace, INGEST_HEADER};
 pub use population::{PopulationConfig, PopulationTrace};

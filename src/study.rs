@@ -422,16 +422,15 @@ pub struct ExternalTraceReport {
     /// by the study auditor. Ingestion validates per row, so anything
     /// here indicates a bug in the adapter, not the log.
     pub causality_violations: usize,
-    /// Queue-wait model evaluation on the held-out 30% tail (submission
-    /// order), when the training head contains at least one completed
-    /// job.
+    /// Queue-wait evaluation on the held-out 30% tail (submission order),
+    /// when the training head contains at least one completed job.
     pub queue_prediction: Option<qcs_predictor::QueuePredictionReport>,
 }
 
 /// Run an ingested external trace through the study's audit and
 /// queue-prediction pipeline: causality checks over every record, then a
-/// [`qcs_predictor::QueueWaitModel`] fit on the first 70% (submission
-/// order) and evaluated on the rest.
+/// [`qcs_predictor::OnlinePredictor`] trained on the first 70%
+/// (submission order) and scored on the rest.
 #[must_use]
 pub fn external_trace_report(trace: &qcs_workload::IngestedTrace) -> ExternalTraceReport {
     let records = &trace.records;
@@ -453,13 +452,12 @@ pub fn external_trace_report(trace: &qcs_workload::IngestedTrace) -> ExternalTra
     let causality_violations = qcs_cloud::audit::check_causality(records).len();
     let split = records.len() * 7 / 10;
     let (train, test) = records.split_at(split);
-    let queue_prediction = qcs_predictor::QueueWaitModel::fit(
-        &train.iter().collect::<Vec<_>>(),
-        trace.machines.len(),
-    )
-    .ok()
-    .map(|model| {
-        qcs_predictor::evaluate_queue_prediction(&model, &test.iter().collect::<Vec<_>>())
+    let mut online = qcs_predictor::OnlinePredictor::new(trace.machine_qubits.clone());
+    for r in train {
+        online.observe(r);
+    }
+    let queue_prediction = online.ready().then(|| {
+        qcs_predictor::evaluate_queue_prediction(&online, &test.iter().collect::<Vec<_>>())
     });
     ExternalTraceReport {
         total_jobs: records.len(),

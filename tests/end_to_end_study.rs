@@ -220,6 +220,31 @@ fn prediction_correlation_is_high() {
 }
 
 #[test]
+fn queue_prediction_smoke_values_are_pinned() {
+    // `extension_queue_prediction --smoke`'s half split. The point waits
+    // are the training split's per-machine means, so jobs, r and MAE are
+    // the values read off the batch estimator this one replaced; only the
+    // band's coverage depends on how it is learned.
+    let s = study();
+    let records: Vec<&qcs::cloud::JobRecord> = s.result().records.iter().collect();
+    let (train, test) = records.split_at(records.len() / 2);
+    let qubits = s.fleet().machines().iter().map(|m| m.num_qubits()).collect();
+    let mut online = qcs::predictor::OnlinePredictor::new(qubits);
+    for record in train {
+        online.observe(record);
+    }
+    let report = qcs::predictor::evaluate_queue_prediction(&online, test);
+    assert_eq!(report.jobs, 28827);
+    assert_eq!(report.correlation, 0.5162442901825799);
+    assert_eq!(report.median_abs_error_min, 220.376442876939);
+    assert!(
+        (0.70..=0.80).contains(&report.band_coverage),
+        "coverage {}",
+        report.band_coverage
+    );
+}
+
+#[test]
 fn calibration_crossovers_exist() {
     let s = study();
     let f = s.calibration_crossover_fraction();
