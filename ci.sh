@@ -20,13 +20,20 @@ cargo test -q --workspace
 #   auditor with Fig 8's smoke values pinned. The reference's traces carry
 #   exact ties (SJF-equal ones included) and arrive shuffled.
 # -p qcs-cloud windowed_feed_matches_submit_everything_then_drain;
-#   submit_rejects; -p qcs-workload order_is_submit_then_id; --lib
-#   live_core_matches_batch_on_smoke_study: `Simulation::run`'s windowed
-#   feed equals submitting the whole trace up front and draining, over
-#   more than two windows of shuffled input with ties straddling every
-#   window edge and on the smoke study; `LiveCloud::submit` refuses a
-#   non-finite submit time and a negative or NaN patience; the generator
-#   emits jobs in strictly increasing (submit_s, id) order.
+#   submit_rejects (submit_rejects_out_of_order_arrivals,
+#   submit_rejects_non_finite_submit_time,
+#   submit_rejects_negative_or_nan_patience); -p qcs-workload
+#   order_is_submit_then_id; --lib live_core_matches_batch_on_smoke_study:
+#   `Simulation::run`'s windowed feed equals stable-sorting the trace,
+#   submitting it all up front and draining, over more than two windows of
+#   shuffled input with ties straddling every window edge and on the smoke
+#   study; `LiveCloud::submit` refuses a job behind the clock or the last
+#   pending arrival (arrivals are a FIFO; a tie is admitted and arrives
+#   second), a non-finite submit time and a negative or NaN patience; the
+#   generator emits jobs in strictly increasing (submit_s, id) order.
+# -p qcs-sim isa_clones_match_bit_for_bit: the baseline and AVX2 clones of
+#   the frame executor's flush and Mat1 passes produce the same bits on
+#   the same random amplitudes, diagonals and Mat1 partners.
 # --test properties live_matches_batch; --test gateway_smoke; -p
 #   qcs-gateway: the incremental stepping engine is bit-identical to the
 #   batch run on random traces/disciplines/outages/step schedules, and the
@@ -74,7 +81,7 @@ cargo test -q --workspace
 
 # Million-job bounded-memory gate: stream the full 10^6-job Zipf
 # population trace through the 4-shard FleetSim. The binary asserts zero
-# materialized records, a chunk-bounded arrival heap, fixed-capacity
+# materialized records, a chunk-bounded arrival queue, fixed-capacity
 # reservoirs, a clean cross-shard charged-vs-executed conservation audit,
 # every job folded exactly once, at most one predictor refit per shard
 # per step call, and peak RSS under 512 MiB.

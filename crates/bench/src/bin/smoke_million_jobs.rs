@@ -6,7 +6,7 @@
 //! O(1)-in-job-count memory properties of the streaming pipeline:
 //!
 //! - no terminal record is ever materialized (`records_len() == 0`);
-//! - the arrival heap never holds more than one chunk of submissions;
+//! - the arrival queue never holds more than one chunk of submissions;
 //! - per-shard reservoirs stay at their fixed capacity;
 //! - the cross-shard charged-vs-executed conservation audit passes;
 //! - every submitted job is folded exactly once into the aggregates;
@@ -81,7 +81,7 @@ fn main() {
         }
         submitted += in_chunk as u64;
         chunks += 1;
-        // The arrival heap holds at most the chunk we just pushed.
+        // The arrival queue holds at most the chunk we just pushed.
         peak_pending = peak_pending.max(sim.pending_arrivals());
         sim.step_until(last_submit_s);
         sim.reconcile();
@@ -104,7 +104,7 @@ fn main() {
     assert_eq!(submitted, jobs, "trace emitted every configured job");
     assert!(
         peak_pending <= CHUNK,
-        "arrival heap grew past one chunk: {peak_pending}"
+        "arrival queue grew past one chunk: {peak_pending}"
     );
     assert_eq!(sim.records_len(), 0, "streaming sink materialized records");
     let [completed, errored, cancelled] = sim.outcome_counts();

@@ -6,25 +6,26 @@
 //! which jobs complete is not necessarily the order in which they were
 //! submitted" (paper §II-B ⑤). Each provider accumulates exponentially
 //! decayed usage; the next job comes from the eligible provider with the
-//! lowest usage-to-share ratio (FIFO within a provider).
+//! lowest usage (FIFO within a provider). Every provider holds an equal
+//! share.
 //!
 //! # Incremental selection
 //!
 //! Exponential decay multiplies every provider's usage by the *same*
-//! factor, so the usage/share **ordering** between providers is invariant
+//! factor, so the usage **ordering** between providers is invariant
 //! between charges — only a charge (or injection) can reorder anyone, and
 //! it reorders exactly one provider. The queue exploits this by giving
 //! each provider a decay-invariant sort key
 //!
 //! ```text
-//! key(p) = log2(usage_p(t_p) / share_p) + t_p / half_life
+//! key(p) = log2(usage_p(t_p)) + t_p / half_life
 //! ```
 //!
 //! where `usage_p(t_p)` is the provider's decayed usage valued at its own
 //! last-touch time `t_p`: the decayed usage at any later `t` is
 //! `usage_p(t_p) · 2^-((t - t_p)/half_life)`, whose log2 is `key(p) − t /
 //! half_life` — the same `t`-term for every provider, so comparing cached
-//! keys at *any* time reproduces the usage-ratio order without decaying
+//! keys at *any* time reproduces the usage order without decaying
 //! anything. A provider's key is recomputed only when it is charged or
 //! injected (one `log2` instead of an O(P) `decay_to` sweep), and a
 //! winner tree over the providers repositions just that provider in
@@ -50,8 +51,6 @@ const NONE: u32 = u32::MAX;
 pub struct FairShareQueue<T = JobSpec> {
     /// Per-provider FIFO queues (indexed by provider id).
     queues: Vec<VecDeque<T>>,
-    /// Per-provider share entitlement (default 1.0).
-    shares: Vec<f64>,
     /// Per-provider decayed usage, seconds, valued at `touch_s` — decayed
     /// lazily (closed-form per segment) instead of eagerly sweeping every
     /// provider on every queue event.
@@ -77,13 +76,12 @@ pub struct FairShareQueue<T = JobSpec> {
 }
 
 impl<T: QueueItem> FairShareQueue<T> {
-    /// Create a queue for `num_providers` providers with uniform shares.
+    /// Create a queue for `num_providers` providers.
     #[must_use]
     pub fn new(num_providers: usize, half_life_s: f64) -> Self {
         let leaf_base = num_providers.next_power_of_two().max(1);
         FairShareQueue {
             queues: (0..num_providers).map(|_| VecDeque::new()).collect(),
-            shares: vec![1.0; num_providers],
             usage: vec![0.0; num_providers],
             touch_s: vec![0.0; num_providers],
             key: vec![f64::NEG_INFINITY; num_providers],
@@ -93,18 +91,6 @@ impl<T: QueueItem> FairShareQueue<T> {
             tree: vec![NONE; 2 * leaf_base],
             leaf_base,
         }
-    }
-
-    /// Override a provider's share entitlement (larger = more throughput).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `share <= 0` or the provider is unknown.
-    pub fn set_share(&mut self, provider: u32, share: f64) {
-        assert!(share > 0.0, "share must be positive");
-        let p = provider as usize;
-        self.shares[p] = share;
-        self.rekey(p);
     }
 
     /// Number of queued jobs (excluding any executing job).
@@ -136,8 +122,8 @@ impl<T: QueueItem> FairShareQueue<T> {
     }
 
     /// Pop the next job under fair-share order: the eligible provider
-    /// with the lowest decayed usage-to-share ratio, ties broken by
-    /// earliest front submission then lowest provider index. (`now_s` is
+    /// with the lowest decayed usage, ties broken by earliest front
+    /// submission then lowest provider index. (`now_s` is
     /// retained for signature stability; selection reads the cached
     /// decay-invariant keys, which need no decay sweep — see the module
     /// docs.)
@@ -221,7 +207,7 @@ impl<T: QueueItem> FairShareQueue<T> {
 
     /// Recompute `p`'s decay-invariant key and reposition it in the tree.
     fn rekey(&mut self, p: usize) {
-        self.key[p] = (self.usage[p] / self.shares[p]).log2() + self.touch_s[p] / self.half_life_s;
+        self.key[p] = self.usage[p].log2() + self.touch_s[p] / self.half_life_s;
         self.update_path(p);
     }
 
@@ -333,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn shares_weight_priority() {
-        let mut q = FairShareQueue::new(2, 3600.0);
-        q.set_share(1, 10.0);
-        q.charge(0, 100.0, 0.0);
-        q.charge(1, 500.0, 0.0); // more usage but 10x share -> ratio 50 < 100
-        q.push(job(1, 0, 0.0));
-        q.push(job(2, 1, 1.0));
-        assert_eq!(q.pop(2.0).unwrap().id, 2);
-    }
-
-    #[test]
     fn usage_decays_over_time() {
         // Old usage is forgiven relative to fresh usage.
         let mut q = FairShareQueue::new(2, 100.0);
@@ -417,7 +392,7 @@ mod tests {
 
     #[test]
     fn interleaving_across_providers() {
-        // With equal shares and continuous charging, providers alternate.
+        // With continuous charging, providers alternate.
         let mut q = FairShareQueue::new(2, 1e12);
         for i in 0..4 {
             q.push(job(i, 0, i as f64));
@@ -486,12 +461,5 @@ mod tests {
             }
             prop_assert_eq!(q.select_scan(), None);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "share must be positive")]
-    fn zero_share_rejected() {
-        let mut q: FairShareQueue = FairShareQueue::new(1, 10.0);
-        q.set_share(0, 0.0);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! [`LiveCloud`] is the event engine behind
 //! [`Simulation::run`](crate::Simulation::run), exposed as a stepping API:
-//! jobs can be [`submit`](LiveCloud::submit)ted at arbitrary simulation
-//! times, the clock advances via [`step_until`](LiveCloud::step_until),
-//! queued jobs can be [`cancel`](LiveCloud::cancel)led, and per-machine
+//! jobs are [`submit`](LiveCloud::submit)ted in submission-time order at
+//! or after the current clock, the clock advances via
+//! [`step_until`](LiveCloud::step_until), queued jobs can be
+//! [`cancel`](LiveCloud::cancel)led, and per-machine
 //! queue depth, fair-share state, and terminal records are observable
 //! while the simulation is in flight. This is what lets a network-fronted
 //! service (`qcs-gateway`) run the simulator *online* — job by job — in
@@ -21,11 +22,14 @@
 //! # Hot-path layout
 //!
 //! The engine stores each in-flight job once, in a slab
-//! ([`JobSlab`]), and moves only 24-byte `u32`-handle entries through the
-//! queues and agendas — no per-job `HashMap` traffic, no 80-byte specs
-//! sifting through heaps. The event and arrival agendas are binary heaps
-//! over one packed `(time, seq)` `u128` key (a single integer compare per
-//! sift step), and fair-share selection is the incremental winner tree of
+//! ([`JobSlab`]), and moves only `u32` handles through the arrival queue,
+//! the machine queues and the event agenda — no per-job `HashMap`
+//! traffic, no 80-byte specs sifting through a heap. Jobs arrive in
+//! submission order, so arrivals are a FIFO of handles and
+//! [`submit`](LiveCloud::submit) refuses a job that would arrive before
+//! the last one queued. The event agenda is a binary heap over one packed
+//! `(time, seq)` `u128` key (a single integer compare per sift step), and
+//! fair-share selection is the incremental winner tree of
 //! [`FairShareQueue`](crate::FairShareQueue). There is exactly one
 //! engine; its oracle is the brute-force
 //! [`reference::simulate`](crate::reference::simulate), matched
@@ -51,7 +55,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use qcs_calibration::distributions::lognormal_with_cov;
@@ -198,68 +202,53 @@ fn key_time(key: u128) -> f64 {
 /// An agenda entry ordered by its packed `(time, seq)` key, reversed for
 /// the max-heap so the earliest entry pops first.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct HeapEntry<T> {
+struct HeapEntry {
     key: u128,
-    item: T,
+    kind: EventKind,
 }
 
-impl<T: Eq> Ord for HeapEntry<T> {
+impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest first.
         other.key.cmp(&self.key)
     }
 }
 
-impl<T: Eq> PartialOrd for HeapEntry<T> {
+impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A time-ordered agenda: a binary heap over [`key_of`]`(time, seq)`. Keys
-/// are unique (every push takes a fresh `seq`), so pop order depends on
-/// the keys alone, never on the heap's internal layout.
-#[derive(Debug)]
-struct Agenda<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
+/// The time-ordered event agenda: a binary heap over
+/// [`key_of`]`(time, seq)`. Every push takes the next `seq`, so keys are
+/// unique, equal times pop in push order, and pop order depends on the
+/// keys alone, never on the heap's internal layout.
+#[derive(Debug, Default)]
+struct Agenda {
+    heap: BinaryHeap<HeapEntry>,
+    seq: u64,
 }
 
-impl<T: Eq> Agenda<T> {
-    fn new() -> Self {
-        Agenda {
-            heap: BinaryHeap::new(),
-        }
-    }
-
+impl Agenda {
     fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn push(&mut self, time_s: f64, seq: u64, item: T) {
+    fn push(&mut self, time_s: f64, kind: EventKind) {
         self.heap.push(HeapEntry {
-            key: key_of(time_s, seq),
-            item,
+            key: key_of(time_s, self.seq),
+            kind,
         });
+        self.seq += 1;
     }
 
     fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|e| key_time(e.key))
     }
 
-    fn pop(&mut self) -> Option<(f64, T)> {
-        self.heap.pop().map(|e| (key_time(e.key), e.item))
-    }
-
-    /// Remove the first entry matching `pred` (arbitrary scan order) and
-    /// re-heapify — the cancel-before-arrival path. O(n).
-    fn remove_first<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Option<T> {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let found = entries
-            .iter()
-            .position(|e| pred(&e.item))
-            .map(|pos| entries.swap_remove(pos).item);
-        self.heap = BinaryHeap::from(entries);
-        found
+    fn pop(&mut self) -> Option<(f64, EventKind)> {
+        self.heap.pop().map(|e| (key_time(e.key), e.kind))
     }
 }
 
@@ -327,15 +316,17 @@ pub enum SubmitError {
         /// The job's submission time (s).
         submit_s: f64,
     },
-    /// The job's submission time precedes the current simulation clock —
-    /// the past cannot be rewritten.
+    /// The job's submission time precedes the current simulation clock
+    /// (the past cannot be rewritten) or the last pending arrival's
+    /// submission time (jobs arrive in submission order).
     SubmitInPast {
         /// Offending job id.
         job: u64,
         /// The job's submission time (s).
         submit_s: f64,
-        /// The current clock (s).
-        now_s: f64,
+        /// The later of the clock and the last pending arrival's
+        /// submission time (s): the earliest time `submit` accepts.
+        floor_s: f64,
     },
     /// The job's patience is negative or `NaN` (`inf` is the patient
     /// default): it would be cancelled before it was submitted.
@@ -362,10 +353,11 @@ impl fmt::Display for SubmitError {
             SubmitError::SubmitInPast {
                 job,
                 submit_s,
-                now_s,
+                floor_s,
             } => write!(
                 f,
-                "job {job} submitted at {submit_s} s but the clock is already at {now_s} s"
+                "job {job} submitted at {submit_s} s, before {floor_s} s, the later of \
+                 the clock and the last pending arrival"
             ),
             SubmitError::InvalidPatience { job, patience_s } => {
                 write!(f, "job {job} has patience {patience_s} s; it must be >= 0")
@@ -391,13 +383,11 @@ pub struct LiveCloud {
     queues: Vec<JobQueue<QItem>>,
     executing: Vec<Option<Executing>>,
     resume_scheduled: Vec<bool>,
-    events: Agenda<EventKind>,
-    seq: u64,
+    events: Agenda,
     /// Submitted jobs waiting for the clock to reach their submission
-    /// time, as slab handles keyed by `(submit_s, submission order)` —
-    /// the stable tie-break the batch API historically applied.
-    arrivals: Agenda<u32>,
-    arrival_seq: u64,
+    /// time, as slab handles in submission order, which `submit` keeps
+    /// nondecreasing in `submit_s`.
+    arrivals: VecDeque<u32>,
     result: SimulationResult,
     auditor: Option<crate::Auditor>,
     streaming: Option<StreamingAggregates>,
@@ -446,10 +436,8 @@ impl LiveCloud {
             queues,
             executing: (0..n_machines).map(|_| None).collect(),
             resume_scheduled: vec![false; n_machines],
-            events: Agenda::new(),
-            seq: 0,
-            arrivals: Agenda::new(),
-            arrival_seq: 0,
+            events: Agenda::default(),
+            arrivals: VecDeque::new(),
             result: SimulationResult::default(),
             auditor: config.audit.then(crate::Auditor::new),
             streaming: match config.record_sink {
@@ -533,18 +521,6 @@ impl LiveCloud {
         self.queues[machine].len() + usize::from(self.executing[machine].is_some())
     }
 
-    /// Per-provider lifetime charged seconds (undecayed) on a machine —
-    /// the live view of the fair-share state. `None` for disciplines
-    /// without usage accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machine` is out of range.
-    #[must_use]
-    pub fn fair_share_charged(&self, machine: usize) -> Option<&[f64]> {
-        self.queues[machine].charged_raw()
-    }
-
     /// Per-provider lifetime charged seconds (undecayed) summed over
     /// every machine. Zeros for disciplines without usage accounting.
     /// This is the shard-local side of the cross-shard conservation law:
@@ -596,7 +572,7 @@ impl LiveCloud {
     }
 
     /// Submitted jobs whose submission time the clock has not reached yet
-    /// — the arrival-agenda backlog. Chunked drivers use this to keep the
+    /// — the arrival-queue backlog. Chunked drivers use this to keep the
     /// in-flight window (and thus memory) bounded on huge traces.
     #[must_use]
     pub fn pending_arrivals(&self) -> usize {
@@ -654,15 +630,18 @@ impl LiveCloud {
         self.statuses.as_ref()?.get(&job_id).copied()
     }
 
-    /// Submit a job. Its `submit_s` must not precede the current clock;
-    /// the job enters its machine's queue when the clock reaches it.
-    /// Jobs sharing a submission time arrive in submission order.
+    /// Submit a job. Jobs arrive in submission order: its `submit_s` must
+    /// not precede the current clock or the last pending arrival's
+    /// `submit_s`. The job enters its machine's queue when the clock
+    /// reaches it; jobs sharing a submission time arrive in submission
+    /// order.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] when the job targets an unknown machine or
-    /// provider, its submission time is non-finite or already in the past,
-    /// or its patience is negative or `NaN`.
+    /// provider, its submission time is non-finite or earlier than the
+    /// clock or the last pending arrival, or its patience is negative or
+    /// `NaN`.
     pub fn submit(&mut self, job: JobSpec) -> Result<(), SubmitError> {
         if job.machine >= self.fleet.len() {
             return Err(SubmitError::UnknownMachine {
@@ -682,11 +661,16 @@ impl LiveCloud {
                 submit_s: job.submit_s,
             });
         }
-        if job.submit_s < self.now_s {
+        // A pending arrival is never behind the clock: stepping admits it.
+        let floor_s = self
+            .arrivals
+            .back()
+            .map_or(self.now_s, |&last| self.slab.spec(last).submit_s);
+        if job.submit_s < floor_s {
             return Err(SubmitError::SubmitInPast {
                 job: job.id,
                 submit_s: job.submit_s,
-                now_s: self.now_s,
+                floor_s,
             });
         }
         // A range check rather than `< 0.0`, so NaN fails it too.
@@ -699,10 +683,8 @@ impl LiveCloud {
         if let Some(statuses) = self.statuses.as_mut() {
             statuses.insert(job.id, JobStatus::Queued);
         }
-        let submit_s = job.submit_s;
         let handle = self.slab.alloc(job);
-        self.arrivals.push(submit_s, self.arrival_seq, handle);
-        self.arrival_seq += 1;
+        self.arrivals.push_back(handle);
         Ok(())
     }
 
@@ -715,10 +697,11 @@ impl LiveCloud {
     pub fn cancel(&mut self, job_id: u64) -> bool {
         // Not yet arrived? Unschedule without a record.
         let slab = &self.slab;
-        if let Some(handle) = self
+        let pending = self
             .arrivals
-            .remove_first(|&handle| slab.spec(handle).id == job_id)
-        {
+            .iter()
+            .position(|&h| slab.spec(h).id == job_id);
+        if let Some(handle) = pending.and_then(|pos| self.arrivals.remove(pos)) {
             self.slab.release(handle);
             if let Some(statuses) = self.statuses.as_mut() {
                 statuses.insert(job_id, JobStatus::Cancelled);
@@ -748,7 +731,7 @@ impl LiveCloud {
     /// past is a no-op.
     pub fn step_until(&mut self, t_s: f64) {
         loop {
-            let next_arrival_s = self.arrivals.peek_time();
+            let next_arrival_s = self.arrivals.front().map(|&h| self.slab.spec(h).submit_s);
             let next_event_s = self.events.peek_time();
             let now_s = match (next_arrival_s, next_event_s) {
                 (None, None) => break,
@@ -765,7 +748,7 @@ impl LiveCloud {
             // Arrivals win ties so a job can start on an exactly-coincident
             // completion.
             if next_arrival_s.is_some_and(|a| next_event_s.is_none_or(|e| a <= e)) {
-                if let Some((_, handle)) = self.arrivals.pop() {
+                if let Some(handle) = self.arrivals.pop_front() {
                     self.admit(handle, now_s);
                 }
                 continue;
@@ -858,13 +841,11 @@ impl LiveCloud {
         if patience_s.is_finite() {
             self.events.push(
                 item.submit_s + patience_s,
-                self.seq,
                 EventKind::CancelCheck {
                     handle,
                     generation: self.slab.generation(handle),
                 },
             );
-            self.seq += 1;
         }
         let estimate_s = self.fleet.machines()[machine]
             .cost_model()
@@ -986,12 +967,10 @@ impl LiveCloud {
                 self.resume_scheduled[machine] = true;
                 self.events.push(
                     until_s,
-                    self.seq,
                     EventKind::Resume {
                         machine: machine as u32,
                     },
                 );
-                self.seq += 1;
             }
             return;
         }
@@ -1023,12 +1002,10 @@ impl LiveCloud {
         let crossed = m.schedule().crossover(submit_s / 3600.0, end_s / 3600.0);
         self.events.push(
             end_s,
-            self.seq,
             EventKind::Completion {
                 machine: machine as u32,
             },
         );
-        self.seq += 1;
         if let Some(statuses) = self.statuses.as_mut() {
             statuses.insert(job_id, JobStatus::Running);
         }
@@ -1103,8 +1080,42 @@ mod tests {
         ));
         cloud.step_until(100.0);
         let err = cloud.submit(job(2, 1, 50.0)).unwrap_err();
-        assert!(matches!(err, SubmitError::SubmitInPast { job: 2, .. }));
-        assert!(err.to_string().contains("clock is already at 100"));
+        assert!(matches!(
+            err,
+            SubmitError::SubmitInPast { job: 2, floor_s, .. } if floor_s == 100.0
+        ));
+        assert!(err.to_string().contains("at 50 s, before 100 s"), "{err}");
+    }
+
+    #[test]
+    fn submit_rejects_out_of_order_arrivals() {
+        // Arrivals are a FIFO: a job submitted behind a pending arrival
+        // with a later submission time is refused, clock or no clock.
+        let mut cloud = live().with_status_tracking();
+        cloud.submit(job(0, 1, 100.0)).unwrap();
+        let err = cloud.submit(job(1, 2, 60.0)).unwrap_err();
+        assert_eq!(
+            err,
+            SubmitError::SubmitInPast {
+                job: 1,
+                submit_s: 60.0,
+                floor_s: 100.0
+            }
+        );
+        assert!(err.to_string().contains("last pending arrival"), "{err}");
+        assert_eq!(cloud.status(1), None, "a refused job leaves no trace");
+        assert_eq!(cloud.pending_arrivals(), 1);
+        // A tie is in order: admitted, and it arrives second.
+        cloud.submit(job(2, 1, 100.0)).unwrap();
+        assert_eq!(cloud.pending_arrivals(), 2);
+        cloud.step_until(100.0);
+        assert_eq!(cloud.status(0), Some(JobStatus::Running));
+        assert_eq!(cloud.status(2), Some(JobStatus::Queued));
+        cloud.run_to_completion();
+        let result = cloud.into_result();
+        assert_eq!(result.total_jobs, 2);
+        let start = |id| result.records.iter().find(|r| r.id == id).unwrap().start_s;
+        assert!(start(0) < start(2), "the tie arrived second");
     }
 
     #[test]
@@ -1302,19 +1313,27 @@ mod tests {
     #[test]
     fn fair_share_state_visible_live() {
         let mut cloud = live();
-        assert_eq!(cloud.fair_share_charged(1), Some(&[0.0; 40][..]));
+        assert_eq!(cloud.charged_seconds_by_provider(), vec![0.0; 40]);
         cloud.submit(job(0, 1, 0.0)).unwrap();
         cloud.run_to_completion();
-        let charged = cloud.fair_share_charged(1).unwrap();
+        let charged = cloud.charged_seconds_by_provider();
         assert!(charged[0] > 0.0, "provider 0 was charged");
-        let fifo = LiveCloud::new(
+        assert!(charged[1..].iter().all(|&c| c == 0.0));
+        let mut fifo = LiveCloud::new(
             Fleet::ibm_like(),
             CloudConfig {
                 discipline: crate::Discipline::Fifo,
                 ..CloudConfig::default()
             },
         );
-        assert_eq!(fifo.fair_share_charged(1), None);
+        fifo.submit(job(0, 1, 0.0)).unwrap();
+        fifo.run_to_completion();
+        assert_eq!(fifo.total_jobs(), 1);
+        assert_eq!(
+            fifo.charged_seconds_by_provider(),
+            vec![0.0; 40],
+            "no usage accounting"
+        );
     }
 
     #[test]
@@ -1369,10 +1388,10 @@ mod tests {
         // 60 jobs in ten groups of six tied submission times. Mid-run, one
         // queued job is cancelled and one not-yet-arrived job (in the
         // middle of a tie group) is unscheduled, which removes it from
-        // the arrival heap and rebuilds the heap. The outcome must equal
-        // the run that never submitted the unscheduled job and cancelled
-        // the queued one at the same instant: ties among the survivors
-        // still arrive in submission order whatever the heap's layout.
+        // the middle of the arrival queue. The outcome must equal the run
+        // that never submitted the unscheduled job and cancelled the
+        // queued one at the same instant: ties among the survivors still
+        // arrive in submission order.
         const QUEUED: u64 = 16;
         const UNSCHEDULED: u64 = 40;
         let jobs: Vec<JobSpec> = (0..60)
@@ -1561,10 +1580,8 @@ mod tests {
         // provider 2 despite its earlier submission.
         cloud.inject_external_usage(1, 1e6);
         cloud.run_to_completion();
-        let charged = cloud
-            .fair_share_charged(1)
-            .expect("fair share")
-            .to_vec();
+        // Every job ran on machine 1, so the fleet ledger is its ledger.
+        let charged = cloud.charged_seconds_by_provider();
         let result = cloud.into_result();
         let first = result
             .records

@@ -103,27 +103,26 @@ impl OutagePlan {
             .find(|&&(start, end)| start <= t_s && t_s < end)
             .map(|&(_, end)| end)
     }
-
-    /// Total downtime of a machine, seconds.
-    #[must_use]
-    pub fn total_downtime_s(&self, machine: usize) -> f64 {
-        self.windows[machine]
-            .iter()
-            .map(|&(start, end)| end - start)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Total downtime of a machine, seconds.
+    fn downtime_s(plan: &OutagePlan, machine: usize) -> f64 {
+        plan.windows(machine)
+            .iter()
+            .map(|&(start, end)| end - start)
+            .sum()
+    }
+
     #[test]
     fn none_has_no_downtime() {
         let plan = OutagePlan::none(3);
         assert_eq!(plan.num_machines(), 3);
         assert_eq!(plan.down_until(0, 100.0), None);
-        assert_eq!(plan.total_downtime_s(1), 0.0);
+        assert_eq!(downtime_s(&plan, 1), 0.0);
     }
 
     #[test]
@@ -133,7 +132,7 @@ mod tests {
         assert_eq!(plan.down_until(0, 250.0), None);
         assert_eq!(plan.down_until(0, 500.0), Some(600.0));
         assert_eq!(plan.down_until(0, 600.0), None); // end-exclusive
-        assert_eq!(plan.total_downtime_s(0), 200.0);
+        assert_eq!(downtime_s(&plan, 0), 200.0);
     }
 
     #[test]
@@ -151,7 +150,7 @@ mod tests {
         let avg = total as f64 / 25.0;
         assert!((20.0..55.0).contains(&avg), "avg outages {avg}");
         // Downtime fraction should be modest (~2-4%).
-        let down_frac = plan.total_downtime_s(0) / (730.0 * 86_400.0);
+        let down_frac = downtime_s(&plan, 0) / (730.0 * 86_400.0);
         assert!(down_frac < 0.10, "downtime fraction {down_frac}");
         // Windows sorted and within the horizon start.
         for m in 0..25 {

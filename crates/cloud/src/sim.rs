@@ -324,7 +324,7 @@ impl Simulation {
 
 /// Jobs [`Simulation::run`] submits before each step: enough that a step
 /// costs nothing next to its events, few enough that the slab and the
-/// arrival heap stay small.
+/// arrival queue stay small.
 const WINDOW: usize = 4096;
 
 #[cfg(test)]
@@ -761,7 +761,8 @@ mod tests {
         // times. `WINDOW % 7 == 1`, so the last job of every window opens a
         // tie group and the ties straddle each edge. The input is shuffled,
         // so ties arrive in neither id nor time order. The oracle is the
-        // old body of `run`: every job submitted up front, one drain.
+        // old body of `run`: the same stable sort, every job submitted up
+        // front, one drain.
         const GROUP: usize = 7;
         assert_eq!(WINDOW % GROUP, 1, "ties must straddle every window edge");
         let n = 2 * WINDOW + 1000;
@@ -788,8 +789,10 @@ mod tests {
             .with_outages(outages.clone())
             .run(jobs.clone());
 
+        let mut sorted = jobs;
+        sorted.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
         let mut live = crate::LiveCloud::new(fleet, config).with_outages(outages);
-        for j in jobs {
+        for j in sorted {
             live.submit(j).unwrap();
         }
         live.run_to_completion();

@@ -33,7 +33,7 @@ use crate::client::{GatewayClient, PredictEstimate};
 use crate::error::GatewayError;
 use crate::metrics::GatewayMetrics;
 use crate::protocol::Response;
-use crate::server::{lock, Gateway, GatewayConfig};
+use crate::server::{lock, refit_off_lock, Gateway, GatewayConfig};
 
 /// Relative tolerance for the fleet-level charged-vs-executed seconds
 /// comparison: float summation order differs between the two ledgers.
@@ -98,12 +98,6 @@ impl ShardMap {
     #[must_use]
     pub fn global(&self, shard: usize, local: usize) -> usize {
         local * self.num_shards + shard
-    }
-
-    /// Machines on the given shard.
-    #[must_use]
-    pub fn shard_len(&self, shard: usize) -> usize {
-        (self.num_machines - shard).div_ceil(self.num_shards)
     }
 
     /// Split a fleet into one sub-fleet per shard, preserving local-index
@@ -329,11 +323,16 @@ impl FleetSim {
     }
 
     /// Submit a job addressed by *global* machine index; it is rewritten
-    /// to the owning shard's local index and routed there.
+    /// to the owning shard's local index and routed there. A shard admits
+    /// jobs in submission order: its jobs must come in nondecreasing
+    /// `submit_s`, none before its clock, and ties arrive in submission
+    /// order.
     ///
     /// # Errors
     ///
-    /// Propagates the shard's [`SubmitError`].
+    /// Propagates the shard's [`SubmitError`]:
+    /// [`SubmitInPast`](SubmitError::SubmitInPast) for a job submitted
+    /// before the shard's clock or its last pending arrival.
     ///
     /// # Panics
     ///
@@ -351,7 +350,7 @@ impl FleetSim {
     pub fn step_until(&mut self, t_s: f64) {
         for (shard, predictor) in self.shards.iter_mut().zip(&self.predictors) {
             shard.step_until(t_s);
-            lock(predictor).refit_if_due();
+            refit_off_lock(predictor);
         }
     }
 
@@ -360,7 +359,7 @@ impl FleetSim {
     pub fn run_to_completion(&mut self) {
         for (shard, predictor) in self.shards.iter_mut().zip(&self.predictors) {
             shard.run_to_completion();
-            lock(predictor).refit_if_due();
+            refit_off_lock(predictor);
         }
     }
 
@@ -425,16 +424,6 @@ impl FleetSim {
     #[must_use]
     pub fn shards(&self) -> &[LiveCloud] {
         &self.shards
-    }
-
-    /// Finish every shard and return its [`SimulationResult`], in shard
-    /// order.
-    #[must_use]
-    pub fn into_results(self) -> Vec<SimulationResult> {
-        self.shards
-            .into_iter()
-            .map(LiveCloud::into_result)
-            .collect()
     }
 }
 
@@ -622,20 +611,15 @@ mod tests {
     #[test]
     fn shard_map_round_trips() {
         let map = ShardMap::new(11, 4);
-        let mut seen = [false; 11];
-        for shard in 0..4 {
-            for local in 0..map.shard_len(shard) {
-                let global = map.global(shard, local);
-                assert_eq!(map.locate(global), (shard, local));
-                assert!(!seen[global], "machine {global} assigned twice");
-                seen[global] = true;
-            }
+        let mut per_shard = [0usize; 4];
+        for global in 0..map.num_machines() {
+            let (shard, local) = map.locate(global);
+            assert_eq!(map.global(shard, local), global);
+            // Round-robin: each shard's local indices are dense from 0.
+            assert_eq!(local, per_shard[shard], "machine {global}");
+            per_shard[shard] += 1;
         }
-        assert!(seen.iter().all(|&s| s), "every machine assigned");
-        assert_eq!(
-            (0..4).map(|s| map.shard_len(s)).sum::<usize>(),
-            map.num_machines()
-        );
+        assert_eq!(per_shard, [3, 3, 3, 2], "counts within one of each other");
     }
 
     #[test]
@@ -697,11 +681,11 @@ mod tests {
         assert_eq!(completed + errored + cancelled, 60);
         assert_eq!(sim.records_len(), 0, "streaming sink keeps no records");
         sim.audit_conservation().expect("charged == executed");
-        let results = sim.into_results();
-        assert_eq!(results.len(), 3);
-        let folded: u64 = results
+        assert_eq!(sim.shards().len(), 3);
+        let folded: u64 = sim
+            .shards()
             .iter()
-            .map(|r| r.streaming.as_ref().unwrap().folded())
+            .map(|s| s.streaming_aggregates().unwrap().folded())
             .sum();
         assert_eq!(folded, 60);
     }

@@ -280,7 +280,8 @@ impl State {
                     shots: *shots,
                     mean_depth: *mean_depth,
                     mean_width: *mean_width,
-                    // Equal to the live clock, so never in the past.
+                    // Equal to the live clock, so never behind it or
+                    // behind a pending arrival.
                     submit_s: self.cloud.now_s(),
                     is_study: true,
                     patience_s: *patience_s,
@@ -756,8 +757,8 @@ fn write_response(
 /// Run the runtime-model refit if one is due, holding the predictor mutex
 /// only to copy the window out and to publish the result: the
 /// Levenberg–Marquardt iterations run with no lock held, so they delay
-/// the calling connection and nobody else.
-fn refit_off_lock(online: &Arc<Mutex<OnlinePredictor>>) {
+/// the calling connection (or `FleetSim` step) and nobody else.
+pub(crate) fn refit_off_lock(online: &Arc<Mutex<OnlinePredictor>>) {
     let job = lock(online).take_refit();
     if let Some(job) = job {
         let refit = job.run();

@@ -70,20 +70,9 @@ impl ExecutionCostModel {
         self.circuit_load_s + f64::from(shots) * per_shot_us * 1e-6
     }
 
-    /// Total wall time of a job whose batch contains circuits with the
-    /// given `(depth, shots)` pairs. Seconds.
-    #[must_use]
-    pub fn job_time_s(&self, batch: &[(usize, u32)]) -> f64 {
-        self.job_overhead_s
-            + batch
-                .iter()
-                .map(|&(depth, shots)| self.circuit_time_s(depth, shots))
-                .sum::<f64>()
-    }
-
-    /// Wall time of a job of `circuits` identical circuits (a fast path for
-    /// the cloud simulator, which models background jobs by batch summary).
-    /// Seconds.
+    /// Wall time of a job of `circuits` identical circuits: the per-job
+    /// overhead plus each circuit's time (the cloud simulator models a job
+    /// by its batch summary). Seconds.
     #[must_use]
     pub fn job_time_uniform_s(&self, circuits: u32, depth: usize, shots: u32) -> f64 {
         self.job_overhead_s + f64::from(circuits) * self.circuit_time_s(depth, shots)
@@ -211,20 +200,6 @@ impl Machine {
         let age = self.schedule.hours_since_calibration(t_hours);
         self.profile.drifted_snapshot(&self.topology, cycle, age)
     }
-
-    /// The fresh (undrifted) snapshot of the cycle in effect at `t_hours`.
-    #[must_use]
-    pub fn fresh_snapshot_at(&self, t_hours: f64) -> CalibrationSnapshot {
-        let cycle = self.schedule.cycle_at(t_hours);
-        self.profile.snapshot(&self.topology, cycle)
-    }
-
-    /// Total job execution time for a batch of `(depth, shots)` circuits.
-    /// Seconds.
-    #[must_use]
-    pub fn job_time_s(&self, batch: &[(usize, u32)]) -> f64 {
-        self.cost.job_time_s(batch)
-    }
 }
 
 impl fmt::Display for Machine {
@@ -276,8 +251,8 @@ mod tests {
     #[test]
     fn job_time_scales_with_batch() {
         let m = toy_machine();
-        let one = m.job_time_s(&[(10, 1024)]);
-        let five = m.job_time_s(&[(10, 1024); 5]);
+        let one = m.cost_model().job_time_uniform_s(1, 10, 1024);
+        let five = m.cost_model().job_time_uniform_s(5, 10, 1024);
         // 5 circuits take ~5x the per-circuit time but share job overhead.
         assert!(five > one);
         assert!(five < 5.0 * one);
@@ -310,17 +285,23 @@ mod tests {
     fn snapshot_at_is_deterministic_and_drifts() {
         let m = toy_machine();
         assert_eq!(m.snapshot_at(30.0), m.snapshot_at(30.0));
-        let fresh = m.fresh_snapshot_at(30.0);
+        let fresh = fresh_snapshot(&m, 30.0);
         let drifted = m.snapshot_at(30.0);
         // 30h is mid-cycle; drifted errors must be >= fresh errors.
         assert!(drifted.avg_cx_error() >= fresh.avg_cx_error());
     }
 
+    /// The fresh (undrifted) snapshot of the cycle in effect at `t_hours`.
+    fn fresh_snapshot(m: &Machine, t_hours: f64) -> CalibrationSnapshot {
+        m.profile()
+            .snapshot(m.topology(), m.schedule().cycle_at(t_hours))
+    }
+
     #[test]
     fn snapshot_changes_across_calibration() {
         let m = toy_machine();
-        let before = m.fresh_snapshot_at(1.0); // cycle 0
-        let after = m.fresh_snapshot_at(3.0); // cycle 1 (cal at 01:30)
+        let before = fresh_snapshot(&m, 1.0); // cycle 0
+        let after = fresh_snapshot(&m, 3.0); // cycle 1 (cal at 01:30)
         assert_ne!(before, after);
     }
 }

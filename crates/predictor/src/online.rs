@@ -29,15 +29,14 @@
 //! DES step. It pushes the row into the window and counts it; apart from
 //! the one-off cold fit at the 16th completion it never fits anything.
 //! The windowed **fit** is hundreds of microseconds and belongs to
-//! whoever owns the predictor, at its batch boundary:
-//! [`refit_if_due`](OnlinePredictor::refit_if_due) when the owner has
-//! exclusive access anyway (`FleetSim`, once per shard per step call), or
-//! its three parts when the predictor sits behind a mutex (the gateway):
-//! [`take_refit`](OnlinePredictor::take_refit) under the lock copies the
-//! window out, [`RefitJob::run`] fits with no lock held, and
-//! [`install`](OnlinePredictor::install) under the lock again publishes
-//! the coefficients. The fit feeds only `run_s`; the queue-wait model and
-//! every prequential counter live entirely in the fold.
+//! whoever owns the predictor, at its batch boundary (a gateway
+//! connection after each request, `FleetSim` once per shard per step
+//! call), in three parts so that a predictor behind a mutex is locked
+//! only to copy and to publish: [`take_refit`](OnlinePredictor::take_refit)
+//! copies the window out, [`RefitJob::run`] fits with no lock held, and
+//! [`install`](OnlinePredictor::install) publishes the coefficients. The
+//! fit feeds only `run_s`; the queue-wait model and every prequential
+//! counter live entirely in the fold.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -172,8 +171,9 @@ impl RefitJob {
 
 /// The online predictor: fold records with [`observe`](Self::observe),
 /// query with [`predict`](Self::predict), refit the runtime model at the
-/// owner's batch boundary with [`refit_if_due`](Self::refit_if_due), read
-/// accuracy counters any time.
+/// owner's batch boundary with [`take_refit`](Self::take_refit),
+/// [`RefitJob::run`] and [`install`](Self::install), read accuracy
+/// counters any time.
 #[derive(Debug, Clone)]
 pub struct OnlinePredictor {
     /// Qubit count per machine index, for runtime-feature extraction.
@@ -292,7 +292,7 @@ impl OnlinePredictor {
     /// (test-then-train), then updates the queue means, band, feature
     /// means, and runtime window. O(1) except for the one cold fit when
     /// the window first holds `MIN_FIT` rows; warm refits are the
-    /// owner's to run (see [`refit_if_due`](Self::refit_if_due)).
+    /// owner's to run (see [`take_refit`](Self::take_refit)).
     pub fn observe(&mut self, record: &JobRecord) {
         self.observed += 1;
         if record.outcome != JobOutcome::Completed {
@@ -390,17 +390,6 @@ impl OnlinePredictor {
         }
         self.fitted = Some(refit);
         self.refits += 1;
-    }
-
-    /// [`take_refit`](Self::take_refit), [`RefitJob::run`] and
-    /// [`install`](Self::install) in a row, for an owner with exclusive
-    /// access at its batch boundary. Returns whether a fit ran.
-    pub fn refit_if_due(&mut self) -> bool {
-        let Some(job) = self.take_refit() else {
-            return false;
-        };
-        self.install(job.run());
-        true
     }
 
     /// Estimate wait and runtime for a prospective job: `pending` jobs
@@ -646,16 +635,26 @@ mod tests {
 
     const QUBITS: [usize; 3] = [5, 27, 65];
 
+    /// An owner's batch boundary: take, run and install the fit that is
+    /// due, if any. Returns whether a fit ran.
+    fn refit_due(online: &mut OnlinePredictor) -> bool {
+        let Some(job) = online.take_refit() else {
+            return false;
+        };
+        online.install(job.run());
+        true
+    }
+
     /// Fold `records`, running the fit every `cadence` records (the
     /// owner's batch boundary) and once more at the end (its drain).
     fn drive(online: &mut OnlinePredictor, records: &[JobRecord], cadence: usize) {
         for (i, r) in records.iter().enumerate() {
             online.observe(r);
             if (i + 1) % cadence == 0 {
-                online.refit_if_due();
+                refit_due(online);
             }
         }
-        online.refit_if_due();
+        refit_due(online);
     }
 
     /// Batch Levenberg–Marquardt fit over the last [`ONLINE_WINDOW`]
@@ -761,7 +760,7 @@ mod tests {
                         "seed {seed}: the drift moved nothing ({stale})"
                     );
                 }
-                assert!(online.refit_if_due());
+                assert!(refit_due(&mut online));
                 gaps.push(worst_rel_gap(&online, &batch, chunk));
             }
             assert!(
@@ -799,9 +798,9 @@ mod tests {
         let newest = records.last().expect("non-empty").exec_time_s();
         assert_eq!(online.window.back().map(|(_, y)| *y), Some(newest));
 
-        assert!(undisturbed.refit_if_due());
+        assert!(refit_due(&mut undisturbed));
         assert!(
-            !undisturbed.refit_if_due(),
+            !refit_due(&mut undisturbed),
             "nothing is due right after a fit"
         );
         let predictor = |p: &OnlinePredictor| p.fitted.clone().expect("fitted").predictor;

@@ -10,10 +10,9 @@ use std::fmt;
 /// circuit.
 ///
 /// Storage is a hash map (O(1) recording on the simulator's shot loop);
-/// every observable order — [`Counts::iter`], [`fmt::Display`], the
-/// Hellinger accumulation — is sorted by outcome word, so results stay
-/// bit-reproducible run to run. Counters saturate instead of overflowing
-/// for pathological shot counts.
+/// every observable order — [`Counts::iter`], [`fmt::Display`] — is
+/// sorted by outcome word, so results stay bit-reproducible run to run.
+/// Counters saturate instead of overflowing for pathological shot counts.
 ///
 /// # Examples
 ///
@@ -149,30 +148,6 @@ impl Counts {
             .map(|b| if (outcome >> b) & 1 == 1 { '1' } else { '0' })
             .collect()
     }
-
-    /// Hellinger fidelity against an ideal probability vector indexed by
-    /// outcome word: `(sum_k sqrt(p_k * q_k))^2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ideal.len() != 2^width`.
-    #[must_use]
-    pub fn hellinger_fidelity(&self, ideal: &[f64]) -> f64 {
-        assert_eq!(ideal.len(), 1usize << self.width, "ideal length mismatch");
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        // Accumulate in sorted outcome order: float summation order must
-        // not depend on hash-map iteration order.
-        let mut sum = 0.0;
-        for (&k, &v) in self.iter() {
-            let p = v as f64 / total as f64;
-            let q = ideal.get(k as usize).copied().unwrap_or(0.0);
-            sum += (p * q).sqrt();
-        }
-        sum * sum
-    }
 }
 
 impl fmt::Display for Counts {
@@ -273,22 +248,5 @@ mod tests {
         other.record(0, 10);
         c.merge(&other); // merge into a saturated slot stays saturated
         assert_eq!(c.count(0), u64::MAX);
-    }
-
-    #[test]
-    fn hellinger_perfect_match() {
-        let mut c = Counts::new(1);
-        c.record(0, 50);
-        c.record(1, 50);
-        let f = c.hellinger_fidelity(&[0.5, 0.5]);
-        assert!((f - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hellinger_mismatch() {
-        let mut c = Counts::new(1);
-        c.record(0, 100);
-        let f = c.hellinger_fidelity(&[0.0, 1.0]);
-        assert!(f.abs() < 1e-12);
     }
 }

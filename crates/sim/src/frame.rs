@@ -793,6 +793,55 @@ mod tests {
     }
 
     #[test]
+    fn isa_clones_match_bit_for_bit() {
+        // `flush_pass` and `mat1_pass` run the AVX2 clone on a host that
+        // has AVX2; `*_impl` is the baseline clone every other host runs.
+        // Same amplitudes, same diagonals, same `Mat1` partners (inside a
+        // chunk and across chunks, as a random frame places them): the
+        // same bits.
+        for n in 1..=12usize {
+            let mut rng = StdRng::seed_from_u64(4100 + n as u64);
+            let mut frame = Frame::identity();
+            let mut amps = random_amps(n, &mut rng);
+            amps.resize(amps.len().max(MIN_AMPS), Complex::ZERO);
+            let mut baseline = amps.clone();
+            for round in 0..20 {
+                for _ in 0..n {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    match rng.gen_range(0..3u32) {
+                        0 => frame.x(a),
+                        1 => frame.cx(a, b),
+                        _ => frame.swap(a, b),
+                    }
+                }
+                let ops: Vec<Diag> = (0..rng.gen_range(1..=MAX_PENDING))
+                    .map(|_| {
+                        let (q, r) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        let (second, flip) = match rng.gen_range(0..2u32) {
+                            0 => (0, 1), // one-mask op
+                            _ => (frame.rows[r], frame.flip(r)),
+                        };
+                        let factor =
+                            [(); 2].map(|()| Complex::from_polar(1.0, rng.gen_range(-3.0..3.0)));
+                        let both = rng.gen_range(0..2u32) == 0;
+                        Diag::new([frame.rows[q], second], [frame.flip(q), flip], factor, both)
+                    })
+                    .collect();
+                flush_pass(&mut amps, &ops);
+                flush_pass_impl(&mut baseline, &ops);
+                assert_eq!(bits(&amps), bits(&baseline), "flush, n={n} round {round}");
+
+                let q = rng.gen_range(0..n);
+                let m = matrices::u(rng.gen_range(-3.0..3.0), 0.4, -1.1);
+                let select = (frame.cols[q], frame.rows[q], frame.flip(q));
+                mat1_pass(&mut amps, select, &m);
+                mat1_pass_impl(&mut baseline, select, &m);
+                assert_eq!(bits(&amps), bits(&baseline), "mat1, n={n} round {round}");
+            }
+        }
+    }
+
+    #[test]
     fn unselected_amplitudes_keep_their_exact_bits() {
         // Phase1 / CPhase must not touch what they do not select: a
         // multiply by (1, 0) would turn -0.0 - (-0.0·0) into +0.0.

@@ -207,15 +207,6 @@ impl CouplingGraph {
         Some(best)
     }
 
-    /// Average node degree.
-    #[must_use]
-    pub fn average_degree(&self) -> f64 {
-        if self.num_qubits == 0 {
-            return 0.0;
-        }
-        2.0 * self.num_edges() as f64 / self.num_qubits as f64
-    }
-
     /// The subgraph induced by `nodes`: node `i` of the result corresponds
     /// to `nodes[i]`, and an edge exists where both endpoints are in
     /// `nodes` and coupled here.
@@ -323,7 +314,7 @@ mod tests {
         let g = CouplingGraph::edgeless(1);
         assert!(g.is_connected());
         assert_eq!(g.diameter(), Some(0));
-        assert_eq!(g.average_degree(), 0.0);
+        assert_eq!(g.num_edges(), 0);
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl Layout {
         Layout::from_logical_to_physical((0..n).collect()).expect("identity is valid")
     }
 
-    /// Number of logical qubits mapped.
-    #[must_use]
-    pub fn num_logical(&self) -> usize {
-        self.l2p.len()
-    }
-
     /// Physical qubit hosting `logical`.
     ///
     /// # Panics
@@ -403,7 +397,7 @@ mod tests {
     #[test]
     fn layout_round_trip() {
         let l = Layout::from_logical_to_physical(vec![4, 2, 0]).unwrap();
-        assert_eq!(l.num_logical(), 3);
+        assert_eq!(l.as_slice().len(), 3);
         assert_eq!(l.physical(0), 4);
         assert_eq!(l.logical(4), Some(0));
         assert_eq!(l.logical(1), None);
