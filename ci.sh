@@ -34,6 +34,11 @@ cargo test -q --workspace
 # -p qcs-sim isa_clones_match_bit_for_bit: the baseline and AVX2 clones of
 #   the frame executor's flush and Mat1 passes produce the same bits on
 #   the same random amplitudes, diagonals and Mat1 partners.
+# -p qcs-sim optimized_path_matches_reference; --test properties
+#   cdf_sampler_matches_linear_scan: the one shot path (CdfSampler +
+#   readout thresholds, every shot recorded into Counts) equals the
+#   reference run bit for bit, one trajectory x 2,048 shots included, and
+#   CdfSampler equals Statevector::sample's linear scan draw for draw.
 # --test properties live_matches_batch; --test gateway_smoke; -p
 #   qcs-gateway: the incremental stepping engine is bit-identical to the
 #   batch run on random traces/disciplines/outages/step schedules, and the
@@ -46,6 +51,9 @@ cargo test -q --workspace
 #   answers cores + 2 held-open clients, session 129 reads `BUSY
 #   connection limit` then EOF and is admitted once another closes, and
 #   bytes without a newline do not reset the per-line idle deadline.
+# -p qcs-gateway fleet_sim_conserves_under_a_sampled_exact_sink: the
+#   fleet conservation audit counts every executed record even when the
+#   exact sink keeps one background record in five.
 # --test chaos_gateway: every fault mode (drops, garbles, truncations,
 #   slow-loris writes, handler panics, machine outages) against 6
 #   concurrent clients, all served at once on a default-config gateway

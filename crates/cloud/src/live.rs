@@ -391,6 +391,9 @@ pub struct LiveCloud {
     result: SimulationResult,
     auditor: Option<crate::Auditor>,
     streaming: Option<StreamingAggregates>,
+    /// Per-provider seconds executed by every terminal record, added
+    /// before any sink can sample or fold the record away.
+    executed_s_by_provider: Vec<f64>,
     sample_interval_s: f64,
     /// Index of the next sample instant: the k-th sample lands at exactly
     /// `k as f64 * sample_interval_s`. An integer tick (not a running
@@ -451,6 +454,7 @@ impl LiveCloud {
                     config.num_providers,
                 )),
             },
+            executed_s_by_provider: vec![0.0; config.num_providers],
             sample_interval_s,
             next_sample_tick: 1,
             now_s: 0.0,
@@ -538,23 +542,12 @@ impl LiveCloud {
         totals
     }
 
-    /// Per-provider seconds executed on this cloud's machines so far:
-    /// the streaming ledger under a streaming sink, otherwise a fold over
-    /// the stored records. The exact-mode fold undercounts when
-    /// `background_record_divisor` samples records away; the streaming
-    /// ledger always covers the whole population.
+    /// Per-provider seconds executed on this cloud's machines so far, over
+    /// every terminal job whatever the sink keeps (summed in finishing
+    /// order).
     #[must_use]
     pub fn executed_seconds_by_provider(&self) -> Vec<f64> {
-        if let Some(aggregates) = &self.streaming {
-            return aggregates.executed_seconds_by_provider().to_vec();
-        }
-        let mut totals = vec![0.0; self.config.num_providers];
-        for record in &self.result.records {
-            if record.outcome != JobOutcome::Cancelled {
-                totals[record.provider as usize] += record.exec_time_s();
-            }
-        }
-        totals
+        self.executed_s_by_provider.clone()
     }
 
     /// Jobs that reached a terminal state so far (whole population).
@@ -942,6 +935,7 @@ impl LiveCloud {
                 self.result.daily_executions.resize(day + 1, 0);
             }
             self.result.daily_executions[day] += record.executions();
+            self.executed_s_by_provider[record.provider as usize] += record.exec_time_s();
         }
         if let Some(aggregates) = self.streaming.as_mut() {
             // Streaming sink: every record (no background sampling — the

@@ -10,12 +10,10 @@
 //! is independent of trace length, which is what lets a ≥10⁶-job campaign
 //! run in a bounded footprint.
 //!
-//! The executed-seconds ledger doubles as the streaming side of the
-//! cross-shard conservation audit: per provider, the sum of execution
-//! intervals folded here must equal the fair-share queues' undecayed
-//! `charged_raw` accumulators (the invariant
-//! [`audit::check_fair_share_conservation`](crate::audit) checks record
-//! by record on exact runs).
+//! The cross-shard conservation audit reads
+//! [`LiveCloud::executed_seconds_by_provider`](crate::LiveCloud::executed_seconds_by_provider),
+//! which covers every record under either sink; the ledger here is its
+//! streaming-only twin.
 
 use qcs_stats::{P2Quantile, ReservoirSample, StreamingSummary};
 
@@ -103,9 +101,8 @@ impl StreamingAggregates {
         self.queue_time_reservoir.samples()
     }
 
-    /// Per-provider executed seconds: the streaming side of the
-    /// charged-seconds conservation law (must match the fair-share
-    /// `charged_raw` totals summed over the same machines).
+    /// Per-provider executed seconds of the folded records (equal to the
+    /// fair-share `charged_raw` totals summed over the same machines).
     #[must_use]
     pub fn executed_seconds_by_provider(&self) -> &[f64] {
         &self.executed_s_by_provider

@@ -691,6 +691,39 @@ mod tests {
     }
 
     #[test]
+    fn fleet_sim_conserves_under_a_sampled_exact_sink() {
+        // The exact sink keeps only every fifth background record, but
+        // the executed side of the ledger must still count all of them.
+        let fleet = Fleet::ibm_like();
+        let config = CloudConfig {
+            error_rate: 0.0,
+            background_record_divisor: 5,
+            ..CloudConfig::default()
+        };
+        let mut sim = FleetSim::new(&fleet, config, 3);
+        for id in 0..60 {
+            sim.submit(JobSpec {
+                id,
+                provider: (id % 4) as u32,
+                machine: (id as usize * 5) % fleet.len(),
+                circuits: 4,
+                shots: 1024,
+                mean_depth: 20.0,
+                mean_width: 3.0,
+                submit_s: id as f64 * 10.0,
+                is_study: false,
+                patience_s: f64::INFINITY,
+            })
+            .unwrap();
+        }
+        sim.run_to_completion();
+        sim.reconcile();
+        assert_eq!(sim.outcome_counts().iter().sum::<u64>(), 60);
+        assert_eq!(sim.records_len(), 12, "one background record in five kept");
+        sim.audit_conservation().expect("charged == executed");
+    }
+
+    #[test]
     fn fleet_sim_predicts_per_shard_after_completions() {
         let fleet = Fleet::ibm_like();
         let config = CloudConfig {

@@ -27,11 +27,11 @@ use qcs_exec::ExecConfig;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use super::stabilizer::readout_word;
 use super::SPARSE_MAX_BRANCH_LOG2;
 use crate::fusion::{instruction_kernel, mat1_apply, Kernel};
 use crate::noisy::{
-    dry_walk, merge_partials, pauli_word_kernels, used_clbit_width_of_entries, TrajStep,
+    dry_walk, merge_partials, pauli_word_kernels, readout_word, used_clbit_width_of_entries,
+    TrajStep,
 };
 use crate::{Complex, Counts, NoisySimulator, SimError};
 
@@ -164,12 +164,12 @@ impl SparseState {
 }
 
 /// CDF over the occupied basis states, ascending. Resolves each 53-bit
-/// uniform to the exact basis state the dense `ShotSampler` scan
-/// produces: the dense CDF is flat between occupied states, so its first
-/// crossing index is always an occupied basis — except when a draw lands
-/// beyond the final accumulated sum (float shortfall from 1.0), where
-/// the dense scan clamps to the top basis state `2^n − 1`; the sparse
-/// sampler clamps to the same state.
+/// uniform to the exact basis state the dense [`crate::CdfSampler`]
+/// search produces: the dense CDF is flat between occupied states, so its
+/// first crossing index is always an occupied basis — except when a draw
+/// lands beyond the final accumulated sum (float shortfall from 1.0),
+/// where the dense search clamps to the top basis state `2^n − 1`; the
+/// sparse sampler clamps to the same state.
 struct SparseSampler {
     keys: Vec<u64>,
     cdf: Vec<f64>,

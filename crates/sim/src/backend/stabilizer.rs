@@ -71,7 +71,7 @@ use rand::{RngCore, SeedableRng};
 
 use super::clifford::{push_clifford_ops, CliffordOp};
 use crate::noisy::{
-    dry_walk, merge_partials, step_noise, used_clbit_width_of_entries, ReadoutEntry,
+    dry_walk, merge_partials, readout_word, step_noise, used_clbit_width_of_entries, ReadoutEntry,
 };
 use crate::{Counts, NoisySimulator, SimError};
 
@@ -657,18 +657,6 @@ fn sample_by_measurement(
         counts.record(word, 1);
     }
     counts
-}
-
-/// Push one sampled basis state through the readout-error channel: one
-/// threshold draw per entry, fired or not — identical to the dense
-/// `one_shot`. Shared with the sparse backend.
-pub(super) fn readout_word(basis: u128, rng: &mut StdRng, readout: &[ReadoutEntry]) -> u64 {
-    let mut word = 0u64;
-    for &(q, c, threshold) in readout {
-        let flip = u64::from(rng.next_u64() >> 11 < threshold);
-        word |= ((((basis >> q) & 1) as u64) ^ flip) << c;
-    }
-    word
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Measurement result histograms, as returned to cloud clients.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use qcs_exec::hash::FxHashMap;
 
 /// A histogram of measured classical bit-strings.
 ///
@@ -9,10 +10,12 @@ use std::fmt;
 /// "Results" object (§II-B ⑥): one count of bitstrings per executed
 /// circuit.
 ///
-/// Storage is a hash map (O(1) recording on the simulator's shot loop);
-/// every observable order — [`Counts::iter`], [`fmt::Display`] — is
-/// sorted by outcome word, so results stay bit-reproducible run to run.
-/// Counters saturate instead of overflowing for pathological shot counts.
+/// Storage is an Fx-hashed map (O(1) recording on the simulator's shot
+/// loop, which records every shot here; the keys are words the simulator
+/// makes, never untrusted input). [`Counts::iter`] and [`fmt::Display`]
+/// are sorted by outcome word, and the unkeyed hasher makes even the
+/// `Debug` order the same run to run. Counters saturate instead of
+/// overflowing for pathological shot counts.
 ///
 /// # Examples
 ///
@@ -29,7 +32,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Counts {
     width: usize,
-    histogram: HashMap<u64, u64>,
+    histogram: FxHashMap<u64, u64>,
 }
 
 impl Counts {
@@ -38,7 +41,7 @@ impl Counts {
     pub fn new(width: usize) -> Self {
         Counts {
             width,
-            histogram: HashMap::new(),
+            histogram: FxHashMap::default(),
         }
     }
 
@@ -51,7 +54,10 @@ impl Counts {
     pub fn with_capacity(width: usize, expected_shots: usize) -> Self {
         Counts {
             width,
-            histogram: HashMap::with_capacity(Self::outcome_bound(width, expected_shots)),
+            histogram: FxHashMap::with_capacity_and_hasher(
+                Self::outcome_bound(width, expected_shots),
+                Default::default(),
+            ),
         }
     }
 

@@ -47,11 +47,12 @@
 //! - **Buffer reuse**: eventful trajectories build their statevector
 //!   inside their worker's one scratch buffer instead of a fresh `2^n`
 //!   allocation each.
-//! - **Integer shot loop**: readout errors are pre-scaled to exact integer
-//!   thresholds on the raw 53-bit uniform draw and basis states come from
-//!   a guide-table-accelerated CDF search (`ShotSampler`), resolving
-//!   every draw to the exact outcome the reference float comparisons and
-//!   binary search produce while doing a fraction of the work per shot.
+//! - **Integer shot loop**: basis states come from the same
+//!   [`CdfSampler`] the reference uses, and readout errors are pre-scaled
+//!   to exact integer thresholds on the raw 53-bit uniform draw
+//!   ([`readout_word`], shared by all three backends), resolving every
+//!   draw to the exact outcome the reference float comparison produces.
+//!   Each shot records straight into [`Counts`].
 
 use qcs_calibration::{CalibrationSnapshot, DEFAULT_CX_NS, SINGLE_QUBIT_NS};
 use qcs_circuit::{Circuit, Gate, Instruction, Qubit};
@@ -137,13 +138,14 @@ impl TrajStep {
     }
 }
 
-/// Per-worker scratch of the trajectory loop: a reusable sampling table,
-/// the amplitude buffer the worker's one live trajectory state is built
-/// in (taken out for the trajectory, put back after) and the dry walk's
-/// event list, all thread-local by construction.
+/// Per-worker scratch of the trajectory loop: the CDF table each
+/// eventful trajectory rebuilds in place, the amplitude buffer the
+/// worker's one live trajectory state is built in (taken out for the
+/// trajectory, put back after) and the dry walk's event list, all
+/// thread-local by construction.
 #[derive(Default)]
 struct Scratch {
-    sampler: ShotSampler,
+    sampler: CdfSampler,
     amps: Vec<Complex>,
     events: Vec<(usize, usize)>,
 }
@@ -165,85 +167,6 @@ const UNIFORM_SCALE: f64 = (1u64 << 53) as f64;
 /// skips the int-to-float conversion.
 pub(crate) fn uniform_threshold(p: f64) -> u64 {
     (p * UNIFORM_SCALE).ceil() as u64
-}
-
-/// A sampling table drawing basis states bit-identically to
-/// [`CdfSampler`] on the same RNG stream, faster: a guide table indexed
-/// by the top bits of the raw uniform narrows the CDF search to a short
-/// forward scan with the same predicate the reference binary search
-/// resolves (`cdf[i] <= u`), so every draw returns the same index.
-#[derive(Default)]
-struct ShotSampler {
-    /// Forward prefix sums of the probabilities — same summation order
-    /// (and therefore the same rounding) as [`CdfSampler`].
-    cdf: Vec<f64>,
-    /// `guide[g]` = first index whose cdf exceeds `g / guide.len()`,
-    /// capped to the last index. `guide.len() == cdf.len()` (a power of
-    /// two), so bucket `g = k >> shift` of a raw draw `k` satisfies
-    /// `g / guide.len() <= k * 2^-53` exactly and the guide entry is a
-    /// sound lower bound for the search.
-    guide: Vec<u32>,
-    /// `53 - log2(guide.len())`.
-    shift: u32,
-}
-
-impl ShotSampler {
-    /// Rebuild the tables for a new state, reusing both allocations.
-    fn rebuild_with(&mut self, state: &Statevector) {
-        state.probabilities_into(&mut self.cdf);
-        self.finish_tables();
-    }
-
-    /// Rebuild the tables from a frame-tracked state: its gather writes
-    /// `|amp|²` in canonical order straight into the CDF buffer (the only
-    /// canonical-order pass a frame trajectory ever makes). Prefix
-    /// summation and the guide table stay sequential (their rounding is
-    /// order-sensitive), so the result is bit-identical to
-    /// [`ShotSampler::rebuild_with`] on the oracle's state.
-    fn rebuild_from_frame(&mut self, state: &mut FrameState) {
-        state.probabilities_into(&mut self.cdf);
-        self.finish_tables();
-    }
-
-    /// Turn the freshly written probabilities in `self.cdf` into prefix
-    /// sums and rebuild the guide table (sequential: same summation
-    /// order as [`CdfSampler`]).
-    fn finish_tables(&mut self) {
-        let mut acc = 0.0f64;
-        for p in &mut self.cdf {
-            acc += *p;
-            *p = acc;
-        }
-        let len = self.cdf.len();
-        debug_assert!(len.is_power_of_two(), "statevector length is 2^n");
-        self.shift = 53 - len.trailing_zeros();
-        self.guide.clear();
-        self.guide.resize(len, 0);
-        // `g * inv` is exact: both are powers of two apart (len <= 2^25).
-        let inv = 1.0 / len as f64;
-        let mut i = 0usize;
-        let last = len - 1;
-        for (g, slot) in self.guide.iter_mut().enumerate() {
-            let bucket_lo = g as f64 * inv;
-            while i < len && self.cdf[i] <= bucket_lo {
-                i += 1;
-            }
-            *slot = i.min(last) as u32;
-        }
-    }
-
-    /// Draw one basis state: one uniform, identical to
-    /// `CdfSampler::sample` on the same stream.
-    fn sample(&self, rng: &mut StdRng) -> usize {
-        let k = rng.next_u64() >> 11;
-        let u = k as f64 * (1.0 / UNIFORM_SCALE);
-        let mut i = self.guide[(k >> self.shift) as usize] as usize;
-        let last = self.cdf.len() - 1;
-        while i < last && self.cdf[i] <= u {
-            i += 1;
-        }
-        i
-    }
 }
 
 /// Snapshots of the shared noiseless evolution, taken every `stride`
@@ -432,8 +355,8 @@ impl NoisySimulator {
 
         let shared = if skip_ahead {
             let (prefix, mut ideal) = PrefixCheckpoints::build(num_qubits, &steps)?;
-            let mut sampler = ShotSampler::default();
-            sampler.rebuild_from_frame(&mut ideal);
+            let mut sampler = CdfSampler::default();
+            sampler.rebuild_with(|probs| ideal.probabilities_into(probs));
             Some((prefix, sampler))
         } else {
             None
@@ -491,7 +414,7 @@ impl NoisySimulator {
                         state.run(pauli_word_kernels(&steps[i].qubits, word))?;
                     }
                     state.run(kernels(next..steps.len()))?;
-                    scratch.sampler.rebuild_from_frame(&mut state);
+                    scratch.sampler.rebuild_with(|probs| state.probabilities_into(probs));
                     scratch.amps = state.into_amps();
                     return Ok(sample_shots(
                         &scratch.sampler,
@@ -506,7 +429,7 @@ impl NoisySimulator {
                 let buf = std::mem::take(&mut scratch.amps);
                 let mut state = Statevector::zero_in(num_qubits, buf)?;
                 self.apply_steps(&steps, &mut state, &mut rng)?;
-                scratch.sampler.rebuild_with(&state);
+                scratch.sampler.rebuild(&state);
                 scratch.amps = state.into_amps();
                 Ok(sample_shots(
                     &scratch.sampler,
@@ -696,17 +619,6 @@ fn check_run_inputs(
     Ok(())
 }
 
-/// Widest classical register accumulated in a dense array instead of the
-/// hash map (`2^16` slots, 512 KiB — beyond that fall back to hashing).
-const DENSE_COUNTS_MAX_WIDTH: usize = 16;
-
-/// Most dense-array slots per shot of the trajectory: the array is
-/// zeroed and scanned whole whatever the shot count, so beyond this the
-/// hashed loop is cheaper (a 16q echo at 128 trajectories records 8
-/// shots per trajectory; zeroing and scanning 65 536 slots for them cost
-/// ~10 ms of each 15q/16q echo run).
-const DENSE_COUNTS_SLOTS_PER_SHOT: usize = 64;
-
 /// Widest classical register [`clbit_distribution`] materializes as a
 /// dense `2^width` probability array. A classical-register limit on that
 /// function's output size, distinct from the dense backend's
@@ -719,51 +631,32 @@ pub const DENSE_DISTRIBUTION_MAX_WIDTH: usize = 24;
 /// push it through the readout-error channel, record the clbit word.
 ///
 /// Draw-for-draw identical to the reference shot loop: one uniform per
-/// basis sample resolved by [`ShotSampler`], one uniform per readout
-/// entry resolved against its exact [`uniform_threshold`]. Outcomes
-/// accumulate in a dense per-word array when it is small both absolutely
-/// ([`DENSE_COUNTS_MAX_WIDTH`]) and beside the shot count
-/// ([`DENSE_COUNTS_SLOTS_PER_SHOT`]) and collapse into [`Counts`] once;
-/// otherwise they are hashed. [`Counts`] equality is order-free.
+/// basis sample resolved by the same [`CdfSampler`], one uniform per
+/// readout entry resolved against its exact [`uniform_threshold`].
 fn sample_shots(
-    sampler: &ShotSampler,
+    sampler: &CdfSampler,
     rng: &mut StdRng,
     traj_shots: usize,
     readout: &[ReadoutEntry],
     width: usize,
 ) -> Counts {
-    if width > DENSE_COUNTS_MAX_WIDTH || (1 << width) > DENSE_COUNTS_SLOTS_PER_SHOT * traj_shots {
-        let mut counts = Counts::with_capacity(width, traj_shots);
-        for _ in 0..traj_shots {
-            let word = one_shot(sampler, rng, readout);
-            counts.record(word, 1);
-        }
-        return counts;
-    }
-    let mut dense = vec![0u64; 1 << width];
+    let mut counts = Counts::with_capacity(width, traj_shots);
     for _ in 0..traj_shots {
-        let word = one_shot(sampler, rng, readout);
-        dense[word as usize] += 1;
-    }
-    let observed = dense.iter().filter(|&&n| n > 0).count();
-    let mut counts = Counts::with_capacity(width, observed);
-    for (word, &n) in dense.iter().enumerate() {
-        if n > 0 {
-            counts.record(word as u64, n);
-        }
+        let basis = sampler.sample(rng) as u128;
+        counts.record(readout_word(basis, rng, readout), 1);
     }
     counts
 }
 
-/// One shot: sample a basis state, flip each measured bit with its
-/// readout probability (one draw per entry, fired or not), pack the word.
-#[inline]
-fn one_shot(sampler: &ShotSampler, rng: &mut StdRng, readout: &[ReadoutEntry]) -> u64 {
-    let basis = sampler.sample(rng) as u64;
+/// Push one sampled basis state through the readout-error channel: flip
+/// each measured bit with its readout probability (one threshold draw per
+/// entry, fired or not) and pack the clbit word. The one readout channel
+/// of all three backends.
+pub(crate) fn readout_word(basis: u128, rng: &mut StdRng, readout: &[ReadoutEntry]) -> u64 {
     let mut word = 0u64;
     for &(q, c, threshold) in readout {
         let flip = u64::from(rng.next_u64() >> 11 < threshold);
-        word |= (((basis >> q) & 1) ^ flip) << c;
+        word |= ((((basis >> q) & 1) as u64) ^ flip) << c;
     }
     word
 }
@@ -1366,29 +1259,6 @@ mod tests {
     }
 
     #[test]
-    fn shot_sampler_matches_cdf_sampler_draw_for_draw() {
-        // The guide-table sampler must resolve every uniform to the exact
-        // index the reference binary search produces, on states with both
-        // spread-out and concentrated distributions.
-        let spread = Statevector::from_circuit(&qcs_circuit::library::qft(6)).unwrap();
-        let concentrated = Statevector::zero(6).unwrap();
-        for (name, state) in [("spread", &spread), ("concentrated", &concentrated)] {
-            let reference = CdfSampler::of(state);
-            let mut fast = ShotSampler::default();
-            fast.rebuild_with(state);
-            let mut rng_a = StdRng::seed_from_u64(41);
-            let mut rng_b = StdRng::seed_from_u64(41);
-            for draw in 0..20_000 {
-                assert_eq!(
-                    reference.sample(&mut rng_a),
-                    fast.sample(&mut rng_b),
-                    "{name} diverged at draw {draw}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn uniform_threshold_is_exact() {
         // k < threshold must agree with the float comparison
         // k * 2^-53 < p for every k, including at the boundary.
@@ -1410,12 +1280,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_registers_fall_back_to_hashed_counts() {
-        // Measuring into a clbit beyond DENSE_COUNTS_MAX_WIDTH exercises
-        // the hash-map shot loop; it must still match the reference.
-        let mut c = Circuit::with_clbits(2, DENSE_COUNTS_MAX_WIDTH + 1);
+    fn wide_register_matches_reference() {
+        // A clbit far above the qubit count: the word lands at bit 16 of
+        // a 17-clbit register and must still match the reference.
+        let mut c = Circuit::with_clbits(2, 17);
         c.h(0).cx(0, 1);
-        c.measure(0, DENSE_COUNTS_MAX_WIDTH).measure(1, 3);
+        c.measure(0, 16).measure(1, 3);
         let snap = noisy_snapshot(2, 2.0);
         let sim = NoisySimulator {
             trajectories: 4,
@@ -1425,22 +1295,7 @@ mod tests {
         let reference = sim.run_reference(&c, &snap, 512).unwrap();
         let optimized = sim.run(&c, &snap, 512).unwrap();
         assert_eq!(reference, optimized, "wide-register path diverged");
-        assert_eq!(optimized.width(), DENSE_COUNTS_MAX_WIDTH + 1);
-
-        // So does a register the dense array could hold but the shots
-        // would barely touch: 8 shots per trajectory at width 16.
-        let mut c = Circuit::with_clbits(2, DENSE_COUNTS_MAX_WIDTH);
-        c.h(0).cx(0, 1);
-        c.measure(0, DENSE_COUNTS_MAX_WIDTH - 1).measure(1, 3);
-        let sim = NoisySimulator {
-            trajectories: 64,
-            ..sim
-        };
-        const { assert!((1 << DENSE_COUNTS_MAX_WIDTH) > DENSE_COUNTS_SLOTS_PER_SHOT * 8) };
-        let reference = sim.run_reference(&c, &snap, 512).unwrap();
-        let optimized = sim.run(&c, &snap, 512).unwrap();
-        assert_eq!(reference, optimized, "few-shots path diverged");
-        assert_eq!(optimized.width(), DENSE_COUNTS_MAX_WIDTH);
+        assert_eq!(optimized.width(), 17);
     }
 
     fn decoded_steps(c: &Circuit, snap: &CalibrationSnapshot) -> Vec<TrajStep> {

@@ -421,16 +421,17 @@ impl Statevector {
 }
 
 /// A cached cumulative-probability table for repeated sampling from one
-/// [`Statevector`].
+/// [`Statevector`]: the sampler every dense noisy trajectory draws its
+/// shots from.
 ///
 /// Building costs one `O(2^n)` pass; every subsequent
 /// [`CdfSampler::sample`] is a binary search (`O(n)` for `n` qubits)
 /// instead of the `O(2^n)` linear scan of [`Statevector::sample`]. For
 /// `s` shots the total drops from `O(s * 2^n)` to `O(2^n + s * n)`.
 ///
-/// Draws are bit-identical to [`Statevector::sample`] on the same RNG
-/// stream: both consume exactly one uniform per draw and resolve it
-/// against the same forward prefix sums.
+/// [`Statevector::sample`] is its oracle: draws are bit-identical on the
+/// same RNG stream, because both consume exactly one uniform per draw and
+/// resolve it against the same forward prefix sums.
 ///
 /// # Examples
 ///
@@ -466,7 +467,15 @@ impl CdfSampler {
     /// zero-allocation path for loops that sample many states (e.g. one
     /// per Pauli trajectory).
     pub fn rebuild(&mut self, state: &Statevector) {
-        state.probabilities_into(&mut self.cdf);
+        self.rebuild_with(|probs| state.probabilities_into(probs));
+    }
+
+    /// Rebuild from whatever `fill` writes into the table's buffer: the
+    /// probabilities in canonical basis order, e.g. a frame-tracked
+    /// state's gather. Prefix summation is sequential (its rounding is
+    /// order-sensitive), so equal probabilities give an equal table.
+    pub(crate) fn rebuild_with(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
+        fill(&mut self.cdf);
         let mut acc = 0.0f64;
         for p in &mut self.cdf {
             acc += *p;
