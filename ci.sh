@@ -47,10 +47,16 @@ cargo test -q --workspace
 #   drain) ends with a clean audit.
 # -p qcs-gateway default_gateway_serves_more_sessions_than_cores;
 #   connections_over_the_session_limit_are_refused_busy;
-#   dribbling_peer_is_reaped_at_the_line_deadline: a default gateway
-#   answers cores + 2 held-open clients, session 129 reads `BUSY
-#   connection limit` then EOF and is admitted once another closes, and
-#   bytes without a newline do not reset the per-line idle deadline.
+#   reaped_at_the_line_deadline: a default gateway answers cores + 2
+#   held-open clients, session 129 reads `BUSY connection limit` then EOF
+#   and is admitted once another closes, and bytes without a newline do
+#   not reset the per-line idle deadline, at one byte per idle / 3 or per
+#   20 ms (faster than the 100 ms read poll): both are reaped in
+#   [idle, 2 x idle).
+# -p qcs-gateway line_reader_frames_crlf_pipelined_and_capped_lines: the
+#   line reader strips `\r\n`, splits two lines sent in one segment, parses
+#   a line of exactly max_line_bytes and answers one byte more with
+#   LINE_TOO_LONG then EOF.
 # -p qcs-gateway fleet_sim_conserves_under_a_sampled_exact_sink: the
 #   fleet conservation audit counts every executed record even when the
 #   exact sink keeps one background record in five.

@@ -2,7 +2,7 @@
 //! device-aware compilation, and the benefit of dynamic recompilation on
 //! new calibration data.
 
-use qcs::experiments::stale_compilation_cost_with;
+use qcs::experiments::stale_compilation_cost;
 use qcs::machine::Fleet;
 use qcs::transpiler::TranspileCache;
 use qcs_bench::write_csv;
@@ -23,7 +23,7 @@ fn main() {
     let mut csv_rows = Vec::new();
     for name in ["casablanca", "toronto", "manhattan"] {
         let machine = fleet.get(name).expect("machine exists");
-        let rows = stale_compilation_cost_with(&exec, machine, 4, 30, 4096, 7, &cache)
+        let rows = stale_compilation_cost(&exec, machine, 4, 30, 4096, 7, &cache)
             .expect("experiment runs");
         let mean = |f: &dyn Fn(&qcs::experiments::StalenessRow) -> f64| {
             rows.iter().map(f).sum::<f64>() / rows.len() as f64

@@ -9,12 +9,16 @@ use qcs::experiments::{fidelity_vs_cx, fleet_fidelity};
 use qcs::machine::Fleet;
 use qcs::stats::pearson;
 use qcs_bench::write_csv;
+use qcs_exec::ExecConfig;
 
 fn main() {
     let fleet = Fleet::ibm_like();
+    // Machine fan-out pool; QCS_THREADS=1 forces sequential. Rows do not
+    // depend on the thread count.
+    let exec = ExecConfig::from_env();
     // The paper's machine set.
     let machines = ["casablanca", "toronto", "guadalupe", "rome", "manhattan"];
-    let rows = fidelity_vs_cx(&fleet, &machines, 4, 36.0, 8192, 7).expect("experiment runs");
+    let rows = fidelity_vs_cx(&exec, &fleet, &machines, 4, 36.0, 8192, 7).expect("experiment runs");
     println!("Fig 7 — 4q QFT fidelity vs CX metrics");
     println!(
         "  {:<12} {:>3} {:>10} {:>8} {:>9} {:>9} {:>12} {:>12}",
@@ -48,7 +52,7 @@ fn main() {
 
     // The untruncated fleet: machine-wide Clifford GHZ echo on all 25
     // machines; the dispatcher picks each machine's engine.
-    let fleet_rows = fleet_fidelity(&fleet, 36.0, 8192, 7).expect("fleet experiment runs");
+    let fleet_rows = fleet_fidelity(&exec, &fleet, 36.0, 8192, 7).expect("fleet experiment runs");
     assert_eq!(fleet_rows.skipped, 0, "no machine may be skipped");
     println!();
     println!(

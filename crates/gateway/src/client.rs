@@ -3,10 +3,10 @@
 //! Every call returns a typed [`GatewayError`] instead of hanging or
 //! panicking: reads run under a socket timeout (a server that half-closes
 //! or stalls yields [`GatewayError::Timeout`] /
-//! [`GatewayError::Disconnected`], never a blocked-forever call), and
-//! [`GatewayClient::request_with_retry`] layers bounded, seeded-jitter
-//! retries ([`RetryPolicy`]) with automatic reconnect on transient
-//! failures.
+//! [`GatewayError::Disconnected`], never a blocked-forever call). What to
+//! do after a failure is the caller's policy: [`GatewayError::is_transient`]
+//! says whether a fresh attempt could succeed, and
+//! [`GatewayClient::reconnect`] replaces a wedged socket.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +16,6 @@ use qcs_cloud::JobSpec;
 
 use crate::error::GatewayError;
 use crate::protocol::{Request, Response};
-use crate::retry::{RetryPolicy, RetryStats};
 
 /// Default per-read socket timeout for [`GatewayClient::connect`].
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(5);
@@ -96,57 +95,6 @@ impl GatewayClient {
             return Err(GatewayError::Disconnected);
         }
         Ok(Response::parse(&line)?)
-    }
-
-    /// [`request`](GatewayClient::request) with bounded retry: transient
-    /// transport errors (timeout, disconnect, I/O) and `BUSY` responses
-    /// are re-attempted up to `policy.max_retries` times, sleeping the
-    /// policy's jittered backoff in between and reconnecting after
-    /// transport errors. Attempts and abandonments are tallied into
-    /// `stats`.
-    ///
-    /// Retrying a `SUBMIT` is not idempotent end-to-end: a transport
-    /// fault *after* the server processed the request can duplicate the
-    /// job. Use retry for polling verbs unconditionally; for `SUBMIT`
-    /// only where duplicate jobs are acceptable (as in load generation).
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error (see [`request`](GatewayClient::request))
-    /// once the retry budget is exhausted; non-transient errors return
-    /// immediately.
-    pub fn request_with_retry(
-        &mut self,
-        request: &Request,
-        policy: &RetryPolicy,
-        stats: &mut RetryStats,
-    ) -> Result<Response, GatewayError> {
-        let mut last: Result<Response, GatewayError> = Err(GatewayError::Timeout);
-        let mut needs_reconnect = false;
-        for attempt in 0..policy.max_attempts() {
-            if attempt > 0 {
-                std::thread::sleep(policy.backoff(attempt - 1));
-                stats.retries += 1;
-            }
-            if needs_reconnect {
-                if let Err(e) = self.reconnect() {
-                    last = Err(e);
-                    continue;
-                }
-                needs_reconnect = false;
-            }
-            match self.request(request) {
-                Ok(Response::Busy(reason)) => last = Ok(Response::Busy(reason)),
-                Ok(response) => return Ok(response),
-                Err(e) if e.is_transient() => {
-                    needs_reconnect = true;
-                    last = Err(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        stats.giveups += 1;
-        last
     }
 
     /// Submit a job described by a [`JobSpec`] (its `id` and `submit_s`
@@ -293,9 +241,10 @@ pub struct ReplayReport {
     pub busy: usize,
     /// Submissions answered `ERR`.
     pub rejected: usize,
-    /// Submissions abandoned on a transport failure (the job may or may
-    /// not have reached the simulator — see the `SUBMIT` idempotency note
-    /// on [`GatewayClient::request_with_retry`]).
+    /// Submissions abandoned on a transport failure. The job may or may
+    /// not have reached the simulator: a `SUBMIT` is not idempotent end to
+    /// end, since a fault *after* the server processed it loses only the
+    /// reply, so resending it can duplicate the job.
     pub lost: usize,
 }
 

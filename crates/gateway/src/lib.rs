@@ -22,17 +22,15 @@
 //!   ([`FaultPlan`]): connection drops, garbled lines, truncated and
 //!   stalled writes, handler panics, machine outages. Drives
 //!   `tests/chaos_gateway.rs`.
-//! - [`retry`] — bounded [`RetryPolicy`] with seeded-jitter exponential
-//!   backoff (SplitMix64-derived, reproducible per attempt).
 //! - [`server`] — [`Gateway`]: an accept loop spawning one thread per
 //!   session (bounded; one over the bound is refused `BUSY`), handlers
 //!   with read timeouts / idle reaping / line-length caps, admission
 //!   control (validate → rate-limit → backpressure), graceful
 //!   [`shutdown_and_drain`](Gateway::shutdown_and_drain).
-//! - [`client`] — [`GatewayClient`] (typed errors, read timeouts,
-//!   reconnect, [`request_with_retry`](GatewayClient::request_with_retry))
-//!   plus a [`LoadGenerator`] that replays `qcs-workload` traces at a
-//!   wall-clock compression factor.
+//! - [`client`] — [`GatewayClient`] (one request path: typed errors, read
+//!   timeouts, reconnect; retrying is the caller's policy) plus a
+//!   [`LoadGenerator`] that replays `qcs-workload` traces at a wall-clock
+//!   compression factor.
 //! - **online prediction** — every shard's
 //!   [`LiveCloud`](qcs_cloud::LiveCloud) record tap folds terminal records
 //!   into a `qcs-predictor`
@@ -89,7 +87,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod protocol;
 pub mod ratelimit;
-pub mod retry;
 pub mod server;
 
 pub use client::{
@@ -101,5 +98,4 @@ pub use fleet::{check_conservation, FleetClient, FleetSim, GatewayFleet, ShardMa
 pub use metrics::GatewayMetrics;
 pub use protocol::{Request, Response};
 pub use ratelimit::TokenBucket;
-pub use retry::{RetryPolicy, RetryStats};
 pub use server::{Gateway, GatewayConfig, MAX_MEAN_DEPTH};

@@ -36,7 +36,7 @@
 //! [`SimulationResult`] (auditable via `CloudConfig::audit`) plus the
 //! [`GatewayMetrics`] counters.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -95,13 +95,12 @@ impl Default for GatewayConfig {
 const MAX_SESSIONS: usize = 128;
 
 /// Socket read timeout of a session (shortened to
-/// [`GatewayConfig::idle_timeout`] when that is smaller). Bytes without a
-/// newline keep `read_until` looping inside std; it comes back to
-/// `read_request_line` only on this timeout, which is therefore where the
-/// idle deadline is checked — and what makes that deadline per *line*,
-/// not per byte. The timeout restarts with every `recv`, so a peer that
-/// sends a byte more often than this is not checked until its line hits
-/// `max_line_bytes` (ROADMAP, PR 24 entry).
+/// [`GatewayConfig::idle_timeout`] when that is smaller): the longest a
+/// silent peer keeps `read_request_line` from checking its per-line idle
+/// deadline. The deadline is checked after every `fill_buf` return, data
+/// or timeout, so a peer that dribbles bytes without a newline is reaped
+/// on time however fast it sends; one that sends nothing is reaped at
+/// most this long after the deadline.
 const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Largest `mean_depth` a `SUBMIT` may carry: 10⁵ layers, far past any
@@ -668,37 +667,31 @@ enum LineRead {
     Failed,
 }
 
-/// Read one newline-terminated line, waking every `limits.read_timeout` (see
-/// [`READ_POLL`]) so a stalled peer is detected, and never buffering more
-/// than `limits.max_line_bytes + 1` bytes.
+/// Read one newline-terminated line, never buffering more than
+/// `limits.max_line_bytes + 1` bytes. The line must complete within
+/// `limits.idle_timeout` of the call: the deadline is checked after every
+/// `fill_buf` return that leaves the line incomplete, so neither silence
+/// (woken every [`READ_POLL`]) nor a dribble of bytes outlives it.
 fn read_request_line(reader: &mut BufReader<TcpStream>, limits: ConnLimits) -> LineRead {
     let mut buf: Vec<u8> = Vec::new();
-    let mut last_progress = Instant::now();
+    let started = Instant::now();
     loop {
-        if buf.len() > limits.max_line_bytes {
-            return LineRead::TooLong;
-        }
-        let budget = (limits.max_line_bytes + 1 - buf.len()) as u64;
-        match reader.by_ref().take(budget).read_until(b'\n', &mut buf) {
-            // The budget > 0, so 0 bytes means EOF.
-            Ok(0) => {
-                return if buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line(buf)
-                };
-            }
-            Ok(_) => {
-                if buf.last() == Some(&b'\n') {
-                    buf.pop();
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
+        let (used, complete) = match reader.fill_buf() {
+            Ok([]) if buf.is_empty() => return LineRead::Eof,
+            Ok([]) => return LineRead::Line(buf),
+            Ok(available) => {
+                let budget = limits.max_line_bytes + 1 - buf.len();
+                let window = &available[..available.len().min(budget)];
+                match window.iter().position(|&b| b == b'\n') {
+                    Some(newline) => {
+                        buf.extend_from_slice(&window[..newline]);
+                        (newline + 1, true)
                     }
-                    return LineRead::Line(buf);
+                    None => {
+                        buf.extend_from_slice(window);
+                        (window.len(), false)
+                    }
                 }
-                // No newline yet: either the budget ran out (caught at
-                // the top of the loop) or EOF follows (next Ok(0)).
-                last_progress = Instant::now();
             }
             Err(e)
                 if matches!(
@@ -706,12 +699,23 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, limits: ConnLimits) -> L
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if last_progress.elapsed() >= limits.idle_timeout {
-                    return LineRead::Idle;
-                }
+                (0, false)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return LineRead::Failed,
+        };
+        reader.consume(used);
+        if complete {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return LineRead::Line(buf);
+        }
+        if buf.len() > limits.max_line_bytes {
+            return LineRead::TooLong;
+        }
+        if started.elapsed() >= limits.idle_timeout {
+            return LineRead::Idle;
         }
     }
 }
@@ -869,6 +873,8 @@ fn handle_connection(
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read;
+
     use super::*;
 
     /// A gateway with a frozen simulation clock: jobs queue, nothing
@@ -1306,21 +1312,74 @@ mod tests {
         assert!(metrics.connections >= MAX_SESSIONS as u64 + 2);
     }
 
+    /// Framing at the line reader: `\r\n` is stripped, two lines in one
+    /// segment are two requests, a line of exactly `max_line_bytes` (a
+    /// `\r` counts) is parsed, and one byte more is `LINE_TOO_LONG` then
+    /// close.
+    #[test]
+    fn line_reader_frames_crlf_pipelined_and_capped_lines() {
+        let gateway = frozen(GatewayConfig {
+            max_line_bytes: 16,
+            ..GatewayConfig::default()
+        });
+        let mut raw = TcpStream::connect(gateway.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let mut reply = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        raw.write_all(b"QUEUE 0\r\nQUEUE 1\n").unwrap();
+        assert!(reply().starts_with("QUEUE "));
+        assert!(reply().starts_with("QUEUE "));
+        raw.write_all(b"XXXXXXXXXXXXXXX\r\nXXXXXXXXXXXXXXXX\n")
+            .unwrap();
+        assert!(reply().starts_with("ERR UNKNOWN_VERB"));
+        assert!(reply().starts_with("ERR UNKNOWN_VERB"));
+        // No newline: the 17th byte alone breaks the cap, and nothing is
+        // left unread to turn the close into a reset.
+        raw.write_all(b"XXXXXXXXXXXXXXXXX").unwrap();
+        assert!(reply().starts_with("ERR LINE_TOO_LONG"));
+        assert_eq!(reply(), "", "closed after LINE_TOO_LONG");
+        let (_, metrics) = gateway.shutdown_and_drain();
+        assert_eq!(metrics.protocol_errors, 3);
+    }
+
+    const DRIBBLE_IDLE: Duration = Duration::from_millis(600);
+
     /// A peer that keeps sending bytes but never a newline is reaped at
     /// the per-line deadline: its bytes do not reset it, because the
-    /// deadline is checked on the `READ_POLL` timeout and nowhere else.
+    /// deadline runs from the start of the line and is checked after every
+    /// read, whether it brought a byte or timed out.
     #[test]
     fn dribbling_peer_is_reaped_at_the_line_deadline() {
-        let idle = Duration::from_millis(600);
+        assert_dribbler_reaped(DRIBBLE_IDLE / 3);
+    }
+
+    /// The same, one byte every 20 ms: each `recv` restarts the socket's
+    /// `READ_POLL` timeout before it fires, so only the per-read deadline
+    /// check catches this pace.
+    #[test]
+    fn dribble_faster_than_the_read_poll_is_reaped_at_the_line_deadline() {
+        assert_dribbler_reaped(Duration::from_millis(20));
+    }
+
+    /// Dribble one byte per `pace` and assert the gateway closes the
+    /// connection in `[idle, 2 × idle)` and counts one idle reap.
+    fn assert_dribbler_reaped(pace: Duration) {
+        let idle = DRIBBLE_IDLE;
         let gateway = frozen(GatewayConfig {
             idle_timeout: idle,
             ..GatewayConfig::default()
         });
+        // Started before the connect, so it cannot trail the server's
+        // deadline clock.
+        let started = Instant::now();
         let mut stream = TcpStream::connect(gateway.addr()).unwrap();
         // The client's read timeout paces the dribble (one byte every
-        // idle / 3) and its read is where the server's close shows.
-        stream.set_read_timeout(Some(idle / 3)).unwrap();
-        let started = Instant::now();
+        // `pace`) and its read is where the server's close shows.
+        stream.set_read_timeout(Some(pace)).unwrap();
         let closed_after = loop {
             let elapsed = started.elapsed();
             assert!(elapsed < 2 * idle, "still connected after {elapsed:?}");
@@ -1337,7 +1396,11 @@ mod tests {
                 },
             }
         };
-        assert!(closed_after >= idle, "reaped early, after {closed_after:?}");
+        assert!(
+            (idle..2 * idle).contains(&closed_after),
+            "reaped after {closed_after:?}, want [{idle:?}, {:?})",
+            2 * idle
+        );
         let (_, metrics) = gateway.shutdown_and_drain();
         assert_eq!(metrics.reaped_idle, 1);
     }

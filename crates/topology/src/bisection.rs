@@ -12,46 +12,26 @@
 
 use crate::CouplingGraph;
 
-/// Balance policy for the bisection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BisectionOptions {
-    /// Minimum fraction of nodes on the smaller side, in `(0, 0.5]`.
-    /// `0.5` is a strict bisection; the paper-style topology comparison
-    /// tolerates moderate imbalance (default `0.3`), matching how
-    /// bisection is reported for irregular machine graphs.
-    pub min_fraction: f64,
-    /// Number of local-search restarts for the heuristic path.
-    pub restarts: usize,
-}
+/// Minimum fraction of nodes on the smaller side. `0.5` would be a strict
+/// bisection; the paper-style topology comparison tolerates moderate
+/// imbalance, matching how bisection is reported for irregular machine
+/// graphs.
+const MIN_FRACTION: f64 = 0.3;
 
-impl Default for BisectionOptions {
-    fn default() -> Self {
-        BisectionOptions {
-            min_fraction: 0.3,
-            restarts: 48,
-        }
-    }
-}
+/// Local-search restarts on the heuristic path.
+const RESTARTS: usize = 48;
 
 /// Result of a bisection computation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Bisection {
+#[derive(Debug)]
+struct Bisection {
     /// Number of edges crossing the partition.
-    pub cut_edges: usize,
+    cut_edges: usize,
     /// Side assignment per node (`true` = side A).
-    pub side: Vec<bool>,
+    side: Vec<bool>,
 }
 
-impl Bisection {
-    /// Sizes of the two partitions `(A, B)`.
-    #[must_use]
-    pub fn sizes(&self) -> (usize, usize) {
-        let a = self.side.iter().filter(|&&s| s).count();
-        (a, self.side.len() - a)
-    }
-}
-
-/// Compute the bisection bandwidth with default options.
+/// Compute the bisection bandwidth: the fewest edges crossing a partition
+/// that puts at least 30% of the nodes on each side.
 ///
 /// Returns 0 for graphs with fewer than 2 nodes or no edges.
 ///
@@ -66,24 +46,15 @@ impl Bisection {
 /// ```
 #[must_use]
 pub fn bisection_bandwidth(graph: &CouplingGraph) -> usize {
-    bisect(graph, BisectionOptions::default()).cut_edges
+    bisect(graph).cut_edges
 }
 
-/// Compute a (near-)minimum balanced cut with explicit options.
+/// Compute a (near-)minimum balanced cut.
 ///
 /// Uses exhaustive subset enumeration for `n <= 20` (exact) and a
 /// Fiduccia–Mattheyses-style local search with deterministic restarts
 /// beyond that.
-///
-/// # Panics
-///
-/// Panics if `options.min_fraction` is outside `(0, 0.5]`.
-#[must_use]
-pub fn bisect(graph: &CouplingGraph, options: BisectionOptions) -> Bisection {
-    assert!(
-        options.min_fraction > 0.0 && options.min_fraction <= 0.5,
-        "min_fraction must be in (0, 0.5]"
-    );
+fn bisect(graph: &CouplingGraph) -> Bisection {
     let n = graph.num_qubits();
     if n < 2 || graph.num_edges() == 0 {
         return Bisection {
@@ -91,12 +62,12 @@ pub fn bisect(graph: &CouplingGraph, options: BisectionOptions) -> Bisection {
             side: vec![false; n],
         };
     }
-    let min_side = ((n as f64) * options.min_fraction).ceil() as usize;
+    let min_side = ((n as f64) * MIN_FRACTION).ceil() as usize;
     let min_side = min_side.max(1);
     if n <= 20 {
         exact_bisection(graph, min_side)
     } else {
-        heuristic_bisection(graph, min_side, options.restarts)
+        heuristic_bisection(graph, min_side)
     }
 }
 
@@ -155,7 +126,7 @@ impl XorShift {
 /// (prefix cuts of node orderings — exact for meshes and row-structured
 /// graphs), BFS-grown regions, and random balanced partitions; each
 /// candidate is polished by greedy boundary moves.
-fn heuristic_bisection(graph: &CouplingGraph, min_side: usize, restarts: usize) -> Bisection {
+fn heuristic_bisection(graph: &CouplingGraph, min_side: usize) -> Bisection {
     let n = graph.num_qubits();
     let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
     let mut best = Bisection {
@@ -180,7 +151,7 @@ fn heuristic_bisection(graph: &CouplingGraph, min_side: usize, restarts: usize) 
         }
     }
 
-    for restart in 0..restarts.max(1) {
+    for restart in 0..RESTARTS {
         let mut side = if restart % 2 == 0 {
             bfs_grown_side(graph, restart % n, n / 2)
         } else {
@@ -359,6 +330,12 @@ mod tests {
     use super::*;
     use crate::families;
 
+    /// Sizes of the two partitions `(A, B)`.
+    fn sizes(b: &Bisection) -> (usize, usize) {
+        let a = b.side.iter().filter(|&&s| s).count();
+        (a, b.side.len() - a)
+    }
+
     #[test]
     fn path_bisects_at_one() {
         let g = families::line(10);
@@ -375,15 +352,9 @@ mod tests {
     fn small_grid_exact() {
         // 4x4 grid: strict bisection cuts 4 edges.
         let g = families::grid(4, 4);
-        let b = bisect(
-            &g,
-            BisectionOptions {
-                min_fraction: 0.5,
-                restarts: 8,
-            },
-        );
+        let b = exact_bisection(&g, 16 / 2);
         assert_eq!(b.cut_edges, 4);
-        let (a, bb) = b.sizes();
+        let (a, bb) = sizes(&b);
         assert_eq!(a + bb, 16);
         assert_eq!(a, 8);
     }
@@ -423,36 +394,17 @@ mod tests {
     #[test]
     fn cut_matches_side_assignment() {
         let g = families::grid(5, 5);
-        let b = bisect(&g, BisectionOptions::default());
+        let b = bisect(&g);
         assert_eq!(g.cut_size(&b.side), b.cut_edges);
-        let (a, bb) = b.sizes();
+        let (a, bb) = sizes(&b);
         assert!(a >= 8 && bb >= 8); // 0.3 * 25 rounded up
-    }
-
-    #[test]
-    #[should_panic(expected = "min_fraction")]
-    fn invalid_fraction_panics() {
-        let g = families::line(4);
-        let _ = bisect(
-            &g,
-            BisectionOptions {
-                min_fraction: 0.9,
-                restarts: 1,
-            },
-        );
     }
 
     #[test]
     fn complete_graph_cut() {
         // K6 strict bisection: 3x3 split cuts 9 edges.
         let g = families::complete(6);
-        let b = bisect(
-            &g,
-            BisectionOptions {
-                min_fraction: 0.5,
-                restarts: 4,
-            },
-        );
+        let b = exact_bisection(&g, 6 / 2);
         assert_eq!(b.cut_edges, 9);
     }
 }

@@ -24,5 +24,5 @@ mod bisection;
 pub mod families;
 mod graph;
 
-pub use bisection::{bisect, bisection_bandwidth, Bisection, BisectionOptions};
+pub use bisection::bisection_bandwidth;
 pub use graph::CouplingGraph;

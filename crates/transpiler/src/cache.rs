@@ -15,8 +15,10 @@
 //! * the [`TranspileOptions`] (layout/routing method, optimization level,
 //!   SABRE tuning).
 //!
-//! Keys are two independently-seeded 64-bit FxHash-style digests over that
+//! Keys are two independently-seeded 64-bit [`FxHasher`] digests over that
 //! material; a collision requires both 64-bit streams to collide at once.
+//! Not cryptographic — this is a content address for memoization, and
+//! keys only ever live in-process.
 //! The table is one `Mutex<HashMap>`: the key is digested before the lock
 //! is taken and the pipeline runs with no lock held, so the critical
 //! section is a lookup plus an `Arc::clone`. Hit/miss counters are
@@ -34,65 +36,16 @@
 //! determinism check relies on.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use qcs_circuit::Circuit;
+use qcs_exec::hash::FxHasher;
 
 use crate::error::TranspileError;
 use crate::target::Target;
 use crate::transpile::{TranspileOptions, TranspileResult};
-
-/// Multiplier from FxHash (Firefox's hasher): odd, high avalanche when
-/// combined with the pre-multiply rotate-xor step.
-const FX_MULT: u64 = 0x517c_c1b7_2722_0a95;
-
-/// A seeded FxHash-style streaming hasher over 64-bit words.
-///
-/// Not cryptographic — this is a content-address for memoization, and the
-/// two-seed composite key in [`TranspileKey`] keeps accidental collisions
-/// out of reach for study-sized workloads.
-#[derive(Debug, Clone, Copy)]
-struct FxStream {
-    state: u64,
-}
-
-impl FxStream {
-    fn seeded(seed: u64) -> Self {
-        FxStream { state: seed }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(FX_MULT);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_f64(&mut self, v: f64) {
-        // Hash the exact bit pattern: keys must distinguish values that
-        // compare equal but behave differently downstream (-0.0 vs 0.0).
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        for chunk in s.as_bytes().chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(self) -> u64 {
-        // One extra scramble so trailing zero-words still diffuse.
-        self.state.rotate_left(5).wrapping_mul(FX_MULT)
-    }
-}
 
 /// Content address of one transpile call: two independently-seeded 64-bit
 /// digests over the circuit, target, and options.
@@ -112,7 +65,8 @@ impl TranspileKey {
     }
 
     fn digest(seed: u64, circuit: &Circuit, target: &Target, options: &TranspileOptions) -> u64 {
-        let mut h = FxStream::seeded(seed);
+        let mut h = FxHasher::default();
+        h.write_u64(seed);
         hash_circuit(&mut h, circuit);
         hash_target(&mut h, target);
         hash_options(&mut h, options);
@@ -120,17 +74,27 @@ impl TranspileKey {
     }
 }
 
-fn hash_circuit(h: &mut FxStream, circuit: &Circuit) {
-    h.write_str(circuit.name());
+/// A string as its length, then its bytes: the length keeps adjacent
+/// strings from running together ("ab" + "c" vs "a" + "bc").
+fn write_str(h: &mut FxHasher, s: &str) {
+    h.write_usize(s.len());
+    h.write(s.as_bytes());
+}
+
+fn hash_circuit(h: &mut FxHasher, circuit: &Circuit) {
+    write_str(h, circuit.name());
     h.write_usize(circuit.num_qubits());
     h.write_usize(circuit.num_clbits());
     h.write_usize(circuit.size());
     for inst in circuit.instructions() {
-        h.write_str(inst.gate.name());
+        write_str(h, inst.gate.name());
         let params = inst.gate.params();
         h.write_usize(params.len());
+        // Every `f64` (here and in the calibration) goes in as its exact
+        // bit pattern: keys must distinguish values that compare equal but
+        // behave differently downstream (-0.0 vs 0.0).
         for p in params {
-            h.write_f64(p);
+            h.write_u64(p.to_bits());
         }
         h.write_usize(inst.qubits.len());
         for q in &inst.qubits {
@@ -143,8 +107,8 @@ fn hash_circuit(h: &mut FxStream, circuit: &Circuit) {
     }
 }
 
-fn hash_target(h: &mut FxStream, target: &Target) {
-    h.write_str(target.name());
+fn hash_target(h: &mut FxHasher, target: &Target) {
+    write_str(h, target.name());
     let topology = target.topology();
     h.write_usize(topology.num_qubits());
     h.write_usize(topology.num_edges());
@@ -158,21 +122,21 @@ fn hash_target(h: &mut FxStream, target: &Target) {
     h.write_usize(snapshot.num_qubits());
     for q in 0..snapshot.num_qubits() {
         let cal = snapshot.qubit(q);
-        h.write_f64(cal.t1_us);
-        h.write_f64(cal.t2_us);
-        h.write_f64(cal.single_qubit_error);
-        h.write_f64(cal.readout_error);
+        h.write_u64(cal.t1_us.to_bits());
+        h.write_u64(cal.t2_us.to_bits());
+        h.write_u64(cal.single_qubit_error.to_bits());
+        h.write_u64(cal.readout_error.to_bits());
     }
     // BTreeMap iteration: deterministic ascending edge order.
     for (&(a, b), cal) in snapshot.edges() {
         h.write_usize(a);
         h.write_usize(b);
-        h.write_f64(cal.cx_error);
-        h.write_f64(cal.cx_duration_ns);
+        h.write_u64(cal.cx_error.to_bits());
+        h.write_u64(cal.cx_duration_ns.to_bits());
     }
 }
 
-fn hash_options(h: &mut FxStream, options: &TranspileOptions) {
+fn hash_options(h: &mut FxHasher, options: &TranspileOptions) {
     h.write_usize(options.layout as usize);
     h.write_usize(options.routing as usize);
     h.write_u64(u64::from(options.optimization_level));

@@ -130,42 +130,11 @@ pub struct FidelityRow {
 /// machine's calibration, and report POS alongside the compile-time CX
 /// metrics.
 ///
-/// # Errors
-///
-/// Returns [`TranspileError`] if compilation fails for a machine.
-///
-/// # Panics
-///
-/// Panics if a machine name is unknown or simulation fails (fleet machines
-/// are always simulable at 4 qubits).
-pub fn fidelity_vs_cx(
-    fleet: &Fleet,
-    machine_names: &[&str],
-    benchmark_qubits: usize,
-    t_hours: f64,
-    shots: u32,
-    seed: u64,
-) -> Result<Vec<FidelityRow>, TranspileError> {
-    // Worker-pool size from QCS_THREADS (unset = all cores), so the fig*
-    // binaries expose thread control without flag plumbing. Rows do not
-    // depend on the thread count.
-    let exec = ExecConfig::from_env();
-    fidelity_vs_cx_with(
-        &exec,
-        fleet,
-        machine_names,
-        benchmark_qubits,
-        t_hours,
-        shots,
-        seed,
-    )
-}
-
-/// [`fidelity_vs_cx`] with an explicit worker pool: machines are compiled
-/// and simulated concurrently, and each machine's trajectory loop runs
-/// inline on its fan-out worker (the fan-out owns the pool). Each
-/// machine's simulation is seeded independently of thread scheduling, so
-/// the rows are identical to the sequential run at any `exec`.
+/// Machines are compiled and simulated concurrently on `exec`'s pool, and
+/// each machine's trajectory loop runs inline on its fan-out worker (the
+/// fan-out owns the pool). Each machine's simulation is seeded
+/// independently of thread scheduling, so the rows are identical to the
+/// sequential run at any `exec`.
 ///
 /// # Errors
 ///
@@ -176,7 +145,7 @@ pub fn fidelity_vs_cx(
 ///
 /// Panics if a machine name is unknown or simulation fails (fleet machines
 /// are always simulable at 4 qubits).
-pub fn fidelity_vs_cx_with(
+pub fn fidelity_vs_cx(
     exec: &ExecConfig,
     fleet: &Fleet,
     machine_names: &[&str],
@@ -278,17 +247,17 @@ pub struct FleetFidelity {
 /// first; machines with no eligible backend are counted in
 /// [`FleetFidelity::skipped`] instead of panicking).
 pub fn fleet_fidelity(
+    exec: &ExecConfig,
     fleet: &Fleet,
     t_hours: f64,
     shots: u32,
     seed: u64,
 ) -> Result<FleetFidelity, TranspileError> {
-    let exec = ExecConfig::from_env();
     let machines: Vec<&Machine> = fleet.iter().collect();
     // The machine fan-out owns the pool; a stabilizer trajectory is a dry
     // walk and a two-word Pauli frame (all 128 of the 65q Manhattan's run
     // in ~1.6 ms), so the inner loop never needs workers of its own.
-    let rows = qcs_exec::try_parallel_map(&exec, &machines, |_, &machine| {
+    let rows = qcs_exec::try_parallel_map(exec, &machines, |_, &machine| {
         let circuit = clifford_pos_circuit(machine.num_qubits());
         let target = Target::from_machine(machine, t_hours);
         let result = transpile(&circuit, &target, TranspileOptions::full())?;
@@ -366,38 +335,14 @@ pub struct StalenessRow {
 /// compiled noise-aware against day `d` and executed under day `d + 1`
 /// noise (stale), compared to compile-and-execute on day `d + 1` (fresh).
 ///
-/// # Errors
-///
-/// Returns [`TranspileError`] if a compilation fails.
-///
-/// # Panics
-///
-/// Panics if simulation fails (benchmark circuits always fit the
-/// simulator after compaction).
-pub fn stale_compilation_cost(
-    machine: &Machine,
-    benchmark_qubits: usize,
-    days: u64,
-    shots: u32,
-    seed: u64,
-) -> Result<Vec<StalenessRow>, TranspileError> {
-    // Worker-pool size from QCS_THREADS (unset = all cores). Rows do not
-    // depend on the thread count.
-    let exec = ExecConfig::from_env();
-    let cache = TranspileCache::new();
-    stale_compilation_cost_with(&exec, machine, benchmark_qubits, days, shots, seed, &cache)
-}
-
-/// [`stale_compilation_cost`] with an explicit worker pool and a shared
-/// [`TranspileCache`]: days are evaluated concurrently (each day's
-/// trajectory loops run inline on its fan-out worker), and each day's two
-/// compilations go through the cache. Day `d` compiles against cycles
-/// `d` and `d + 1`, day `d + 1` against `d + 1` and `d + 2` — every
-/// interior cycle is requested twice
-/// across the experiment, so the cache halves the compile work (read
-/// [`TranspileCache::stats`] afterwards to see it). Each day already
-/// derives its own RNG seed (`seed ^ day`), so the rows are identical to
-/// the sequential, cache-cold run.
+/// Days are evaluated concurrently on `exec`'s pool (each day's trajectory
+/// loops run inline on its fan-out worker), and each day's two
+/// compilations go through `cache`. Day `d` compiles against cycles `d`
+/// and `d + 1`, day `d + 1` against `d + 1` and `d + 2` — every interior
+/// cycle is requested twice across the experiment, so the cache halves
+/// the compile work (read [`TranspileCache::stats`] afterwards to see
+/// it). Each day derives its own RNG seed (`seed ^ day`), so the rows are
+/// identical to the sequential, cache-cold run.
 ///
 /// # Errors
 ///
@@ -408,7 +353,7 @@ pub fn stale_compilation_cost(
 ///
 /// Panics if simulation fails (benchmark circuits always fit the
 /// simulator after compaction).
-pub fn stale_compilation_cost_with(
+pub fn stale_compilation_cost(
     exec: &ExecConfig,
     machine: &Machine,
     benchmark_qubits: usize,
@@ -475,6 +420,7 @@ mod tests {
     fn fidelity_varies_across_machines() {
         let fleet = Fleet::ibm_like();
         let rows = fidelity_vs_cx(
+            &ExecConfig::default(),
             &fleet,
             &["casablanca", "toronto", "manhattan"],
             4,
@@ -500,7 +446,7 @@ mod tests {
         // no more silent truncation to what the dense engine can hold —
         // including the 65q Manhattan, and nothing may be skipped.
         let fleet = Fleet::ibm_like();
-        let out = fleet_fidelity(&fleet, 12.0, 256, 3).unwrap();
+        let out = fleet_fidelity(&ExecConfig::default(), &fleet, 12.0, 256, 3).unwrap();
         assert_eq!(out.skipped, 0, "machines skipped: {:?}", out);
         assert_eq!(out.rows.len(), fleet.iter().count());
         assert_eq!(out.rows.len(), 25);
@@ -542,7 +488,16 @@ mod tests {
     #[test]
     fn fidelity_rows_record_their_backend() {
         let fleet = Fleet::ibm_like();
-        let rows = fidelity_vs_cx(&fleet, &["casablanca"], 4, 12.0, 256, 3).unwrap();
+        let rows = fidelity_vs_cx(
+            &ExecConfig::default(),
+            &fleet,
+            &["casablanca"],
+            4,
+            12.0,
+            256,
+            3,
+        )
+        .unwrap();
         // The 4q benchmark compacts into the dense engine's domain.
         assert_eq!(rows[0].backend, "dense");
     }
@@ -551,7 +506,9 @@ mod tests {
     fn staleness_costs_fidelity_on_average() {
         let fleet = Fleet::ibm_like();
         let machine = fleet.get("toronto").unwrap();
-        let rows = stale_compilation_cost(machine, 4, 12, 2048, 3).unwrap();
+        let cache = TranspileCache::new();
+        let rows = stale_compilation_cost(&ExecConfig::default(), machine, 4, 12, 2048, 3, &cache)
+            .unwrap();
         assert_eq!(rows.len(), 12);
         let mean_fresh: f64 =
             rows.iter().map(|r| r.pos_fresh).sum::<f64>() / rows.len() as f64;
@@ -572,18 +529,10 @@ mod tests {
     fn parallel_experiments_match_sequential() {
         let fleet = Fleet::ibm_like();
         let names = ["casablanca", "toronto", "manhattan"];
-        let seq = fidelity_vs_cx_with(
-            &ExecConfig::sequential(),
-            &fleet,
-            &names,
-            4,
-            12.0,
-            512,
-            3,
-        )
-        .unwrap();
+        let seq =
+            fidelity_vs_cx(&ExecConfig::sequential(), &fleet, &names, 4, 12.0, 512, 3).unwrap();
         // Fan-out threads vary; rows must not.
-        let par = fidelity_vs_cx_with(
+        let par = fidelity_vs_cx(
             &ExecConfig::with_threads(4),
             &fleet,
             &names,
@@ -597,41 +546,19 @@ mod tests {
 
         let machine = fleet.get("toronto").unwrap();
         let cold = TranspileCache::new();
-        let seq = stale_compilation_cost_with(
-            &ExecConfig::sequential(),
-            machine,
-            4,
-            4,
-            512,
-            3,
-            &cold,
-        )
-        .unwrap();
+        let seq = stale_compilation_cost(&ExecConfig::sequential(), machine, 4, 4, 512, 3, &cold)
+            .unwrap();
         let warm = TranspileCache::new();
-        let par = stale_compilation_cost_with(
-            &ExecConfig::with_threads(4),
-            machine,
-            4,
-            4,
-            512,
-            3,
-            &warm,
-        )
-        .unwrap();
+        let par =
+            stale_compilation_cost(&ExecConfig::with_threads(4), machine, 4, 4, 512, 3, &warm)
+                .unwrap();
         assert_eq!(seq, par);
         // Single-flight lookups: the counters are schedule-independent too.
         assert_eq!(cold.stats(), warm.stats());
         // And a warm cache must not change the rows either.
-        let rerun = stale_compilation_cost_with(
-            &ExecConfig::with_threads(4),
-            machine,
-            4,
-            4,
-            512,
-            3,
-            &warm,
-        )
-        .unwrap();
+        let rerun =
+            stale_compilation_cost(&ExecConfig::with_threads(4), machine, 4, 4, 512, 3, &warm)
+                .unwrap();
         assert_eq!(seq, rerun);
     }
 
@@ -641,16 +568,8 @@ mod tests {
         let machine = fleet.get("casablanca").unwrap();
         let cache = TranspileCache::new();
         let days = 6u64;
-        stale_compilation_cost_with(
-            &ExecConfig::sequential(),
-            machine,
-            4,
-            days,
-            256,
-            3,
-            &cache,
-        )
-        .unwrap();
+        stale_compilation_cost(&ExecConfig::sequential(), machine, 4, days, 256, 3, &cache)
+            .unwrap();
         let stats = cache.stats();
         // 2 compiles per day; the interior cycles 1..days are each
         // requested twice -> days - 1 hits, days + 1 unique compilations.
