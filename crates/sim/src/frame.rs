@@ -80,6 +80,7 @@
 //! compile time and nothing is left to check inside them.
 
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 use crate::fusion::Kernel;
 use crate::{Complex, SimError, Statevector, DENSE_MAX_QUBITS};
@@ -545,9 +546,11 @@ fn mat1_pass_impl(amps: &mut [Complex], (col, row, flip): (u32, u32, u32), m: &[
 }
 
 /// A flushed [`FrameState`] at rest: what a prefix checkpoint stores.
-#[derive(Debug, Clone)]
+/// Snapshots of one state with no amplitude pass between them share one
+/// buffer (see [`FrameState::snapshot`]).
+#[derive(Debug)]
 pub(crate) struct FrameSnapshot {
-    amps: Vec<Complex>,
+    amps: Arc<[Complex]>,
     frame: Frame,
 }
 
@@ -557,6 +560,9 @@ pub(crate) struct FrameState {
     amps: Vec<Complex>,
     frame: Frame,
     pending: Vec<Diag>,
+    /// The buffer of the last [`FrameState::snapshot`], kept until a pass
+    /// writes `amps`: while it is set, the two hold the same bits.
+    snapshot_amps: Option<Arc<[Complex]>>,
 }
 
 impl FrameState {
@@ -591,6 +597,7 @@ impl FrameState {
             amps,
             frame,
             pending: Vec::new(),
+            snapshot_amps: None,
         }
     }
 
@@ -641,6 +648,7 @@ impl FrameState {
         if !self.pending.is_empty() {
             flush_pass(&mut self.amps, &self.pending);
             self.pending.clear();
+            self.snapshot_amps = None;
         }
     }
 
@@ -648,6 +656,7 @@ impl FrameState {
         self.flush();
         let select = (self.frame.cols[q], self.frame.rows[q], self.frame.flip(q));
         mat1_pass(&mut self.amps, select, m);
+        self.snapshot_amps = None;
     }
 
     /// Flush, then write `map(amplitude of v)` to `out[v]` for every
@@ -667,11 +676,17 @@ impl FrameState {
     }
 
     /// Flush and snapshot (a snapshot with diagonals still pending
-    /// would restore without them).
+    /// would restore without them). The amplitudes are copied only when a
+    /// pass has written them since the last snapshot: after a run of X /
+    /// CX / SWAP kernels, which move no data, the new snapshot shares the
+    /// last one's buffer and differs only in its frame.
     pub(crate) fn snapshot(&mut self) -> FrameSnapshot {
         self.flush();
+        let amps = self
+            .snapshot_amps
+            .get_or_insert_with(|| Arc::from(self.amps.as_slice()));
         FrameSnapshot {
-            amps: self.amps.clone(),
+            amps: Arc::clone(amps),
             frame: self.frame,
         }
     }
@@ -686,6 +701,14 @@ impl FrameState {
     /// Release the amplitude buffer for reuse.
     pub(crate) fn into_amps(self) -> Vec<Complex> {
         self.amps
+    }
+}
+
+#[cfg(test)]
+impl FrameSnapshot {
+    /// Whether the two snapshots store one amplitude buffer.
+    pub(crate) fn shares_amps_with(&self, other: &FrameSnapshot) -> bool {
+        Arc::ptr_eq(&self.amps, &other.amps)
     }
 }
 
@@ -771,11 +794,7 @@ mod tests {
             let mut expected_probs = Vec::new();
             oracle.probabilities_into(&mut expected_probs);
 
-            let snapshot = FrameSnapshot {
-                amps: start,
-                frame: Frame::identity(),
-            };
-            let mut state = FrameState::restore_in(n, Vec::new(), &snapshot);
+            let mut state = FrameState::from_amps(n, start, Frame::identity());
             state.run(&kernels).unwrap();
             let mut probs = vec![0.5; 3]; // stale, wrong-sized
             state.probabilities_into(&mut probs);
@@ -858,13 +877,43 @@ mod tests {
             for kernel in &kernels {
                 oracle.apply_kernel(kernel).unwrap();
             }
-            let snapshot = FrameSnapshot {
-                amps: start,
-                frame: Frame::identity(),
-            };
-            let mut state = FrameState::restore_in(n, Vec::new(), &snapshot);
+            let mut state = FrameState::from_amps(n, start, Frame::identity());
             state.run(kernels).unwrap();
             assert_eq!(bits(state.into_statevector().amps()), bits(oracle.amps()), "n={n}");
+        }
+    }
+
+    #[test]
+    fn snapshots_share_amplitudes_across_frame_only_segments() {
+        // X / CX / SWAP (and no-ops) move no data, so the snapshot after
+        // a segment of them shares the last snapshot's buffer; a diagonal
+        // or a `Mat1` in the segment writes the array and forces a copy.
+        // Every snapshot, restored, is the oracle's state at its step.
+        let n = 5;
+        let h = Kernel::Mat1(0, matrices::h());
+        let segments: [(&[Kernel], bool); 6] = [
+            (&[h], false),
+            (&[Kernel::X(1), Kernel::Cx(0, 2), Kernel::Swap(1, 3)], true),
+            (&[], true),
+            (&[Kernel::Cx(2, 4), Kernel::Phase1(4, Complex::I)], false),
+            (&[Kernel::Noop, Kernel::Cx(4, 1)], true),
+            (&[Kernel::Swap(0, 4), h], false),
+        ];
+        let mut state = FrameState::zero_in(n, Vec::new()).unwrap();
+        let mut oracle = Statevector::zero(n).unwrap();
+        let mut previous: Option<FrameSnapshot> = None;
+        for (i, &(segment, shared)) in segments.iter().enumerate() {
+            state.run(segment).unwrap();
+            for kernel in segment {
+                oracle.apply_kernel(kernel).unwrap();
+            }
+            let snapshot = state.snapshot();
+            if let Some(previous) = &previous {
+                assert_eq!(snapshot.shares_amps_with(previous), shared, "segment {i}");
+            }
+            let restored = FrameState::restore_in(n, Vec::new(), &snapshot).into_statevector();
+            assert_eq!(bits(restored.amps()), bits(oracle.amps()), "segment {i}");
+            previous = Some(snapshot);
         }
     }
 

@@ -43,7 +43,8 @@
 //!   beside amplitudes) and an eventful trajectory restores the longest
 //!   checkpointed prefix at or before its first event — a `memcpy` —
 //!   instead of recomputing it, then replays only the remainder with its
-//!   recorded Pauli injections.
+//!   recorded Pauli injections. Checkpoints with only X / CX / SWAP
+//!   kernels between them share one amplitude buffer.
 //! - **Buffer reuse**: eventful trajectories build their statevector
 //!   inside their worker's one scratch buffer instead of a fresh `2^n`
 //!   allocation each.
@@ -180,11 +181,14 @@ struct PrefixCheckpoints {
     stride: usize,
     /// `snapshots[j]` = the flushed state after `(j + 1) * stride`
     /// instructions: amplitudes in their physical order plus the frame
-    /// that says where each logical basis state sits.
+    /// that says where each logical basis state sits. Consecutive
+    /// snapshots with only X / CX / SWAP kernels between them share
+    /// their amplitudes ([`FrameState::snapshot`]).
     snapshots: Vec<FrameSnapshot>,
 }
 
-/// Cap on total prefix-checkpoint storage per run.
+/// Cap on prefix-checkpoint storage per run, counted as if every
+/// snapshot held its own amplitudes (shared ones make it an upper bound).
 const CHECKPOINT_BUDGET_BYTES: usize = 32 << 20;
 
 impl PrefixCheckpoints {
@@ -1323,28 +1327,41 @@ mod tests {
     fn prefix_checkpoints_restore_the_exact_ideal_prefix() {
         // Every restore point, materialised, must equal the amplitudes a
         // fresh per-step evolution reaches at the same instruction count.
-        let c = qft_pos_circuit(4);
-        let steps = decoded_steps(&c, &noisy_snapshot(4, 1.0));
-        let (prefix, ideal) = PrefixCheckpoints::build(4, &steps).unwrap();
-        assert!(
-            !prefix.snapshots.is_empty(),
-            "a {} instruction circuit should checkpoint",
-            steps.len()
-        );
-        for upto in 0..=steps.len() {
-            let (applied, snapshot) = match prefix.restore_point(upto) {
-                Some(point) => point,
-                None => continue,
-            };
-            assert!(applied <= upto, "restore point overshot {upto}");
-            assert_eq!(
-                materialised(4, snapshot),
-                oracle_prefix(4, &steps[..applied]),
-                "snapshot at {applied} diverged"
+        // The echo's CX chains and X layer are frame-only segments, so
+        // its checkpoints store one amplitude buffer per H: two in all.
+        for (c, buffers) in [
+            (qft_pos_circuit(4), None),
+            (clifford_pos_circuit(8), Some(2)),
+        ] {
+            let n = c.num_qubits();
+            let steps = decoded_steps(&c, &noisy_snapshot(n, 1.0));
+            let (prefix, ideal) = PrefixCheckpoints::build(n, &steps).unwrap();
+            assert!(
+                prefix.snapshots.len() > 2,
+                "a {} instruction circuit should checkpoint",
+                steps.len()
             );
+            for upto in 0..=steps.len() {
+                let (applied, snapshot) = match prefix.restore_point(upto) {
+                    Some(point) => point,
+                    None => continue,
+                };
+                assert!(applied <= upto, "restore point overshot {upto}");
+                assert_eq!(
+                    materialised(n, snapshot),
+                    oracle_prefix(n, &steps[..applied]),
+                    "{}: snapshot at {applied} diverged",
+                    c.name()
+                );
+            }
+            if let Some(buffers) = buffers {
+                let windows = prefix.snapshots.windows(2);
+                let copies = windows.filter(|w| !w[1].shares_amps_with(&w[0])).count();
+                assert_eq!(1 + copies, buffers, "{}", c.name());
+            }
+            // The final state of the build pass is the full ideal evolution.
+            assert_eq!(ideal.into_statevector(), oracle_prefix(n, &steps));
         }
-        // The final state of the build pass is the full ideal evolution.
-        assert_eq!(ideal.into_statevector(), oracle_prefix(4, &steps));
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl Statevector {
         self.amps
     }
 
-    /// The raw amplitude slice (for snapshotting checkpoints).
+    /// The raw amplitude slice, in canonical basis order.
     #[must_use]
     pub fn amps(&self) -> &[Complex] {
         &self.amps
