@@ -29,14 +29,23 @@
 //!   it. Skip-ahead is disabled when decoherence is on or the circuit
 //!   contains a reset, whose draws depend on the evolving state (see
 //!   DESIGN.md §4f for the soundness argument).
+//! - **Quiet-path sharing**: when the draws do depend on the state, every
+//!   trajectory still follows one deterministic no-event path (no error
+//!   fires, no excitation decays, no phase flips, every reset lands on
+//!   |0>) until its first event. That path is walked once per run,
+//!   recording each draw's branch probability as an exact integer
+//!   threshold, so a trajectory's dry walk is a compare per draw: a quiet
+//!   trajectory shares the path's final table, an eventful one restores
+//!   the path's state before the step of its first event and walks only
+//!   the rest.
 //! - **Frame-tracked replay**: the shared ideal evolution and every
 //!   eventful trajectory run on a [`FrameState`] — X/CX/SWAP kernels and
 //!   injected X errors update an index map and move no data, diagonal
 //!   runs (and injected Z errors) are applied many-per-pass, and only
 //!   `Mat1` kernels, injected Y errors and the final probability gather
 //!   touch the `2^n` array. Decoherence and reset trajectories run on
-//!   [`Statevector`]'s appliers: they read `probability_one`, a sum in
-//!   canonical index order, between gates.
+//!   [`Statevector`]'s appliers from their first event: they read
+//!   `probability_one`, a sum in canonical index order, between gates.
 //! - **Noiseless-prefix reuse**: every trajectory evolves identically to
 //!   the ideal circuit until its first error event, so the ideal evolution
 //!   is snapshotted every few instructions (`PrefixCheckpoints`, frame
@@ -229,6 +238,250 @@ impl PrefixCheckpoints {
     }
 }
 
+/// What every trajectory of one dense run shares, by path.
+enum Shared {
+    /// State-independent draws: the ideal evolution's checkpoints and its
+    /// sampling table.
+    SkipAhead(PrefixCheckpoints, CdfSampler),
+    /// Decoherence or reset: the no-event path.
+    Quiet(QuietPath),
+}
+
+/// How a walk over the step stream resolves its random draws: each branch
+/// `u < p` (a gate error, a damping jump, a dephasing flip, a reset to
+/// |1>) and the Pauli word of a fired gate error.
+trait Draws {
+    fn fire(&mut self, p: f64) -> bool;
+    fn pauli_word(&mut self, operands: usize) -> usize;
+}
+
+/// The no-event walk: every branch resolves to "no event", and its exact
+/// integer threshold ([`uniform_threshold`]) is recorded in draw order.
+struct Quiet<'a>(&'a mut Vec<u64>);
+
+impl Draws for Quiet<'_> {
+    fn fire(&mut self, p: f64) -> bool {
+        self.0.push(uniform_threshold(p));
+        false
+    }
+
+    fn pauli_word(&mut self, _: usize) -> usize {
+        unreachable!("a quiet walk fires no gate error")
+    }
+}
+
+/// An eventful trajectory resumed from a quiet snapshot whose walk has
+/// made `next` draws: the draws before `event` were quiet and draw `event`
+/// fired (the dry walk consumed both), and every later draw comes from the
+/// trajectory's own RNG.
+struct Resume<'a> {
+    rng: &'a mut StdRng,
+    next: usize,
+    event: usize,
+}
+
+impl Draws for Resume<'_> {
+    fn fire(&mut self, p: f64) -> bool {
+        let fired = match self.next.cmp(&self.event) {
+            std::cmp::Ordering::Less => false,
+            std::cmp::Ordering::Equal => true,
+            std::cmp::Ordering::Greater => self.rng.gen_range(0.0..1.0) < p,
+        };
+        self.next += 1;
+        fired
+    }
+
+    fn pauli_word(&mut self, operands: usize) -> usize {
+        draw_pauli_word(self.rng, operands)
+    }
+}
+
+/// Walk `steps` on [`Statevector`]'s own appliers with every draw resolved
+/// by `draws` — past a [`Resume`]'s event, draw for draw the loop of
+/// [`NoisySimulator::run_trajectory`].
+fn walk(
+    steps: &[TrajStep],
+    state: &mut Statevector,
+    draws: &mut impl Draws,
+) -> Result<(), SimError> {
+    for step in steps {
+        match step.kernel {
+            Kernel::Reset(q) => state.reset_with(q, |p1| draws.fire(p1)),
+            ref kernel => state.apply_kernel(kernel)?,
+        }
+        if !step.eligible {
+            continue;
+        }
+        if step.error_prob > 0.0 && draws.fire(step.error_prob) {
+            let word = draws.pauli_word(step.qubits.len());
+            apply_pauli_word(state, &step.qubits, word)?;
+        }
+        for &(q, gamma, p_phase) in &step.decoherence {
+            if let Some(gamma) = gamma {
+                state.damp_with(q, gamma, |p_jump| draws.fire(p_jump));
+            }
+            if let Some(p_phase) = p_phase {
+                state.dephase_with(q, p_phase, |p| draws.fire(p));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The no-event path of a run whose draws depend on the state
+/// (decoherence or reset). Every trajectory follows it until its first
+/// event — the first draw that fires — and until then its state, and so
+/// every branch probability it draws against, is the quiet walk's to the
+/// bit. The path is walked once per run: its draw thresholds, its state
+/// before every `stride`-th step and its final sampling table.
+struct QuietPath {
+    /// `thresholds[k]`: the integer threshold of the path's k-th draw.
+    thresholds: Vec<u64>,
+    stride: usize,
+    /// The state before step `j * stride`, for `j >= 1`, back to back.
+    snapshots: Vec<Complex>,
+    /// `draws_before[j]`: the draws the path makes before step
+    /// `j * stride` (`draws_before[0] = 0`, the |0..0> start).
+    draws_before: Vec<usize>,
+    /// The table of the path's final state, which every event-free
+    /// trajectory samples.
+    sampler: CdfSampler,
+}
+
+/// Cap on [`QuietPath`] snapshot storage per run: every step at the
+/// widths decoherence runs at (4-5 qubits), a coarser stride beyond.
+const QUIET_BUDGET_BYTES: usize = 1 << 20;
+
+/// The [`QuietPath`] snapshot stride of a run within
+/// [`QUIET_BUDGET_BYTES`]: `steps` (one chunk, no snapshot) when not even
+/// one state fits.
+fn quiet_stride(num_qubits: usize, steps: usize) -> usize {
+    let state_bytes = (1usize << num_qubits) * std::mem::size_of::<Complex>();
+    match QUIET_BUDGET_BYTES / state_bytes {
+        0 => steps.max(1),
+        n => steps.div_ceil(n).max(1),
+    }
+}
+
+impl QuietPath {
+    /// Walk the no-event path once, snapshotting before every
+    /// `stride`-th step.
+    fn build(num_qubits: usize, steps: &[TrajStep], stride: usize) -> Result<Self, SimError> {
+        let mut state = Statevector::zero(num_qubits)?;
+        let mut thresholds = Vec::new();
+        let mut snapshots = Vec::new();
+        let mut draws_before = vec![0];
+        for (j, segment) in steps.chunks(stride).enumerate() {
+            if j > 0 {
+                snapshots.extend_from_slice(state.amps());
+                draws_before.push(thresholds.len());
+            }
+            walk(segment, &mut state, &mut Quiet(&mut thresholds))?;
+        }
+        let mut sampler = CdfSampler::default();
+        sampler.rebuild(&state);
+        Ok(QuietPath {
+            thresholds,
+            stride,
+            snapshots,
+            draws_before,
+            sampler,
+        })
+    }
+
+    /// The dry walk: the index of the trajectory's first event, having
+    /// consumed exactly the draws its full run makes up to and including
+    /// that one; `None` when the whole trajectory is quiet, with the RNG
+    /// where the full run leaves it.
+    fn first_event(&self, rng: &mut StdRng) -> Option<usize> {
+        self.thresholds.iter().position(|&t| rng.next_u64() >> 11 < t)
+    }
+
+    /// The latest snapshot before draw `event`, rebuilt inside `buf`:
+    /// `(steps walked, draws made, state)`.
+    fn restore(
+        &self,
+        num_qubits: usize,
+        event: usize,
+        mut buf: Vec<Complex>,
+    ) -> Result<(usize, usize, Statevector), SimError> {
+        let j = self.draws_before.partition_point(|&d| d <= event) - 1;
+        let state = match j {
+            0 => Statevector::zero_in(num_qubits, buf)?,
+            j => {
+                let len = 1usize << num_qubits;
+                buf.clear();
+                buf.extend_from_slice(&self.snapshots[(j - 1) * len..j * len]);
+                Statevector::from_amps(num_qubits, buf)
+            }
+        };
+        Ok((j * self.stride, self.draws_before[j], state))
+    }
+}
+
+/// One trajectory of the skip-ahead path, its sampling table returned:
+/// the dry walk records its error events; an event-free trajectory shares
+/// the ideal table, an eventful one restores the checkpoint nearest its
+/// first event and replays the rest on a frame, injecting the recorded
+/// Pauli words at their steps.
+fn skip_ahead_trajectory<'a>(
+    num_qubits: usize,
+    steps: &[TrajStep],
+    prefix: &PrefixCheckpoints,
+    ideal: &'a CdfSampler,
+    scratch: &'a mut Scratch,
+    rng: &mut StdRng,
+) -> Result<&'a CdfSampler, SimError> {
+    // The full run's state applications consume no randomness here, so
+    // after the dry walk the RNG sits exactly where the full run would
+    // have left it.
+    dry_walk(rng, steps.iter().map(TrajStep::noise), &mut scratch.events);
+    let events = &scratch.events;
+    if events.is_empty() {
+        return Ok(ideal);
+    }
+    let buf = std::mem::take(&mut scratch.amps);
+    let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
+        Some((applied, snapshot)) => (applied, FrameState::restore_in(num_qubits, buf, snapshot)),
+        None => (0, FrameState::zero_in(num_qubits, buf)?),
+    };
+    let kernels = |range: std::ops::Range<usize>| steps[range].iter().map(|step| &step.kernel);
+    for &(i, word) in events {
+        if next <= i {
+            state.run(kernels(next..i + 1))?;
+            next = i + 1;
+        }
+        state.run(pauli_word_kernels(&steps[i].qubits, word))?;
+    }
+    state.run(kernels(next..steps.len()))?;
+    scratch.sampler.rebuild_with(|probs| state.probabilities_into(probs));
+    scratch.amps = state.into_amps();
+    Ok(&scratch.sampler)
+}
+
+/// One trajectory of a run whose draws depend on the state, its sampling
+/// table returned: the dry walk against the quiet path's thresholds finds
+/// the first event; an event-free trajectory shares the path's table, an
+/// eventful one restores the quiet snapshot before that event and walks
+/// the rest with its own RNG.
+fn quiet_trajectory<'a>(
+    num_qubits: usize,
+    steps: &[TrajStep],
+    quiet: &'a QuietPath,
+    scratch: &'a mut Scratch,
+    rng: &mut StdRng,
+) -> Result<&'a CdfSampler, SimError> {
+    let Some(event) = quiet.first_event(rng) else {
+        return Ok(&quiet.sampler);
+    };
+    let buf = std::mem::take(&mut scratch.amps);
+    let (walked, next, mut state) = quiet.restore(num_qubits, event, buf)?;
+    walk(&steps[walked..], &mut state, &mut Resume { rng, next, event })?;
+    scratch.sampler.rebuild(&state);
+    scratch.amps = state.into_amps();
+    Ok(&scratch.sampler)
+}
+
 impl NoisySimulator {
     /// A simulator with the given seed and default trajectory count.
     #[must_use]
@@ -319,7 +572,7 @@ impl NoisySimulator {
     /// [`NoisySimulator::run`] whenever the circuit fits
     /// [`crate::DENSE_MAX_QUBITS`]): pre-decoded per-instruction kernels,
     /// trajectory skip-ahead on frame-tracked states, prefix checkpoints,
-    /// pooled buffers, integer shot loop.
+    /// quiet-path sharing, pooled buffers, integer shot loop.
     pub(crate) fn run_dense(
         &self,
         circuit: &Circuit,
@@ -361,9 +614,10 @@ impl NoisySimulator {
             let (prefix, mut ideal) = PrefixCheckpoints::build(num_qubits, &steps)?;
             let mut sampler = CdfSampler::default();
             sampler.rebuild_with(|probs| ideal.probabilities_into(probs));
-            Some((prefix, sampler))
+            Shared::SkipAhead(prefix, sampler)
         } else {
-            None
+            let stride = quiet_stride(num_qubits, steps.len());
+            Shared::Quiet(QuietPath::build(num_qubits, &steps, stride)?)
         };
 
         let indices: Vec<usize> = (0..trajectories).collect();
@@ -375,73 +629,15 @@ impl NoisySimulator {
                 let traj_shots = base + usize::from(t < extra);
                 let seed = qcs_exec::derive_seed(self.seed, t as u64);
                 let mut rng = StdRng::seed_from_u64(seed);
-
-                if let Some((prefix, shared_sampler)) = &shared {
-                    // The full run's state applications consume no
-                    // randomness here, so after the dry walk the RNG sits
-                    // exactly where the full run would have left it.
-                    dry_walk(
-                        &mut rng,
-                        steps.iter().map(TrajStep::noise),
-                        &mut scratch.events,
-                    );
-                    let events = &scratch.events;
-                    if events.is_empty() {
-                        // Identical to the ideal circuit: share its
-                        // execution and sampling table.
-                        return Ok(sample_shots(
-                            shared_sampler,
-                            &mut rng,
-                            traj_shots,
-                            &readout,
-                            width,
-                        ));
+                let sampler = match &shared {
+                    Shared::SkipAhead(prefix, sampler) => skip_ahead_trajectory(
+                        num_qubits, &steps, prefix, sampler, scratch, &mut rng,
+                    )?,
+                    Shared::Quiet(quiet) => {
+                        quiet_trajectory(num_qubits, &steps, quiet, scratch, &mut rng)?
                     }
-                    // Restore the shared noiseless prefix nearest the
-                    // first event and replay only the remainder, injecting
-                    // the recorded Pauli words at their steps.
-                    let buf = std::mem::take(&mut scratch.amps);
-                    let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
-                        Some((applied, snapshot)) => {
-                            (applied, FrameState::restore_in(num_qubits, buf, snapshot))
-                        }
-                        None => (0, FrameState::zero_in(num_qubits, buf)?),
-                    };
-                    let kernels = |range: std::ops::Range<usize>| {
-                        steps[range].iter().map(|step| &step.kernel)
-                    };
-                    for &(i, word) in events {
-                        if next <= i {
-                            state.run(kernels(next..i + 1))?;
-                            next = i + 1;
-                        }
-                        state.run(pauli_word_kernels(&steps[i].qubits, word))?;
-                    }
-                    state.run(kernels(next..steps.len()))?;
-                    scratch.sampler.rebuild_with(|probs| state.probabilities_into(probs));
-                    scratch.amps = state.into_amps();
-                    return Ok(sample_shots(
-                        &scratch.sampler,
-                        &mut rng,
-                        traj_shots,
-                        &readout,
-                        width,
-                    ));
-                }
-
-                // Decoherence or reset: the full per-gate stochastic path.
-                let buf = std::mem::take(&mut scratch.amps);
-                let mut state = Statevector::zero_in(num_qubits, buf)?;
-                self.apply_steps(&steps, &mut state, &mut rng)?;
-                scratch.sampler.rebuild(&state);
-                scratch.amps = state.into_amps();
-                Ok(sample_shots(
-                    &scratch.sampler,
-                    &mut rng,
-                    traj_shots,
-                    &readout,
-                    width,
-                ))
+                };
+                Ok(sample_shots(sampler, &mut rng, traj_shots, &readout, width))
             },
         );
 
@@ -532,30 +728,6 @@ impl NoisySimulator {
                 Vec::new()
             },
         }
-    }
-
-    /// Run one full noisy trajectory over the pre-decoded step stream —
-    /// draw-for-draw identical to [`NoisySimulator::run_trajectory`], on
-    /// the same [`Statevector`] appliers.
-    fn apply_steps(
-        &self,
-        steps: &[TrajStep],
-        state: &mut Statevector,
-        rng: &mut StdRng,
-    ) -> Result<(), SimError> {
-        for step in steps {
-            state.apply_kernel_with_rng(&step.kernel, rng)?;
-            if !step.eligible {
-                continue;
-            }
-            if step.error_prob > 0.0 && rng.gen_range(0.0..1.0) < step.error_prob {
-                inject_pauli(state, &step.qubits, rng)?;
-            }
-            for &(q, gamma, p_phase) in &step.decoherence {
-                decohere(state, q, gamma, p_phase, rng);
-            }
-        }
-        Ok(())
     }
 
     /// Run one Pauli trajectory the pre-optimization way: the ideal
@@ -707,7 +879,12 @@ fn apply_decoherence(
     rng: &mut StdRng,
 ) {
     let (gamma, p_phase) = decoherence_probabilities(q, duration_ns, snapshot);
-    decohere(state, q, gamma, p_phase, rng);
+    if let Some(gamma) = gamma {
+        state.apply_amplitude_damping(q, gamma, rng);
+    }
+    if let Some(p_phase) = p_phase {
+        state.apply_dephasing(q, p_phase, rng);
+    }
 }
 
 /// The amplitude-damping probability `gamma = 1 - exp(-t/T1)` and the
@@ -734,22 +911,6 @@ fn decoherence_probabilities(
         0.5 * (1.0 - (-t_us * inv_tphi).exp())
     });
     (gamma, p_phase)
-}
-
-/// Apply the two decoherence channels of one operand, damping first.
-fn decohere(
-    state: &mut Statevector,
-    q: usize,
-    gamma: Option<f64>,
-    p_phase: Option<f64>,
-    rng: &mut StdRng,
-) {
-    if let Some(gamma) = gamma {
-        state.apply_amplitude_damping(q, gamma, rng);
-    }
-    if let Some(p_phase) = p_phase {
-        state.apply_dephasing(q, p_phase, rng);
-    }
 }
 
 /// Whether the noise model applies to `inst` at all: unitary,
@@ -1391,6 +1552,101 @@ mod tests {
             let mut probs = Vec::new();
             state.probabilities_into(&mut probs);
             assert_eq!(probs, expected, "replay from {applied} diverged");
+        }
+    }
+
+    #[test]
+    fn quiet_path_restores_the_exact_no_event_state() {
+        // Every restore point must be the state, and the draws, of a fresh
+        // no-event walk over the steps it skips, and the latest one before
+        // its event — at a snapshot per step, every third step, and none
+        // (one chunk: every restore starts from |0..0>). The resets add
+        // draws against P(q = 1) to the damping and dephasing ones.
+        let mut c = Circuit::new(4);
+        c.h(0).h(1).cx(0, 2).apply(Gate::Reset, &[0]).ry(0.7, 0).cx(2, 3);
+        c.extend_from(&qft_pos_circuit(4)).unwrap();
+        let sim = NoisySimulator::with_seed(0).with_decoherence();
+        let snap = noisy_snapshot(4, 1.0);
+        let steps: Vec<TrajStep> = c
+            .instructions()
+            .iter()
+            .map(|inst| sim.decode_step(inst, &snap))
+            .collect();
+        let quiet_walk = |steps: &[TrajStep], state: &mut Statevector| {
+            let mut thresholds = Vec::new();
+            walk(steps, state, &mut Quiet(&mut thresholds)).unwrap();
+            thresholds
+        };
+        for stride in [1, 3, steps.len()] {
+            let quiet = QuietPath::build(4, &steps, stride).unwrap();
+            assert_eq!(quiet.snapshots.len(), (steps.len().div_ceil(stride) - 1) << 4);
+            for event in 0..quiet.thresholds.len() {
+                let (walked, next, state) = quiet.restore(4, event, Vec::new()).unwrap();
+                let mut oracle = Statevector::zero(4).unwrap();
+                let drawn = quiet_walk(&steps[..walked], &mut oracle);
+                assert_eq!(state, oracle, "stride {stride}: restore before draw {event}");
+                assert_eq!(drawn[..], quiet.thresholds[..next]);
+                let segment = &steps[walked..(walked + stride).min(steps.len())];
+                let ahead = quiet_walk(segment, &mut oracle);
+                assert!(
+                    next <= event && event < next + ahead.len(),
+                    "stride {stride}: draw {event} is not in the segment after {walked} steps"
+                );
+            }
+            let mut end = Statevector::zero(4).unwrap();
+            assert_eq!(quiet_walk(&steps, &mut end), quiet.thresholds);
+            let mut sampler = CdfSampler::default();
+            sampler.rebuild(&end);
+            assert_eq!(sampler, quiet.sampler);
+        }
+    }
+
+    #[test]
+    fn dry_walk_resolves_each_draw_as_the_float_compare() {
+        // The full run's `gen_range(0.0..1.0) < p` at its boundary: draw
+        // `k` (as in `k * 2^-53`) does not fire against `p = k * 2^-53`
+        // and does against `(k + 1) * 2^-53`.
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..64 {
+            let k = rng.clone().next_u64() >> 11;
+            for p in [k as f64 / UNIFORM_SCALE, (k + 1) as f64 / UNIFORM_SCALE, 0.0, 1.0] {
+                let quiet = QuietPath {
+                    thresholds: vec![uniform_threshold(p)],
+                    stride: 1,
+                    snapshots: Vec::new(),
+                    draws_before: vec![0],
+                    sampler: CdfSampler::default(),
+                };
+                let fires = rng.clone().gen_range(0.0..1.0) < p;
+                assert_eq!(quiet.first_event(&mut rng.clone()), fires.then_some(0), "k={k}, p={p}");
+            }
+            rng.next_u64();
+        }
+    }
+
+    #[test]
+    fn optimized_path_matches_reference_with_decoherence_and_reset() {
+        // With decoherence on, a trajectory's first event may also be a
+        // reset landing on |1>, a coin flip after the H before it: at
+        // every scale most trajectories leave the quiet path in the first
+        // sixth of their draws, and walk the rest on their own RNG.
+        let mut c = Circuit::new(5);
+        c.h(0).cx(0, 1).apply(Gate::Reset, &[1]).h(1).cx(1, 2);
+        c.ry(0.9, 3).cx(3, 4).apply(Gate::Reset, &[3]);
+        c.extend_from(&qft_pos_circuit(5)).unwrap();
+        for scale in [0.2, 1.0, 6.0] {
+            let snap = noisy_snapshot(5, scale);
+            let sim = NoisySimulator {
+                trajectories: 16,
+                seed: 41,
+                ..NoisySimulator::default()
+            }
+            .with_decoherence();
+            let reference = sim.with_threads(1).run_reference(&c, &snap, 1024).unwrap();
+            for threads in [1, 3] {
+                let optimized = sim.with_threads(threads).run(&c, &snap, 1024).unwrap();
+                assert_eq!(reference, optimized, "diverged at scale {scale}, {threads} threads");
+            }
         }
     }
 

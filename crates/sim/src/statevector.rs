@@ -200,8 +200,13 @@ impl Statevector {
     /// Projectively measure qubit `q` (collapsing the state) and flip it
     /// to |0> if the outcome was 1 — the `reset` trajectory operation.
     pub fn reset_qubit<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
-        let p1 = self.probability_one(q);
-        let outcome_one = rng.gen_range(0.0..1.0) < p1;
+        self.reset_with(q, |p1| rng.gen_range(0.0..1.0) < p1);
+    }
+
+    /// [`Statevector::reset_qubit`] with its one draw resolved by `fire`,
+    /// which gets `P(q = 1)` and answers whether the outcome is 1.
+    pub(crate) fn reset_with(&mut self, q: usize, fire: impl FnOnce(f64) -> bool) {
+        let outcome_one = fire(self.probability_one(q));
         let bit = 1usize << q;
         // Project onto the sampled outcome.
         for (idx, amp) in self.amps.iter_mut().enumerate() {
@@ -321,13 +326,20 @@ impl Statevector {
     /// This is how T1 relaxation enters Monte-Carlo statevector
     /// simulation without density matrices.
     pub fn apply_amplitude_damping<R: Rng + ?Sized>(&mut self, q: usize, gamma: f64, rng: &mut R) {
+        self.damp_with(q, gamma, |p_jump| rng.gen_range(0.0..1.0) < p_jump);
+    }
+
+    /// [`Statevector::apply_amplitude_damping`] with its draw resolved by
+    /// `fire`, which gets the jump probability and answers whether the
+    /// excitation decays. No draw at all when `gamma <= 0`.
+    pub(crate) fn damp_with(&mut self, q: usize, gamma: f64, fire: impl FnOnce(f64) -> bool) {
         if gamma <= 0.0 {
             return;
         }
         let gamma = gamma.min(1.0);
         let p_jump = gamma * self.probability_one(q);
         let bit = 1usize << q;
-        if rng.gen_range(0.0..1.0) < p_jump {
+        if fire(p_jump) {
             // Jump: K1 = sqrt(gamma)|0><1| — move |1> amplitude to |0>.
             for base in 0..self.amps.len() {
                 if base & bit == 0 {
@@ -350,7 +362,14 @@ impl Statevector {
     /// Apply a dephasing trajectory step on qubit `q`: with probability
     /// `p_phase`, apply Z (pure T2 dephasing).
     pub fn apply_dephasing<R: Rng + ?Sized>(&mut self, q: usize, p_phase: f64, rng: &mut R) {
-        if p_phase > 0.0 && rng.gen_range(0.0..1.0) < p_phase.min(1.0) {
+        self.dephase_with(q, p_phase, |p| rng.gen_range(0.0..1.0) < p);
+    }
+
+    /// [`Statevector::apply_dephasing`] with its draw resolved by `fire`,
+    /// which gets the flip probability. No draw at all when
+    /// `p_phase <= 0`.
+    pub(crate) fn dephase_with(&mut self, q: usize, p_phase: f64, fire: impl FnOnce(f64) -> bool) {
+        if p_phase > 0.0 && fire(p_phase.min(1.0)) {
             self.apply_phase(q, Complex::real(-1.0));
         }
     }
