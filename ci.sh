@@ -34,6 +34,20 @@ cargo test -q --workspace
 # -p qcs-sim isa_clones_match_bit_for_bit: the baseline and AVX2 clones of
 #   the frame executor's flush and Mat1 passes produce the same bits on
 #   the same random amplitudes, diagonals and Mat1 partners.
+# -p qcs-sim packed_streams_from_zero_match_the_oracle;
+#   the_read_is_in_ascending_order_under_a_permuting_frame;
+#   compressed_table_resolves_every_draw_as_the_full_one;
+#   pauli_word_kernels_are_the_decoded_gates; support::; --test
+#   properties noisy_routed_circuits_match_reference: a dense trajectory
+#   stores only its support, 2^k amplitudes for k the rank of its Mat1
+#   directions. From |0...0> the read equals the oracle fold under any
+#   final frame (probabilities and on-support amplitudes to the bit,
+#   zeros off it); the compressed sampling table resolves every draw as
+#   the full one, a draw past the total to 2^n - 1; an injected Y replays
+#   as a diagonal and an X with the decoded gate's probabilities; ranks
+#   enumerate an affine span in ascending order; and Counts of
+#   routed-style circuits (CX/SWAP ladders over <= 14 wires, Mat1s on <= 6
+#   of them) equal run_reference at 1, 3 and 128 trajectories.
 # -p qcs-sim optimized_path_matches_reference; --test properties
 #   cdf_sampler_matches_linear_scan: the one shot path (CdfSampler +
 #   readout thresholds, every shot recorded into Counts) equals the
@@ -118,7 +132,7 @@ cargo run --release -q -p qcs-bench --bin fig07_fidelity_cx >/dev/null
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
 # --quick checks the quick config's digests only, and that config leaves
-# out the routed 10q QFTs (13-15 qubit dense states, ~150 diagonal
+# out the routed 10q QFTs (13–15 qubit circuits stored at 2^10, ~150 diagonal
 # kernels and 20 Mat1s each). One full-size sim_fleet run (five units,
 # ~6 s) exits non-zero unless every Counts histogram folds to
 # golden.json's digest, so a frame-executor bug that only shows there

@@ -73,6 +73,7 @@ use super::clifford::{push_clifford_ops, CliffordOp};
 use crate::noisy::{
     dry_walk, merge_partials, readout_word, step_noise, used_clbit_width_of_entries, ReadoutEntry,
 };
+use crate::support::Support;
 use crate::{Counts, NoisySimulator, SimError};
 
 /// Widest register the tableau backend accepts: basis states and Pauli
@@ -307,12 +308,13 @@ impl Tableau {
         }
     }
 
-    /// Enumerate the state's support as an affine space
-    /// `x0 ⊕ span{v_1..v_k}` with the `v_j` in reduced form (distinct
-    /// leading bits, descending; no other vector or `x0` carries a
-    /// pivot bit), so support rank `r`'s basis state is
-    /// `x0 ⊕ ⊕_{bit j of r} v_j` and ranks enumerate the support in
-    /// ascending basis order.
+    /// Enumerate the state's support — `2^k` basis states, each with
+    /// probability exactly `2^-k` — as an affine space
+    /// `x0 ⊕ span{v_1..v_k}` with the `v_j`, the X-parts of the pivot
+    /// stabilizer generators, in reduced form (distinct leading bits,
+    /// descending; no other vector or `x0` carries a pivot bit), so
+    /// support rank `r`'s basis state is `x0 ⊕ ⊕_{bit j of r} v_j` and
+    /// ranks enumerate the support in ascending basis order.
     fn support(&self) -> Support {
         let n = self.n;
         // Working copy of the stabilizer rows (phases matter: rowsum).
@@ -392,43 +394,6 @@ impl Tableau {
         let mut support = Support { k, x0: 0, gens };
         support.x0 = support.reduce(x0);
         support
-    }
-}
-
-/// The support of a stabilizer state: `2^k` basis states
-/// `x0 ⊕ span{gens}`, each with probability exactly `2^-k`. `gens` are
-/// the X-parts of the pivot stabilizer generators in reduced form.
-struct Support {
-    k: usize,
-    x0: u128,
-    gens: Vec<u128>,
-}
-
-impl Support {
-    /// The element of `x ⊕ span{gens}` with no pivot bit set: wherever a
-    /// generator's pivot (its leading bit) is set, XOR that generator
-    /// (no other generator carries the bit, so one pass in any order).
-    fn reduce(&self, mut x: u128) -> u128 {
-        for &gen in &self.gens {
-            if x >> (127 - gen.leading_zeros()) & 1 != 0 {
-                x ^= gen;
-            }
-        }
-        x
-    }
-
-    /// The basis state of support rank `rank ∈ 0..2^k` (ascending basis
-    /// order; see [`Tableau::support`]) of the support translated to
-    /// offset `x0` — the ideal [`Support::x0`], or a trajectory's
-    /// frame-shifted one.
-    fn basis_of_rank(&self, x0: u128, rank: u64) -> u128 {
-        let mut e = x0;
-        for (j, gen) in self.gens.iter().enumerate() {
-            if rank >> (self.k - 1 - j) & 1 != 0 {
-                e ^= gen;
-            }
-        }
-        e
     }
 }
 

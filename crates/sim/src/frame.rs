@@ -21,9 +21,26 @@
 //! ```
 //!
 //! and `cols[q]` is the physical XOR-mask that flips logical bit `q`
-//! alone (`rows`·`cols` = I over GF(2); both the identity at |0…0⟩), so
-//! `p = M(v ^ b)` with `M(w)` the XOR of `cols[q]` over the set bits of
-//! `w`.
+//! alone (`rows`·`cols` = I over GF(2)), so `p = M(v ^ b)` with `M(w)`
+//! the XOR of `cols[q]` over the set bits of `w`.
+//!
+//! # Only the support is stored
+//!
+//! Of the five kernel rules below only `Mat1` spreads amplitude: from
+//! |0…0⟩ at `p = 0` the array is nonzero only on the span `S` of the
+//! physical directions `cols[q]` its `Mat1`s pass over. Walking a kernel
+//! stream with the frame alone, moving no data, finds `S` and its
+//! dimension `k` ([`Packing::of`]); the state then starts from a change
+//! of basis that maps `S` onto the low `k` physical bits instead of from
+//! the identity frame, and `2^k` amplitudes hold it (a routed 10q QFT
+//! spread over 15 qubits stores 1 024 of 32 768). Frame updates are
+//! linear in `rows` / `cols`, so every later `cols[q]` of a `Mat1` is
+//! the old one mapped into the low bits, and every pass stays inside
+//! the stored array. The logical basis states held are the affine image
+//! `b ⊕ R·S`, which the read enumerates in ascending `v` by rank
+//! ([`crate::support::Support`]). Injected Pauli errors add no
+//! direction (`Y` is replayed as a diagonal then an `X`), so every
+//! trajectory of a run fits the ideal stream's packing.
 //!
 //! # The five kernel rules
 //!
@@ -43,9 +60,12 @@
 //!    `(p, p ^ cols[q])`; the member with `parity(p & rows[q]) ^ b_q ==
 //!    0` is `a0`.
 //! 5. Read: flush, then gather `|amps[M(v ^ b)]|²` (or the amplitude
-//!    itself) in ascending `v`. Prefix sums over the probabilities are
-//!    order-sensitive, so the gather is where canonical order is
-//!    restored; no canonical-order amplitude copy exists before it.
+//!    itself) for the `v` of `b ⊕ R·S` in ascending order. Prefix sums
+//!    over the probabilities are order-sensitive, so the gather is where
+//!    canonical order is restored; no canonical-order amplitude copy
+//!    exists before it. The states left out have amplitude zero in the
+//!    oracle too and add `+0.0` to every prefix sum, so the compressed
+//!    sampling table ([`CdfSampler`]) resolves every draw as the full one.
 //!
 //! # Why equality with the oracle is exact
 //!
@@ -56,8 +76,11 @@
 //! multiply by one, which would turn `-0.0` into `+0.0`). The chunked
 //! flush writes a product as `re·cr + im·(−ci)`, `im·cr + re·ci`;
 //! `a + (−b)` is `a − b` and `+` commutes in IEEE-754, so that is
-//! [`Complex`]'s own `mul`. The differential tests below and in
-//! `noisy.rs` compare `to_bits`.
+//! [`Complex`]'s own `mul`. An amplitude left out is one the oracle
+//! computes as a zero from zeros: the read gives it `+0.0` where the
+//! oracle may hold `-0.0`, and its probability is `+0.0` either way. The
+//! differential tests below and in `noisy.rs` compare `to_bits`, and
+//! amplitudes off the support by value.
 //!
 //! Decoherence and reset trajectories stay off the frame and run on
 //! [`Statevector`]'s own appliers: they draw against
@@ -83,7 +106,8 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use crate::fusion::Kernel;
-use crate::{Complex, SimError, Statevector, DENSE_MAX_QUBITS};
+use crate::support::Support;
+use crate::{CdfSampler, Complex, SimError, Statevector, DENSE_MAX_QUBITS};
 
 /// Inert: the worker count of the amplitude-block teams the frame
 /// executor used to split its passes over. The teams are gone (a state
@@ -108,7 +132,7 @@ use crate::{Complex, SimError, Statevector, DENSE_MAX_QUBITS};
 /// for kernel in compiled.kernels() {
 ///     oracle.apply_kernel(kernel).unwrap();
 /// }
-/// assert_eq!(framed, oracle); // bit-identical amplitudes
+/// assert_eq!(framed, oracle); // equal amplitudes, to the bit on the support
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SvExec {
@@ -258,29 +282,121 @@ impl Frame {
         (self.b >> q) & 1
     }
 
-    /// The physical index storing each logical basis state `v` of
-    /// `0..len`, ascending in `v`. Stepping `v → v + 1` flips logical
-    /// bits `0..=t` (`t` = trailing ones of `v`), so `p` moves by the
-    /// prefix XOR `cols[0] ^ … ^ cols[t]`.
-    fn physical_indices(&self, len: usize) -> impl Iterator<Item = usize> {
-        let mut steps = [0u32; DENSE_MAX_QUBITS + 1];
-        let mut acc = 0u32;
-        for (step, col) in steps.iter_mut().zip(&self.cols) {
-            acc ^= col;
+    /// The frame that stores a state supported on the span `support` of
+    /// physical directions in its low `support.k` bits: with `B` the
+    /// basis of `S`'s generators by ascending pivot, then the unit
+    /// vectors of the other wires, `rows` is `B` (bit `i` of `rows[q]` is
+    /// bit `q` of basis vector `i`) and `cols` is `B⁻¹`. The identity
+    /// when `S` is every wire.
+    fn packing(num_qubits: usize, support: &Support) -> Self {
+        let pivots = support.gens.iter().fold(0u32, |m, &g| m | 1 << g.ilog2());
+        let basis: Vec<u32> = (support.gens.iter().rev().map(|&g| g as u32))
+            .chain((0..num_qubits).filter(|q| pivots >> q & 1 == 0).map(|q| 1 << q))
+            .collect();
+        // The position in `basis` of the unit vector of non-pivot wire `w`.
+        let slot =
+            |w: u32| support.k + w as usize - (pivots & ((1 << w) - 1)).count_ones() as usize;
+        let mut frame = Frame::identity();
+        for q in 0..num_qubits {
+            frame.rows[q] = basis.iter().enumerate().fold(0, |row, (i, v)| row | (v >> q & 1) << i);
+        }
+        for (i, &v) in basis.iter().enumerate() {
+            // Basis vector `i` is its leading wire plus non-pivot wires
+            // only, so that wire's unit vector is vector `i` plus theirs.
+            let wire = v.ilog2();
+            let mut rest = v ^ 1 << wire;
+            let mut col = 1 << i;
+            while rest != 0 {
+                col ^= 1 << slot(rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+            frame.cols[wire as usize] = col;
+        }
+        frame
+    }
+
+    /// `(v, p)` for every logical basis state `v` of `support` in
+    /// ascending order, `p` the physical index storing it. Rank `j → j +
+    /// 1` flips rank bits `0..=t` (`t` = trailing ones of `j`), so `v`
+    /// moves by the XOR of the `t + 1` lowest-pivot generators and `p` by
+    /// their images under `M`.
+    fn stored_indices(&self, support: &Support) -> impl Iterator<Item = (usize, usize)> {
+        let image = |w: u128| {
+            let (mut w, mut p) = (w as u32, 0u32);
+            while w != 0 {
+                p ^= self.cols[w.trailing_zeros() as usize];
+                w &= w - 1;
+            }
+            p
+        };
+        let mut steps = [(0u32, 0u32); DENSE_MAX_QUBITS + 1];
+        let mut acc = (0u32, 0u32);
+        for (step, &gen) in steps.iter_mut().zip(support.gens.iter().rev()) {
+            acc = (acc.0 ^ gen as u32, acc.1 ^ image(gen));
             *step = acc;
         }
-        // `v = 0` sits at `M(b)`.
-        let mut p = 0u32;
-        let mut word = self.b;
-        while word != 0 {
-            p ^= self.cols[word.trailing_zeros() as usize];
-            word &= word - 1;
-        }
-        (0..len).map(move |v| {
-            let at = p as usize;
-            p ^= steps[(v + 1).trailing_zeros() as usize];
+        let mut v = support.x0 as u32;
+        let mut p = image(support.x0 ^ u128::from(self.b));
+        (0..1usize << support.k).map(move |j| {
+            let at = (v as usize, p as usize);
+            let (dv, dp) = steps[(j + 1).trailing_zeros() as usize];
+            v ^= dv;
+            p ^= dp;
             at
         })
+    }
+}
+
+/// How every state of one kernel stream started at |0…0⟩ is stored: the
+/// span `S` of the stream's `Mat1` directions has dimension `rank`, and
+/// `frame` maps it onto the low `rank` physical bits (module docs, "Only
+/// the support is stored").
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Packing {
+    num_qubits: usize,
+    rank: usize,
+    frame: Frame,
+}
+
+impl Packing {
+    /// Walk `kernels` with the frame alone and pack their support.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TooManyQubits`] beyond [`DENSE_MAX_QUBITS`].
+    pub(crate) fn of<K: Borrow<Kernel>>(
+        num_qubits: usize,
+        kernels: impl IntoIterator<Item = K>,
+    ) -> Result<Self, SimError> {
+        if num_qubits > DENSE_MAX_QUBITS {
+            return Err(SimError::TooManyQubits {
+                requested: num_qubits,
+            });
+        }
+        let mut frame = Frame::identity();
+        let directions = kernels.into_iter().filter_map(|kernel| match *kernel.borrow() {
+            Kernel::Cx(c, t) => {
+                frame.cx(c, t);
+                None
+            }
+            Kernel::Swap(a, b) => {
+                frame.swap(a, b);
+                None
+            }
+            Kernel::Mat1(q, _) => Some(u128::from(frame.cols[q])),
+            _ => None,
+        });
+        let support = Support::spanned(0, directions);
+        Ok(Packing {
+            num_qubits,
+            rank: support.k,
+            frame: Frame::packing(num_qubits, &support),
+        })
+    }
+
+    /// The amplitudes a state of the stream needs: `2^rank`.
+    pub(crate) fn amplitudes(&self) -> usize {
+        1 << self.rank
     }
 }
 
@@ -552,11 +668,15 @@ fn mat1_pass_impl(amps: &mut [Complex], (col, row, flip): (u32, u32, u32), m: &[
 pub(crate) struct FrameSnapshot {
     amps: Arc<[Complex]>,
     frame: Frame,
+    rank: usize,
 }
 
 /// A dense trajectory state with its frame and pending diagonals.
 pub(crate) struct FrameState {
     num_qubits: usize,
+    /// The physical indices `0..2^rank` are stored (see [`Packing`]);
+    /// `amps` pads them with zeros to [`MIN_AMPS`].
+    rank: usize,
     amps: Vec<Complex>,
     frame: Frame,
     pending: Vec<Diag>,
@@ -566,14 +686,12 @@ pub(crate) struct FrameState {
 }
 
 impl FrameState {
-    /// |0…0⟩ inside a caller-provided buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TooManyQubits`] beyond [`DENSE_MAX_QUBITS`].
-    pub(crate) fn zero_in(num_qubits: usize, buf: Vec<Complex>) -> Result<Self, SimError> {
-        let zero = Statevector::zero_in(num_qubits, buf)?;
-        Ok(Self::from_amps(num_qubits, zero.into_amps(), Frame::identity()))
+    /// |0…0⟩ stored as `packing` says, inside a caller-provided buffer.
+    pub(crate) fn zero_in(packing: &Packing, mut buf: Vec<Complex>) -> Self {
+        buf.clear();
+        buf.resize(packing.amplitudes(), Complex::ZERO);
+        buf[0] = Complex::ONE;
+        Self::stored(packing.num_qubits, packing.rank, buf, packing.frame)
     }
 
     /// A snapshotted state restored into a caller-provided buffer.
@@ -584,16 +702,17 @@ impl FrameState {
     ) -> Self {
         buf.clear();
         buf.extend_from_slice(&snapshot.amps);
-        Self::from_amps(num_qubits, buf, snapshot.frame)
+        Self::stored(num_qubits, snapshot.rank, buf, snapshot.frame)
     }
 
-    /// A state at rest over `2^num_qubits` (or already padded)
-    /// amplitudes in the physical order `frame` describes.
-    fn from_amps(num_qubits: usize, mut amps: Vec<Complex>, frame: Frame) -> Self {
-        assert!(amps.len() == 1 << num_qubits || amps.len() == MIN_AMPS, "width mismatch");
+    /// A state at rest over `2^rank` (or already padded) amplitudes in
+    /// the physical order `frame` describes.
+    fn stored(num_qubits: usize, rank: usize, mut amps: Vec<Complex>, frame: Frame) -> Self {
+        assert!(amps.len() == 1 << rank || amps.len() == MIN_AMPS, "width mismatch");
         amps.resize(amps.len().max(MIN_AMPS), Complex::ZERO);
         FrameState {
             num_qubits,
+            rank,
             amps,
             frame,
             pending: Vec::new(),
@@ -607,6 +726,11 @@ impl FrameState {
     ///
     /// Returns [`SimError::Unsupported`] on [`Kernel::Reset`], which
     /// needs an RNG and a canonical-order reduction.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `Mat1` whose direction leaves the stored support: a
+    /// stream the state was not packed for.
     pub(crate) fn run<K: Borrow<Kernel>>(
         &mut self,
         kernels: impl IntoIterator<Item = K>,
@@ -655,24 +779,37 @@ impl FrameState {
     fn mat1(&mut self, q: usize, m: &[[Complex; 2]; 2]) {
         self.flush();
         let select = (self.frame.cols[q], self.frame.rows[q], self.frame.flip(q));
+        assert!(select.0 >> self.rank == 0, "Mat1 direction outside the stored support");
         mat1_pass(&mut self.amps, select, m);
         self.snapshot_amps = None;
     }
 
-    /// Flush, then write `map(amplitude of v)` to `out[v]` for every
-    /// logical basis state `v` — the one place canonical order is
-    /// restored.
-    fn gather_into<T>(&mut self, out: &mut Vec<T>, map: impl Fn(Complex) -> T) {
-        self.flush();
-        let amps = self.amps.as_slice();
-        out.clear();
-        out.extend(self.frame.physical_indices(1 << self.num_qubits).map(|p| map(amps[p])));
+    /// The logical basis states the stored amplitudes hold, `b ⊕ R·S`:
+    /// `S` is spanned by the low `rank` physical unit vectors, and `R`
+    /// maps `e_i` to the word whose bit `q` is bit `i` of `rows[q]`.
+    fn support(&self) -> Support {
+        let images = (0..self.rank).map(|i| {
+            (0..self.num_qubits).fold(0u128, |w, q| {
+                w | u128::from(self.frame.rows[q] >> i & 1) << q
+            })
+        });
+        Support::spanned(u128::from(self.frame.b), images)
     }
 
-    /// The measurement probabilities in canonical order — bit-identical
-    /// to [`Statevector::probabilities_into`] on the oracle's state.
-    pub(crate) fn probabilities_into(&mut self, probs: &mut Vec<f64>) {
-        self.gather_into(probs, Complex::norm_sqr);
+    /// Flush, then rebuild `sampler` as this state's compressed table:
+    /// the probability of each state of [`FrameState::support`] in
+    /// ascending order — the one place canonical order is restored.
+    /// Bit-identical, draw for draw, to [`CdfSampler::rebuild`] on the
+    /// oracle's state.
+    pub(crate) fn sample_table(&mut self, sampler: &mut CdfSampler) {
+        self.flush();
+        let support = self.support();
+        let indices = self.frame.stored_indices(&support);
+        let amps = self.amps.as_slice();
+        sampler.rebuild_over(self.num_qubits, support, |probs| {
+            probs.clear();
+            probs.extend(indices.map(|(_, p)| amps[p].norm_sqr()));
+        });
     }
 
     /// Flush and snapshot (a snapshot with diagonals still pending
@@ -688,13 +825,18 @@ impl FrameState {
         FrameSnapshot {
             amps: Arc::clone(amps),
             frame: self.frame,
+            rank: self.rank,
         }
     }
 
-    /// Materialise the canonical-order [`Statevector`].
+    /// Materialise the canonical-order [`Statevector`]: the stored
+    /// amplitudes scattered into `2^n` zeros.
     pub(crate) fn into_statevector(mut self) -> Statevector {
-        let mut amps = Vec::new();
-        self.gather_into(&mut amps, |amp| amp);
+        self.flush();
+        let mut amps = vec![Complex::ZERO; 1 << self.num_qubits];
+        for (v, p) in self.frame.stored_indices(&self.support()) {
+            amps[v] = self.amps[p];
+        }
         Statevector::from_amps(self.num_qubits, amps)
     }
 
@@ -757,6 +899,38 @@ mod tests {
         amps.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
     }
 
+    /// `state` read back equals `oracle`: probabilities and the sampling
+    /// table to the bit, amplitudes to the bit on the stored support and
+    /// zeros off it, where the oracle's zeros may carry either sign.
+    fn assert_matches_oracle(mut state: FrameState, oracle: &Statevector, what: &str) {
+        let mut sampler = CdfSampler::default();
+        state.sample_table(&mut sampler);
+        let full = CdfSampler::of(oracle);
+        let mut rng = StdRng::seed_from_u64(3);
+        for draw in 0..256 {
+            let mut twin = rng.clone();
+            assert_eq!(sampler.sample(&mut rng), full.sample(&mut twin), "{what}: draw {draw}");
+        }
+        let support = state.support();
+        let mut on_support = vec![false; 1 << state.num_qubits];
+        for rank in 0..1u64 << support.k {
+            on_support[support.basis_of_rank(support.x0, rank) as usize] = true;
+        }
+        let framed = state.into_statevector();
+        let probs = |s: &Statevector| -> Vec<u64> {
+            s.probabilities().iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(probs(&framed), probs(oracle), "{what}: probabilities");
+        for (v, (a, o)) in framed.amps().iter().zip(oracle.amps()).enumerate() {
+            if on_support[v] {
+                assert_eq!(bits(&[*a]), bits(&[*o]), "{what}: amplitude {v}");
+            } else {
+                let zeros = *a == Complex::ZERO && *o == Complex::ZERO;
+                assert!(zeros, "{what}: amplitude {v} off the support");
+            }
+        }
+    }
+
     #[test]
     fn parity_pattern_is_the_parity_of_the_masked_index() {
         for mask in 0..32u32 {
@@ -794,21 +968,86 @@ mod tests {
             let mut expected_probs = Vec::new();
             oracle.probabilities_into(&mut expected_probs);
 
-            let mut state = FrameState::from_amps(n, start, Frame::identity());
+            let mut state = FrameState::stored(n, n, start, Frame::identity());
             state.run(&kernels).unwrap();
+            let mut sampler = CdfSampler::default();
+            state.sample_table(&mut sampler);
+            assert_eq!(sampler, CdfSampler::of(&oracle), "sampling table, n={n}");
+            let framed = state.into_statevector();
             let mut probs = vec![0.5; 3]; // stale, wrong-sized
-            state.probabilities_into(&mut probs);
+            framed.probabilities_into(&mut probs);
             assert_eq!(
                 probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                 expected_probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                 "probabilities, n={n}"
             );
-            assert_eq!(
-                bits(state.into_statevector().amps()),
-                bits(oracle.amps()),
-                "amplitudes, n={n}"
-            );
+            assert_eq!(bits(framed.amps()), bits(oracle.amps()), "amplitudes, n={n}");
         }
+    }
+
+    #[test]
+    fn packed_streams_from_zero_match_the_oracle() {
+        // From |0…0⟩ the state is stored at 2^k amplitudes, k = rank of
+        // the stream's Mat1 directions: a few Mat1s (Y included) among
+        // 200 kernels of the rest of the alphabet keep k below n, and the
+        // read must still be the oracle's — probabilities, sampling
+        // table and on-support amplitudes to the bit, zeros elsewhere.
+        let mut packed = 0;
+        for n in 1..=12usize {
+            for round in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(7100 + 10 * n as u64 + round);
+                let mat1s = rng.gen_range(0..=n / 2 + 1);
+                let mut kernels: Vec<Kernel> =
+                    (0..200).map(|_| random_kernel(n, 7, &mut rng)).collect();
+                for _ in 0..mat1s {
+                    let at = rng.gen_range(0..=kernels.len());
+                    let kind = rng.gen_range(7..9u32);
+                    kernels.insert(at, random_kernel(n, kind + 1, &mut rng));
+                }
+                let packing = Packing::of(n, &kernels).unwrap();
+                packed += usize::from(packing.rank < n);
+                let mut state = FrameState::zero_in(&packing, Vec::new());
+                state.run(&kernels).unwrap();
+                let mut oracle = Statevector::zero(n).unwrap();
+                for kernel in &kernels {
+                    oracle.apply_kernel(kernel).unwrap();
+                }
+                assert_matches_oracle(state, &oracle, &format!("n={n} round {round}"));
+            }
+        }
+        assert!(packed > 30, "only {packed} of 48 streams stored less than 2^n");
+    }
+
+    #[test]
+    fn the_read_is_in_ascending_order_under_a_permuting_frame() {
+        // CX / SWAP / X after the Mat1s leave logical states stored out
+        // of order (v = 0 is not at p = 0, and p does not ascend with v):
+        // the gather must still produce them in ascending v.
+        let n = 6;
+        let kernels = [
+            Kernel::Mat1(1, matrices::u(0.9, 0.4, -1.1)),
+            Kernel::Mat1(4, matrices::h()),
+            Kernel::Cx(1, 3),
+            Kernel::Mat1(3, matrices::u(-2.0, 1.3, 0.2)),
+            Kernel::Swap(1, 4),
+            Kernel::Cx(4, 0),
+            Kernel::X(2),
+            Kernel::X(4),
+            Kernel::Phase1(0, Complex::I),
+        ];
+        let packing = Packing::of(n, kernels).unwrap();
+        assert_eq!(packing.rank, 3);
+        let mut state = FrameState::zero_in(&packing, Vec::new());
+        state.run(kernels).unwrap();
+        let order: Vec<(usize, usize)> = state.frame.stored_indices(&state.support()).collect();
+        let physical: Vec<usize> = order.iter().map(|&(_, p)| p).collect();
+        assert!(physical.windows(2).any(|w| w[0] > w[1]), "storage order {physical:?}");
+        assert!(order.windows(2).all(|w| w[0].0 < w[1].0), "read order {order:?}");
+        let mut oracle = Statevector::zero(n).unwrap();
+        for kernel in &kernels {
+            oracle.apply_kernel(kernel).unwrap();
+        }
+        assert_matches_oracle(state, &oracle, "permuted frame");
     }
 
     #[test]
@@ -877,7 +1116,7 @@ mod tests {
             for kernel in &kernels {
                 oracle.apply_kernel(kernel).unwrap();
             }
-            let mut state = FrameState::from_amps(n, start, Frame::identity());
+            let mut state = FrameState::stored(n, n, start, Frame::identity());
             state.run(kernels).unwrap();
             assert_eq!(bits(state.into_statevector().amps()), bits(oracle.amps()), "n={n}");
         }
@@ -899,7 +1138,8 @@ mod tests {
             (&[Kernel::Noop, Kernel::Cx(4, 1)], true),
             (&[Kernel::Swap(0, 4), h], false),
         ];
-        let mut state = FrameState::zero_in(n, Vec::new()).unwrap();
+        let stream = segments.iter().flat_map(|&(segment, _)| segment);
+        let mut state = FrameState::zero_in(&Packing::of(n, stream).unwrap(), Vec::new());
         let mut oracle = Statevector::zero(n).unwrap();
         let mut previous: Option<FrameSnapshot> = None;
         for (i, &(segment, shared)) in segments.iter().enumerate() {
@@ -911,8 +1151,8 @@ mod tests {
             if let Some(previous) = &previous {
                 assert_eq!(snapshot.shares_amps_with(previous), shared, "segment {i}");
             }
-            let restored = FrameState::restore_in(n, Vec::new(), &snapshot).into_statevector();
-            assert_eq!(bits(restored.amps()), bits(oracle.amps()), "segment {i}");
+            let restored = FrameState::restore_in(n, Vec::new(), &snapshot);
+            assert_matches_oracle(restored, &oracle, &format!("segment {i}"));
             previous = Some(snapshot);
         }
     }
@@ -921,14 +1161,20 @@ mod tests {
     fn rows_and_cols_stay_inverse_under_permutation_kernels() {
         let mut rng = StdRng::seed_from_u64(77);
         for n in [1usize, 2, 5, 16, DENSE_MAX_QUBITS] {
-            let mut frame = Frame::identity();
-            for step in 0..400 {
-                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                match rng.gen_range(0..3u32) {
-                    0 => frame.x(a),
-                    1 => frame.cx(a, b),
-                    _ => frame.swap(a, b),
+            // From the packing of a random span: S onto the low k bits.
+            let directions: Vec<u128> = (0..rng.gen_range(0..=n))
+                .map(|_| u128::from(rng.gen_range(1..1u32 << n)))
+                .collect();
+            let support = Support::spanned(0, directions.iter().copied());
+            let mut frame = Frame::packing(n, &support);
+            for &direction in &directions {
+                let mut image = 0;
+                for q in 0..n {
+                    image ^= (direction >> q & 1) as u32 * frame.cols[q];
                 }
+                assert_eq!(image >> support.k, 0, "direction {direction:#b} at n={n}");
+            }
+            for step in 0..=400 {
                 for q in 0..n {
                     for r in 0..n {
                         assert_eq!(
@@ -938,13 +1184,19 @@ mod tests {
                         );
                     }
                 }
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                match rng.gen_range(0..3u32) {
+                    0 => frame.x(a),
+                    1 => frame.cx(a, b),
+                    _ => frame.swap(a, b),
+                }
             }
         }
     }
 
     #[test]
     fn reset_kernels_are_rejected() {
-        let mut state = FrameState::zero_in(3, Vec::new()).unwrap();
+        let mut state = FrameState::zero_in(&Packing::of(3, [Kernel::X(0)]).unwrap(), Vec::new());
         assert!(matches!(
             state.run([Kernel::X(0), Kernel::Reset(1)]),
             Err(SimError::Unsupported { .. })

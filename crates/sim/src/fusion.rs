@@ -13,8 +13,9 @@
 //! - **[`CompiledCircuit`]**: a whole circuit decoded into a kernel
 //!   stream (no-ops dropped), executed by the frame executor
 //!   ([`crate::frame`]): X/CX/SWAP update an index map in O(1),
-//!   diagonal runs are applied many-per-pass, and only `Mat1` kernels
-//!   and the final read touch the amplitude array.
+//!   diagonal runs are applied many-per-pass, only `Mat1` kernels and
+//!   the final read touch the amplitude array, and the array holds only
+//!   the `2^k` states the stream's `Mat1`s can reach.
 //!
 //! The module keeps the name of the sweep-fusion pass it used to hold
 //! (PR 5 → PR 15: runs of adjacent gates on one wire or one qubit pair
@@ -27,7 +28,7 @@
 use qcs_circuit::{Circuit, Gate, Instruction};
 use rand::Rng;
 
-use crate::frame::FrameState;
+use crate::frame::{FrameState, Packing};
 use crate::statevector::matrices;
 use crate::{Complex, SimError, Statevector, SvExec};
 
@@ -159,7 +160,7 @@ pub fn instruction_kernel(inst: &Instruction) -> Kernel {
 /// let compiled = CompiledCircuit::compile(&circuit);
 /// let framed = compiled.execute_with(&SvExec::auto()).unwrap();
 /// let eager = Statevector::from_circuit(&circuit).unwrap();
-/// assert_eq!(framed, eager); // bit-identical amplitudes
+/// assert_eq!(framed, eager); // equal amplitudes, to the bit on the support
 /// assert!(compiled.kernels().len() <= circuit.instructions().len());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -196,16 +197,19 @@ impl CompiledCircuit {
         &self.kernels
     }
 
-    /// Execute the stream on |0...0> through the frame executor and
-    /// materialise the final state — bit-identical to folding
-    /// [`Statevector::apply_kernel`] over [`CompiledCircuit::kernels`].
-    /// The parameter is read by nothing (see [`crate::SvExec`]).
+    /// Execute the stream on |0...0> through the frame executor, which
+    /// stores only the stream's support, and scatter the final state
+    /// into `2^n` zeros — equal to folding [`Statevector::apply_kernel`]
+    /// over [`CompiledCircuit::kernels`], bit for bit on the support (a
+    /// zero the oracle computes may be `-0.0` off it). The parameter is
+    /// read by nothing (see [`crate::SvExec`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] for oversized circuits or mid-circuit resets.
     pub fn execute_with(&self, _exec: &SvExec) -> Result<Statevector, SimError> {
-        let mut state = FrameState::zero_in(self.num_qubits, Vec::new())?;
+        let packing = Packing::of(self.num_qubits, &self.kernels)?;
+        let mut state = FrameState::zero_in(&packing, Vec::new());
         state.run(&self.kernels)?;
         Ok(state.into_statevector())
     }

@@ -35,6 +35,7 @@ mod frame;
 pub mod fusion;
 mod noisy;
 mod statevector;
+mod support;
 
 pub use backend::{
     sparse_amplitudes, BackendChoice, BackendDispatcher, BackendKind, CircuitProfile, MAX_CLBITS,

@@ -41,10 +41,12 @@
 //! - **Frame-tracked replay**: the shared ideal evolution and every
 //!   eventful trajectory run on a [`FrameState`] — X/CX/SWAP kernels and
 //!   injected X errors update an index map and move no data, diagonal
-//!   runs (and injected Z errors) are applied many-per-pass, and only
-//!   `Mat1` kernels, injected Y errors and the final probability gather
-//!   touch the `2^n` array. Decoherence and reset trajectories run on
-//!   [`Statevector`]'s appliers from their first event: they read
+//!   runs (and injected Z errors, and the phase half of an injected Y)
+//!   are applied many-per-pass, and only `Mat1` kernels and the final
+//!   probability gather touch the array. The array holds only the `2^k`
+//!   basis states the circuit's `Mat1`s can reach ([`Packing`]), and the
+//!   sampling table lists just those. Decoherence and reset trajectories
+//!   run on [`Statevector`]'s appliers from their first event: they read
 //!   `probability_one`, a sum in canonical index order, between gates.
 //! - **Noiseless-prefix reuse**: every trajectory evolves identically to
 //!   the ideal circuit until its first error event, so the ideal evolution
@@ -55,7 +57,7 @@
 //!   recorded Pauli injections. Checkpoints with only X / CX / SWAP
 //!   kernels between them share one amplitude buffer.
 //! - **Buffer reuse**: eventful trajectories build their statevector
-//!   inside their worker's one scratch buffer instead of a fresh `2^n`
+//!   inside their worker's one scratch buffer instead of a fresh
 //!   allocation each.
 //! - **Integer shot loop**: basis states come from the same
 //!   [`CdfSampler`] the reference uses, and readout errors are pre-scaled
@@ -71,9 +73,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::backend::{BackendChoice, MAX_CLBITS};
-use crate::frame::{FrameSnapshot, FrameState};
+use crate::frame::{FrameSnapshot, FrameState, Packing};
 use crate::fusion::{self, Kernel};
-use crate::statevector::matrices;
 use crate::{CdfSampler, Complex, Counts, SimError, Statevector, SvExec};
 
 /// Monte-Carlo noisy simulator configuration.
@@ -187,6 +188,9 @@ pub(crate) fn uniform_threshold(p: f64) -> u64 {
 /// states too large to snapshot the stride widens until the scheme
 /// degrades to plain recompute, which is still correct.
 struct PrefixCheckpoints {
+    /// How every state of the run is stored (trajectories starting
+    /// before the first checkpoint start from its |0..0>).
+    packing: Packing,
     stride: usize,
     /// `snapshots[j]` = the flushed state after `(j + 1) * stride`
     /// instructions: amplitudes in their physical order plus the frame
@@ -209,15 +213,16 @@ impl PrefixCheckpoints {
     ///
     /// Kernels stream through the frame executor in stride-aligned
     /// segments, so every snapshot lands on the exact same instruction
-    /// boundary as a sequential walk.
-    fn build(num_qubits: usize, steps: &[TrajStep]) -> Result<(Self, FrameState), SimError> {
-        let state_bytes = (1usize << num_qubits) * std::mem::size_of::<Complex>();
-        let max_snapshots = (CHECKPOINT_BUDGET_BYTES / state_bytes.max(1)).min(16);
+    /// boundary as a sequential walk. The budget counts the amplitudes a
+    /// snapshot stores, `packing.amplitudes()`.
+    fn build(packing: Packing, steps: &[TrajStep]) -> Result<(Self, FrameState), SimError> {
+        let state_bytes = packing.amplitudes() * std::mem::size_of::<Complex>();
+        let max_snapshots = (CHECKPOINT_BUDGET_BYTES / state_bytes).min(16);
         let stride = match max_snapshots {
             0 => steps.len().max(1),
             n => steps.len().div_ceil(n).max(1),
         };
-        let mut state = FrameState::zero_in(num_qubits, Vec::new())?;
+        let mut state = FrameState::zero_in(&packing, Vec::new());
         let mut snapshots = Vec::new();
         for (j, segment) in steps.chunks(stride).enumerate() {
             state.run(segment.iter().map(|step| &step.kernel))?;
@@ -225,7 +230,12 @@ impl PrefixCheckpoints {
                 snapshots.push(state.snapshot());
             }
         }
-        Ok((PrefixCheckpoints { stride, snapshots }, state))
+        let prefix = PrefixCheckpoints {
+            packing,
+            stride,
+            snapshots,
+        };
+        Ok((prefix, state))
     }
 
     /// The longest checkpointed prefix spanning at most `upto`
@@ -443,7 +453,7 @@ fn skip_ahead_trajectory<'a>(
     let buf = std::mem::take(&mut scratch.amps);
     let (mut next, mut state) = match prefix.restore_point(events[0].0 + 1) {
         Some((applied, snapshot)) => (applied, FrameState::restore_in(num_qubits, buf, snapshot)),
-        None => (0, FrameState::zero_in(num_qubits, buf)?),
+        None => (0, FrameState::zero_in(&prefix.packing, buf)),
     };
     let kernels = |range: std::ops::Range<usize>| steps[range].iter().map(|step| &step.kernel);
     for &(i, word) in events {
@@ -454,7 +464,7 @@ fn skip_ahead_trajectory<'a>(
         state.run(pauli_word_kernels(&steps[i].qubits, word))?;
     }
     state.run(kernels(next..steps.len()))?;
-    scratch.sampler.rebuild_with(|probs| state.probabilities_into(probs));
+    state.sample_table(&mut scratch.sampler);
     scratch.amps = state.into_amps();
     Ok(&scratch.sampler)
 }
@@ -601,24 +611,30 @@ impl NoisySimulator {
         let has_reset = steps.iter().any(|s| matches!(s.kernel, Kernel::Reset(_)));
         let skip_ahead = !self.decoherence && !has_reset;
 
-        // Work-aware trajectory fan-out: items are trajectories, work is
-        // (kernel applications) x (amplitudes), so a small circuit at a
-        // high thread count bypasses the pool instead of paying spawn
-        // overhead that dwarfs the work (the threads/{2,4,8} regression).
-        let work_per_traj = (steps.len().max(1) as u64) << num_qubits.min(40);
-        let traj_workers = ExecConfig::with_threads(self.threads)
-            .effective_threads_for_work(trajectories, work_per_traj);
-        let exec = ExecConfig::with_threads(traj_workers);
-
         let shared = if skip_ahead {
-            let (prefix, mut ideal) = PrefixCheckpoints::build(num_qubits, &steps)?;
+            let packing = Packing::of(num_qubits, steps.iter().map(|step| &step.kernel))?;
+            let (prefix, mut ideal) = PrefixCheckpoints::build(packing, &steps)?;
             let mut sampler = CdfSampler::default();
-            sampler.rebuild_with(|probs| ideal.probabilities_into(probs));
+            ideal.sample_table(&mut sampler);
             Shared::SkipAhead(prefix, sampler)
         } else {
             let stride = quiet_stride(num_qubits, steps.len());
             Shared::Quiet(QuietPath::build(num_qubits, &steps, stride)?)
         };
+
+        // Work-aware trajectory fan-out: items are trajectories, work is
+        // (kernel applications) x (stored amplitudes), so a small circuit
+        // at a high thread count bypasses the pool instead of paying
+        // spawn overhead that dwarfs the work (the threads/{2,4,8}
+        // regression).
+        let amplitudes = match &shared {
+            Shared::SkipAhead(prefix, _) => prefix.packing.amplitudes(),
+            Shared::Quiet(_) => 1 << num_qubits,
+        };
+        let work_per_traj = steps.len().max(1) as u64 * amplitudes as u64;
+        let traj_workers = ExecConfig::with_threads(self.threads)
+            .effective_threads_for_work(trajectories, work_per_traj);
+        let exec = ExecConfig::with_threads(traj_workers);
 
         let indices: Vec<usize> = (0..trajectories).collect();
         let partials = qcs_exec::parallel_map_with(
@@ -989,25 +1005,40 @@ pub(crate) fn draw_pauli_word(rng: &mut StdRng, k: usize) -> usize {
     rng.gen_range(1..=choices)
 }
 
-/// The kernels of a pre-drawn Pauli word (see [`draw_pauli_word`]): two
-/// bits per operand, identity factors skipped — the same X / Y / Z
-/// kernels [`fusion::instruction_kernel`] decodes those gates to. Shared
-/// with the sparse backend.
+/// The Pauli factors of a pre-drawn word (see [`draw_pauli_word`]): two
+/// bits per operand (1 = X, 2 = Y, 3 = Z), identity factors skipped.
+fn pauli_factors(qubits: &[Qubit], word: usize) -> impl Iterator<Item = (Gate, Qubit)> + '_ {
+    let factors = [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)];
+    let factor = move |(i, &q): (usize, &Qubit)| Some((factors[(word >> (2 * i)) & 3]?, q));
+    qubits.iter().enumerate().filter_map(factor)
+}
+
+/// The replay form of a pre-drawn Pauli word, run by the frame executor
+/// and the sparse backend: X and Z as [`fusion::instruction_kernel`]
+/// decodes them, Y as `X·diag(i, −i)` — a diagonal, then an index flip —
+/// so an injected error moves no amplitude to a new basis state and a
+/// trajectory fits its run's [`Packing`]. The amplitudes are the decoded
+/// `Mat1(y)`'s up to the sign of zeros (`0·a + (−i)·b` against `(−i)·b`),
+/// so every probability is the same to the bit.
 pub(crate) fn pauli_word_kernels(qubits: &[Qubit], word: usize) -> impl Iterator<Item = Kernel> + '_ {
-    qubits.iter().enumerate().filter_map(move |(i, q)| {
+    pauli_factors(qubits, word).flat_map(|(gate, q)| {
         let q = q.index();
-        match (word >> (2 * i)) & 3 {
-            0 => None,
-            1 => Some(Kernel::X(q)),
-            2 => Some(Kernel::Mat1(q, matrices::y())),
-            _ => Some(Kernel::Phase1(q, Complex::real(-1.0))),
+        match gate {
+            Gate::X => [Some(Kernel::X(q)), None],
+            Gate::Y => [Some(Kernel::PhasePair1(q, Complex::I, -Complex::I)), Some(Kernel::X(q))],
+            _ => [Some(Kernel::Phase1(q, Complex::real(-1.0))), None],
         }
+        .into_iter()
+        .flatten()
     })
 }
 
-/// Apply a pre-drawn Pauli word (see [`draw_pauli_word`]).
+/// Apply a pre-drawn Pauli word (see [`draw_pauli_word`]) in the oracle's
+/// form: each factor's gate as [`fusion::instruction_kernel`] decodes it.
 fn apply_pauli_word(state: &mut Statevector, qubits: &[Qubit], word: usize) -> Result<(), SimError> {
-    pauli_word_kernels(qubits, word).try_for_each(|kernel| state.apply_kernel(&kernel))
+    pauli_factors(qubits, word).try_for_each(|(gate, q)| {
+        state.apply_kernel(&fusion::instruction_kernel(&Instruction::gate(gate, &[q])))
+    })
 }
 
 /// The `(qubit, clbit)` pairs of final measurements (later measurements of
@@ -1301,19 +1332,39 @@ mod tests {
 
     #[test]
     fn pauli_word_kernels_are_the_decoded_gates() {
-        // The injected kernels are exactly what the gate table decodes
-        // X / Y / Z to, identity factors skipped.
+        // Every word's replay kernels leave the state the gate table's
+        // X / Y / Z leave, identity factors skipped: probabilities to the
+        // bit, amplitudes by value (Y's diagonal-then-flip and the
+        // decoded `Mat1(y)` may differ in the sign of a zero). None of
+        // them is a `Mat1`, so an injection adds no direction to a
+        // trajectory's support.
         let qubits = [Qubit(3), Qubit(0)];
+        let mut rng = StdRng::seed_from_u64(61);
+        let start: Vec<Complex> = (0..16)
+            .map(|i| match i % 5 {
+                0 => Complex::ZERO,
+                1 => Complex::new(-0.0, rng.gen_range(-1.0..1.0)),
+                _ => Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+            })
+            .collect();
+        let probs = |state: &Statevector| -> Vec<u64> {
+            state.probabilities().iter().map(|p| p.to_bits()).collect()
+        };
+        let gates = [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)];
         for word in 1..16usize {
-            let expected: Vec<Kernel> = qubits
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &q)| {
-                    let gate = [None, Some(Gate::X), Some(Gate::Y), Some(Gate::Z)][(word >> (2 * i)) & 3]?;
-                    Some(fusion::instruction_kernel(&Instruction::gate(gate, &[q])))
-                })
-                .collect();
-            assert_eq!(pauli_word_kernels(&qubits, word).collect::<Vec<_>>(), expected);
+            let mut decoded = Statevector::from_amps(4, start.clone());
+            for (i, &q) in qubits.iter().enumerate() {
+                if let Some(gate) = gates[(word >> (2 * i)) & 3] {
+                    decoded.apply(&Instruction::gate(gate, &[q])).unwrap();
+                }
+            }
+            let mut replayed = Statevector::from_amps(4, start.clone());
+            for kernel in pauli_word_kernels(&qubits, word) {
+                assert!(!matches!(kernel, Kernel::Mat1(..)), "word {word}: {kernel:?}");
+                replayed.apply_kernel(&kernel).unwrap();
+            }
+            assert_eq!(probs(&replayed), probs(&decoded), "word {word}: probabilities");
+            assert_eq!(replayed, decoded, "word {word}: amplitudes");
         }
     }
 
@@ -1480,6 +1531,11 @@ mod tests {
         state
     }
 
+    fn checkpoints(num_qubits: usize, steps: &[TrajStep]) -> (PrefixCheckpoints, FrameState) {
+        let packing = Packing::of(num_qubits, steps.iter().map(|step| &step.kernel)).unwrap();
+        PrefixCheckpoints::build(packing, steps).unwrap()
+    }
+
     fn materialised(num_qubits: usize, snapshot: &FrameSnapshot) -> Statevector {
         FrameState::restore_in(num_qubits, Vec::new(), snapshot).into_statevector()
     }
@@ -1496,7 +1552,7 @@ mod tests {
         ] {
             let n = c.num_qubits();
             let steps = decoded_steps(&c, &noisy_snapshot(n, 1.0));
-            let (prefix, ideal) = PrefixCheckpoints::build(n, &steps).unwrap();
+            let (prefix, ideal) = checkpoints(n, &steps);
             assert!(
                 prefix.snapshots.len() > 2,
                 "a {} instruction circuit should checkpoint",
@@ -1535,13 +1591,10 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).h(1).cx(0, 1).rz(0.7, 1).h(1).cx(1, 2).t(0).h(0);
         let steps = decoded_steps(&c, &noisy_snapshot(3, 1.0));
-        let (prefix, mut ideal) = PrefixCheckpoints::build(3, &steps).unwrap();
+        let (prefix, ideal) = checkpoints(3, &steps);
         assert_eq!(prefix.stride, 1, "an 8-step circuit fits the snapshot budget");
-        let mut expected = Vec::new();
-        ideal.probabilities_into(&mut expected);
-        let mut oracle = Vec::new();
-        oracle_prefix(3, &steps).probabilities_into(&mut oracle);
-        assert_eq!(expected, oracle);
+        let expected = ideal.into_statevector().probabilities();
+        assert_eq!(expected, oracle_prefix(3, &steps).probabilities());
         for upto in 1..steps.len() {
             let (applied, snapshot) = prefix.restore_point(upto).expect("stride 1");
             assert_eq!(applied, upto);
@@ -1549,8 +1602,7 @@ mod tests {
             state
                 .run(steps[applied..].iter().map(|step| &step.kernel))
                 .unwrap();
-            let mut probs = Vec::new();
-            state.probabilities_into(&mut probs);
+            let probs = state.into_statevector().probabilities();
             assert_eq!(probs, expected, "replay from {applied} diverged");
         }
     }

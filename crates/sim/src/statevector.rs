@@ -4,6 +4,7 @@ use qcs_circuit::{Circuit, Instruction};
 use rand::Rng;
 
 use crate::fusion::instruction_kernel;
+use crate::support::Support;
 use crate::Complex;
 
 /// Maximum register width of the *dense* statevector backend (memory:
@@ -452,6 +453,13 @@ impl Statevector {
 /// same RNG stream, because both consume exactly one uniform per draw and
 /// resolve it against the same forward prefix sums.
 ///
+/// A frame-tracked trajectory builds a *compressed* table: one entry per
+/// basis state of its support (the only states it can hold amplitude
+/// on), mapped back by rank. The full table's other entries add exact
+/// `+0.0` to the running sum, so the two tables hold the same prefix sums
+/// and resolve every draw to the same basis state — including the
+/// numerical tail, which is the register's last state in both.
+///
 /// # Examples
 ///
 /// ```
@@ -471,6 +479,12 @@ impl Statevector {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CdfSampler {
     cdf: Vec<f64>,
+    /// `None`: entry `i` is basis state `i`. `Some`: entry `j` is the
+    /// support's rank-`j` basis state.
+    support: Option<Support>,
+    /// The basis state a draw past the table's total resolves to: the
+    /// register's last one, `2^n - 1`.
+    tail: usize,
 }
 
 impl CdfSampler {
@@ -486,20 +500,37 @@ impl CdfSampler {
     /// zero-allocation path for loops that sample many states (e.g. one
     /// per Pauli trajectory).
     pub fn rebuild(&mut self, state: &Statevector) {
-        self.rebuild_with(|probs| state.probabilities_into(probs));
+        state.probabilities_into(&mut self.cdf);
+        self.accumulate(None, state.amps.len() - 1);
     }
 
-    /// Rebuild from whatever `fill` writes into the table's buffer: the
-    /// probabilities in canonical basis order, e.g. a frame-tracked
-    /// state's gather. Prefix summation is sequential (its rounding is
-    /// order-sensitive), so equal probabilities give an equal table.
-    pub(crate) fn rebuild_with(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
+    /// Rebuild the compressed table of a state of `num_qubits` qubits
+    /// whose amplitude lies on `support`: `fill` writes the probability
+    /// of each rank's basis state, in rank (= ascending basis) order. A
+    /// support of the whole register is the plain table.
+    pub(crate) fn rebuild_over(
+        &mut self,
+        num_qubits: usize,
+        support: Support,
+        fill: impl FnOnce(&mut Vec<f64>),
+    ) {
         fill(&mut self.cdf);
+        debug_assert_eq!(self.cdf.len(), 1 << support.k);
+        let support = (support.k < num_qubits).then_some(support);
+        self.accumulate(support, (1 << num_qubits) - 1);
+    }
+
+    /// Turn the probabilities in the buffer into their prefix sums.
+    /// Summation is sequential (its rounding is order-sensitive), so
+    /// equal probabilities give an equal table.
+    fn accumulate(&mut self, support: Option<Support>, tail: usize) {
         let mut acc = 0.0f64;
         for p in &mut self.cdf {
             acc += *p;
             *p = acc;
         }
+        self.support = support;
+        self.tail = tail;
     }
 
     /// Sample one basis state by binary search over the cumulative table.
@@ -510,9 +541,12 @@ impl CdfSampler {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         assert!(!self.cdf.is_empty(), "CdfSampler::sample on an empty table");
         let u: f64 = rng.gen_range(0.0..1.0);
-        self.cdf
-            .partition_point(|&c| c <= u)
-            .min(self.cdf.len() - 1) // numerical tail
+        let entry = self.cdf.partition_point(|&c| c <= u);
+        match &self.support {
+            _ if entry == self.cdf.len() => self.tail, // numerical tail
+            None => entry,
+            Some(support) => support.basis_of_rank(support.x0, entry as u64) as usize,
+        }
     }
 }
 
@@ -709,6 +743,37 @@ mod tests {
         let mut sampler = CdfSampler::of(&a);
         sampler.rebuild(&b);
         assert_eq!(sampler, CdfSampler::of(&b));
+    }
+
+    #[test]
+    fn compressed_table_resolves_every_draw_as_the_full_one() {
+        // A state on the support {1, 3, 5, 7} of a 4-qubit register whose
+        // probabilities sum to 21/64: most draws land past the total, and
+        // both tables must send them to the register's last state, 15 —
+        // not to the support's last, 7 — and every other draw to the
+        // same basis state.
+        let support = Support::spanned(0b0001, [0b0100, 0b0010]);
+        let on_support = [(1, 0.5), (3, 0.0), (5, 0.25), (7, 0.125)];
+        let mut amps = vec![Complex::ZERO; 16];
+        for (v, amp) in on_support {
+            amps[v] = Complex::real(amp);
+        }
+        let full = CdfSampler::of(&Statevector::from_amps(4, amps));
+        let mut compressed = CdfSampler::default();
+        compressed.rebuild_over(4, support, |probs| {
+            probs.clear();
+            probs.extend(on_support.map(|(_, amp)| amp * amp));
+        });
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut drawn = [0usize; 16];
+        for _ in 0..2000 {
+            let mut twin = rng.clone();
+            let basis = compressed.sample(&mut rng);
+            assert_eq!(basis, full.sample(&mut twin));
+            drawn[basis] += 1;
+        }
+        assert!(drawn[15] > 1000 && drawn[1] > 0 && drawn[5] > 0 && drawn[7] > 0, "{drawn:?}");
+        assert_eq!(drawn.iter().sum::<usize>(), drawn[1] + drawn[5] + drawn[7] + drawn[15]);
     }
 
     #[test]

@@ -351,6 +351,87 @@ proptest! {
     }
 }
 
+/// A routed-looking circuit: rotations (every `Mat1`) on a strict subset
+/// of at most six "logical" wires, moved about a register of up to 14 by
+/// CX and SWAP ladders, with `Rz`s anywhere — so a trajectory's support,
+/// the span of its `Mat1` directions, is usually far below `2^width`.
+fn arb_routed_circuit() -> impl Strategy<Value = Circuit> {
+    let op = (0u8..7, 0usize..14, 0usize..14, -3.0f64..3.0);
+    let wires = (8usize..15, 1usize..7, 0usize..1000);
+    (wires, proptest::collection::vec(op, 8..36)).prop_map(|((width, logical, pick), ops)| {
+        // The logical wires: `logical` of them, a window of the register
+        // starting at a random wire.
+        let logical: Vec<usize> =
+            (0..logical.min(width - 1)).map(|i| (pick + 2 * i) % width).collect();
+        let mut c = Circuit::new(width);
+        for (kind, a, b, theta) in ops {
+            let (a, b) = (a % width, b % width);
+            let rotated = logical[a % logical.len()];
+            let (low, high) = (a.min(b), a.max(b));
+            match kind {
+                0 => {
+                    c.h(rotated);
+                }
+                1 => {
+                    c.ry(theta, rotated);
+                }
+                2 => {
+                    c.rz(theta, a);
+                }
+                3 => {
+                    for q in low..high {
+                        c.cx(q, q + 1);
+                    }
+                }
+                4 => {
+                    for q in (low..high).rev() {
+                        c.swap(q, q + 1);
+                    }
+                }
+                5 => {
+                    c.cx(a, if b == a { (b + 1) % width } else { b });
+                }
+                _ => {
+                    c.x(a);
+                }
+            }
+        }
+        c.measure_all();
+        c
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn noisy_routed_circuits_match_reference(
+        circuit in arb_routed_circuit(),
+        seed in 0u64..10_000,
+        scale in 1.0f64..6.0,
+    ) {
+        // The dense path stores each trajectory at 2^k amplitudes, k the
+        // rank of the circuit's Mat1 directions, and injects Y errors as
+        // a diagonal and a flip: Counts must still be the reference's,
+        // bit for bit, from one trajectory to many.
+        use qcs::calibration::NoiseProfile;
+        use qcs::sim::NoisySimulator;
+        let snap = NoiseProfile::with_seed(seed ^ 0x5A5A)
+            .scaled_errors(scale)
+            .snapshot(&families::complete(circuit.num_qubits()), 0);
+        for trajectories in [1, 3, 128] {
+            let sim = NoisySimulator {
+                trajectories,
+                seed,
+                ..NoisySimulator::default()
+            };
+            let reference = sim.with_threads(1).run_reference(&circuit, &snap, 256).unwrap();
+            let optimized = sim.with_threads(2).run(&circuit, &snap, 256).unwrap();
+            prop_assert_eq!(reference, optimized, "{} trajectories", trajectories);
+        }
+    }
+}
+
 /// A random small cloud trace: jobs on machines 0-3 from providers 0-3
 /// with strictly increasing submit times and a mix of patience levels
 /// (impatient enough to cancel, patient enough to run, infinite).
