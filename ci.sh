@@ -48,6 +48,13 @@ cargo test -q --workspace
 #   enumerate an affine span in ascending order; and Counts of
 #   routed-style circuits (CX/SWAP ladders over <= 14 wires, Mat1s on <= 6
 #   of them) equal run_reference at 1, 3 and 128 trajectories.
+# --test compiler_pin; -p qcs-transpiler optimize_iterates_rounds: the
+#   compiler's whole output (instruction stream with angle bits, layout,
+#   SWAP count, output metrics, schedule bits) for every fleet machine x
+#   {qft 4/8/12, full-width ghz, qv 8, bv 10, hea 6} x four option sets,
+#   plus multiprogramming packs on toronto and manhattan, folds to one
+#   pinned digest; a layout, routing or peephole change that moves any
+#   compiled circuit fails it. optimize runs rounds to a fixed point.
 # -p qcs-sim optimized_path_matches_reference; --test properties
 #   cdf_sampler_matches_linear_scan: the one shot path (CdfSampler +
 #   readout thresholds, every shot recorded into Counts) equals the
@@ -138,6 +145,10 @@ bash benchmark/run.sh --quick
 # golden.json's digest, so a frame-executor bug that only shows there
 # cannot pass.
 bash benchmark/run.sh --workload sim_fleet --seed 2021 --seconds 3 --trace 0
+# Likewise the compiler: --quick compiles one calibration epoch, the full
+# compile_fleet config all 16, and exits non-zero unless its digest is
+# golden.json's 771e3308110a00e2.
+bash benchmark/run.sh --workload compile_fleet --seed 2021 --seconds 3 --trace 0
 
 # Manifest gate: every Cargo.toml declares exactly the crates its sources
 # use, so `cargo tree` is the architecture (DESIGN.md §2: the job trip

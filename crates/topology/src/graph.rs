@@ -111,20 +111,27 @@ impl CouplingGraph {
     /// BFS distances from `source` to every node (`None` if unreachable).
     #[must_use]
     pub fn distances_from(&self, source: usize) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.num_qubits];
-        let mut queue = VecDeque::new();
-        dist[source] = Some(0);
+        let mut row = vec![usize::MAX; self.num_qubits];
+        self.bfs_into(source, &mut row, &mut VecDeque::new());
+        row.into_iter()
+            .map(|d| (d != usize::MAX).then_some(d))
+            .collect()
+    }
+
+    /// BFS from `source` into `row`, which must hold `usize::MAX` on entry;
+    /// unreachable nodes keep it.
+    fn bfs_into(&self, source: usize, row: &mut [usize], queue: &mut VecDeque<usize>) {
+        row[source] = 0;
         queue.push_back(source);
         while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("visited nodes have a distance");
+            let du = row[u];
             for &v in &self.adjacency[u] {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
+                if row[v] == usize::MAX {
+                    row[v] = du + 1;
                     queue.push_back(v);
                 }
             }
         }
-        dist
     }
 
     /// Shortest-path distance between `a` and `b` in hops.
@@ -167,19 +174,21 @@ impl CouplingGraph {
         None
     }
 
-    /// All-pairs distance matrix; `usize::MAX` marks unreachable pairs.
+    /// All-pairs distance matrix, flat and row-major: the distance from
+    /// `a` to `b` is entry `a * num_qubits + b`, and `usize::MAX` marks
+    /// unreachable pairs.
     ///
-    /// O(V·E); cheap at device sizes (≤ a few thousand qubits).
+    /// One BFS per node into a single buffer: O(V·E), cheap at device sizes
+    /// (≤ a few thousand qubits).
     #[must_use]
-    pub fn distance_matrix(&self) -> Vec<Vec<usize>> {
-        (0..self.num_qubits)
-            .map(|s| {
-                self.distances_from(s)
-                    .into_iter()
-                    .map(|d| d.unwrap_or(usize::MAX))
-                    .collect()
-            })
-            .collect()
+    pub fn distance_matrix(&self) -> Vec<usize> {
+        let n = self.num_qubits;
+        let mut dist = vec![usize::MAX; n * n];
+        let mut queue = VecDeque::with_capacity(n);
+        for (source, row) in dist.chunks_exact_mut(n.max(1)).enumerate() {
+            self.bfs_into(source, row, &mut queue);
+        }
+        dist
     }
 
     /// Whether the graph is connected (vacuously true for 0/1 nodes).
@@ -361,11 +370,23 @@ mod tests {
     fn distance_matrix_symmetric() {
         let g = path(6);
         let m = g.distance_matrix();
-        for (i, row) in m.iter().enumerate() {
-            for (j, &d) in row.iter().enumerate() {
-                assert_eq!(d, m[j][i]);
+        assert_eq!(m.len(), 36);
+        for i in 0..6 {
+            for j in 0..6 {
+                assert_eq!(m[i * 6 + j], m[j * 6 + i]);
+                assert_eq!(Some(m[i * 6 + j]), g.distance(i, j));
             }
         }
-        assert_eq!(m[0][5], 5);
+        assert_eq!(m[5], 5);
+    }
+
+    #[test]
+    fn distance_matrix_marks_unreachable_pairs() {
+        let g = CouplingGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let m = g.distance_matrix();
+        assert_eq!(m[1], 1);
+        assert_eq!(m[2], usize::MAX);
+        assert_eq!(m[2 * 4 + 3], 1);
+        assert!(CouplingGraph::edgeless(0).distance_matrix().is_empty());
     }
 }

@@ -12,8 +12,9 @@
 //!   parameter bits, and operand indices),
 //! * the target (machine name, coupling edges, and the complete
 //!   calibration snapshot including its cycle — the "calibration epoch"),
-//! * the [`TranspileOptions`] (layout/routing method, optimization level,
-//!   SABRE tuning).
+//! * the [`TranspileOptions`] (layout/routing method, optimization level).
+//!   SABRE's lookahead window, its weight and the decay increment are
+//!   constants of the routing pass, not options, so they are not keyed.
 //!
 //! Keys are two independently-seeded 64-bit [`FxHasher`] digests over that
 //! material; a collision requires both 64-bit streams to collide at once.

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use qcs_circuit::Circuit;
+use qcs_topology::CouplingGraph;
 
 use crate::{Target, TranspileError};
 
@@ -192,6 +193,12 @@ enum RegionObjective {
 
 /// Greedily grow a connected region of `k` physical qubits from every
 /// possible seed; keep the best-scoring region.
+///
+/// Each seed grows by the frontier qubit with the lowest (score, index).
+/// A frontier qubit's score depends only on which of its neighbors are
+/// taken (region or `blocked`), so adding a qubit rescores just its
+/// neighbors; the minimum over the frontier is the same whatever order the
+/// frontier is scanned in.
 fn best_region(
     circuit: &Circuit,
     target: &Target,
@@ -220,67 +227,103 @@ fn best_region(
         return Ok(vec![best]);
     }
 
+    // Calibration read once: each qubit's readout error, the CX error of
+    // each of its couplings in neighbor order, and of each edge in
+    // `edges()` order.
+    let readout: Vec<f64> = (0..n)
+        .map(|q| target.snapshot().qubit(q).readout_error)
+        .collect();
+    let neighbor_cx: Vec<Vec<f64>> = (0..n)
+        .map(|v| {
+            graph
+                .neighbors(v)
+                .iter()
+                .map(|&u| target.cx_error_or(v, u, 1.0))
+                .collect()
+        })
+        .collect();
+    let edge_cx: Vec<f64> = graph
+        .edges()
+        .iter()
+        .map(|&(a, b)| target.cx_error_or(a, b, 1.0))
+        .collect();
+
+    // Score of a frontier qubit against the taken set.
+    let score = |v: usize, taken: &[bool]| -> f64 {
+        let mut count = 0usize;
+        let mut sum = 0.0f64;
+        for (&u, &err) in graph.neighbors(v).iter().zip(&neighbor_cx[v]) {
+            if taken[u] {
+                count += 1;
+                sum += err;
+            }
+        }
+        match objective {
+            // Maximize edges into region (negated: lower is better).
+            RegionObjective::Density => -(count as f64),
+            // Average error of edges connecting v to the region plus its
+            // readout error.
+            RegionObjective::LowError => sum / count.max(1) as f64 + 0.5 * readout[v],
+        }
+    };
+
+    let mut taken = vec![false; n];
+    let mut in_region = vec![false; n];
+    let mut scores = vec![0.0f64; n];
+    let mut on_frontier = vec![false; n];
+    let mut frontier: Vec<usize> = Vec::new();
+    let mut region: Vec<usize> = Vec::with_capacity(k);
     let mut best_region: Option<(f64, Vec<usize>)> = None;
     for seed in (0..n).filter(|&q| !blocked[q]) {
-        let mut region = vec![seed];
-        let mut in_region = blocked.to_vec();
-        in_region[seed] = true;
-        while region.len() < k {
-            // Candidate frontier: neighbors of the region.
-            let mut best_cand: Option<(f64, usize)> = None;
-            for &r in &region {
-                for &v in graph.neighbors(r) {
-                    if in_region[v] {
-                        continue;
-                    }
-                    let score = match objective {
-                        RegionObjective::Density => {
-                            // Maximize edges into region (negated: lower is better).
-                            -(graph
-                                .neighbors(v)
-                                .iter()
-                                .filter(|&&u| in_region[u])
-                                .count() as f64)
-                        }
-                        RegionObjective::LowError => {
-                            // Average error of edges connecting v to the region
-                            // plus its readout error.
-                            let edges: Vec<f64> = graph
-                                .neighbors(v)
-                                .iter()
-                                .filter(|&&u| in_region[u])
-                                .map(|&u| target.cx_error_or(v, u, 1.0))
-                                .collect();
-                            let avg_edge =
-                                edges.iter().sum::<f64>() / edges.len().max(1) as f64;
-                            avg_edge + 0.5 * target.snapshot().qubit(v).readout_error
-                        }
-                    };
-                    let better = best_cand
-                        .as_ref()
-                        .is_none_or(|&(s, q)| score < s || (score == s && v < q));
-                    if better {
-                        best_cand = Some((score, v));
-                    }
+        taken.copy_from_slice(blocked);
+        for &v in &frontier {
+            on_frontier[v] = false;
+        }
+        frontier.clear();
+        region.clear();
+        let mut added = seed;
+        loop {
+            taken[added] = true;
+            region.push(added);
+            if region.len() == k {
+                break;
+            }
+            for &v in graph.neighbors(added) {
+                if taken[v] {
+                    continue;
+                }
+                scores[v] = score(v, &taken);
+                if !on_frontier[v] {
+                    on_frontier[v] = true;
+                    frontier.push(v);
                 }
             }
-            match best_cand {
-                Some((_, v)) => {
-                    in_region[v] = true;
-                    region.push(v);
+            let Some(at) = (0..frontier.len()).reduce(|best, i| {
+                let (v, q) = (frontier[i], frontier[best]);
+                if scores[v] < scores[q] || (scores[v] == scores[q] && v < q) {
+                    i
+                } else {
+                    best
                 }
-                None => break, // ran out of connected qubits from this seed
-            }
+            }) else {
+                break; // ran out of connected qubits from this seed
+            };
+            added = frontier.swap_remove(at);
+            on_frontier[added] = false;
         }
         if region.len() < k {
             continue;
         }
-        let score = region_score(target, &region, &objective);
-        let better = best_region
-            .as_ref()
-            .is_none_or(|(s, _)| score < *s);
+        for &q in &region {
+            in_region[q] = true;
+        }
+        let score = region_score(graph, &edge_cx, &readout, &region, &in_region, &objective);
+        for &q in &region {
+            in_region[q] = false;
+        }
+        let better = best_region.as_ref().is_none_or(|(s, _)| score < *s);
         if better {
-            best_region = Some((score, region));
+            best_region = Some((score, region.clone()));
         }
     }
     best_region
@@ -291,14 +334,22 @@ fn best_region(
         })
 }
 
-fn region_score(target: &Target, region: &[usize], objective: &RegionObjective) -> f64 {
-    let in_region: std::collections::HashSet<usize> = region.iter().copied().collect();
+/// Score of a finished region (`in_region` is its membership mask); lower
+/// is better.
+fn region_score(
+    graph: &CouplingGraph,
+    edge_cx: &[f64],
+    readout: &[f64],
+    region: &[usize],
+    in_region: &[bool],
+    objective: &RegionObjective,
+) -> f64 {
     let mut edge_count = 0usize;
     let mut err_sum = 0.0f64;
-    for &(a, b) in target.topology().edges() {
-        if in_region.contains(&a) && in_region.contains(&b) {
+    for (&(a, b), &err) in graph.edges().iter().zip(edge_cx) {
+        if in_region[a] && in_region[b] {
             edge_count += 1;
-            err_sum += target.cx_error_or(a, b, 1.0);
+            err_sum += err;
         }
     }
     match objective {
@@ -306,10 +357,7 @@ fn region_score(target: &Target, region: &[usize], objective: &RegionObjective) 
         RegionObjective::Density => -(edge_count as f64),
         // Lower mean edge error + readout is better.
         RegionObjective::LowError => {
-            let ro: f64 = region
-                .iter()
-                .map(|&q| target.snapshot().qubit(q).readout_error)
-                .sum();
+            let ro: f64 = region.iter().map(|&q| readout[q]).sum();
             err_sum / edge_count.max(1) as f64 + 0.2 * ro / region.len().max(1) as f64
         }
     }
@@ -331,25 +379,25 @@ fn place_by_interaction(circuit: &Circuit, target: &Target, region: &[usize]) ->
     logical_order.sort_by_key(|&q| std::cmp::Reverse(logical_weight[q]));
 
     // Physical slot quality: degree within region, then inverse error.
-    let in_region: std::collections::HashSet<usize> = region.iter().copied().collect();
+    let graph = target.topology();
+    let mut in_region = vec![false; graph.num_qubits()];
+    for &p in region {
+        in_region[p] = true;
+    }
     let slot_quality = |p: usize| -> (usize, f64) {
-        let deg = target
-            .topology()
+        let deg = graph.neighbors(p).iter().filter(|&&u| in_region[u]).count();
+        let err: f64 = graph
             .neighbors(p)
             .iter()
-            .filter(|&&u| in_region.contains(&u))
-            .count();
-        let err: f64 = target
-            .topology()
-            .neighbors(p)
-            .iter()
-            .filter(|&&u| in_region.contains(&u))
+            .filter(|&&u| in_region[u])
             .map(|&u| target.cx_error_or(p, u, 1.0))
             .sum();
         (deg, -err)
     };
 
-    let mut free: Vec<usize> = region.to_vec();
+    // Free slots in region order, each with its quality.
+    let mut free: Vec<(usize, (usize, f64))> =
+        region.iter().map(|&p| (p, slot_quality(p))).collect();
     let mut l2p = vec![usize::MAX; k];
 
     for &logical in &logical_order {
@@ -367,23 +415,19 @@ fn place_by_interaction(circuit: &Circuit, target: &Target, region: &[usize]) ->
                 }
             })
             .collect();
-        let choice = free
+        let adj = |s: usize| {
+            placed_partners
+                .iter()
+                .filter(|&&pp| graph.are_coupled(s, pp))
+                .count()
+        };
+        let (at, _) = free
             .iter()
-            .copied()
-            .max_by(|&p, &q| {
-                let adj = |s: usize| {
-                    placed_partners
-                        .iter()
-                        .filter(|&&pp| target.topology().are_coupled(s, pp))
-                        .count()
-                };
-                (adj(p), slot_quality(p))
-                    .partial_cmp(&(adj(q), slot_quality(q)))
-                    .expect("slot scores comparable")
-            })
+            .enumerate()
+            .map(|(i, &(p, quality))| (i, (adj(p), quality)))
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("slot scores comparable"))
             .expect("region has a slot for every logical qubit");
-        l2p[logical] = choice;
-        free.retain(|&p| p != choice);
+        l2p[logical] = free.remove(at).0;
     }
     Layout::from_logical_to_physical(l2p).expect("region slots are distinct")
 }

@@ -2,7 +2,7 @@
 
 use std::f64::consts::PI;
 
-use qcs_circuit::{Circuit, Gate, Instruction};
+use qcs_circuit::{Circuit, Gate, Instruction, Qubit};
 
 /// Merge runs of adjacent `rz` rotations on the same qubit and drop
 /// rotations that reduce to the identity.
@@ -19,99 +19,24 @@ use qcs_circuit::{Circuit, Gate, Instruction};
 /// ```
 #[must_use]
 pub fn merge_rotations(circuit: &Circuit) -> Circuit {
-    let n = circuit.num_qubits();
-    let mut out = Circuit::with_clbits(n, circuit.num_clbits());
-    // Pending rz angle per qubit, flushed when a non-rz touches the qubit.
-    let mut pending = vec![0.0f64; n];
-
-    let flush = |out: &mut Circuit, pending: &mut [f64], q: usize| {
-        let theta = pending[q];
-        pending[q] = 0.0;
-        let reduced = theta.rem_euclid(2.0 * PI);
-        if reduced.abs() > 1e-12 && (reduced - 2.0 * PI).abs() > 1e-12 {
-            out.rz(theta, q);
-        }
-    };
-
-    for inst in circuit.instructions() {
-        if let Gate::Rz(theta) = inst.gate {
-            pending[inst.qubits[0].index()] += theta;
-            continue;
-        }
-        for q in &inst.qubits {
-            flush(&mut out, &mut pending, q.index());
-        }
-        out.push(inst.clone());
-    }
-    for q in 0..n {
-        flush(&mut out, &mut pending, q);
-    }
-    out
+    let insts = circuit.instructions();
+    let merged = merge_pass(insts, &vec![true; insts.len()], circuit.num_qubits());
+    rebuilt(circuit, merged)
 }
 
 /// Cancel adjacent self-inverse gate pairs (`X X`, `H H`, `CX CX`, ...)
 /// acting on identical operands. Repeats until a fixed point.
 #[must_use]
 pub fn cancel_adjacent_inverses(circuit: &Circuit) -> Circuit {
-    let mut current: Vec<Option<Instruction>> =
-        circuit.instructions().iter().cloned().map(Some).collect();
-    let n = circuit.num_qubits();
-
-    loop {
-        let mut changed = false;
-        // last un-cancelled instruction index seen on each qubit.
-        let mut last_on: Vec<Option<usize>> = vec![None; n];
-        for idx in 0..current.len() {
-            let Some(inst) = current[idx].clone() else {
-                continue;
-            };
-            if inst.gate.is_directive() || inst.gate == Gate::Measure || inst.gate == Gate::Reset {
-                for q in &inst.qubits {
-                    last_on[q.index()] = Some(idx);
-                }
-                continue;
-            }
-            // The candidate predecessor must be the immediately previous
-            // instruction on *all* operand qubits.
-            let preds: Vec<Option<usize>> =
-                inst.qubits.iter().map(|q| last_on[q.index()]).collect();
-            let same_pred = preds
-                .first()
-                .copied()
-                .flatten()
-                .filter(|&p| preds.iter().all(|&x| x == Some(p)));
-            if let Some(p) = same_pred {
-                if let Some(prev) = current[p].clone() {
-                    let cancels = prev.gate.is_self_inverse()
-                        && prev.gate == inst.gate
-                        && prev.qubits == inst.qubits;
-                    if cancels {
-                        current[p] = None;
-                        current[idx] = None;
-                        changed = true;
-                        // Restore last_on to the pre-`prev` state lazily: a
-                        // full rescan on the next iteration handles chains.
-                        for q in &inst.qubits {
-                            last_on[q.index()] = None;
-                        }
-                        continue;
-                    }
-                }
-            }
-            for q in &inst.qubits {
-                last_on[q.index()] = Some(idx);
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut out = Circuit::with_clbits(n, circuit.num_clbits());
-    for inst in current.into_iter().flatten() {
-        out.push(inst);
-    }
-    out
+    let insts = circuit.instructions();
+    let alive = cancel_pass(insts, circuit.num_qubits());
+    let kept = insts
+        .iter()
+        .zip(&alive)
+        .filter(|&(_, &a)| a)
+        .map(|(inst, _)| inst.clone())
+        .collect();
+    rebuilt(circuit, kept)
 }
 
 /// Merge `rz` rotations that commute through intervening gates: an `rz`
@@ -132,8 +57,143 @@ pub fn cancel_adjacent_inverses(circuit: &Circuit) -> Circuit {
 /// ```
 #[must_use]
 pub fn commute_rz_cancellation(circuit: &Circuit) -> Circuit {
+    let fused = commute_pass(circuit.instructions().to_vec(), circuit.num_qubits());
+    rebuilt(circuit, fused)
+}
+
+/// The default optimization pipeline: inverse cancellation, rotation
+/// merging, and commutation-aware rz fusion, iterated to a fixed point
+/// (bounded).
+///
+/// Each round reads the previous round's instructions by reference: the
+/// cancellation marks survivors in place, rotation merging clones each
+/// survivor once, and the rz fusion moves them on. A round whose output
+/// equals its input is the fixed point (equal here means equal bits: every
+/// angle a round recomputes is non-zero).
+#[must_use]
+pub fn optimize(circuit: &Circuit) -> Circuit {
     let n = circuit.num_qubits();
-    let instructions = circuit.instructions();
+    let round = |insts: &[Instruction]| {
+        let alive = cancel_pass(insts, n);
+        commute_pass(merge_pass(insts, &alive, n), n)
+    };
+    let mut current = round(circuit.instructions());
+    if current != circuit.instructions() {
+        for _ in 1..4 {
+            let next = round(&current);
+            if next == current {
+                break;
+            }
+            current = next;
+        }
+    }
+    rebuilt(circuit, current)
+}
+
+/// An unnamed circuit over `like`'s registers holding `instructions`.
+fn rebuilt(like: &Circuit, instructions: Vec<Instruction>) -> Circuit {
+    let mut out = Circuit::with_clbits(like.num_qubits(), like.num_clbits());
+    for inst in instructions {
+        out.push(inst);
+    }
+    out
+}
+
+/// Whether an `rz` by `theta` is not the identity.
+fn is_nontrivial_rz(theta: f64) -> bool {
+    let reduced = theta.rem_euclid(2.0 * PI);
+    reduced.abs() > 1e-12 && (reduced - 2.0 * PI).abs() > 1e-12
+}
+
+fn rz(theta: f64, q: usize) -> Instruction {
+    Instruction::gate(Gate::Rz(theta), &[Qubit::from(q)])
+}
+
+/// [`cancel_adjacent_inverses`]' sweeps: which instructions survive.
+fn cancel_pass(insts: &[Instruction], n: usize) -> Vec<bool> {
+    let mut alive = vec![true; insts.len()];
+    // last un-cancelled instruction index seen on each qubit.
+    let mut last_on: Vec<Option<usize>> = vec![None; n];
+    loop {
+        let mut changed = false;
+        last_on.fill(None);
+        for (idx, inst) in insts.iter().enumerate() {
+            if !alive[idx] {
+                continue;
+            }
+            if inst.gate.is_directive() || inst.gate == Gate::Measure || inst.gate == Gate::Reset {
+                for q in &inst.qubits {
+                    last_on[q.index()] = Some(idx);
+                }
+                continue;
+            }
+            // The candidate predecessor must be the immediately previous
+            // instruction on *all* operand qubits.
+            let same_pred = inst
+                .qubits
+                .first()
+                .and_then(|q| last_on[q.index()])
+                .filter(|&p| inst.qubits.iter().all(|q| last_on[q.index()] == Some(p)));
+            if let Some(p) = same_pred {
+                let prev = &insts[p];
+                let cancels = alive[p]
+                    && prev.gate.is_self_inverse()
+                    && prev.gate == inst.gate
+                    && prev.qubits == inst.qubits;
+                if cancels {
+                    alive[p] = false;
+                    alive[idx] = false;
+                    changed = true;
+                    // Restore last_on to the pre-`prev` state lazily: a
+                    // full rescan on the next iteration handles chains.
+                    for q in &inst.qubits {
+                        last_on[q.index()] = None;
+                    }
+                    continue;
+                }
+            }
+            for q in &inst.qubits {
+                last_on[q.index()] = Some(idx);
+            }
+        }
+        if !changed {
+            return alive;
+        }
+    }
+}
+
+/// [`merge_rotations`] over the instructions of `insts` marked `alive`.
+fn merge_pass(insts: &[Instruction], alive: &[bool], n: usize) -> Vec<Instruction> {
+    let mut out = Vec::with_capacity(insts.len());
+    // Pending rz angle per qubit, flushed when a non-rz touches the qubit.
+    let mut pending = vec![0.0f64; n];
+
+    let flush = |out: &mut Vec<Instruction>, pending: &mut [f64], q: usize| {
+        let theta = pending[q];
+        pending[q] = 0.0;
+        if is_nontrivial_rz(theta) {
+            out.push(rz(theta, q));
+        }
+    };
+
+    for (inst, _) in insts.iter().zip(alive).filter(|&(_, &a)| a) {
+        if let Gate::Rz(theta) = inst.gate {
+            pending[inst.qubits[0].index()] += theta;
+            continue;
+        }
+        for q in &inst.qubits {
+            flush(&mut out, &mut pending, q.index());
+        }
+        out.push(inst.clone());
+    }
+    for q in 0..n {
+        flush(&mut out, &mut pending, q);
+    }
+    out
+}
+
+/// [`commute_rz_cancellation`] over an owned instruction stream.
+fn commute_pass(instructions: Vec<Instruction>, n: usize) -> Vec<Instruction> {
     // For each instruction, the accumulated rz angle that will be emitted
     // *in its place* (rz instructions are absorbed forward when they can
     // commute to a later rz).
@@ -176,39 +236,21 @@ pub fn commute_rz_cancellation(circuit: &Circuit) -> Circuit {
         }
     }
 
-    let mut out = Circuit::with_clbits(n, circuit.num_clbits());
-    for (idx, inst) in instructions.iter().enumerate() {
+    let mut out = Vec::with_capacity(instructions.len());
+    for (idx, inst) in instructions.into_iter().enumerate() {
         if drop[idx] {
             continue;
         }
         if let Gate::Rz(t) = inst.gate {
             let total = t + extra_angle[idx];
-            let reduced = total.rem_euclid(2.0 * PI);
-            if reduced.abs() > 1e-12 && (reduced - 2.0 * PI).abs() > 1e-12 {
-                out.rz(total, inst.qubits[0].index());
+            if is_nontrivial_rz(total) {
+                out.push(rz(total, inst.qubits[0].index()));
             }
             continue;
         }
-        out.push(inst.clone());
+        out.push(inst);
     }
     out
-}
-
-/// The default optimization pipeline: inverse cancellation, rotation
-/// merging, and commutation-aware rz fusion, iterated to a fixed point
-/// (bounded).
-#[must_use]
-pub fn optimize(circuit: &Circuit) -> Circuit {
-    let mut current = circuit.clone();
-    for _ in 0..4 {
-        let next =
-            commute_rz_cancellation(&merge_rotations(&cancel_adjacent_inverses(&current)));
-        if next == current {
-            break;
-        }
-        current = next;
-    }
-    current
 }
 
 #[cfg(test)]
@@ -349,6 +391,16 @@ mod tests {
         both.extend_from(&fwd.inverse()).unwrap();
         let out = optimize(&both);
         assert_eq!(out.size(), 0, "compute-uncompute should vanish: {out}");
+    }
+
+    #[test]
+    fn optimize_iterates_rounds_to_a_fixed_point() {
+        // Round one merges the rz pair away; only round two can then
+        // cancel the X pair it separated.
+        let mut c = Circuit::new(1);
+        c.x(0).rz(0.3, 0).rz(-0.3, 0).x(0);
+        assert_eq!(merge_rotations(&cancel_adjacent_inverses(&c)).size(), 2);
+        assert_eq!(optimize(&c).size(), 0);
     }
 
     #[test]

@@ -25,14 +25,14 @@ use crate::{Target, TranspileError};
 /// at each wire's final physical location. Emitting them inline would let
 /// a later SWAP reuse a measured physical qubit, which has no meaning
 /// under terminal-measurement semantics.
-fn split_measures(circuit: &Circuit) -> (Vec<Instruction>, Vec<(Qubit, Clbit)>) {
+fn split_measures(circuit: &Circuit) -> (Vec<&Instruction>, Vec<(Qubit, Clbit)>) {
     let mut body = Vec::new();
     let mut measures = Vec::new();
     for inst in circuit.instructions() {
         if inst.gate == Gate::Measure {
             measures.push((inst.qubits[0], inst.clbits[0]));
         } else {
-            body.push(inst.clone());
+            body.push(inst);
         }
     }
     (body, measures)
@@ -65,7 +65,7 @@ pub fn naive_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
     let mut swaps = 0usize;
     let (body, measures) = split_measures(circuit);
 
-    for inst in &body {
+    for inst in body {
         if inst.gate.is_two_qubit() {
             let (wa, wb) = (inst.qubits[0].index(), inst.qubits[1].index());
             let (mut pa, pb) = (loc[wa], loc[wb]);
@@ -87,10 +87,8 @@ pub fn naive_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
                     swaps += 1;
                     let other_wire = at[next];
                     at.swap(pa, next);
-                    loc[at[pa]] = pa;
                     loc[other_wire] = pa;
                     loc[wa] = next;
-                    at[next] = wa;
                     pa = next;
                 }
             }
@@ -126,10 +124,10 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
     let n = target.num_qubits();
     check_input(circuit, target)?;
     let graph = target.topology();
+    // Row-major: the distance from `a` to `b` is `dist[a * n + b]`.
     let dist = graph.distance_matrix();
 
-    let (body, measures) = split_measures(circuit);
-    let insts: &[Instruction] = &body;
+    let (insts, measures) = split_measures(circuit);
     let num_insts = insts.len();
 
     // Dependency structure: per-qubit chains.
@@ -137,16 +135,14 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
     let mut successors: Vec<Vec<usize>> = vec![Vec::new(); num_insts];
     {
         let mut last_on: Vec<Option<usize>> = vec![None; n];
+        let mut preds: Vec<usize> = Vec::new();
         for (idx, inst) in insts.iter().enumerate() {
-            let mut preds: Vec<usize> = inst
-                .qubits
-                .iter()
-                .filter_map(|q| last_on[q.index()])
-                .collect();
+            preds.clear();
+            preds.extend(inst.qubits.iter().filter_map(|q| last_on[q.index()]));
             preds.sort_unstable();
             preds.dedup();
             indegree[idx] = preds.len();
-            for p in preds {
+            for &p in &preds {
                 successors[p].push(idx);
             }
             for q in &inst.qubits {
@@ -164,15 +160,32 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
 
     let mut ready: Vec<usize> = (0..num_insts).filter(|&i| indegree[i] == 0).collect();
 
-    // Safety budget: no sane routing needs more SWAPs than this.
-    let swap_budget = 10 * (num_insts + 1) * (graph.diameter().unwrap_or(n) + 1);
+    // Safety budget: no sane routing needs more SWAPs than this. The
+    // diameter is the largest distance, or unknown on a disconnected graph.
+    let diameter = if dist.contains(&usize::MAX) {
+        None
+    } else {
+        dist.iter().copied().max()
+    };
+    let swap_budget = 10 * (num_insts + 1) * (diameter.unwrap_or(n) + 1);
+
+    // Buffers reused across SWAP steps. `seen[i] == stamp` marks the
+    // instructions the current step's lookahead walk has reached.
+    let mut next_ready: Vec<usize> = Vec::new();
+    let mut front: Vec<(usize, usize)> = Vec::new();
+    let mut lookahead: Vec<(usize, usize)> = Vec::new();
+    let mut frontier: Vec<usize> = Vec::new();
+    let mut next: Vec<usize> = Vec::new();
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    let mut seen = vec![0u64; num_insts];
+    let mut stamp = 0u64;
 
     while executed < num_insts {
         // Phase 1: drain everything executable.
         let mut progressed = true;
         while progressed {
             progressed = false;
-            let mut next_ready = Vec::new();
+            next_ready.clear();
             for &idx in &ready {
                 let inst = &insts[idx];
                 let executable = if inst.gate.is_two_qubit() {
@@ -196,7 +209,7 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
                     next_ready.push(idx);
                 }
             }
-            ready = next_ready;
+            std::mem::swap(&mut ready, &mut next_ready);
             if progressed {
                 // Progress resets decay, per the SABRE heuristic.
                 decay.iter_mut().for_each(|d| *d = 0.0);
@@ -207,54 +220,52 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
         }
 
         // Phase 2: the front layer is blocked; pick the best SWAP.
-        let front: Vec<(usize, usize)> = ready
-            .iter()
-            .filter(|&&i| insts[i].gate.is_two_qubit())
-            .map(|&i| {
-                (
-                    loc[insts[i].qubits[0].index()],
-                    loc[insts[i].qubits[1].index()],
-                )
-            })
-            .collect();
+        let on_loc = |i: usize| {
+            (
+                loc[insts[i].qubits[0].index()],
+                loc[insts[i].qubits[1].index()],
+            )
+        };
+        frontier.clear();
+        frontier.extend(
+            ready
+                .iter()
+                .copied()
+                .filter(|&i| insts[i].gate.is_two_qubit()),
+        );
+        front.clear();
+        front.extend(frontier.iter().map(|&i| on_loc(i)));
         debug_assert!(!front.is_empty(), "blocked without blocked 2q gates");
 
         // Lookahead window: upcoming 2q gates reached by walking the
         // dependency successors of the blocked front gates.
-        let mut lookahead: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut frontier: Vec<usize> = ready
-                .iter()
-                .copied()
-                .filter(|&i| insts[i].gate.is_two_qubit())
-                .collect();
-            let mut seen: std::collections::HashSet<usize> =
-                frontier.iter().copied().collect();
-            'walk: while !frontier.is_empty() && lookahead.len() < LOOKAHEAD {
-                let mut next = Vec::new();
-                for &idx in &frontier {
-                    for &s in &successors[idx] {
-                        if seen.insert(s) {
-                            if insts[s].gate.is_two_qubit() {
-                                lookahead.push((
-                                    loc[insts[s].qubits[0].index()],
-                                    loc[insts[s].qubits[1].index()],
-                                ));
-                                if lookahead.len() >= LOOKAHEAD {
-                                    break 'walk;
-                                }
+        stamp += 1;
+        for &i in &frontier {
+            seen[i] = stamp;
+        }
+        lookahead.clear();
+        'walk: while !frontier.is_empty() && lookahead.len() < LOOKAHEAD {
+            next.clear();
+            for &idx in &frontier {
+                for &s in &successors[idx] {
+                    if seen[s] != stamp {
+                        seen[s] = stamp;
+                        if insts[s].gate.is_two_qubit() {
+                            lookahead.push(on_loc(s));
+                            if lookahead.len() >= LOOKAHEAD {
+                                break 'walk;
                             }
-                            next.push(s);
                         }
+                        next.push(s);
                     }
                 }
-                frontier = next;
             }
+            std::mem::swap(&mut frontier, &mut next);
         }
 
         // Candidate swaps: edges touching a front-gate qubit (collected
         // from adjacency lists rather than scanning the whole edge set).
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
+        candidates.clear();
         for &(pa, pb) in &front {
             for &q in [pa, pb].iter() {
                 for &nb in graph.neighbors(q) {
@@ -279,15 +290,14 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
             };
             let front_cost: f64 = front
                 .iter()
-                .map(|&(pa, pb)| dist[swapped(pa)][swapped(pb)] as f64)
+                .map(|&(pa, pb)| dist[swapped(pa) * n + swapped(pb)] as f64)
                 .sum();
             let look_cost: f64 = lookahead
                 .iter()
-                .map(|&(pa, pb)| dist[swapped(pa)][swapped(pb)] as f64)
+                .map(|&(pa, pb)| dist[swapped(pa) * n + swapped(pb)] as f64)
                 .sum::<f64>()
                 / lookahead.len().max(1) as f64;
-            let score = (front_cost / front.len() as f64
-                + LOOKAHEAD_WEIGHT * look_cost)
+            let score = (front_cost / front.len() as f64 + LOOKAHEAD_WEIGHT * look_cost)
                 * (1.0 + decay[a] + decay[b]);
             let better = best
                 .as_ref()
