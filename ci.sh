@@ -81,12 +81,22 @@ cargo test -q --workspace
 # -p qcs-gateway fleet_sim_conserves_under_a_sampled_exact_sink: the
 #   fleet conservation audit counts every executed record even when the
 #   exact sink keeps one background record in five.
-# --test chaos_gateway: every fault mode (drops, garbles, truncations,
-#   slow-loris writes, handler panics, machine outages) against 6
-#   concurrent clients, all served at once on a default-config gateway
-#   (gateway_smoke's 8 likewise: not 4 + 4 behind a hand-set pool), every
-#   panic caught on its own session thread and counted exactly, with a
-#   clean audited drain and bit-identical fault-free replay.
+# --test chaos_gateway: a seeded proxy's four wire faults (drops,
+#   garbles, truncations, slow-loris writes) against 6 concurrent clients
+#   on one gateway, plus machine outages, each fault predicted and counted
+#   exactly, no handler panic, a clean audited drain and bit-identical
+#   fault-free replay.
+# -p qcs --lib fault::tests: the proxy's roll (tests/support/wire_fault.rs)
+#   is pure in (seed, line), seed-dependent and partitioned; garble breaks
+#   the verb.
+# -p qcs-gateway handler_panics_are_contained_to_their_session: three
+#   sessions panic mid-request (a test-build trigger line) while another
+#   keeps its replies; each panic is caught and counted, the drain audits
+#   clean.
+# -p qcs-gateway --test hostile_lines: generated lines (grammar verbs or
+#   garbage, arity +-1, hostile fields) never panic Request::parse,
+#   round-trip when they parse, and get typed replies from a live gateway
+#   with no handler panic and a clean audit.
 # --test properties streaming: the O(1)-memory streaming sink matches the
 #   exact in-memory fold on random traces under any step schedule
 #   (count/mean bit-identical, sketches within documented tolerance).

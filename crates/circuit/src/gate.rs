@@ -8,6 +8,10 @@
 use std::f64::consts::PI;
 use std::fmt;
 
+use qcs_calibration::{CalibrationSnapshot, DEFAULT_CX_NS, MEASURE_NS, RESET_NS, SINGLE_QUBIT_NS};
+
+use crate::Qubit;
+
 /// A quantum gate or circuit directive.
 ///
 /// Gates carry their continuous parameters inline (e.g. [`Gate::Rz`] holds
@@ -104,6 +108,39 @@ impl Gate {
     #[must_use]
     pub fn is_directive(&self) -> bool {
         matches!(self, Gate::Barrier)
+    }
+
+    /// Nominal duration of this gate on `qubits` under `snapshot`,
+    /// nanoseconds: the fleet's one pulse-duration policy, which the
+    /// transpiler schedules with and the simulator sizes decoherence
+    /// windows by. `rz` is virtual (a frame change), and barriers and `id`
+    /// take no time. A two-qubit gate takes its edge's calibrated CX
+    /// duration ([`DEFAULT_CX_NS`] on an uncalibrated edge), and a SWAP is
+    /// three CX pulses back to back. Measurement and reset take
+    /// [`MEASURE_NS`] and [`RESET_NS`]; every other gate is one
+    /// [`SINGLE_QUBIT_NS`] pulse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a two-qubit gate is given fewer than two qubits.
+    #[must_use]
+    pub fn duration_ns(&self, qubits: &[Qubit], snapshot: &CalibrationSnapshot) -> f64 {
+        match self {
+            Gate::Barrier | Gate::Id | Gate::Rz(_) => 0.0,
+            Gate::Measure => MEASURE_NS,
+            Gate::Reset => RESET_NS,
+            g if g.is_two_qubit() => {
+                let cx_ns = snapshot
+                    .edge(qubits[0].index(), qubits[1].index())
+                    .map_or(DEFAULT_CX_NS, |e| e.cx_duration_ns);
+                if *g == Gate::Swap {
+                    3.0 * cx_ns
+                } else {
+                    cx_ns
+                }
+            }
+            _ => SINGLE_QUBIT_NS,
+        }
     }
 
     /// The lowercase OpenQASM-style mnemonic for this gate.
@@ -213,6 +250,35 @@ impl fmt::Display for Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn duration_policy_charges_each_gate_class() {
+        use qcs_calibration::{EdgeCalibration, QubitCalibration};
+        let qubit = QubitCalibration {
+            t1_us: 100.0,
+            t2_us: 100.0,
+            single_qubit_error: 0.0,
+            readout_error: 0.0,
+        };
+        let edge = EdgeCalibration {
+            cx_error: 0.0,
+            cx_duration_ns: 400.0,
+        };
+        let snapshot = CalibrationSnapshot::new(0, vec![qubit; 3], [((0, 1), edge)].into());
+        let ns = |gate: Gate, qubits: &[u32]| {
+            let qubits: Vec<Qubit> = qubits.iter().copied().map(Qubit).collect();
+            gate.duration_ns(&qubits, &snapshot)
+        };
+        for free in [Gate::Rz(0.3), Gate::Id, Gate::Barrier] {
+            assert_eq!(ns(free, &[0]), 0.0, "{free:?}");
+        }
+        assert_eq!(ns(Gate::X, &[0]), SINGLE_QUBIT_NS);
+        assert_eq!(ns(Gate::Measure, &[0]), MEASURE_NS);
+        assert_eq!(ns(Gate::Reset, &[0]), RESET_NS);
+        assert_eq!(ns(Gate::Cx, &[1, 0]), 400.0);
+        assert_eq!(ns(Gate::Cx, &[1, 2]), DEFAULT_CX_NS, "uncalibrated edge");
+        assert_eq!(ns(Gate::Swap, &[0, 1]), 1200.0, "three CX pulses");
+    }
 
     #[test]
     fn arity_matches_kind() {

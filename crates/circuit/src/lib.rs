@@ -5,9 +5,11 @@
 //! structural metrics ([`CircuitMetrics`]), a benchmark-circuit
 //! [`library`], and OpenQASM 2.0 serialization ([`qasm`]).
 //!
-//! This crate is the bottom of the workspace dependency stack: the
-//! transpiler rewrites these circuits, the simulator executes them, and the
-//! cloud/workload crates ship them around as job payloads.
+//! This crate is the bottom of the circuit stack, below everything but
+//! the calibration model its gate durations read
+//! ([`Gate::duration_ns`]): the transpiler rewrites these circuits, the
+//! simulator executes them, and the workload crate sizes trace jobs from
+//! them.
 //!
 //! # Examples
 //!

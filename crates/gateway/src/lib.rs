@@ -18,10 +18,6 @@
 //!   `expect_used` are denied outside tests).
 //! - [`ratelimit`] — per-provider [`TokenBucket`]s in simulation time.
 //! - [`metrics`] — the [`GatewayMetrics`] counters behind `METRICS`.
-//! - [`fault`] — deterministic, content-keyed fault injection
-//!   ([`FaultPlan`]): connection drops, garbled lines, truncated and
-//!   stalled writes, handler panics, machine outages. Drives
-//!   `tests/chaos_gateway.rs`.
 //! - [`server`] — [`Gateway`]: an accept loop spawning one thread per
 //!   session (bounded; one over the bound is refused `BUSY`), handlers
 //!   with read timeouts / idle reaping / line-length caps, admission
@@ -82,7 +78,6 @@
 
 pub mod client;
 pub mod error;
-pub mod fault;
 pub mod fleet;
 pub mod metrics;
 pub mod protocol;
@@ -93,7 +88,6 @@ pub use client::{
     GatewayClient, LoadGenerator, PredictEstimate, ReplayReport, DEFAULT_READ_TIMEOUT,
 };
 pub use error::{ErrorCode, GatewayError, ProtocolError};
-pub use fault::{FaultKind, FaultPlan};
 pub use fleet::{check_conservation, FleetClient, FleetSim, GatewayFleet, ShardMap};
 pub use metrics::GatewayMetrics;
 pub use protocol::{Request, Response};

@@ -1,7 +1,5 @@
 //! Gateway counters, snapshotted by the `METRICS` request.
 
-use crate::fault::FaultKind;
-
 /// Monotonic counters over the gateway's lifetime. All counts are jobs
 /// unless noted; `submitted = accepted + rejected_rate +
 /// rejected_backpressure + rejected_invalid`.
@@ -38,36 +36,17 @@ pub struct GatewayMetrics {
     /// Connections closed by the idle reaper (no complete request line
     /// within the idle timeout).
     pub reaped_idle: u64,
-    /// Faults injected by the active [`FaultPlan`](crate::FaultPlan),
-    /// indexed by [`FaultKind::index`].
-    pub faults_injected: [u64; 5],
     /// `PREDICT` requests answered with an estimate (`ERR NOT_READY` and
     /// invalid-machine rejections do not count).
     pub predictions_served: u64,
 }
 
+/// Count one event on a [`GatewayMetrics`] counter, pinning at `u64::MAX`.
+pub(crate) fn bump(counter: &mut u64) {
+    *counter = counter.saturating_add(1);
+}
+
 impl GatewayMetrics {
-    /// Record one injected fault.
-    pub fn note_fault(&mut self, kind: FaultKind) {
-        let slot = kind.index();
-        self.faults_injected[slot] = self.faults_injected[slot].saturating_add(1);
-    }
-
-    /// Total faults injected across all modes.
-    #[must_use]
-    pub fn faults_total(&self) -> u64 {
-        self.faults_injected.iter().sum()
-    }
-
-    /// Handler panics injected by [`FaultKind::PanicHandler`]. Every one
-    /// of these must show up in `Gateway::handler_panics` (caught on the
-    /// session's own thread) — and vice versa when no other fault source
-    /// exists.
-    #[must_use]
-    pub fn injected_panics(&self) -> u64 {
-        self.faults_injected[FaultKind::PanicHandler.index()]
-    }
-
     /// Render as ordered `key=value` pairs for the `METRICS` response.
     /// `sim_time_s` is appended by the server from the live clock.
     #[must_use]
@@ -85,8 +64,6 @@ impl GatewayMetrics {
             ("connections", self.connections),
             ("protocol_errors", self.protocol_errors),
             ("reaped_idle", self.reaped_idle),
-            ("faults_injected", self.faults_total()),
-            ("injected_panics", self.injected_panics()),
             ("predictions_served", self.predictions_served),
         ]
         .into_iter()
@@ -114,7 +91,7 @@ mod tests {
         assert_eq!(completed.1, "1");
         let cancelled = pairs.iter().find(|(k, _)| k == "cancelled").unwrap();
         assert_eq!(cancelled.1, "1");
-        assert_eq!(pairs.len(), 15);
+        assert_eq!(pairs.len(), 13);
         let served = pairs
             .iter()
             .find(|(k, _)| k == "predictions_served")
@@ -123,20 +100,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_track_kinds_and_panics() {
-        let mut metrics = GatewayMetrics::default();
-        metrics.note_fault(FaultKind::DropConnection);
-        metrics.note_fault(FaultKind::PanicHandler);
-        metrics.note_fault(FaultKind::PanicHandler);
-        assert_eq!(metrics.faults_total(), 3);
-        assert_eq!(metrics.injected_panics(), 2);
-    }
-
-    #[test]
     fn counters_saturate_instead_of_wrapping() {
-        let mut metrics = GatewayMetrics::default();
-        metrics.faults_injected[FaultKind::PanicHandler.index()] = u64::MAX;
-        metrics.note_fault(FaultKind::PanicHandler);
-        assert_eq!(metrics.injected_panics(), u64::MAX, "pinned, not wrapped");
+        let mut metrics = GatewayMetrics {
+            protocol_errors: u64::MAX - 1,
+            ..GatewayMetrics::default()
+        };
+        bump(&mut metrics.protocol_errors);
+        bump(&mut metrics.protocol_errors);
+        assert_eq!(metrics.protocol_errors, u64::MAX, "pinned, not wrapped");
     }
 }

@@ -27,9 +27,10 @@
 //! `ERR LINE_TOO_LONG` and the connection closed), and non-UTF-8 lines
 //! are answered `ERR NOT_UTF8`. Nothing a peer can send panics a
 //! handler — `clippy::unwrap_used`/`expect_used` are denied crate-wide
-//! outside tests — and a [`FaultPlan`] can deterministically inject
-//! connection drops, garbled lines, truncated/stalled writes, and
-//! handler panics to prove it (see `tests/chaos_gateway.rs`).
+//! outside tests — and should one panic anyway, the session's thread
+//! catches it and every other session keeps serving. The chaos suite
+//! (`tests/chaos_gateway.rs`) drives a gateway through a seeded proxy
+//! that drops, garbles, truncates and stalls lines on the wire.
 //!
 //! [`Gateway::shutdown_and_drain`] stops accepting, joins every handler,
 //! runs the simulator to completion, and returns the final
@@ -42,13 +43,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use qcs_cloud::{CloudConfig, JobSpec, LiveCloud, SimulationResult};
+use qcs_cloud::{CloudConfig, JobSpec, LiveCloud, OutagePlan, SimulationResult};
 use qcs_machine::{Fleet, Machine};
 use qcs_predictor::{OnlinePredictor, PredictError};
 
 use crate::error::{ErrorCode, ProtocolError};
-use crate::fault::{FaultKind, FaultPlan};
-use crate::metrics::GatewayMetrics;
+use crate::metrics::{bump, GatewayMetrics};
 use crate::protocol::{Request, Response};
 use crate::ratelimit::TokenBucket;
 
@@ -111,6 +111,13 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// astronomical times.
 pub const MAX_MEAN_DEPTH: f64 = 1e5;
 
+/// Largest finite `patience_s` a `SUBMIT` may carry: 30 days, past any
+/// queue wait the paper reports. A finite patience schedules a cancel
+/// check that stays queued after the job starts, and the drain runs the
+/// simulation clock — and the queue-sample grid behind it — out to that
+/// check, so an unbounded one exhausts memory at shutdown.
+const MAX_PATIENCE_S: f64 = 30.0 * 86_400.0;
+
 /// Admission check on the job shape of a `SUBMIT` aimed at `machine`.
 /// Field values that are invalid on any machine are `BAD_FIELD`; values
 /// over this machine's caps are `REJECTED`.
@@ -135,9 +142,11 @@ fn check_job_shape(
             "mean_width must be finite and >= 1, got {mean_width}"
         ));
     }
-    // `inf` is the patient default; only NaN and negatives are invalid.
-    if !(0.0..=f64::INFINITY).contains(&patience_s) {
-        return bad_field(format!("patience_s must be >= 0, got {patience_s}"));
+    // `inf` is the patient default.
+    if patience_s != f64::INFINITY && !(0.0..=MAX_PATIENCE_S).contains(&patience_s) {
+        return bad_field(format!(
+            "patience_s must be in [0, {MAX_PATIENCE_S}] or inf, got {patience_s}"
+        ));
     }
     let (name, qubits) = (machine.name(), machine.num_qubits());
     if mean_width > qubits as f64 {
@@ -228,23 +237,23 @@ impl State {
                 mean_width,
                 patience_s,
             } => {
-                self.metrics.submitted = self.metrics.submitted.saturating_add(1);
+                bump(&mut self.metrics.submitted);
                 let Some(machine_idx) = self.resolve_machine(machine) else {
-                    self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
+                    bump(&mut self.metrics.rejected_invalid);
                     return Response::err(
                         ErrorCode::UnknownMachine,
                         format!("unknown machine {machine:?}"),
                     );
                 };
                 if *provider as usize >= self.buckets.len() {
-                    self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
+                    bump(&mut self.metrics.rejected_invalid);
                     return Response::err(
                         ErrorCode::UnknownProvider,
                         format!("unknown provider {provider}"),
                     );
                 }
                 if *circuits == 0 || *shots == 0 {
-                    self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
+                    bump(&mut self.metrics.rejected_invalid);
                     return Response::err(ErrorCode::EmptyBatch, "circuits and shots must be >= 1");
                 }
                 if let Err(error) = check_job_shape(
@@ -255,16 +264,15 @@ impl State {
                     *mean_width,
                     *patience_s,
                 ) {
-                    self.metrics.rejected_invalid = self.metrics.rejected_invalid.saturating_add(1);
+                    bump(&mut self.metrics.rejected_invalid);
                     return Response::Err(error);
                 }
                 if !self.buckets[*provider as usize].try_take(self.cloud.now_s()) {
-                    self.metrics.rejected_rate = self.metrics.rejected_rate.saturating_add(1);
+                    bump(&mut self.metrics.rejected_rate);
                     return Response::Busy(format!("rate limit: provider {provider}"));
                 }
                 if self.cloud.queue_depth(machine_idx) >= self.max_pending {
-                    self.metrics.rejected_backpressure =
-                        self.metrics.rejected_backpressure.saturating_add(1);
+                    bump(&mut self.metrics.rejected_backpressure);
                     return Response::Busy(format!(
                         "queue full: machine {} at {} pending",
                         machine, self.max_pending
@@ -288,12 +296,11 @@ impl State {
                 match self.cloud.submit(spec) {
                     Ok(()) => {
                         self.next_id += 1;
-                        self.metrics.accepted = self.metrics.accepted.saturating_add(1);
+                        bump(&mut self.metrics.accepted);
                         Response::Ok(id)
                     }
                     Err(err) => {
-                        self.metrics.rejected_invalid =
-                            self.metrics.rejected_invalid.saturating_add(1);
+                        bump(&mut self.metrics.rejected_invalid);
                         Response::err(ErrorCode::Rejected, err.to_string())
                     }
                 }
@@ -307,8 +314,7 @@ impl State {
             },
             Request::Cancel(id) => {
                 if self.cloud.cancel(*id) {
-                    self.metrics.cancelled_via_api =
-                        self.metrics.cancelled_via_api.saturating_add(1);
+                    bump(&mut self.metrics.cancelled_via_api);
                     // Pick the cancellation outcome (if the job had already
                     // entered service) up immediately, not on the next
                     // advance.
@@ -349,8 +355,7 @@ impl State {
                 let estimate = lock(&self.online).predict(machine_idx, *circuits, *shots, pending);
                 match estimate {
                     Ok(est) => {
-                        self.metrics.predictions_served =
-                            self.metrics.predictions_served.saturating_add(1);
+                        bump(&mut self.metrics.predictions_served);
                         Response::Predict {
                             machine: self.cloud.fleet().machines()[machine_idx]
                                 .name()
@@ -412,7 +417,7 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Bind a loopback port and start serving with no fault injection.
+    /// Bind a loopback port and start serving, every machine up.
     ///
     /// # Errors
     ///
@@ -422,13 +427,13 @@ impl Gateway {
         cloud_config: CloudConfig,
         config: GatewayConfig,
     ) -> std::io::Result<Gateway> {
-        Gateway::start_with_faults(fleet, cloud_config, config, FaultPlan::none())
+        let outages = OutagePlan::none(fleet.len());
+        Gateway::start_with_outages(fleet, cloud_config, config, outages)
     }
 
-    /// Bind a loopback port and start serving under a fault-injection
-    /// plan: wire/handler faults per [`FaultPlan::decide`], plus machine
-    /// outages threaded into the [`LiveCloud`] when
-    /// [`FaultPlan::outages`] is set.
+    /// Bind a loopback port and start serving, with machine outage windows
+    /// threaded into the [`LiveCloud`]: jobs on a machine that is down
+    /// wait out its window.
     ///
     /// # Errors
     ///
@@ -436,13 +441,13 @@ impl Gateway {
     ///
     /// # Panics
     ///
-    /// Panics if the plan's outage windows cover a different number of
-    /// machines than the fleet (a configuration error, not peer input).
-    pub fn start_with_faults(
+    /// Panics if the outage windows cover a different number of machines
+    /// than the fleet (a configuration error, not peer input).
+    pub fn start_with_outages(
         fleet: Fleet,
         cloud_config: CloudConfig,
         config: GatewayConfig,
-        faults: FaultPlan,
+        outages: OutagePlan,
     ) -> std::io::Result<Gateway> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
@@ -454,14 +459,12 @@ impl Gateway {
         // windowed refit is each connection's to run between requests
         // (see `refit_off_lock`).
         let tap_online = Arc::clone(&online);
-        let mut cloud = LiveCloud::new(fleet, cloud_config)
+        let cloud = LiveCloud::new(fleet, cloud_config)
+            .with_outages(outages)
             .with_status_tracking()
             .with_record_tap(Box::new(move |record| {
                 lock(&tap_online).observe(record);
             }));
-        if let Some(outages) = faults.outages.clone() {
-            cloud = cloud.with_outages(outages);
-        }
         let state = Arc::new(Mutex::new(State {
             cloud,
             next_id: 0,
@@ -490,7 +493,6 @@ impl Gateway {
         let accept_clock = Arc::clone(&clock);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_panics = Arc::clone(&panics);
-        let plan = Arc::new(faults);
         let accept_handle = std::thread::Builder::new()
             .name("qcs-gateway-accept".to_string())
             .spawn(move || {
@@ -500,10 +502,7 @@ impl Gateway {
                         break;
                     }
                     let Ok(mut stream) = stream else { continue };
-                    {
-                        let mut state = lock(&accept_state);
-                        state.metrics.connections = state.metrics.connections.saturating_add(1);
-                    }
+                    bump(&mut lock(&accept_state).metrics.connections);
                     sessions.retain(|session| !session.is_finished());
                     if sessions.len() >= MAX_SESSIONS {
                         let refusal = Response::Busy("connection limit".to_string());
@@ -513,13 +512,12 @@ impl Gateway {
                     let state = Arc::clone(&accept_state);
                     let online = Arc::clone(&online);
                     let clock = Arc::clone(&accept_clock);
-                    let plan = Arc::clone(&plan);
                     let panics = Arc::clone(&accept_panics);
                     let session = std::thread::Builder::new()
                         .name("qcs-gateway-session".to_string())
                         .spawn(move || {
                             let serve = std::panic::AssertUnwindSafe(|| {
-                                handle_connection(stream, &state, &online, &clock, &plan, limits);
+                                handle_connection(stream, &state, &online, &clock, limits);
                             });
                             if std::panic::catch_unwind(serve).is_err() {
                                 panics.fetch_add(1, Ordering::SeqCst);
@@ -591,8 +589,7 @@ impl Gateway {
     }
 
     /// Connection-handler panics caught on their session threads so far.
-    /// With no [`FaultKind::PanicHandler`] injection this must stay `0`:
-    /// no peer input is allowed to panic a handler.
+    /// This must stay `0`: no peer input is allowed to panic a handler.
     #[must_use]
     pub fn handler_panics(&self) -> usize {
         self.panics.load(Ordering::SeqCst)
@@ -720,7 +717,7 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, limits: ConnLimits) -> L
     }
 }
 
-/// Write one response line, applying a wire fault when instructed.
+/// Write one response line.
 ///
 /// `buf` is a per-connection scratch buffer reused across responses, so
 /// the reply path does not allocate a fresh `String` per frame — on the
@@ -729,33 +726,13 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, limits: ConnLimits) -> L
 fn write_response(
     stream: &mut TcpStream,
     response: &Response,
-    fault: Option<FaultKind>,
-    plan: &FaultPlan,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     buf.clear();
     // Formatting into a Vec<u8> is infallible; any error here would be a
     // Display bug, which the protocol tests would catch.
     let _ = writeln!(buf, "{response}");
-    let bytes: &[u8] = buf;
-    match fault {
-        Some(FaultKind::TruncateResponse) => {
-            // A strict prefix, never the newline: the peer sees a
-            // truncated frame followed by EOF.
-            let cut = (bytes.len() / 2).max(1);
-            stream.write_all(&bytes[..cut])?;
-            stream.flush()
-        }
-        Some(FaultKind::PartialWrite) => {
-            let mid = bytes.len() / 2;
-            stream.write_all(&bytes[..mid])?;
-            stream.flush()?;
-            std::thread::sleep(plan.partial_write_stall);
-            stream.write_all(&bytes[mid..])?;
-            stream.flush()
-        }
-        _ => stream.write_all(bytes),
-    }
+    stream.write_all(buf)
 }
 
 /// Run the runtime-model refit if one is due, holding the predictor mutex
@@ -775,7 +752,6 @@ fn handle_connection(
     state: &Arc<Mutex<State>>,
     online: &Arc<Mutex<OnlinePredictor>>,
     clock: &Arc<SimClock>,
-    plan: &Arc<FaultPlan>,
     limits: ConnLimits,
 ) {
     if stream.set_read_timeout(Some(limits.read_timeout)).is_err() {
@@ -793,33 +769,25 @@ fn handle_connection(
             LineRead::Line(raw) => raw,
             LineRead::Eof | LineRead::Failed => return,
             LineRead::Idle => {
-                let mut guard = lock(state);
-                guard.metrics.reaped_idle = guard.metrics.reaped_idle.saturating_add(1);
-                drop(guard);
+                bump(&mut lock(state).metrics.reaped_idle);
                 return;
             }
             LineRead::TooLong => {
-                {
-                    let mut guard = lock(state);
-                    guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
-                }
+                bump(&mut lock(state).metrics.protocol_errors);
                 let response = Response::err(
                     ErrorCode::LineTooLong,
                     format!("line exceeds {} bytes", limits.max_line_bytes),
                 );
                 // The rest of the oversized line is unread; close rather
                 // than resynchronize.
-                let _ = write_response(&mut writer, &response, None, plan, &mut encode_buf);
+                let _ = write_response(&mut writer, &response, &mut encode_buf);
                 return;
             }
         };
         let Ok(line) = String::from_utf8(raw) else {
-            {
-                let mut guard = lock(state);
-                guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
-            }
+            bump(&mut lock(state).metrics.protocol_errors);
             let response = Response::err(ErrorCode::NotUtf8, "request line is not valid UTF-8");
-            if write_response(&mut writer, &response, None, plan, &mut encode_buf).is_err() {
+            if write_response(&mut writer, &response, &mut encode_buf).is_err() {
                 return;
             }
             continue;
@@ -827,42 +795,20 @@ fn handle_connection(
         if line.trim().is_empty() {
             continue;
         }
-        let now_s = clock.now_s();
-        let fault = plan.decide(&line, now_s);
-        if let Some(kind) = fault {
-            lock(state).metrics.note_fault(kind);
+        #[cfg(test)]
+        if line == tests::PANIC_LINE {
+            panic!("test-triggered handler panic");
         }
-        let line = match fault {
-            Some(FaultKind::DropConnection) => return,
-            Some(FaultKind::PanicHandler) => {
-                // Caught on this session's own thread: the connection
-                // dies, every other session keeps serving.
-                panic!("injected fault: handler panic");
-            }
-            Some(FaultKind::GarbleRequest) => FaultPlan::garble(&line),
-            _ => line,
-        };
+        let now_s = clock.now_s();
         let (response, quit) = match Request::parse(&line) {
             Ok(Request::Quit) => (Response::Bye, true),
             Ok(request) => (lock(state).respond(&request, now_s), false),
             Err(error) => {
-                {
-                    let mut guard = lock(state);
-                    guard.metrics.protocol_errors = guard.metrics.protocol_errors.saturating_add(1);
-                }
+                bump(&mut lock(state).metrics.protocol_errors);
                 (Response::Err(error), false)
             }
         };
-        let write_fault = matches!(
-            fault,
-            Some(FaultKind::TruncateResponse | FaultKind::PartialWrite)
-        )
-        .then_some(fault)
-        .flatten();
-        if write_response(&mut writer, &response, write_fault, plan, &mut encode_buf).is_err() {
-            return;
-        }
-        if quit || write_fault == Some(FaultKind::TruncateResponse) {
+        if write_response(&mut writer, &response, &mut encode_buf).is_err() || quit {
             return;
         }
         // The reply is on the wire and no lock is held: the completions
@@ -899,6 +845,59 @@ mod tests {
         client
             .request(&Request::parse(line).expect("test request parses"))
             .expect("request round-trips")
+    }
+
+    /// The request line on which a test build's session handler panics
+    /// (in a release build it is an unknown verb).
+    pub(super) const PANIC_LINE: &str = "PANIC";
+
+    /// A handler panic is contained to its session: three sessions panic
+    /// mid-request while another keeps getting correct replies, each panic
+    /// is caught on its own thread and counted, and the drain audits clean.
+    #[test]
+    fn handler_panics_are_contained_to_their_session() {
+        static QUIET: std::sync::Once = std::sync::Once::new();
+        QUIET.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let triggered = info
+                    .payload()
+                    .downcast_ref::<&str>()
+                    .is_some_and(|m| m.starts_with("test-triggered"));
+                if !triggered {
+                    default(info);
+                }
+            }));
+        });
+        const PANICKING: usize = 3;
+        let gateway = frozen(GatewayConfig::default());
+        let mut survivor = crate::GatewayClient::connect(gateway.addr()).unwrap();
+        for n in 0..PANICKING {
+            let mut doomed = TcpStream::connect(gateway.addr()).unwrap();
+            doomed
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            writeln!(doomed, "{PANIC_LINE}").unwrap();
+            let mut reply = Vec::new();
+            doomed.read_to_end(&mut reply).unwrap();
+            assert!(reply.is_empty(), "a panicking session answered {reply:?}");
+            assert_eq!(
+                roundtrip(&mut survivor, "SUBMIT 0 1 10 1024 20 3"),
+                Response::Ok(n as u64)
+            );
+            assert_eq!(survivor.queue_depth("1").unwrap(), n + 1);
+        }
+        // The count lands once the unwinding thread leaves `catch_unwind`.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gateway.handler_panics() < PANICKING && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(gateway.handler_panics(), PANICKING);
+        survivor.quit().unwrap();
+        let (result, metrics) = gateway.shutdown_and_drain();
+        assert_eq!(metrics.accepted, PANICKING as u64);
+        assert_eq!(metrics.connections, PANICKING as u64 + 1);
+        result.audit.expect("audit enabled").assert_clean();
     }
 
     #[test]
@@ -1058,8 +1057,6 @@ mod tests {
                 "connections",
                 "protocol_errors",
                 "reaped_idle",
-                "faults_injected",
-                "injected_panics",
                 "predictions_served",
                 "sim_time_s",
                 "predictor_observed",

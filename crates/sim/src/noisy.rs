@@ -66,7 +66,7 @@
 //!   draw to the exact outcome the reference float comparison produces.
 //!   Each shot records straight into [`Counts`].
 
-use qcs_calibration::{CalibrationSnapshot, DEFAULT_CX_NS, SINGLE_QUBIT_NS};
+use qcs_calibration::CalibrationSnapshot;
 use qcs_circuit::{Circuit, Gate, Instruction, Qubit};
 use qcs_exec::ExecConfig;
 use rand::rngs::StdRng;
@@ -731,7 +731,7 @@ impl NoisySimulator {
             eligible,
             error_prob: step_noise(inst, snapshot).0,
             decoherence: if eligible && self.decoherence {
-                let duration_ns = gate_duration_ns(inst, snapshot);
+                let duration_ns = inst.gate.duration_ns(&inst.qubits, snapshot);
                 inst.qubits
                     .iter()
                     .filter_map(|q| {
@@ -765,7 +765,7 @@ impl NoisySimulator {
                 inject_pauli(&mut state, &inst.qubits, rng)?;
             }
             if self.decoherence {
-                let duration_ns = gate_duration_ns(inst, snapshot);
+                let duration_ns = inst.gate.duration_ns(&inst.qubits, snapshot);
                 for q in &inst.qubits {
                     apply_decoherence(&mut state, q.index(), duration_ns, snapshot, rng);
                 }
@@ -864,24 +864,6 @@ pub(crate) fn merge_partials(
         counts.merge(&partial?);
     }
     Ok(counts)
-}
-
-/// Nominal duration of a noise-eligible instruction (unitary, not a
-/// directive, not `Id` — both callers check) for decoherence purposes, ns:
-/// the same pulse-duration policy the transpiler schedules with.
-fn gate_duration_ns(inst: &Instruction, snapshot: &CalibrationSnapshot) -> f64 {
-    if inst.gate.is_two_qubit() {
-        let (a, b) = (inst.qubits[0].index(), inst.qubits[1].index());
-        let base = snapshot.edge(a, b).map_or(DEFAULT_CX_NS, |e| e.cx_duration_ns);
-        if inst.gate == Gate::Swap {
-            return 3.0 * base;
-        }
-        return base;
-    }
-    if matches!(inst.gate, Gate::Rz(_)) {
-        return 0.0; // virtual Z
-    }
-    SINGLE_QUBIT_NS
 }
 
 /// One T1/T2 trajectory step on qubit `q` over `duration_ns` — the

@@ -4,11 +4,11 @@
 //! Durations follow superconducting-hardware conventions: `rz` is virtual
 //! (zero duration, implemented as a frame change), `sx`/`x` take a fixed
 //! pulse length, `cx` duration comes from the edge calibration, and
-//! measurement is the long readout operation. The fixed lengths are
-//! `qcs-calibration`'s pulse-duration constants, shared with the simulator.
+//! measurement is the long readout operation. The policy is
+//! [`Gate::duration_ns`](qcs_circuit::Gate::duration_ns), shared with the
+//! simulator.
 
-use qcs_calibration::{DEFAULT_CX_NS, MEASURE_NS, RESET_NS, SINGLE_QUBIT_NS};
-use qcs_circuit::{Circuit, Gate};
+use qcs_circuit::Circuit;
 
 use crate::Target;
 
@@ -31,30 +31,6 @@ impl ScheduledCircuit {
     }
 }
 
-/// Duration of a single instruction on the target, nanoseconds.
-#[must_use]
-pub fn instruction_duration_ns(gate: &Gate, qubits: &[usize], target: &Target) -> f64 {
-    match gate {
-        Gate::Barrier | Gate::Id => 0.0,
-        Gate::Rz(_) => 0.0, // virtual Z
-        Gate::Measure => MEASURE_NS,
-        Gate::Reset => RESET_NS,
-        g if g.is_two_qubit() => {
-            let base = target
-                .snapshot()
-                .edge(qubits[0], qubits[1])
-                .map_or(DEFAULT_CX_NS, |e| e.cx_duration_ns);
-            // A swap is three CX pulses back-to-back.
-            if *g == Gate::Swap {
-                3.0 * base
-            } else {
-                base
-            }
-        }
-        _ => SINGLE_QUBIT_NS,
-    }
-}
-
 /// ASAP-schedule `circuit` on `target`.
 ///
 /// # Panics
@@ -70,15 +46,14 @@ pub fn schedule_asap(circuit: &Circuit, target: &Target) -> ScheduledCircuit {
     let mut starts = Vec::with_capacity(circuit.instructions().len());
     let mut total = 0.0f64;
     for inst in circuit.instructions() {
-        let qs: Vec<usize> = inst.qubits.iter().map(|q| q.index()).collect();
-        let start = qs
+        let start = inst
+            .qubits
             .iter()
-            .map(|&q| qubit_free[q])
+            .map(|q| qubit_free[q.index()])
             .fold(0.0f64, f64::max);
-        let dur = instruction_duration_ns(&inst.gate, &qs, target);
-        let end = start + dur;
-        for &q in &qs {
-            qubit_free[q] = end;
+        let end = start + inst.gate.duration_ns(&inst.qubits, target.snapshot());
+        for q in &inst.qubits {
+            qubit_free[q.index()] = end;
         }
         starts.push(start);
         total = total.max(end);

@@ -45,3 +45,13 @@ pub use qcs_stats as stats;
 pub use qcs_topology as topology;
 pub use qcs_transpiler as transpiler;
 pub use qcs_workload as workload;
+
+/// The chaos proxy's fault roll from `tests/support/wire_fault.rs`,
+/// unit-tested here; only the proxy reads `FaultRates::stall`.
+#[cfg(test)]
+#[allow(dead_code)]
+mod fault {
+    include!("../tests/support/wire_fault.rs");
+
+    mod tests;
+}

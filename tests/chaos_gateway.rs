@@ -1,12 +1,12 @@
 //! Chaos harness for the gateway serving stack.
 //!
-//! Because [`FaultPlan`] decisions are a pure function of the plan seed
-//! and the request-line bytes (`FaultPlan::decide` is public), these
-//! tests *predict* which requests will be faulted and assert the exact
-//! consequence of every injection:
+//! Wire faults come from [`FaultProxy`], a seeded TCP proxy that sits
+//! between raw clients and a gateway and rolls each request line on a
+//! pure function of the proxy seed and the line bytes
+//! ([`FaultRates::decide`]). So these tests *predict* which requests will
+//! be faulted and assert the exact consequence of every injection:
 //!
-//! - no handler ever panics except by injection, and every injected
-//!   panic is caught on its own session thread;
+//! - no handler ever panics, whatever the wire does;
 //! - `shutdown_and_drain` always returns a clean [`AuditReport`] run;
 //! - jobs the faults did not touch produce records **bit-identical** to
 //!   a fault-free run;
@@ -16,39 +16,137 @@
 //!   admission, so the drain stays bounded;
 //! - slow-loris connections are reaped, and silent/half-closed servers
 //!   surface typed, transient client errors.
+//!
+//! Handler-panic containment is a unit test beside the session loop
+//! (`server::tests::handler_panics_are_contained_to_their_session`): on
+//! the wire a panicking handler looks like a dropped connection.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Once;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use qcs::cloud::{CloudConfig, OutagePlan};
 use qcs::gateway::{
-    ErrorCode, FaultKind, FaultPlan, Gateway, GatewayClient, GatewayConfig, GatewayError,
-    Request, Response,
+    ErrorCode, Gateway, GatewayClient, GatewayConfig, GatewayError, Request, Response,
 };
 use qcs::machine::Fleet;
 
-/// Silence the panic reports of *injected* handler panics so a passing
-/// chaos run does not spam stderr; every other panic still reports.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|m| m.contains("injected fault"));
-            if !injected {
-                default(info);
+#[path = "support/wire_fault.rs"]
+mod fault;
+
+use fault::{garble, Fault, FaultRates};
+
+/// A seeded fault-injecting TCP proxy in front of a gateway. Each client
+/// connection gets its own upstream connection and relay thread; the
+/// relay expects one reply per request line (send it no blank lines) and
+/// counts every fault it injects.
+struct FaultProxy {
+    addr: SocketAddr,
+    injected: Arc<[AtomicU64; 4]>,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl FaultProxy {
+    fn start(upstream: SocketAddr, rates: FaultRates) -> FaultProxy {
+        let total: u64 = rates.permille.iter().sum();
+        assert!(total <= 1000, "fault rates sum to {total} > 1000 permille");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+        let addr = listener.local_addr().expect("proxy addr");
+        let injected: Arc<[AtomicU64; 4]> = Arc::default();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (counts, stopping) = (Arc::clone(&injected), Arc::clone(&stop));
+        let accept = std::thread::spawn(move || {
+            for client in listener.incoming() {
+                if stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                let (Ok(client), Ok(gateway)) = (client, TcpStream::connect(upstream)) else {
+                    continue;
+                };
+                let counts = Arc::clone(&counts);
+                std::thread::spawn(move || relay(client, gateway, rates, &counts));
             }
-        }));
-    });
+        });
+        FaultProxy {
+            addr,
+            injected,
+            stop,
+            accept: Some(accept),
+        }
+    }
+
+    /// Faults injected so far, indexed as [`Fault::ALL`].
+    fn injected(&self) -> [u64; 4] {
+        std::array::from_fn(|i| self.injected[i].load(Ordering::SeqCst))
+    }
+}
+
+impl Drop for FaultProxy {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Poke the blocking accept so the loop observes the flag.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+/// Relay one client connection line by line, injecting the rolled faults.
+/// Returning drops both sockets: the client sees EOF and the gateway's
+/// session ends.
+fn relay(
+    client: TcpStream,
+    gateway: TcpStream,
+    rates: FaultRates,
+    injected: &[AtomicU64; 4],
+) -> std::io::Result<()> {
+    client.set_nodelay(true)?;
+    gateway.set_nodelay(true)?;
+    let mut requests = BufReader::new(client.try_clone()?);
+    let mut replies = BufReader::new(gateway.try_clone()?);
+    let (mut client, mut gateway) = (client, gateway);
+    let (mut line, mut reply) = (String::new(), String::new());
+    loop {
+        line.clear();
+        reply.clear();
+        if requests.read_line(&mut line)? == 0 {
+            return Ok(());
+        }
+        let request = line.trim_end_matches('\n');
+        let fault = rates.decide(request);
+        if let Some(fault) = fault {
+            injected[fault as usize].fetch_add(1, Ordering::SeqCst);
+        }
+        let forwarded = match fault {
+            Some(Fault::Drop) => return Ok(()),
+            Some(Fault::Garble) => garble(request),
+            _ => request.to_string(),
+        };
+        gateway.write_all(format!("{forwarded}\n").as_bytes())?;
+        if replies.read_line(&mut reply)? == 0 {
+            return Ok(());
+        }
+        // A strict prefix, never the newline.
+        let (head, tail) = reply.as_bytes().split_at(reply.len() / 2);
+        match fault {
+            Some(Fault::Truncate) => return client.write_all(head),
+            Some(Fault::PartialWrite) => {
+                client.write_all(head)?;
+                std::thread::sleep(rates.stall);
+                client.write_all(tail)?;
+            }
+            _ => client.write_all(reply.as_bytes())?,
+        }
+    }
 }
 
 /// A raw line client: sends exact bytes, so the test-side fault
-/// prediction hashes the very same line the server will see.
+/// prediction hashes the very same line the proxy will see.
 struct RawClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -88,12 +186,17 @@ impl RawClient {
     }
 }
 
-fn chaos_gateway(faults: FaultPlan) -> Gateway {
+/// A frozen-clock, audited gateway with no admission limits in the way.
+fn chaos_gateway() -> Gateway {
+    outage_gateway(OutagePlan::none(Fleet::ibm_like().len()))
+}
+
+fn outage_gateway(outages: OutagePlan) -> Gateway {
     let cloud_config = CloudConfig {
         audit: true,
         ..CloudConfig::default()
     };
-    Gateway::start_with_faults(
+    Gateway::start_with_outages(
         Fleet::ibm_like(),
         cloud_config,
         GatewayConfig {
@@ -103,35 +206,30 @@ fn chaos_gateway(faults: FaultPlan) -> Gateway {
             max_pending_per_machine: 100_000,
             ..GatewayConfig::default()
         },
-        faults,
+        outages,
     )
     .expect("bind loopback")
 }
 
 /// Every fault mode enabled at once, N concurrent clients, and an exact
-/// prediction of each request's fate. Zero unexpected panics, clean
-/// audited drain, per-mode fault counters matching the predictions.
+/// prediction of each request's fate. Zero handler panics, clean audited
+/// drain, per-mode proxy counters matching the predictions.
 #[test]
 fn all_fault_modes_under_concurrent_clients() {
-    quiet_injected_panics();
-    let plan = FaultPlan {
+    let rates = FaultRates {
         seed: 0xC4A05,
-        drop_connection_permille: 90,
-        garble_request_permille: 90,
-        truncate_response_permille: 90,
-        partial_write_permille: 70,
-        panic_handler_permille: 70,
-        partial_write_stall: Duration::from_millis(5),
-        ..FaultPlan::none()
+        permille: [160, 90, 90, 70],
+        stall: Duration::from_millis(5),
     };
-    let gateway = chaos_gateway(plan.clone());
-    let addr = gateway.addr();
+    let gateway = chaos_gateway();
+    let proxy = FaultProxy::start(gateway.addr(), rates);
+    let addr = proxy.addr;
 
     const CLIENTS: usize = 6;
     const REQUESTS: usize = 30;
 
     struct ClientTally {
-        faults: [u64; 5],
+        faults: [u64; 4],
         garbles: u64,
         accepted: u64,
     }
@@ -139,11 +237,10 @@ fn all_fault_modes_under_concurrent_clients() {
     let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let plan = &plan;
                 scope.spawn(move || {
                     let mut client = RawClient::connect(addr);
                     let mut tally = ClientTally {
-                        faults: [0; 5],
+                        faults: [0; 4],
                         garbles: 0,
                         accepted: 0,
                     };
@@ -162,31 +259,24 @@ fn all_fault_modes_under_concurrent_clients() {
                             2 => format!("PREDICT {} {} 1024", i % 3, 1 + (i % 9)),
                             _ => format!("QUEUE {}", i % 3),
                         };
-                        // Frozen clock: the server decides at sim time 0.
-                        let predicted = plan.decide(&line, 0.0);
-                        if let Some(kind) = predicted {
-                            tally.faults[kind.index()] += 1;
+                        let predicted = rates.decide(&line);
+                        if let Some(fault) = predicted {
+                            tally.faults[fault as usize] += 1;
                         }
                         let is_submit = line.starts_with("SUBMIT");
                         let outcome = client.send(&line);
                         match predicted {
-                            Some(
-                                FaultKind::DropConnection
-                                | FaultKind::PanicHandler
-                                | FaultKind::TruncateResponse,
-                            ) => {
+                            Some(Fault::Drop | Fault::Truncate) => {
                                 assert_eq!(outcome, Wire::Closed, "for {line:?}");
                                 // Truncation happens after processing: the
                                 // job was admitted even though the reply
                                 // died on the wire.
-                                if is_submit
-                                    && predicted == Some(FaultKind::TruncateResponse)
-                                {
+                                if is_submit && predicted == Some(Fault::Truncate) {
                                     tally.accepted += 1;
                                 }
                                 client = RawClient::connect(addr);
                             }
-                            Some(FaultKind::GarbleRequest) => {
+                            Some(Fault::Garble) => {
                                 tally.garbles += 1;
                                 match outcome {
                                     Wire::Reply(reply) => assert!(
@@ -196,7 +286,7 @@ fn all_fault_modes_under_concurrent_clients() {
                                     Wire::Closed => panic!("garble closed {line:?}"),
                                 }
                             }
-                            Some(FaultKind::PartialWrite) | None => {
+                            Some(Fault::PartialWrite) | None => {
                                 let Wire::Reply(reply) = outcome else {
                                     panic!("lost reply for {line:?}");
                                 };
@@ -223,7 +313,7 @@ fn all_fault_modes_under_concurrent_clients() {
         handles.into_iter().map(|h| h.join().expect("client")).collect()
     });
 
-    let mut predicted_faults = [0u64; 5];
+    let mut predicted_faults = [0u64; 4];
     let mut predicted_garbles = 0;
     let mut predicted_accepted = 0;
     for tally in &tallies {
@@ -234,24 +324,15 @@ fn all_fault_modes_under_concurrent_clients() {
         predicted_accepted += tally.accepted;
     }
     // Every mode must actually have fired for the test to mean anything.
-    for (kind, &count) in FaultKind::ALL.iter().zip(&predicted_faults) {
-        assert!(count > 0, "fault mode {kind:?} never fired — tune rates/seed");
+    for (fault, &count) in Fault::ALL.iter().zip(&predicted_faults) {
+        assert!(count > 0, "fault mode {fault:?} never fired — tune rates/seed");
     }
-
-    // Panic containment: exactly the injected panics, each caught on its
-    // session thread. Give unwinding handlers a moment to finish.
-    let expected_panics = predicted_faults[FaultKind::PanicHandler.index()] as usize;
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while gateway.handler_panics() < expected_panics
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(gateway.handler_panics(), expected_panics);
+    assert_eq!(proxy.injected(), predicted_faults);
+    drop(proxy);
+    // Wire faults are not handler faults.
+    assert_eq!(gateway.handler_panics(), 0);
 
     let (result, metrics) = gateway.shutdown_and_drain();
-    assert_eq!(metrics.faults_injected, predicted_faults);
-    assert_eq!(metrics.injected_panics() as usize, expected_panics);
     assert_eq!(metrics.protocol_errors, predicted_garbles);
     assert_eq!(metrics.accepted, predicted_accepted);
     assert_eq!(metrics.rejected_rate + metrics.rejected_backpressure, 0);
@@ -267,52 +348,45 @@ fn all_fault_modes_under_concurrent_clients() {
 /// reproducible.
 #[test]
 fn fault_untouched_jobs_are_bit_identical_to_fault_free_run() {
-    quiet_injected_panics();
-    let plan = FaultPlan {
+    let rates = FaultRates {
         seed: 99,
-        drop_connection_permille: 150,
-        garble_request_permille: 150,
-        panic_handler_permille: 150,
-        truncate_response_permille: 100,
-        partial_write_permille: 100,
-        partial_write_stall: Duration::from_millis(2),
-        ..FaultPlan::none()
+        permille: [300, 150, 100, 100],
+        stall: Duration::from_millis(2),
     };
     let lines: Vec<String> = (0..60)
-        .map(|i| format!("SUBMIT 0 {} {} {} 14 1 ", i % 3, 1 + (i % 9), 200 + i))
-        .map(|l| l.trim_end().to_string())
+        .map(|i| format!("SUBMIT 0 {} {} {} 14 1", i % 3, 1 + (i % 9), 200 + i))
         .collect();
 
     // Faulted run: serial submissions alternating over two connections.
-    let gateway = chaos_gateway(plan.clone());
-    let addr = gateway.addr();
-    let mut clients = [RawClient::connect(addr), RawClient::connect(addr)];
+    let gateway = chaos_gateway();
+    let proxy = FaultProxy::start(gateway.addr(), rates);
+    let mut clients = [RawClient::connect(proxy.addr), RawClient::connect(proxy.addr)];
     let mut survivors: Vec<&str> = Vec::new();
     let mut admitted = 0u64;
     for (i, line) in lines.iter().enumerate() {
         let slot = i % 2;
-        let predicted = plan.decide(line, 0.0);
+        let predicted = rates.decide(line);
         let outcome = clients[slot].send(line);
         match predicted {
-            Some(FaultKind::DropConnection | FaultKind::PanicHandler) => {
+            Some(Fault::Drop) => {
                 // Swallowed before processing: the simulator never saw it.
                 assert_eq!(outcome, Wire::Closed, "for {line:?}");
-                clients[slot] = RawClient::connect(addr);
+                clients[slot] = RawClient::connect(proxy.addr);
             }
-            Some(FaultKind::GarbleRequest) => {
+            Some(Fault::Garble) => {
                 assert!(
                     matches!(&outcome, Wire::Reply(r) if r.starts_with("ERR ")),
                     "garbled {line:?} -> {outcome:?}"
                 );
             }
-            Some(FaultKind::TruncateResponse) => {
+            Some(Fault::Truncate) => {
                 // Admitted, but the OK died on the wire.
                 assert_eq!(outcome, Wire::Closed, "for {line:?}");
                 survivors.push(line);
                 admitted += 1;
-                clients[slot] = RawClient::connect(addr);
+                clients[slot] = RawClient::connect(proxy.addr);
             }
-            Some(FaultKind::PartialWrite) | None => {
+            Some(Fault::PartialWrite) | None => {
                 // Deterministic id assignment: ids count admissions.
                 assert_eq!(
                     outcome,
@@ -329,13 +403,13 @@ fn fault_untouched_jobs_are_bit_identical_to_fault_free_run() {
         "want a mixed run, got {admitted}/{}",
         lines.len()
     );
-    drop(clients);
+    drop((clients, proxy));
     let (faulted, faulted_metrics) = gateway.shutdown_and_drain();
     faulted.audit.as_ref().expect("audit enabled").assert_clean();
     assert_eq!(faulted_metrics.accepted, admitted);
 
     // Fault-free reference run: submit exactly the survivors, in order.
-    let baseline_gateway = chaos_gateway(FaultPlan::none());
+    let baseline_gateway = chaos_gateway();
     let mut client = RawClient::connect(baseline_gateway.addr());
     for (k, line) in survivors.iter().enumerate() {
         assert_eq!(client.send(line), Wire::Reply(format!("OK {k}")));
@@ -358,7 +432,7 @@ fn fault_untouched_jobs_are_bit_identical_to_fault_free_run() {
 /// and read paths.
 #[test]
 fn malformed_raw_bytes_get_typed_errors_not_panics() {
-    let gateway = chaos_gateway(FaultPlan::none());
+    let gateway = chaos_gateway();
     let addr = gateway.addr();
     let reply_to = |payload: &[u8]| -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -507,14 +581,14 @@ fn client_times_out_and_types_half_closes() {
 }
 
 /// A `SUBMIT` whose numbers parse but describe no runnable job (a 10^18
-/// layer depth, non-finite fields, a negative patience, counts far over
-/// the machine caps) is turned away at admission with a typed `ERR`. One
-/// such line used to be admitted and then abort the process at drain
-/// time: the job "ended" ~10^18 s out and the sample grid grew until
-/// allocation failed.
+/// layer depth, non-finite fields, a negative or ~10^19 s patience, counts
+/// far over the machine caps) is turned away at admission with a typed
+/// `ERR`. Two such lines used to be admitted and then abort the process
+/// at drain time: the job "ended" ~10^18 s out, or its cancel check sat
+/// ~10^19 s out, and the sample grid grew until allocation failed.
 #[test]
 fn hostile_submit_numbers_are_rejected_and_the_drain_stays_bounded() {
-    let gateway = chaos_gateway(FaultPlan::none());
+    let gateway = chaos_gateway();
     let mut client = RawClient::connect(gateway.addr());
     let hostile = [
         ("SUBMIT 1 athens 10 1024 1e18 3", "ERR BAD_FIELD"),
@@ -524,6 +598,7 @@ fn hostile_submit_numbers_are_rejected_and_the_drain_stays_bounded() {
         ("SUBMIT 1 athens 10 1024 20 NaN", "ERR BAD_FIELD"),
         ("SUBMIT 1 athens 10 1024 20 3 -50", "ERR BAD_FIELD"),
         ("SUBMIT 1 athens 10 1024 20 3 NaN", "ERR BAD_FIELD"),
+        ("SUBMIT 1 athens 10 1024 20 3 18446744073709551616", "ERR BAD_FIELD"),
         ("SUBMIT 1 athens 10 1024 20 1e300", "ERR REJECTED"),
         ("SUBMIT 1 athens 4000000000 4000000000 20 3", "ERR REJECTED"),
         ("SUBMIT 1 athens 10 4000000000 20 3", "ERR REJECTED"),
@@ -560,19 +635,15 @@ fn hostile_submit_numbers_are_rejected_and_the_drain_stays_bounded() {
     result.audit.expect("audit enabled").assert_clean();
 }
 
-/// Mid-job machine outages threaded through the fault plan: jobs aimed
-/// at the dead machine wait out the window, everyone else is untouched,
-/// and the audit stays clean.
+/// Mid-job machine outages threaded through the gateway's constructor:
+/// jobs aimed at the dead machine wait out the window, everyone else is
+/// untouched, and the audit stays clean.
 #[test]
 fn machine_outage_delays_only_the_dead_machines_jobs() {
     let fleet = Fleet::ibm_like();
     let mut windows = vec![Vec::new(); fleet.len()];
     windows[0] = vec![(0.0, 250.0)];
-    let plan = FaultPlan {
-        outages: Some(OutagePlan::from_windows(windows)),
-        ..FaultPlan::none()
-    };
-    let gateway = chaos_gateway(plan);
+    let gateway = outage_gateway(OutagePlan::from_windows(windows));
     let mut client = GatewayClient::connect(gateway.addr()).expect("connect");
     for machine in [0, 0, 1, 1] {
         let response = client
@@ -604,25 +675,19 @@ fn machine_outage_delays_only_the_dead_machines_jobs() {
 /// Satellite: `PREDICT` under every fault mode with a *running* clock —
 /// jobs actually complete mid-run, the predictor trains live, and no
 /// request (faulted or not) panics a handler. The drain must audit clean
-/// and panic containment must stay exact.
+/// and the proxy's counters must match the content-keyed predictions.
 #[test]
 fn predict_under_faults_never_panics_and_drains_clean() {
-    quiet_injected_panics();
-    let plan = FaultPlan {
+    let rates = FaultRates {
         seed: 0xF0CA1,
-        drop_connection_permille: 80,
-        garble_request_permille: 80,
-        truncate_response_permille: 80,
-        partial_write_permille: 60,
-        panic_handler_permille: 60,
-        partial_write_stall: Duration::from_millis(2),
-        ..FaultPlan::none()
+        permille: [140, 80, 80, 60],
+        stall: Duration::from_millis(2),
     };
     let cloud_config = CloudConfig {
         audit: true,
         ..CloudConfig::default()
     };
-    let gateway = Gateway::start_with_faults(
+    let gateway = Gateway::start(
         Fleet::ibm_like(),
         cloud_config,
         GatewayConfig {
@@ -635,13 +700,12 @@ fn predict_under_faults_never_panics_and_drains_clean() {
             max_pending_per_machine: 100_000,
             ..GatewayConfig::default()
         },
-        plan.clone(),
     )
     .expect("bind loopback");
-    let addr = gateway.addr();
+    let proxy = FaultProxy::start(gateway.addr(), rates);
 
-    let mut client = RawClient::connect(addr);
-    let mut expected_panics = 0usize;
+    let mut client = RawClient::connect(proxy.addr);
+    let mut predicted_faults = [0u64; 4];
     let mut served_on_wire = 0u64;
     for i in 0..120 {
         let line = if i % 2 == 0 {
@@ -651,8 +715,8 @@ fn predict_under_faults_never_panics_and_drains_clean() {
         };
         // Fault decisions are content-keyed, so they stay predictable
         // even though the serving clock runs.
-        if plan.decide(&line, gateway.sim_now_s()) == Some(FaultKind::PanicHandler) {
-            expected_panics += 1;
+        if let Some(fault) = rates.decide(&line) {
+            predicted_faults[fault as usize] += 1;
         }
         match client.send(&line) {
             Wire::Reply(reply) => {
@@ -667,19 +731,15 @@ fn predict_under_faults_never_panics_and_drains_clean() {
                     "unexpected reply {reply:?} for {line:?}"
                 );
             }
-            Wire::Closed => client = RawClient::connect(addr),
+            Wire::Closed => client = RawClient::connect(proxy.addr),
         }
     }
     drop(client);
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while gateway.handler_panics() < expected_panics && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(gateway.handler_panics(), expected_panics);
+    assert_eq!(proxy.injected(), predicted_faults);
+    drop(proxy);
+    assert_eq!(gateway.handler_panics(), 0);
 
     let (result, metrics) = gateway.shutdown_and_drain();
-    assert_eq!(metrics.injected_panics() as usize, expected_panics);
     // Truncated replies may have been served but not observed client-side.
     assert!(
         metrics.predictions_served >= served_on_wire,
