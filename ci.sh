@@ -123,6 +123,24 @@ cargo test -q --workspace
 #   scale-degenerate) at every cadence an owner may run them at, track a
 #   drifting law when refitted only once per window turnover, and run from
 #   a snapshot that later observes cannot disturb.
+# -p qcs-workload stream_equals_the_materialising_oracle;
+#   merge_breaks_submit_ties_by_id; skip_twins; -p rand
+#   every_draw_takes_exactly_one_word: the streamed trace equals the old
+#   materialise-and-sort generator job for job over days x impatience x
+#   demand x growth x study jobs; the heap merge breaks equal submission
+#   times across streams by id; each skip twin consumes the words its
+#   sampler draws, and every gen_range/gen takes one word.
+# -p qcs-workload emitting_stream_panics_where_it_leaves_the_sizing_pass:
+#   a machine stream whose generator state at its end differs from the
+#   sizing pass's next snapshot panics naming the machine.
+# --test trace_memory: a 30-day Study::run grows the process's peak RSS
+#   by under half the trace's total_jobs x size_of::<JobSpec>() (one test
+#   in its binary, so VmHWM is its own).
+# -p qcs-stats summary_of_runs; -p qcs-cloud
+#   a_stale_patience_check_does_not_drive_the_clock: Summary::of_runs is
+#   Summary::of on the expanded sample bit for bit (ties, signed zeros,
+#   infinities, NaN runs, zero counts, single runs); a patience check for
+#   a dispatched or finished job never moves the clock or the sample grid.
 
 # Million-job bounded-memory gate: stream the full 10^6-job Zipf
 # population trace through the 4-shard FleetSim. The binary asserts zero

@@ -36,6 +36,16 @@ pub fn lognormal_with_cov<R: Rng + ?Sized>(rng: &mut R, mean: f64, cov: f64) -> 
     (mu + sigma2.sqrt() * standard_normal(rng)).exp()
 }
 
+/// Consume exactly the words [`lognormal_with_cov`] draws with this `cov`
+/// (the two of [`standard_normal`], none for a constant), without
+/// sampling.
+pub fn skip_lognormal_with_cov<R: Rng + ?Sized>(rng: &mut R, cov: f64) {
+    if cov != 0.0 {
+        rng.next_u64();
+        rng.next_u64();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,6 +76,17 @@ mod tests {
         assert!((mean - 0.01).abs() < 0.001, "mean {mean}");
         assert!((cov - 0.75).abs() < 0.08, "cov {cov}");
         assert!(samples.iter().all(|&x| x > 0.0));
+    }
+
+    #[test]
+    fn lognormal_skip_draws_what_the_sampler_draws() {
+        let mut sampled = StdRng::seed_from_u64(5);
+        let mut skipped = sampled.clone();
+        for cov in [0.0, 1.0, 0.0, 0.3] {
+            let _ = lognormal_with_cov(&mut sampled, 2.0, cov);
+            skip_lognormal_with_cov(&mut skipped, cov);
+            assert_eq!(sampled, skipped, "cov {cov}");
+        }
     }
 
     #[test]

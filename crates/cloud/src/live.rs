@@ -247,6 +247,10 @@ impl Agenda {
         self.heap.peek().map(|e| key_time(e.key))
     }
 
+    fn peek_kind(&self) -> Option<EventKind> {
+        self.heap.peek().map(|e| e.kind)
+    }
+
     fn pop(&mut self) -> Option<(f64, EventKind)> {
         self.heap.pop().map(|e| (key_time(e.key), e.kind))
     }
@@ -724,6 +728,7 @@ impl LiveCloud {
     /// past is a no-op.
     pub fn step_until(&mut self, t_s: f64) {
         loop {
+            self.discard_stale_cancel_checks();
             let next_arrival_s = self.arrivals.front().map(|&h| self.slab.spec(h).submit_s);
             let next_event_s = self.events.peek_time();
             let now_s = match (next_arrival_s, next_event_s) {
@@ -753,6 +758,26 @@ impl LiveCloud {
         }
         if t_s.is_finite() {
             self.now_s = self.now_s.max(t_s);
+        }
+    }
+
+    /// Pop every `CancelCheck` at the top of the agenda whose job already
+    /// reached a terminal state (its generation was bumped) or was
+    /// dispatched: it can cancel nothing, so it must not move the clock or
+    /// the queue-sample grid. A job never returns to its queue, so a check
+    /// that is stale at the top stays stale.
+    fn discard_stale_cancel_checks(&mut self) {
+        while let Some(EventKind::CancelCheck { handle, generation }) = self.events.peek_kind() {
+            let queued = self.slab.generation(handle) == generation && {
+                let machine = self.slab.spec(handle).machine;
+                self.executing[machine]
+                    .as_ref()
+                    .is_none_or(|e| e.handle != handle)
+            };
+            if queued {
+                return;
+            }
+            self.events.pop();
         }
     }
 
@@ -1618,6 +1643,31 @@ mod tests {
         cloud.run_to_completion();
         let result = cloud.into_result();
         assert!((result.records[0].start_s - 1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_stale_patience_check_does_not_drive_the_clock() {
+        // Regression: a dispatched job's patience check stayed on the
+        // agenda, and draining stepped the clock and the 6-hour sample
+        // grid out to it: 115,725 samples for one job with patience 1e8.
+        let mut cloud = live();
+        let mut j = job(0, 1, 0.0);
+        j.patience_s = 1e8;
+        cloud.submit(j).unwrap();
+        cloud.run_to_completion();
+        let now_s = cloud.now_s();
+        let result = cloud.into_result();
+        let end_s = result.records[0].end_s;
+        assert_eq!(now_s, end_s);
+        assert!(
+            end_s < 6.0 * 3600.0,
+            "one short job: no sample instant passes"
+        );
+        assert!(
+            result.queue_samples.is_empty(),
+            "{} samples",
+            result.queue_samples.len()
+        );
     }
 
     #[test]

@@ -165,6 +165,16 @@ pub fn simulate(
                 a
             }
         });
+        // A patience check whose job already left its queue (finished or
+        // dispatched) cancels nothing: drop it without moving the clock.
+        if let Some(i) = next_event_idx {
+            if let RefEventKind::CancelCheck { job_id, machine } = events[i].kind {
+                if !machines[machine].queue.iter().any(|j| j.id == job_id) {
+                    events.swap_remove(i);
+                    continue;
+                }
+            }
+        }
         let next_event_s = next_event_idx.map(|i| events[i].time_s);
         let now_s = match (next_arrival_s, next_event_s) {
             (None, None) => break,

@@ -281,28 +281,43 @@ impl Simulation {
         &self.fleet
     }
 
-    /// Run the simulation over a set of jobs (any submission order; equal
-    /// submission times arrive in input order).
+    /// Run the simulation over a set of jobs in any submission order:
+    /// a stable sort by submission time (equal times arrive in input
+    /// order), then [`run_in_order`](Self::run_in_order).
     ///
-    /// Deterministic for a fixed `(fleet, config, jobs)`. This feeds the
-    /// incremental [`LiveCloud`](crate::LiveCloud) core in windows: after a
-    /// stable sort by submission time, it submits the next window of jobs
-    /// plus any tied with the last of them, steps the clock to that
-    /// submission time, and repeats, so the core holds one window plus
-    /// the in-flight jobs rather than the whole trace. Any stepping of a
-    /// sorted trace is bit-identical to submitting it all up front (see
-    /// `tests/properties.rs::live_matches_batch`).
+    /// Deterministic for a fixed `(fleet, config, jobs)`.
     ///
     /// # Panics
     ///
-    /// Panics with the [`SubmitError`](crate::SubmitError) message of the
-    /// first invalid job in submission-time order: a machine index outside
-    /// the fleet, a provider outside `config.num_providers`, a negative or
-    /// non-finite submission time, or a negative or `NaN` patience.
+    /// As [`run_in_order`](Self::run_in_order), for the first invalid job
+    /// in submission-time order.
     #[must_use]
     pub fn run(&self, mut jobs: Vec<JobSpec>) -> SimulationResult {
         // Callers pass sorted traces, on which this is one O(n) pass.
         jobs.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
+        self.run_in_order(jobs)
+    }
+
+    /// Run the simulation over jobs that arrive in nondecreasing
+    /// submission time, pulling them from `jobs` as the clock reaches
+    /// them, so a streamed trace is never held whole.
+    ///
+    /// This feeds the incremental [`LiveCloud`](crate::LiveCloud) core in
+    /// windows: it submits the next window of jobs plus any tied with the
+    /// last of them, steps the clock to that submission time, and repeats,
+    /// so the core holds one window plus the in-flight jobs. Any stepping
+    /// of a sorted trace is bit-identical to submitting it all up front
+    /// (see `tests/properties.rs::live_matches_batch`).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SubmitError`](crate::SubmitError) message of the
+    /// first invalid job: one submitted before its predecessor
+    /// (`SubmitInPast`), a machine index outside the fleet, a provider
+    /// outside `config.num_providers`, a negative or non-finite submission
+    /// time, or a negative or `NaN` patience.
+    #[must_use]
+    pub fn run_in_order(&self, jobs: impl IntoIterator<Item = JobSpec>) -> SimulationResult {
         let mut live = crate::LiveCloud::new(self.fleet.clone(), self.config)
             .with_outages(self.outages.clone());
         let mut jobs = jobs.into_iter().peekable();
@@ -322,7 +337,7 @@ impl Simulation {
     }
 }
 
-/// Jobs [`Simulation::run`] submits before each step: enough that a step
+/// Jobs [`Simulation::run_in_order`] submits before each step: enough that a step
 /// costs nothing next to its events, few enough that the slab and the
 /// arrival queue stay small.
 const WINDOW: usize = 4096;
@@ -805,6 +820,13 @@ mod tests {
         assert_eq!(windowed.outcome_counts, drained.outcome_counts);
         assert_eq!(windowed.daily_executions, drained.daily_executions);
         windowed.audit.as_ref().unwrap().assert_clean();
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 submitted at 5 s, before 10 s")]
+    fn run_in_order_panics_on_a_job_behind_its_predecessor() {
+        // `run` would sort these; `run_in_order` takes them as they come.
+        let _ = sim().run_in_order([job(0, 1, 10.0), job(1, 2, 5.0)]);
     }
 
     #[test]

@@ -268,6 +268,35 @@ mod tests {
     }
 
     #[test]
+    fn every_draw_takes_exactly_one_word() {
+        // Callers that step over draws by counting words (the trace
+        // generator's sizing pass) rely on this.
+        let draws: [fn(&mut StdRng); 14] = [
+            |r| _ = r.gen_range(0.0..1.0f64),
+            |r| _ = r.gen_range(f64::MIN_POSITIVE..1.0),
+            |r| _ = r.gen_range(-3.0..=2.0f64),
+            |r| _ = r.gen_range(0.5..1.5f32),
+            |r| _ = r.gen_range(0u32..7),
+            |r| _ = r.gen_range(3u64..=7),
+            |r| _ = r.gen_range(-5i64..5),
+            |r| _ = r.gen_range(0usize..1),
+            |r| _ = r.gen::<f64>(),
+            |r| _ = r.gen::<f32>(),
+            |r| _ = r.gen::<u64>(),
+            |r| _ = r.gen::<u32>(),
+            |r| _ = r.gen::<bool>(),
+            |r| _ = r.gen_bool(0.3),
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        for (i, draw) in draws.iter().cycle().take(14 * 50).enumerate() {
+            let mut stepped = rng.clone();
+            stepped.next_u64();
+            draw(&mut rng);
+            assert_eq!(rng, stepped, "draw {} took other than one word", i % 14);
+        }
+    }
+
+    #[test]
     fn works_through_unsized_ref() {
         fn draw<R: Rng + ?Sized>(rng: &mut R) -> f64 {
             rng.gen_range(0.0..1.0)

@@ -83,15 +83,21 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
         !last.is_nan(),
         "quantile of a sample containing NaN is undefined"
     );
-    let pos = q * (sorted.len() - 1) as f64;
+    Some(interpolated(sorted.len(), q, |rank| sorted[rank]))
+}
+
+/// The `q`-quantile, with linear interpolation, of `n > 0` sorted values
+/// read by rank through `at`.
+fn interpolated(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
-    Some(if lo == hi {
-        sorted[lo]
+    if lo == hi {
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    })
+        at(lo) * (1.0 - frac) + at(hi) * frac
+    }
 }
 
 /// Median (the 0.5 quantile); NaN for an empty slice.
@@ -155,6 +161,57 @@ impl Summary {
             max: sorted[sorted.len() - 1],
             mean: mean(&sorted),
             std_dev: std_dev(&sorted),
+        }
+    }
+
+    /// [`Summary::of`] the sample in which each `(value, count)` run
+    /// repeats its value `count` times, without building that sample:
+    /// the runs are sorted, quantiles are read through cumulative counts,
+    /// and the mean and variance fold the repeated values lazily in the
+    /// same order, so the result is bit-identical to `Summary::of` on the
+    /// expansion. NaN runs are dropped, as `of` drops NaN values.
+    #[must_use]
+    pub fn of_runs(runs: &[(f64, usize)]) -> Self {
+        let mut sorted: Vec<(f64, usize)> = runs
+            .iter()
+            .copied()
+            .filter(|&(v, count)| !v.is_nan() && count > 0)
+            .collect();
+        if sorted.is_empty() {
+            return Summary::default();
+        }
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // `ends[i]` is one past the last rank of run `i`.
+        let ends: Vec<usize> = sorted
+            .iter()
+            .scan(0, |end, &(_, count)| {
+                *end += count;
+                Some(*end)
+            })
+            .collect();
+        let n = ends[ends.len() - 1];
+        let at = |rank: usize| sorted[ends.partition_point(|&end| end <= rank)].0;
+        let q = |p: f64| interpolated(n, p, at);
+        let values = || {
+            sorted
+                .iter()
+                .flat_map(|&(v, count)| std::iter::repeat_n(v, count))
+        };
+        let mean = values().sum::<f64>() / n as f64;
+        let variance = if n < 2 {
+            0.0
+        } else {
+            values().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64
+        };
+        Summary {
+            count: n,
+            min: sorted[0].0,
+            q1: q(0.25),
+            median: q(0.5),
+            q3: q(0.75),
+            max: sorted[sorted.len() - 1].0,
+            mean,
+            std_dev: variance.sqrt(),
         }
     }
 }
@@ -251,6 +308,50 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn quantile_rejects_all_nan_input() {
         let _ = quantile(&[f64::NAN, f64::NAN], 0.0);
+    }
+
+    #[test]
+    fn summary_of_runs_is_summary_of_the_expansion_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Few distinct values, so runs tie; both zeros, infinities, NaN
+        // runs, zero counts, single runs and empty inputs all come up.
+        const POOL: [f64; 9] = [
+            0.1,
+            0.3,
+            -0.0,
+            0.0,
+            2.5,
+            1.0 / 3.0,
+            f64::NAN,
+            f64::INFINITY,
+            -7.25,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..2_000 {
+            let len = if case % 10 == 0 {
+                1
+            } else {
+                rng.gen_range(0..12)
+            };
+            let runs: Vec<(f64, usize)> = (0..len)
+                .map(|_| {
+                    let pool = if case % 3 == 0 { &POOL[..] } else { &POOL[..6] };
+                    (pool[rng.gen_range(0..pool.len())], rng.gen_range(0..6))
+                })
+                .collect();
+            let expansion: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(v, count)| std::iter::repeat_n(v, count))
+                .collect();
+            // Debug prints each float's shortest round-trip form: equal
+            // strings mean equal bits (signed zeros included).
+            assert_eq!(
+                format!("{:?}", Summary::of_runs(&runs)),
+                format!("{:?}", Summary::of(&expansion)),
+                "runs {runs:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,12 +10,23 @@
 //! Study jobs — the instrumented subset standing in for the paper's 6 000
 //! academic jobs — take their width and mean depth from real benchmark
 //! circuits ([`qcs_circuit::library`]).
+//!
+//! Every draw comes from one `StdRng`, machine by machine, hour by hour,
+//! then the study jobs. [`stream`] replays that order in two passes
+//! without holding the trace: a sizing pass that only counts each job's
+//! words, snapshotting the generator at each machine boundary, then an
+//! hour-at-a-time regeneration per machine under a heap merge.
+//! [`generate`] collects the stream.
+
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use qcs_circuit::library;
 use qcs_cloud::JobSpec;
 use qcs_machine::{Fleet, Machine};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::sampler;
 
@@ -164,7 +175,8 @@ fn weekly_factor(t_days: f64) -> f64 {
     }
 }
 
-/// Generate the full trace for a fleet.
+/// Generate the full trace for a fleet: [`stream`] collected into a
+/// `Vec`.
 ///
 /// Deterministic given `(fleet, config)`.
 ///
@@ -180,42 +192,278 @@ fn weekly_factor(t_days: f64) -> f64 {
 /// ```
 #[must_use]
 pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    let mut next_id = 0u64;
+    Workload {
+        jobs: stream(fleet, config).collect(),
+    }
+}
 
-    // --- background load ------------------------------------------------
-    for (m_idx, machine) in fleet.iter().enumerate() {
-        let rho = target_utilization(machine, &mut rng) * config.demand_scale;
-        let service = expected_service_s(machine);
-        let base_rate_per_hour = rho * 3600.0 / service;
-        let total_hours = (config.days * 24.0).ceil() as u64;
-        // Demand saturates per machine: popular machines can run much
-        // closer to capacity than lightly-used hub machines, whose member
-        // population bounds their demand. Without a cap the busiest
-        // queues diverge; real users flee unbounded backlogs.
-        let saturation_cap = (rho + 0.6 * (1.0 - rho)).min(0.985);
-        for hour in 0..total_hours {
-            let t_hours = hour as f64;
-            let t_days = t_hours / 24.0;
-            let grown = (rho * growth_factor(t_days, config.days, config.growth_end_factor))
-                .min(saturation_cap);
-            let rate = grown / rho.max(1e-9)
-                * base_rate_per_hour
-                * diurnal_factor(t_hours)
-                * weekly_factor(t_days);
-            let n = sampler::poisson(&mut rng, rate);
+/// Stream the trace [`generate`] returns, job for job, in strictly
+/// increasing `(submit_s, id)` order, holding one hour of each machine's
+/// background jobs and the study jobs rather than the whole trace.
+///
+/// Every job is drawn from one `StdRng` in the order a single loop over
+/// machines, hours and jobs would draw it, so the trace does not depend
+/// on how it is consumed. Two passes make that streamable:
+/// - a *sizing pass* runs each machine's per-hour arrival counts but
+///   consumes each job's words without building it (the `skip_*` twins of
+///   the samplers), and records the generator's state and the next job id
+///   where each machine's draws begin; the study jobs are drawn from the
+///   state it ends in, and sorted once;
+/// - an *emitting pass* regenerates each machine's jobs one hour at a
+///   time from its snapshot, sorts the hour, and a heap merges the
+///   machine streams with the study jobs.
+///
+/// # Panics
+///
+/// Panics naming the machine if its emitting stream ends on a different
+/// generator state or job id than the sizing pass recorded for the next
+/// machine: a sampler and its skip twin drew different numbers of words.
+///
+/// # Examples
+///
+/// ```
+/// use qcs_machine::Fleet;
+/// use qcs_workload::{generate, stream, WorkloadConfig};
+///
+/// let fleet = Fleet::ibm_like();
+/// let config = WorkloadConfig { days: 1.0, study_jobs: 20, ..WorkloadConfig::default() };
+/// assert!(stream(&fleet, &config).eq(generate(&fleet, &config).jobs));
+/// ```
+pub fn stream<'f>(fleet: &'f Fleet, config: &WorkloadConfig) -> impl Iterator<Item = JobSpec> + 'f {
+    let boundaries = size_machines(fleet, config);
+    let mut streams: Vec<Box<dyn Iterator<Item = JobSpec> + 'f>> = Vec::new();
+    for ((index, machine), pair) in fleet.iter().enumerate().zip(boundaries.windows(2)) {
+        let jobs = MachineJobs::new(index, machine, *config, pair[0].clone(), pair[1].clone());
+        streams.push(Box::new(jobs));
+    }
+    let Boundary { mut rng, next_id } = boundaries[fleet.len()].clone();
+    let mut study = study_jobs(fleet, config, &mut rng, next_id);
+    study.sort_unstable_by(by_submit_then_id);
+    streams.push(Box::new(study.into_iter()));
+    Merge::new(streams)
+}
+
+/// `(submit_s, id)`: the trace's order. Ids are unique, so it is total.
+fn by_submit_then_id(a: &JobSpec, b: &JobSpec) -> Ordering {
+    a.submit_s.total_cmp(&b.submit_s).then(a.id.cmp(&b.id))
+}
+
+/// Where a machine's draws begin (or, after the last machine, where the
+/// study jobs' draws begin): the generator's state and the next job id.
+#[derive(Clone)]
+struct Boundary {
+    rng: StdRng,
+    next_id: u64,
+}
+
+/// The sizing pass: the boundary before each machine's draws, then the
+/// one after the last machine's.
+fn size_machines(fleet: &Fleet, config: &WorkloadConfig) -> Vec<Boundary> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut next_id = 0;
+    let mut boundaries = Vec::with_capacity(fleet.len() + 1);
+    for machine in fleet.iter() {
+        boundaries.push(Boundary {
+            rng: rng.clone(),
+            next_id,
+        });
+        let demand = Demand::draw(machine, config, &mut rng);
+        for hour in 0..demand.total_hours {
+            let n = demand.arrivals(hour, config, &mut rng);
             for _ in 0..n {
-                let submit_s = (t_hours + rng.gen_range(0.0..1.0)) * 3600.0;
-                jobs.push(background_job(
-                    next_id, m_idx, machine, submit_s, config, &mut rng,
-                ));
-                next_id += 1;
+                skip_background_job(machine, config, &mut rng);
             }
+            next_id += n;
+        }
+    }
+    boundaries.push(Boundary { rng, next_id });
+    boundaries
+}
+
+/// A machine's background demand, drawn where its draws begin.
+struct Demand {
+    rho: f64,
+    base_rate_per_hour: f64,
+    saturation_cap: f64,
+    total_hours: u64,
+}
+
+impl Demand {
+    fn draw(machine: &Machine, config: &WorkloadConfig, rng: &mut StdRng) -> Self {
+        let rho = target_utilization(machine, rng) * config.demand_scale;
+        let service = expected_service_s(machine);
+        Demand {
+            rho,
+            base_rate_per_hour: rho * 3600.0 / service,
+            // Demand saturates per machine: popular machines can run much
+            // closer to capacity than lightly-used hub machines, whose
+            // member population bounds their demand. Without a cap the
+            // busiest queues diverge; real users flee unbounded backlogs.
+            saturation_cap: (rho + 0.6 * (1.0 - rho)).min(0.985),
+            total_hours: (config.days * 24.0).ceil() as u64,
         }
     }
 
-    // --- study jobs -------------------------------------------------------
+    /// Draw the number of jobs submitted during `hour`.
+    fn arrivals(&self, hour: u64, config: &WorkloadConfig, rng: &mut StdRng) -> u64 {
+        let t_hours = hour as f64;
+        let t_days = t_hours / 24.0;
+        let grown = (self.rho * growth_factor(t_days, config.days, config.growth_end_factor))
+            .min(self.saturation_cap);
+        let rate = grown / self.rho.max(1e-9)
+            * self.base_rate_per_hour
+            * diurnal_factor(t_hours)
+            * weekly_factor(t_days);
+        sampler::poisson(rng, rate)
+    }
+}
+
+/// One machine's background jobs, regenerated an hour at a time from the
+/// sizing pass's snapshot.
+struct MachineJobs<'f> {
+    index: usize,
+    machine: &'f Machine,
+    config: WorkloadConfig,
+    demand: Demand,
+    rng: StdRng,
+    next_id: u64,
+    hour: u64,
+    /// The current hour's remaining jobs, in `(submit_s, id)` order.
+    hour_jobs: VecDeque<JobSpec>,
+    /// The sizing pass's boundary after this machine.
+    end: Boundary,
+}
+
+impl<'f> MachineJobs<'f> {
+    fn new(
+        index: usize,
+        machine: &'f Machine,
+        config: WorkloadConfig,
+        start: Boundary,
+        end: Boundary,
+    ) -> Self {
+        let Boundary { mut rng, next_id } = start;
+        let demand = Demand::draw(machine, &config, &mut rng);
+        MachineJobs {
+            index,
+            machine,
+            config,
+            demand,
+            rng,
+            next_id,
+            hour: 0,
+            hour_jobs: VecDeque::new(),
+            end,
+        }
+    }
+}
+
+impl Iterator for MachineJobs<'_> {
+    type Item = JobSpec;
+
+    fn next(&mut self) -> Option<JobSpec> {
+        while self.hour_jobs.is_empty() {
+            if self.hour == self.demand.total_hours {
+                assert!(
+                    self.rng == self.end.rng && self.next_id == self.end.next_id,
+                    "machine {} ({}): the emitting pass ended at job id {} and the sizing \
+                     pass at {}, or on another generator state: a sampler and its skip \
+                     twin draw different numbers of words",
+                    self.index,
+                    self.machine.name(),
+                    self.next_id,
+                    self.end.next_id,
+                );
+                return None;
+            }
+            let n = self.demand.arrivals(self.hour, &self.config, &mut self.rng);
+            for _ in 0..n {
+                self.hour_jobs.push_back(background_job(
+                    self.next_id,
+                    self.index,
+                    self.machine,
+                    self.hour,
+                    &self.config,
+                    &mut self.rng,
+                ));
+                self.next_id += 1;
+            }
+            // An hour's jobs come out in draw order; the trace's order is
+            // by submission time.
+            self.hour_jobs
+                .make_contiguous()
+                .sort_unstable_by(by_submit_then_id);
+            self.hour += 1;
+        }
+        self.hour_jobs.pop_front()
+    }
+}
+
+/// A heap merge of streams that are each in `(submit_s, id)` order into
+/// one stream in that order.
+struct Merge<'f> {
+    streams: Vec<Box<dyn Iterator<Item = JobSpec> + 'f>>,
+    heads: BinaryHeap<Head>,
+}
+
+/// A stream's next job. Ordered in reverse, so the max-heap's top is the
+/// earliest `(submit_s, id)`.
+struct Head {
+    job: JobSpec,
+    stream: usize,
+}
+
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> Ordering {
+        by_submit_then_id(&other.job, &self.job)
+    }
+}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Head {}
+
+impl<'f> Merge<'f> {
+    fn new(mut streams: Vec<Box<dyn Iterator<Item = JobSpec> + 'f>>) -> Self {
+        let heads = streams
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(stream, jobs)| jobs.next().map(|job| Head { job, stream }))
+            .collect();
+        Merge { streams, heads }
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = JobSpec;
+
+    fn next(&mut self) -> Option<JobSpec> {
+        let mut top = self.heads.peek_mut()?;
+        Some(match self.streams[top.stream].next() {
+            Some(job) => std::mem::replace(&mut top.job, job),
+            None => PeekMut::pop(top).job,
+        })
+    }
+}
+
+/// The study jobs, drawn from the generator state after every machine's
+/// background draws, ids from `first_id` in draw order.
+fn study_jobs(
+    fleet: &Fleet,
+    config: &WorkloadConfig,
+    rng: &mut StdRng,
+    first_id: u64,
+) -> Vec<JobSpec> {
     let weights: Vec<f64> = fleet
         .iter()
         .map(|m| {
@@ -228,37 +476,33 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
         .collect();
     let weight_total: f64 = weights.iter().sum();
 
-    for _ in 0..config.study_jobs {
-        // Submission time follows the same demand growth curve, and the
-        // hour-of-day follows the diurnal work pattern (researchers submit
-        // when everyone else does, which is when queues are longest).
-        let t_days = sample_growth_time(&mut rng, config.days, config.growth_end_factor);
-        let hour = sample_diurnal_hour(&mut rng);
-        let submit_s = (t_days.floor() + hour / 24.0).min(config.days) * 86_400.0;
-        // Weighted machine choice.
-        let mut pick = rng.gen_range(0.0..weight_total);
-        let mut m_idx = 0;
-        for (i, w) in weights.iter().enumerate() {
-            if pick < *w {
-                m_idx = i;
-                break;
+    (first_id..first_id + config.study_jobs as u64)
+        .map(|id| {
+            // Submission time follows the same demand growth curve, and
+            // the hour-of-day follows the diurnal work pattern (researchers
+            // submit when everyone else does, which is when queues are
+            // longest).
+            let t_days = sample_growth_time(rng, config.days, config.growth_end_factor);
+            let hour = sample_diurnal_hour(rng);
+            let submit_s = (t_days.floor() + hour / 24.0).min(config.days) * 86_400.0;
+            // Weighted machine choice.
+            let mut pick = rng.gen_range(0.0..weight_total);
+            let mut m_idx = 0;
+            for (i, w) in weights.iter().enumerate() {
+                if pick < *w {
+                    m_idx = i;
+                    break;
+                }
+                pick -= w;
             }
-            pick -= w;
-        }
-        let machine = &fleet.machines()[m_idx];
-        // Study jobs queue inside an ordinary shared hub: the fair-share
-        // scheduler must not hand the instrumented group a fast lane.
-        let provider = sampler::zipf_provider(&mut rng, config.num_providers);
-        jobs.push(study_job(
-            next_id, m_idx, machine, provider, submit_s, &mut rng,
-        ));
-        next_id += 1;
-    }
-
-    // Ids were handed out in push order, so `(submit_s, id)` is a total
-    // order equal to the stable sort by `submit_s`, with no scratch buffer.
-    jobs.sort_unstable_by(|a, b| a.submit_s.total_cmp(&b.submit_s).then(a.id.cmp(&b.id)));
-    Workload { jobs }
+            let machine = &fleet.machines()[m_idx];
+            // Study jobs queue inside an ordinary shared hub: the
+            // fair-share scheduler must not hand the instrumented group a
+            // fast lane.
+            let provider = sampler::zipf_provider(rng, config.num_providers);
+            study_job(id, m_idx, machine, provider, submit_s, rng)
+        })
+        .collect()
 }
 
 /// Rejection-sample an hour-of-day from the diurnal demand profile.
@@ -283,21 +527,23 @@ fn sample_growth_time(rng: &mut StdRng, days: f64, end_factor: f64) -> f64 {
     (1.0 + u * (end_factor - 1.0)).ln() / k
 }
 
+/// Draw one background job submitted during `hour`.
 fn background_job(
     id: u64,
     machine_idx: usize,
     machine: &Machine,
-    submit_s: f64,
+    hour: u64,
     config: &WorkloadConfig,
     rng: &mut StdRng,
 ) -> JobSpec {
+    let submit_s = (hour as f64 + rng.gen_range(0.0..1.0)) * 3600.0;
     let width = sampler::width(rng, machine.num_qubits());
     let depth = 5.0 + 1.6 * width as f64 + rng.gen_range(0.0..10.0);
     let patience_s = if rng.gen_range(0.0..1.0) < config.impatient_fraction {
         qcs_calibration::distributions::lognormal_with_cov(
             rng,
             config.mean_patience_hours * 3600.0,
-            1.0,
+            PATIENCE_COV,
         )
     } else {
         f64::INFINITY
@@ -315,6 +561,23 @@ fn background_job(
         patience_s,
     }
 }
+
+/// Consume exactly the words [`background_job`] draws, in its order,
+/// evaluating only the draws that decide how many words follow.
+fn skip_background_job(machine: &Machine, config: &WorkloadConfig, rng: &mut StdRng) {
+    rng.next_u64(); // submission offset within the hour
+    sampler::skip_width(rng, machine.num_qubits());
+    rng.next_u64(); // depth jitter
+    if rng.gen_range(0.0..1.0) < config.impatient_fraction {
+        qcs_calibration::distributions::skip_lognormal_with_cov(rng, PATIENCE_COV);
+    }
+    rng.next_u64(); // provider
+    sampler::skip_batch_size(rng);
+    sampler::skip_shots(rng);
+}
+
+/// Coefficient of variation of an impatient user's patience.
+const PATIENCE_COV: f64 = 1.0;
 
 /// Build one study job whose width and mean depth derive from a real
 /// benchmark circuit of the chosen family.
@@ -379,6 +642,110 @@ mod tests {
             study_jobs: 40,
             ..WorkloadConfig::default()
         }
+    }
+
+    /// The materialise-and-sort generator the stream replaced: one loop
+    /// over machines, hours and jobs on one generator, then the study
+    /// jobs, then one sort of the whole trace by `(submit_s, id)`.
+    fn generate_oracle(fleet: &Fleet, config: &WorkloadConfig) -> Vec<JobSpec> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut jobs = Vec::new();
+        let mut next_id = 0u64;
+        for (m_idx, machine) in fleet.iter().enumerate() {
+            let demand = Demand::draw(machine, config, &mut rng);
+            for hour in 0..demand.total_hours {
+                for _ in 0..demand.arrivals(hour, config, &mut rng) {
+                    jobs.push(background_job(
+                        next_id, m_idx, machine, hour, config, &mut rng,
+                    ));
+                    next_id += 1;
+                }
+            }
+        }
+        jobs.extend(study_jobs(fleet, config, &mut rng, next_id));
+        jobs.sort_unstable_by(by_submit_then_id);
+        jobs
+    }
+
+    #[test]
+    fn stream_equals_the_materialising_oracle() {
+        // Every value of every knob the draws depend on, each days value
+        // against every impatient fraction, the two-valued knobs rotated
+        // through; a fresh seed per config. Impatience 0 and 1 pin both
+        // ends of the skipped patience pair; 14.5 days ends mid-day.
+        let fleet = Fleet::ibm_like();
+        let mut case = 0u64;
+        for days in [0.3, 1.0, 14.5, 60.0] {
+            for impatient_fraction in [0.0, 0.05, 1.0] {
+                let bit = |k: u64| (case >> k) & 1 == 1;
+                let config = WorkloadConfig {
+                    seed: 0x5eed ^ case.wrapping_mul(0x9E37_79B9),
+                    days,
+                    impatient_fraction,
+                    // The 60-day cases stay light: the oracle holds the
+                    // whole trace twice in a debug build.
+                    demand_scale: if bit(0) && days < 30.0 { 3.0 } else { 0.5 },
+                    growth_end_factor: if bit(1) { 3.0 } else { 0.5 },
+                    study_jobs: if bit(2) { 40 } else { 0 },
+                    ..WorkloadConfig::default()
+                };
+                let oracle = generate_oracle(&fleet, &config);
+                let streamed: Vec<JobSpec> = stream(&fleet, &config).collect();
+                assert_eq!(streamed.len(), oracle.len(), "{config:?}");
+                if let Some(i) = (0..oracle.len()).find(|&i| streamed[i] != oracle[i]) {
+                    panic!(
+                        "{config:?}: job {i} {:?} != oracle {:?}",
+                        streamed[i], oracle[i]
+                    );
+                }
+                case += 1;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 0 (armonk)")]
+    fn emitting_stream_panics_where_it_leaves_the_sizing_pass() {
+        let fleet = Fleet::ibm_like();
+        let config = small_config();
+        let boundaries = size_machines(&fleet, &config);
+        // A sizing pass one word short for machine 0.
+        let mut end = boundaries[1].clone();
+        end.rng.next_u64();
+        let machine = MachineJobs::new(0, &fleet.machines()[0], config, boundaries[0].clone(), end);
+        machine.for_each(drop);
+    }
+
+    #[test]
+    fn merge_breaks_submit_ties_by_id_across_streams() {
+        let job = |id: u64, submit_s: f64| JobSpec {
+            id,
+            provider: 1,
+            machine: 0,
+            circuits: 1,
+            shots: 1,
+            mean_depth: 1.0,
+            mean_width: 1.0,
+            submit_s,
+            is_study: false,
+            patience_s: f64::INFINITY,
+        };
+        // Equal submission times in every stream, ids interleaved across
+        // them, an empty stream, and a tie at the very first job.
+        let streams: Vec<Vec<JobSpec>> = vec![
+            vec![job(4, 0.0), job(5, 1.0), job(9, 1.0), job(2, 3.0)],
+            vec![],
+            vec![job(1, 0.0), job(3, 1.0), job(8, 1.0), job(6, 2.0)],
+            vec![job(0, 1.0), job(7, 1.0)],
+        ];
+        let merge = Merge::new(
+            streams
+                .into_iter()
+                .map(|s| Box::new(s.into_iter()) as Box<dyn Iterator<Item = JobSpec>>)
+                .collect(),
+        );
+        let ids: Vec<u64> = merge.map(|j| j.id).collect();
+        assert_eq!(ids, [1, 4, 0, 3, 5, 7, 8, 9, 6, 2]);
     }
 
     #[test]

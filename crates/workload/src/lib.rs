@@ -4,19 +4,25 @@
 //! study: background demand calibrated to per-machine utilization targets
 //! (with growth, diurnal and weekly cycles), plus an instrumented set of
 //! *study jobs* whose width and mean depth derive from real benchmark
-//! circuits. Feed the output of [`generate`] into
-//! [`qcs_cloud::Simulation`].
+//! circuits.
+//!
+//! The generator streams: [`stream`] yields the trace in `(submit_s, id)`
+//! order while holding one hour of each machine's background jobs and
+//! the study jobs, and [`generate`] collects that stream into a `Vec`.
+//! Feed the stream to [`qcs_cloud::Simulation::run_in_order`], which
+//! pulls jobs as its clock reaches them, so the trace is never held
+//! whole.
 //!
 //! # Examples
 //!
 //! ```
 //! use qcs_cloud::{CloudConfig, Simulation};
 //! use qcs_machine::Fleet;
-//! use qcs_workload::{generate, WorkloadConfig};
+//! use qcs_workload::{stream, WorkloadConfig};
 //!
 //! let fleet = Fleet::ibm_like();
-//! let workload = generate(&fleet, &WorkloadConfig::smoke());
-//! let result = Simulation::new(fleet, CloudConfig::default()).run(workload.jobs);
+//! let jobs = stream(&fleet, &WorkloadConfig::smoke());
+//! let result = Simulation::new(fleet.clone(), CloudConfig::default()).run_in_order(jobs);
 //! assert!(result.total_jobs > 0);
 //! ```
 
@@ -29,6 +35,6 @@ pub mod ingest;
 pub mod population;
 pub mod sampler;
 
-pub use generator::{generate, Workload, WorkloadConfig};
+pub use generator::{generate, stream, Workload, WorkloadConfig};
 pub use ingest::{read_trace, IngestedTrace, INGEST_HEADER};
 pub use population::{PopulationConfig, PopulationTrace};

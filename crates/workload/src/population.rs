@@ -1,12 +1,13 @@
 //! Zipf-activity provider population: a streaming generator for
 //! millions-of-users, million-job traces.
 //!
-//! Where [`generate`](crate::generate) materializes a whole [`Workload`]
-//! (fine at 10⁴–10⁵ jobs), [`PopulationTrace`] is an `Iterator` that
-//! yields [`JobSpec`]s one at a time in submit order: O(1) memory however
-//! long the trace, so a ≥10⁶-job campaign can be streamed straight into a
-//! chunked [`LiveCloud`](qcs_cloud::LiveCloud) driver without ever holding
-//! the trace in memory.
+//! Where [`stream`](crate::stream) yields the paper-calibrated trace and
+//! holds an hour of each machine's jobs, [`PopulationTrace`] is an
+//! `Iterator` of homogeneous Poisson arrivals that yields [`JobSpec`]s one
+//! at a time in submit order: O(1) memory however long the trace, so a
+//! ≥10⁶-job campaign can be streamed straight into a chunked
+//! [`LiveCloud`](qcs_cloud::LiveCloud) driver without ever holding the
+//! trace in memory.
 //!
 //! The activity model follows the adaptive-quantum-cloud framing of the
 //! growing-demand regime: a population of `users` whose activity is

@@ -1,5 +1,10 @@
 //! Random samplers for workload characteristics (batch sizes, shots,
 //! widths, arrival counts).
+//!
+//! Every draw takes exactly one word from the generator. The samplers the
+//! trace generator's sizing pass steps over have `skip_*` twins beside
+//! them that consume the same words without computing the sample; change
+//! a sampler's draws and its twin must change with it.
 
 use rand::Rng;
 
@@ -61,6 +66,15 @@ pub fn batch_size<R: Rng + ?Sized>(rng: &mut R, max_batch: u32) -> u32 {
     b.clamp(1, max_batch)
 }
 
+/// Consume exactly the words [`batch_size`] draws: its branch draw, then
+/// one more unless the batch is the maximum.
+pub(crate) fn skip_batch_size<R: Rng + ?Sized>(rng: &mut R) {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    if u < 0.85 {
+        rng.next_u64();
+    }
+}
+
 /// Shots per circuit: mass at the typical powers of two, capped at the
 /// machine limit.
 pub fn shots<R: Rng + ?Sized>(rng: &mut R, max_shots: u32) -> u32 {
@@ -79,6 +93,15 @@ pub fn shots<R: Rng + ?Sized>(rng: &mut R, max_shots: u32) -> u32 {
     s.min(max_shots).max(1)
 }
 
+/// Consume exactly the words [`shots`] draws: its branch draw, then one
+/// more for the log-uniform tail.
+pub(crate) fn skip_shots<R: Rng + ?Sized>(rng: &mut R) {
+    let u: f64 = rng.gen_range(0.0..1.0);
+    if u >= 0.92 {
+        rng.next_u64();
+    }
+}
+
 /// Circuit width on a machine with `machine_qubits` qubits: small machines
 /// run near-full-width circuits, large machines mostly small fractions
 /// (the paper's Fig 8 utilization pattern).
@@ -95,6 +118,13 @@ pub fn width<R: Rng + ?Sized>(rng: &mut R, machine_qubits: usize) -> usize {
     let jitter: f64 = rng.gen_range(0.5..1.5);
     let w = (machine_qubits as f64 * mean_fraction * jitter).round() as usize;
     w.clamp(1, machine_qubits)
+}
+
+/// Consume exactly the words [`width`] draws.
+pub(crate) fn skip_width<R: Rng + ?Sized>(rng: &mut R, machine_qubits: usize) {
+    if machine_qubits > 1 {
+        rng.next_u64();
+    }
 }
 
 /// Sample an exponential inter-arrival gap with the given mean (seconds,
@@ -142,6 +172,24 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn skip_twins_draw_what_their_samplers_draw() {
+        // Both branches of every twin: 20k draws from one stream reach
+        // each branch thousands of times.
+        let mut sampled = StdRng::seed_from_u64(10);
+        let mut skipped = sampled.clone();
+        for i in 0..20_000 {
+            let qubits = [1, 5, 27][i % 3];
+            width(&mut sampled, qubits);
+            skip_width(&mut skipped, qubits);
+            batch_size(&mut sampled, 900);
+            skip_batch_size(&mut skipped);
+            shots(&mut sampled, [8192, 1000][i % 2]);
+            skip_shots(&mut skipped);
+            assert_eq!(sampled, skipped, "draw {i}");
+        }
+    }
 
     #[test]
     fn poisson_mean() {

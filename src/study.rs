@@ -8,7 +8,7 @@ use qcs_exec::ExecConfig;
 use qcs_machine::Fleet;
 use qcs_predictor::{run_prediction_study, PredictionStudy};
 use qcs_stats::{fraction_where, median, Summary};
-use qcs_workload::{generate, Workload, WorkloadConfig};
+use qcs_workload::{stream, WorkloadConfig};
 
 /// Configuration of a full study run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,13 +76,14 @@ pub struct Study {
 }
 
 impl Study {
-    /// Generate the workload and run the cloud simulation.
+    /// Run the cloud simulation on the workload, streamed from the
+    /// generator as the clock reaches it (the trace is never held whole).
     #[must_use]
     pub fn run(config: &StudyConfig) -> Self {
-        let (fleet, workload, outages) = study_inputs(config);
+        let fleet = Fleet::ibm_like();
         let result = Simulation::new(fleet.clone(), config.cloud)
-            .with_outages(outages)
-            .run(workload.jobs);
+            .with_outages(study_outages(config, &fleet))
+            .run_in_order(stream(&fleet, &config.workload));
         Study {
             fleet,
             result,
@@ -204,18 +205,15 @@ impl Study {
     /// Only machines with data are returned.
     #[must_use]
     pub fn utilization_by_machine(&self) -> Vec<(String, Summary)> {
-        let mut per_machine: HashMap<usize, Vec<f64>> = HashMap::new();
+        let mut per_machine: HashMap<usize, Vec<(f64, usize)>> = HashMap::new();
         for r in self.result.study_records() {
             let qubits = self.fleet.machines()[r.machine].num_qubits();
             per_machine
                 .entry(r.machine)
                 .or_default()
-                .extend(std::iter::repeat_n(
-                    r.utilization(qubits),
-                    r.circuits as usize,
-                ));
+                .push((r.utilization(qubits), r.circuits as usize));
         }
-        self.named_summaries(per_machine)
+        self.named_summaries(per_machine, Summary::of_runs)
     }
 
     // --- Fig 9 ----------------------------------------------------------
@@ -269,7 +267,7 @@ impl Study {
                     .push(r.queue_time_s() / 3600.0);
             }
         }
-        self.named_summaries(per_machine)
+        self.named_summaries(per_machine, Summary::of)
     }
 
     // --- Fig 11 ---------------------------------------------------------
@@ -333,7 +331,7 @@ impl Study {
                     .push(r.exec_time_s() / 60.0);
             }
         }
-        self.named_summaries(per_machine)
+        self.named_summaries(per_machine, Summary::of)
     }
 
     // --- Fig 14 ---------------------------------------------------------
@@ -376,24 +374,26 @@ impl Study {
         self.fleet.machines()[index].name()
     }
 
-    fn named_summaries(&self, per_machine: HashMap<usize, Vec<f64>>) -> Vec<(String, Summary)> {
-        let mut keyed: Vec<(usize, Vec<f64>)> = per_machine.into_iter().collect();
+    /// `summarize` each machine's sample, in machine order, with its name.
+    fn named_summaries<T: Sync>(
+        &self,
+        per_machine: HashMap<usize, Vec<T>>,
+        summarize: impl Fn(&[T]) -> Summary + Sync,
+    ) -> Vec<(String, Summary)> {
+        let mut keyed: Vec<(usize, Vec<T>)> = per_machine.into_iter().collect();
         keyed.sort_by_key(|(m, _)| *m);
-        qcs_exec::parallel_map(&self.exec, &keyed, |_, (m, values)| {
+        qcs_exec::parallel_map(&self.exec, &keyed, |_, (m, sample)| {
             (
                 self.fleet.machines()[*m].name().to_string(),
-                Summary::of(values),
+                summarize(sample),
             )
         })
     }
 }
 
-/// The simulation's inputs for a study configuration: the fleet, the
-/// generated workload and the sampled maintenance plan.
-fn study_inputs(config: &StudyConfig) -> (Fleet, Workload, OutagePlan) {
-    let fleet = Fleet::ibm_like();
-    let workload = generate(&fleet, &config.workload);
-    let outages = if config.outage_interval_days > 0.0 {
+/// The sampled maintenance plan of a study configuration.
+fn study_outages(config: &StudyConfig, fleet: &Fleet) -> OutagePlan {
+    if config.outage_interval_days > 0.0 {
         OutagePlan::sample(
             fleet.len(),
             config.workload.days,
@@ -403,8 +403,7 @@ fn study_inputs(config: &StudyConfig) -> (Fleet, Workload, OutagePlan) {
         )
     } else {
         OutagePlan::none(fleet.len())
-    };
-    (fleet, workload, outages)
+    }
 }
 
 /// Analysis of an externally ingested job log (see
@@ -479,9 +478,9 @@ mod tests {
 
     #[test]
     fn live_core_matches_batch_on_smoke_study() {
-        // `Study::run` feeds the core in windows; the study's whole trace
-        // submitted up front and drained in one step must equal it bit
-        // for bit.
+        // `Study::run` streams the generator into the core in windows;
+        // the study's whole trace, generated, submitted up front and
+        // drained in one step, must equal it bit for bit.
         let config = StudyConfig {
             cloud: CloudConfig {
                 audit: true,
@@ -491,7 +490,9 @@ mod tests {
         };
         let batch = Study::run(&config);
 
-        let (fleet, workload, outages) = study_inputs(&config);
+        let fleet = Fleet::ibm_like();
+        let outages = study_outages(&config, &fleet);
+        let workload = qcs_workload::generate(&fleet, &config.workload);
         let mut live = qcs_cloud::LiveCloud::new(fleet, config.cloud).with_outages(outages);
         for job in workload.jobs {
             live.submit(job).expect("generated jobs are valid");
