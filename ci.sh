@@ -109,10 +109,22 @@ cargo test -q --workspace
 #   trajectory, on widths to 127 and through the k > 53 measurement
 #   fallback, and the frame-shifted Support equals the noisy tableau's
 #   field for field.
+# --test trace_roundtrip: the smoke study written by write_trace reads
+#   back record for record (floats to the bit, machines by name), and
+#   Study::from_trace on it gives the simulated study's order-free
+#   figures (2a, 2b, 3, 4, 8, 10, 11, 12a, 13) bit for bit.
 # --test ingest_study: the ARLIS-style CSV fixture parses with derived
-#   backlogs, survives the study's causality audit, trains the online
-#   predictor on the 70 % head and scores the tail with jobs, r and MAE
-#   pinned, and reports no queue prediction when no head job completed.
+#   backlogs, re-based to its UTC midnight; Study::from_trace on it
+#   audits clean, trains the online predictor on the 70 % head and scores
+#   the tail with jobs, r and MAE pinned, reports no queue prediction
+#   when no head job completed and no Fig 9 or Fig 12a; a COMPLETED row
+#   that never ran and a CANCELLED row that ran are refused.
+# -p qcs-workload --test hostile_trace: generated job logs (either header
+#   or a padded or truncated one, arity +-1, negative, huge, non-finite,
+#   empty, non-ASCII and non-UTF-8 fields, duplicate ids, backends whose
+#   qubit count changes, blank lines) never panic read_trace, which
+#   accepts only what the causality audit accepts; well-formed records
+#   round-trip field for field through write_trace -> read_trace.
 # -p qcs-predictor queue; --test end_to_end_study
 #   queue_prediction_smoke_values_are_pinned: held-out point waits are
 #   the training split's per-machine means bit for bit, and

@@ -2,21 +2,13 @@
 //! quantitative confidence levels, from the backlog at submission and the
 //! machine's learned service rate.
 
-use qcs::predictor::{evaluate_queue_prediction, OnlinePredictor};
 use qcs_bench::study_from_args;
 
 fn main() {
     let study = study_from_args();
-    let records: Vec<&qcs::cloud::JobRecord> = study.result().records.iter().collect();
-    let split = records.len() / 2;
-    let (train, test) = records.split_at(split);
-
-    let qubits = study.fleet().machines().iter().map(|m| m.num_qubits()).collect();
-    let mut online = OnlinePredictor::new(qubits);
-    for record in train {
-        online.observe(record);
-    }
-    let report = evaluate_queue_prediction(&online, test);
+    let (online, report) = study
+        .queue_prediction(study.result().records.len() / 2)
+        .expect("completed jobs in the training half");
 
     println!("Queue-wait prediction (backlog x learned service rate)");
     println!("  held-out jobs scored : {}", report.jobs);
@@ -25,7 +17,7 @@ fn main() {
     println!("  10-90% band coverage : {:.1}%", 100.0 * report.band_coverage);
     println!();
     for name in ["athens", "toronto", "manhattan"] {
-        let idx = study.fleet().index_of(name).expect("machine exists");
+        let idx = study.machine_index(name).expect("machine exists");
         let estimate = online
             .predict(idx, 1, 1024, 20)
             .expect("completed jobs in trace");

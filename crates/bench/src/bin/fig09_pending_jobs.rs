@@ -5,7 +5,9 @@ use qcs_bench::{study_from_args, write_csv};
 
 fn main() {
     let study = study_from_args();
-    let rows = study.pending_jobs_by_machine();
+    let rows = study
+        .pending_jobs_by_machine()
+        .expect("a simulated study samples its queues");
     println!("Fig 9 — mean pending jobs (final week of submissions)");
     let mut current_block = 0usize;
     for (name, qubits, public, pending) in &rows {

@@ -9,7 +9,9 @@ use qcs_bench::{study_from_args, write_csv};
 
 fn main() {
     let study = study_from_args();
-    let crossover = study.calibration_crossover_fraction();
+    let crossover = study
+        .calibration_crossover_fraction()
+        .expect("a simulated study records its crossings");
     println!("Fig 12a — calibration crossovers");
     println!(
         "  {:.1}% of executed jobs crossed a calibration boundary (paper coarse estimate: >20%)",

@@ -251,19 +251,14 @@ impl Auditor {
     }
 }
 
-/// Check `submit <= start <= end` for every record, plus
-/// outcome/duration consistency: cancelled jobs never executed
-/// (`start == end`), executed jobs ran for a positive duration.
+/// Check every record against [`JobOutcome::is_causal`]: `submit <=
+/// start <= end`, cancelled jobs never executed (`start == end`),
+/// executed jobs ran for a positive duration.
 #[must_use]
 pub fn check_causality(records: &[JobRecord]) -> Vec<AuditViolation> {
     let mut violations = Vec::new();
     for r in records {
-        let ordered = r.submit_s <= r.start_s && r.start_s <= r.end_s;
-        let duration_ok = match r.outcome {
-            JobOutcome::Cancelled => r.end_s == r.start_s,
-            JobOutcome::Completed | JobOutcome::Errored => r.end_s > r.start_s,
-        };
-        if !(ordered && duration_ok && r.submit_s.is_finite() && r.end_s.is_finite()) {
+        if !r.outcome.is_causal(r.submit_s, r.start_s, r.end_s) {
             violations.push(AuditViolation::Causality {
                 job: r.id,
                 submit_s: r.submit_s,

@@ -83,6 +83,25 @@ pub enum JobOutcome {
     Cancelled,
 }
 
+impl JobOutcome {
+    /// The causality rule, as [`is_causal`](Self::is_causal) checks it.
+    pub const CAUSALITY_RULE: &'static str =
+        "submit <= start <= end, with end == start for a cancelled job and end > start otherwise";
+
+    /// Whether a job with this outcome could have these timestamps: all
+    /// finite and [`CAUSALITY_RULE`](Self::CAUSALITY_RULE). The audit
+    /// checks every simulated record with it, and the job-log reader
+    /// every row.
+    #[must_use]
+    pub fn is_causal(self, submit_s: f64, start_s: f64, end_s: f64) -> bool {
+        let ran = match self {
+            JobOutcome::Cancelled => end_s == start_s,
+            JobOutcome::Completed | JobOutcome::Errored => end_s > start_s,
+        };
+        submit_s.is_finite() && end_s.is_finite() && submit_s <= start_s && ran
+    }
+}
+
 impl fmt::Display for JobOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -41,7 +41,6 @@ mod outage;
 pub mod reference;
 mod sim;
 mod streaming;
-pub mod trace;
 
 pub use audit::{AuditReport, AuditViolation, Auditor};
 pub use discipline::{Discipline, JobQueue};

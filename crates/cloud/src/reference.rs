@@ -358,20 +358,7 @@ fn dispatch(
 
 /// Aggregate + record-sampling bookkeeping, mirroring production.
 fn finish(config: &CloudConfig, result: &mut SimulationResult, record: JobRecord) {
-    result.total_jobs += 1;
-    let slot = match record.outcome {
-        JobOutcome::Completed => 0,
-        JobOutcome::Errored => 1,
-        JobOutcome::Cancelled => 2,
-    };
-    result.outcome_counts[slot] += 1;
-    if record.outcome != JobOutcome::Cancelled {
-        let day = (record.end_s / 86_400.0).floor().max(0.0) as usize;
-        if result.daily_executions.len() <= day {
-            result.daily_executions.resize(day + 1, 0);
-        }
-        result.daily_executions[day] += record.executions();
-    }
+    result.tally(&record);
     let keep = record.is_study
         || config.background_record_divisor <= 1
         || record.id.is_multiple_of(config.background_record_divisor);

@@ -132,6 +132,26 @@ impl SimulationResult {
         self.records.iter().filter(|r| r.is_study)
     }
 
+    /// Count one terminal job into the whole-population aggregates:
+    /// `total_jobs`, `outcome_counts` and, for an executed job,
+    /// `daily_executions` at the day its execution ended.
+    pub fn tally(&mut self, record: &JobRecord) {
+        self.total_jobs += 1;
+        let slot = match record.outcome {
+            JobOutcome::Completed => 0,
+            JobOutcome::Errored => 1,
+            JobOutcome::Cancelled => 2,
+        };
+        self.outcome_counts[slot] += 1;
+        if record.outcome != JobOutcome::Cancelled {
+            let day = (record.end_s / 86_400.0).floor().max(0.0) as usize;
+            if self.daily_executions.len() <= day {
+                self.daily_executions.resize(day + 1, 0);
+            }
+            self.daily_executions[day] += record.executions();
+        }
+    }
+
     /// Fraction of jobs with each outcome: `(completed, errored,
     /// cancelled)` over the whole population.
     #[must_use]

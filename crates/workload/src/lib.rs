@@ -36,5 +36,8 @@ pub mod population;
 pub mod sampler;
 
 pub use generator::{generate, stream, Workload, WorkloadConfig};
-pub use ingest::{read_trace, IngestedTrace, INGEST_HEADER};
+pub use ingest::{read_trace, write_trace, IngestedTrace, TraceError, INGEST_HEADER};
 pub use population::{PopulationConfig, PopulationTrace};
+
+#[cfg(test)]
+mod trace;

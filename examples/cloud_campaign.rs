@@ -4,7 +4,12 @@
 //! ```sh
 //! cargo run --release --example cloud_campaign           # 2-week smoke run
 //! cargo run --release --example cloud_campaign -- --full # full 2-year study
+//! cargo run --release --example cloud_campaign -- --export # also write the job log
 //! ```
+//!
+//! `--export` writes every retained record to
+//! `target/figures/study_trace.csv` in the job-log format that
+//! `qcs::workload::read_trace` reads back into `Study::from_trace`.
 
 use qcs::{Study, StudyConfig};
 
@@ -84,7 +89,10 @@ fn main() {
 
     // Fig 9: pending jobs per machine.
     println!("Fig 9   mean pending jobs (last week):");
-    for (name, qubits, public, pending) in study.pending_jobs_by_machine() {
+    for (name, qubits, public, pending) in study
+        .pending_jobs_by_machine()
+        .expect("a simulated study samples its queues")
+    {
         println!(
             "          {name:<12} {qubits:>2}q {} {pending:>8.1}",
             if public { "public    " } else { "privileged" }
@@ -118,7 +126,10 @@ fn main() {
     // Fig 12a.
     println!(
         "Fig 12a {:.1}% of executed jobs crossed a calibration boundary",
-        100.0 * study.calibration_crossover_fraction()
+        100.0
+            * study
+                .calibration_crossover_fraction()
+                .expect("a simulated study records its crossings")
     );
 
     // Fig 14: runtime vs batch.
@@ -144,18 +155,14 @@ fn main() {
         let path = "target/figures/study_trace.csv";
         std::fs::create_dir_all("target/figures").expect("create figures dir");
         let file = std::fs::File::create(path).expect("create trace file");
-        qcs::cloud::trace::write_records(
+        qcs::workload::write_trace(
             std::io::BufWriter::new(file),
-            &study
-                .result()
-                .records
-                .iter()
-                .filter(|r| r.is_study)
-                .cloned()
-                .collect::<Vec<_>>(),
+            &study.result().records,
+            study.machine_names(),
+            study.machine_qubits(),
         )
         .expect("write trace");
-        println!("\nexported study trace to {path}");
+        println!("\nexported every retained record to {path}");
     }
 
     // Figs 15/16: predictability.

@@ -31,7 +31,7 @@ pub mod experiments;
 mod study;
 
 pub use qcs_exec::ExecConfig;
-pub use study::{external_trace_report, ExternalTraceReport, Study, StudyConfig};
+pub use study::{Study, StudyConfig};
 
 pub use qcs_calibration as calibration;
 pub use qcs_circuit as circuit;

@@ -6,9 +6,12 @@ use std::collections::HashMap;
 use qcs_cloud::{CloudConfig, JobOutcome, JobRecord, OutagePlan, Simulation, SimulationResult};
 use qcs_exec::ExecConfig;
 use qcs_machine::Fleet;
-use qcs_predictor::{run_prediction_study, PredictionStudy};
+use qcs_predictor::{
+    evaluate_queue_prediction, run_prediction_study, OnlinePredictor, PredictionStudy,
+    QueuePredictionReport,
+};
 use qcs_stats::{fraction_where, median, Summary};
-use qcs_workload::{stream, WorkloadConfig};
+use qcs_workload::{stream, IngestedTrace, WorkloadConfig};
 
 /// Configuration of a full study run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,15 +67,28 @@ impl Default for StudyConfig {
     }
 }
 
-/// A completed study: the simulated trace plus analysis accessors, one per
-/// figure of the paper. The accessors read the retained job records, so
-/// under [`qcs_cloud::RecordSink::Streaming`] (which retains none) every
-/// record-based series, Fig 8 included, is empty.
+/// A completed study: a job trace, simulated or read from a log, plus
+/// analysis accessors, one per figure of the paper. The accessors read the
+/// retained job records, so under [`qcs_cloud::RecordSink::Streaming`]
+/// (which retains none) every record-based series, Fig 8 included, is
+/// empty. A figure whose input the trace lacks is `None`.
 #[derive(Debug)]
 pub struct Study {
-    fleet: Fleet,
+    machines: MachineTable,
+    /// Whether the records say which jobs crossed a calibration.
+    crossings_known: bool,
     result: SimulationResult,
     exec: ExecConfig,
+}
+
+/// What the figures know of each machine, indexed by
+/// [`JobRecord::machine`].
+#[derive(Debug)]
+struct MachineTable {
+    names: Vec<String>,
+    qubits: Vec<usize>,
+    /// Whether each machine is public; a job log does not say.
+    public: Option<Vec<bool>>,
 }
 
 impl Study {
@@ -84,17 +100,58 @@ impl Study {
         let result = Simulation::new(fleet.clone(), config.cloud)
             .with_outages(study_outages(config, &fleet))
             .run_in_order(stream(&fleet, &config.workload));
+        let machines = MachineTable {
+            names: fleet.iter().map(|m| m.name().to_string()).collect(),
+            qubits: fleet.iter().map(qcs_machine::Machine::num_qubits).collect(),
+            public: Some(fleet.iter().map(|m| m.access().is_public()).collect()),
+        };
+        Study::new(machines, result, true, config.exec)
+    }
+
+    /// The study of a job log (see [`qcs_workload::ingest`]). Its result
+    /// holds the records and the aggregates they imply (`total_jobs`,
+    /// `outcome_counts`, `daily_executions`); it has no queue samples and
+    /// no audit.
+    #[must_use]
+    pub fn from_trace(trace: IngestedTrace) -> Self {
+        let mut result = SimulationResult::default();
+        for r in &trace.records {
+            result.tally(r);
+        }
+        result.records = trace.records;
+        let machines = MachineTable {
+            names: trace.machines,
+            qubits: trace.machine_qubits,
+            public: None,
+        };
+        Study::new(machines, result, trace.extended, ExecConfig::default())
+    }
+
+    /// Where both a simulated and an ingested study end.
+    fn new(
+        machines: MachineTable,
+        result: SimulationResult,
+        crossings_known: bool,
+        exec: ExecConfig,
+    ) -> Self {
         Study {
-            fleet,
+            machines,
+            crossings_known,
             result,
-            exec: config.exec,
+            exec,
         }
     }
 
-    /// The simulated fleet.
+    /// Qubit count per machine, indexed by [`JobRecord::machine`].
     #[must_use]
-    pub fn fleet(&self) -> &Fleet {
-        &self.fleet
+    pub fn machine_qubits(&self) -> &[usize] {
+        &self.machines.qubits
+    }
+
+    /// Machine names, indexed by [`JobRecord::machine`].
+    #[must_use]
+    pub fn machine_names(&self) -> &[String] {
+        &self.machines.names
     }
 
     /// The raw simulation result.
@@ -133,23 +190,11 @@ impl Study {
     /// ~10 billion trials, since the paper counts its own experiments.
     #[must_use]
     pub fn cumulative_study_executions(&self) -> Vec<(usize, u64)> {
-        let mut daily: Vec<u64> = Vec::new();
+        let mut executed = SimulationResult::default();
         for r in self.executed_study_records() {
-            let day = (r.end_s / 86_400.0).floor().max(0.0) as usize;
-            if daily.len() <= day {
-                daily.resize(day + 1, 0);
-            }
-            daily[day] += r.executions();
+            executed.tally(r);
         }
-        let mut acc = 0u64;
-        daily
-            .into_iter()
-            .enumerate()
-            .map(|(day, n)| {
-                acc += n;
-                (day, acc)
-            })
-            .collect()
+        executed.cumulative_executions()
     }
 
     /// Fig 2b: `(completed, errored, cancelled)` fractions.
@@ -207,11 +252,11 @@ impl Study {
     pub fn utilization_by_machine(&self) -> Vec<(String, Summary)> {
         let mut per_machine: HashMap<usize, Vec<(f64, usize)>> = HashMap::new();
         for r in self.result.study_records() {
-            let qubits = self.fleet.machines()[r.machine].num_qubits();
+            let utilization = r.utilization(self.machines.qubits[r.machine]);
             per_machine
                 .entry(r.machine)
                 .or_default()
-                .push((r.utilization(qubits), r.circuits as usize));
+                .push((utilization, r.circuits as usize));
         }
         self.named_summaries(per_machine, Summary::of_runs)
     }
@@ -219,9 +264,15 @@ impl Study {
     // --- Fig 9 ----------------------------------------------------------
 
     /// Fig 9: mean pending jobs per machine over a late-study week,
-    /// `(machine name, qubits, public?, mean pending)`.
+    /// `(machine name, qubits, public?, mean pending)`; `None` without
+    /// queue samples or machine access (a job log has neither).
     #[must_use]
-    pub fn pending_jobs_by_machine(&self) -> Vec<(String, usize, bool, f64)> {
+    pub fn pending_jobs_by_machine(&self) -> Option<Vec<(String, usize, bool, f64)>> {
+        let MachineTable { names, qubits, public } = &self.machines;
+        let public = public.as_ref()?;
+        if self.result.queue_samples.is_empty() {
+            return None;
+        }
         // Use the last full week of *arrivals*: after the submission
         // horizon the simulator merely drains its backlog, which would
         // bias the averages toward zero.
@@ -237,19 +288,12 @@ impl Study {
         // series fleet-len times.
         let pending = self
             .result
-            .mean_pending_by_machine(self.fleet.len(), from, end + 1.0);
-        self.fleet
-            .iter()
-            .zip(pending)
-            .map(|(m, mean)| {
-                (
-                    m.name().to_string(),
-                    m.num_qubits(),
-                    m.access().is_public(),
-                    mean,
-                )
-            })
-            .collect()
+            .mean_pending_by_machine(names.len(), from, end + 1.0);
+        Some(
+            (0..names.len())
+                .map(|m| (names[m].clone(), qubits[m], public[m], pending[m]))
+                .collect(),
+        )
     }
 
     // --- Fig 10 ---------------------------------------------------------
@@ -310,10 +354,12 @@ impl Study {
     // --- Fig 12a --------------------------------------------------------
 
     /// Fig 12a: fraction of executed recorded jobs whose queueing crossed a
-    /// calibration boundary.
+    /// calibration boundary; `None` for a job log without the
+    /// `crossed_calibration` column.
     #[must_use]
-    pub fn calibration_crossover_fraction(&self) -> f64 {
-        self.result.calibration_crossover_fraction()
+    pub fn calibration_crossover_fraction(&self) -> Option<f64> {
+        self.crossings_known
+            .then(|| self.result.calibration_crossover_fraction())
     }
 
     // --- Fig 13 ---------------------------------------------------------
@@ -364,14 +410,41 @@ impl Study {
             .iter()
             .filter(|r| r.is_study)
             .collect();
-        let qubits: Vec<usize> = self.fleet.iter().map(qcs_machine::Machine::num_qubits).collect();
-        run_prediction_study(&records, &qubits, 0.7, seed, 4)
+        run_prediction_study(&records, &self.machines.qubits, 0.7, seed, 4)
+    }
+
+    /// Queue-wait prediction (paper Recommendation ⑤): an
+    /// [`OnlinePredictor`] trained on the first `train` retained records
+    /// (all of them if there are fewer), scored by
+    /// [`evaluate_queue_prediction`] on the rest. `None` when the training
+    /// head has no completed job to learn from.
+    #[must_use]
+    pub fn queue_prediction(
+        &self,
+        train: usize,
+    ) -> Option<(OnlinePredictor, QueuePredictionReport)> {
+        let records = &self.result.records;
+        let (head, tail) = records.split_at(train.min(records.len()));
+        let mut online = OnlinePredictor::new(self.machines.qubits.clone());
+        for r in head {
+            online.observe(r);
+        }
+        online.ready().then(move || {
+            let report = evaluate_queue_prediction(&online, &tail.iter().collect::<Vec<_>>());
+            (online, report)
+        })
     }
 
     /// Machine name by index.
     #[must_use]
     pub fn machine_name(&self, index: usize) -> &str {
-        self.fleet.machines()[index].name()
+        &self.machines.names[index]
+    }
+
+    /// Machine index by name.
+    #[must_use]
+    pub fn machine_index(&self, name: &str) -> Option<usize> {
+        self.machines.names.iter().position(|n| n == name)
     }
 
     /// `summarize` each machine's sample, in machine order, with its name.
@@ -383,10 +456,7 @@ impl Study {
         let mut keyed: Vec<(usize, Vec<T>)> = per_machine.into_iter().collect();
         keyed.sort_by_key(|(m, _)| *m);
         qcs_exec::parallel_map(&self.exec, &keyed, |_, (m, sample)| {
-            (
-                self.fleet.machines()[*m].name().to_string(),
-                summarize(sample),
-            )
+            (self.machines.names[*m].clone(), summarize(sample))
         })
     }
 }
@@ -403,68 +473,6 @@ fn study_outages(config: &StudyConfig, fleet: &Fleet) -> OutagePlan {
         )
     } else {
         OutagePlan::none(fleet.len())
-    }
-}
-
-/// Analysis of an externally ingested job log (see
-/// [`qcs_workload::ingest`]): the audit and queue-prediction halves of
-/// the study pipeline, run over real records instead of simulated ones.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExternalTraceReport {
-    /// Records analyzed.
-    pub total_jobs: usize,
-    /// `[completed, errored, cancelled]` counts.
-    pub outcome_counts: [u64; 3],
-    /// Median queue time over completed jobs, minutes.
-    pub median_queue_min: f64,
-    /// Causality violations (`submit <= start <= end`, durations) found
-    /// by the study auditor. Ingestion validates per row, so anything
-    /// here indicates a bug in the adapter, not the log.
-    pub causality_violations: usize,
-    /// Queue-wait evaluation on the held-out 30% tail (submission order),
-    /// when the training head contains at least one completed job.
-    pub queue_prediction: Option<qcs_predictor::QueuePredictionReport>,
-}
-
-/// Run an ingested external trace through the study's audit and
-/// queue-prediction pipeline: causality checks over every record, then a
-/// [`qcs_predictor::OnlinePredictor`] trained on the first 70%
-/// (submission order) and scored on the rest.
-#[must_use]
-pub fn external_trace_report(trace: &qcs_workload::IngestedTrace) -> ExternalTraceReport {
-    let records = &trace.records;
-    let mut outcome_counts = [0u64; 3];
-    for r in records {
-        let slot = match r.outcome {
-            JobOutcome::Completed => 0,
-            JobOutcome::Errored => 1,
-            JobOutcome::Cancelled => 2,
-        };
-        outcome_counts[slot] += 1;
-    }
-    let mut queue_min: Vec<f64> = records
-        .iter()
-        .filter(|r| r.outcome == JobOutcome::Completed)
-        .map(|r| r.queue_time_s() / 60.0)
-        .collect();
-    queue_min.sort_by(f64::total_cmp);
-    let causality_violations = qcs_cloud::audit::check_causality(records).len();
-    let split = records.len() * 7 / 10;
-    let (train, test) = records.split_at(split);
-    let mut online = qcs_predictor::OnlinePredictor::new(trace.machine_qubits.clone());
-    for r in train {
-        online.observe(r);
-    }
-    let queue_prediction = online.ready().then(|| {
-        qcs_predictor::evaluate_queue_prediction(&online, &test.iter().collect::<Vec<_>>())
-    });
-    ExternalTraceReport {
-        total_jobs: records.len(),
-        outcome_counts,
-        // Zero-job semantics, not NaN: an empty completed set reads as 0.
-        median_queue_min: qcs_stats::quantile(&queue_min, 0.5).unwrap_or(0.0),
-        causality_violations,
-        queue_prediction,
     }
 }
 
@@ -533,7 +541,7 @@ mod tests {
         assert!(!util.is_empty());
 
         // Fig 9: athens should be among the most loaded machines.
-        let pending = study.pending_jobs_by_machine();
+        let pending = study.pending_jobs_by_machine().expect("sampled queues");
         assert_eq!(pending.len(), 25);
         let athens = pending.iter().find(|p| p.0 == "athens").unwrap();
         let bogota = pending.iter().find(|p| p.0 == "bogota").unwrap();
@@ -553,7 +561,9 @@ mod tests {
         assert_eq!(batch.len(), 5);
 
         // Fig 12a.
-        let crossover = study.calibration_crossover_fraction();
+        let crossover = study
+            .calibration_crossover_fraction()
+            .expect("simulated crossings");
         assert!((0.0..=1.0).contains(&crossover));
 
         // Fig 14.

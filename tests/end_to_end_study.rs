@@ -97,7 +97,9 @@ fn small_machines_are_more_utilized() {
     let class_mean = |qubits: usize| {
         let medians: Vec<f64> = util
             .iter()
-            .filter(|(name, _)| s.fleet().get(name).expect("fleet machine").num_qubits() == qubits)
+            .filter(|(name, _)| {
+                s.machine_qubits()[s.machine_index(name).expect("fleet machine")] == qubits
+            })
             .map(|(_, summary)| summary.median)
             .collect();
         assert!(
@@ -121,8 +123,9 @@ fn utilization_counts_every_generated_study_circuit_once() {
     // the parent too (there through the per-circuit side table): it pins
     // the invariant the generator's own test used to check on that table.
     let s = study();
-    let workload = qcs::workload::generate(s.fleet(), &StudyConfig::smoke().workload);
-    let mut expected = vec![0usize; s.fleet().len()];
+    let fleet = qcs::machine::Fleet::ibm_like();
+    let workload = qcs::workload::generate(&fleet, &StudyConfig::smoke().workload);
+    let mut expected = vec![0usize; s.machine_qubits().len()];
     for job in workload.jobs.iter().filter(|j| j.is_study) {
         expected[job.machine] += job.circuits as usize;
     }
@@ -131,7 +134,7 @@ fn utilization_counts_every_generated_study_circuit_once() {
         .iter()
         .map(|(name, summary)| {
             (
-                s.fleet().index_of(name).expect("fleet machine"),
+                s.machine_index(name).expect("fleet machine"),
                 summary.count,
             )
         })
@@ -226,14 +229,9 @@ fn queue_prediction_smoke_values_are_pinned() {
     // the values read off the batch estimator this one replaced; only the
     // band's coverage depends on how it is learned.
     let s = study();
-    let records: Vec<&qcs::cloud::JobRecord> = s.result().records.iter().collect();
-    let (train, test) = records.split_at(records.len() / 2);
-    let qubits = s.fleet().machines().iter().map(|m| m.num_qubits()).collect();
-    let mut online = qcs::predictor::OnlinePredictor::new(qubits);
-    for record in train {
-        online.observe(record);
-    }
-    let report = qcs::predictor::evaluate_queue_prediction(&online, test);
+    let (_, report) = s
+        .queue_prediction(s.result().records.len() / 2)
+        .expect("completed jobs in the training half");
     assert_eq!(report.jobs, 28827);
     assert_eq!(report.correlation, 0.5162442901825799);
     assert_eq!(report.median_abs_error_min, 220.376442876939);
@@ -247,7 +245,7 @@ fn queue_prediction_smoke_values_are_pinned() {
 #[test]
 fn calibration_crossovers_exist() {
     let s = study();
-    let f = s.calibration_crossover_fraction();
+    let f = s.calibration_crossover_fraction().expect("simulated crossings");
     assert!(f > 0.0, "no crossovers observed");
     assert!(f < 0.9, "implausibly many crossovers: {f}");
 }

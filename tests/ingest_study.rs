@@ -1,14 +1,15 @@
 //! External-trace ingestion end to end: the ARLIS-style CSV fixture is
-//! parsed into [`JobRecord`]s, audited, and run through the study's
-//! queue-prediction pipeline.
+//! parsed into [`JobRecord`]s and analysed by `Study::from_trace`: the
+//! figures it has inputs for, the audit, and queue-wait prediction.
 
 use std::fs::File;
 use std::io::BufReader;
 
+use qcs::cloud::audit::check_causality;
 use qcs::cloud::JobOutcome;
-use qcs::cloud::trace::TraceError;
-use qcs::workload::ingest::{read_trace, INGEST_HEADER};
-use qcs::{external_trace_report, predictor};
+use qcs::predictor;
+use qcs::workload::ingest::{read_trace, TraceError, INGEST_HEADER};
+use qcs::Study;
 
 fn fixture() -> qcs::workload::IngestedTrace {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/arlis_sample.csv");
@@ -26,8 +27,9 @@ fn fixture_parses_with_derived_backlogs() {
     );
     assert_eq!(trace.machine_qubits, vec![7, 7, 27]);
     assert_eq!(trace.job_ids.len(), 36);
-    // Re-based to t = 0 and causal.
-    assert_eq!(trace.records[0].submit_s, 0.0);
+    // Re-based to the UTC midnight before the first submission
+    // (1,700,000,000 s is 80,000 s past it) and causal.
+    assert_eq!(trace.records[0].submit_s, 80_000.0);
     for r in &trace.records {
         assert!(r.submit_s <= r.start_s && r.start_s <= r.end_s);
         assert!(r.machine < trace.machines.len());
@@ -50,22 +52,49 @@ fn fixture_parses_with_derived_backlogs() {
 
 #[test]
 fn fixture_flows_through_study_audit_and_prediction() {
-    let trace = fixture();
-    let report = external_trace_report(&trace);
-    assert_eq!(report.total_jobs, 36);
-    assert_eq!(report.outcome_counts.iter().sum::<u64>(), 36);
+    let study = Study::from_trace(fixture());
+    let result = study.result();
+    assert_eq!(result.total_jobs, 36);
+    assert_eq!(result.outcome_counts.iter().sum::<u64>(), 36);
     assert_eq!(
-        report.causality_violations, 0,
+        check_causality(&result.records).len(),
+        0,
         "ingestion validated causality per row; the auditor must agree"
     );
-    assert!(report.median_queue_min > 0.0 && report.median_queue_min.is_finite());
-    let queue = report.queue_prediction.expect("fixture trains a model");
+    let (_, median_queue_min, _, _) = study.queue_time_anchors();
+    assert!(median_queue_min > 0.0 && median_queue_min.is_finite());
+    let (_, queue) = study
+        .queue_prediction(result.records.len() * 7 / 10)
+        .expect("fixture trains a model");
     // The point waits are the head's per-machine means: these are the
     // values the batch estimator this replaced printed.
     assert_eq!(queue.jobs, 8, "held-out tail has scored jobs");
     assert_eq!(queue.correlation, 0.9091526217410578);
     assert_eq!(queue.median_abs_error_min, 1.3333333333333335);
     assert!((0.0..=1.0).contains(&queue.band_coverage));
+}
+
+#[test]
+fn fixture_yields_every_figure_it_has_inputs_for() {
+    let study = Study::from_trace(fixture());
+    // Fig 2: executions land on calendar days, all on the first.
+    assert_eq!(study.cumulative_executions().len(), 1);
+    let (completed, errored, cancelled) = study.outcome_fractions();
+    assert!(completed > 0.0 && errored > 0.0 && cancelled > 0.0);
+    // Figs 3, 4, 8, 10, 11, 13, 14, 15.
+    assert!(!study.queue_times_sorted_min().is_empty());
+    assert!(!study.queue_exec_ratios_sorted().is_empty());
+    let machines = |series: Vec<(String, qcs::stats::Summary)>| series.len();
+    assert_eq!(machines(study.utilization_by_machine()), 3);
+    assert_eq!(machines(study.queue_time_by_machine()), 3);
+    assert_eq!(machines(study.exec_time_by_machine()), 3);
+    assert_eq!(study.queue_time_vs_batch().len(), 5);
+    assert!(!study.runtime_vs_batch().is_empty());
+    assert!(study.prediction_study(7).overall_correlation.is_finite());
+    // A log has no queue samples, no machine access and no calibration
+    // column: those figures are absent, not zero.
+    assert_eq!(study.pending_jobs_by_machine(), None);
+    assert_eq!(study.calibration_crossover_fraction(), None);
 }
 
 #[test]
@@ -80,12 +109,15 @@ fn external_trace_without_a_completed_head_has_no_queue_prediction() {
             _ => "COMPLETED",
         };
         let t = 1000 + 10 * i;
-        text.push_str(&format!("j{i},lagos,7,1,1,1,1,{t},{},{},{status}\n", t + 5, t + 8));
+        let end = if status == "CANCELLED" { t + 5 } else { t + 8 };
+        text.push_str(&format!(
+            "j{i},lagos,7,1,1,1,1,{t},{},{end},{status}\n",
+            t + 5
+        ));
     }
-    let trace = read_trace(text.as_bytes()).expect("well-formed");
-    let report = external_trace_report(&trace);
-    assert_eq!(report.outcome_counts, [3, 4, 3]);
-    assert_eq!(report.queue_prediction, None);
+    let study = Study::from_trace(read_trace(text.as_bytes()).expect("well-formed"));
+    assert_eq!(study.result().outcome_counts, [3, 4, 3]);
+    assert!(study.queue_prediction(10 * 7 / 10).is_none());
 }
 
 #[test]
@@ -115,4 +147,29 @@ fn malformed_rows_surface_typed_errors() {
         }
         other => panic!("expected a typed parse error, got {other:?}"),
     }
+}
+
+/// A one-row log's parse error, which must name the audit's rule.
+fn refused(row: &str) -> String {
+    match read_trace(format!("{INGEST_HEADER}\n{row}\n").as_bytes()) {
+        Err(TraceError::Parse { line: 2, message }) => message,
+        other => panic!("{row}: expected a typed parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_completed_row_that_never_ran_is_refused() {
+    // Ordered timestamps, but a completed job runs for a positive time:
+    // the causality audit would flag this record.
+    let message = refused("j-a,lagos,7,1,1,1,1,1000,1040,1040,COMPLETED");
+    assert!(message.contains(JobOutcome::CAUSALITY_RULE), "{message}");
+    assert!(!JobOutcome::Completed.is_causal(1000.0, 1040.0, 1040.0));
+}
+
+#[test]
+fn a_cancelled_row_that_ran_is_refused() {
+    // A cancelled job never executed: its end is its cancellation.
+    let message = refused("j-a,lagos,7,1,1,1,1,1000,1040,1100,CANCELLED");
+    assert!(message.contains(JobOutcome::CAUSALITY_RULE), "{message}");
+    assert!(!JobOutcome::Cancelled.is_causal(1000.0, 1040.0, 1100.0));
 }
