@@ -136,15 +136,31 @@ cargo test -q --workspace
 #   drifting law when refitted only once per window turnover, and run from
 #   a snapshot that later observes cannot disturb.
 # -p qcs-workload stream_equals_the_materialising_oracle;
-#   merge_breaks_submit_ties_by_id; skip_twins; -p rand
+#   hour_batches_hold_back_a_job_at_the_hour_end; skip_twins; -p rand
 #   every_draw_takes_exactly_one_word: the streamed trace equals the old
 #   materialise-and-sort generator job for job over days x impatience x
-#   demand x growth x study jobs; the heap merge breaks equal submission
-#   times across streams by id; each skip twin consumes the words its
-#   sampler draws, and every gen_range/gen takes one word.
+#   demand x growth x study jobs; an hour batch holds back a job at
+#   exactly the hour's end for the next batch, where a later hour's job
+#   of lower id ties it; each skip twin consumes the words its sampler
+#   draws, and every gen_range/gen takes one word.
 # -p qcs-workload emitting_stream_panics_where_it_leaves_the_sizing_pass:
-#   a machine stream whose generator state at its end differs from the
+#   a machine whose generator state after its last hour differs from the
 #   sizing pass's next snapshot panics naming the machine.
+# -p qcs-workload zipf_table_draws_what_the_per_draw_walk_draws: the
+#   provider table returns the per-draw harmonic walk's id and leaves the
+#   same generator state on 10^6 draws each at 2, 3, 40, 41 providers.
+# -p qcs-calibration lognormal_type_is_the_inline_formula: LogNormal's
+#   hoisted constants give the inline formula's bits and words.
+# -p qcs-cloud cursor_lookup_is_the_linear_find: down_until_from with a
+#   cursor agrees with a linear find on overlapping and touching windows
+#   at nondecreasing times that hit starts and ends and repeat.
+# -p qcs-cloud with_outages_resets_the_window_cursors;
+#   only_sjf_evaluates_the_service_estimate: a new outage plan restarts
+#   every machine's cursor; fair-share and FIFO queues never call the
+#   service-estimate closure, SJF does.
+# -p proptest --test replay: PROPTEST_CASE=k runs case k alone on the
+#   inputs the full run gave it, and a failure names the property, its
+#   seed and the case.
 # --test trace_memory: a 30-day Study::run grows the process's peak RSS
 #   by under half the trace's total_jobs x size_of::<JobSpec>() (one test
 #   in its binary, so VmHWM is its own).

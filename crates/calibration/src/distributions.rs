@@ -16,24 +16,58 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// Sample a lognormal distribution **with the given linear-scale mean** and
-/// coefficient of variation (std/mean).
+/// A lognormal distribution **with a given linear-scale mean** and
+/// coefficient of variation (std/mean), its constants computed once.
 ///
 /// For CoV `c`, the underlying normal has `sigma^2 = ln(1 + c^2)` and
-/// `mu = ln(mean) - sigma^2 / 2`, so `E[X] = mean` exactly.
+/// `mu = ln(mean) - sigma^2 / 2`, so `E[X] = mean` exactly. A CoV of zero
+/// is the constant `mean`, and sampling it draws nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct LogNormal {
+    mean: f64,
+    cov: f64,
+    mu: f64,
+    sigma: f64,
+}
+
+impl LogNormal {
+    /// The lognormal with this mean and coefficient of variation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean <= 0` or `cov < 0`.
+    #[must_use]
+    pub fn with_cov(mean: f64, cov: f64) -> Self {
+        assert!(mean > 0.0, "lognormal mean must be positive");
+        assert!(cov >= 0.0, "coefficient of variation must be non-negative");
+        let sigma2 = (1.0 + cov * cov).ln();
+        LogNormal {
+            mean,
+            cov,
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    /// Draw one sample: the two words of [`standard_normal`], or none for
+    /// a zero CoV.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.cov == 0.0 {
+            return self.mean;
+        }
+        (self.mu + self.sigma * standard_normal(rng)).exp()
+    }
+}
+
+/// Sample a lognormal distribution with the given linear-scale mean and
+/// coefficient of variation: [`LogNormal::with_cov`] then
+/// [`LogNormal::sample`].
 ///
 /// # Panics
 ///
 /// Panics if `mean <= 0` or `cov < 0`.
 pub fn lognormal_with_cov<R: Rng + ?Sized>(rng: &mut R, mean: f64, cov: f64) -> f64 {
-    assert!(mean > 0.0, "lognormal mean must be positive");
-    assert!(cov >= 0.0, "coefficient of variation must be non-negative");
-    if cov == 0.0 {
-        return mean;
-    }
-    let sigma2 = (1.0 + cov * cov).ln();
-    let mu = mean.ln() - sigma2 / 2.0;
-    (mu + sigma2.sqrt() * standard_normal(rng)).exp()
+    LogNormal::with_cov(mean, cov).sample(rng)
 }
 
 /// Consume exactly the words [`lognormal_with_cov`] draws with this `cov`
@@ -86,6 +120,29 @@ mod tests {
             let _ = lognormal_with_cov(&mut sampled, 2.0, cov);
             skip_lognormal_with_cov(&mut skipped, cov);
             assert_eq!(sampled, skipped, "cov {cov}");
+        }
+    }
+
+    #[test]
+    fn lognormal_type_is_the_inline_formula() {
+        // The formula `lognormal_with_cov` evaluated inline before the
+        // constants moved into `LogNormal`: same value bits, same words.
+        let inline = |rng: &mut StdRng, mean: f64, cov: f64| {
+            let sigma2: f64 = (1.0 + cov * cov).ln();
+            let mu = mean.ln() - sigma2 / 2.0;
+            (mu + sigma2.sqrt() * standard_normal(rng)).exp()
+        };
+        let mut sampled = StdRng::seed_from_u64(6);
+        let mut oracle = sampled.clone();
+        for (mean, cov) in [(1.0, 0.08), (57_600.0, 1.0), (12.0, 0.8), (3e-4, 1e-12)] {
+            let ln = LogNormal::with_cov(mean, cov);
+            for _ in 0..1000 {
+                assert_eq!(
+                    ln.sample(&mut sampled).to_bits(),
+                    inline(&mut oracle, mean, cov).to_bits()
+                );
+            }
+            assert_eq!(sampled, oracle, "mean {mean} cov {cov}");
         }
     }
 

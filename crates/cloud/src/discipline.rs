@@ -76,13 +76,13 @@ impl<T: QueueItem> JobQueue<T> {
         self.len() == 0
     }
 
-    /// Enqueue a job. `service_estimate_s` is the machine's expected
-    /// execution time for the job (used by SJF only).
-    pub fn push(&mut self, job: T, service_estimate_s: f64) {
+    /// Enqueue a job. `service_estimate_s` computes the machine's expected
+    /// execution time for the job; only SJF calls it.
+    pub fn push(&mut self, job: T, service_estimate_s: impl FnOnce() -> f64) {
         match self {
             JobQueue::FairShare(q) => q.push(job),
             JobQueue::Fifo(q) => q.push_back(job),
-            JobQueue::ShortestJobFirst(q) => q.push((service_estimate_s, job)),
+            JobQueue::ShortestJobFirst(q) => q.push((service_estimate_s(), job)),
         }
     }
 
@@ -182,8 +182,8 @@ mod tests {
     #[test]
     fn fifo_order() {
         let mut q = JobQueue::new(Discipline::Fifo, 4);
-        q.push(job(1, 0, 0.0), 100.0);
-        q.push(job(2, 1, 1.0), 1.0);
+        q.push(job(1, 0, 0.0), || 100.0);
+        q.push(job(2, 1, 1.0), || 1.0);
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(5.0).unwrap().id, 1);
         assert_eq!(q.pop(5.0).unwrap().id, 2);
@@ -193,9 +193,9 @@ mod tests {
     #[test]
     fn sjf_prefers_short_jobs() {
         let mut q = JobQueue::new(Discipline::ShortestJobFirst, 4);
-        q.push(job(1, 0, 0.0), 500.0);
-        q.push(job(2, 0, 1.0), 5.0);
-        q.push(job(3, 0, 2.0), 50.0);
+        q.push(job(1, 0, 0.0), || 500.0);
+        q.push(job(2, 0, 1.0), || 5.0);
+        q.push(job(3, 0, 2.0), || 50.0);
         assert_eq!(q.pop(5.0).unwrap().id, 2);
         assert_eq!(q.pop(5.0).unwrap().id, 3);
         assert_eq!(q.pop(5.0).unwrap().id, 1);
@@ -204,8 +204,8 @@ mod tests {
     #[test]
     fn sjf_ties_break_fifo() {
         let mut q = JobQueue::new(Discipline::ShortestJobFirst, 4);
-        q.push(job(1, 0, 0.0), 10.0);
-        q.push(job(2, 0, 1.0), 10.0);
+        q.push(job(1, 0, 0.0), || 10.0);
+        q.push(job(2, 0, 1.0), || 10.0);
         assert_eq!(q.pop(5.0).unwrap().id, 1);
     }
 
@@ -215,20 +215,38 @@ mod tests {
         // the hole, so of two jobs with equal estimate and submit time the
         // later arrival ran first (the brute-force reference disagreed).
         let mut q = JobQueue::new(Discipline::ShortestJobFirst, 4);
-        q.push(job(1, 0, 0.0), 5.0);
-        q.push(job(2, 0, 1.0), 10.0);
-        q.push(job(3, 0, 1.0), 10.0);
+        q.push(job(1, 0, 0.0), || 5.0);
+        q.push(job(2, 0, 1.0), || 10.0);
+        q.push(job(3, 0, 1.0), || 10.0);
         assert_eq!(q.pop(5.0).unwrap().id, 1);
         assert_eq!(q.pop(5.0).unwrap().id, 2);
         assert_eq!(q.pop(5.0).unwrap().id, 3);
     }
 
     #[test]
+    fn only_sjf_evaluates_the_service_estimate() {
+        for discipline in [Discipline::default(), Discipline::Fifo] {
+            let mut q = JobQueue::new(discipline, 4);
+            q.push(job(1, 0, 0.0), || {
+                panic!("{discipline:?} evaluated the estimate")
+            });
+            assert_eq!(q.len(), 1);
+        }
+        let mut evaluated = false;
+        let mut q = JobQueue::new(Discipline::ShortestJobFirst, 4);
+        q.push(job(1, 0, 0.0), || {
+            evaluated = true;
+            1.0
+        });
+        assert!(evaluated);
+    }
+
+    #[test]
     fn fair_share_variant_delegates() {
         let mut q = JobQueue::new(Discipline::default(), 2);
-        q.push(job(1, 0, 0.0), 1.0);
+        q.push(job(1, 0, 0.0), || 1.0);
         q.charge(0, 1000.0, 0.0);
-        q.push(job(2, 1, 1.0), 1.0);
+        q.push(job(2, 1, 1.0), || 1.0);
         // Provider 1 has no usage: its job goes first.
         assert_eq!(q.pop(2.0).unwrap().id, 2);
     }
@@ -241,8 +259,8 @@ mod tests {
             Discipline::ShortestJobFirst,
         ] {
             let mut q = JobQueue::new(discipline, 4);
-            q.push(job(1, 0, 0.0), 1.0);
-            q.push(job(2, 1, 1.0), 2.0);
+            q.push(job(1, 0, 0.0), || 1.0);
+            q.push(job(2, 1, 1.0), || 2.0);
             assert_eq!(q.remove(1).map(|j| j.id), Some(1));
             assert_eq!(q.len(), 1);
             assert!(q.remove(99).is_none());
@@ -257,8 +275,8 @@ mod tests {
             Discipline::ShortestJobFirst,
         ] {
             let mut q = JobQueue::new(discipline, 4);
-            q.push(job(1, 0, 0.0), 1.0);
-            q.push(job(2, 1, 1.0), 2.0);
+            q.push(job(1, 0, 0.0), || 1.0);
+            q.push(job(2, 1, 1.0), || 2.0);
             assert_eq!(q.remove_for_provider(1, 2).map(|j| j.id), Some(2));
             assert_eq!(q.len(), 1);
         }

@@ -58,7 +58,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
-use qcs_calibration::distributions::lognormal_with_cov;
+use qcs_calibration::distributions::LogNormal;
 use qcs_exec::hash::FxHashMap;
 use qcs_machine::Fleet;
 use rand::rngs::StdRng;
@@ -381,6 +381,11 @@ pub struct LiveCloud {
     fleet: Fleet,
     config: CloudConfig,
     outages: OutagePlan,
+    /// Per machine, the index of its first outage window that can still
+    /// cover the clock (see [`OutagePlan::down_until_from`]).
+    outage_cursors: Vec<usize>,
+    /// `config.exec_noise_cov`'s multiplicative noise, mean 1.
+    exec_noise: LogNormal,
     rng: StdRng,
     /// In-flight job storage; queues and agendas hold `u32` handles.
     slab: JobSlab,
@@ -430,6 +435,10 @@ impl fmt::Debug for LiveCloud {
 impl LiveCloud {
     /// Create a live simulator over a fleet with no machine outages and no
     /// per-job status tracking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.exec_noise_cov` is negative.
     #[must_use]
     pub fn new(fleet: Fleet, config: CloudConfig) -> Self {
         let n_machines = fleet.len();
@@ -465,6 +474,8 @@ impl LiveCloud {
             statuses: None,
             tap: None,
             outages: OutagePlan::none(n_machines),
+            outage_cursors: vec![0; n_machines],
+            exec_noise: LogNormal::with_cov(1.0, config.exec_noise_cov),
             fleet,
             config,
         }
@@ -495,6 +506,7 @@ impl LiveCloud {
             "outage plan machine count mismatch"
         );
         self.outages = outages;
+        self.outage_cursors.fill(0);
         self
     }
 
@@ -849,11 +861,7 @@ impl LiveCloud {
             submit_s: spec.submit_s,
         };
         let patience_s = spec.patience_s;
-        let (circuits, depth, shots) = (
-            spec.circuits,
-            spec.mean_depth.round().max(1.0) as usize,
-            spec.shots,
-        );
+        let (circuits, mean_depth, shots) = (spec.circuits, spec.mean_depth, spec.shots);
         let pending = self.queue_depth(machine);
         self.slab.set_pending(handle, pending as u32);
         if patience_s.is_finite() {
@@ -865,10 +873,10 @@ impl LiveCloud {
                 },
             );
         }
-        let estimate_s = self.fleet.machines()[machine]
-            .cost_model()
-            .job_time_uniform_s(circuits, depth, shots);
-        self.queues[machine].push(item, estimate_s);
+        let cost = self.fleet.machines()[machine].cost_model();
+        self.queues[machine].push(item, || {
+            cost.job_time_uniform_s(circuits, mean_depth.round().max(1.0) as usize, shots)
+        });
         if self.executing[machine].is_none() {
             self.start_next(machine, now_s);
         }
@@ -979,10 +987,17 @@ impl LiveCloud {
 
     /// Dispatch the next queued job on `machine`, respecting outages.
     fn start_next(&mut self, machine: usize, now_s: f64) {
+        // An empty queue has nothing to dispatch and, if the machine is
+        // down, nothing to resume for.
+        if self.queues[machine].is_empty() {
+            return;
+        }
         // A machine in maintenance dispatches nothing until the window
-        // ends; queued jobs keep waiting.
-        if let Some(until_s) = self.outages.down_until(machine, now_s) {
-            if !self.resume_scheduled[machine] && !self.queues[machine].is_empty() {
+        // ends; queued jobs keep waiting. The clock never goes back, so
+        // the machine's cursor only moves forward.
+        let cursor = &mut self.outage_cursors[machine];
+        if let Some(until_s) = self.outages.down_until_from(machine, now_s, cursor) {
+            if !self.resume_scheduled[machine] {
                 self.resume_scheduled[machine] = true;
                 self.events.push(
                     until_s,
@@ -1005,7 +1020,7 @@ impl LiveCloud {
         );
         let submit_s = spec.submit_s;
         let job_id = spec.id;
-        let noisy = base * lognormal_with_cov(&mut self.rng, 1.0, self.config.exec_noise_cov);
+        let noisy = base * self.exec_noise.sample(&mut self.rng);
         let (outcome, duration) = if self.rng.gen_range(0.0..1.0) < self.config.error_rate {
             // Errored jobs die partway through their execution.
             (JobOutcome::Errored, noisy * self.rng.gen_range(0.05..0.8))
@@ -1643,6 +1658,37 @@ mod tests {
         cloud.run_to_completion();
         let result = cloud.into_result();
         assert!((result.records[0].start_s - 1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn with_outages_resets_the_window_cursors() {
+        // Three windows on machine 1 that jobs at 25, 45 and 55 s step the
+        // machine's cursor past; the next plan's first window covers 150 s
+        // and its fourth lies beyond it, so a cursor kept at 3 would find
+        // no window and start the job at 150 s.
+        let fleet = Fleet::ibm_like();
+        let mut first = vec![Vec::new(); fleet.len()];
+        first[1] = vec![(0.0, 10.0), (20.0, 30.0), (40.0, 50.0)];
+        let mut second = vec![Vec::new(); fleet.len()];
+        second[1] = vec![
+            (100.0, 200.0),
+            (300.0, 400.0),
+            (500.0, 600.0),
+            (700.0, 800.0),
+        ];
+        let mut cloud = LiveCloud::new(fleet, CloudConfig::default())
+            .with_outages(OutagePlan::from_windows(first));
+        for (id, submit_s) in [(0, 25.0), (1, 45.0), (2, 55.0)] {
+            cloud.submit(job(id, 1, submit_s)).unwrap();
+        }
+        cloud.run_to_completion();
+        assert_eq!(cloud.outage_cursors[1], 3);
+        let mut cloud = cloud.with_outages(OutagePlan::from_windows(second));
+        cloud.submit(job(3, 1, 150.0)).unwrap();
+        cloud.run_to_completion();
+        let result = cloud.into_result();
+        let last = result.records.iter().find(|r| r.id == 3).unwrap();
+        assert_eq!(last.start_s, 200.0);
     }
 
     #[test]

@@ -97,10 +97,24 @@ impl OutagePlan {
     /// If `machine` is down at `t_s`, the end time of the covering window.
     #[must_use]
     pub fn down_until(&self, machine: usize, t_s: f64) -> Option<f64> {
-        self.windows
-            .get(machine)?
+        self.down_until_from(machine, t_s, &mut 0)
+    }
+
+    /// [`down_until`](Self::down_until) for a caller whose query times
+    /// never decrease: `cursor` (start it at 0) skips the leading windows
+    /// that ended at or before an earlier query, so a run over a machine's
+    /// whole plan scans each window about once. A window that ends at or
+    /// before `t_s` cannot cover it or any later time.
+    #[must_use]
+    pub fn down_until_from(&self, machine: usize, t_s: f64, cursor: &mut usize) -> Option<f64> {
+        let windows = self.windows.get(machine)?;
+        while windows.get(*cursor).is_some_and(|&(_, end)| end <= t_s) {
+            *cursor += 1;
+        }
+        windows[*cursor..]
             .iter()
-            .find(|&&(start, end)| start <= t_s && t_s < end)
+            .take_while(|&&(start, _)| start <= t_s)
+            .find(|&&(_, end)| t_s < end)
             .map(|&(_, end)| end)
     }
 }
@@ -108,6 +122,7 @@ impl OutagePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Total downtime of a machine, seconds.
     fn downtime_s(plan: &OutagePlan, machine: usize) -> f64 {
@@ -133,6 +148,38 @@ mod tests {
         assert_eq!(plan.down_until(0, 500.0), Some(600.0));
         assert_eq!(plan.down_until(0, 600.0), None); // end-exclusive
         assert_eq!(downtime_s(&plan, 0), 200.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Windows and query times on a half-second grid, so windows
+        // overlap, touch end to start and nest, and queries land on
+        // starts and ends exactly; a zero step repeats a time.
+        #[test]
+        fn cursor_lookup_is_the_linear_find(
+            raw in proptest::collection::vec((0u32..80, 1u32..24), 0..14),
+            steps in proptest::collection::vec(0u32..5, 1..120),
+        ) {
+            let windows: Vec<(f64, f64)> = raw
+                .iter()
+                .map(|&(start, len)| (f64::from(start) / 2.0, f64::from(start + len) / 2.0))
+                .collect();
+            let plan = OutagePlan::from_windows(vec![windows]);
+            let mut cursor = 0;
+            let mut t_s = 0.0;
+            for &step in &steps {
+                t_s += f64::from(step) / 2.0;
+                let linear = plan
+                    .windows(0)
+                    .iter()
+                    .find(|&&(start, end)| start <= t_s && t_s < end)
+                    .map(|&(_, end)| end);
+                prop_assert_eq!(plan.down_until_from(0, t_s, &mut cursor), linear, "t {}", t_s);
+                prop_assert_eq!(plan.down_until(0, t_s), linear, "t {}", t_s);
+            }
+            prop_assert_eq!(plan.down_until_from(1, t_s, &mut cursor), None);
+        }
     }
 
     #[test]

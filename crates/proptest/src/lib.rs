@@ -7,7 +7,18 @@
 //! crate cannot be resolved; this crate is path-substituted for it. It
 //! keeps the property-based *testing* semantics (many random cases per
 //! property, deterministic per test name) but does not implement
-//! shrinking: a failing case panics with the assert message directly.
+//! shrinking.
+//!
+//! # Replaying a failure
+//!
+//! A failing case panics with its assert message, prefixed by the
+//! property's name, its seed ([`seed_for`] of the name) and the case
+//! index `k`. Cases are drawn one after another from that seed, so
+//! setting `PROPTEST_CASE=k` replays exactly that case: the runner still
+//! generates cases `0..k` on the same stream, discards them unrun, then
+//! runs case `k` alone. For example
+//! `PROPTEST_CASE=17 cargo test -q -p qcs-cloud fairshare_tree_matches_scan_oracle`.
+//! `k` may lie past the property's case count.
 
 #![warn(clippy::all)]
 #![forbid(unsafe_code)]
@@ -205,7 +216,8 @@ macro_rules! prop_assert_ne {
 }
 
 /// Declare property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` random cases.
+/// becomes a `#[test]` running `cases` random cases (or only case
+/// `PROPTEST_CASE`; see the crate docs).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -225,11 +237,36 @@ macro_rules! __proptest_fns {
             $(#[$meta])*
             fn $name() {
                 let __cfg: $crate::ProptestConfig = $cfg;
-                let mut __rng = $crate::test_rng(stringify!($name));
-                for __case in 0..__cfg.cases {
+                let __name = stringify!($name);
+                let __only: Option<u32> = std::env::var("PROPTEST_CASE").ok().map(|k| {
+                    k.trim().parse().unwrap_or_else(|_| {
+                        panic!("PROPTEST_CASE must be a case index, not {k:?}")
+                    })
+                });
+                let mut __rng = $crate::test_rng(__name);
+                for __case in 0..__only.map_or(__cfg.cases, |k| k.saturating_add(1)) {
                     let ( $($pat,)+ ) =
                         ( $( $crate::Strategy::generate(&($strat), &mut __rng), )+ );
-                    $body
+                    if __only.is_some_and(|k| k != __case) {
+                        continue;
+                    }
+                    let __run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body));
+                    if let Err(__payload) = __run {
+                        let __message = __payload
+                            .downcast_ref::<String>()
+                            .map(String::as_str)
+                            .or_else(|| __payload.downcast_ref::<&str>().copied())
+                            .unwrap_or("(a non-string panic)");
+                        panic!(
+                            "property {} (seed {:#018x}) failed at case {}; replay it alone \
+                             with PROPTEST_CASE={}: {}",
+                            __name,
+                            $crate::seed_for(__name),
+                            __case,
+                            __case,
+                            __message,
+                        );
+                    }
                 }
             }
         )*

@@ -14,13 +14,11 @@
 //! Every draw comes from one `StdRng`, machine by machine, hour by hour,
 //! then the study jobs. [`stream`] replays that order in two passes
 //! without holding the trace: a sizing pass that only counts each job's
-//! words, snapshotting the generator at each machine boundary, then an
-//! hour-at-a-time regeneration per machine under a heap merge.
-//! [`generate`] collects the stream.
+//! words, snapshotting the generator at each machine boundary, then hour
+//! batches: every machine regenerates the hour from its snapshot into one
+//! buffer, which is sorted once. [`generate`] collects the stream.
 
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, VecDeque};
 
 use qcs_circuit::library;
 use qcs_cloud::JobSpec;
@@ -28,7 +26,7 @@ use qcs_machine::{Fleet, Machine};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::sampler;
+use crate::sampler::{self, ZipfProviders};
 
 /// Circuit family mix for study jobs: `(family, weight)`.
 const STUDY_FAMILIES: &[(&str, f64)] = &[
@@ -198,7 +196,7 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
 }
 
 /// Stream the trace [`generate`] returns, job for job, in strictly
-/// increasing `(submit_s, id)` order, holding one hour of each machine's
+/// increasing `(submit_s, id)` order, holding one hour of the fleet's
 /// background jobs and the study jobs rather than the whole trace.
 ///
 /// Every job is drawn from one `StdRng` in the order a single loop over
@@ -208,14 +206,14 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
 ///   consumes each job's words without building it (the `skip_*` twins of
 ///   the samplers), and records the generator's state and the next job id
 ///   where each machine's draws begin; the study jobs are drawn from the
-///   state it ends in, and sorted once;
-/// - an *emitting pass* regenerates each machine's jobs one hour at a
-///   time from its snapshot, sorts the hour, and a heap merges the
-///   machine streams with the study jobs.
+///   state it ends in;
+/// - an *emitting pass* goes hour by hour: every machine regenerates the
+///   hour from its own snapshot into one buffer, the study jobs due
+///   before the hour's end join it, and the buffer is sorted once.
 ///
 /// # Panics
 ///
-/// Panics naming the machine if its emitting stream ends on a different
+/// Panics naming the machine if its last hour ends on a different
 /// generator state or job id than the sizing pass recorded for the next
 /// machine: a sampler and its skip twin drew different numbers of words.
 ///
@@ -231,16 +229,23 @@ pub fn generate(fleet: &Fleet, config: &WorkloadConfig) -> Workload {
 /// ```
 pub fn stream<'f>(fleet: &'f Fleet, config: &WorkloadConfig) -> impl Iterator<Item = JobSpec> + 'f {
     let boundaries = size_machines(fleet, config);
-    let mut streams: Vec<Box<dyn Iterator<Item = JobSpec> + 'f>> = Vec::new();
-    for ((index, machine), pair) in fleet.iter().enumerate().zip(boundaries.windows(2)) {
-        let jobs = MachineJobs::new(index, machine, *config, pair[0].clone(), pair[1].clone());
-        streams.push(Box::new(jobs));
-    }
+    let providers = ZipfProviders::new(config.num_providers);
     let Boundary { mut rng, next_id } = boundaries[fleet.len()].clone();
-    let mut study = study_jobs(fleet, config, &mut rng, next_id);
-    study.sort_unstable_by(by_submit_then_id);
-    streams.push(Box::new(study.into_iter()));
-    Merge::new(streams)
+    let study = study_jobs(fleet, config, &providers, &mut rng, next_id);
+    let mut machines: Vec<MachineJobs<'f>> = fleet
+        .iter()
+        .enumerate()
+        .zip(boundaries.windows(2))
+        .map(|((index, machine), pair)| {
+            MachineJobs::new(index, machine, *config, pair[0].clone(), pair[1].clone())
+        })
+        .collect();
+    let draw_hour = move |_, batch: &mut Vec<JobSpec>| {
+        for machine in &mut machines {
+            machine.draw_hour(batch, &providers);
+        }
+    };
+    HourBatches::new(total_hours(config), study, draw_hour)
 }
 
 /// `(submit_s, id)`: the trace's order. Ids are unique, so it is total.
@@ -280,6 +285,11 @@ fn size_machines(fleet: &Fleet, config: &WorkloadConfig) -> Vec<Boundary> {
     boundaries
 }
 
+/// The number of hours every machine draws arrivals for.
+fn total_hours(config: &WorkloadConfig) -> u64 {
+    (config.days * 24.0).ceil() as u64
+}
+
 /// A machine's background demand, drawn where its draws begin.
 struct Demand {
     rho: f64,
@@ -300,7 +310,7 @@ impl Demand {
             // member population bounds their demand. Without a cap the
             // busiest queues diverge; real users flee unbounded backlogs.
             saturation_cap: (rho + 0.6 * (1.0 - rho)).min(0.985),
-            total_hours: (config.days * 24.0).ceil() as u64,
+            total_hours: total_hours(config),
         }
     }
 
@@ -327,9 +337,8 @@ struct MachineJobs<'f> {
     demand: Demand,
     rng: StdRng,
     next_id: u64,
+    /// The next hour to draw.
     hour: u64,
-    /// The current hour's remaining jobs, in `(submit_s, id)` order.
-    hour_jobs: VecDeque<JobSpec>,
     /// The sizing pass's boundary after this machine.
     end: Boundary,
 }
@@ -352,107 +361,113 @@ impl<'f> MachineJobs<'f> {
             rng,
             next_id,
             hour: 0,
-            hour_jobs: VecDeque::new(),
             end,
         }
     }
+
+    /// Append the next hour's jobs to `batch` in draw order; after the
+    /// last hour, check that the draws ended where the sizing pass said.
+    fn draw_hour(&mut self, batch: &mut Vec<JobSpec>, providers: &ZipfProviders) {
+        let n = self.demand.arrivals(self.hour, &self.config, &mut self.rng);
+        for _ in 0..n {
+            batch.push(background_job(
+                self.next_id,
+                self.index,
+                self.machine,
+                self.hour,
+                &self.config,
+                providers,
+                &mut self.rng,
+            ));
+            self.next_id += 1;
+        }
+        self.hour += 1;
+        if self.hour == self.demand.total_hours {
+            assert!(
+                self.rng == self.end.rng && self.next_id == self.end.next_id,
+                "machine {} ({}): the emitting pass ended at job id {} and the sizing \
+                 pass at {}, or on another generator state: a sampler and its skip \
+                 twin draw different numbers of words",
+                self.index,
+                self.machine.name(),
+                self.next_id,
+                self.end.next_id,
+            );
+        }
+    }
 }
 
-impl Iterator for MachineJobs<'_> {
-    type Item = JobSpec;
+/// The emitting pass: the trace an hour at a time, each hour's batch
+/// sorted once by `(submit_s, id)` and handed out in that order.
+///
+/// Hour `h`'s batch is the jobs carried over from hour `h - 1`, every
+/// machine's draws for the hour (`draw_hour`) and the study jobs due
+/// before `(h + 1)` hours. A background job of hour `h` lies in
+/// `[h, h + 1]` hours, so every job of a later hour, and every study job
+/// not yet due, is at or after the hour's end. Only the jobs before the
+/// end are handed out: a job that rounds to exactly the end can tie with
+/// a later hour's job of lower id, so it is carried into the next batch.
+/// After the last hour the carry and the study jobs left (any at exactly
+/// the study's end) form one final batch.
+struct HourBatches<D> {
+    draw_hour: D,
+    hours: u64,
+    /// The next hour to draw.
+    hour: u64,
+    /// Study jobs not yet batched, in descending `(submit_s, id)` order.
+    study: Vec<JobSpec>,
+    /// The current batch in descending `(submit_s, id)` order: the jobs
+    /// before `end_s` are handed out from its tail, and the carry stays.
+    batch: Vec<JobSpec>,
+    /// The current batch's end, or infinity once the final batch is in.
+    end_s: f64,
+}
 
-    fn next(&mut self) -> Option<JobSpec> {
-        while self.hour_jobs.is_empty() {
-            if self.hour == self.demand.total_hours {
-                assert!(
-                    self.rng == self.end.rng && self.next_id == self.end.next_id,
-                    "machine {} ({}): the emitting pass ended at job id {} and the sizing \
-                     pass at {}, or on another generator state: a sampler and its skip \
-                     twin draw different numbers of words",
-                    self.index,
-                    self.machine.name(),
-                    self.next_id,
-                    self.end.next_id,
-                );
-                return None;
+impl<D: FnMut(u64, &mut Vec<JobSpec>)> HourBatches<D> {
+    fn new(hours: u64, mut study: Vec<JobSpec>, draw_hour: D) -> Self {
+        study.sort_unstable_by(|a, b| by_submit_then_id(b, a));
+        HourBatches {
+            draw_hour,
+            hours,
+            hour: 0,
+            study,
+            batch: Vec::new(),
+            end_s: 0.0,
+        }
+    }
+
+    /// Add the next hour (or the final batch) and sort.
+    fn refill(&mut self) {
+        if self.hour == self.hours {
+            self.end_s = f64::INFINITY;
+            self.batch.append(&mut self.study);
+        } else {
+            self.end_s = (self.hour + 1) as f64 * 3600.0;
+            (self.draw_hour)(self.hour, &mut self.batch);
+            let end_s = self.end_s;
+            while let Some(job) = self.study.pop_if(|job| job.submit_s < end_s) {
+                self.batch.push(job);
             }
-            let n = self.demand.arrivals(self.hour, &self.config, &mut self.rng);
-            for _ in 0..n {
-                self.hour_jobs.push_back(background_job(
-                    self.next_id,
-                    self.index,
-                    self.machine,
-                    self.hour,
-                    &self.config,
-                    &mut self.rng,
-                ));
-                self.next_id += 1;
-            }
-            // An hour's jobs come out in draw order; the trace's order is
-            // by submission time.
-            self.hour_jobs
-                .make_contiguous()
-                .sort_unstable_by(by_submit_then_id);
             self.hour += 1;
         }
-        self.hour_jobs.pop_front()
+        self.batch.sort_unstable_by(|a, b| by_submit_then_id(b, a));
     }
 }
 
-/// A heap merge of streams that are each in `(submit_s, id)` order into
-/// one stream in that order.
-struct Merge<'f> {
-    streams: Vec<Box<dyn Iterator<Item = JobSpec> + 'f>>,
-    heads: BinaryHeap<Head>,
-}
-
-/// A stream's next job. Ordered in reverse, so the max-heap's top is the
-/// earliest `(submit_s, id)`.
-struct Head {
-    job: JobSpec,
-    stream: usize,
-}
-
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> Ordering {
-        by_submit_then_id(&other.job, &self.job)
-    }
-}
-
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for Head {}
-
-impl<'f> Merge<'f> {
-    fn new(mut streams: Vec<Box<dyn Iterator<Item = JobSpec> + 'f>>) -> Self {
-        let heads = streams
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(stream, jobs)| jobs.next().map(|job| Head { job, stream }))
-            .collect();
-        Merge { streams, heads }
-    }
-}
-
-impl Iterator for Merge<'_> {
+impl<D: FnMut(u64, &mut Vec<JobSpec>)> Iterator for HourBatches<D> {
     type Item = JobSpec;
 
     fn next(&mut self) -> Option<JobSpec> {
-        let mut top = self.heads.peek_mut()?;
-        Some(match self.streams[top.stream].next() {
-            Some(job) => std::mem::replace(&mut top.job, job),
-            None => PeekMut::pop(top).job,
-        })
+        loop {
+            let end_s = self.end_s;
+            if let Some(job) = self.batch.pop_if(|job| job.submit_s < end_s) {
+                return Some(job);
+            }
+            if end_s == f64::INFINITY {
+                return None;
+            }
+            self.refill();
+        }
     }
 }
 
@@ -461,6 +476,7 @@ impl Iterator for Merge<'_> {
 fn study_jobs(
     fleet: &Fleet,
     config: &WorkloadConfig,
+    providers: &ZipfProviders,
     rng: &mut StdRng,
     first_id: u64,
 ) -> Vec<JobSpec> {
@@ -499,7 +515,7 @@ fn study_jobs(
             // Study jobs queue inside an ordinary shared hub: the
             // fair-share scheduler must not hand the instrumented group a
             // fast lane.
-            let provider = sampler::zipf_provider(rng, config.num_providers);
+            let provider = providers.draw(rng);
             study_job(id, m_idx, machine, provider, submit_s, rng)
         })
         .collect()
@@ -534,6 +550,7 @@ fn background_job(
     machine: &Machine,
     hour: u64,
     config: &WorkloadConfig,
+    providers: &ZipfProviders,
     rng: &mut StdRng,
 ) -> JobSpec {
     let submit_s = (hour as f64 + rng.gen_range(0.0..1.0)) * 3600.0;
@@ -550,7 +567,7 @@ fn background_job(
     };
     JobSpec {
         id,
-        provider: sampler::zipf_provider(rng, config.num_providers),
+        provider: providers.draw(rng),
         machine: machine_idx,
         circuits: sampler::batch_size(rng, machine.max_batch_size() as u32),
         shots: sampler::shots(rng, machine.max_shots()),
@@ -649,6 +666,7 @@ mod tests {
     /// jobs, then one sort of the whole trace by `(submit_s, id)`.
     fn generate_oracle(fleet: &Fleet, config: &WorkloadConfig) -> Vec<JobSpec> {
         let mut rng = StdRng::seed_from_u64(config.seed);
+        let providers = ZipfProviders::new(config.num_providers);
         let mut jobs = Vec::new();
         let mut next_id = 0u64;
         for (m_idx, machine) in fleet.iter().enumerate() {
@@ -656,13 +674,13 @@ mod tests {
             for hour in 0..demand.total_hours {
                 for _ in 0..demand.arrivals(hour, config, &mut rng) {
                     jobs.push(background_job(
-                        next_id, m_idx, machine, hour, config, &mut rng,
+                        next_id, m_idx, machine, hour, config, &providers, &mut rng,
                     ));
                     next_id += 1;
                 }
             }
         }
-        jobs.extend(study_jobs(fleet, config, &mut rng, next_id));
+        jobs.extend(study_jobs(fleet, config, &providers, &mut rng, next_id));
         jobs.sort_unstable_by(by_submit_then_id);
         jobs
     }
@@ -712,13 +730,18 @@ mod tests {
         // A sizing pass one word short for machine 0.
         let mut end = boundaries[1].clone();
         end.rng.next_u64();
-        let machine = MachineJobs::new(0, &fleet.machines()[0], config, boundaries[0].clone(), end);
-        machine.for_each(drop);
+        let mut machine =
+            MachineJobs::new(0, &fleet.machines()[0], config, boundaries[0].clone(), end);
+        let providers = ZipfProviders::new(config.num_providers);
+        let mut batch = Vec::new();
+        for _ in 0..total_hours(&config) {
+            machine.draw_hour(&mut batch, &providers);
+        }
     }
 
     #[test]
-    fn merge_breaks_submit_ties_by_id_across_streams() {
-        let job = |id: u64, submit_s: f64| JobSpec {
+    fn hour_batches_hold_back_a_job_at_the_hour_end() {
+        let job = |id: u64, submit_s: f64, is_study: bool| JobSpec {
             id,
             provider: 1,
             machine: 0,
@@ -727,25 +750,50 @@ mod tests {
             mean_depth: 1.0,
             mean_width: 1.0,
             submit_s,
-            is_study: false,
+            is_study,
             patience_s: f64::INFINITY,
         };
-        // Equal submission times in every stream, ids interleaved across
-        // them, an empty stream, and a tie at the very first job.
-        let streams: Vec<Vec<JobSpec>> = vec![
-            vec![job(4, 0.0), job(5, 1.0), job(9, 1.0), job(2, 3.0)],
+        let bg = |id, submit_s| job(id, submit_s, false);
+        let study = |id, submit_s| job(id, submit_s, true);
+        // Three hours. Hour 0 draws id 7 at exactly 1 h, after id 3 drawn
+        // in hour 1 by a machine that comes first in draw order: emitting
+        // hour 0's batch whole would put 7 before 3. Hour 1 also rounds a
+        // job to its end (2 h), hour 2 draws nothing, and the study jobs
+        // sit inside hour 0, at the hour edges and at the study's end
+        // (3 h, after the last hour).
+        let hours: Vec<Vec<JobSpec>> = vec![
+            vec![bg(7, 3600.0), bg(5, 10.0), bg(6, 3599.0)],
+            vec![bg(3, 3600.0), bg(4, 7200.0), bg(8, 3600.5)],
             vec![],
-            vec![job(1, 0.0), job(3, 1.0), job(8, 1.0), job(6, 2.0)],
-            vec![job(0, 1.0), job(7, 1.0)],
         ];
-        let merge = Merge::new(
-            streams
-                .into_iter()
-                .map(|s| Box::new(s.into_iter()) as Box<dyn Iterator<Item = JobSpec>>)
-                .collect(),
+        let study = vec![
+            study(20, 10_800.0),
+            study(21, 7200.0),
+            study(22, 3600.0),
+            study(23, 10.0),
+        ];
+        let mut drawn = Vec::new();
+        let batches = HourBatches::new(3, study, |hour, batch: &mut Vec<JobSpec>| {
+            drawn.push(hour);
+            batch.extend(hours[hour as usize].iter().cloned());
+        });
+        let order: Vec<(f64, u64)> = batches.map(|j| (j.submit_s, j.id)).collect();
+        assert_eq!(
+            order,
+            [
+                (10.0, 5),
+                (10.0, 23),
+                (3599.0, 6),
+                (3600.0, 3),
+                (3600.0, 7),
+                (3600.0, 22),
+                (3600.5, 8),
+                (7200.0, 4),
+                (7200.0, 21),
+                (10_800.0, 20),
+            ]
         );
-        let ids: Vec<u64> = merge.map(|j| j.id).collect();
-        assert_eq!(ids, [1, 4, 0, 3, 5, 7, 8, 9, 6, 2]);
+        assert_eq!(drawn, [0, 1, 2]);
     }
 
     #[test]

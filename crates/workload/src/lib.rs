@@ -7,8 +7,10 @@
 //! circuits.
 //!
 //! The generator streams: [`stream`] yields the trace in `(submit_s, id)`
-//! order while holding one hour of each machine's background jobs and
+//! order an hour at a time, holding one hour of the fleet's background
+//! jobs (every machine draws the hour into one buffer, sorted once) and
 //! the study jobs, and [`generate`] collects that stream into a `Vec`.
+//! Provider ids come from one [`sampler::ZipfProviders`] table per trace.
 //! Feed the stream to [`qcs_cloud::Simulation::run_in_order`], which
 //! pulls jobs as its clock reaches them, so the trace is never held
 //! whole.

@@ -141,30 +141,51 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 ///
 /// Uses the continuous inverse-CDF approximation `rank = ⌊n^U⌋` (density
 /// ∝ 1/rank): exact enough for activity skew over millions of users,
-/// where the cumulative-weights walk in [`zipf_provider`] would cost O(n)
-/// per sample.
+/// where the weights walk in [`ZipfProviders`] would cost O(n) per
+/// sample.
 pub fn zipf_rank<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
     assert!(n >= 1, "need at least one rank");
     let u: f64 = rng.gen_range(0.0..1.0);
     ((n as f64).powf(u).floor() as u64).clamp(1, n)
 }
 
-/// A Zipf-distributed provider id in `[1, num_providers)` (provider 0 is
-/// reserved for the study group).
-pub fn zipf_provider<R: Rng + ?Sized>(rng: &mut R, num_providers: usize) -> u32 {
-    assert!(num_providers >= 2, "need at least two providers");
-    let n = num_providers - 1;
-    // Cumulative 1/k weights.
-    let total: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
-    let mut u = rng.gen_range(0.0..total);
-    for k in 1..=n {
-        let w = 1.0 / k as f64;
-        if u < w {
-            return k as u32;
-        }
-        u -= w;
+/// Zipf-distributed provider ids in `[1, num_providers)` (provider 0 is
+/// reserved for the study group), with the `1/k` weights and their total
+/// computed once rather than per draw.
+#[derive(Debug, Clone)]
+pub struct ZipfProviders {
+    /// `1.0 / k as f64` at index `k - 1`.
+    weights: Vec<f64>,
+    /// The weights summed for `k = 1..=n` in that order.
+    total: f64,
+}
+
+impl ZipfProviders {
+    /// The table for `num_providers` providers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_providers < 2`.
+    #[must_use]
+    pub fn new(num_providers: usize) -> Self {
+        assert!(num_providers >= 2, "need at least two providers");
+        let weights: Vec<f64> = (1..num_providers).map(|k| 1.0 / k as f64).collect();
+        let total = weights.iter().sum();
+        ZipfProviders { weights, total }
     }
-    n as u32
+
+    /// Draw one provider id: one word, then a walk that subtracts each
+    /// weight from the draw until it falls below one.
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        let mut u = rng.gen_range(0.0..self.total);
+        for (i, &w) in self.weights.iter().enumerate() {
+            if u < w {
+                return i as u32 + 1;
+            }
+            u -= w;
+        }
+        self.weights.len() as u32
+    }
 }
 
 #[cfg(test)]
@@ -254,13 +275,77 @@ mod tests {
         assert!(small.iter().all(|&w| (1..=5).contains(&w)));
     }
 
+    /// The per-draw provider sampler [`ZipfProviders`] replaced: the
+    /// harmonic total and every weight recomputed on each draw.
+    fn zipf_provider_oracle<R: Rng + ?Sized>(rng: &mut R, num_providers: usize) -> u32 {
+        let n = num_providers - 1;
+        let total: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
+        let mut u = rng.gen_range(0.0..total);
+        for k in 1..=n {
+            let w = 1.0 / k as f64;
+            if u < w {
+                return k as u32;
+            }
+            u -= w;
+        }
+        n as u32
+    }
+
+    /// A generator that hands out one fixed word: a one-word draw sees it.
+    struct Word(u64);
+
+    impl rand::RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn zipf_table_draws_what_the_per_draw_walk_draws() {
+        // A prefix-sum table (compare the draw with running totals, or
+        // binary-search them) is the same distribution but rounds
+        // differently where the draw sits within a few ulps of a weight
+        // boundary, so it moves some draws. Random draws almost never land
+        // there; the second loop puts every draw word within 512 steps of
+        // each boundary through both samplers. The stream-vs-oracle test
+        // cannot see such a change, as both of its sides build the table.
+        for num_providers in [2, 3, 40, 41] {
+            let table = ZipfProviders::new(num_providers);
+            let mut drawn = StdRng::seed_from_u64(0x21ff ^ num_providers as u64);
+            let mut oracle = drawn.clone();
+            for i in 0..1_000_000 {
+                let got = table.draw(&mut drawn);
+                let want = zipf_provider_oracle(&mut oracle, num_providers);
+                assert_eq!(got, want, "{num_providers} providers, draw {i}");
+                assert_eq!(drawn, oracle, "{num_providers} providers, draw {i}");
+            }
+            // `gen_range(0.0..total)` maps word `j << 11` to
+            // `j * 2^-53 * total`.
+            let steps = (1u64 << 53) as f64;
+            let mut boundary = 0.0;
+            for &w in &table.weights {
+                boundary += w;
+                let j = (boundary / table.total * steps) as u64;
+                for j in j.saturating_sub(512)..(j + 512).min(1 << 53) {
+                    let word = j << 11;
+                    let want = zipf_provider_oracle(&mut Word(word), num_providers);
+                    assert_eq!(table.draw(&mut Word(word)), want, "word {word:#x}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn zipf_favors_low_ids() {
         let mut rng = StdRng::seed_from_u64(6);
-        let samples: Vec<u32> = (0..10_000).map(|_| zipf_provider(&mut rng, 40)).collect();
+        let table = ZipfProviders::new(40);
+        let samples: Vec<u32> = (0..10_000).map(|_| table.draw(&mut rng)).collect();
         let ones = samples.iter().filter(|&&p| p == 1).count();
         let thirties = samples.iter().filter(|&&p| p == 30).count();
-        assert!(ones > 10 * thirties.max(1) / 2, "ones {ones} thirties {thirties}");
+        assert!(
+            ones > 10 * thirties.max(1) / 2,
+            "ones {ones} thirties {thirties}"
+        );
         assert!(samples.iter().all(|&p| (1..40).contains(&p)));
     }
 

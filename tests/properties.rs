@@ -226,7 +226,7 @@ proptest! {
                     is_study: false,
                     patience_s: f64::INFINITY,
                 },
-                (i % 17) as f64 + 1.0,
+                || (i % 17) as f64 + 1.0,
             );
         }
         prop_assert_eq!(queue.len(), providers.len());
