@@ -55,6 +55,21 @@ cargo test -q --workspace
 #   plus multiprogramming packs on toronto and manhattan, folds to one
 #   pinned digest; a layout, routing or peephole change that moves any
 #   compiled circuit fails it. optimize runs rounds to a fixed point.
+# -p qcs-transpiler --test allocations; -p qcs-circuit
+#   an_instruction_is_a_56_byte_value: parsing qft(12)'s QASM, remapping
+#   it and translating it to the basis allocate per circuit (a budget
+#   logarithmic in its gate count, under a counting global allocator), not
+#   per gate; an Instruction is 56 bytes with its operands inline.
+# -p qcs-transpiler one_walk_key_matches_the_two_pass_digest: the
+#   one-walk TranspileKey equals the two-pass digest (one walk per seeded
+#   lane) on every compiler_pin circuit x fleet machine x option set, and
+#   the keys fold to their pinned values.
+# -p qcs-circuit --test hostile_qasm: generated OpenQASM programs (arity
+#   and parameter count +-1, huge, negative and past-u32 indices,
+#   non-finite parameters, barriers of 1..n operands, bad measure targets,
+#   truncated and garbled lines) never panic from_qasm, get a typed error
+#   or round-trip through to_qasm instruction for instruction; well-formed
+#   circuits, wide barriers included, round-trip with their depth.
 # -p qcs-sim optimized_path_matches_reference; --test properties
 #   cdf_sampler_matches_linear_scan: the one shot path (CdfSampler +
 #   readout thresholds, every shot recorded into Counts) equals the

@@ -148,7 +148,8 @@ impl Circuit {
     /// Returns [`CircuitError`] if an operand is out of range or a
     /// multi-qubit gate repeats an operand.
     pub fn try_push(&mut self, instruction: Instruction) -> Result<(), CircuitError> {
-        for &q in &instruction.qubits {
+        let qubits = instruction.qubits();
+        for &q in qubits {
             if q.index() >= self.num_qubits {
                 return Err(CircuitError::QubitOutOfRange {
                     qubit: q,
@@ -156,7 +157,7 @@ impl Circuit {
                 });
             }
         }
-        for &c in &instruction.clbits {
+        for &c in instruction.clbits() {
             if c.index() >= self.num_clbits {
                 return Err(CircuitError::ClbitOutOfRange {
                     clbit: c,
@@ -164,10 +165,10 @@ impl Circuit {
                 });
             }
         }
-        if instruction.qubits.len() == 2 && instruction.qubits[0] == instruction.qubits[1] {
-            return Err(CircuitError::DuplicateOperand {
-                qubit: instruction.qubits[0],
-            });
+        if let &[a, b] = qubits {
+            if a == b {
+                return Err(CircuitError::DuplicateOperand { qubit: a });
+            }
         }
         self.instructions.push(instruction);
         Ok(())
@@ -190,8 +191,15 @@ impl Circuit {
     ///
     /// Panics on out-of-range or duplicated operands.
     pub fn apply(&mut self, gate: Gate, qubits: &[usize]) -> &mut Self {
-        let qs: Vec<Qubit> = qubits.iter().map(|&q| Qubit::from(q)).collect();
-        self.push(Instruction::gate(gate, &qs))
+        let instruction = match *qubits {
+            [q] => Instruction::gate(gate, &[Qubit::from(q)]),
+            [a, b] => Instruction::gate(gate, &[Qubit::from(a), Qubit::from(b)]),
+            _ => {
+                let qs: Vec<Qubit> = qubits.iter().map(|&q| Qubit::from(q)).collect();
+                Instruction::gate(gate, &qs)
+            }
+        };
+        self.push(instruction)
     }
 
     /// Append a Hadamard.
@@ -307,7 +315,7 @@ impl Circuit {
             if inst.gate.is_directive() {
                 continue;
             }
-            for q in &inst.qubits {
+            for q in inst.qubits() {
                 counts[q.index()] += 1;
             }
         }
@@ -374,24 +382,24 @@ impl Circuit {
             if inst.gate.is_directive() {
                 // A barrier synchronizes its qubits but adds no depth.
                 let level = inst
-                    .qubits
+                    .qubits()
                     .iter()
                     .map(|q| frontier[q.index()])
                     .max()
                     .unwrap_or(0);
-                for q in &inst.qubits {
+                for q in inst.qubits() {
                     frontier[q.index()] = level;
                 }
                 continue;
             }
             let start = inst
-                .qubits
+                .qubits()
                 .iter()
                 .map(|q| frontier[q.index()])
                 .max()
                 .unwrap_or(0);
             let end = start + usize::from(counts(&inst.gate));
-            for q in &inst.qubits {
+            for q in inst.qubits() {
                 frontier[q.index()] = end;
             }
             max_depth = max_depth.max(end);
@@ -433,7 +441,7 @@ impl Circuit {
             if inst.gate.is_directive() {
                 // Barriers may span inactive qubits; keep active spans only.
                 let qubits: Vec<Qubit> = inst
-                    .qubits
+                    .qubits()
                     .iter()
                     .filter(|q| new_of_old[q.index()] != usize::MAX)
                     .map(|q| Qubit::from(new_of_old[q.index()]))
@@ -459,11 +467,7 @@ impl Circuit {
         out.name = format!("{}_dg", self.name);
         for inst in self.instructions.iter().rev() {
             if let Some(inv) = inst.gate.inverse() {
-                out.push(Instruction {
-                    gate: inv,
-                    qubits: inst.qubits.clone(),
-                    clbits: Vec::new(),
-                });
+                out.push(Instruction::gate(inv, inst.qubits()));
             }
         }
         out
@@ -571,7 +575,7 @@ mod tests {
         let r = c.remapped(5, |q| Qubit(q.0 + 3));
         assert_eq!(r.num_qubits(), 5);
         assert_eq!(r.cx_count(), 1);
-        assert_eq!(r.instructions()[1].qubits, vec![Qubit(3), Qubit(4)]);
+        assert_eq!(r.instructions()[1].qubits(), &[Qubit(3), Qubit(4)]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::f64::consts::PI;
 use std::fmt;
+use std::ops::Deref;
 
 use qcs_calibration::{CalibrationSnapshot, DEFAULT_CX_NS, MEASURE_NS, RESET_NS, SINGLE_QUBIT_NS};
 
@@ -222,27 +223,52 @@ impl Gate {
 
     /// The continuous parameters of the gate, in declaration order.
     #[must_use]
-    pub fn params(&self) -> Vec<f64> {
-        match self {
-            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Cp(t) => vec![*t],
-            Gate::U(t, p, l) => vec![*t, *p, *l],
-            _ => Vec::new(),
-        }
+    pub fn params(&self) -> Params {
+        let (values, len) = match *self {
+            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Cp(t) => ([t, 0.0, 0.0], 1),
+            Gate::U(t, p, l) => ([t, p, l], 3),
+            _ => ([0.0; 3], 0),
+        };
+        Params { values, len }
+    }
+}
+
+/// A gate's continuous parameters ([`Gate::params`]), held inline: no gate
+/// has more than three. Derefs to the parameter slice.
+///
+/// # Examples
+///
+/// ```
+/// use qcs_circuit::Gate;
+///
+/// assert_eq!(*Gate::U(0.1, 0.2, 0.3).params(), [0.1, 0.2, 0.3]);
+/// assert!(Gate::H.params().is_empty());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Params {
+    values: [f64; 3],
+    len: usize,
+}
+
+impl Deref for Params {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len]
     }
 }
 
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let params = self.params();
+        write!(f, "{}", self.name())?;
+        for (i, p) in params.iter().enumerate() {
+            write!(f, "{}{p:.6}", if i == 0 { "(" } else { "," })?;
+        }
         if params.is_empty() {
-            write!(f, "{}", self.name())
+            Ok(())
         } else {
-            let joined = params
-                .iter()
-                .map(|p| format!("{p:.6}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            write!(f, "{}({joined})", self.name())
+            write!(f, ")")
         }
     }
 }

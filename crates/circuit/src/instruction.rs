@@ -77,8 +77,14 @@ impl fmt::Display for Clbit {
 
 /// A gate applied to concrete operands.
 ///
-/// For a [`Gate::Measure`], `clbits` holds the destination classical bit.
-/// For a [`Gate::Barrier`], `qubits` may span any subset of the register.
+/// For a [`Gate::Measure`], [`Instruction::clbits`] holds the destination
+/// classical bit. For a [`Gate::Barrier`], [`Instruction::qubits`] may span
+/// any subset of the register.
+///
+/// An instruction is a value: every gate but a barrier keeps its operands
+/// inline (one or two qubits, or a measurement's qubit and clbit), so
+/// cloning, remapping or parsing one allocates nothing. Only a barrier's
+/// operand list lives on the heap.
 ///
 /// # Examples
 ///
@@ -87,16 +93,27 @@ impl fmt::Display for Clbit {
 ///
 /// let cx = Instruction::gate(Gate::Cx, &[Qubit(0), Qubit(1)]);
 /// assert!(cx.gate.is_two_qubit());
-/// assert_eq!(cx.qubits, vec![Qubit(0), Qubit(1)]);
+/// assert_eq!(cx.qubits(), &[Qubit(0), Qubit(1)]);
+/// assert!(cx.clbits().is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     /// The operation being applied.
     pub gate: Gate,
-    /// Qubit operands, in gate-significant order (`[control, target]` for CX).
-    pub qubits: Vec<Qubit>,
-    /// Classical bit operands (only measurements use these today).
-    pub clbits: Vec<Clbit>,
+    operands: Operands,
+}
+
+/// Operand storage, one form per arity. The form is a function of the
+/// gate and the operand count (a barrier always spills), so the derived
+/// equality compares operands, not representations.
+#[derive(Debug, Clone, PartialEq)]
+enum Operands {
+    One([Qubit; 1]),
+    /// Gate-significant order: `[control, target]` for CX.
+    Two([Qubit; 2]),
+    Measure([Qubit; 1], [Clbit; 1]),
+    /// A barrier's operands, every one of which its alignment reads.
+    Spill(Box<[Qubit]>),
 }
 
 impl Instruction {
@@ -105,26 +122,29 @@ impl Instruction {
     /// # Panics
     ///
     /// Panics if the operand count does not match the gate's arity (barriers
-    /// excepted, which accept any non-zero number of qubits).
+    /// excepted, which accept any non-zero number of qubits), and for
+    /// [`Gate::Measure`], which needs a clbit ([`Instruction::measure`]).
     #[must_use]
     pub fn gate(gate: Gate, qubits: &[Qubit]) -> Self {
-        if gate.is_directive() {
+        assert!(
+            gate != Gate::Measure,
+            "measure needs a clbit: use Instruction::measure"
+        );
+        let operands = if gate.is_directive() {
             assert!(!qubits.is_empty(), "barrier needs at least one qubit");
+            Operands::Spill(qubits.into())
         } else {
-            assert_eq!(
-                qubits.len(),
-                gate.num_qubits(),
-                "gate {} expects {} operand(s), got {}",
-                gate.name(),
-                gate.num_qubits(),
-                qubits.len()
-            );
-        }
-        Instruction {
-            gate,
-            qubits: qubits.to_vec(),
-            clbits: Vec::new(),
-        }
+            match (gate.num_qubits(), qubits) {
+                (1, &[q]) => Operands::One([q]),
+                (2, &[a, b]) => Operands::Two([a, b]),
+                (arity, _) => panic!(
+                    "gate {} expects {arity} operand(s), got {}",
+                    gate.name(),
+                    qubits.len()
+                ),
+            }
+        };
+        Instruction { gate, operands }
     }
 
     /// Create a measurement instruction `qubit -> clbit`.
@@ -132,48 +152,75 @@ impl Instruction {
     pub fn measure(qubit: Qubit, clbit: Clbit) -> Self {
         Instruction {
             gate: Gate::Measure,
-            qubits: vec![qubit],
-            clbits: vec![clbit],
+            operands: Operands::Measure([qubit], [clbit]),
+        }
+    }
+
+    /// Qubit operands, in gate-significant order (`[control, target]` for
+    /// CX).
+    #[must_use]
+    pub fn qubits(&self) -> &[Qubit] {
+        match &self.operands {
+            Operands::One(q) | Operands::Measure(q, _) => q,
+            Operands::Two(qs) => qs,
+            Operands::Spill(qs) => qs,
+        }
+    }
+
+    /// Classical bit operands (only measurements have one).
+    #[must_use]
+    pub fn clbits(&self) -> &[Clbit] {
+        match &self.operands {
+            Operands::Measure(_, c) => c,
+            _ => &[],
         }
     }
 
     /// Whether this instruction touches the given qubit.
     #[must_use]
     pub fn touches(&self, qubit: Qubit) -> bool {
-        self.qubits.contains(&qubit)
+        self.qubits().contains(&qubit)
     }
 
     /// Remap qubit operands through `f` (used by layout application and
     /// routing). Classical operands are unchanged.
     #[must_use]
     pub fn map_qubits(&self, f: impl Fn(Qubit) -> Qubit) -> Instruction {
+        self.map_operands(f, |c| c)
+    }
+
+    /// Remap qubit operands through `fq` and classical operands through
+    /// `fc` (used when packing programs onto one register with per-program
+    /// clbit offsets).
+    #[must_use]
+    pub fn map_operands(
+        &self,
+        fq: impl Fn(Qubit) -> Qubit,
+        fc: impl Fn(Clbit) -> Clbit,
+    ) -> Instruction {
+        let operands = match &self.operands {
+            Operands::One([q]) => Operands::One([fq(*q)]),
+            Operands::Two([a, b]) => Operands::Two([fq(*a), fq(*b)]),
+            Operands::Measure([q], [c]) => Operands::Measure([fq(*q)], [fc(*c)]),
+            Operands::Spill(qs) => Operands::Spill(qs.iter().map(|&q| fq(q)).collect()),
+        };
         Instruction {
             gate: self.gate,
-            qubits: self.qubits.iter().map(|&q| f(q)).collect(),
-            clbits: self.clbits.clone(),
+            operands,
         }
     }
 }
 
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let qs = self
-            .qubits
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        if self.clbits.is_empty() {
-            write!(f, "{} {}", self.gate, qs)
-        } else {
-            let cs = self
-                .clbits
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            write!(f, "{} {} -> {}", self.gate, qs, cs)
+        write!(f, "{}", self.gate)?;
+        for (i, q) in self.qubits().iter().enumerate() {
+            write!(f, "{}{q}", if i == 0 { " " } else { "," })?;
         }
+        for (i, c) in self.clbits().iter().enumerate() {
+            write!(f, "{}{c}", if i == 0 { " -> " } else { "," })?;
+        }
+        Ok(())
     }
 }
 
@@ -184,7 +231,7 @@ mod tests {
     #[test]
     fn construct_single_qubit() {
         let i = Instruction::gate(Gate::H, &[Qubit(2)]);
-        assert_eq!(i.qubits.len(), 1);
+        assert_eq!(i.qubits().len(), 1);
         assert!(i.touches(Qubit(2)));
         assert!(!i.touches(Qubit(0)));
     }
@@ -198,7 +245,7 @@ mod tests {
     #[test]
     fn barrier_accepts_many() {
         let i = Instruction::gate(Gate::Barrier, &[Qubit(0), Qubit(1), Qubit(2)]);
-        assert_eq!(i.qubits.len(), 3);
+        assert_eq!(i.qubits().len(), 3);
     }
 
     #[test]
@@ -211,7 +258,7 @@ mod tests {
     fn measure_binds_clbit() {
         let i = Instruction::measure(Qubit(1), Clbit(0));
         assert_eq!(i.gate, Gate::Measure);
-        assert_eq!(i.clbits, vec![Clbit(0)]);
+        assert_eq!(i.clbits(), &[Clbit(0)]);
         assert_eq!(i.to_string(), "measure q1 -> c0");
     }
 
@@ -219,8 +266,30 @@ mod tests {
     fn map_qubits_applies_permutation() {
         let i = Instruction::gate(Gate::Cx, &[Qubit(0), Qubit(1)]);
         let j = i.map_qubits(|q| Qubit(q.0 + 10));
-        assert_eq!(j.qubits, vec![Qubit(10), Qubit(11)]);
+        assert_eq!(j.qubits(), &[Qubit(10), Qubit(11)]);
         assert_eq!(j.gate, Gate::Cx);
+    }
+
+    #[test]
+    fn an_instruction_is_a_56_byte_value() {
+        // The gate (32 B) beside inline operands; only a barrier spills.
+        assert_eq!(std::mem::size_of::<Instruction>(), 56);
+    }
+
+    #[test]
+    #[should_panic(expected = "measure needs a clbit")]
+    fn measure_through_gate_panics() {
+        let _ = Instruction::gate(Gate::Measure, &[Qubit(0)]);
+    }
+
+    #[test]
+    fn map_operands_offsets_the_clbit() {
+        let m = Instruction::measure(Qubit(1), Clbit(0));
+        let j = m.map_operands(|q| Qubit(q.0 + 4), |c| Clbit(c.0 + 2));
+        assert_eq!(j.qubits(), &[Qubit(5)]);
+        assert_eq!(j.clbits(), &[Clbit(2)]);
+        let cx = Instruction::gate(Gate::Cx, &[Qubit(0), Qubit(1)]);
+        assert_eq!(cx.map_operands(|q| q, |c| Clbit(c.0 + 2)), cx);
     }
 
     #[test]

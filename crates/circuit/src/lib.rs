@@ -34,6 +34,6 @@ mod metrics;
 pub mod qasm;
 
 pub use circuit::{Circuit, CircuitError};
-pub use gate::Gate;
+pub use gate::{Gate, Params};
 pub use instruction::{Clbit, Instruction, Qubit};
 pub use metrics::CircuitMetrics;

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{Circuit, CircuitError, Gate};
+use crate::{Circuit, CircuitError, Clbit, Gate, Instruction, Qubit};
 
 /// Errors from parsing OpenQASM text.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,201 +78,180 @@ pub fn to_qasm(circuit: &Circuit) -> String {
         let _ = writeln!(out, "creg c[{}];", circuit.num_clbits());
     }
     for inst in circuit.instructions() {
-        match inst.gate {
-            Gate::Measure => {
-                let _ = writeln!(
-                    out,
-                    "measure q[{}] -> c[{}];",
-                    inst.qubits[0].0, inst.clbits[0].0
-                );
-            }
-            Gate::Barrier => {
-                let qs = inst
-                    .qubits
-                    .iter()
-                    .map(|q| format!("q[{}]", q.0))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let _ = writeln!(out, "barrier {qs};");
-            }
-            ref g => {
-                let params = g.params();
-                let qs = inst
-                    .qubits
-                    .iter()
-                    .map(|q| format!("q[{}]", q.0))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                if params.is_empty() {
-                    let _ = writeln!(out, "{} {qs};", g.name());
-                } else {
-                    let ps = params
-                        .iter()
-                        .map(|p| format!("{p:.12}"))
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    let _ = writeln!(out, "{}({ps}) {qs};", g.name());
-                }
-            }
+        let params = inst.gate.params();
+        out.push_str(inst.gate.name());
+        for (i, p) in params.iter().enumerate() {
+            let _ = write!(out, "{}{p:.12}", if i == 0 { "(" } else { "," });
         }
+        if !params.is_empty() {
+            out.push(')');
+        }
+        for (i, q) in inst.qubits().iter().enumerate() {
+            let _ = write!(out, "{}q[{}]", if i == 0 { " " } else { "," }, q.0);
+        }
+        for c in inst.clbits() {
+            let _ = write!(out, " -> c[{}]", c.0);
+        }
+        out.push_str(";\n");
     }
     out
 }
 
 /// Parse OpenQASM 2.0 text emitted by [`to_qasm`] (a practical subset:
-/// single `qreg q[..]`/`creg c[..]` registers, the gate set of [`Gate`]).
+/// single `qreg q[..]`/`creg c[..]` registers, declared before the first
+/// statement, and the gate set of [`Gate`]).
+///
+/// The text is read in one pass over borrowed lines: a statement's
+/// parameters and operands are parsed in place, so no line allocates
+/// except a barrier's operand list.
 ///
 /// # Errors
 ///
 /// Returns [`QasmError`] on malformed input or gates outside the supported
-/// set.
+/// set, and never panics: an operand count that does not match the gate
+/// or an index past `u32` is a [`QasmError::Syntax`], an operand outside
+/// the registers a [`QasmError::Invalid`].
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
     let mut lines = text
         .lines()
         .enumerate()
-        .map(|(i, l)| (i + 1, l.split("//").next().unwrap_or("").trim()))
-        .filter(|(_, l)| !l.is_empty());
+        .map(|(i, l)| {
+            let code = l.split("//").next().unwrap_or("").trim();
+            (i + 1, code.trim_end_matches(';').trim())
+        })
+        .filter(|(_, l)| !l.is_empty())
+        .peekable();
 
     let (_, header) = lines.next().ok_or(QasmError::MissingHeader)?;
     if !header.starts_with("OPENQASM") {
         return Err(QasmError::MissingHeader);
     }
 
-    let mut circuit: Option<Circuit> = None;
+    // Declarations first; the first statement ends them.
     let mut num_qubits = 0usize;
     let mut num_clbits = 0usize;
-    let mut pending: Vec<(usize, String)> = Vec::new();
-
-    for (lineno, line) in lines {
-        let line = line.trim_end_matches(';').trim();
-        if line.is_empty() || line.starts_with("include") {
-            continue;
-        }
+    while let Some(&(lineno, line)) = lines.peek() {
         if let Some(rest) = line.strip_prefix("qreg") {
             num_qubits = parse_reg_size(rest, lineno)?;
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("creg") {
+        } else if let Some(rest) = line.strip_prefix("creg") {
             num_clbits = parse_reg_size(rest, lineno)?;
-            continue;
+        } else if !line.starts_with("include") {
+            break;
         }
-        pending.push((lineno, line.to_string()));
+        lines.next();
     }
-
     if num_qubits == 0 {
         return Err(QasmError::MissingRegister);
     }
+
     let mut c = Circuit::with_clbits(num_qubits, num_clbits.max(num_qubits));
-    for (lineno, line) in pending {
-        parse_statement(&mut c, &line, lineno)?;
+    for (lineno, line) in lines {
+        if line.starts_with("include") {
+            continue;
+        }
+        parse_statement(&mut c, line, lineno)?;
     }
-    let _ = circuit.get_or_insert_with(Circuit::default);
     Ok(c)
 }
 
-fn parse_reg_size(rest: &str, line: usize) -> Result<usize, QasmError> {
-    let open = rest.find('[');
-    let close = rest.find(']');
-    match (open, close) {
-        (Some(o), Some(cl)) if cl > o => rest[o + 1..cl]
-            .parse::<usize>()
-            .map_err(|_| QasmError::Syntax {
-                line,
-                text: rest.to_string(),
-            }),
-        _ => Err(QasmError::Syntax {
-            line,
-            text: rest.to_string(),
-        }),
+fn syntax(line: usize, text: &str) -> QasmError {
+    QasmError::Syntax {
+        line,
+        text: text.to_string(),
     }
 }
 
-fn parse_index(token: &str, line: usize) -> Result<usize, QasmError> {
-    let open = token.find('[');
-    let close = token.find(']');
-    match (open, close) {
-        (Some(o), Some(c)) if c > o => {
-            token[o + 1..c]
-                .parse::<usize>()
-                .map_err(|_| QasmError::Syntax {
-                    line,
-                    text: token.to_string(),
-                })
-        }
-        _ => Err(QasmError::Syntax {
-            line,
-            text: token.to_string(),
-        }),
+/// `name[size]` of a register declaration. Widths past `u32` are refused:
+/// no operand could index them.
+fn parse_reg_size(rest: &str, line: usize) -> Result<usize, QasmError> {
+    if !rest.starts_with(char::is_whitespace) {
+        return Err(syntax(line, rest));
     }
+    parse_index(rest, line).map(|n| n as usize)
+}
+
+/// The index of an operand `name[index]`: a non-empty name, and nothing
+/// after the closing bracket.
+fn parse_index(token: &str, line: usize) -> Result<u32, QasmError> {
+    let token = token.trim();
+    token
+        .split_once('[')
+        .filter(|(name, _)| {
+            let name = name.trim_end();
+            !name.is_empty() && name.chars().all(is_name_char)
+        })
+        .and_then(|(_, rest)| rest.strip_suffix(']'))
+        .and_then(|index| index.trim().parse::<u32>().ok())
+        .ok_or_else(|| syntax(line, token))
+}
+
+fn is_name_char(ch: char) -> bool {
+    ch.is_ascii_alphanumeric() || ch == '_'
 }
 
 fn parse_statement(c: &mut Circuit, line: &str, lineno: usize) -> Result<(), QasmError> {
-    if let Some(rest) = line.strip_prefix("measure") {
-        let parts: Vec<&str> = rest.split("->").collect();
-        if parts.len() != 2 {
-            return Err(QasmError::Syntax {
-                line: lineno,
-                text: line.to_string(),
-            });
-        }
-        let q = parse_index(parts[0].trim(), lineno)?;
-        let cl = parse_index(parts[1].trim(), lineno)?;
-        c.measure(q, cl);
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix("barrier") {
-        let qs: Result<Vec<usize>, _> = rest
-            .split(',')
-            .map(|t| parse_index(t.trim(), lineno))
-            .collect();
-        let qs = qs?;
-        let qubits: Vec<crate::Qubit> = qs.into_iter().map(crate::Qubit::from).collect();
-        c.try_push(crate::Instruction::gate(Gate::Barrier, &qubits))?;
-        return Ok(());
-    }
-
     // "name(p1,p2) q[a],q[b]" or "name q[a],q[b]"
-    let (head, operands) = match line.find(' ') {
-        Some(sp) => (&line[..sp], line[sp + 1..].trim()),
-        None => {
-            return Err(QasmError::Syntax {
-                line: lineno,
-                text: line.to_string(),
-            })
+    let name_len = line.find(|ch| !is_name_char(ch)).unwrap_or(line.len());
+    let (name, rest) = line.split_at(name_len);
+    let mut params = [0.0f64; 3];
+    let mut num_params = 0usize;
+    let operands = match rest.strip_prefix('(') {
+        Some(inner) => {
+            let (list, operands) = inner.split_once(')').ok_or_else(|| syntax(lineno, line))?;
+            for token in list.split(',') {
+                let value = token
+                    .trim()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| syntax(lineno, line))?;
+                *params
+                    .get_mut(num_params)
+                    .ok_or_else(|| syntax(lineno, line))? = value;
+                num_params += 1;
+            }
+            operands
         }
+        None => rest,
     };
-    let (name, params): (&str, Vec<f64>) = match head.find('(') {
-        Some(o) => {
-            let close = head.rfind(')').ok_or_else(|| QasmError::Syntax {
-                line: lineno,
-                text: line.to_string(),
-            })?;
-            let ps: Result<Vec<f64>, _> = head[o + 1..close]
-                .split(',')
-                .map(|t| t.trim().parse::<f64>())
-                .collect();
-            (
-                &head[..o],
-                ps.map_err(|_| QasmError::Syntax {
-                    line: lineno,
-                    text: line.to_string(),
-                })?,
-            )
-        }
-        None => (head, Vec::new()),
-    };
+    if !operands.starts_with(char::is_whitespace) {
+        return Err(syntax(lineno, line));
+    }
 
-    let gate = gate_from_name(name, &params).ok_or_else(|| QasmError::UnknownGate {
-        line: lineno,
-        name: name.to_string(),
-    })?;
-    let qs: Result<Vec<usize>, _> = operands
-        .split(',')
-        .map(|t| parse_index(t.trim(), lineno))
-        .collect();
-    let qs = qs?;
-    let qubits: Vec<crate::Qubit> = qs.into_iter().map(crate::Qubit::from).collect();
-    c.try_push(crate::Instruction::gate(gate, &qubits))?;
+    if name == "measure" && num_params == 0 {
+        let (q, cl) = operands
+            .split_once("->")
+            .ok_or_else(|| syntax(lineno, line))?;
+        let q = Qubit(parse_index(q, lineno)?);
+        let cl = Clbit(parse_index(cl, lineno)?);
+        c.try_push(Instruction::measure(q, cl))?;
+        return Ok(());
+    }
+    if name == "barrier" && num_params == 0 {
+        let qubits = operands
+            .split(',')
+            .map(|t| parse_index(t, lineno).map(Qubit))
+            .collect::<Result<Vec<_>, _>>()?;
+        c.try_push(Instruction::gate(Gate::Barrier, &qubits))?;
+        return Ok(());
+    }
+
+    let gate =
+        gate_from_name(name, &params[..num_params]).ok_or_else(|| QasmError::UnknownGate {
+            line: lineno,
+            name: name.to_string(),
+        })?;
+    let mut qubits = [Qubit(0); 2];
+    let mut arity = 0usize;
+    for token in operands.split(',') {
+        let q = parse_index(token, lineno)?;
+        *qubits.get_mut(arity).ok_or_else(|| syntax(lineno, line))? = Qubit(q);
+        arity += 1;
+    }
+    if arity != gate.num_qubits() {
+        return Err(syntax(lineno, line));
+    }
+    c.try_push(Instruction::gate(gate, &qubits[..arity]))?;
     Ok(())
 }
 
@@ -361,6 +340,121 @@ mod tests {
         let text = "OPENQASM 2.0;\n// a comment\nqreg q[2];\n\nh q[0]; // trailing\n";
         let c = from_qasm(text).unwrap();
         assert_eq!(c.size(), 1);
+    }
+
+    /// `qreg q[2]; creg c[2];` then one statement.
+    fn one_statement(statement: &str) -> Result<Circuit, QasmError> {
+        from_qasm(&format!(
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n{statement}\n"
+        ))
+    }
+
+    #[test]
+    fn one_qubit_gate_on_two_operands_is_a_syntax_error() {
+        let err = one_statement("h q[0],q[1];").unwrap_err();
+        assert!(matches!(err, QasmError::Syntax { line: 4, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn two_qubit_gate_on_one_operand_is_a_syntax_error() {
+        let err = one_statement("cx q[0];").unwrap_err();
+        assert!(matches!(err, QasmError::Syntax { line: 4, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn measure_into_a_clbit_out_of_range_is_invalid() {
+        let err = one_statement("measure q[0] -> c[9];").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QasmError::Invalid(CircuitError::ClbitOutOfRange { .. })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn measure_of_a_qubit_out_of_range_is_invalid() {
+        let err = one_statement("measure q[7] -> c[0];").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QasmError::Invalid(CircuitError::QubitOutOfRange { .. })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn index_past_u32_is_a_syntax_error() {
+        let err = one_statement("h q[4294967296];").unwrap_err();
+        assert!(matches!(err, QasmError::Syntax { line: 4, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn registers_come_before_statements() {
+        let err = from_qasm("OPENQASM 2.0;\nh q[0];\nqreg q[1];").unwrap_err();
+        assert_eq!(err, QasmError::MissingRegister);
+        let err = from_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0];\ncreg c[1];").unwrap_err();
+        assert!(
+            matches!(err, QasmError::UnknownGate { line: 4, .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn hand_written_spacing_parses() {
+        let c = from_qasm(
+            "OPENQASM 2.0;\nqreg q[2];\nu3(0.1, 0.2, 0.3) q[1];\ncx q[0], q[1];\nmeasure q[1]->c[0];",
+        )
+        .unwrap();
+        assert_eq!(c.instructions()[0].gate, Gate::U(0.1, 0.2, 0.3));
+        assert_eq!(c.instructions()[1].qubits(), &[Qubit(0), Qubit(1)]);
+        assert_eq!(c.instructions()[2].clbits(), &[Clbit(0)]);
+    }
+
+    #[test]
+    fn garbage_after_an_operand_is_a_syntax_error() {
+        for statement in [
+            "h q[0]; h q[1]",
+            "h q[0]x",
+            "rz(nan) q[0]",
+            "rz(1e400) q[0]",
+        ] {
+            let err = one_statement(statement).unwrap_err();
+            assert!(
+                matches!(err, QasmError::Syntax { .. }),
+                "{statement}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wide_barrier_survives_clone_remap_and_round_trip() {
+        let mut c = Circuit::new(4);
+        c.h(0).h(0).h(0);
+        c.push(Instruction::gate(
+            Gate::Barrier,
+            &[Qubit(0), Qubit(2), Qubit(3)],
+        ));
+        c.h(3).h(1);
+        // h(3) waits for the barrier's level, set by q0; h(1) does not.
+        assert_eq!(c.depth(), 4);
+
+        let barrier = c.instructions()[3].clone();
+        assert_eq!(barrier.qubits(), &[Qubit(0), Qubit(2), Qubit(3)]);
+        assert_eq!(barrier, c.instructions()[3]);
+
+        let mapped = c.remapped(4, |q| Qubit(3 - q.0));
+        assert_eq!(
+            mapped.instructions()[3].qubits(),
+            &[Qubit(3), Qubit(1), Qubit(0)]
+        );
+        assert_eq!(mapped.depth(), 4);
+
+        let back = from_qasm(&to_qasm(&mapped)).unwrap();
+        assert_eq!(back, mapped);
+        assert_eq!(back.depth(), 4);
     }
 
     #[test]

@@ -58,8 +58,8 @@ fn quarter_turns(theta: f64) -> Option<u32> {
 /// and `Measure` classify as Clifford with an empty sequence (they have
 /// no state effect during evolution); `Reset` is not Clifford.
 pub(crate) fn push_clifford_ops(inst: &Instruction, out: &mut Vec<CliffordOp>) -> bool {
-    let q0 = || inst.qubits[0].index();
-    let q1 = || inst.qubits[1].index();
+    let q0 = || inst.qubits()[0].index();
+    let q1 = || inst.qubits()[1].index();
     match inst.gate {
         Gate::Id | Gate::Barrier | Gate::Measure => true,
         Gate::X => {

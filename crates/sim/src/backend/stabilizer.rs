@@ -481,7 +481,7 @@ fn propagate(
     for &(i, word) in events {
         frame.push_through(&ops[at..step_end[i]]);
         at = step_end[i];
-        frame.inject(&insts[i].qubits, word);
+        frame.inject(insts[i].qubits(), word);
     }
     frame.push_through(&ops[at..]);
     frame
@@ -806,7 +806,7 @@ mod tests {
             }
             start = step_end[i];
             for &(_, word) in events.iter().filter(|&&(at, _)| at == i) {
-                oracle.apply_pauli_word(&inst.qubits, word);
+                oracle.apply_pauli_word(inst.qubits(), word);
             }
         }
 

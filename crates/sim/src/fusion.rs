@@ -117,8 +117,8 @@ pub fn instruction_kernel(inst: &Instruction) -> Kernel {
     use std::f64::consts::FRAC_PI_2;
     use std::f64::consts::FRAC_PI_4;
     // Closures: a barrier may carry no operands at all.
-    let q0 = || inst.qubits[0].index();
-    let q1 = || inst.qubits[1].index();
+    let q0 = || inst.qubits()[0].index();
+    let q1 = || inst.qubits()[1].index();
     match inst.gate {
         Gate::Barrier | Gate::Measure | Gate::Id => Kernel::Noop,
         Gate::Reset => Kernel::Reset(q0()),

@@ -727,12 +727,12 @@ impl NoisySimulator {
         let eligible = noise_eligible(inst);
         TrajStep {
             kernel: fusion::instruction_kernel(inst),
-            qubits: inst.qubits.clone(),
+            qubits: inst.qubits().to_vec(),
             eligible,
             error_prob: step_noise(inst, snapshot).0,
             decoherence: if eligible && self.decoherence {
-                let duration_ns = inst.gate.duration_ns(&inst.qubits, snapshot);
-                inst.qubits
+                let duration_ns = inst.gate.duration_ns(inst.qubits(), snapshot);
+                inst.qubits()
                     .iter()
                     .filter_map(|q| {
                         let (gamma, p_phase) =
@@ -762,11 +762,11 @@ impl NoisySimulator {
             }
             let error_prob = gate_error(inst, snapshot);
             if error_prob > 0.0 && rng.gen_range(0.0..1.0) < error_prob {
-                inject_pauli(&mut state, &inst.qubits, rng)?;
+                inject_pauli(&mut state, inst.qubits(), rng)?;
             }
             if self.decoherence {
-                let duration_ns = inst.gate.duration_ns(&inst.qubits, snapshot);
-                for q in &inst.qubits {
+                let duration_ns = inst.gate.duration_ns(inst.qubits(), snapshot);
+                for q in inst.qubits() {
                     apply_decoherence(&mut state, q.index(), duration_ns, snapshot, rng);
                 }
             }
@@ -926,7 +926,7 @@ pub(crate) fn step_noise(inst: &Instruction, snapshot: &CalibrationSnapshot) -> 
     } else {
         0.0
     };
-    (error_prob, inst.qubits.len())
+    (error_prob, inst.qubits().len())
 }
 
 /// The dry walk of a state-independent trajectory: one uniform per noisy
@@ -950,7 +950,7 @@ pub(crate) fn dry_walk(
 /// The calibrated error probability of one instruction.
 fn gate_error(inst: &Instruction, snapshot: &CalibrationSnapshot) -> f64 {
     if inst.gate.is_two_qubit() {
-        let (a, b) = (inst.qubits[0].index(), inst.qubits[1].index());
+        let (a, b) = (inst.qubits()[0].index(), inst.qubits()[1].index());
         let edge = snapshot.edge(a, b).map_or_else(
             // Uncoupled pair (e.g. pre-routing circuit): charge the average.
             || snapshot.avg_cx_error(),
@@ -963,7 +963,7 @@ fn gate_error(inst: &Instruction, snapshot: &CalibrationSnapshot) -> f64 {
             edge
         }
     } else {
-        snapshot.qubit(inst.qubits[0].index()).single_qubit_error
+        snapshot.qubit(inst.qubits()[0].index()).single_qubit_error
     }
 }
 
@@ -1030,8 +1030,8 @@ pub fn measurement_map(circuit: &Circuit) -> Vec<(usize, usize)> {
     let mut map: Vec<(usize, usize)> = Vec::new();
     for inst in circuit.instructions() {
         if inst.gate == Gate::Measure {
-            let q = inst.qubits[0].index();
-            let c = inst.clbits[0].index();
+            let q = inst.qubits()[0].index();
+            let c = inst.clbits()[0].index();
             map.retain(|&(mq, _)| mq != q);
             map.push((q, c));
         }

@@ -52,7 +52,7 @@ pub fn translate_to_basis(circuit: &Circuit) -> Circuit {
 }
 
 fn emit(out: &mut Circuit, inst: &Instruction) {
-    let qs = &inst.qubits;
+    let qs = inst.qubits();
     match inst.gate {
         // Drop identity rotations even though rz is a basis gate.
         Gate::Rz(theta) => push_rz(out, qs[0], theta),

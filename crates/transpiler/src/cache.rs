@@ -56,33 +56,57 @@ pub struct TranspileKey {
     hi: u64,
 }
 
+/// The seeds of the key's two lanes.
+const LANE_SEEDS: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xd1b5_4a32_d192_ed03];
+
 impl TranspileKey {
     /// Digest the full input content of a transpile call.
     #[must_use]
     pub fn of(circuit: &Circuit, target: &Target, options: &TranspileOptions) -> Self {
-        let lo = Self::digest(0x9e37_79b9_7f4a_7c15, circuit, target, options);
-        let hi = Self::digest(0xd1b5_4a32_d192_ed03, circuit, target, options);
+        let mut lanes = Lanes(LANE_SEEDS.map(|seed| {
+            let mut h = FxHasher::default();
+            h.write_u64(seed);
+            h
+        }));
+        hash_circuit(&mut lanes, circuit);
+        hash_target(&mut lanes, target);
+        hash_options(&mut lanes, options);
+        let [lo, hi] = lanes.0.map(|h| h.finish());
         TranspileKey { lo, hi }
     }
+}
 
-    fn digest(seed: u64, circuit: &Circuit, target: &Target, options: &TranspileOptions) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(seed);
-        hash_circuit(&mut h, circuit);
-        hash_target(&mut h, target);
-        hash_options(&mut h, options);
-        h.finish()
+/// Both seeded lanes of a key, fed by one walk over its material: every
+/// write goes to each lane, so each ends as its own pass would have.
+struct Lanes([FxHasher; 2]);
+
+impl Hasher for Lanes {
+    /// The low lane alone; [`TranspileKey::of`] reads both.
+    fn finish(&self) -> u64 {
+        self.0[0].finish()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.iter_mut().for_each(|h| h.write(bytes));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0.iter_mut().for_each(|h| h.write_u64(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0.iter_mut().for_each(|h| h.write_usize(n));
     }
 }
 
 /// A string as its length, then its bytes: the length keeps adjacent
 /// strings from running together ("ab" + "c" vs "a" + "bc").
-fn write_str(h: &mut FxHasher, s: &str) {
+fn write_str(h: &mut impl Hasher, s: &str) {
     h.write_usize(s.len());
     h.write(s.as_bytes());
 }
 
-fn hash_circuit(h: &mut FxHasher, circuit: &Circuit) {
+fn hash_circuit(h: &mut impl Hasher, circuit: &Circuit) {
     write_str(h, circuit.name());
     h.write_usize(circuit.num_qubits());
     h.write_usize(circuit.num_clbits());
@@ -94,21 +118,21 @@ fn hash_circuit(h: &mut FxHasher, circuit: &Circuit) {
         // Every `f64` (here and in the calibration) goes in as its exact
         // bit pattern: keys must distinguish values that compare equal but
         // behave differently downstream (-0.0 vs 0.0).
-        for p in params {
+        for p in params.iter() {
             h.write_u64(p.to_bits());
         }
-        h.write_usize(inst.qubits.len());
-        for q in &inst.qubits {
+        h.write_usize(inst.qubits().len());
+        for q in inst.qubits() {
             h.write_usize(q.index());
         }
-        h.write_usize(inst.clbits.len());
-        for c in &inst.clbits {
+        h.write_usize(inst.clbits().len());
+        for c in inst.clbits() {
             h.write_usize(c.index());
         }
     }
 }
 
-fn hash_target(h: &mut FxHasher, target: &Target) {
+fn hash_target(h: &mut impl Hasher, target: &Target) {
     write_str(h, target.name());
     let topology = target.topology();
     h.write_usize(topology.num_qubits());
@@ -137,7 +161,7 @@ fn hash_target(h: &mut FxHasher, target: &Target) {
     }
 }
 
-fn hash_options(h: &mut FxHasher, options: &TranspileOptions) {
+fn hash_options(h: &mut impl Hasher, options: &TranspileOptions) {
     h.write_usize(options.layout as usize);
     h.write_usize(options.routing as usize);
     h.write_u64(u64::from(options.optimization_level));
@@ -317,6 +341,76 @@ mod tests {
 
     fn target() -> Target {
         Target::uniform("cairo", families::ibm_guadalupe_16q(), 11)
+    }
+
+    /// The two-pass digest: one full walk per seeded lane.
+    fn two_pass_key(
+        circuit: &Circuit,
+        target: &Target,
+        options: &TranspileOptions,
+    ) -> TranspileKey {
+        let [lo, hi] = LANE_SEEDS.map(|seed| {
+            let mut h = FxHasher::default();
+            h.write_u64(seed);
+            hash_circuit(&mut h, circuit);
+            hash_target(&mut h, target);
+            hash_options(&mut h, options);
+            h.finish()
+        });
+        TranspileKey { lo, hi }
+    }
+
+    /// Every `compiler_pin` circuit on every fleet machine under its four
+    /// option sets.
+    #[test]
+    fn one_walk_key_matches_the_two_pass_digest() {
+        let fleet = qcs_machine::Fleet::ibm_like();
+        let options = [
+            TranspileOptions::full(),
+            TranspileOptions::minimal(),
+            TranspileOptions {
+                layout: crate::LayoutMethod::Dense,
+                routing: crate::RoutingMethod::Sabre,
+                optimization_level: 1,
+            },
+            TranspileOptions {
+                layout: crate::LayoutMethod::NoiseAware,
+                routing: crate::RoutingMethod::Naive,
+                optimization_level: 0,
+            },
+        ];
+        let mut keys = 0;
+        let mut fold = FxHasher::default();
+        for machine in fleet.iter() {
+            let target = Target::from_machine(machine, 100.0 * 24.0 + 12.0);
+            let circuits = [
+                library::qft(4),
+                library::qft(8),
+                library::qft(12),
+                library::ghz(machine.num_qubits()),
+                library::quantum_volume(8, 8, 7),
+                library::bernstein_vazirani(10, 0x15a),
+                library::hardware_efficient_ansatz(6, 3, 11),
+            ];
+            for circuit in &circuits {
+                for opts in &options {
+                    let key = TranspileKey::of(circuit, &target, opts);
+                    assert_eq!(
+                        key,
+                        two_pass_key(circuit, &target, opts),
+                        "{}",
+                        machine.name()
+                    );
+                    fold.write_u64(key.lo);
+                    fold.write_u64(key.hi);
+                    keys += 1;
+                }
+            }
+        }
+        assert_eq!(keys, 7 * options.len() * fleet.len());
+        // The keys themselves, folded: the values the two-pass digest gave
+        // before the lanes shared a walk.
+        assert_eq!(fold.finish(), 0x9f96_6aa0_7b52_f869);
     }
 
     #[test]

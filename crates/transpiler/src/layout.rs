@@ -105,8 +105,8 @@ pub fn interaction_weights(circuit: &Circuit) -> HashMap<(usize, usize), usize> 
     let mut weights = HashMap::new();
     for inst in circuit.instructions() {
         if inst.gate.is_two_qubit() {
-            let a = inst.qubits[0].index();
-            let b = inst.qubits[1].index();
+            let a = inst.qubits()[0].index();
+            let b = inst.qubits()[1].index();
             *weights.entry((a.min(b), a.max(b))).or_insert(0) += 1;
         }
     }
@@ -461,8 +461,8 @@ mod tests {
         let out = l.apply(&c, 5);
         assert_eq!(out.num_qubits(), 5);
         assert_eq!(
-            out.instructions()[0].qubits,
-            vec![qcs_circuit::Qubit(3), qcs_circuit::Qubit(1)]
+            out.instructions()[0].qubits(),
+            &[qcs_circuit::Qubit(3), qcs_circuit::Qubit(1)]
         );
     }
 

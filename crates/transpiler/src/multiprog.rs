@@ -3,7 +3,7 @@
 //! opportunity to improve machine utilization by multi-programming on the
 //! quantum machines").
 
-use qcs_circuit::{Circuit, Clbit, Instruction, Qubit};
+use qcs_circuit::{Circuit, Clbit, Qubit};
 
 use crate::layout::noise_aware_layout_excluding;
 use crate::transpile::{transpile, LayoutMethod, TranspileOptions};
@@ -89,19 +89,10 @@ pub fn pack(circuits: &[&Circuit], target: &Target) -> Result<PackedProgram, Tra
     for ((sub, region), circuit) in routed_subcircuits.iter().zip(circuits) {
         clbit_offsets.push(offset);
         for inst in sub.instructions() {
-            let mapped = Instruction {
-                gate: inst.gate,
-                qubits: inst
-                    .qubits
-                    .iter()
-                    .map(|q| Qubit::from(region[q.index()]))
-                    .collect(),
-                clbits: inst
-                    .clbits
-                    .iter()
-                    .map(|c| Clbit::from(c.index() + offset))
-                    .collect(),
-            };
+            let mapped = inst.map_operands(
+                |q| Qubit::from(region[q.index()]),
+                |c| Clbit::from(c.index() + offset),
+            );
             combined.push(mapped);
         }
         offset += circuit.num_clbits();

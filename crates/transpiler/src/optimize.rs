@@ -122,7 +122,7 @@ fn cancel_pass(insts: &[Instruction], n: usize) -> Vec<bool> {
                 continue;
             }
             if inst.gate.is_directive() || inst.gate == Gate::Measure || inst.gate == Gate::Reset {
-                for q in &inst.qubits {
+                for q in inst.qubits() {
                     last_on[q.index()] = Some(idx);
                 }
                 continue;
@@ -130,29 +130,29 @@ fn cancel_pass(insts: &[Instruction], n: usize) -> Vec<bool> {
             // The candidate predecessor must be the immediately previous
             // instruction on *all* operand qubits.
             let same_pred = inst
-                .qubits
+                .qubits()
                 .first()
                 .and_then(|q| last_on[q.index()])
-                .filter(|&p| inst.qubits.iter().all(|q| last_on[q.index()] == Some(p)));
+                .filter(|&p| inst.qubits().iter().all(|q| last_on[q.index()] == Some(p)));
             if let Some(p) = same_pred {
                 let prev = &insts[p];
                 let cancels = alive[p]
                     && prev.gate.is_self_inverse()
                     && prev.gate == inst.gate
-                    && prev.qubits == inst.qubits;
+                    && prev.qubits() == inst.qubits();
                 if cancels {
                     alive[p] = false;
                     alive[idx] = false;
                     changed = true;
                     // Restore last_on to the pre-`prev` state lazily: a
                     // full rescan on the next iteration handles chains.
-                    for q in &inst.qubits {
+                    for q in inst.qubits() {
                         last_on[q.index()] = None;
                     }
                     continue;
                 }
             }
-            for q in &inst.qubits {
+            for q in inst.qubits() {
                 last_on[q.index()] = Some(idx);
             }
         }
@@ -178,10 +178,10 @@ fn merge_pass(insts: &[Instruction], alive: &[bool], n: usize) -> Vec<Instructio
 
     for (inst, _) in insts.iter().zip(alive).filter(|&(_, &a)| a) {
         if let Gate::Rz(theta) = inst.gate {
-            pending[inst.qubits[0].index()] += theta;
+            pending[inst.qubits()[0].index()] += theta;
             continue;
         }
-        for q in &inst.qubits {
+        for q in inst.qubits() {
             flush(&mut out, &mut pending, q.index());
         }
         out.push(inst.clone());
@@ -205,7 +205,7 @@ fn commute_pass(instructions: Vec<Instruction>, n: usize) -> Vec<Instruction> {
     for (idx, inst) in instructions.iter().enumerate() {
         match inst.gate {
             Gate::Rz(_) => {
-                let q = inst.qubits[0].index();
+                let q = inst.qubits()[0].index();
                 if let Some(prev) = pending[q] {
                     // Fuse the earlier rz into this one.
                     let prev_angle = match instructions[prev].gate {
@@ -219,7 +219,7 @@ fn commute_pass(instructions: Vec<Instruction>, n: usize) -> Vec<Instruction> {
             }
             Gate::Cx => {
                 // rz commutes with the control (qubit 0), not the target.
-                let target = inst.qubits[1].index();
+                let target = inst.qubits()[1].index();
                 pending[target] = None;
             }
             ref g if g.is_diagonal() && !g.is_two_qubit() => {
@@ -229,7 +229,7 @@ fn commute_pass(instructions: Vec<Instruction>, n: usize) -> Vec<Instruction> {
                 // Diagonal two-qubit gates commute with rz on both qubits.
             }
             _ => {
-                for q in &inst.qubits {
+                for q in inst.qubits() {
                     pending[q.index()] = None;
                 }
             }
@@ -244,7 +244,7 @@ fn commute_pass(instructions: Vec<Instruction>, n: usize) -> Vec<Instruction> {
         if let Gate::Rz(t) = inst.gate {
             let total = t + extra_angle[idx];
             if is_nontrivial_rz(total) {
-                out.push(rz(total, inst.qubits[0].index()));
+                out.push(rz(total, inst.qubits()[0].index()));
             }
             continue;
         }

@@ -30,7 +30,7 @@ fn split_measures(circuit: &Circuit) -> (Vec<&Instruction>, Vec<(Qubit, Clbit)>)
     let mut measures = Vec::new();
     for inst in circuit.instructions() {
         if inst.gate == Gate::Measure {
-            measures.push((inst.qubits[0], inst.clbits[0]));
+            measures.push((inst.qubits()[0], inst.clbits()[0]));
         } else {
             body.push(inst);
         }
@@ -67,7 +67,7 @@ pub fn naive_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
 
     for inst in body {
         if inst.gate.is_two_qubit() {
-            let (wa, wb) = (inst.qubits[0].index(), inst.qubits[1].index());
+            let (wa, wb) = (inst.qubits()[0].index(), inst.qubits()[1].index());
             let (mut pa, pb) = (loc[wa], loc[wb]);
             if !graph.are_coupled(pa, pb) {
                 let path =
@@ -138,14 +138,14 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
         let mut preds: Vec<usize> = Vec::new();
         for (idx, inst) in insts.iter().enumerate() {
             preds.clear();
-            preds.extend(inst.qubits.iter().filter_map(|q| last_on[q.index()]));
+            preds.extend(inst.qubits().iter().filter_map(|q| last_on[q.index()]));
             preds.sort_unstable();
             preds.dedup();
             indegree[idx] = preds.len();
             for &p in &preds {
                 successors[p].push(idx);
             }
-            for q in &inst.qubits {
+            for q in inst.qubits() {
                 last_on[q.index()] = Some(idx);
             }
         }
@@ -189,8 +189,8 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
             for &idx in &ready {
                 let inst = &insts[idx];
                 let executable = if inst.gate.is_two_qubit() {
-                    let pa = loc[inst.qubits[0].index()];
-                    let pb = loc[inst.qubits[1].index()];
+                    let pa = loc[inst.qubits()[0].index()];
+                    let pb = loc[inst.qubits()[1].index()];
                     graph.are_coupled(pa, pb)
                 } else {
                     true
@@ -222,8 +222,8 @@ pub fn sabre_route(circuit: &Circuit, target: &Target) -> Result<RoutingResult, 
         // Phase 2: the front layer is blocked; pick the best SWAP.
         let on_loc = |i: usize| {
             (
-                loc[insts[i].qubits[0].index()],
-                loc[insts[i].qubits[1].index()],
+                loc[insts[i].qubits()[0].index()],
+                loc[insts[i].qubits()[1].index()],
             )
         };
         frontier.clear();
@@ -355,7 +355,7 @@ mod tests {
     fn routed_ok(result: &RoutingResult, target: &Target) {
         for inst in result.circuit.instructions() {
             if inst.gate.is_two_qubit() {
-                let (a, b) = (inst.qubits[0].index(), inst.qubits[1].index());
+                let (a, b) = (inst.qubits()[0].index(), inst.qubits()[1].index());
                 assert!(
                     target.topology().are_coupled(a, b),
                     "gate {inst} on uncoupled pair"
@@ -488,7 +488,7 @@ mod tests {
             .iter()
             .find(|i| i.gate == Gate::Measure)
             .unwrap();
-        assert_eq!(measure.qubits[0].index(), r.final_placement[0]);
-        assert_eq!(measure.clbits[0].index(), 0);
+        assert_eq!(measure.qubits()[0].index(), r.final_placement[0]);
+        assert_eq!(measure.clbits()[0].index(), 0);
     }
 }

@@ -47,12 +47,12 @@ pub fn schedule_asap(circuit: &Circuit, target: &Target) -> ScheduledCircuit {
     let mut total = 0.0f64;
     for inst in circuit.instructions() {
         let start = inst
-            .qubits
+            .qubits()
             .iter()
             .map(|q| qubit_free[q.index()])
             .fold(0.0f64, f64::max);
-        let end = start + inst.gate.duration_ns(&inst.qubits, target.snapshot());
-        for q in &inst.qubits {
+        let end = start + inst.gate.duration_ns(inst.qubits(), target.snapshot());
+        for q in inst.qubits() {
             qubit_free[q.index()] = end;
         }
         starts.push(start);

@@ -221,7 +221,7 @@ mod tests {
         for inst in result.circuit.instructions() {
             assert!(is_basis_gate(&inst.gate), "non-basis gate {inst}");
             if inst.gate.is_two_qubit() {
-                let (a, b) = (inst.qubits[0].index(), inst.qubits[1].index());
+                let (a, b) = (inst.qubits()[0].index(), inst.qubits()[1].index());
                 assert!(target.topology().are_coupled(a, b), "uncoupled {inst}");
             }
         }

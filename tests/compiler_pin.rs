@@ -28,15 +28,15 @@ fn hash_circuit(h: &mut FxHasher, circuit: &Circuit) {
     h.write_usize(circuit.instructions().len());
     for inst in circuit.instructions() {
         h.write(inst.gate.name().as_bytes());
-        for p in inst.gate.params() {
+        for p in inst.gate.params().iter() {
             h.write_u64(p.to_bits());
         }
-        h.write_usize(inst.qubits.len());
-        for q in &inst.qubits {
+        h.write_usize(inst.qubits().len());
+        for q in inst.qubits() {
             h.write_usize(q.index());
         }
-        h.write_usize(inst.clbits.len());
-        for c in &inst.clbits {
+        h.write_usize(inst.clbits().len());
+        for c in inst.clbits() {
             h.write_usize(c.index());
         }
     }
