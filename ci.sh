@@ -184,6 +184,26 @@ cargo test -q --workspace
 #   Summary::of on the expanded sample bit for bit (ties, signed zeros,
 #   infinities, NaN runs, zero counts, single runs); a patience check for
 #   a dispatched or finished job never moves the clock or the sample grid.
+# -p qcs-cloud agenda_lanes_match_single_heap_oracle: the three-lane event
+#   agenda (service heap, patience-check FIFO, late-check heap) pops the
+#   same (time, kind) sequence as the single heap it replaced, kept as a
+#   test oracle, under random pushes with in-order, tied and out-of-order
+#   deadlines and cross-lane time ties; a FIFO that takes a key below its
+#   back or a merge that prefers the service lane on a time tie fails it.
+# -p qcs-cloud fairshare_tree_matches_scan_oracle: the winner tree's
+#   integer ranks pick what the float (key, front submit, index) scan
+#   picks, with -inf keys, equal keys over equal fronts and injections
+#   rekeying through update_path; a tree that lets the right child win a
+#   full tie fails it.
+# -p qcs-workload study_shapes_equal_the_built_circuits: the study job's
+#   per-width shape table for the seed-free families (and the per-job
+#   build for bv and rand) equals by_family(..).depth() / num_qubits() for
+#   every family x width 1..=32 x 128 seeds; a family wrongly marked
+#   seed-free fails it.
+# -p qcs-circuit duplicate_operand_rejected_at_any_width;
+#   repeated_operand_is_invalid_at_any_width: try_push and from_qasm refuse
+#   a repeated qubit in an instruction of any width (`barrier
+#   q[0],q[0],q[1];`) with DuplicateOperand, naming the first repeat.
 
 # Million-job bounded-memory gate: stream the full 10^6-job Zipf
 # population trace through the 4-shard FleetSim. The binary asserts zero

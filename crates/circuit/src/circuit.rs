@@ -22,7 +22,7 @@ pub enum CircuitError {
         /// The classical register size.
         width: usize,
     },
-    /// A two-qubit gate was applied to the same qubit twice.
+    /// An instruction named the same qubit twice.
     DuplicateOperand {
         /// The duplicated qubit.
         qubit: Qubit,
@@ -46,6 +46,15 @@ impl fmt::Display for CircuitError {
 }
 
 impl std::error::Error for CircuitError {}
+
+/// The first operand of a wide instruction (a barrier) that repeats an
+/// earlier one. Out of line: gates have one or two operands.
+#[cold]
+fn first_repeat(qubits: &[Qubit]) -> Option<Qubit> {
+    (1..qubits.len())
+        .find(|&j| qubits[..j].contains(&qubits[j]))
+        .map(|j| qubits[j])
+}
 
 /// An ordered quantum circuit.
 ///
@@ -145,8 +154,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError`] if an operand is out of range or a
-    /// multi-qubit gate repeats an operand.
+    /// Returns [`CircuitError`] if an operand is out of range or an
+    /// instruction (a barrier of any width included) repeats a qubit.
     pub fn try_push(&mut self, instruction: Instruction) -> Result<(), CircuitError> {
         let qubits = instruction.qubits();
         for &q in qubits {
@@ -165,10 +174,13 @@ impl Circuit {
                 });
             }
         }
-        if let &[a, b] = qubits {
-            if a == b {
-                return Err(CircuitError::DuplicateOperand { qubit: a });
-            }
+        let repeated = match *qubits {
+            [] | [_] => None,
+            [a, b] => (a == b).then_some(b),
+            _ => first_repeat(qubits),
+        };
+        if let Some(qubit) = repeated {
+            return Err(CircuitError::DuplicateOperand { qubit });
         }
         self.instructions.push(instruction);
         Ok(())
@@ -557,6 +569,28 @@ mod tests {
             .try_push(Instruction::gate(Gate::Cx, &[Qubit(1), Qubit(1)]))
             .unwrap_err();
         assert_eq!(err, CircuitError::DuplicateOperand { qubit: Qubit(1) });
+    }
+
+    #[test]
+    fn duplicate_operand_rejected_at_any_width() {
+        // Regression: only a two-operand instruction was checked, so a
+        // wider barrier could repeat a qubit.
+        let mut c = Circuit::new(4);
+        for (qubits, repeated) in [
+            (&[0, 0, 1][..], 0),
+            (&[0, 1, 0][..], 0),
+            (&[2, 1, 3, 1][..], 1),
+            (&[3, 2, 1, 0, 2, 3][..], 2),
+        ] {
+            let qubits: Vec<Qubit> = qubits.iter().map(|&q| Qubit(q)).collect();
+            let err = c
+                .try_push(Instruction::gate(Gate::Barrier, &qubits))
+                .unwrap_err();
+            assert_eq!(err, CircuitError::DuplicateOperand { qubit: Qubit(repeated) });
+        }
+        assert!(c.instructions().is_empty());
+        c.push(Instruction::gate(Gate::Barrier, &[Qubit(3), Qubit(0), Qubit(2)]));
+        assert_eq!(c.instructions().len(), 1);
     }
 
     #[test]

@@ -430,6 +430,32 @@ mod tests {
     }
 
     #[test]
+    fn repeated_operand_is_invalid_at_any_width() {
+        // Regression: `barrier q[0],q[0],q[1];` parsed, because only a
+        // two-operand instruction was checked for a repeated qubit.
+        for statement in [
+            "cx q[1],q[1];",
+            "barrier q[0],q[0];",
+            "barrier q[0],q[0],q[1];",
+            "barrier q[1],q[0],q[1];",
+        ] {
+            let err = one_statement(statement).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    QasmError::Invalid(CircuitError::DuplicateOperand { .. })
+                ),
+                "{statement}: {err:?}"
+            );
+        }
+        assert_eq!(
+            one_statement("barrier q[0],q[0],q[1];").unwrap_err(),
+            QasmError::Invalid(CircuitError::DuplicateOperand { qubit: Qubit(0) })
+        );
+        assert!(one_statement("barrier q[1],q[0];").is_ok());
+    }
+
+    #[test]
     fn wide_barrier_survives_clone_remap_and_round_trip() {
         let mut c = Circuit::new(4);
         c.h(0).h(0).h(0);

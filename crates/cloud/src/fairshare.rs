@@ -30,14 +30,20 @@
 //! injected (one `log2` instead of an O(P) `decay_to` sweep), and a
 //! winner tree over the providers repositions just that provider in
 //! O(log P); `pop` reads the root. The tie-break chain is `(key, front
-//! submit time, provider index)`. The O(P) scan over the same keys
-//! survives only as a test-scope method: the unit tests assert that the
+//! submit time, provider index)`. Each eligible provider carries it as
+//! one `u128` rank, refreshed whenever its key or its front job changes:
+//! the sign-folded key in the high word and the sign-folded front
+//! `submit_s` in the low word, so a match is one integer compare (`total_cmp`
+//! order on both floats) and the left, lower-index child wins a full tie.
+//! The O(P) scan survives only as a test-scope method that walks the
+//! float chain itself, never the ranks: the unit tests assert that the
 //! tree root equals the scan's pick on the *same* queue before every pop,
-//! over random push/charge/inject/remove schedules.
+//! over random push/charge/inject/remove schedules with `-inf` keys and
+//! full ties.
 
 use std::collections::VecDeque;
 
-use crate::{JobSpec, QueueItem};
+use crate::{sign_fold, JobSpec, QueueItem};
 
 /// Sentinel for "no provider" in the winner tree.
 const NONE: u32 = u32::MAX;
@@ -60,6 +66,12 @@ pub struct FairShareQueue<T = JobSpec> {
     /// Per-provider decay-invariant sort key (see module docs); `-inf`
     /// for zero usage.
     key: Vec<f64>,
+    /// Per-provider selection rank, valid while the provider is eligible:
+    /// [`sign_fold`] of its key in the high word and of its front job's
+    /// `submit_s` in the low word, so one integer compare orders providers
+    /// by `(key, front submit)` under `total_cmp`. Refreshed by
+    /// `update_path`, which every key or front change runs.
+    rank: Vec<u128>,
     /// Per-provider lifetime charged seconds, *undecayed* (audit
     /// accounting: must equal the sum of the provider's execution
     /// intervals on this machine).
@@ -85,6 +97,7 @@ impl<T: QueueItem> FairShareQueue<T> {
             usage: vec![0.0; num_providers],
             touch_s: vec![0.0; num_providers],
             key: vec![f64::NEG_INFINITY; num_providers],
+            rank: vec![0; num_providers],
             charged_raw: vec![0.0; num_providers],
             half_life_s,
             len: 0,
@@ -211,40 +224,31 @@ impl<T: QueueItem> FairShareQueue<T> {
         self.update_path(p);
     }
 
-    /// Winner of two providers (either may be `NONE`): lowest
-    /// `(key, front submit, index)`. `a` must come from the left subtree
-    /// so full ties resolve to the lower provider index.
+    /// Winner of two providers (either may be `NONE`): lowest rank, i.e.
+    /// lowest `(key, front submit, index)`. `a` must come from the left
+    /// subtree so full ties resolve to the lower provider index.
     #[inline]
     fn winner(&self, a: u32, b: u32) -> u32 {
         if a == NONE {
             return b;
         }
-        if b == NONE {
+        if b == NONE || self.rank[a as usize] <= self.rank[b as usize] {
             return a;
         }
-        let (pa, pb) = (a as usize, b as usize);
-        match self.key[pa].total_cmp(&self.key[pb]) {
-            std::cmp::Ordering::Less => a,
-            std::cmp::Ordering::Greater => b,
-            std::cmp::Ordering::Equal => {
-                let ta = self.queues[pa].front().map(QueueItem::submit_s);
-                let tb = self.queues[pb].front().map(QueueItem::submit_s);
-                // Eligible providers always have a front; compare defensively.
-                match (ta, tb) {
-                    (Some(ta), Some(tb)) if tb.total_cmp(&ta).is_lt() => b,
-                    _ => a,
-                }
-            }
-        }
+        b
     }
 
-    /// Re-run the matches on `p`'s path to the root (O(log P)).
+    /// Refresh `p`'s rank and re-run the matches on its path to the root
+    /// (O(log P)).
     fn update_path(&mut self, p: usize) {
         let mut node = self.leaf_base + p;
-        self.tree[node] = if self.queues[p].is_empty() {
-            NONE
-        } else {
-            p as u32
+        self.tree[node] = match self.queues[p].front() {
+            None => NONE,
+            Some(front) => {
+                self.rank[p] = (u128::from(sign_fold(self.key[p])) << 64)
+                    | u128::from(sign_fold(front.submit_s()));
+                p as u32
+            }
         };
         while node > 1 {
             node >>= 1;
@@ -259,22 +263,19 @@ impl<T: QueueItem> FairShareQueue<T> {
     }
 
     /// Scan selector (the tree's test oracle): a full min over eligible
-    /// providers on the same key array and tie-break chain.
+    /// providers by the float chain `(key, front submit, index)` under
+    /// `total_cmp`, read from the keys and FIFOs, never from the ranks.
     #[cfg(test)]
     fn select_scan(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for p in 0..self.queues.len() {
-            if self.queues[p].is_empty() {
-                continue;
-            }
-            best = Some(match best {
-                None => p,
-                // `winner` keeps the left (lower-index) provider on full
-                // ties, and `best < p` here, so the semantics match.
-                Some(b) => self.winner(b as u32, p as u32) as usize,
-            });
-        }
-        best
+        let front = |p: usize| self.queues[p].front().map_or(f64::NAN, QueueItem::submit_s);
+        (0..self.queues.len())
+            .filter(|&p| !self.queues[p].is_empty())
+            .min_by(|&a, &b| {
+                self.key[a]
+                    .total_cmp(&self.key[b])
+                    .then_with(|| front(a).total_cmp(&front(b)))
+                    .then(a.cmp(&b))
+            })
     }
 }
 
@@ -415,19 +416,28 @@ mod tests {
 
         // One queue, both selectors: before every pop the winner tree's
         // root must be the provider a full scan picks, under a random
-        // push / charge / inject / remove / pop schedule.
+        // push / charge / inject / remove / pop schedule. Uncharged
+        // providers hold `-inf` keys; twin pushes and twin charges at one
+        // instant make equal keys with equal fronts, so the index
+        // tie-break runs; injections rekey through `update_path` as
+        // cross-shard reconciliation does.
         #[test]
         fn fairshare_tree_matches_scan_oracle(
             providers in 1usize..12,
-            ops in proptest::collection::vec((0u32..7, 0u32..12, 0.0f64..5e4), 1..300),
+            ops in proptest::collection::vec((0u32..10, 0u32..12, 0.0f64..5e4), 1..300),
         ) {
             let mut q: FairShareQueue = FairShareQueue::new(providers, 2.0 * 3600.0);
             let mut clock = 0.0f64;
             let mut queued: Vec<u64> = Vec::new();
             let mut next_id = 0u64;
             for &(op, p, x) in &ops {
-                clock += x * 1e-2; // monotone clock, as the DES guarantees
+                // Monotone clock, as the DES guarantees; twins share an
+                // instant.
+                if op < 7 {
+                    clock += x * 1e-2;
+                }
                 let provider = p % providers as u32;
+                let twin = (provider + 1) % providers as u32;
                 match op {
                     0..=2 => {
                         q.push(job(next_id, provider, clock));
@@ -442,6 +452,18 @@ mod tests {
                         let id = queued.swap_remove(p as usize % queued.len());
                         prop_assert_eq!(q.remove(id).map(|j| j.id), Some(id));
                     }
+                    7 => {
+                        for who in [provider, twin] {
+                            q.push(job(next_id, who, clock));
+                            queued.push(next_id);
+                            next_id += 1;
+                        }
+                    }
+                    8 => {
+                        q.charge(provider, x.round(), clock);
+                        q.charge(twin, x.round(), clock);
+                    }
+                    9 => q.inject_usage(provider, 0.0, clock),
                     _ => {
                         prop_assert_eq!(q.select_tree(), q.select_scan());
                         if let Some(j) = q.pop(clock) {

@@ -50,3 +50,29 @@ pub use live::{JobStatus, LiveCloud, RecordTapFn, SubmitError};
 pub use outage::OutagePlan;
 pub use sim::{CloudConfig, RecordSink, Simulation, SimulationResult};
 pub use streaming::StreamingAggregates;
+
+/// Order-preserving bijection from `f64` to `u64`: the sign-fold of the
+/// IEEE bit pattern, so `sign_fold(a).cmp(&sign_fold(b))` equals
+/// `a.total_cmp(&b)` (the repo-wide sort convention). The event agenda's
+/// packed `(time, seq)` key and the fair-share queue's provider rank both
+/// order by it, one integer compare in place of a float chain.
+#[inline]
+pub(crate) fn sign_fold(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`sign_fold`].
+#[inline]
+pub(crate) fn sign_unfold(folded: u64) -> f64 {
+    let bits = if folded >> 63 == 1 {
+        folded & !(1 << 63)
+    } else {
+        !folded
+    };
+    f64::from_bits(bits)
+}

@@ -28,17 +28,52 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::sampler::{self, ZipfProviders};
 
-/// Circuit family mix for study jobs: `(family, weight)`.
-const STUDY_FAMILIES: &[(&str, f64)] = &[
-    ("qft", 0.15),
-    ("ghz", 0.15),
-    ("bv", 0.10),
-    ("qv", 0.10),
-    ("rand", 0.25),
-    ("hea", 0.15),
-    ("adder", 0.05),
-    ("w", 0.05),
+/// Circuit family mix for study jobs: `(family, weight, seed_free)`,
+/// where `seed_free` says the family's circuit has the same depth and
+/// width at every seed (so [`StudyShapes`] builds it once per width).
+const STUDY_FAMILIES: &[(&str, f64, bool)] = &[
+    ("qft", 0.15, true),
+    ("ghz", 0.15, true),
+    ("bv", 0.10, false),
+    ("qv", 0.10, true),
+    ("rand", 0.25, false),
+    ("hea", 0.15, true),
+    ("adder", 0.05, true),
+    ("w", 0.05, true),
 ];
+
+/// Widest representative circuit a study job builds.
+const STUDY_MAX_WIDTH: usize = 32;
+
+/// `(depth, width)` of each study job's representative circuit,
+/// `library::by_family(family, width, seed)`: a seed-free family's shape
+/// is built once per width and kept, the others are built per job.
+struct StudyShapes {
+    /// Indexed `family * (STUDY_MAX_WIDTH + 1) + width`.
+    seed_free: Vec<Option<(usize, usize)>>,
+}
+
+impl StudyShapes {
+    fn new() -> Self {
+        StudyShapes {
+            seed_free: vec![None; STUDY_FAMILIES.len() * (STUDY_MAX_WIDTH + 1)],
+        }
+    }
+
+    /// The shape of family `family`'s circuit at `width` (at most
+    /// [`STUDY_MAX_WIDTH`]) and `seed`.
+    fn shape(&mut self, family: usize, width: usize, seed: u64) -> (usize, usize) {
+        let (name, _, seed_free) = STUDY_FAMILIES[family];
+        let build = || {
+            let circuit = library::by_family(name, width, seed).expect("study families are valid");
+            (circuit.depth(), circuit.num_qubits())
+        };
+        if !seed_free {
+            return build();
+        }
+        *self.seed_free[family * (STUDY_MAX_WIDTH + 1) + width].get_or_insert_with(build)
+    }
+}
 
 /// Workload generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -491,6 +526,7 @@ fn study_jobs(
         })
         .collect();
     let weight_total: f64 = weights.iter().sum();
+    let mut shapes = StudyShapes::new();
 
     (first_id..first_id + config.study_jobs as u64)
         .map(|id| {
@@ -516,7 +552,7 @@ fn study_jobs(
             // fair-share scheduler must not hand the instrumented group a
             // fast lane.
             let provider = providers.draw(rng);
-            study_job(id, m_idx, machine, provider, submit_s, rng)
+            study_job(id, m_idx, machine, provider, submit_s, &mut shapes, rng)
         })
         .collect()
 }
@@ -604,25 +640,25 @@ fn study_job(
     machine: &Machine,
     provider: u32,
     submit_s: f64,
+    shapes: &mut StudyShapes,
     rng: &mut StdRng,
 ) -> JobSpec {
     // Family choice.
-    let total_w: f64 = STUDY_FAMILIES.iter().map(|(_, w)| w).sum();
+    let total_w: f64 = STUDY_FAMILIES.iter().map(|(_, w, _)| w).sum();
     let mut pick = rng.gen_range(0.0..total_w);
     let mut fam_idx = 0;
-    for (i, (_, w)) in STUDY_FAMILIES.iter().enumerate() {
+    for (i, (_, w, _)) in STUDY_FAMILIES.iter().enumerate() {
         if pick < *w {
             fam_idx = i;
             break;
         }
         pick -= w;
     }
-    let family = STUDY_FAMILIES[fam_idx].0;
 
-    let width = sampler::width(rng, machine.num_qubits()).min(32);
-    let representative = library::by_family(family, width, rng.gen())
-        .expect("study families are valid");
-    let representative_depth = representative.depth() as f64;
+    let width = sampler::width(rng, machine.num_qubits()).min(STUDY_MAX_WIDTH);
+    // Drawn for every family, seed-free or not, so the stream is the same.
+    let (depth, representative_width) = shapes.shape(fam_idx, width, rng.gen());
+    let representative_depth = depth as f64;
 
     let batch = sampler::batch_size(rng, machine.max_batch_size() as u32);
     let shots = sampler::shots(rng, machine.max_shots());
@@ -642,7 +678,7 @@ fn study_job(
         circuits: batch,
         shots,
         mean_depth: depth_sum / f64::from(batch),
-        mean_width: representative.num_qubits() as f64,
+        mean_width: representative_width as f64,
         submit_s,
         is_study: true,
         patience_s: f64::INFINITY,
@@ -818,6 +854,27 @@ mod tests {
         stable.sort_unstable_by_key(|j| j.id);
         stable.sort_by(|a, b| a.submit_s.total_cmp(&b.submit_s));
         assert_eq!(stable, w.jobs);
+    }
+
+    #[test]
+    fn study_shapes_equal_the_built_circuits() {
+        // A seed-free family's first shape is kept for every later seed, so
+        // this fails if any of them varies with the seed.
+        let mut shapes = StudyShapes::new();
+        let mut rng = StdRng::seed_from_u64(48);
+        let seeds: Vec<u64> = (0..128).map(|_| rng.gen()).collect();
+        for (family, &(name, _, _)) in STUDY_FAMILIES.iter().enumerate() {
+            for width in 1..=STUDY_MAX_WIDTH {
+                for &seed in &seeds {
+                    let circuit = library::by_family(name, width, seed).unwrap();
+                    assert_eq!(
+                        shapes.shape(family, width, seed),
+                        (circuit.depth(), circuit.num_qubits()),
+                        "{name} at width {width}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
