@@ -204,6 +204,18 @@ cargo test -q --workspace
 #   repeated_operand_is_invalid_at_any_width: try_push and from_qasm refuse
 #   a repeated qubit in an instruction of any width (`barrier
 #   q[0],q[0],q[1];`) with DuplicateOperand, naming the first repeat.
+# -p qcs-stats lm_kernel; fit_flat_skipping_rebuilds: the const-width LM
+#   kernel gives the dynamic-k oracle loop's coefficient bits and rejected
+#   steps at every k in 1..=8, warm, cold and far-off inits, 1 to 200
+#   iterations, and its bits fold to the value pinned from that loop.
+# -p qcs-stats overflowing_normal_equations_reject_the_step;
+#   solver_refuses_non_finite_pivots; fit_flat_refuses_more_than_eight:
+#   an overflowing LM step is rejected (a non-finite pivot is singular),
+#   not a panic; fit_flat panics past 8 features with its documented text.
+# -p qcs-calibration cycle_cast_is_the_floor; -p qcs-cloud
+#   day_bin_cast_is_the_floor: the calibration cycle and the day bin cast
+#   where they called floor, equal for NaN, +-0, +-inf, subnormals,
+#   negatives and values at and just below integers.
 
 # Million-job bounded-memory gate: stream the full 10^6-job Zipf
 # population trace through the 4-shard FleetSim. The binary asserts zero
@@ -284,5 +296,10 @@ cargo clippy -p qcs-predictor --no-deps -- -D warnings -D clippy::unwrap_used -D
 # path (every SUBMIT steps the simulator under the state lock): no
 # unwrap/expect in non-test cloud code either.
 cargo clippy -p qcs-cloud --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
+# The predictor's fits (the refit after every gateway reply and FleetSim
+# step, the batch Figs 15-16 fit) run qcs-stats' Levenberg-Marquardt
+# kernel: no unwrap/expect in its non-test code either.
+cargo clippy -p qcs-stats --no-deps -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "ci.sh: all checks passed"

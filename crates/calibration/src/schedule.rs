@@ -52,7 +52,11 @@ impl CalibrationSchedule {
         if shifted < 0.0 {
             return 0;
         }
-        (shifted / self.period_hours).floor() as u64 + 1
+        // The cast is `floor` here: a non-negative quotient truncates to
+        // its floor, and a negative or NaN one saturates to 0 either way.
+        // It runs twice per dispatch, and an x86-64 baseline build has no
+        // `floor` instruction (SSE4.1) and calls a software one.
+        (shifted / self.period_hours) as u64 + 1
     }
 
     /// Time (hours) of the most recent calibration at or before `t_hours`;
@@ -133,6 +137,62 @@ mod tests {
         let s = CalibrationSchedule::daily_at(2.0);
         assert_eq!(s.cycle_at(2.0), 1);
         assert!(s.crossover(1.9, 2.0));
+    }
+
+    #[test]
+    fn cycle_cast_is_the_floor() {
+        let schedules = [
+            CalibrationSchedule::daily_at(0.0),
+            CalibrationSchedule::daily_at(1.5),
+            CalibrationSchedule {
+                calibration_hour: 0.0,
+                period_hours: 1.0,
+            },
+            CalibrationSchedule {
+                calibration_hour: 0.0,
+                period_hours: -24.0,
+            },
+            CalibrationSchedule {
+                calibration_hour: 0.0,
+                period_hours: f64::INFINITY,
+            },
+            CalibrationSchedule {
+                calibration_hour: 0.0,
+                period_hours: f64::NAN,
+            },
+        ];
+        let mut times = vec![
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -0.5,
+            -1.0,
+            -1.5,
+            1e300,
+        ];
+        let wholes: [f64; 8] = [1.0, 2.0, 24.0, 25.5, 48.0, 1e6, 1e15, 1e18];
+        for whole in wholes {
+            times.extend([whole, whole.next_down(), whole.next_up()]);
+        }
+        for s in schedules {
+            for &t in &times {
+                let quotient = (t - s.calibration_hour) / s.period_hours;
+                if quotient.floor() >= u64::MAX as f64 {
+                    continue; // `+ 1` overflows with `floor` too
+                }
+                let floored = if t - s.calibration_hour < 0.0 {
+                    0
+                } else {
+                    quotient.floor() as u64 + 1
+                };
+                assert_eq!(s.cycle_at(t), floored, "{s:?} at {t:e}");
+            }
+        }
     }
 
     #[test]

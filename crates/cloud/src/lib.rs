@@ -66,6 +66,18 @@ pub(crate) fn sign_fold(x: f64) -> u64 {
     }
 }
 
+/// The day (86 400 s bin) an execution that ended at `end_s` is tallied
+/// in: `floor(end_s / 86 400)`, with negative and NaN instants in day 0.
+/// The cast computes exactly that for every `f64`: a non-negative value
+/// truncates to its floor, negatives, `-0.0` and NaN saturate to 0 and
+/// `+inf` to `usize::MAX`, all as `.floor().max(0.0) as usize` does,
+/// without the software `floor` an x86-64 baseline build (no SSE4.1)
+/// calls. `audit.rs` keeps the `floor` formula as its independent check.
+#[inline]
+pub(crate) fn day_bin(end_s: f64) -> usize {
+    (end_s / 86_400.0) as usize
+}
+
 /// Inverse of [`sign_fold`].
 #[inline]
 pub(crate) fn sign_unfold(folded: u64) -> f64 {
@@ -75,4 +87,36 @@ pub(crate) fn sign_unfold(folded: u64) -> f64 {
         !folded
     };
     f64::from_bits(bits)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::day_bin;
+
+    #[test]
+    fn day_bin_cast_is_the_floor() {
+        let mut instants = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -0.5,
+            -86_400.0,
+            -86_401.5,
+            f64::MAX,
+        ];
+        for day in [1.0, 2.0, 180.0, 730.0, 1e9, 2f64.powi(52)] {
+            let whole = day * 86_400.0;
+            instants.extend([whole, whole.next_down(), whole.next_up()]);
+        }
+        for end_s in instants {
+            let floored = (end_s / 86_400.0).floor().max(0.0) as usize;
+            assert_eq!(day_bin(end_s), floored, "{end_s:e}");
+        }
+    }
 }

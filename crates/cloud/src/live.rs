@@ -71,8 +71,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    sign_fold, sign_unfold, CloudConfig, JobOutcome, JobQueue, JobRecord, JobSpec, OutagePlan,
-    QueueItem, QueueSample, RecordSink, SimulationResult, StreamingAggregates,
+    day_bin, sign_fold, sign_unfold, CloudConfig, JobOutcome, JobQueue, JobRecord, JobSpec,
+    OutagePlan, QueueItem, QueueSample, RecordSink, SimulationResult, StreamingAggregates,
 };
 
 /// One in-flight job in the slab: the spec, its queue depth at
@@ -1003,7 +1003,7 @@ impl LiveCloud {
         };
         self.result.outcome_counts[slot] += 1;
         if record.outcome != JobOutcome::Cancelled {
-            let day = (record.end_s / 86_400.0).floor().max(0.0) as usize;
+            let day = day_bin(record.end_s);
             if self.result.daily_executions.len() <= day {
                 self.result.daily_executions.resize(day + 1, 0);
             }

@@ -16,7 +16,8 @@
 use qcs_machine::Fleet;
 
 use crate::{
-    Discipline, JobOutcome, JobRecord, JobSpec, OutagePlan, QueueSample, StreamingAggregates,
+    day_bin, Discipline, JobOutcome, JobRecord, JobSpec, OutagePlan, QueueSample,
+    StreamingAggregates,
 };
 
 /// Where terminal [`JobRecord`]s go.
@@ -144,7 +145,7 @@ impl SimulationResult {
         };
         self.outcome_counts[slot] += 1;
         if record.outcome != JobOutcome::Cancelled {
-            let day = (record.end_s / 86_400.0).floor().max(0.0) as usize;
+            let day = day_bin(record.end_s);
             if self.daily_executions.len() <= day {
                 self.daily_executions.resize(day + 1, 0);
             }

@@ -28,8 +28,9 @@
 //! nanoseconds, called from the `LiveCloud` record tap in the middle of a
 //! DES step. It pushes the row into the window and counts it; apart from
 //! the one-off cold fit at the 16th completion it never fits anything.
-//! The windowed **fit** is hundreds of microseconds and belongs to
-//! whoever owns the predictor, at its batch boundary (a gateway
+//! The windowed **fit** is ~90 µs for a warm refit of a full 512-row
+//! window (`stats.lm_fit_us`; 350–460 µs before `fit_flat` became one
+//! const-width kernel) and belongs to whoever owns the predictor, at its batch boundary (a gateway
 //! connection after each request, `FleetSim` once per shard per step
 //! call), in three parts so that a predictor behind a mutex is locked
 //! only to copy and to publish: [`take_refit`](OnlinePredictor::take_refit)
@@ -56,7 +57,9 @@ pub const ONLINE_REFIT_EVERY: usize = 64;
 /// Completed jobs required before the first runtime-model fit.
 const MIN_FIT: usize = 16;
 /// LM iterations for a warm-started refit (mini-batch Gauss–Newton); the
-/// dominant per-refit cost. Sized for the stalest warm start an owner
+/// dominant per-refit cost: each accepted step rebuilds `J^T J` over the
+/// whole window, and six of them over 512 rows × 7 features read ~90 µs
+/// (`stats.lm_fit_us`). Sized for the stalest warm start an owner
 /// produces, not the freshest: a `FleetSim` shard refits once per
 /// several thousand completions, so the previous coefficients were fitted
 /// on a window that has since turned over completely. Measured by
